@@ -324,6 +324,9 @@ def serialize_tree(tree: SemanticOctree, path) -> None:
 def _read_node(reader: _Reader, tree: SemanticOctree, key: NodeKey) -> None:
     (kind, weight) = reader.take("<Bd")
     max_depth = tree.world.max_depth
+    if kind in (_NODE_LEAF, _NODE_SUMMARY) and not (
+            math.isfinite(weight) and weight >= 0.0):
+        raise CorruptionError(f"record {key} has invalid weight {weight!r}")
     if kind == _NODE_LEAF:
         if key.depth != max_depth:
             raise CorruptionError(f"leaf record at depth {key.depth}")

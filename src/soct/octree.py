@@ -137,6 +137,29 @@ class WorldConfig:
             coords.append(min(c, n - 1))
         return tuple(coords)
 
+    def morton(self, points) -> tuple[np.ndarray, np.ndarray]:
+        """Finest-depth Morton codes of an (N, 3) array of points.
+
+        Returns ``(codes, inside)``. ``codes`` bit-interleave the cell
+        coordinates that ``leaf_coords`` gives (same floor and upper clamp),
+        so a node's region is the code range of its index shifted left by
+        ``dims`` bits per level below it. ``inside`` applies the half-open
+        bounds of ``contains``; outside points get code 0.
+        """
+        p = np.asarray(points, dtype=np.float64).reshape(-1, 3)
+        o = np.asarray(self.origin)
+        inside = np.all(p >= o, axis=1) & np.all(p < o + self.edge_length, axis=1)
+        n = 1 << self.max_depth
+        codes = np.zeros(len(p), dtype=np.int64)
+        for axis in range(self.dims):
+            c = (p[inside, axis] - self.origin[axis]) // self.leaf_size
+            c = np.minimum(c.astype(np.int64), n - 1)
+            spread = np.zeros_like(c)
+            for bit in range(self.max_depth):
+                spread |= ((c >> bit) & 1) << (bit * self.dims + axis)
+            codes[inside] |= spread
+        return codes, inside
+
     def leaf_key(self, point) -> NodeKey:
         return self.key_from_coords(self.leaf_coords(point), self.max_depth)
 

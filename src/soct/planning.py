@@ -7,6 +7,17 @@ always treated as undesired. The search minimizes the lexicographic pair
 (number of undesired-class edges, total length); no scalarized weighting is
 ever used.
 
+All point lookups go through one primitive. ``WorldConfig.morton`` turns a
+batch of points into finest-depth Morton (Z-order) codes, and a node's
+region is one contiguous code range. ``BlockIndex`` sorts the map's blocks
+by range start: the leaves of a compressed tree, which tile the world with
+virtual blocks as UNKNOWN_CLASS, or the stored leaves and summaries of a
+raw octree, where a gap is unobserved space. One ``searchsorted`` then
+places a whole batch of samples. A graph build classifies the samples of
+its edges in batches of up to 1,024 edges, and each edge's color is a
+maximum over severity ranks. ``class_at`` and ``octree_class_at`` are
+one-point calls of the same path.
+
 Graph construction and search are read-only over their inputs; multiple
 queries may run concurrently on one graph.
 """
@@ -14,6 +25,7 @@ queries may run concurrently on one graph.
 from __future__ import annotations
 
 import heapq
+import math
 from dataclasses import dataclass, field
 from typing import NamedTuple
 
@@ -22,14 +34,7 @@ from scipy.spatial import cKDTree
 
 from .compression import CompressedTree
 from .errors import ConfigError, GraphError, TreeError
-from .octree import (
-    INTERIOR,
-    ROOT_KEY,
-    NodeKey,
-    SemanticOctree,
-    WorldConfig,
-    child_key,
-)
+from .octree import INTERIOR, NodeKey, SemanticOctree, WorldConfig
 
 UNKNOWN_CLASS = -1
 
@@ -109,53 +114,82 @@ def dominant_class(marginals: np.ndarray) -> int:
     return int(np.argmax(marginals))
 
 
+class BlockIndex:
+    """Map blocks as disjoint ranges [start, end) of finest-depth Morton codes.
+
+    A point lies in the block whose range holds its ``WorldConfig.morton``
+    code; a code in no range is unobserved space. ``class_of`` gives a
+    block's class from its key and runs only for blocks that points hit.
+    """
+
+    def __init__(self, world: WorldConfig, keys: list[NodeKey], class_of):
+        shifts = [world.dims * (world.max_depth - k.depth) for k in keys]
+        starts = np.array([k.index << s for k, s in zip(keys, shifts)],
+                          dtype=np.int64)
+        ends = np.array([(k.index + 1) << s for k, s in zip(keys, shifts)],
+                        dtype=np.int64)
+        order = np.argsort(starts, kind="stable")
+        self.world = world
+        self.keys = [keys[i] for i in order]
+        self.starts = starts[order]
+        self.ends = ends[order]
+        self.class_of = class_of
+
+    @classmethod
+    def from_compressed(cls, ctree: CompressedTree) -> "BlockIndex":
+        """Blocks of a compressed tree: its leaves, which tile the world.
+
+        Virtual (unobserved) leaves classify as UNKNOWN_CLASS.
+        """
+
+        def class_of(key: NodeKey) -> int:
+            leaf = ctree.leaves[key]
+            return UNKNOWN_CLASS if leaf.virtual else dominant_class(leaf.marginals)
+
+        index = cls(ctree.world, list(ctree.leaves), class_of)
+        n_codes = 1 << (ctree.world.dims * ctree.world.max_depth)
+        if not (len(index.keys) and index.starts[0] == 0
+                and index.ends[-1] == n_codes
+                and np.all(index.starts[1:] == index.ends[:-1])):
+            raise TreeError("compressed tree leaves do not tile the world volume")
+        return index
+
+    @classmethod
+    def from_octree(cls, tree: SemanticOctree) -> "BlockIndex":
+        """Blocks of a raw octree: its stored leaves and summaries."""
+        keys = [k for k, node in tree.nodes.items() if node.kind != INTERIOR]
+        return cls(tree.world, keys,
+                   lambda key: dominant_class(tree.conditional(key)))
+
+    def classify(self, points) -> np.ndarray:
+        """Class id of every point in an (N, 3) array; UNKNOWN_CLASS off-map."""
+        codes, inside = self.world.morton(points)
+        block = np.searchsorted(self.starts, codes, side="right") - 1
+        hit = inside & (block >= 0)
+        hit[hit] = codes[hit] < self.ends[block[hit]]
+        hit_blocks, inverse = np.unique(block[hit], return_inverse=True)
+        classes = np.full(len(codes), UNKNOWN_CLASS)
+        classes[hit] = np.array([self.class_of(self.keys[b]) for b in hit_blocks],
+                                dtype=int)[inverse]
+        return classes
+
+
 def class_at(ctree: CompressedTree, point) -> int:
     """Class of the compressed-tree block containing a 3-d point.
 
     Returns UNKNOWN_CLASS for virtual (unobserved) blocks and for points
     outside the world volume.
     """
-    world: WorldConfig = ctree.world
-    if not world.contains(point):
-        return UNKNOWN_CLASS
-    key = ROOT_KEY
-    while key in ctree.expanded:
-        key = _child_containing(world, key, point)
-    leaf = ctree.leaves.get(key)
-    if leaf is None:
-        raise TreeError(f"point descends to {key}, absent from the compressed tree")
-    if leaf.virtual:
-        return UNKNOWN_CLASS
-    return dominant_class(leaf.marginals)
+    return int(BlockIndex.from_compressed(ctree).classify(point)[0])
 
 
 def octree_class_at(tree: SemanticOctree, point) -> int:
     """Class of the finest stored node containing a 3-d point.
 
-    Descends while interior records continue; a stored leaf or summary gives
-    its dominant class, and a missing child means unobserved space.
+    A stored leaf or summary gives its dominant class; space no such record
+    covers is unobserved.
     """
-    if not tree.world.contains(point):
-        return UNKNOWN_CLASS
-    key = ROOT_KEY
-    while True:
-        node = tree.nodes.get(key)
-        if node is None:
-            return UNKNOWN_CLASS
-        if node.kind != INTERIOR:
-            return dominant_class(tree.conditional(key))
-        if not tree.stored_children(key):
-            return UNKNOWN_CLASS
-        key = _child_containing(tree.world, key, point)
-
-
-def _child_containing(world: WorldConfig, key: NodeKey, point) -> NodeKey:
-    coords = world.leaf_coords(point)
-    shift = world.max_depth - key.depth - 1
-    octant = 0
-    for axis in range(world.dims):
-        octant |= ((coords[axis] >> shift) & 1) << axis
-    return child_key(key, octant, world.dims)
+    return int(BlockIndex.from_octree(tree).classify(point)[0])
 
 
 # -- edge coloring ---------------------------------------------------------------
@@ -175,46 +209,76 @@ def _severity(cid: int, query: PlanQuery):
     return (tier, -cid)
 
 
-def _segment_color(lookup, p0: np.ndarray, p1: np.ndarray, step: float,
-                   query: PlanQuery) -> int:
-    """Most-undesired class sampled along the segment, endpoints included."""
-    dist = float(np.linalg.norm(p1 - p0))
-    samples = max(int(np.ceil(dist / step)), 1) + 1
-    worst = None
-    for t in np.linspace(0.0, 1.0, samples):
-        cid = lookup(p0 + t * (p1 - p0))
-        if worst is None or _severity(cid, query) > _severity(worst, query):
-            worst = cid
-    return worst
+def _norm(d: np.ndarray) -> float:
+    """``np.linalg.norm`` of a 1-d float vector, bit for bit, minus its overhead."""
+    return math.sqrt(float(d.dot(d)))
+
+
+_SEGMENTS_PER_BATCH = 1024  # bounds the sample arrays alive at once
+
+
+def _segment_colors(p0: np.ndarray, delta: np.ndarray, counts: np.ndarray,
+                    blocks: BlockIndex, query: PlanQuery) -> list[int]:
+    """Most-undesired class among ``counts[i]`` evenly spaced samples of each
+    segment ``p0[i] + t * delta[i]``, t in [0, 1].
+
+    All samples are classified in one batch; a per-segment maximum over
+    integer severity ranks then picks each color.
+    """
+    ts = {c: np.linspace(0.0, 1.0, c) for c in np.unique(counts).tolist()}
+    t = np.concatenate([ts[c] for c in counts.tolist()])
+    seg = np.repeat(np.arange(len(counts)), counts)
+    # p0 + t * (p1 - p0) per sample, in place; IEEE + and * commute exactly
+    samples = delta[seg]
+    samples *= t[:, None]
+    samples += p0[seg]
+    found, inverse = np.unique(blocks.classify(samples), return_inverse=True)
+    by_severity = sorted(found.tolist(), key=lambda c: _severity(c, query))
+    rank = np.array([by_severity.index(c) for c in found.tolist()])
+    offsets = np.concatenate([[0], np.cumsum(counts)[:-1]])
+    worst = np.maximum.reduceat(rank[inverse], offsets)
+    return [by_severity[w] for w in worst.tolist()]
 
 
 def _knn_edges(positions: np.ndarray, centers3d: np.ndarray, k: int,
-               lookup, step: float, query: PlanQuery) -> list[Edge]:
+               blocks: BlockIndex, step: float, query: PlanQuery) -> list[Edge]:
+    """k-nearest-neighbor edges, each colored with the most-undesired class
+    sampled along its 3-d segment at ``step`` spacing, endpoints included."""
     n = len(positions)
     k = min(k, n - 1)
     if k <= 0:
         return []
-    kdt = cKDTree(positions)
-    _, idx = kdt.query(positions, k=k + 1)
+    _, idx = cKDTree(positions).query(positions, k=k + 1)
     idx = np.atleast_2d(idx)
-    pairs = set()
-    for u in range(n):
-        for v in idx[u]:
-            v = int(v)
-            if v == u or v >= n:
-                continue
-            pairs.add((min(u, v), max(u, v)))
-    edges = []
-    for u, v in sorted(pairs):
-        length = float(np.linalg.norm(positions[u] - positions[v]))
-        if length <= 0.0:
-            continue
-        color = _segment_color(lookup, centers3d[u], centers3d[v], step, query)
-        edges.append(Edge(u, v, length, color))
-    return edges
+    u = np.repeat(np.arange(n), idx.shape[1])
+    v = idx.ravel()
+    keep = (v != u) & (v < n)
+    pairs = np.unique(np.column_stack([np.minimum(u, v), np.maximum(u, v)])[keep],
+                      axis=0)
+    chords = positions[pairs[:, 0]] - positions[pairs[:, 1]]
+    lengths = np.array([_norm(d) for d in chords])
+    pairs, lengths = pairs[lengths > 0.0], lengths[lengths > 0.0]
+    if not len(pairs):
+        return []
+    p0 = centers3d[pairs[:, 0]]
+    delta = centers3d[pairs[:, 1]] - p0
+    dists = np.array([_norm(d) for d in delta])
+    counts = np.maximum(np.ceil(dists / step).astype(int), 1) + 1
+    colors = []
+    for lo in range(0, len(pairs), _SEGMENTS_PER_BATCH):
+        hi = lo + _SEGMENTS_PER_BATCH
+        colors += _segment_colors(p0[lo:hi], delta[lo:hi], counts[lo:hi],
+                                  blocks, query)
+    return [Edge(a, b, length, color) for (a, b), length, color
+            in zip(pairs.tolist(), lengths.tolist(), colors)]
 
 
 # -- graph construction ------------------------------------------------------------
+
+
+def _check_k_neighbors(k_neighbors: int) -> None:
+    if k_neighbors < 1:
+        raise ConfigError(f"k_neighbors must be at least 1, got {k_neighbors}")
 
 
 def graph_from_tree(ctree: CompressedTree, query: PlanQuery,
@@ -226,6 +290,7 @@ def graph_from_tree(ctree: CompressedTree, query: PlanQuery,
     to its k nearest neighbors; edge colors come from sampling the 3-d
     segment between block centers at half a finest-cell step.
     """
+    _check_k_neighbors(k_neighbors)
     world: WorldConfig = ctree.world
     positions, centers, colors = [], [], []
     for key, leaf in ctree.leaf_items():
@@ -245,7 +310,7 @@ def graph_from_tree(ctree: CompressedTree, query: PlanQuery,
     centers = np.array(centers)
     step = world.edge_length / (1 << (world.max_depth + 1))
     edges = _knn_edges(positions, centers, k_neighbors,
-                       lambda p: class_at(ctree, p), step, query)
+                       BlockIndex.from_compressed(ctree), step, query)
     return ColoredGraph(positions, np.array(colors, dtype=int), edges)
 
 
@@ -277,15 +342,16 @@ def halton_graph(world: WorldConfig, tree: SemanticOctree, n_vertices: int,
     """
     if n_vertices < 2:
         raise ConfigError("need at least 2 vertices")
+    _check_k_neighbors(k_neighbors)
     if z is None:
         z = world.origin[2] + world.leaf_size / 2.0
     pts = halton_points(n_vertices)
     positions = np.array(world.origin[:2]) + pts * world.edge_length
     centers = np.column_stack([positions, np.full(n_vertices, z)])
-    colors = np.array([octree_class_at(tree, c) for c in centers], dtype=int)
+    blocks = BlockIndex.from_octree(tree)
+    colors = blocks.classify(centers)
     step = world.edge_length / (1 << (world.max_depth + 1))
-    edges = _knn_edges(positions, centers, k_neighbors,
-                       lambda p: octree_class_at(tree, p), step, query)
+    edges = _knn_edges(positions, centers, k_neighbors, blocks, step, query)
     return ColoredGraph(positions, colors, edges)
 
 
@@ -309,10 +375,15 @@ def class_ordered_astar(graph: ColoredGraph,
     if query.start == query.goal:
         return PlanResult([query.start], 0, 0.0)
     bad = set(query.undesired) | {UNKNOWN_CLASS}
-    goal_pos = graph.positions[query.goal]
+    positions = np.asarray(graph.positions, dtype=np.float64)
+    goal_pos = positions[query.goal]
+    h_memo: dict[int, float] = {}
 
     def h(u: int) -> float:
-        return float(np.linalg.norm(graph.positions[u] - goal_pos))
+        value = h_memo.get(u)
+        if value is None:
+            value = h_memo[u] = _norm(positions[u] - goal_pos)
+        return value
 
     best: dict[int, tuple[int, float]] = {query.start: (0, 0.0)}
     parent: dict[int, int] = {}

@@ -11,7 +11,7 @@ import math
 import numpy as np
 
 from soct.compression import CompressionWeights
-from soct.octree import INTERIOR, SemanticOctree, WorldConfig, child_keys
+from soct.octree import INTERIOR, NodeKey, SemanticOctree, WorldConfig, child_keys
 from soct.semantics import (
     FullSemanticDistribution,
     expand_truncated,
@@ -29,9 +29,10 @@ def random_truncated(rng, num_classes, concentration=0.5):
 
 
 def make_random_tree(rng, branching=4, depth=2, num_classes=4, fill=0.85,
-                     weight_range=(0.2, 3.0), concentration=0.5):
+                     weight_range=(0.2, 3.0), concentration=0.5,
+                     origin=(0.0, 0.0, 0.0), edge_length=16.0):
     """Random partially observed tree with random leaf weights and records."""
-    world = WorldConfig((0.0, 0.0, 0.0), 16.0, depth, branching)
+    world = WorldConfig(origin, edge_length, depth, branching)
     tree = SemanticOctree(world, num_classes)
     dims = world.dims
     n = 1 << depth
@@ -213,6 +214,89 @@ def zero_bad_path_exists(graph, query):
                 seen.add(v)
                 stack.append(v)
     return False
+
+
+# -- independent spatial-lookup references -----------------------------------------
+
+
+def ref_cell_coords(world, point):
+    """Finest cell coordinates of a point, or None outside the half-open world.
+
+    Per subdivided axis: floor((p - origin) / leaf size), clamped to the last
+    cell, on plain python floats.
+    """
+    point = [float(v) for v in point]
+    if not all(o <= p < o + world.edge_length for p, o in zip(point, world.origin)):
+        return None
+    n = 1 << world.max_depth
+    size = world.edge_length / n
+    return [min(int((point[a] - world.origin[a]) // size), n - 1)
+            for a in range(world.dims)]
+
+
+def ref_path_keys(world, coords):
+    """Keys of the nodes containing a finest cell, root first."""
+    keys = []
+    for depth in range(world.max_depth + 1):
+        coarse = [c >> (world.max_depth - depth) for c in coords]
+        index = 0
+        for bit in range(depth):
+            for axis, c in enumerate(coarse):
+                index |= ((c >> bit) & 1) << (bit * world.dims + axis)
+        keys.append(NodeKey(depth, index))
+    return keys
+
+
+def _ref_dominant(probs):
+    probs = list(probs)
+    return probs.index(max(probs))
+
+
+def ref_tree_class(ctree, point):
+    """Class of the compressed block holding a point, by walking its keys."""
+    coords = ref_cell_coords(ctree.world, point)
+    if coords is None:
+        return -1
+    for key in ref_path_keys(ctree.world, coords):
+        leaf = ctree.leaves.get(key)
+        if leaf is not None:
+            return -1 if leaf.virtual else _ref_dominant(leaf.marginals)
+    raise AssertionError(f"no compressed leaf covers {point}")
+
+
+def ref_octree_class(tree, point):
+    """Class of the stored leaf or summary holding a point; -1 if unobserved."""
+    coords = ref_cell_coords(tree.world, point)
+    if coords is None:
+        return -1
+    for key in ref_path_keys(tree.world, coords):
+        node = tree.nodes.get(key)
+        if node is None:
+            return -1
+        if node.kind != INTERIOR:
+            return _ref_dominant(ref_conditional(tree, key))
+    raise AssertionError(f"interior record at the finest depth under {point}")
+
+
+def ref_segment_color(class_of_point, p0, p1, step, undesired, relevant):
+    """Most-undesired class sampled along a segment, one point at a time."""
+
+    def severity(cid):
+        if cid in undesired:
+            tier = 4
+        elif cid == -1:
+            tier = 3
+        elif cid in relevant:
+            tier = 1
+        elif cid == 0:
+            tier = 0
+        else:
+            tier = 2
+        return (tier, -cid)
+
+    samples = max(int(np.ceil(float(np.linalg.norm(p1 - p0)) / step)), 1) + 1
+    return max((class_of_point(p0 + t * (p1 - p0))
+                for t in np.linspace(0.0, 1.0, samples)), key=severity)
 
 
 # -- synthetic demo world --------------------------------------------------------

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from soct.cli import main
+from soct.formats import deserialize_tree, serialize_tree
 
 from helpers import write_cloud
 
@@ -215,3 +216,33 @@ def test_adhoc_prune_shrinks_tree(workspace, capsys):
         "report", "--tree", workspace / "tree2.soct",
         "--weights", workspace / "weights.cfg"])
     assert code == 0, err
+
+
+@pytest.mark.parametrize("command", ["plan", "export"])
+def test_k_neighbors_below_one_is_config_error(workspace, capsys, command):
+    build(workspace, capsys)
+    extra = (["--start", "0.5,3.5", "--goal", "7.5,4.5"] if command == "plan"
+             else ["--what", "graph", "--out", workspace / "graph.csv"])
+    for graph in ("tree", "halton"):
+        code, out, err = run(capsys, [
+            command, "--tree", workspace / "tree.soct",
+            "--weights", workspace / "weights.cfg",
+            "--graph", graph, "--k-neighbors", "0", *extra])
+        assert code == 1
+        assert "error: config:" in err
+        assert "status" not in out
+
+
+@pytest.mark.parametrize("command", ["report", "plan"])
+def test_nan_leaf_weight_is_corruption_error(workspace, capsys, command):
+    build(workspace, capsys)
+    tree = deserialize_tree(workspace / "tree.soct")
+    next(tree.leaf_items())[1].weight = float("nan")
+    serialize_tree(tree, workspace / "tree.soct")
+    extra = ["--start", "0.5,3.5", "--goal", "7.5,4.5"] if command == "plan" else []
+    code, _, err = run(capsys, [
+        command, "--tree", workspace / "tree.soct",
+        "--weights", workspace / "weights.cfg", *extra])
+    assert code == 1
+    assert "error: corruption:" in err
+    assert "Traceback" not in err

@@ -218,3 +218,33 @@ def test_trailing_garbage_rejected(tmp_path):
     p.write_bytes(p.read_bytes() + b"\x00\x01")
     with pytest.raises(CorruptionError):
         deserialize_tree(p)
+
+
+@pytest.mark.parametrize("bad", [float("nan"), float("inf"), float("-inf"), -1.0])
+def test_bad_leaf_weight_rejected(tmp_path, bad):
+    rng = np.random.default_rng(74)
+    tree = make_random_tree(rng, branching=4, depth=2)
+    key, node = next(tree.leaf_items())
+    node.weight = bad
+    p = tmp_path / "weight.soct"
+    serialize_tree(tree, p)
+    with pytest.raises(CorruptionError, match="weight"):
+        deserialize_tree(p)
+
+
+@pytest.mark.parametrize("bad", [float("nan"), float("inf"), -0.5])
+def test_bad_summary_weight_rejected(tmp_path, bad):
+    from helpers import random_truncated
+    rng = np.random.default_rng(75)
+    tree = SemanticOctree(WorldConfig((0, 0, 0), 4.0, 2, branching=4), 4)
+    shared = random_truncated(rng, 4)
+    for ix in range(2):
+        for iy in range(2):
+            tree.set_leaf((ix, iy), shared, 1.0)
+    assert tree.prune_all_identical() == 1
+    summary = next(n for n in tree.nodes.values() if n.kind == 1)
+    summary.weight = bad
+    p = tmp_path / "summary.soct"
+    serialize_tree(tree, p)
+    with pytest.raises(CorruptionError, match="weight"):
+        deserialize_tree(p)

@@ -283,3 +283,13 @@ def test_zero_bad_path_oracle_consistency():
         exists = zero_bad_path_exists(g, query)
         if result is not None:
             assert (result.undesired_edges == 0) == exists
+
+
+@pytest.mark.parametrize("k", [0, -3])
+def test_k_neighbors_below_one_rejected(k):
+    tree = grid_map([[0] * 4 for _ in range(4)])
+    refresh_all(tree, CompressionWeights({1: 1.0}, {}, 0.0))
+    with pytest.raises(ConfigError):
+        graph_from_tree(full_tree(tree), PlanQuery(0, 0), k)
+    with pytest.raises(ConfigError):
+        halton_graph(tree.world, tree, 16, k, PlanQuery(0, 0))
