@@ -26,13 +26,13 @@ and the exhaustive enumeration are read-only and may run concurrently.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Iterable, Mapping, NamedTuple
 
 import numpy as np
 
 from .errors import ConfigError, SizeLimitError, SummaryError, TreeError
-from .infotheory import InfoIncrement, split_increments
+from .infotheory import InfoIncrement, _entropy_of_weights, split_increments
 from .octree import (
     INTERIOR,
     LEAF,
@@ -61,6 +61,10 @@ class CompressionWeights:
     retain: Mapping[int, float]
     remove: Mapping[int, float]
     compress: float
+    # Derived: the weighted class ids in ascending order, and per id its
+    # weight, negated for removed classes.
+    class_ids: list[int] = field(init=False, repr=False, compare=False)
+    signed: tuple[float, ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         object.__setattr__(self, "retain", dict(self.retain))
@@ -71,6 +75,11 @@ class CompressionWeights:
         values = list(self.retain.values()) + list(self.remove.values())
         if any(v < 0 for v in values) or self.compress < 0:
             raise ConfigError("weights must be non-negative")
+        class_ids = sorted(set(self.retain) | set(self.remove))
+        object.__setattr__(self, "class_ids", class_ids)
+        object.__setattr__(self, "signed", tuple(
+            self.retain[c] if c in self.retain else -self.remove[c]
+            for c in class_ids))
 
 
 @dataclass(frozen=True)
@@ -133,26 +142,36 @@ class ExhaustiveResult(NamedTuple):
 # -- shared numerics ---------------------------------------------------------
 
 
-def _entropy_of(pi: np.ndarray) -> float:
-    pos = pi[pi > 0]
-    return float(-(pos * np.log2(pos)).sum())
-
-
 def _bernoulli_js_columns(marginals: np.ndarray, pi: np.ndarray) -> np.ndarray:
-    """Per-column JS divergence of Bernoulli marginals, shape (children, C)."""
+    """Per-column JS divergence of Bernoulli marginals, shape (children, C).
+
+    Inactive children (zero weight) and constant columns are masked out
+    only when present; the arithmetic on the remaining entries is the same
+    either way.
+    """
     act = pi > 0
-    m = np.clip(marginals[act], 0.0, 1.0)
-    pa = pi[act]
-    out = np.zeros(marginals.shape[1])
-    varying = ~np.all(m == m[0], axis=0)
-    if not np.any(varying):
-        return out
-    mv = m[:, varying]
-    pbar = pa @ mv
+    if act.all():
+        m, pa = marginals, pi
+    else:
+        m, pa = marginals[act], pi[act]
+    # Column-major, the layout a column selection returns: the products
+    # with ``pa`` then sum in one order whether or not columns are masked.
+    m = np.minimum(np.maximum(m, 0.0, order="F"), 1.0)
+    varying = (m != m[0]).any(axis=0)
+    every = varying.all()
+    if not every:
+        if not varying.any():
+            return np.zeros(marginals.shape[1])
+        m = m[:, varying]
+    pbar = pa @ m
     with np.errstate(divide="ignore", invalid="ignore"):
-        t1 = np.where(mv > 0, mv * np.log2(mv / pbar), 0.0)
-        t0 = np.where(mv < 1, (1 - mv) * np.log2((1 - mv) / (1 - pbar)), 0.0)
-    out[varying] = pa @ (t1 + t0)
+        t1 = np.where(m > 0, m * np.log2(m / pbar), 0.0)
+        t0 = np.where(m < 1, (1 - m) * np.log2((1 - m) / (1 - pbar)), 0.0)
+    js = pa @ (t1 + t0)
+    if every:
+        return js
+    out = np.zeros(marginals.shape[1])
+    out[varying] = js
     return out
 
 
@@ -164,19 +183,14 @@ def _require_no_summaries(tree: SemanticOctree) -> None:
 # -- gain values --------------------------------------------------------------
 
 
-def _bracket(weights: np.ndarray, dists: np.ndarray,
+def _bracket(pi: np.ndarray, dists: np.ndarray,
              child_gains: np.ndarray, cw: CompressionWeights) -> float:
-    total = float(weights.sum())
-    pi = weights / total
-    value = float(pi @ child_gains) - cw.compress * _entropy_of(pi)
-    class_ids = sorted(set(cw.retain) | set(cw.remove))
-    if class_ids:
-        js = _bernoulli_js_columns(dists[:, class_ids], pi)
-        for cid, v in zip(class_ids, js):
-            if cid in cw.retain:
-                value += cw.retain[cid] * v
-            else:
-                value -= cw.remove[cid] * v
+    """Unclamped relative gain from normalized child weights ``pi``."""
+    value = float(pi @ child_gains) - cw.compress * _entropy_of_weights(pi)
+    if cw.class_ids:
+        js = _bernoulli_js_columns(dists[:, cw.class_ids], pi)
+        for w, v in zip(cw.signed, js):
+            value += w * v
     return value
 
 
@@ -203,7 +217,8 @@ def expansion_gain(tree: SemanticOctree, key: NodeKey,
         child = tree.nodes.get(ck)
         if child is not None and child.kind == INTERIOR:
             gains[o] = expansion_gain(tree, ck, cw)
-    return max(_bracket(weights, dists, gains, cw), 0.0)
+    pi = weights / float(weights.sum())
+    return max(_bracket(pi, dists, gains, cw), 0.0)
 
 
 def weighted_gain(tree: SemanticOctree, key: NodeKey,
@@ -253,7 +268,7 @@ def _refresh_node(tree: SemanticOctree, key: NodeKey, cw: CompressionWeights) ->
         return
     pi = weights / node.weight
     node.cond = pi @ dists
-    node.gain = max(_bracket(weights, dists, gains, cw), 0.0)
+    node.gain = max(_bracket(pi, dists, gains, cw), 0.0)
 
 
 def refresh_upward(tree: SemanticOctree, leaf: NodeKey,

@@ -19,6 +19,7 @@ from .compression import CompressionWeights
 from .errors import (
     ConfigError,
     CorruptionError,
+    DistributionError,
     FormatError,
     IngestError,
     TreeError,
@@ -321,6 +322,14 @@ def serialize_tree(tree: SemanticOctree, path) -> None:
         fh.write(b"".join(out))
 
 
+def _record(tree: SemanticOctree, key: NodeKey, kind: int, weight: float,
+            dist: TruncatedSemanticDistribution) -> Node:
+    try:
+        return tree.make_record(kind, weight, dist)
+    except DistributionError as exc:
+        raise CorruptionError(f"record {key} is invalid: {exc}") from None
+
+
 def _read_node(reader: _Reader, tree: SemanticOctree, key: NodeKey) -> None:
     (kind, weight) = reader.take("<Bd")
     max_depth = tree.world.max_depth
@@ -330,11 +339,11 @@ def _read_node(reader: _Reader, tree: SemanticOctree, key: NodeKey) -> None:
     if kind == _NODE_LEAF:
         if key.depth != max_depth:
             raise CorruptionError(f"leaf record at depth {key.depth}")
-        tree.nodes[key] = Node(LEAF, weight=weight, dist=_unpack_dist(reader))
+        tree.nodes[key] = _record(tree, key, LEAF, weight, _unpack_dist(reader))
     elif kind == _NODE_SUMMARY:
         if key.depth >= max_depth:
             raise CorruptionError(f"summary record at depth {key.depth}")
-        tree.nodes[key] = Node(SUMMARY, weight=weight, dist=_unpack_dist(reader))
+        tree.nodes[key] = _record(tree, key, SUMMARY, weight, _unpack_dist(reader))
     elif kind == _NODE_INTERIOR:
         if key.depth >= max_depth:
             raise CorruptionError(f"interior record at depth {key.depth}")
@@ -354,8 +363,10 @@ def _read_node(reader: _Reader, tree: SemanticOctree, key: NodeKey) -> None:
 def deserialize_tree(path) -> SemanticOctree:
     """Read a tree from its binary format.
 
-    Structure, weights and leaf distributions are restored exactly;
-    conditional/gain caches are rebuilt on the next ``refresh_all``.
+    Structure, weights and leaf distributions are restored exactly, and
+    each leaf or summary record is validated as it is installed (an invalid
+    one is a ``CorruptionError``); interior conditional/gain caches are
+    rebuilt on the next ``refresh_all``.
     """
     with open(path, "rb") as fh:
         data = fh.read()

@@ -12,12 +12,18 @@ with cached aggregate conditionals), plus summary nodes produced by pruning
 identical children; a summary stands in for a homogeneous subtree and is
 re-expanded on the next observation that touches its region.
 
+Leaves and summaries hold a truncated record plus its dense vector over
+ids 0..K. The record is validated and expanded once, when ``make_record``
+installs it (an observation, ``set_leaf``, a summary expansion or prune,
+a file load); reading a conditional afterwards is a plain lookup.
+
 Concurrency: mutating operations require exclusive access to a tree;
 read-only traversals may run concurrently with each other.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 from typing import Iterator, NamedTuple
@@ -27,6 +33,7 @@ import numpy as np
 from .errors import ConfigError, OutOfBoundsError, TreeError
 from .semantics import (
     ClassRegistry,
+    FullSemanticDistribution,
     TruncatedSemanticDistribution,
     expand_truncated,
     fuse_observation,
@@ -202,6 +209,14 @@ class Node:
 ROOT_KEY = NodeKey(0, 0)
 
 
+@functools.lru_cache(maxsize=None)
+def _uniform_row(num_classes: int) -> np.ndarray:
+    """Read-only maximum-entropy vector, the conditional of a missing child."""
+    row = uniform_full(num_classes).probs
+    row.flags.writeable = False
+    return row
+
+
 @dataclass
 class SemanticOctree:
     """Probabilistic multi-class octree built from labeled point observations."""
@@ -250,16 +265,15 @@ class SemanticOctree:
     def conditional(self, key: NodeKey) -> np.ndarray:
         """Aggregate class distribution of a node, over ids 0..K.
 
-        Leaves and summaries expand their stored record; interior nodes use
-        the cached aggregate when present and otherwise compute it
-        recursively without mutating the tree. An empty node (zero stored
-        children) is treated as unobserved, i.e. maximum entropy.
+        Leaves and summaries return the dense vector stored with their
+        record; interior nodes use the cached aggregate when present and
+        otherwise compute it recursively without mutating the tree. An
+        empty node (zero stored children) is treated as unobserved, i.e.
+        maximum entropy.
         """
         node = self.nodes.get(key)
         if node is None:
             raise TreeError(f"unknown key {key}")
-        if node.kind in (LEAF, SUMMARY):
-            return expand_truncated(node.dist, self.registry).probs
         if node.cond is not None:
             return node.cond
         weights, dists, _ = self.completed_child_arrays(key, allow_empty=True)
@@ -282,28 +296,36 @@ class SemanticOctree:
             raise TreeError(f"unknown key {key}")
         if node.kind != INTERIOR:
             raise TreeError(f"{key} is not an interior node")
-        dims = self.world.dims
-        b = self.world.branching
-        stored = []
-        for k in child_keys(key, dims):
-            child = self.nodes.get(k)
-            if child is not None:
-                stored.append((k, child))
+        kids = self._child_slots(key)
+        stored = [c for c in kids if c is not None]
         if not stored:
             if allow_empty:
                 return None, None, None
             raise TreeError(f"{key} has no stored children to complete")
-        mean_w = sum(c.weight for _, c in stored) / len(stored)
-        weights = np.full(b, mean_w)
-        dists = np.tile(uniform_full(self.num_classes).probs, (b, 1))
-        gains = np.zeros(b)
-        for k, child in stored:
-            o = octant_of(k, dims)
-            weights[o] = child.weight
-            dists[o] = self.conditional(k)
-            if child.kind == INTERIOR:
-                gains[o] = child.gain
+        mean_w = sum(c.weight for c in stored) / len(stored)
+        uniform = _uniform_row(self.num_classes)
+        base = key.index << self.world.dims
+        weights = np.array([mean_w if c is None else c.weight for c in kids],
+                           dtype=np.float64)
+        dists = np.array([
+            uniform if c is None
+            else c.cond if c.cond is not None
+            else self.conditional(NodeKey(key.depth + 1, base | o))
+            for o, c in enumerate(kids)])
+        gains = np.array([c.gain if c is not None and c.kind == INTERIOR else 0.0
+                          for c in kids], dtype=np.float64)
         return weights, dists, gains
+
+    def _child_slots(self, key: NodeKey) -> list[Node | None]:
+        """Stored child per octant, None where absent.
+
+        Looks up plain (depth, index) tuples, which hash and compare equal
+        to the ``NodeKey`` stored for them.
+        """
+        get = self.nodes.get
+        depth = key.depth + 1
+        base = key.index << self.world.dims
+        return [get((depth, base | o)) for o in range(self.world.branching)]
 
     def completed_children(self, key: NodeKey) -> list[tuple[float, np.ndarray]]:
         """Full child set of an interior node as (weight, marginals) pairs."""
@@ -311,6 +333,21 @@ class SemanticOctree:
         return [(float(weights[o]), dists[o].copy()) for o in range(len(weights))]
 
     # -- construction -----------------------------------------------------
+
+    def make_record(self, kind: int, weight: float,
+                    dist: TruncatedSemanticDistribution,
+                    cond: np.ndarray | None = None) -> Node:
+        """A LEAF or SUMMARY node carrying ``dist`` and its dense vector.
+
+        Every stored record is created here. The record is validated and
+        expanded once (``DistributionError`` if invalid), unless ``cond``
+        already holds its expansion. The vector is read-only, since
+        conditionals are returned without copying and may be shared.
+        """
+        if cond is None:
+            cond = expand_truncated(dist, self.registry).probs
+            cond.flags.writeable = False
+        return Node(kind, weight=weight, dist=dist, cond=cond)
 
     def add_observation(self, point, obs_class: int, confidence: float) -> NodeKey:
         """Insert or update the finest leaf containing ``point``.
@@ -335,13 +372,11 @@ class SemanticOctree:
                 raise TreeError(f"leaf record {key} above max depth")
         node = self.nodes.get(leaf)
         if node is None:
-            prior = uniform_full(self.num_classes)
-            node = Node(LEAF, weight=1.0)
-            self.nodes[leaf] = node
+            prior, weight = uniform_full(self.num_classes), 1.0
         else:
-            prior = expand_truncated(node.dist, self.registry)
+            prior, weight = FullSemanticDistribution(node.cond), node.weight
         posterior = fuse_observation(prior, obs_class, confidence)
-        node.dist = truncate_full(posterior)
+        self.nodes[leaf] = self.make_record(LEAF, weight, truncate_full(posterior))
         for key in reversed(path[:-1]):
             self._refresh_weight(key)
         return leaf
@@ -351,7 +386,7 @@ class SemanticOctree:
         """Directly install a finest-resolution leaf (fixtures, bulk loads)."""
         if weight < 0:
             raise ConfigError("leaf weight must be non-negative")
-        dist.validate(self.num_classes)
+        record = self.make_record(LEAF, weight, dist)
         key = self.world.key_from_coords(coords, self.world.max_depth)
         dims = self.world.dims
         for d in range(key.depth):
@@ -361,14 +396,14 @@ class SemanticOctree:
                 self.nodes[k] = Node(INTERIOR)
             elif node.kind == SUMMARY:
                 self._expand_summary(k)
-        self.nodes[key] = Node(LEAF, weight=weight, dist=dist)
+        self.nodes[key] = record
         for d in reversed(range(key.depth)):
             self._refresh_weight(NodeKey(d, key.index >> (dims * (key.depth - d))))
         return key
 
     def _refresh_weight(self, key: NodeKey) -> None:
         node = self.nodes[key]
-        kids = [self.nodes[k] for k in self.stored_children(key)]
+        kids = [c for c in self._child_slots(key) if c is not None]
         if not kids:
             node.weight = 0.0
             return
@@ -404,10 +439,7 @@ class SemanticOctree:
             return False
         for k in kids:
             del self.nodes[k]
-        node.kind = SUMMARY
-        node.dist = first
-        node.cond = None
-        node.gain = 0.0
+        self.nodes[key] = self.make_record(SUMMARY, node.weight, first, records[0].cond)
         return True
 
     def prune_all_identical(self) -> int:
@@ -435,12 +467,8 @@ class SemanticOctree:
         child_kind = LEAF if key.depth + 1 == self.world.max_depth else SUMMARY
         share = node.weight / self.world.branching
         for k in child_keys(key, dims):
-            self.nodes[k] = Node(child_kind, weight=share, dist=node.dist)
-        node.kind = INTERIOR
-        node.dist = None
-        node.cond = expand_truncated(self.nodes[child_keys(key, dims)[0]].dist,
-                                     self.registry).probs
-        node.gain = 0.0
+            self.nodes[k] = self.make_record(child_kind, share, node.dist, node.cond)
+        self.nodes[key] = Node(INTERIOR, weight=node.weight, cond=node.cond)
 
     def expand_summaries(self) -> int:
         """Expand every summary down to explicit depth-D leaves.

@@ -30,7 +30,6 @@ from dataclasses import dataclass, field
 from typing import NamedTuple
 
 import numpy as np
-from scipy.spatial import cKDTree
 
 from .compression import CompressedTree
 from .errors import ConfigError, GraphError, TreeError
@@ -248,6 +247,8 @@ def _knn_edges(positions: np.ndarray, centers3d: np.ndarray, k: int,
     k = min(k, n - 1)
     if k <= 0:
         return []
+    from scipy.spatial import cKDTree  # deferred: a slow import only graphs need
+
     _, idx = cKDTree(positions).query(positions, k=k + 1)
     idx = np.atleast_2d(idx)
     u = np.repeat(np.arange(n), idx.shape[1])
@@ -388,12 +389,14 @@ def class_ordered_astar(graph: ColoredGraph,
     best: dict[int, tuple[int, float]] = {query.start: (0, 0.0)}
     parent: dict[int, int] = {}
     counter = 0
-    heap = [((0, h(query.start)), counter, query.start)]
+    # Entries carry the cost g they were pushed with; one whose g is no
+    # longer best[u] was superseded by a cheaper push and is skipped.
+    heap = [((0, h(query.start)), counter, query.start, (0, 0.0))]
     while heap:
-        (f_bad, f_len), _, u = heapq.heappop(heap)
-        g_bad, g_len = best[u]
-        if (f_bad, f_len) != (g_bad, g_len + h(u)):
+        _, _, u, g = heapq.heappop(heap)
+        if g != best[u]:
             continue
+        g_bad, g_len = g
         if u == query.goal:
             path = [u]
             while path[-1] != query.start:
@@ -406,5 +409,5 @@ def class_ordered_astar(graph: ColoredGraph,
                 best[v] = cand
                 parent[v] = u
                 counter += 1
-                heapq.heappush(heap, ((cand[0], cand[1] + h(v)), counter, v))
+                heapq.heappush(heap, ((cand[0], cand[1] + h(v)), counter, v, cand))
     return None

@@ -1,3 +1,9 @@
+import os
+import subprocess
+import sys
+from dataclasses import replace
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -246,3 +252,31 @@ def test_nan_leaf_weight_is_corruption_error(workspace, capsys, command):
     assert code == 1
     assert "error: corruption:" in err
     assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("command", ["report", "plan"])
+def test_invalid_leaf_record_is_corruption_error(workspace, capsys, command):
+    build(workspace, capsys)
+    tree = deserialize_tree(workspace / "tree.soct")
+    node = next(tree.leaf_items())[1]
+    node.dist = replace(node.dist, p_free=float("nan"))
+    serialize_tree(tree, workspace / "tree.soct")
+    extra = ["--start", "0.5,3.5", "--goal", "7.5,4.5"] if command == "plan" else []
+    code, _, err = run(capsys, [
+        command, "--tree", workspace / "tree.soct",
+        "--weights", workspace / "weights.cfg", *extra])
+    assert code == 1
+    assert "error: corruption:" in err
+    assert "Traceback" not in err
+
+
+def test_cli_import_leaves_scipy_unloaded():
+    # Only graph builds need the k-d tree; build/compress/report must not
+    # pay for importing scipy.spatial.
+    code = "import sys, soct.cli; print('scipy.spatial' in sys.modules)"
+    env = dict(os.environ)
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
+    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                         capture_output=True, text=True).stdout
+    assert out.strip() == "False"

@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -18,9 +20,10 @@ from soct.formats import (
     parse_world_config,
     serialize_tree,
 )
-from soct.octree import SemanticOctree, WorldConfig
+from soct.octree import LEAF, SUMMARY, SemanticOctree, WorldConfig
+from soct.semantics import TruncatedSemanticDistribution
 
-from helpers import make_random_tree
+from helpers import make_random_tree, random_truncated
 
 
 def collect(path, num_classes, **kw):
@@ -248,3 +251,27 @@ def test_bad_summary_weight_rejected(tmp_path, bad):
     serialize_tree(tree, p)
     with pytest.raises(CorruptionError, match="weight"):
         deserialize_tree(p)
+
+
+@pytest.mark.parametrize("summary", [False, True])
+@pytest.mark.parametrize("field", ["class_id", "nan_probability"])
+def test_invalid_record_rejected_as_corruption(tmp_path, summary, field):
+    rng = np.random.default_rng(76)
+    tree = SemanticOctree(WorldConfig((0, 0, 0), 4.0, 2, branching=4), 4)
+    shared = TruncatedSemanticDistribution(((2, 0.5), (1, 0.2), (3, 0.1)), 0.1, 0.1)
+    for ix in range(2):
+        for iy in range(2):
+            tree.set_leaf((ix, iy), shared if summary else random_truncated(rng, 4))
+    if summary:
+        assert tree.prune_all_identical() == 1
+    node = next(n for n in tree.nodes.values() if n.kind == (SUMMARY if summary else LEAF))
+    if field == "class_id":
+        node.dist = replace(node.dist, top3=((5,) + node.dist.top3[0][1:],)
+                            + node.dist.top3[1:])
+    else:
+        node.dist = replace(node.dist, p_free=float("nan"))
+    p = tmp_path / "record.soct"
+    serialize_tree(tree, p)
+    with pytest.raises(CorruptionError, match="invalid"):
+        deserialize_tree(p)
+

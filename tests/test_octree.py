@@ -1,9 +1,14 @@
 import copy
+import itertools
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from soct.compression import refresh_all, refresh_upward
 from soct.errors import ConfigError, OutOfBoundsError, TreeError
+from soct.formats import deserialize_tree, serialize_tree
 from soct.octree import (
     INTERIOR,
     LEAF,
@@ -17,7 +22,7 @@ from soct.octree import (
 )
 from soct.semantics import TruncatedSemanticDistribution, expand_truncated
 
-from helpers import make_random_tree, random_truncated
+from helpers import make_random_tree, random_truncated, random_weights
 
 
 def snapshot(tree):
@@ -294,3 +299,97 @@ def test_copy_is_independent():
     tree.add_observation((0.1, 0.1, 0.1), 1, 0.9)
     assert len(clone.nodes) != len(tree.nodes) or not snapshots_equal(
         snapshot(clone), snapshot(tree))
+
+
+# -- records and caches under random interleavings -----------------------------
+
+OPS = ("observe", "set_leaf", "fill_block", "prune", "observe_summary",
+       "expand", "roundtrip")
+
+
+def _check_records(tree):
+    """Every stored record carries exactly the expansion of its distribution."""
+    for key, node in tree.nodes.items():
+        if node.kind != INTERIOR:
+            assert np.array_equal(node.cond,
+                                  expand_truncated(node.dist, tree.registry).probs), key
+
+
+def _check_reads_are_pure(tree):
+    before = snapshot(tree)
+    for key, node in list(tree.nodes.items()):
+        tree.conditional(key)
+        if node.kind == INTERIOR and tree.stored_children(key):
+            tree.completed_children(key)
+    assert snapshots_equal(before, snapshot(tree))
+
+
+def _check_caches_match_batch(tree, cw):
+    batch = copy.deepcopy(tree)
+    refresh_all(batch, cw)
+    for key, node in tree.nodes.items():
+        ref = batch.nodes[key]
+        assert abs(node.gain - ref.gain) < 1e-9, key
+        assert abs(node.weight - ref.weight) <= 1e-9 * max(1.0, ref.weight), key
+        assert (node.cond is None) == (ref.cond is None), key
+        if node.cond is not None:
+            assert np.allclose(node.cond, ref.cond, rtol=0, atol=1e-9), key
+
+
+@settings(max_examples=40, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1),
+       branching=st.sampled_from([2, 4, 8]),
+       ops=st.lists(st.sampled_from(OPS), min_size=1, max_size=14))
+def test_records_and_caches_under_interleaved_updates(tmp_path_factory, seed,
+                                                      branching, ops):
+    """Observations, direct installs, prunes, observations into summaries,
+    summary expansion and file round trips, in any order: stored records
+    keep their dense vectors, reads never mutate, and the incrementally
+    maintained caches equal a batch rebuild."""
+    rng = np.random.default_rng(seed)
+    depth = {2: 4, 4: 3, 8: 2}[branching]
+    k = int(rng.integers(4, 7))
+    world = WorldConfig((0, 0, 0), 8.0, depth, branching)
+    tree = SemanticOctree(world, k)
+    cw = random_weights(rng, num_classes=k)
+    dims, n = world.dims, 1 << depth
+    path = tmp_path_factory.mktemp("ops") / "tree.soct"
+    for op in ops:
+        if op == "observe":
+            leaf = tree.add_observation(rng.uniform(0, 8, 3), int(rng.integers(0, k + 1)),
+                                        float(rng.uniform(0.5, 0.95)))
+            refresh_upward(tree, leaf, cw)
+        elif op == "set_leaf":
+            coords = tuple(int(c) for c in rng.integers(0, n, dims))
+            leaf = tree.set_leaf(coords, random_truncated(rng, k),
+                                 float(rng.uniform(0.2, 3.0)))
+            refresh_upward(tree, leaf, cw)
+        elif op == "fill_block":
+            # one shared record over a whole block, so prune can collapse it
+            span = 1 << int(rng.integers(1, depth + 1))
+            corner = [int(c) * span for c in rng.integers(0, n // span, dims)]
+            shared = random_truncated(rng, k)
+            for offset in itertools.product(range(span), repeat=dims):
+                leaf = tree.set_leaf(tuple(c + o for c, o in zip(corner, offset)),
+                                     shared)
+                refresh_upward(tree, leaf, cw)
+        elif op == "prune":
+            tree.prune_all_identical()
+        elif op == "observe_summary":
+            summaries = sorted(key for key, node in tree.nodes.items()
+                               if node.kind == SUMMARY)
+            if summaries:
+                key = summaries[int(rng.integers(len(summaries)))]
+                leaf = tree.add_observation(world.center_of(key),
+                                            int(rng.integers(0, k + 1)), 0.9)
+                refresh_upward(tree, leaf, cw)
+        elif op == "expand":
+            tree.expand_summaries()
+        else:
+            serialize_tree(tree, path)
+            tree = deserialize_tree(path)
+            _check_reads_are_pure(tree)  # no interior cache yet: reads recurse
+            refresh_all(tree, cw)
+        _check_records(tree)
+        _check_reads_are_pure(tree)
+        _check_caches_match_batch(tree, cw)
