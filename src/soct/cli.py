@@ -118,7 +118,7 @@ def _cmd_build(args) -> int:
                                  record.confidence)
             inserted += 1
         except (OutOfBoundsError, DistributionError) as exc:
-            record_error(str(exc))
+            record_error(f"line {record.lineno}: {exc}")
             if len(errors) > args.error_budget:
                 raise IngestError(
                     f"aborting after {len(errors)} bad records "

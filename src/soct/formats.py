@@ -12,7 +12,7 @@ from __future__ import annotations
 import logging
 import math
 import struct
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Callable, Iterator
 
 from .compression import CompressionWeights
@@ -61,18 +61,22 @@ _NODE_SUMMARY = 2
 
 @dataclass(frozen=True)
 class CloudRecord:
+    """One point-cloud record; ``lineno`` is its line in the file (1 is the
+    header, 0 when not read from a file) and takes no part in equality."""
+
     x: float
     y: float
     z: float
     class_id: int
     confidence: float
+    lineno: int = field(default=0, compare=False)
 
     @property
     def point(self) -> tuple[float, float, float]:
         return (self.x, self.y, self.z)
 
 
-def _parse_cloud_line(line: str, num_classes: int) -> CloudRecord:
+def _parse_cloud_line(line: str, num_classes: int, lineno: int) -> CloudRecord:
     parts = line.split(",")
     if len(parts) != 5:
         raise ValueError(f"expected 5 columns, found {len(parts)}")
@@ -91,7 +95,7 @@ def _parse_cloud_line(line: str, num_classes: int) -> CloudRecord:
         raise ValueError(f"class id {class_id} outside 0..{num_classes}")
     if not 0.0 < confidence <= 1.0:
         raise ValueError(f"confidence {confidence} outside (0, 1]")
-    return CloudRecord(x, y, z, class_id, confidence)
+    return CloudRecord(x, y, z, class_id, confidence, lineno)
 
 
 def ingest(path, num_classes: int, error_budget: int = 100,
@@ -116,7 +120,7 @@ def ingest(path, num_classes: int, error_budget: int = 100,
             if not line:
                 continue
             try:
-                yield _parse_cloud_line(line, num_classes)
+                yield _parse_cloud_line(line, num_classes, lineno)
             except ValueError as exc:
                 errors.append((lineno, str(exc)))
                 on_error(lineno, str(exc))

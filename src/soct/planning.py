@@ -18,6 +18,10 @@ its edges in batches of up to 1,024 edges, and each edge's color is a
 maximum over severity ranks. ``class_at`` and ``octree_class_at`` are
 one-point calls of the same path.
 
+Edge lengths, segment lengths and the A* heuristic all come from one
+batched row-norm kernel, ``_norms``; a query computes every vertex's
+straight-line distance to its goal in one call before searching.
+
 Graph construction and search are read-only over their inputs; multiple
 queries may run concurrently on one graph.
 """
@@ -25,7 +29,6 @@ queries may run concurrently on one graph.
 from __future__ import annotations
 
 import heapq
-import math
 from dataclasses import dataclass, field
 from typing import NamedTuple
 
@@ -36,6 +39,9 @@ from .errors import ConfigError, GraphError, TreeError
 from .octree import INTERIOR, NodeKey, SemanticOctree, WorldConfig
 
 UNKNOWN_CLASS = -1
+# Largest Halton graph built; a larger request is a config error, raised
+# before any point is generated.
+MAX_HALTON_VERTICES = 1_000_000
 
 
 @dataclass(frozen=True)
@@ -208,9 +214,14 @@ def _severity(cid: int, query: PlanQuery):
     return (tier, -cid)
 
 
-def _norm(d: np.ndarray) -> float:
-    """``np.linalg.norm`` of a 1-d float vector, bit for bit, minus its overhead."""
-    return math.sqrt(float(d.dot(d)))
+def _norms(d: np.ndarray) -> np.ndarray:
+    """Euclidean norm of every row of a 2-d float array.
+
+    ``np.vecdot`` sums each row's products as ``d[i].dot(d[i])`` does, so
+    each value equals ``np.linalg.norm(d[i])`` bit for bit; ``(d * d).sum``,
+    ``np.einsum`` and ``np.hypot`` round differently.
+    """
+    return np.sqrt(np.vecdot(d, d))
 
 
 _SEGMENTS_PER_BATCH = 1024  # bounds the sample arrays alive at once
@@ -257,13 +268,13 @@ def _knn_edges(positions: np.ndarray, centers3d: np.ndarray, k: int,
     pairs = np.unique(np.column_stack([np.minimum(u, v), np.maximum(u, v)])[keep],
                       axis=0)
     chords = positions[pairs[:, 0]] - positions[pairs[:, 1]]
-    lengths = np.array([_norm(d) for d in chords])
+    lengths = _norms(chords)
     pairs, lengths = pairs[lengths > 0.0], lengths[lengths > 0.0]
     if not len(pairs):
         return []
     p0 = centers3d[pairs[:, 0]]
     delta = centers3d[pairs[:, 1]] - p0
-    dists = np.array([_norm(d) for d in delta])
+    dists = _norms(delta)
     counts = np.maximum(np.ceil(dists / step).astype(int), 1) + 1
     colors = []
     for lo in range(0, len(pairs), _SEGMENTS_PER_BATCH):
@@ -343,6 +354,9 @@ def halton_graph(world: WorldConfig, tree: SemanticOctree, n_vertices: int,
     """
     if n_vertices < 2:
         raise ConfigError("need at least 2 vertices")
+    if n_vertices > MAX_HALTON_VERTICES:
+        raise ConfigError(f"{n_vertices} Halton vertices exceed the "
+                          f"{MAX_HALTON_VERTICES} limit")
     _check_k_neighbors(k_neighbors)
     if z is None:
         z = world.origin[2] + world.leaf_size / 2.0
@@ -377,26 +391,18 @@ def class_ordered_astar(graph: ColoredGraph,
         return PlanResult([query.start], 0, 0.0)
     bad = set(query.undesired) | {UNKNOWN_CLASS}
     positions = np.asarray(graph.positions, dtype=np.float64)
-    goal_pos = positions[query.goal]
-    h_memo: dict[int, float] = {}
-
-    def h(u: int) -> float:
-        value = h_memo.get(u)
-        if value is None:
-            value = h_memo[u] = _norm(positions[u] - goal_pos)
-        return value
-
+    h = _norms(positions - positions[query.goal]).tolist()
     best: dict[int, tuple[int, float]] = {query.start: (0, 0.0)}
     parent: dict[int, int] = {}
     counter = 0
-    # Entries carry the cost g they were pushed with; one whose g is no
-    # longer best[u] was superseded by a cheaper push and is skipped.
-    heap = [((0, h(query.start)), counter, query.start, (0, 0.0))]
+    # Entries are (f_bad, f_len, counter, v, g_bad, g_len): equal f pops in
+    # push order. One whose g is no longer best[v] was superseded by a
+    # cheaper push and is skipped.
+    heap = [(0, h[query.start], counter, query.start, 0, 0.0)]
     while heap:
-        _, _, u, g = heapq.heappop(heap)
-        if g != best[u]:
+        _, _, _, u, g_bad, g_len = heapq.heappop(heap)
+        if best[u] != (g_bad, g_len):
             continue
-        g_bad, g_len = g
         if u == query.goal:
             path = [u]
             while path[-1] != query.start:
@@ -404,10 +410,11 @@ def class_ordered_astar(graph: ColoredGraph,
             path.reverse()
             return PlanResult(path, g_bad, g_len)
         for v, length, color in graph.neighbors(u):
-            cand = (g_bad + (1 if color in bad else 0), g_len + length)
-            if v not in best or cand < best[v]:
-                best[v] = cand
+            c_bad = g_bad + 1 if color in bad else g_bad
+            c_len = g_len + length
+            if v not in best or (c_bad, c_len) < best[v]:
+                best[v] = (c_bad, c_len)
                 parent[v] = u
                 counter += 1
-                heapq.heappush(heap, ((cand[0], cand[1] + h(v)), counter, v, cand))
+                heapq.heappush(heap, (c_bad, c_len + h[v], counter, v, c_bad, c_len))
     return None

@@ -7,6 +7,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from soct import planning
 from soct.cli import main
 from soct.formats import deserialize_tree, serialize_tree
 
@@ -182,6 +183,18 @@ def test_out_of_bounds_records_are_budgeted(workspace, capsys):
     assert "outside world volume" in err
 
 
+def test_out_of_bounds_warning_names_its_line(workspace, capsys):
+    rng = np.random.default_rng(7)
+    records = tiny_records(rng)
+    records.insert(5, (99.0, 0.5, 0.5, 1, 0.9))  # line 7: the header is line 1
+    write_cloud(workspace / "cloud.csv", records)
+    code, out, err = build(workspace, capsys)
+    assert code == 0
+    assert "record_errors 1" in out
+    assert err.splitlines() == [
+        "warning: line 7: point [99.0, 0.5, 0.5] outside world volume"]
+
+
 def test_error_budget_aborts_build(workspace, capsys):
     rng = np.random.default_rng(6)
     records = [(99.0, 0.5, 0.5, 1, 0.9)] * 5
@@ -237,6 +250,27 @@ def test_k_neighbors_below_one_is_config_error(workspace, capsys, command):
         assert code == 1
         assert "error: config:" in err
         assert "status" not in out
+
+
+@pytest.mark.parametrize("command", ["plan", "export"])
+def test_halton_n_above_limit_is_config_error(workspace, capsys, monkeypatch,
+                                              command):
+    def fail(*args, **kwargs):
+        raise AssertionError("generated points for an oversized graph")
+
+    build(workspace, capsys)
+    monkeypatch.setattr(planning, "halton_points", fail)
+    extra = (["--start", "0.5,3.5", "--goal", "7.5,4.5"] if command == "plan"
+             else ["--what", "graph", "--out", workspace / "graph.csv"])
+    code, out, err = run(capsys, [
+        command, "--tree", workspace / "tree.soct",
+        "--weights", workspace / "weights.cfg", "--graph", "halton",
+        "--halton-n", planning.MAX_HALTON_VERTICES + 1, *extra])
+    assert code == 1
+    assert err.startswith("error: config:")
+    assert "Traceback" not in err
+    assert out == ""
+    assert not (workspace / "graph.csv").exists()
 
 
 @pytest.mark.parametrize("command", ["report", "plan"])

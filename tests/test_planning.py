@@ -1,6 +1,9 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from soct import planning
 from soct.compression import CompressionWeights, compress_tree, full_tree, refresh_all
 from soct.errors import ConfigError, GraphError
 from soct.octree import SemanticOctree, WorldConfig
@@ -17,6 +20,7 @@ from soct.planning import (
     halton_graph,
     halton_points,
     octree_class_at,
+    _norms,
 )
 from soct.semantics import TruncatedSemanticDistribution
 
@@ -293,3 +297,89 @@ def test_k_neighbors_below_one_rejected(k):
         graph_from_tree(full_tree(tree), PlanQuery(0, 0), k)
     with pytest.raises(ConfigError):
         halton_graph(tree.world, tree, 16, k, PlanQuery(0, 0))
+
+
+def test_halton_graph_rejects_too_many_vertices(monkeypatch):
+    def fail(*args, **kwargs):
+        raise AssertionError("generated points for an oversized graph")
+
+    monkeypatch.setattr(planning, "halton_points", fail)
+    monkeypatch.setattr(planning, "halton", fail)
+    monkeypatch.setattr(planning.BlockIndex, "from_octree", fail)
+    world = WorldConfig((0, 0, 0), 4.0, 2, branching=4)
+    tree = SemanticOctree(world, 4)
+    limit = planning.MAX_HALTON_VERTICES
+    with pytest.raises(ConfigError, match="limit"):
+        halton_graph(world, tree, limit + 1, 4, PlanQuery(0, 0))
+    with pytest.raises(AssertionError):  # the limit itself gets as far as the points
+        halton_graph(world, tree, limit, 4, PlanQuery(0, 0))
+
+
+@pytest.mark.parametrize("dims", [2, 3])
+def test_norms_equal_linalg_norm_bit_for_bit(dims):
+    rng = np.random.default_rng(64 + dims)
+    n = 5000
+    d = np.concatenate([
+        # whole rows and single components over six decades of magnitude
+        rng.standard_normal((n, dims)) * 10.0 ** rng.uniform(-3, 3, (n, 1)),
+        rng.standard_normal((n, dims)) * 10.0 ** rng.uniform(-3, 3, (n, dims)),
+        rng.integers(-1000, 1001, (n, dims)).astype(float),
+        rng.integers(-1000, 1001, (n, dims)) + 0.5,
+        np.zeros((3, dims)),
+    ])
+    got = _norms(d)
+    want = np.array([np.linalg.norm(row) for row in d])
+    assert got.dtype == np.float64 and got.shape == want.shape
+    assert (got == want).all()
+    assert (got[-3:] == 0.0).all()
+
+
+def grid_graph(rng, rows, cols):
+    """Integer grid with integer-length axis edges and some diagonals: many
+    equal-length routes between two vertices."""
+    positions = np.array([[x, y] for y in range(rows) for x in range(cols)],
+                         dtype=float)
+    colors = [0, 1, 2, UNKNOWN_CLASS]
+    edges = []
+    for y in range(rows):
+        for x in range(cols):
+            u = y * cols + x
+            if x + 1 < cols:
+                edges.append(Edge(u, u + 1, float(rng.integers(1, 3)),
+                                  int(rng.choice(colors))))
+            if y + 1 < rows:
+                edges.append(Edge(u, u + cols, float(rng.integers(1, 3)),
+                                  int(rng.choice(colors))))
+            if x + 1 < cols and y + 1 < rows and rng.random() < 0.3:
+                edges.append(Edge(u, u + cols + 1, float(np.sqrt(2.0)),
+                                  int(rng.choice(colors))))
+    return ColoredGraph(positions, np.zeros(len(positions), dtype=int), edges)
+
+
+@settings(max_examples=80, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), kind=st.sampled_from(["random", "grid"]))
+def test_astar_cost_is_its_path_cost(seed, kind):
+    rng = np.random.default_rng(seed)
+    if kind == "random":
+        g = random_colored_graph(rng, n=int(rng.integers(2, 10)))
+    else:
+        g = grid_graph(rng, int(rng.integers(1, 4)), int(rng.integers(2, 5)))
+    start, goal = (int(v) for v in rng.integers(0, g.num_vertices, 2))
+    query = PlanQuery(start, goal, undesired={2})
+    result = class_ordered_astar(g, query)
+    ref = ref_all_paths_best(g, query)
+    if ref is None:
+        assert result is None
+        return
+    path = result.vertices
+    assert path[0] == start and path[-1] == goal
+    edge_of = {(min(e.u, e.v), max(e.u, e.v)): e for e in g.edges}
+    length, bad = 0.0, 0
+    for a, b in zip(path, path[1:]):
+        e = edge_of[(min(a, b), max(a, b))]
+        length += e.length
+        bad += e.color in query.undesired or e.color == UNKNOWN_CLASS
+    assert result.length == length
+    assert result.undesired_edges == bad
+    assert result.undesired_edges == ref[0]
+    assert abs(result.length - ref[1]) < 1e-9
