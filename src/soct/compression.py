@@ -14,6 +14,17 @@ per-node increments over its expanded nodes, with masses normalized by the
 root mass; these sums telescope to the entropy of the leaf-weight partition
 and to the mutual information between each class and the leaf index.
 
+Every JS divergence and split entropy here comes from one kernel,
+``split_terms``, which takes child sets stacked into (N, B) weights and
+(N, B, C) marginals and gives each row the same bits it gets alone.
+``refresh_upward`` chains weights and conditionals up a leaf's root path,
+then evaluates all the path's child sets in one call and chains the gains;
+``refresh_all`` evaluates a tree level (deepest first) in stacked batches;
+``expansion_gain`` passes one row and ``per_class_information`` all
+expanded nodes at once. ``weighted_gain`` and ``information_report`` stay
+on the separate ``infotheory.split_increments`` route, so they check the
+kernel rather than repeat it.
+
 Trees containing summary nodes must be expanded (``expand_summaries``)
 before the tree-level operations here; per-node gain queries and cache
 refreshes treat summaries as zero-gain leaf-likes, which is exact because a
@@ -32,7 +43,7 @@ from typing import Iterable, Mapping, NamedTuple
 import numpy as np
 
 from .errors import ConfigError, SizeLimitError, SummaryError, TreeError
-from .infotheory import InfoIncrement, _entropy_of_weights, split_increments
+from .infotheory import InfoIncrement, split_increments
 from .octree import (
     INTERIOR,
     LEAF,
@@ -41,6 +52,7 @@ from .octree import (
     SemanticOctree,
     child_keys,
     parent_key,
+    uniform_row,
 )
 from .semantics import uniform_full
 
@@ -139,40 +151,86 @@ class ExhaustiveResult(NamedTuple):
     candidate_count: int
 
 
-# -- shared numerics ---------------------------------------------------------
+# -- the split kernel ----------------------------------------------------------
+
+CHUNK_ROWS = 1024
 
 
-def _bernoulli_js_columns(marginals: np.ndarray, pi: np.ndarray) -> np.ndarray:
-    """Per-column JS divergence of Bernoulli marginals, shape (children, C).
+def split_terms(pi: np.ndarray, marginals: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Bernoulli JS columns and split entropy of stacked child sets.
 
-    Inactive children (zero weight) and constant columns are masked out
-    only when present; the arithmetic on the remaining entries is the same
-    either way.
+    ``pi`` (N, B) holds each row's normalized child weights and
+    ``marginals`` (N, B, C) its children's per-class probabilities.
+    Returns the per-class JS divergences, shape (N, C), and H(pi) per row,
+    shape (N,). A row's result does not depend on the rows beside it:
+    zero-weight children are dropped row by row, constant columns read
+    exactly 0.0, and at most ``CHUNK_ROWS`` rows are evaluated at once.
     """
     act = pi > 0
-    if act.all():
-        m, pa = marginals, pi
-    else:
-        m, pa = marginals[act], pi[act]
-    # Column-major, the layout a column selection returns: the products
-    # with ``pa`` then sum in one order whether or not columns are masked.
-    m = np.minimum(np.maximum(m, 0.0, order="F"), 1.0)
-    varying = (m != m[0]).any(axis=0)
-    every = varying.all()
-    if not every:
-        if not varying.any():
-            return np.zeros(marginals.shape[1])
-        m = m[:, varying]
-    pbar = pa @ m
+    if len(pi) <= CHUNK_ROWS and act.all():
+        return _active_split_terms(pi, marginals)
+    full = act.all(axis=1)
+    js = np.zeros((len(pi), marginals.shape[2]))
+    h = np.zeros(len(pi))
+    rows = np.flatnonzero(full)
+    for start in range(0, len(rows), CHUNK_ROWS):
+        r = rows[start:start + CHUNK_ROWS]
+        js[r], h[r] = _active_split_terms(pi[r], marginals[r])
+    for r in np.flatnonzero(~full):
+        a = act[r]
+        js[r:r + 1], h[r:r + 1] = _active_split_terms(pi[r:r + 1, a],
+                                                      marginals[r:r + 1, a])
+    return js, h
+
+
+def _active_split_terms(pi: np.ndarray,
+                        marginals: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """``split_terms`` of rows whose children all have positive weight."""
+    # Each row's (C, B) slice is C-ordered: the matrix-vector products then
+    # sum every column in one order, the order a single child set is
+    # summed in.
+    m = np.minimum(np.maximum(marginals.transpose(0, 2, 1), 0.0, order="C"), 1.0)
+    h = -(pi * np.log2(pi)).sum(axis=1)
+    varying = (m != m[:, :, :1]).any(axis=2)
+    if varying.all():
+        return _js_columns(pi, m), h
+    # The products also depend on how many columns they span, so rows are
+    # grouped by their number of varying columns, which are gathered to
+    # the front; constant columns stay 0.0.
+    js = np.zeros(varying.shape)
+    counts = varying.sum(axis=1)
+    for k in np.unique(counts[counts > 0]):
+        rows = np.flatnonzero(counts == k)
+        cols = np.nonzero(varying[rows])[1].reshape(len(rows), k)
+        sub = np.take_along_axis(m[rows], cols[:, :, None], axis=1)
+        js[rows[:, None], cols] = _js_columns(pi[rows], sub)
+    return js, h
+
+
+def _js_columns(pi: np.ndarray, m: np.ndarray) -> np.ndarray:
+    """JS divergence per (row, column) of clipped marginals ``m`` (N, C, B)."""
+    p = pi[:, :, None]
+    pbar = np.matmul(m, p)
+    q = 1 - m
     with np.errstate(divide="ignore", invalid="ignore"):
         t1 = np.where(m > 0, m * np.log2(m / pbar), 0.0)
-        t0 = np.where(m < 1, (1 - m) * np.log2((1 - m) / (1 - pbar)), 0.0)
-    js = pa @ (t1 + t0)
-    if every:
-        return js
-    out = np.zeros(marginals.shape[1])
-    out[varying] = js
-    return out
+        t0 = np.where(q > 0, q * np.log2(q / (1 - pbar)), 0.0)
+    return np.matmul(t1 + t0, p)[:, :, 0]
+
+
+def _gain(child_term: float, h: float, js: list[float],
+          cw: CompressionWeights) -> float:
+    """Clamped relative gain from the children's weighted gain, H(pi) and JS.
+
+    Summed in class order on Python floats; with weighted classes the gain
+    is a numpy scalar, the type a sum over a JS array gives it.
+    """
+    value = child_term - cw.compress * h
+    for w, v in zip(cw.signed, js):
+        value += w * v
+    if js:
+        value = np.float64(value)
+    return max(value, 0.0)
 
 
 def _require_no_summaries(tree: SemanticOctree) -> None:
@@ -181,17 +239,6 @@ def _require_no_summaries(tree: SemanticOctree) -> None:
 
 
 # -- gain values --------------------------------------------------------------
-
-
-def _bracket(pi: np.ndarray, dists: np.ndarray,
-             child_gains: np.ndarray, cw: CompressionWeights) -> float:
-    """Unclamped relative gain from normalized child weights ``pi``."""
-    value = float(pi @ child_gains) - cw.compress * _entropy_of_weights(pi)
-    if cw.class_ids:
-        js = _bernoulli_js_columns(dists[:, cw.class_ids], pi)
-        for w, v in zip(cw.signed, js):
-            value += w * v
-    return value
 
 
 def expansion_gain(tree: SemanticOctree, key: NodeKey,
@@ -218,7 +265,8 @@ def expansion_gain(tree: SemanticOctree, key: NodeKey,
         if child is not None and child.kind == INTERIOR:
             gains[o] = expansion_gain(tree, ck, cw)
     pi = weights / float(weights.sum())
-    return max(_bracket(pi, dists, gains, cw), 0.0)
+    js, h = split_terms(pi[None], dists[None][:, :, cw.class_ids])
+    return _gain(float(pi @ gains), h.tolist()[0], js.tolist()[0], cw)
 
 
 def weighted_gain(tree: SemanticOctree, key: NodeKey,
@@ -253,24 +301,6 @@ def _increments(mass: float, weights: np.ndarray, dists: np.ndarray,
 # -- cache maintenance ---------------------------------------------------------
 
 
-def _refresh_node(tree: SemanticOctree, key: NodeKey, cw: CompressionWeights) -> None:
-    node = tree.nodes[key]
-    weights, dists, gains = tree.completed_child_arrays(key, allow_empty=True)
-    if weights is None:
-        node.weight = 0.0
-        node.cond = None
-        node.gain = 0.0
-        return
-    node.weight = float(weights.sum())
-    if node.weight <= 0.0:
-        node.cond = uniform_full(tree.num_classes).probs
-        node.gain = 0.0
-        return
-    pi = weights / node.weight
-    node.cond = pi @ dists
-    node.gain = max(_bracket(pi, dists, gains, cw), 0.0)
-
-
 def refresh_upward(tree: SemanticOctree, leaf: NodeKey,
                    cw: CompressionWeights) -> None:
     """Refresh weights, conditionals and gains on the leaf-to-root path.
@@ -278,27 +308,121 @@ def refresh_upward(tree: SemanticOctree, leaf: NodeKey,
     The incremental half of the build loop: after inserting or updating one
     finest-resolution leaf, exactly the nodes on its root path have stale
     caches, and they are recomputed bottom-up from immediate child data.
-    Nothing off the path is touched.
+    Nothing off the path is touched. Weights and conditionals chain up the
+    path level by level; the JS and entropy terms of all its child sets
+    then come from one ``split_terms`` call, and the gains chain up last.
     """
     node = tree.nodes.get(leaf)
     if node is None or node.kind != LEAF or leaf.depth != tree.world.max_depth:
         raise TreeError(f"{leaf} is not a stored finest-resolution leaf")
     node.gain = 0.0
-    dims = tree.world.dims
-    key = leaf
-    while key.depth > 0:
-        key = parent_key(key, dims)
-        _refresh_node(tree, key, cw)
+    dims, branching = tree.world.dims, tree.world.branching
+    get = tree.nodes.get
+    # Level i is the ancestor i + 1 levels up. Its children sit at depth
+    # leaf.depth - i from index first[i] on, the one on the path at octant
+    # octants[i]; each child slot is looked up once.
+    levels = range(leaf.depth)
+    first = [leaf.index >> dims * (i + 1) << dims for i in levels]
+    octants = [(leaf.index >> dims * i) & (branching - 1) for i in levels]
+    kids = [[get((depth, base | o)) for o in range(branching)]
+            for depth, base in zip(range(leaf.depth, 0, -1), first)]
+    path = [kids[i + 1][octants[i + 1]] for i in levels[:-1]] + [tree.root]
+    # Conditionals as in ``completed_child_arrays``; a path slot is filled
+    # once the node below it is refreshed.
+    uniform = uniform_row(tree.num_classes)
+    dists = np.array([
+        uniform if c is None or o == octants[i]
+        else c.cond if c.cond is not None
+        else tree.conditional(NodeKey(leaf.depth - i, first[i] | o))
+        for i in levels for o, c in enumerate(kids[i])])
+    dists = dists.reshape(leaf.depth, branching, -1)
+    pi = np.empty((leaf.depth, branching))
+    live = []  # levels with positive mass
+    below = node  # the leaf
+    for i in levels:
+        dists[i, octants[i]] = below.cond
+        below = node = path[i]
+        stored = [c.weight for c in kids[i] if c is not None]
+        mean_w = sum(stored) / len(stored)
+        weights = np.array([mean_w if c is None else c.weight for c in kids[i]],
+                           dtype=np.float64)
+        node.weight = float(weights.sum())
+        if node.weight <= 0.0:
+            node.cond = uniform_full(tree.num_classes).probs
+            continue
+        np.divide(weights, node.weight, out=pi[i])
+        node.cond = pi[i] @ dists[i]
+        live.append(i)
+    if len(live) < leaf.depth:
+        pi, dists = pi[live], dists[live]
+    if live:
+        js, h = split_terms(pi, dists[:, :, cw.class_ids])
+        js, h = js.tolist(), h.tolist()
+    # Gains chain up last; a path slot takes the gain just set below it.
+    gains = np.array([c.gain if c is not None and c.kind == INTERIOR else 0.0
+                      for row in kids for c in row], dtype=np.float64)
+    gains = gains.reshape(leaf.depth, branching)
+    row = 0
+    for i in levels:
+        node = path[i]
+        if i:
+            gains[i, octants[i]] = path[i - 1].gain
+        if node.weight <= 0.0:
+            node.gain = 0.0
+            continue
+        node.gain = _gain(float(pi[row] @ gains[i]), h[row], js[row], cw)
+        row += 1
 
 
 def refresh_all(tree: SemanticOctree, cw: CompressionWeights) -> None:
-    """Recompute every interior cache bottom-up (deepest nodes first).
+    """Recompute every interior cache bottom-up (deepest level first).
 
     The batch counterpart of ``refresh_upward``: used after bulk loads and
-    as the reference when validating incremental maintenance.
+    as the reference when validating incremental maintenance. A level's
+    nodes depend only on the level below, so each level is refreshed in
+    stacked batches of at most ``CHUNK_ROWS`` nodes.
     """
-    for key in tree.interior_keys_deepest_first():
-        _refresh_node(tree, key, cw)
+    levels = itertools.groupby(tree.interior_keys_deepest_first(),
+                               key=lambda k: k.depth)
+    for _, level in levels:
+        level = list(level)
+        for start in range(0, len(level), CHUNK_ROWS):
+            _refresh_batch(tree, level[start:start + CHUNK_ROWS], cw)
+
+
+def _refresh_batch(tree: SemanticOctree, keys: list[NodeKey],
+                   cw: CompressionWeights) -> None:
+    """Refresh interior nodes whose children's caches are all current."""
+    nodes, arrays = [], []
+    for key in keys:
+        node = tree.nodes[key]
+        weights, dists, gains = tree.completed_child_arrays(key, allow_empty=True)
+        if weights is None:
+            node.weight, node.cond, node.gain = 0.0, None, 0.0
+            continue
+        nodes.append(node)
+        arrays.append((weights, dists, gains))
+    if not nodes:
+        return
+    weights = np.array([a[0] for a in arrays])
+    totals = weights.sum(axis=1)
+    live = np.flatnonzero(totals > 0.0)
+    pi = weights[live] / totals[live, None]
+    dists = np.array([a[1] for a in arrays])[live]
+    conds = np.matmul(pi[:, None, :], dists)[:, 0]
+    child_terms = np.vecdot(pi, np.array([a[2] for a in arrays])[live]).tolist()
+    js, h = split_terms(pi, dists[:, :, cw.class_ids])
+    js, h = js.tolist(), h.tolist()
+    row = 0
+    for node, total in zip(nodes, totals.tolist()):
+        node.weight = total
+        if total <= 0.0:
+            node.cond = uniform_full(tree.num_classes).probs
+            node.gain = 0.0
+        else:
+            node.cond = conds[row]
+            node.gain = _gain(child_terms[row], h[row], js[row], cw)
+            row += 1
 
 
 # -- compressed-tree extraction ------------------------------------------------
@@ -433,13 +557,15 @@ def per_class_information(tree: SemanticOctree,
     bits = np.zeros(tree.num_classes + 1)
     p_root = tree.root.weight
     if p_root > 0.0:
-        for key in sorted(ctree.expanded):
-            node = tree.nodes[key]
-            if node.weight <= 0.0:
-                continue
-            weights, dists, _ = tree.completed_child_arrays(key)
-            pi = weights / float(weights.sum())
-            bits += (node.weight / p_root) * _bernoulli_js_columns(dists, pi)
+        keys = [k for k in sorted(ctree.expanded) if tree.nodes[k].weight > 0.0]
+        if keys:
+            arrays = [tree.completed_child_arrays(k) for k in keys]
+            weights = np.array([a[0] for a in arrays])
+            pi = weights / weights.sum(axis=1)[:, None]
+            js, _ = split_terms(pi, np.array([a[1] for a in arrays]))
+            scale = np.array([tree.nodes[k].weight / p_root for k in keys])
+            # Accumulated row by row in key order, as a running sum.
+            bits = np.add.accumulate(np.vstack([bits, scale[:, None] * js]))[-1]
     return {cid: float(bits[cid]) for cid in range(tree.num_classes + 1)}
 
 

@@ -34,6 +34,7 @@ from .octree import (
     SemanticOctree,
     WorldConfig,
     child_key,
+    completed_weight,
     octant_of,
 )
 from .semantics import (
@@ -334,7 +335,12 @@ def _record(tree: SemanticOctree, key: NodeKey, kind: int, weight: float,
         raise CorruptionError(f"record {key} is invalid: {exc}") from None
 
 
-def _read_node(reader: _Reader, tree: SemanticOctree, key: NodeKey) -> None:
+def _read_node(reader: _Reader, tree: SemanticOctree, key: NodeKey) -> float:
+    """Read one record and its subtree; returns the record's weight.
+
+    An interior weight is checked once its children are read, so the whole
+    tree is checked in one bottom-up pass.
+    """
     (kind, weight) = reader.take("<Bd")
     max_depth = tree.world.max_depth
     if kind in (_NODE_LEAF, _NODE_SUMMARY) and not (
@@ -357,11 +363,17 @@ def _read_node(reader: _Reader, tree: SemanticOctree, key: NodeKey) -> None:
         if mask == 0 and key != ROOT_KEY:
             raise CorruptionError(f"childless interior record at {key}")
         tree.nodes[key] = Node(INTERIOR, weight=weight)
-        for octant in range(tree.world.branching):
-            if mask & (1 << octant):
-                _read_node(reader, tree, child_key(key, octant, tree.world.dims))
+        expected = completed_weight(
+            [_read_node(reader, tree, child_key(key, octant, tree.world.dims))
+             for octant in range(tree.world.branching) if mask & (1 << octant)],
+            tree.world.branching)
+        if not (math.isfinite(weight)
+                and abs(weight - expected) <= 1e-9 * abs(expected)):
+            raise CorruptionError(f"interior record {key} has weight {weight!r}, "
+                                  f"its children complete to {expected!r}")
     else:
         raise CorruptionError(f"unknown node kind {kind}")
+    return weight
 
 
 def deserialize_tree(path) -> SemanticOctree:
@@ -369,8 +381,11 @@ def deserialize_tree(path) -> SemanticOctree:
 
     Structure, weights and leaf distributions are restored exactly, and
     each leaf or summary record is validated as it is installed (an invalid
-    one is a ``CorruptionError``); interior conditional/gain caches are
-    rebuilt on the next ``refresh_all``.
+    one is a ``CorruptionError``), and so is each interior weight: it must
+    be finite and within 1e-9 relative of the completion of its children's
+    weights (``completed_weight``), which admits the rounding of either way
+    of summing them. Interior conditional/gain caches are rebuilt on the
+    next ``refresh_all``.
     """
     with open(path, "rb") as fh:
         data = fh.read()

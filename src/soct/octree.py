@@ -124,25 +124,24 @@ class WorldConfig:
         return self.edge_length / (1 << self.max_depth)
 
     def contains(self, point) -> bool:
-        p = np.asarray(point, dtype=np.float64)
-        o = np.asarray(self.origin)
-        return bool(np.all(p >= o) and np.all(p < o + self.edge_length))
+        """Whether a 3-d point lies in the half-open world box; NaN never does."""
+        e = self.edge_length
+        return all(o <= float(v) < o + e
+                   for v, o in zip(point, self.origin, strict=True))
 
     def leaf_coords(self, point) -> tuple[int, ...]:
         """Integer cell coordinates of the finest cell containing point.
 
         Cells are half-open [lo, hi) per axis; points at the world's upper
-        corner are rejected.
+        corner are rejected. Works on plain floats, one point at a time.
         """
-        p = np.asarray(point, dtype=np.float64)
+        p = [float(v) for v in point]
         if not self.contains(p):
-            raise OutOfBoundsError(f"point {p.tolist()} outside world volume")
-        n = 1 << self.max_depth
-        coords = []
-        for axis in range(self.dims):
-            c = int((p[axis] - self.origin[axis]) // self.leaf_size)
-            coords.append(min(c, n - 1))
-        return tuple(coords)
+            raise OutOfBoundsError(f"point {p} outside world volume")
+        last = (1 << self.max_depth) - 1
+        size = self.leaf_size
+        return tuple(min(int((p[axis] - self.origin[axis]) // size), last)
+                     for axis in range(self.dims))
 
     def morton(self, points) -> tuple[np.ndarray, np.ndarray]:
         """Finest-depth Morton codes of an (N, 3) array of points.
@@ -197,6 +196,19 @@ class WorldConfig:
         return sizes
 
 
+def completed_weight(stored: list[float], branching: int) -> float:
+    """Weight of an interior node from its stored children's weights.
+
+    Absent children count at the mean stored weight; 0.0 without stored
+    children.
+    """
+    if not stored:
+        return 0.0
+    total = sum(stored)
+    m = len(stored)
+    return total + (branching - m) * (total / m)
+
+
 @dataclass(slots=True)
 class Node:
     kind: int
@@ -210,7 +222,7 @@ ROOT_KEY = NodeKey(0, 0)
 
 
 @functools.lru_cache(maxsize=None)
-def _uniform_row(num_classes: int) -> np.ndarray:
+def uniform_row(num_classes: int) -> np.ndarray:
     """Read-only maximum-entropy vector, the conditional of a missing child."""
     row = uniform_full(num_classes).probs
     row.flags.writeable = False
@@ -303,7 +315,7 @@ class SemanticOctree:
                 return None, None, None
             raise TreeError(f"{key} has no stored children to complete")
         mean_w = sum(c.weight for c in stored) / len(stored)
-        uniform = _uniform_row(self.num_classes)
+        uniform = uniform_row(self.num_classes)
         base = key.index << self.world.dims
         weights = np.array([mean_w if c is None else c.weight for c in kids],
                            dtype=np.float64)
@@ -402,15 +414,9 @@ class SemanticOctree:
         return key
 
     def _refresh_weight(self, key: NodeKey) -> None:
-        node = self.nodes[key]
-        kids = [c for c in self._child_slots(key) if c is not None]
-        if not kids:
-            node.weight = 0.0
-            return
-        total = sum(c.weight for c in kids)
-        b = self.world.branching
-        m = len(kids)
-        node.weight = total + (b - m) * (total / m)
+        self.nodes[key].weight = completed_weight(
+            [c.weight for c in self._child_slots(key) if c is not None],
+            self.world.branching)
 
     # -- summary handling ---------------------------------------------------
 

@@ -127,6 +127,8 @@ def ref_conditional(tree, key):
         return list(expand_truncated(node.dist, tree.registry).probs)
     entries = _ref_children(tree, key)
     total = sum(w for w, _, _ in entries)
+    if total == 0:  # a massless node reads as unobserved: maximum entropy
+        return [1.0 / (tree.num_classes + 1)] * (tree.num_classes + 1)
     out = [0.0] * (tree.num_classes + 1)
     for w, dist, _ in entries:
         for i, v in enumerate(dist):

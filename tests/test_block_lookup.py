@@ -8,11 +8,13 @@ The references in ``helpers`` derive integer cell coordinates and walk the
 import itertools
 
 import numpy as np
+import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from soct.compression import compress_tree, full_tree, refresh_all
-from soct.errors import GraphError
+from soct.errors import GraphError, OutOfBoundsError
+from soct.octree import WorldConfig
 from soct.planning import (
     BlockIndex,
     PlanQuery,
@@ -25,6 +27,7 @@ from helpers import (
     make_random_tree,
     random_truncated,
     random_weights,
+    ref_cell_coords,
     ref_octree_class,
     ref_segment_color,
     ref_tree_class,
@@ -98,6 +101,33 @@ def test_batched_lookup_matches_reference(seed, branching, depth, prune, origin,
     ctree = compress_tree(tree, cw) if compressed else full_tree(tree)
     got = BlockIndex.from_compressed(ctree).classify(points)
     assert got.tolist() == [ref_tree_class(ctree, p) for p in points]
+
+
+@settings(max_examples=60, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), branching=st.sampled_from([2, 4, 8]),
+       depth=st.integers(1, 6), origin=st.sampled_from(ORIGINS),
+       edge_length=st.sampled_from(EDGES))
+@example(seed=0, branching=8, depth=3, origin=(0.0, 0.0, 0.0), edge_length=0.8)
+def test_single_point_lookup_matches_reference(seed, branching, depth, origin,
+                                               edge_length):
+    """``contains``/``leaf_coords``/``leaf_key`` on one point agree with the
+    per-point reference and with the batched ``morton`` codes, on faces,
+    just below them, the upper corner and non-finite points."""
+    rng = np.random.default_rng(seed)
+    world = WorldConfig(origin, edge_length, depth, branching)
+    points = probe_points(rng, world, count=40)
+    codes, inside = world.morton(points)
+    for point, code, ok in zip(points, codes.tolist(), inside.tolist()):
+        ref = ref_cell_coords(world, point)
+        assert world.contains(point) == (ref is not None) == ok
+        if ref is None:
+            with pytest.raises(OutOfBoundsError) as err:
+                world.leaf_coords(point)
+            assert str(err.value) == (f"point {[float(v) for v in point]} "
+                                      "outside world volume")
+            continue
+        assert world.leaf_coords(point) == tuple(ref)
+        assert world.leaf_key(point).index == code
 
 
 def random_query(rng):

@@ -304,6 +304,21 @@ def test_invalid_leaf_record_is_corruption_error(workspace, capsys, command):
     assert "Traceback" not in err
 
 
+@pytest.mark.parametrize("bad", [1e300, float("nan"), -1.0])
+def test_bad_interior_weight_is_corruption_error(workspace, capsys, bad):
+    build(workspace, capsys)
+    tree = deserialize_tree(workspace / "tree.soct")
+    tree.root.weight = bad
+    serialize_tree(tree, workspace / "tree.soct")
+    code, out, err = run(capsys, [
+        "report", "--tree", workspace / "tree.soct",
+        "--weights", workspace / "weights.cfg"])
+    assert code == 1
+    assert err.startswith("error: corruption:")
+    assert "Traceback" not in err
+    assert out == ""
+
+
 def test_cli_import_leaves_scipy_unloaded():
     # Only graph builds need the k-d tree; build/compress/report must not
     # pay for importing scipy.spatial.

@@ -1,9 +1,13 @@
 import copy
+import itertools
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from soct.compression import (
+    CHUNK_ROWS,
     CompressionWeights,
     build_and_compress,
     compress_tree,
@@ -16,13 +20,15 @@ from soct.compression import (
     per_class_information,
     refresh_all,
     refresh_upward,
+    split_terms,
     weighted_gain,
 )
 from soct.errors import ConfigError, SizeLimitError, SummaryError, TreeError
-from soct.infotheory import entropy
+from soct.infotheory import entropy, split_increments
 from soct.octree import (
     INTERIOR,
     ROOT_KEY,
+    SUMMARY,
     SemanticOctree,
     WorldConfig,
 )
@@ -32,6 +38,8 @@ from helpers import (
     make_random_tree,
     random_truncated,
     random_weights,
+    ref_bernoulli_js,
+    ref_entropy,
     ref_mutual_information,
     ref_relative_gain,
 )
@@ -188,6 +196,154 @@ def test_refresh_upward_rejects_non_leaf():
     cw = CompressionWeights({1: 1.0}, {}, 0.0)
     with pytest.raises(TreeError):
         refresh_upward(tree, ROOT_KEY, cw)
+
+
+def random_child_sets(rng, n, branching, columns):
+    """Stacked child sets with zero-weight children, constant columns and
+    entries at and just outside 0 and 1; returns weights, pi, marginals."""
+    weights = rng.uniform(0.1, 3.0, (n, branching))
+    weights[rng.random((n, branching)) < 0.15] = 0.0
+    weights[weights.sum(axis=1) == 0.0, 0] = 1.0
+    pi = weights / weights.sum(axis=1)[:, None]
+    m = rng.dirichlet(np.full(columns + 2, 0.5), (n, branching))[:, :, :columns]
+    style = rng.random(m.shape)
+    m[style < 0.05] = 0.0
+    m[(style > 0.05) & (style < 0.08)] = 1.0
+    m[(style > 0.08) & (style < 0.1)] = -1e-13
+    m[(style > 0.1) & (style < 0.12)] = 1.0 + 1e-13
+    for row, col in zip(*np.nonzero(rng.random((n, columns)) < 0.2)):
+        m[row, :, col] = m[row, 0, col]
+    return weights, pi, m
+
+
+@pytest.mark.parametrize("branching", [2, 4, 8])
+def test_split_terms_row_is_the_same_alone_in_a_batch_and_across_chunks(branching):
+    """A row's bits do not depend on the rows beside it, on the chunk it
+    lands in, or on the constant columns beside its varying ones; H(pi) has
+    the bits of the ``split_increments`` route."""
+    rng = np.random.default_rng(90 + branching)
+    weights, pi, m = random_child_sets(rng, CHUNK_ROWS + 37, branching, 5)
+    js, h = split_terms(pi, m)
+    inner_js, inner_h = split_terms(pi[CHUNK_ROWS - 9:CHUNK_ROWS + 9],
+                                    m[CHUNK_ROWS - 9:CHUNK_ROWS + 9])
+    assert inner_js.tobytes() == js[CHUNK_ROWS - 9:CHUNK_ROWS + 9].tobytes()
+    assert inner_h.tobytes() == h[CHUNK_ROWS - 9:CHUNK_ROWS + 9].tobytes()
+    no_roles = CompressionWeights({}, {}, 0.0)
+    for r in range(len(pi)):
+        alone_js, alone_h = split_terms(pi[r:r + 1], m[r:r + 1])
+        assert alone_js[0].tobytes() == js[r].tobytes(), r
+        assert alone_h[0].tobytes() == h[r].tobytes(), r
+        assert h[r] == split_increments(1.0, weights[r], {}, no_roles).split_bits, r
+        act = pi[r] > 0
+        clipped = np.clip(m[r][act], 0.0, 1.0)
+        varying = (clipped != clipped[0]).any(axis=0)
+        assert (js[r, ~varying] == 0.0).all(), r
+        if varying.any():
+            dropped, _ = split_terms(pi[r:r + 1], m[r:r + 1][:, :, varying])
+            assert dropped[0].tobytes() == js[r, varying].tobytes(), r
+        for col in np.flatnonzero(varying):
+            ref = ref_bernoulli_js(list(clipped[:, col]), list(pi[r][act]))
+            assert abs(js[r, col] - ref) < 1e-12
+        assert abs(h[r] - ref_entropy(pi[r])) < 1e-12
+
+
+def test_gain_types_are_kept():
+    """A gain is the numpy scalar of its JS sum, or the Python 0.0 of the
+    clamp (a fingerprint of the caches hashes the repr of each gain)."""
+    cases = [(CompressionWeights({1: 1.0}, {}, 0.0), np.float64),
+             (CompressionWeights({1: 1.0}, {}, 100.0), float),
+             (CompressionWeights({}, {}, 0.0), float)]
+    for cw, kind in cases:
+        tree = two_leaf_tree()
+        refresh_all(tree, cw)
+        assert type(tree.root.gain) is kind
+        assert type(expansion_gain(tree, ROOT_KEY, cw)) is kind
+        refresh_upward(tree, tree.set_leaf((1,), tree.nodes[(1, 1)].dist), cw)
+        assert type(tree.root.gain) is kind
+
+
+def test_per_class_information_adds_node_terms_in_key_order():
+    rng = np.random.default_rng(36)
+    for branching in (2, 4, 8):
+        depth = {2: 4, 4: 3, 8: 2}[branching]
+        tree = make_random_tree(rng, branching, depth, fill=0.8)
+        refresh_all(tree, random_weights(rng))
+        ctree = full_tree(tree)
+        bits = np.zeros(tree.num_classes + 1)
+        for key in sorted(ctree.expanded):
+            weights, dists, _ = tree.completed_child_arrays(key)
+            pi = weights / weights.sum()
+            js, _ = split_terms(pi[None], dists[None])
+            bits += (tree.nodes[key].weight / tree.root.weight) * js[0]
+        assert per_class_information(tree, ctree) == dict(enumerate(bits.tolist()))
+
+
+BIT_OPS = ("observe", "zero_leaf", "identical", "prune", "observe_summary")
+
+
+def _assert_caches_equal_batch_bit_for_bit(tree, cw):
+    batch = copy.deepcopy(tree)
+    refresh_all(batch, cw)
+    for key, node in tree.nodes.items():
+        ref = batch.nodes[key]
+        # repr tells apart the gain types as well as the bits
+        assert repr((node.weight, node.gain)) == repr((ref.weight, ref.gain)), key
+        assert (node.cond is None) == (ref.cond is None), key
+        if node.cond is not None:
+            assert node.cond.tobytes() == ref.cond.tobytes(), key
+        if node.kind == INTERIOR:
+            assert abs(node.gain - ref_relative_gain(tree, key, cw)) < 1e-9, key
+
+
+@settings(max_examples=40, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1),
+       branching=st.sampled_from([2, 4, 8]),
+       ops=st.lists(st.sampled_from(BIT_OPS), min_size=1, max_size=12))
+def test_incremental_caches_equal_batch_bit_for_bit(seed, branching, ops):
+    """Observations, zero-weight leaves, blocks of identical leaves (constant
+    columns) and observations into summaries, in any order: after each step
+    every weight, conditional and gain that ``refresh_upward`` maintains is
+    exactly what ``refresh_all`` computes on a copy."""
+    rng = np.random.default_rng(seed)
+    depth = {2: 4, 4: 3, 8: 2}[branching]
+    k = int(rng.integers(4, 7))
+    world = WorldConfig((0, 0, 0), 8.0, depth, branching)
+    tree = SemanticOctree(world, k)
+    cw = random_weights(rng, num_classes=k)
+    shared = random_truncated(rng, k)
+    dims, n = world.dims, 1 << depth
+    for op in ops:
+        if op == "observe":
+            # two confidences only: leaves observed alike share the values
+            # of their other classes, so some columns are constant
+            leaf = tree.add_observation(rng.uniform(0, 8, 3), int(rng.integers(0, k + 1)),
+                                        float(rng.choice([0.6, 0.9])))
+            refresh_upward(tree, leaf, cw)
+        elif op == "zero_leaf":
+            coords = tuple(int(c) for c in rng.integers(0, n, dims))
+            leaf = tree.set_leaf(coords, random_truncated(rng, k), 0.0)
+            refresh_upward(tree, leaf, cw)
+        elif op == "identical":
+            span = 1 << int(rng.integers(1, depth + 1))
+            corner = [int(c) * span for c in rng.integers(0, n // span, dims)]
+            for offset in itertools.product(range(span), repeat=dims):
+                leaf = tree.set_leaf(tuple(c + o for c, o in zip(corner, offset)),
+                                     shared, float(rng.uniform(0.2, 3.0)))
+                refresh_upward(tree, leaf, cw)
+        elif op == "prune":
+            # a summary takes its record's vector, not the aggregate it
+            # replaces, so the ancestors are rebuilt
+            tree.prune_all_identical()
+            refresh_all(tree, cw)
+        else:
+            summaries = sorted(key for key, node in tree.nodes.items()
+                               if node.kind == SUMMARY)
+            if summaries:
+                key = summaries[int(rng.integers(len(summaries)))]
+                leaf = tree.add_observation(world.center_of(key),
+                                            int(rng.integers(0, k + 1)), 0.9)
+                refresh_upward(tree, leaf, cw)
+        _assert_caches_equal_batch_bit_for_bit(tree, cw)
 
 
 def test_compress_dominant_alpha_gives_root_only():

@@ -3,6 +3,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+from soct.compression import refresh_all
 from soct.errors import (
     ConfigError,
     CorruptionError,
@@ -20,10 +21,10 @@ from soct.formats import (
     parse_world_config,
     serialize_tree,
 )
-from soct.octree import LEAF, SUMMARY, SemanticOctree, WorldConfig
+from soct.octree import INTERIOR, LEAF, SUMMARY, SemanticOctree, WorldConfig
 from soct.semantics import TruncatedSemanticDistribution
 
-from helpers import make_random_tree, random_truncated
+from helpers import make_random_tree, random_truncated, random_weights
 
 
 def collect(path, num_classes, **kw):
@@ -275,3 +276,51 @@ def test_invalid_record_rejected_as_corruption(tmp_path, summary, field):
     with pytest.raises(CorruptionError, match="invalid"):
         deserialize_tree(p)
 
+
+
+@pytest.mark.parametrize("bad", [1e300, float("nan"), float("inf"), -1.0])
+def test_bad_interior_weight_rejected(tmp_path, bad):
+    rng = np.random.default_rng(77)
+    tree = make_random_tree(rng, branching=4, depth=2)
+    tree.root.weight = bad
+    p = tmp_path / "interior.soct"
+    serialize_tree(tree, p)
+    with pytest.raises(CorruptionError, match="interior record"):
+        deserialize_tree(p)
+
+
+def test_interior_weight_off_its_children_rejected(tmp_path):
+    rng = np.random.default_rng(78)
+    tree = make_random_tree(rng, branching=2, depth=3, fill=1.0)
+    key = next(k for k, n in tree.nodes.items() if n.kind == INTERIOR and k.depth == 2)
+    tree.nodes[key].weight *= 1.0 + 1e-6
+    p = tmp_path / "interior.soct"
+    serialize_tree(tree, p)
+    with pytest.raises(CorruptionError, match="interior record"):
+        deserialize_tree(p)
+
+
+@pytest.mark.parametrize("branching", [2, 4, 8])
+def test_refreshed_random_trees_load(tmp_path, branching):
+    """Interior weights summed either way (observation path or batch
+    refresh), with zero-weight leaves and summaries, pass the load check."""
+    rng = np.random.default_rng(79 + branching)
+    depth = {2: 4, 4: 3, 8: 2}[branching]
+    for i in range(10):
+        tree = make_random_tree(rng, branching=branching, depth=depth,
+                                fill=float(rng.uniform(0.2, 1.0)))
+        n = 1 << depth
+        for _ in range(3):
+            coords = tuple(int(c) for c in rng.integers(0, n, tree.world.dims))
+            tree.set_leaf(coords, random_truncated(rng, 4), 0.0)
+        for _ in range(5):
+            tree.add_observation(rng.uniform(0, 16, 3), int(rng.integers(0, 5)), 0.8)
+        if i % 2:
+            refresh_all(tree, random_weights(rng))
+        if i % 3 == 0:
+            tree.prune_all_identical()
+        p = tmp_path / f"ok{i}.soct"
+        serialize_tree(tree, p)
+        loaded = deserialize_tree(p)
+        assert {k: n.weight for k, n in loaded.nodes.items()} == {
+            k: n.weight for k, n in tree.nodes.items()}
