@@ -102,31 +102,37 @@ def _cmd_build(args) -> int:
     world, num_classes = formats.parse_world_config(_read(args.world))
     if world.branching != 8:
         raise ConfigError("the mapping pipeline requires branching 8")
-    tree = SemanticOctree(world, num_classes)
-    errors: list[str] = []
-
-    def record_error(message: str) -> None:
-        errors.append(message)
-        print(f"warning: {message}", file=sys.stderr)
-
-    inserted = 0
-    for record in formats.ingest(
-            args.cloud, num_classes, error_budget=args.error_budget,
-            on_error=lambda lineno, msg: record_error(f"line {lineno}: {msg}")):
-        try:
-            tree.add_observation(record.point, record.class_id,
-                                 record.confidence)
-            inserted += 1
-        except (OutOfBoundsError, DistributionError) as exc:
-            record_error(f"line {record.lineno}: {exc}")
-            if len(errors) > args.error_budget:
-                raise IngestError(
-                    f"aborting after {len(errors)} bad records "
-                    f"(budget {args.error_budget})") from None
+    if args.error_budget < 0:
+        raise ConfigError("--error-budget must be non-negative")
+    bad_lines: list[tuple[int, str, bool]] = []
+    records, parse_abort = [], None
+    try:
+        for r in formats.ingest(
+                args.cloud, num_classes, error_budget=args.error_budget,
+                on_error=lambda lineno, msg: bad_lines.append((lineno, msg, False))):
+            records.append((r.x, r.y, r.z, r.class_id, r.confidence, r.lineno))
+    except IngestError as exc:
+        parse_abort = exc
+    table = np.array(records, dtype=np.float64).reshape(-1, 6)
+    tree, rejected = SemanticOctree.from_observations(
+        world, num_classes, table[:, :3], table[:, 3].astype(np.int64), table[:, 4])
+    lines = table[:, 5].astype(np.int64)
+    bad_lines += [(int(lines[i]), msg, True) for i, msg in rejected.items()]
+    # Report in file order, and abort where a record-by-record build would:
+    # at the first rejected record that takes the count over the budget, or
+    # where ``ingest`` gave up on malformed lines.
+    for count, (lineno, msg, is_record) in enumerate(sorted(bad_lines), 1):
+        print(f"warning: line {lineno}: {msg}", file=sys.stderr)
+        if is_record and count > args.error_budget:
+            raise IngestError(f"aborting after {count} bad records "
+                              f"(budget {args.error_budget})")
+    if parse_abort is not None:
+        raise parse_abort
+    inserted = len(records) - len(rejected)
     pruned = tree.prune_all_identical() if args.adhoc_prune else 0
     formats.serialize_tree(tree, args.out)
     print(f"records_inserted {inserted}")
-    print(f"record_errors {len(errors)}")
+    print(f"record_errors {len(bad_lines)}")
     print(f"nodes_pruned {pruned}")
     print(f"stored_nodes {len(tree.nodes)}")
     print(f"stored_leaves {tree.leaf_count()}")

@@ -328,18 +328,23 @@ def serialize_tree(tree: SemanticOctree, path) -> None:
 
 
 def _record(tree: SemanticOctree, key: NodeKey, kind: int, weight: float,
-            dist: TruncatedSemanticDistribution) -> Node:
+            dist: TruncatedSemanticDistribution, records: list[Node]) -> Node:
+    """A validated record, its dense vector left for ``expand_records``."""
     try:
-        return tree.make_record(kind, weight, dist)
+        dist.validate(tree.num_classes)
     except DistributionError as exc:
         raise CorruptionError(f"record {key} is invalid: {exc}") from None
+    records.append(Node(kind, weight=weight, dist=dist))
+    return records[-1]
 
 
-def _read_node(reader: _Reader, tree: SemanticOctree, key: NodeKey) -> float:
+def _read_node(reader: _Reader, tree: SemanticOctree, key: NodeKey,
+               records: list[Node]) -> float:
     """Read one record and its subtree; returns the record's weight.
 
     An interior weight is checked once its children are read, so the whole
-    tree is checked in one bottom-up pass.
+    tree is checked in one bottom-up pass. Leaf and summary records are
+    collected in ``records``.
     """
     (kind, weight) = reader.take("<Bd")
     max_depth = tree.world.max_depth
@@ -349,11 +354,12 @@ def _read_node(reader: _Reader, tree: SemanticOctree, key: NodeKey) -> float:
     if kind == _NODE_LEAF:
         if key.depth != max_depth:
             raise CorruptionError(f"leaf record at depth {key.depth}")
-        tree.nodes[key] = _record(tree, key, LEAF, weight, _unpack_dist(reader))
+        tree.nodes[key] = _record(tree, key, LEAF, weight, _unpack_dist(reader), records)
     elif kind == _NODE_SUMMARY:
         if key.depth >= max_depth:
             raise CorruptionError(f"summary record at depth {key.depth}")
-        tree.nodes[key] = _record(tree, key, SUMMARY, weight, _unpack_dist(reader))
+        tree.nodes[key] = _record(tree, key, SUMMARY, weight, _unpack_dist(reader),
+                                  records)
     elif kind == _NODE_INTERIOR:
         if key.depth >= max_depth:
             raise CorruptionError(f"interior record at depth {key.depth}")
@@ -364,7 +370,7 @@ def _read_node(reader: _Reader, tree: SemanticOctree, key: NodeKey) -> float:
             raise CorruptionError(f"childless interior record at {key}")
         tree.nodes[key] = Node(INTERIOR, weight=weight)
         expected = completed_weight(
-            [_read_node(reader, tree, child_key(key, octant, tree.world.dims))
+            [_read_node(reader, tree, child_key(key, octant, tree.world.dims), records)
              for octant in range(tree.world.branching) if mask & (1 << octant)],
             tree.world.branching)
         if not (math.isfinite(weight)
@@ -380,12 +386,13 @@ def deserialize_tree(path) -> SemanticOctree:
     """Read a tree from its binary format.
 
     Structure, weights and leaf distributions are restored exactly, and
-    each leaf or summary record is validated as it is installed (an invalid
+    each leaf or summary record is validated as it is read (an invalid
     one is a ``CorruptionError``), and so is each interior weight: it must
     be finite and within 1e-9 relative of the completion of its children's
     weights (``completed_weight``), which admits the rounding of either way
-    of summing them. Interior conditional/gain caches are rebuilt on the
-    next ``refresh_all``.
+    of summing them. All records are expanded in one ``expand_records``
+    call. Interior conditional/gain caches are rebuilt on the next
+    ``refresh_all``.
     """
     with open(path, "rb") as fh:
         data = fh.read()
@@ -404,12 +411,14 @@ def deserialize_tree(path) -> SemanticOctree:
     except ConfigError as exc:
         raise CorruptionError(f"invalid world header: {exc}") from None
     tree.nodes.clear()
+    records: list[Node] = []
     try:
-        _read_node(reader, tree, ROOT_KEY)
+        _read_node(reader, tree, ROOT_KEY, records)
     except TreeError as exc:
         raise CorruptionError(str(exc)) from None
     if reader.pos != len(data):
         raise CorruptionError(f"{len(data) - reader.pos} trailing bytes")
     if ROOT_KEY not in tree.nodes or tree.nodes[ROOT_KEY].kind == LEAF:
         raise CorruptionError("missing or malformed root record")
+    tree.expand_records(records)
     return tree

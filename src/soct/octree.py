@@ -13,9 +13,10 @@ identical children; a summary stands in for a homogeneous subtree and is
 re-expanded on the next observation that touches its region.
 
 Leaves and summaries hold a truncated record plus its dense vector over
-ids 0..K. The record is validated and expanded once, when ``make_record``
-installs it (an observation, ``set_leaf``, a summary expansion or prune,
-a file load); reading a conditional afterwards is a plain lookup.
+ids 0..K. The record is validated and expanded once, when it is installed
+(``make_record``: an observation, ``set_leaf``, a summary expansion or
+prune; ``from_observations``; ``expand_records``: a file load); reading a
+conditional afterwards is a plain lookup.
 
 Concurrency: mutating operations require exclusive access to a tree;
 read-only traversals may run concurrently with each other.
@@ -30,14 +31,18 @@ from typing import Iterator, NamedTuple
 
 import numpy as np
 
-from .errors import ConfigError, OutOfBoundsError, TreeError
+from .errors import ConfigError, DistributionError, OutOfBoundsError, TreeError
 from .semantics import (
+    CONTRADICTED,
     ClassRegistry,
-    FullSemanticDistribution,
+    TruncatedRows,
     TruncatedSemanticDistribution,
+    expand_rows,
     expand_truncated,
-    fuse_observation,
-    truncate_full,
+    fuse_observation,  # noqa: F401  the benchmark's tracer counts calls here
+    fuse_rows,
+    observation_errors,
+    truncate_rows,
     uniform_full,
 )
 
@@ -89,6 +94,10 @@ def _deinterleave(code: int, dims: int, depth: int) -> tuple[int, ...]:
     return tuple(coords)
 
 
+def _outside(point) -> str:
+    return f"point {[float(v) for v in point]} outside world volume"
+
+
 @dataclass(frozen=True)
 class WorldConfig:
     """Cubic world volume and tree resolution.
@@ -137,7 +146,7 @@ class WorldConfig:
         """
         p = [float(v) for v in point]
         if not self.contains(p):
-            raise OutOfBoundsError(f"point {p} outside world volume")
+            raise OutOfBoundsError(_outside(p))
         last = (1 << self.max_depth) - 1
         size = self.leaf_size
         return tuple(min(int((p[axis] - self.origin[axis]) // size), last)
@@ -167,7 +176,8 @@ class WorldConfig:
         return codes, inside
 
     def leaf_key(self, point) -> NodeKey:
-        return self.key_from_coords(self.leaf_coords(point), self.max_depth)
+        depth = self.max_depth
+        return NodeKey(depth, _interleave(self.leaf_coords(point), self.dims, depth))
 
     def key_from_coords(self, coords: tuple[int, ...], depth: int) -> NodeKey:
         if len(coords) != self.dims:
@@ -351,46 +361,126 @@ class SemanticOctree:
                     cond: np.ndarray | None = None) -> Node:
         """A LEAF or SUMMARY node carrying ``dist`` and its dense vector.
 
-        Every stored record is created here. The record is validated and
-        expanded once (``DistributionError`` if invalid), unless ``cond``
-        already holds its expansion. The vector is read-only, since
-        conditionals are returned without copying and may be shared.
+        The record is validated and expanded once (``DistributionError``
+        if invalid), unless ``cond`` already holds its expansion. The
+        vector is read-only, since conditionals are returned without
+        copying and may be shared.
         """
         if cond is None:
             cond = expand_truncated(dist, self.registry).probs
             cond.flags.writeable = False
         return Node(kind, weight=weight, dist=dist, cond=cond)
 
-    def add_observation(self, point, obs_class: int, confidence: float) -> NodeKey:
-        """Insert or update the finest leaf containing ``point``.
+    def expand_records(self, nodes: list[Node]) -> None:
+        """Give validated LEAF or SUMMARY nodes their dense vectors, all in
+        one ``expand_rows`` call (a file load)."""
+        conds = expand_rows(TruncatedRows.of([n.dist for n in nodes]), self.num_classes)
+        conds.flags.writeable = False
+        for node, cond in zip(nodes, conds):
+            node.cond = cond
 
-        Creates the leaf's ancestors as needed, re-expands any summary node
-        on the path, fuses the observation into the leaf's distribution, and
-        refreshes the weights along the path to the root. Returns the leaf
-        key. Conditional/gain caches are refreshed separately (see
-        ``compression.refresh_upward``).
+    @classmethod
+    def from_observations(cls, world: WorldConfig, num_classes: int, points,
+                          obs_class, confidence) -> tuple["SemanticOctree", dict[int, str]]:
+        """Build a tree from N labeled points at once.
+
+        The tree equals the one ``add_observation`` builds from the same
+        rows in row order, and so does every rejection: a row is rejected
+        if its point is out of bounds, ``observation_errors`` names it, or
+        its leaf's prior contradicts it (``CONTRADICTED``). A rejected row
+        creates no node. Returns the tree and the rejected rows with their
+        messages.
+
+        Rows are grouped by Morton code with a stable sort, so each leaf
+        sees its observations in row order, which matters because every
+        fusion is truncated. Fusion runs in rounds: round r fuses the r-th
+        observation of every leaf that has one, in one row-kernel call.
+        Interior nodes are then created and weighted once, level by level.
+        Caches are left for ``compression.refresh_all``. Rejected rows come
+        in row order.
+        """
+        tree = cls(world, num_classes)
+        points = np.asarray(points, dtype=np.float64).reshape(-1, 3)
+        obs_class = np.asarray(obs_class, dtype=np.int64)
+        confidence = np.asarray(confidence, dtype=np.float64)
+        codes, inside = world.morton(points)
+        rejected = observation_errors(obs_class, confidence, num_classes)
+        rejected.update((i, _outside(points[i])) for i in np.flatnonzero(~inside).tolist())
+        ok = inside.copy()
+        ok[list(rejected)] = False
+        rows = np.flatnonzero(ok)
+        rows = rows[np.argsort(codes[rows], kind="stable")]
+        codes = codes[rows]
+        first = np.flatnonzero(np.diff(codes, prepend=-1))
+        leaf_of = np.repeat(np.arange(len(first)), np.diff(np.r_[first, len(rows)]))
+        rank = np.arange(len(rows)) - first[leaf_of]
+        by_round = np.argsort(rank, kind="stable")
+        rounds = np.split(by_round, np.cumsum(np.bincount(rank))[:-1])
+        state = np.repeat(uniform_row(num_classes)[None, :], len(first), axis=0)
+        kept = TruncatedRows(np.zeros((len(first), 3), dtype=np.int64),
+                             np.zeros((len(first), 3)), np.zeros(len(first)),
+                             np.zeros(len(first)))
+        for sel in rounds:
+            src = rows[sel]
+            posterior, contradicted = fuse_rows(state[leaf_of[sel]], obs_class[src],
+                                                confidence[src])
+            rejected.update((i, CONTRADICTED) for i in src[contradicted].tolist())
+            leaves = leaf_of[sel[~contradicted]]
+            records = truncate_rows(posterior[~contradicted])
+            state[leaves] = expand_rows(records, num_classes)
+            for column, values in zip(kept, records):
+                column[leaves] = values
+        state.flags.writeable = False
+        codes = codes[first]
+        for i, (code, dist) in enumerate(zip(codes.tolist(), kept.records())):
+            tree.nodes[NodeKey(world.max_depth, code)] = tree.make_record(
+                LEAF, 1.0, dist, state[i])
+        weights = [1.0] * len(codes)
+        for depth in reversed(range(world.max_depth)):
+            parents = codes >> world.dims
+            starts = np.flatnonzero(np.diff(parents, prepend=-1)).tolist()
+            codes = parents[starts]
+            weights = [completed_weight(weights[a:b], world.branching)
+                       for a, b in zip(starts, starts[1:] + [len(weights)])]
+            for code, weight in zip(codes.tolist(), weights):
+                tree.nodes[NodeKey(depth, code)] = Node(INTERIOR, weight=weight)
+        return tree, dict(sorted(rejected.items()))
+
+    def add_observation(self, point, obs_class: int, confidence: float) -> NodeKey:
+        """Insert or update the finest leaf containing ``point``; the
+        streamed path, one record at a time (``from_observations`` builds
+        a whole cloud at once).
+
+        Rejects an out-of-bounds point or an observation that
+        ``observation_errors`` names before touching the tree. Then fuses
+        the observation into the leaf's distribution. A new leaf first gets
+        its missing ancestors (any summary node on the path is re-expanded),
+        and then the weights along its path to the root are refreshed; an
+        update keeps every weight. Returns the leaf key. Conditional/gain
+        caches are refreshed separately (see ``compression.refresh_upward``).
         """
         leaf = self.world.leaf_key(point)
-        dims = self.world.dims
-        path = [NodeKey(d, leaf.index >> (dims * (leaf.depth - d)))
-                for d in range(leaf.depth + 1)]
-        for key in path[:-1]:
-            node = self.nodes.get(key)
-            if node is None:
-                self.nodes[key] = Node(INTERIOR)
-            elif node.kind == SUMMARY:
-                self._expand_summary(key)
-            elif node.kind == LEAF:
-                raise TreeError(f"leaf record {key} above max depth")
+        for message in observation_errors(obs_class, confidence, self.num_classes).values():
+            raise DistributionError(message)
         node = self.nodes.get(leaf)
+        new_leaf = node is None
+        if new_leaf:
+            self._open_path(leaf)
+            node = self.nodes.get(leaf)  # present if a summary held its cell
         if node is None:
-            prior, weight = uniform_full(self.num_classes), 1.0
+            prior, weight = uniform_row(self.num_classes), 1.0
         else:
-            prior, weight = FullSemanticDistribution(node.cond), node.weight
-        posterior = fuse_observation(prior, obs_class, confidence)
-        self.nodes[leaf] = self.make_record(LEAF, weight, truncate_full(posterior))
-        for key in reversed(path[:-1]):
-            self._refresh_weight(key)
+            prior, weight = node.cond, node.weight
+        posterior, contradicted = fuse_rows(prior[None, :], np.array([obs_class]),
+                                            np.array([confidence]))
+        if contradicted[0]:
+            raise DistributionError(CONTRADICTED)
+        record = truncate_rows(posterior)
+        cond = expand_rows(record, self.num_classes)[0].copy()  # frees the (1, K+1) base
+        cond.flags.writeable = False
+        self.nodes[leaf] = self.make_record(LEAF, weight, record.records()[0], cond)
+        if new_leaf:  # an update keeps the leaf's weight, so no weight changes
+            self._refresh_path(leaf)
         return leaf
 
     def set_leaf(self, coords: tuple[int, ...],
@@ -400,23 +490,39 @@ class SemanticOctree:
             raise ConfigError("leaf weight must be non-negative")
         record = self.make_record(LEAF, weight, dist)
         key = self.world.key_from_coords(coords, self.world.max_depth)
-        dims = self.world.dims
-        for d in range(key.depth):
-            k = NodeKey(d, key.index >> (dims * (key.depth - d)))
-            node = self.nodes.get(k)
-            if node is None:
-                self.nodes[k] = Node(INTERIOR)
-            elif node.kind == SUMMARY:
-                self._expand_summary(k)
+        self._open_path(key)
         self.nodes[key] = record
-        for d in reversed(range(key.depth)):
-            self._refresh_weight(NodeKey(d, key.index >> (dims * (key.depth - d))))
+        self._refresh_path(key)
         return key
 
-    def _refresh_weight(self, key: NodeKey) -> None:
+    def _open_path(self, leaf: NodeKey) -> None:
+        """Create the missing ancestors of ``leaf`` and expand any summary
+        among them, top down."""
+        dims = self.world.dims
+        for depth in range(leaf.depth):
+            key = NodeKey(depth, leaf.index >> dims * (leaf.depth - depth))
+            node = self.nodes.get(key)
+            if node is None:
+                self.nodes[key] = Node(INTERIOR)
+            elif node.kind == SUMMARY:
+                self._expand_summary(key)
+            elif node.kind == LEAF:
+                raise TreeError(f"leaf record {key} above max depth")
+
+    def _refresh_weight(self, key) -> None:
+        """Re-derive an interior weight from its stored children; ``key``
+        may be a plain (depth, index) pair."""
+        depth, index = key
+        base, branching = index << self.world.dims, self.world.branching
+        kids = map(self.nodes.get, [(depth + 1, base | o) for o in range(branching)])
         self.nodes[key].weight = completed_weight(
-            [c.weight for c in self._child_slots(key) if c is not None],
-            self.world.branching)
+            [c.weight for c in kids if c is not None], branching)
+
+    def _refresh_path(self, leaf: NodeKey) -> None:
+        """Re-derive the weight of every ancestor of ``leaf``, deepest first."""
+        dims = self.world.dims
+        for depth in reversed(range(leaf.depth)):
+            self._refresh_weight((depth, leaf.index >> dims * (leaf.depth - depth)))
 
     # -- summary handling ---------------------------------------------------
 

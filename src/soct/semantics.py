@@ -15,6 +15,7 @@ to call concurrently from any number of threads.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
@@ -127,14 +128,14 @@ class FullSemanticDistribution:
     def num_classes(self) -> int:
         return len(self.probs) - 1
 
-    def validate(self) -> None:
+    def row(self) -> np.ndarray:
+        """The vector as a one-row (1, K+1) view, the input of the row kernels."""
         if self.probs.ndim != 1 or len(self.probs) < 2:
             raise DistributionError("need a 1-d vector over ids 0..K")
-        if np.any(self.probs < -FIELD_TOL):
-            raise DistributionError("negative probability entry")
-        total = float(self.probs.sum())
-        if abs(total - 1.0) > SUM_TOL:
-            raise DistributionError(f"probabilities sum to {total}, not 1")
+        return self.probs[None, :]
+
+    def validate(self) -> None:
+        check_rows(self.row())
 
     def __repr__(self):
         return f"FullSemanticDistribution({self.probs.tolist()})"
@@ -145,67 +146,168 @@ def uniform_full(num_classes: int) -> FullSemanticDistribution:
     return FullSemanticDistribution(np.full(num_classes + 1, 1.0 / (num_classes + 1)))
 
 
-def expand_truncated(dist: TruncatedSemanticDistribution,
-                     registry: ClassRegistry) -> FullSemanticDistribution:
-    """Expand a truncated record to a dense vector over all class ids.
+# -- the row kernel ---------------------------------------------------------------
+#
+# Fusion, truncation and expansion work on (N, K+1) arrays, one distribution
+# per row; the scalar functions below are one-row calls. Every row gets the
+# bits it would get alone: products and quotients are elementwise, a row
+# total is a C-ordered ``sum(axis=1)`` (numpy reduces each row as it does a
+# 1-d vector), and the residual adds its columns one at a time in rank order.
 
-    Stored classes and free space keep their exact values; the residual mass
-    is spread uniformly over the K-3 outstanding classes.
+CONTRADICTED = "observation contradicts a zero-probability prior"
+
+
+class TruncatedRows(NamedTuple):
+    """N truncated records as arrays.
+
+    ``ids`` and ``probs`` (N, 3) hold the stored classes in rank order, an
+    unused slot id 0 and probability 0.0; ``p_free`` and ``p_residual``
+    have shape (N,).
     """
-    k = registry.num_classes
+
+    ids: np.ndarray
+    probs: np.ndarray
+    p_free: np.ndarray
+    p_residual: np.ndarray
+
+    @classmethod
+    def of(cls, records) -> "TruncatedRows":
+        unused = ((0, 0.0),) * 3
+        top = np.array([(r.top3 + unused)[:3] for r in records],
+                       dtype=np.float64).reshape(-1, 3, 2)
+        return cls(top[:, :, 0].astype(np.int64), np.ascontiguousarray(top[:, :, 1]),
+                   np.array([r.p_free for r in records], dtype=np.float64),
+                   np.array([r.p_residual for r in records], dtype=np.float64))
+
+    def records(self) -> list[TruncatedSemanticDistribution]:
+        return [TruncatedSemanticDistribution(
+                    tuple(zip(ids[:3 - ids.count(0)], probs)), free, residual)
+                for ids, probs, free, residual in zip(
+                    self.ids.tolist(), self.probs.tolist(),
+                    self.p_free.tolist(), self.p_residual.tolist())]
+
+
+def check_rows(rows: np.ndarray) -> None:
+    """Raise ``DistributionError`` at the first row that is no distribution.
+
+    A row must have no entry below -FIELD_TOL and a total within SUM_TOL
+    of 1.
+    """
+    negative = rows < -FIELD_TOL
+    totals = rows.sum(axis=1)
+    off = np.abs(totals - 1.0) > SUM_TOL
+    if np.count_nonzero(negative) or np.count_nonzero(off):
+        i = int(np.argmax(negative.any(axis=1) | off))
+        if negative[i].any():
+            raise DistributionError("negative probability entry")
+        raise DistributionError(f"probabilities sum to {float(totals[i])}, not 1")
+
+
+def observation_errors(obs_class, confidence, num_classes: int) -> dict[int, str]:
+    """Observations that ``fuse_rows`` cannot fuse, by row, with the reason.
+
+    Takes arrays, or one observation as two scalars (row 0). The class must
+    lie in 0..K, and the confidence in (1/(K+1), 1]: at or below 1/(K+1) a
+    label carries no information.
+    """
+    k = num_classes
+    ok = ((obs_class >= 0) & (obs_class <= k)
+          & (confidence > 1.0 / (k + 1)) & (confidence <= 1.0))
+    if np.count_nonzero(ok) == np.size(ok):
+        return {}
+    obs_class, confidence, ok = np.atleast_1d(obs_class, confidence, ok)
+    return {i: (f"observed class {obs_class[i].item()} outside 0..{k}"
+                if not 0 <= obs_class[i] <= k
+                else f"confidence {confidence[i].item()} outside (1/{k + 1}, 1]")
+            for i in np.flatnonzero(~ok).tolist()}
+
+
+def fuse_rows(prior: np.ndarray, obs_class: np.ndarray,
+              confidence: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Bayesian update of N prior rows, one labeled observation per row.
+
+    The likelihood puts ``confidence`` on the observed class and spreads
+    the rest uniformly over the other K classes. Every observation must
+    pass ``observation_errors``. Returns the posterior rows and a mask of
+    the rows whose observation the prior rules out (a total of zero,
+    ``CONTRADICTED``); those rows are left unnormalized.
+    """
+    n, k1 = prior.shape
+    likelihood = ((1.0 - confidence) / (k1 - 1))[:, None].repeat(k1, axis=1)
+    likelihood[np.arange(n), obs_class] = confidence
+    posterior = prior * likelihood
+    totals = posterior.sum(axis=1)
+    contradicted = totals <= 0.0
+    totals[contradicted] = 1.0
+    posterior /= totals[:, None]
+    return posterior, contradicted
+
+
+def truncate_rows(rows: np.ndarray) -> TruncatedRows:
+    """Keep each row's three largest non-free classes; pool the rest.
+
+    The rows are checked first (``check_rows``). Ties rank the lower class
+    id first, and zero entries are never stored. The residual adds the
+    outstanding classes in rank order.
+    """
+    check_rows(rows)
+    n, k1 = rows.shape
+    classes = rows[:, 1:]
+    order = (-classes).argsort(axis=1, kind="stable")
+    ranked = classes[np.arange(n)[:, None], order]
+    if k1 < 4:  # fewer than three classes: pad with unused slots
+        order = np.pad(order, ((0, 0), (0, 4 - k1)))
+        ranked = np.pad(ranked, ((0, 0), (0, 4 - k1)))
+    stored = ranked[:, :3] > 0.0
+    residual = np.zeros(n)
+    for j in range(3, k1 - 1):
+        residual += ranked[:, j]
+    return TruncatedRows((order[:, :3] + 1) * stored, np.where(stored, ranked[:, :3], 0.0),
+                         rows[:, 0].copy(), residual)
+
+
+def expand_rows(records: TruncatedRows, num_classes: int) -> np.ndarray:
+    """Dense (N, K+1) rows of truncated records.
+
+    Stored classes and free space keep their exact values; each residual
+    is spread uniformly over its record's K-3 outstanding classes.
+    """
+    k = num_classes
     if k < 4:
         raise ConfigError("expansion needs at least 4 semantic classes")
-    dist.validate(k)
-    probs = np.zeros(k + 1)
-    probs[0] = dist.p_free
-    stored = {0}
-    for cid, p in dist.top3:
-        probs[cid] = p
-        stored.add(cid)
-    share = dist.p_residual / (k - 3)
-    for cid in range(1, k + 1):
-        if cid not in stored:
-            probs[cid] = share
-    return FullSemanticDistribution(probs)
+    rows = (records.p_residual / (k - 3))[:, None].repeat(k + 1, axis=1)
+    rows[np.arange(len(rows))[:, None], records.ids] = records.probs
+    rows[:, 0] = records.p_free  # after the unused slots wrote to column 0
+    return rows
+
+
+def expand_truncated(dist: TruncatedSemanticDistribution,
+                     registry: ClassRegistry) -> FullSemanticDistribution:
+    """Validate a truncated record and expand it to a dense vector over all
+    class ids (one-row ``expand_rows``)."""
+    dist.validate(registry.num_classes)
+    return FullSemanticDistribution(
+        expand_rows(TruncatedRows.of([dist]), registry.num_classes)[0])
 
 
 def truncate_full(full: FullSemanticDistribution) -> TruncatedSemanticDistribution:
-    """Keep the three largest non-free classes; pool the rest into a residual.
-
-    Ties are broken toward the lower class id; classes with zero probability
-    are never stored. Expanding the result reproduces the stored fields and
-    the total residual mass.
-    """
-    full.validate()
-    probs = full.probs
-    k = len(probs) - 1
-    order = sorted(range(1, k + 1), key=lambda c: (-probs[c], c))
-    top = tuple((c, float(probs[c])) for c in order[:3] if probs[c] > 0.0)
-    p_free = float(probs[0])
-    p_residual = float(sum(probs[c] for c in order[3:]))
-    return TruncatedSemanticDistribution(top, p_free, p_residual)
+    """One-row ``truncate_rows``; expanding the result reproduces the stored
+    fields and the total residual mass."""
+    return truncate_rows(full.row()).records()[0]
 
 
 def fuse_observation(prior: FullSemanticDistribution, obs_class: int,
                      confidence: float) -> FullSemanticDistribution:
-    """Bayesian update of a cell distribution from one labeled observation.
+    """Validate the prior and the observation, then a one-row ``fuse_rows``.
 
-    The observation likelihood puts ``confidence`` on the observed class and
-    spreads the remainder uniformly over the other K classes, so repeated
-    observations of one class concentrate the posterior monotonically. A
-    confidence at or below 1/(K+1) carries no information and is rejected.
+    Raises ``DistributionError`` for an invalid prior, an observation that
+    ``observation_errors`` names, or one the prior contradicts.
     """
     prior.validate()
-    k = prior.num_classes
-    if not 0 <= obs_class <= k:
-        raise DistributionError(f"observed class {obs_class} outside 0..{k}")
-    if not 1.0 / (k + 1) < confidence <= 1.0:
-        raise DistributionError(
-            f"confidence {confidence} outside (1/{k + 1}, 1]")
-    likelihood = np.full(k + 1, (1.0 - confidence) / k)
-    likelihood[obs_class] = confidence
-    posterior = prior.probs * likelihood
-    total = float(posterior.sum())
-    if total <= 0.0:
-        raise DistributionError("observation contradicts a zero-probability prior")
-    return FullSemanticDistribution(posterior / total)
+    for message in observation_errors(obs_class, confidence, prior.num_classes).values():
+        raise DistributionError(message)
+    posterior, contradicted = fuse_rows(prior.row(), np.array([obs_class]),
+                                        np.array([confidence]))
+    if contradicted[0]:
+        raise DistributionError(CONTRADICTED)
+    return FullSemanticDistribution(posterior[0])

@@ -5,6 +5,7 @@ lines and timings.
 """
 
 import copy
+import hashlib
 import time
 
 import numpy as np
@@ -329,6 +330,9 @@ def test_criterion_10_end_to_end_pipeline(tmp_path, capsys):
 
     run(["build", "--world", tmp_path / "world.cfg",
          "--cloud", tmp_path / "cloud.csv", "--out", tmp_path / "tree.soct"])
+    # The demo tree, byte for byte, as the record-by-record build wrote it.
+    assert hashlib.sha256((tmp_path / "tree.soct").read_bytes()).hexdigest() == (
+        "3c114fbad1b86c4fc35b599a1bec85e533ab492d6a21ae85d361f35d817b3b90")
     report = run(["compress", "--tree", tmp_path / "tree.soct",
                   "--weights", tmp_path / "weights.cfg",
                   "--out-leaves", tmp_path / "leaves.csv"])

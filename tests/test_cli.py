@@ -9,7 +9,9 @@ import pytest
 
 from soct import planning
 from soct.cli import main
-from soct.formats import deserialize_tree, serialize_tree
+from soct.errors import DistributionError, IngestError, OutOfBoundsError
+from soct.formats import deserialize_tree, ingest, parse_world_config, serialize_tree
+from soct.octree import SemanticOctree
 
 from helpers import write_cloud
 
@@ -205,6 +207,110 @@ def test_error_budget_aborts_build(workspace, capsys):
         "--out", workspace / "tree.soct", "--error-budget", "2"])
     assert code == 1
     assert "error: ingest:" in err
+    assert not (workspace / "tree.soct").exists()
+
+
+def test_negative_error_budget_is_config_error(workspace, capsys):
+    code, out, err = build(workspace, capsys, ["--error-budget", "-1"])
+    assert code == 1
+    assert out == ""
+    assert err == "error: config: --error-budget must be non-negative\n"
+    assert not (workspace / "tree.soct").exists()
+
+
+def test_rejected_record_in_unobserved_cell_builds_a_loadable_tree(tmp_path, capsys):
+    """A record that parses but cannot be fused, alone in its cell, leaves
+    no interior nodes behind; they used to make the file unloadable."""
+    (tmp_path / "world.cfg").write_text(
+        "origin 0 0 0\nedge_length 16\nmax_depth 4\nbranching 8\nnum_classes 4\n")
+    (tmp_path / "weights.cfg").write_text(WEIGHTS)
+    (tmp_path / "cloud.csv").write_text(
+        "x,y,z,class_id,confidence\n1.5,1.5,0.5,1,0.9\n12.5,12.5,12.5,2,0.1\n")
+    code, out, err = run(capsys, ["build", "--world", tmp_path / "world.cfg",
+                                  "--cloud", tmp_path / "cloud.csv",
+                                  "--out", tmp_path / "tree.soct"])
+    assert code == 0, err
+    assert err == "warning: line 3: confidence 0.1 outside (1/5, 1]\n"
+    assert "record_errors 1" in out
+    assert "stored_nodes 5" in out
+    code, out, err = run(capsys, ["compress", "--tree", tmp_path / "tree.soct",
+                                  "--weights", tmp_path / "weights.cfg"])
+    assert code == 0, err
+    assert "leaves_full 1" in out
+
+
+def _record_by_record_build(world_text, cloud, budget):
+    """What the build reports when it inserts one record at a time: the
+    warning lines, then the abort line if the budget runs out (None if
+    not), and the number of records inserted."""
+    world, k = parse_world_config(world_text)
+    tree = SemanticOctree(world, k)
+    lines, inserted = [], 0
+
+    def warn(lineno, msg):
+        lines.append(f"warning: line {lineno}: {msg}")
+
+    try:
+        for rec in ingest(cloud, k, error_budget=budget, on_error=warn):
+            try:
+                tree.add_observation(rec.point, rec.class_id, rec.confidence)
+                inserted += 1
+            except (OutOfBoundsError, DistributionError) as exc:
+                warn(rec.lineno, str(exc))
+                if len(lines) > budget:
+                    return lines, (f"error: ingest: aborting after {len(lines)} bad "
+                                   f"records (budget {budget})"), inserted
+    except IngestError as exc:
+        return lines, f"error: ingest: {exc}", inserted
+    return lines, None, inserted
+
+
+MIXED_CLOUD = [  # parse errors (p), rejected records (r) and good ones
+    "0.5,0.5,0.5,1,1.0",
+    "garbage",  # p
+    "99,0.5,0.5,1,0.9",  # r: out of bounds
+    "0.5,0.5,0.5,2,1.0",  # r: contradicts the point mass above
+    "1.5,0.5,0.5,1,0.2",  # r: uninformative, in an unobserved cell
+    "1.5,0.5,0.5,x,0.5",  # p
+    "2.5,0.5,0.5,3,0.9",
+    "1,1,1,9,0.9",  # p: class out of range
+    "8.0,0.5,0.5,1,0.9",  # r: on the upper face
+    "2.5,0.5,0.5,3,0.15",  # r
+    "3.5,3.5,3.5,4,0.8",
+]
+
+EARLY_RECORD_ERROR_CLOUD = [
+    "99,0.5,0.5,1,0.9",  # r
+    "bad",  # p
+    "0.5,0.5,0.5,1,0.9",
+    "bad,again",  # p
+    "1,2,3",  # p
+    "0.5,0.5,0.5,1,0.9",
+]
+
+
+@pytest.mark.parametrize("cloud,budget", [
+    (MIXED_CLOUD, 100),  # budget never reached
+    (MIXED_CLOUD, 8),  # exactly reached
+    (MIXED_CLOUD, 3),  # exceeded at a rejected record
+    (MIXED_CLOUD, 1),
+    (MIXED_CLOUD, 0),  # exceeded at the first malformed line
+    (EARLY_RECORD_ERROR_CLOUD, 2),  # malformed lines alone exceed it
+    (EARLY_RECORD_ERROR_CLOUD, 3),  # four errors, yet no abort
+])
+def test_errors_report_as_record_by_record(workspace, capsys, cloud, budget):
+    """Warnings come in file order, and an exhausted budget aborts at the
+    same line with the same message as a build one record at a time; an
+    aborted build writes no tree file."""
+    path = workspace / "cloud.csv"
+    path.write_text("\n".join(["x,y,z,class_id,confidence"] + cloud) + "\n")
+    warnings, abort, inserted = _record_by_record_build(WORLD, path, budget)
+    code, out, err = build(workspace, capsys, ["--error-budget", str(budget)])
+    assert err.splitlines() == warnings + ([abort] if abort else [])
+    assert code == (1 if abort else 0)
+    assert (workspace / "tree.soct").exists() == (abort is None)
+    if abort is None:
+        assert f"records_inserted {inserted}\nrecord_errors {len(warnings)}\n" in out
 
 
 def test_plan_halton_graph(workspace, capsys):

@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from soct.compression import refresh_all, refresh_upward
-from soct.errors import ConfigError, OutOfBoundsError, TreeError
+from soct.errors import ConfigError, DistributionError, OutOfBoundsError, TreeError
 from soct.formats import deserialize_tree, serialize_tree
 from soct.octree import (
     INTERIOR,
@@ -393,3 +393,73 @@ def test_records_and_caches_under_interleaved_updates(tmp_path_factory, seed,
         _check_records(tree)
         _check_reads_are_pure(tree)
         _check_caches_match_batch(tree, cw)
+
+
+def test_rejected_observation_leaves_tree_untouched():
+    """A rejected observation creates no node and changes no record, also
+    in an unobserved cell, where it used to leave a childless path behind."""
+    world = WorldConfig((0, 0, 0), 16.0, 4)
+    tree = SemanticOctree(world, 4)
+    for cls, conf in ((1, 0.2), (1, 1.5), (5, 0.9), (-1, 0.9), (1, float("nan"))):
+        with pytest.raises(DistributionError):
+            tree.add_observation((12.5, 12.5, 12.5), cls, conf)
+    assert list(tree.nodes) == [ROOT_KEY]
+    tree.add_observation((1.5, 1.5, 0.5), 1, 1.0)
+    before = snapshot(tree)
+    with pytest.raises(DistributionError, match="contradicts a zero-probability prior"):
+        tree.add_observation((1.5, 1.5, 0.5), 2, 1.0)
+    assert snapshots_equal(snapshot(tree), before)
+    assert len(tree.nodes) == 5
+
+
+def _observations(rng, k, cells, n):
+    """Labeled points crowded into a few cells of an 8-unit world, mixed
+    with out-of-bounds points, invalid classes and confidences at and just
+    above the 1/(K+1) bound, or at 1.0, so later labels contradict."""
+    low = 1.0 / (k + 1)
+    corners = rng.integers(0, 8, (cells, 3))
+    points = corners[rng.integers(0, cells, n)] + rng.uniform(0.0, 1.0, (n, 3))
+    outside = np.flatnonzero(rng.random(n) < 0.08)
+    points[outside, rng.integers(0, 3, len(outside))] = rng.choice(
+        [-0.25, 8.0, 1e3], len(outside))
+    classes = rng.integers(0, k + 1, n)
+    invalid = np.flatnonzero(rng.random(n) < 0.04)
+    classes[invalid] = rng.choice([-1, k + 1], len(invalid))
+    confidence = rng.choice(
+        [1.0, 1.0, float(np.nextafter(low, 1.0)), low + 1e-9, low, 0.1, 0.55, 0.9], n)
+    plain = rng.random(n) < 0.4
+    confidence[plain] = rng.uniform(low, 1.0, int(plain.sum()))
+    return points, classes, confidence
+
+
+@settings(max_examples=60, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), k=st.sampled_from([4, 6]),
+       cells=st.integers(1, 6), n=st.integers(0, 120))
+def test_batched_build_equals_record_by_record(tmp_path_factory, seed, k, cells, n):
+    """``from_observations`` writes the file of a record-by-record
+    ``add_observation`` build, byte for byte, and rejects the same rows
+    with the same messages. With K > 4, truncation drops information, so
+    the order of fusions within a leaf and the residual's summation order
+    both show in the bytes."""
+    rng = np.random.default_rng(seed)
+    world = WorldConfig((0, 0, 0), 8.0, 3)
+    points, classes, confidence = _observations(rng, k, cells, n)
+    batch, rejected = SemanticOctree.from_observations(world, k, points, classes,
+                                                       confidence)
+    serial, expected = SemanticOctree(world, k), {}
+    for i in range(n):
+        try:
+            serial.add_observation(tuple(points[i]), int(classes[i]), float(confidence[i]))
+        except (OutOfBoundsError, DistributionError) as exc:
+            expected[i] = str(exc)
+    assert rejected == expected
+    out = tmp_path_factory.mktemp("batch")
+    serialize_tree(batch, out / "batch.soct")
+    serialize_tree(serial, out / "serial.soct")
+    assert (out / "batch.soct").read_bytes() == (out / "serial.soct").read_bytes()
+    assert batch.nodes.keys() == serial.nodes.keys()
+    for key, node in batch.nodes.items():
+        if node.kind == LEAF:
+            assert node.dist == serial.nodes[key].dist
+            assert node.cond.tobytes() == serial.nodes[key].cond.tobytes()
+            assert not node.cond.flags.writeable

@@ -3,12 +3,18 @@ import pytest
 
 from soct.errors import ConfigError, DistributionError
 from soct.semantics import (
+    CONTRADICTED,
     ClassRegistry,
     FullSemanticDistribution,
+    TruncatedRows,
     TruncatedSemanticDistribution,
+    expand_rows,
     expand_truncated,
     fuse_observation,
+    fuse_rows,
+    observation_errors,
     truncate_full,
+    truncate_rows,
     uniform_full,
 )
 
@@ -186,3 +192,120 @@ def test_fuse_contradictory_observation_rejected():
     probs[3] = 1.0
     with pytest.raises(DistributionError):
         fuse_observation(FullSemanticDistribution(probs), 1, 1.0)
+
+
+def _ref_fuse(prior, obs_class, confidence):
+    """Plain-float fusion; the total adds entries left to right."""
+    k = len(prior) - 1
+    post = [p * (confidence if c == obs_class else (1.0 - confidence) / k)
+            for c, p in enumerate(prior)]
+    total = 0.0
+    for v in post:
+        total += v
+    return [v / total for v in post] if total > 0 else None
+
+
+def _ref_truncate(probs):
+    order = sorted(range(1, len(probs)), key=lambda c: (-probs[c], c))
+    residual = 0.0
+    for c in order[3:]:
+        residual += probs[c]
+    return TruncatedSemanticDistribution(
+        tuple((c, probs[c]) for c in order[:3] if probs[c] > 0.0), probs[0], residual)
+
+
+def _ref_expand(record, k):
+    probs = [record.p_residual / (k - 3)] * (k + 1)
+    probs[0] = record.p_free
+    for c, p in record.top3:
+        probs[c] = p
+    return probs
+
+
+def _stored_priors(rng, k, n):
+    """Expansions of truncated records, so residual shares tie; some rows
+    are point masses, which confidence-1 labels contradict."""
+    raw = rng.dirichlet(np.full(k + 1, 0.4), n)
+    raw[: n // 8] = np.eye(k + 1)[rng.integers(0, k + 1, n // 8)]
+    return expand_rows(truncate_rows(raw), k)
+
+
+@pytest.mark.parametrize("k", [4, 6, 7, 9, 12])
+def test_row_kernel_gives_every_row_its_one_row_bits(k):
+    """Fusion, truncation and expansion of a 2,000-row batch give each row
+    the bits of its own one-row call and of the scalar functions, in C or
+    Fortran layout. Truncation and expansion equal a plain-Python
+    reference bit for bit; fusion does where numpy adds a row left to
+    right (K + 1 < 8) and within 1e-15 beyond."""
+    rng = np.random.default_rng(k)
+    n = 2000
+    prior = _stored_priors(rng, k, n)
+    obs_class = rng.integers(0, k + 1, n)
+    confidence = rng.choice([1.0, float(np.nextafter(1.0 / (k + 1), 1.0)), 0.7], n)
+    confidence[n // 2:] = rng.uniform(1.0 / (k + 1), 1.0, n - n // 2)
+    post, contradicted = fuse_rows(prior, obs_class, confidence)
+    post_f, contradicted_f = fuse_rows(np.asfortranarray(prior), obs_class, confidence)
+    assert post.tobytes() == np.ascontiguousarray(post_f).tobytes()
+    assert np.array_equal(contradicted, contradicted_f)
+    assert contradicted.any() and not contradicted.all()
+    fused = ~contradicted
+    records = truncate_rows(post[fused])
+    dense = expand_rows(records, k)
+    assert dense.tobytes() == expand_rows(truncate_rows(np.asfortranarray(post[fused])),
+                                          k).tobytes()
+    listed = records.records()
+    reg = ClassRegistry(k)
+    exact = k + 1 < 8
+    for i, row in enumerate(np.flatnonzero(fused)):
+        one, bad = fuse_rows(prior[row:row + 1], obs_class[row:row + 1],
+                             confidence[row:row + 1])
+        assert not bad[0] and one.tobytes() == post[row:row + 1].tobytes()
+        scalar = fuse_observation(FullSemanticDistribution(prior[row]),
+                                  int(obs_class[row]), float(confidence[row]))
+        assert scalar.probs.tobytes() == post[row].tobytes()
+        ref = _ref_fuse(prior[row].tolist(), obs_class[row], confidence[row])
+        if exact:
+            assert ref == post[row].tolist()
+        else:
+            assert np.allclose(ref, post[row], rtol=0, atol=1e-15)
+        assert listed[i] == truncate_full(scalar) == _ref_truncate(post[row].tolist())
+        assert dense[i].tobytes() == expand_truncated(listed[i], reg).probs.tobytes()
+        assert dense[i].tolist() == _ref_expand(listed[i], k)
+    for row in np.flatnonzero(contradicted):
+        assert _ref_fuse(prior[row].tolist(), obs_class[row], confidence[row]) is None
+        with pytest.raises(DistributionError, match=CONTRADICTED):
+            fuse_observation(FullSemanticDistribution(prior[row]), int(obs_class[row]),
+                             float(confidence[row]))
+
+
+def test_truncated_rows_round_trip():
+    rng = np.random.default_rng(17)
+    records = [truncate_full(random_full(rng, 6)) for _ in range(50)]
+    records.append(TruncatedSemanticDistribution((), 1.0, 0.0))
+    records.append(TruncatedSemanticDistribution(((2, 0.75),), 0.25, 0.0))
+    assert TruncatedRows.of(records).records() == records
+
+
+def test_observation_errors_name_each_bad_row():
+    classes = np.array([0, 4, 5, -1, 2, 2, 2, 2])
+    conf = np.array([0.9, 1.0, 0.9, 0.3, 0.2, 1.0000001, float("nan"), 0.21])
+    assert observation_errors(classes, conf, 4) == {
+        2: "observed class 5 outside 0..4",
+        3: "observed class -1 outside 0..4",
+        4: "confidence 0.2 outside (1/5, 1]",
+        5: "confidence 1.0000001 outside (1/5, 1]",
+        6: "confidence nan outside (1/5, 1]",
+    }
+    assert observation_errors(np.array([], dtype=np.int64), np.array([]), 4) == {}
+
+
+def test_truncation_checks_its_rows():
+    """Rows that reach truncation are checked, and the first bad row names
+    the failure."""
+    good = uniform_full(4).probs
+    with pytest.raises(DistributionError, match="negative probability entry"):
+        truncate_rows(np.array([good, [0.5, 0.6, -0.1, 0.0, 0.0]]))
+    with pytest.raises(DistributionError, match=r"probabilities sum to 1.2, not 1"):
+        truncate_rows(np.array([good, [0.6, 0.6, 0.0, 0.0, 0.0], [-1.0, 2, 0, 0, 0]]))
+    with pytest.raises(DistributionError, match="need a 1-d vector"):
+        truncate_full(FullSemanticDistribution(np.full((2, 2), 0.25)))
