@@ -66,14 +66,12 @@ def _load_for_weights(tree_path: str, weights_path: str):
 
 def _leaf_rows(ctree) -> list[str]:
     rows = ["cx,cy,cz,sx,sy,sz,depth,class_id,weight,virtual"]
-    world = ctree.world
-    for key, leaf in ctree.leaf_items():
-        center = world.center_of(key)
-        sizes = world.sizes_of(key)
+    items = list(ctree.leaf_items())
+    centers, sizes = ctree.world.boxes([key for key, _ in items])
+    for (key, leaf), center, size in zip(items, centers.tolist(), sizes.tolist()):
         cid = UNKNOWN_CLASS if leaf.virtual else planning.dominant_class(leaf.marginals)
         rows.append(",".join([
-            _fmt(center[0]), _fmt(center[1]), _fmt(center[2]),
-            _fmt(sizes[0]), _fmt(sizes[1]), _fmt(sizes[2]),
+            *map(_fmt, center), *map(_fmt, size),
             str(key.depth), str(cid), _fmt(leaf.weight),
             "1" if leaf.virtual else "0"]))
     return rows
@@ -140,17 +138,14 @@ def _cmd_build(args) -> int:
 
 
 def _print_report(tree, cfg, cw, ctree) -> None:
-    info = compression.information_report(tree, ctree, cw)
-    fullt = compression.full_tree(tree)
-    kept_bits = compression.per_class_information(tree, ctree)
-    full_bits = compression.per_class_information(tree, fullt)
+    objective, partition_bits, leaves_full, full_bits, kept_bits = compression.report(
+        tree, ctree, cw)
     registry = cfg.registry()
-    leaves_full = fullt.num_leaves
     leaves_kept = ctree.num_leaves
     print(f"num_classes {tree.num_classes}")
     print(f"alpha {_fmt(cw.compress)}")
-    print(f"objective {_fmt(info.objective)}")
-    print(f"partition_bits {_fmt(info.partition_bits)}")
+    print(f"objective {_fmt(objective)}")
+    print(f"partition_bits {_fmt(partition_bits)}")
     print(f"leaves_full {leaves_full}")
     print(f"leaves_kept {leaves_kept}")
     ratio = leaves_kept / leaves_full if leaves_full else 0.0

@@ -20,10 +20,11 @@ Every JS divergence and split entropy here comes from one kernel,
 ``refresh_upward`` chains weights and conditionals up a leaf's root path,
 then evaluates all the path's child sets in one call and chains the gains;
 ``refresh_all`` evaluates a tree level (deepest first) in stacked batches;
-``expansion_gain`` passes one row and ``per_class_information`` all
-expanded nodes at once. ``weighted_gain`` and ``information_report`` stay
-on the separate ``infotheory.split_increments`` route, so they check the
-kernel rather than repeat it.
+``expansion_gain`` passes one row, ``per_class_information`` all expanded
+nodes at once, and ``report`` all those of the full tree, for the full and
+a compressed tree together. ``weighted_gain`` and ``information_report``
+stay on the separate ``infotheory.split_increments`` route, so they check
+the kernel rather than repeat it.
 
 Trees containing summary nodes must be expanded (``expand_summaries``)
 before the tree-level operations here; per-node gain queries and cache
@@ -554,19 +555,50 @@ def per_class_information(tree: SemanticOctree,
     """Retained information per class id (all ids 0..K, roles ignored)."""
     _require_no_summaries(tree)
     _validate_subtree(tree, ctree)
-    bits = np.zeros(tree.num_classes + 1)
+    return _bits(tree, sorted(ctree.expanded), ctree.expanded)[0]
+
+
+def report(tree: SemanticOctree, ctree: CompressedTree, cw: CompressionWeights):
+    """``(objective, partition_bits, leaves_full, full_bits, kept_bits)``:
+    what ``information_report`` and ``per_class_information`` give for
+    ``ctree``, and ``full_tree(tree).num_leaves`` and ``per_class_information``
+    for ``full_tree(tree)``. One ``split_terms`` evaluation over the full
+    tree's expanded nodes (every stored node with stored children) serves
+    both trees. The per-class bits are equal bit for bit; the objective and
+    partition bits, summed from other terms, are equal up to rounding.
+    """
+    _require_no_summaries(tree)
+    _validate_subtree(tree, ctree)
+    dims = tree.world.dims
+    full = sorted({NodeKey(d - 1, i >> dims) for d, i in tree.nodes if d})
+    full_bits, partition_bits, kept_bits = _bits(tree, full, ctree.expanded)
+    objective = (sum(w * kept_bits[c] for c, w in cw.retain.items())
+                 - sum(w * kept_bits[c] for c, w in cw.remove.items())
+                 - cw.compress * partition_bits)
+    # The full tree's observed leaves are the stored nodes it does not
+    # expand, or the root alone.
+    leaves_full = len(tree.nodes) - len(full) if full else 1
+    return objective, partition_bits, leaves_full, full_bits, kept_bits
+
+
+def _bits(tree: SemanticOctree, keys: list[NodeKey], kept: set[NodeKey]):
+    """Per-class bits of the sorted expanded nodes ``keys``, and the
+    partition and per-class bits of those in ``kept``: one ``split_terms``
+    evaluation, each sum then taken row by row in key order."""
     p_root = tree.root.weight
-    if p_root > 0.0:
-        keys = [k for k in sorted(ctree.expanded) if tree.nodes[k].weight > 0.0]
-        if keys:
-            arrays = [tree.completed_child_arrays(k) for k in keys]
-            weights = np.array([a[0] for a in arrays])
-            pi = weights / weights.sum(axis=1)[:, None]
-            js, _ = split_terms(pi, np.array([a[1] for a in arrays]))
-            scale = np.array([tree.nodes[k].weight / p_root for k in keys])
-            # Accumulated row by row in key order, as a running sum.
-            bits = np.add.accumulate(np.vstack([bits, scale[:, None] * js]))[-1]
-    return {cid: float(bits[cid]) for cid in range(tree.num_classes + 1)}
+    keys = [k for k in keys if tree.nodes[k].weight > 0.0] if p_root > 0.0 else []
+    js, h = np.zeros((len(keys), tree.num_classes + 1)), np.zeros(len(keys))
+    if keys:
+        arrays = [tree.completed_child_arrays(k) for k in keys]
+        weights = np.array([a[0] for a in arrays])
+        pi = weights / weights.sum(axis=1)[:, None]
+        js, h = split_terms(pi, np.array([a[1] for a in arrays]))
+    mass = np.array([tree.nodes[k].weight / p_root for k in keys])
+    terms = np.c_[mass * h, mass[:, None] * js]
+    all_sums, kept_sums = (
+        np.add.accumulate(np.vstack([np.zeros(terms.shape[1]), rows]))[-1].tolist()
+        for rows in (terms, terms[[k in kept for k in keys]]))
+    return dict(enumerate(all_sums[1:])), kept_sums[0], dict(enumerate(kept_sums[1:]))
 
 
 # -- exhaustive verification -----------------------------------------------------

@@ -2,47 +2,46 @@
 
 Point clouds are comma-separated text with header ``x,y,z,class_id,confidence``.
 World and weight profiles use a flat key-value text format that round-trips
-unchanged. Trees use a versioned binary format (magic ``SOCT``) written in
-pre-order with a child-presence bitmask per interior node and little-endian
-64-bit floats, so serialize -> deserialize -> serialize is byte-identical.
+unchanged. Trees use a versioned little-endian binary format, so serialize ->
+deserialize -> serialize is byte-identical: a 41-byte header (magic ``SOCT``,
+version u8, origin 3×f64, edge length f64, max depth u8, branching u8, class
+count u16), then each node in pre-order. A node starts with its kind u8 and
+weight f64; an interior node ends with its child-presence bitmask u8 (10 bytes),
+a leaf or summary goes on with n_top u8, n_top × (class id u16, probability
+f64), p_free f64 and p_residual f64 (26 + 10·n_top bytes).
 """
 
 from __future__ import annotations
 
+import itertools
 import logging
 import math
 import struct
 from dataclasses import dataclass, field
 from typing import Callable, Iterator
 
+import numpy as np
+
 from .compression import CompressionWeights
-from .errors import (
-    ConfigError,
-    CorruptionError,
-    DistributionError,
-    FormatError,
-    IngestError,
-    TreeError,
-)
+from .errors import ConfigError, CorruptionError, FormatError, IngestError
 from .octree import (
     INTERIOR,
     LEAF,
-    ROOT_KEY,
     SUMMARY,
     Node,
     NodeKey,
     SemanticOctree,
     WorldConfig,
-    child_key,
     completed_weight,
-    octant_of,
 )
 from .semantics import (
     ROLE_IRRELEVANT,
     ROLE_NEUTRAL,
     ROLE_RELEVANT,
     ClassRegistry,
-    TruncatedSemanticDistribution,
+    TruncatedRows,
+    expand_rows,
+    record_errors,
 )
 
 log = logging.getLogger(__name__)
@@ -264,161 +263,162 @@ def emit_weights_config(cfg: WeightsConfig) -> str:
 
 # -- binary tree format ------------------------------------------------------------
 
-
-class _Reader:
-    def __init__(self, data: bytes):
-        self.data = data
-        self.pos = 0
-
-    def take(self, fmt: str):
-        size = struct.calcsize(fmt)
-        if self.pos + size > len(self.data):
-            raise CorruptionError("truncated tree file")
-        out = struct.unpack_from(fmt, self.data, self.pos)
-        self.pos += size
-        return out
-
-
-def _pack_dist(dist: TruncatedSemanticDistribution) -> bytes:
-    parts = [struct.pack("<B", len(dist.top3))]
-    for cid, p in dist.top3:
-        parts.append(struct.pack("<Hd", cid, p))
-    parts.append(struct.pack("<dd", dist.p_free, dist.p_residual))
-    return b"".join(parts)
-
-
-def _unpack_dist(reader: _Reader) -> TruncatedSemanticDistribution:
-    (n_top,) = reader.take("<B")
-    if n_top > 3:
-        raise CorruptionError(f"leaf stores {n_top} classes, maximum is 3")
-    top = tuple((int(cid), float(p))
-                for cid, p in (reader.take("<Hd") for _ in range(n_top)))
-    p_free, p_residual = reader.take("<dd")
-    return TruncatedSemanticDistribution(top, p_free, p_residual)
-
-
-def _write_node(tree: SemanticOctree, key: NodeKey, out: list[bytes]) -> None:
-    node = tree.nodes[key]
-    if node.kind == LEAF:
-        out.append(struct.pack("<Bd", _NODE_LEAF, node.weight))
-        out.append(_pack_dist(node.dist))
-    elif node.kind == SUMMARY:
-        out.append(struct.pack("<Bd", _NODE_SUMMARY, node.weight))
-        out.append(_pack_dist(node.dist))
-    else:
-        children = tree.stored_children(key)
-        mask = 0
-        for ck in children:
-            mask |= 1 << octant_of(ck, tree.world.dims)
-        out.append(struct.pack("<BdB", _NODE_INTERIOR, node.weight, mask))
-        for ck in children:
-            _write_node(tree, ck, out)
+_HEADER = struct.Struct("<4sB3ddBBH")
+_WEIGHT = struct.Struct("<d")
+_HEAD = np.dtype([("kind", "u1"), ("weight", "<f8"), ("field", "u1")])
+_SLOT = np.dtype([("id", "<u2"), ("p", "<f8")])
+_TAIL = np.dtype([("p_free", "<f8"), ("p_residual", "<f8")])
+_KINDS = (INTERIOR, LEAF, SUMMARY)  # node kind by file kind
 
 
 def serialize_tree(tree: SemanticOctree, path) -> None:
-    """Write a tree to its binary format (deterministic, byte-stable)."""
-    world = tree.world
-    out = [MAGIC, struct.pack("<B", FORMAT_VERSION),
-           struct.pack("<3d", *world.origin),
-           struct.pack("<dBBH", world.edge_length, world.max_depth,
-                       world.branching, tree.num_classes)]
-    _write_node(tree, ROOT_KEY, out)
+    """Write a tree to its binary format (deterministic, byte-stable): the
+    nodes in pre-order (by the Morton code of their region, a parent
+    first), packed into one buffer."""
+    world, keys = tree.world, list(tree.nodes)
+    depth, index = np.fromiter(itertools.chain.from_iterable(keys), dtype=np.int64,
+                               count=2 * len(keys)).reshape(-1, 2).T
+    code = index << world.dims * (world.max_depth - depth)  # of the region's first cell
+    order = np.lexsort((depth, code))
+    depth, index, code = depth[order], index[order], code[order]
+    nodes = [tree.nodes[keys[i]] for i in order.tolist()]
+    head = np.zeros(len(nodes), dtype=_HEAD)
+    head["kind"] = [_KINDS.index(n.kind) for n in nodes]
+    head["weight"] = [n.weight for n in nodes]
+    # The nodes that share a code are a chain of first children, one level
+    # apart; a child's parent is in the chain of its code with its octant cleared.
+    child = np.flatnonzero(depth)
+    first = np.searchsorted(code, index[child] >> world.dims << world.dims * (
+        world.max_depth - depth[child] + 1))
+    np.bitwise_or.at(head["field"], first + depth[child] - 1 - depth[first],
+                     1 << (index[child] & (world.branching - 1)))
+    rec = np.flatnonzero(head["kind"] != _NODE_INTERIOR)
+    dists = [nodes[i].dist for i in rec.tolist()]
+    head["field"][rec] = n_top = np.array([len(d.top3) for d in dists], dtype=np.int64)
+    sizes = 10 + (head["kind"] != _NODE_INTERIOR) * (16 + 10 * head["field"].astype(np.int64))
+    at, rows = np.cumsum(sizes) - sizes, TruncatedRows.of(dists)
+    slots = np.zeros((len(rec), 3), dtype=_SLOT)
+    slots["id"], slots["p"] = rows.ids, rows.probs
+    tail = np.zeros(len(rec), dtype=_TAIL)
+    tail["p_free"], tail["p_residual"] = rows.p_free, rows.p_residual
+    used = np.arange(3) < n_top[:, None]
+    buf = np.zeros(int(sizes.sum()), dtype=np.uint8)
+    for offsets, values in [(at, head), (at[rec] + 10 + 10 * n_top, tail),
+                            ((at[rec, None] + np.arange(10, 40, 10))[used], slots[used])]:
+        buf[offsets[:, None] + np.arange(values.itemsize)] = values.view(np.uint8).reshape(
+            len(values), values.itemsize)
     with open(path, "wb") as fh:
-        fh.write(b"".join(out))
+        fh.write(_HEADER.pack(MAGIC, FORMAT_VERSION, *world.origin, world.edge_length,
+                              world.max_depth, world.branching, tree.num_classes))
+        fh.write(buf.tobytes())
 
 
-def _record(tree: SemanticOctree, key: NodeKey, kind: int, weight: float,
-            dist: TruncatedSemanticDistribution, records: list[Node]) -> Node:
-    """A validated record, its dense vector left for ``expand_records``."""
+def _walk(data: bytes, world: WorldConfig):
+    """The structural pass, with every weight check: the offset, file kind,
+    depth, index and weight of each node read, in pre-order, and the first
+    error met, or None. Records are checked afterwards, all at once."""
+    nodes: list[tuple] = []
+    max_depth, dims, branching = world.max_depth, world.dims, world.branching
+    pos, stack = _HEADER.size, [(0, 0, [])]  # (depth, index, weights of its siblings)
     try:
-        dist.validate(tree.num_classes)
-    except DistributionError as exc:
-        raise CorruptionError(f"record {key} is invalid: {exc}") from None
-    records.append(Node(kind, weight=weight, dist=dist))
-    return records[-1]
-
-
-def _read_node(reader: _Reader, tree: SemanticOctree, key: NodeKey,
-               records: list[Node]) -> float:
-    """Read one record and its subtree; returns the record's weight.
-
-    An interior weight is checked once its children are read, so the whole
-    tree is checked in one bottom-up pass. Leaf and summary records are
-    collected in ``records``.
-    """
-    (kind, weight) = reader.take("<Bd")
-    max_depth = tree.world.max_depth
-    if kind in (_NODE_LEAF, _NODE_SUMMARY) and not (
-            math.isfinite(weight) and weight >= 0.0):
-        raise CorruptionError(f"record {key} has invalid weight {weight!r}")
-    if kind == _NODE_LEAF:
-        if key.depth != max_depth:
-            raise CorruptionError(f"leaf record at depth {key.depth}")
-        tree.nodes[key] = _record(tree, key, LEAF, weight, _unpack_dist(reader), records)
-    elif kind == _NODE_SUMMARY:
-        if key.depth >= max_depth:
-            raise CorruptionError(f"summary record at depth {key.depth}")
-        tree.nodes[key] = _record(tree, key, SUMMARY, weight, _unpack_dist(reader),
-                                  records)
-    elif kind == _NODE_INTERIOR:
-        if key.depth >= max_depth:
-            raise CorruptionError(f"interior record at depth {key.depth}")
-        (mask,) = reader.take("<B")
-        if mask >> tree.world.branching:
-            raise CorruptionError(f"child bitmask {mask:#x} exceeds branching")
-        if mask == 0 and key != ROOT_KEY:
-            raise CorruptionError(f"childless interior record at {key}")
-        tree.nodes[key] = Node(INTERIOR, weight=weight)
-        expected = completed_weight(
-            [_read_node(reader, tree, child_key(key, octant, tree.world.dims), records)
-             for octant in range(tree.world.branching) if mask & (1 << octant)],
-            tree.world.branching)
-        if not (math.isfinite(weight)
-                and abs(weight - expected) <= 1e-9 * abs(expected)):
-            raise CorruptionError(f"interior record {key} has weight {weight!r}, "
-                                  f"its children complete to {expected!r}")
-    else:
-        raise CorruptionError(f"unknown node kind {kind}")
-    return weight
+        while stack:
+            depth, index, siblings = stack.pop()
+            if depth is None:  # the end of a subtree: index holds its root and weight
+                (key, weight), expected = index, completed_weight(siblings, branching)
+                if not (math.isfinite(weight)
+                        and abs(weight - expected) <= 1e-9 * abs(expected)):
+                    raise CorruptionError(f"interior record {key} has weight {weight!r}, "
+                                          f"its children complete to {expected!r}")
+                continue
+            if pos + 9 > len(data):
+                raise CorruptionError("truncated tree file")
+            kind, (weight,) = data[pos], _WEIGHT.unpack_from(data, pos + 1)
+            if kind in (_NODE_LEAF, _NODE_SUMMARY) and not (
+                    math.isfinite(weight) and weight >= 0.0):
+                raise CorruptionError(
+                    f"record {NodeKey(depth, index)} has invalid weight {weight!r}")
+            if kind > _NODE_SUMMARY:
+                raise CorruptionError(f"unknown node kind {kind}")
+            if depth > max_depth - (kind != _NODE_LEAF) or (
+                    kind == _NODE_LEAF and depth < max_depth):
+                name = ("interior", "leaf", "summary")[kind]
+                raise CorruptionError(f"{name} record at depth {depth}")
+            if pos + 10 > len(data):
+                raise CorruptionError("truncated tree file")
+            field = data[pos + 9]  # n_top, or the child mask
+            if kind != _NODE_INTERIOR:
+                if field > 3:
+                    raise CorruptionError(f"leaf stores {field} classes, maximum is 3")
+                if pos + 26 + 10 * field > len(data):
+                    raise CorruptionError("truncated tree file")
+            elif field >> branching:
+                raise CorruptionError(f"child bitmask {field:#x} exceeds branching")
+            elif field == 0 and depth:
+                key = NodeKey(depth, index)
+                raise CorruptionError(f"childless interior record at {key}")
+            else:
+                children: list[float] = []
+                stack.append((None, (NodeKey(depth, index), weight), children))
+                stack += [(depth + 1, index << dims | o, children)
+                          for o in range(branching - 1, -1, -1) if field >> o & 1]
+            siblings.append(weight)
+            nodes.append((pos, kind, depth, index, weight))
+            pos += 10 if kind == _NODE_INTERIOR else 26 + 10 * field
+        if pos != len(data):
+            raise CorruptionError(f"{len(data) - pos} trailing bytes")
+    except CorruptionError as exc:
+        return nodes, exc
+    return nodes, None
 
 
 def deserialize_tree(path) -> SemanticOctree:
     """Read a tree from its binary format.
 
-    Structure, weights and leaf distributions are restored exactly, and
-    each leaf or summary record is validated as it is read (an invalid
-    one is a ``CorruptionError``), and so is each interior weight: it must
-    be finite and within 1e-9 relative of the completion of its children's
-    weights (``completed_weight``), which admits the rounding of either way
-    of summing them. All records are expanded in one ``expand_records``
-    call. Interior conditional/gain caches are rebuilt on the next
+    Structure, weights and records are restored exactly. A structural pass
+    (``_walk``) finds the nodes and checks their weights: a leaf or summary
+    weight must be finite and non-negative, an interior weight finite and
+    within 1e-9 relative of its children's ``completed_weight``, which
+    admits the rounding of either way of summing them. The records are then
+    decoded and validated at once (``record_errors``). The first violation
+    in file order is a ``CorruptionError``, an interior weight counting once
+    its subtree is read. Interior caches are rebuilt on the next
     ``refresh_all``.
     """
     with open(path, "rb") as fh:
         data = fh.read()
-    reader = _Reader(data)
     if len(data) < 4 or data[:4] != MAGIC:
         raise FormatError("bad magic: not a tree file")
-    reader.pos = 4
-    (version,) = reader.take("<B")
-    if version != FORMAT_VERSION:
-        raise FormatError(f"unsupported format version {version}")
-    origin = reader.take("<3d")
-    edge, depth, branching, num_classes = reader.take("<dBBH")
+    if len(data) > 4 and data[4] != FORMAT_VERSION:
+        raise FormatError(f"unsupported format version {data[4]}")
+    if len(data) < _HEADER.size:
+        raise CorruptionError("truncated tree file")
+    _, _, *origin, edge, max_depth, branching, num_classes = _HEADER.unpack_from(data)
     try:
-        world = WorldConfig(origin, edge, depth, branching)
+        world = WorldConfig(tuple(origin), edge, max_depth, branching)
         tree = SemanticOctree(world, num_classes)
     except ConfigError as exc:
         raise CorruptionError(f"invalid world header: {exc}") from None
-    tree.nodes.clear()
-    records: list[Node] = []
-    try:
-        _read_node(reader, tree, ROOT_KEY, records)
-    except TreeError as exc:
-        raise CorruptionError(str(exc)) from None
-    if reader.pos != len(data):
-        raise CorruptionError(f"{len(data) - reader.pos} trailing bytes")
-    if ROOT_KEY not in tree.nodes or tree.nodes[ROOT_KEY].kind == LEAF:
-        raise CorruptionError("missing or malformed root record")
-    tree.expand_records(records)
+    nodes, error = _walk(data, world)
+    offsets, kinds, depths, indices, weights = zip(*nodes) if nodes else [()] * 5
+    u8 = np.frombuffer(data, dtype=np.uint8)
+    rec = np.flatnonzero(np.array(kinds, dtype=np.int64) != _NODE_INTERIOR)
+    at = np.array(offsets, dtype=np.int64)[rec]
+    n_top = u8[at + 9].astype(np.int64)
+    tail = u8[(at + 10 + 10 * n_top)[:, None] + np.arange(_TAIL.itemsize)].view(_TAIL)[:, 0]
+    used = np.arange(3) < n_top[:, None]
+    slot = np.where(used, at[:, None] + np.arange(10, 40, 10), 0)  # unused: offset 0
+    slots = u8[slot[:, :, None] + np.arange(_SLOT.itemsize)].view(_SLOT)[:, :, 0]
+    rows = TruncatedRows(np.where(used, slots["id"], 0), np.where(used, slots["p"], 0.0),
+                         tail["p_free"], tail["p_residual"])
+    # Each record precedes the error that stopped the walk, so it is met first.
+    for row, message in record_errors(rows, n_top, num_classes).items():
+        key = NodeKey(depths[rec[row]], indices[rec[row]])
+        raise CorruptionError(f"record {key} is invalid: {message}")
+    if error is not None:
+        raise error
+    conds = expand_rows(rows, num_classes)
+    conds.flags.writeable = False
+    records = zip(rows.records(), conds)
+    tree.nodes = {key: Node(_KINDS[k], w, *(next(records) if k else ()))
+                  for key, k, w in zip(map(NodeKey, depths, indices), kinds, weights)}
     return tree

@@ -15,8 +15,8 @@ re-expanded on the next observation that touches its region.
 Leaves and summaries hold a truncated record plus its dense vector over
 ids 0..K. The record is validated and expanded once, when it is installed
 (``make_record``: an observation, ``set_leaf``, a summary expansion or
-prune; ``from_observations``; ``expand_records``: a file load); reading a
-conditional afterwards is a plain lookup.
+prune; ``from_observations``; ``formats.deserialize_tree``: a file load);
+reading a conditional afterwards is a plain lookup.
 
 Concurrency: mutating operations require exclusive access to a tree;
 read-only traversals may run concurrently with each other.
@@ -25,6 +25,7 @@ read-only traversals may run concurrently with each other.
 from __future__ import annotations
 
 import functools
+import itertools
 import math
 from dataclasses import dataclass, field
 from typing import Iterator, NamedTuple
@@ -74,10 +75,6 @@ def child_keys(key: NodeKey, dims: int) -> tuple[NodeKey, ...]:
     return tuple(child_key(key, o, dims) for o in range(1 << dims))
 
 
-def octant_of(key: NodeKey, dims: int) -> int:
-    return key.index & ((1 << dims) - 1)
-
-
 def _interleave(coords: tuple[int, ...], dims: int, depth: int) -> int:
     code = 0
     for bit in range(depth):
@@ -86,12 +83,13 @@ def _interleave(coords: tuple[int, ...], dims: int, depth: int) -> int:
     return code
 
 
-def _deinterleave(code: int, dims: int, depth: int) -> tuple[int, ...]:
-    coords = [0] * dims
+def _deinterleave(codes: np.ndarray, dims: int, depth: int) -> np.ndarray:
+    """(N, dims) cell coordinates of N codes of at most ``depth`` levels."""
+    coords = np.zeros((len(codes), dims), dtype=np.int64)
     for bit in range(depth):
         for axis in range(dims):
-            coords[axis] |= ((code >> (bit * dims + axis)) & 1) << bit
-    return tuple(coords)
+            coords[:, axis] |= ((codes >> (bit * dims + axis)) & 1) << bit
+    return coords
 
 
 def _outside(point) -> str:
@@ -188,22 +186,32 @@ class WorldConfig:
         return NodeKey(depth, _interleave(tuple(coords), self.dims, depth))
 
     def coords_of(self, key: NodeKey) -> tuple[int, ...]:
-        return _deinterleave(key.index, self.dims, key.depth)
+        return tuple(_deinterleave(np.array([key.index]), self.dims, key.depth)[0].tolist())
+
+    def boxes(self, keys) -> tuple[np.ndarray, np.ndarray]:
+        """3-d centers and sizes, (N, 3) each, of the cells of N node keys.
+
+        Along subdivided axes a cell is centered on its coordinates; the
+        other axes use the world center and span the full edge.
+        """
+        depth, index = np.fromiter(itertools.chain.from_iterable(keys), dtype=np.int64,
+                                   count=2 * len(keys)).reshape(-1, 2).T
+        side = self.edge_length / (1 << depth)
+        centers = np.repeat((np.array(self.origin) + self.edge_length / 2.0)[None, :],
+                            len(keys), axis=0)
+        sizes = np.full((len(keys), 3), self.edge_length)
+        coords = _deinterleave(index, self.dims, self.max_depth)
+        for axis in range(self.dims):
+            centers[:, axis] = self.origin[axis] + (coords[:, axis] + 0.5) * side
+            sizes[:, axis] = side
+        return centers, sizes
 
     def center_of(self, key: NodeKey) -> np.ndarray:
-        """3-d center of a node's cell; non-subdivided axes use the world center."""
-        coords = self.coords_of(key)
-        side = self.edge_length / (1 << key.depth)
-        center = np.array(self.origin) + self.edge_length / 2.0
-        for axis in range(self.dims):
-            center[axis] = self.origin[axis] + (coords[axis] + 0.5) * side
-        return center
+        """3-d center of a node's cell (one-row ``boxes``)."""
+        return self.boxes([key])[0][0]
 
     def sizes_of(self, key: NodeKey) -> np.ndarray:
-        side = self.edge_length / (1 << key.depth)
-        sizes = np.full(3, self.edge_length)
-        sizes[: self.dims] = side
-        return sizes
+        return self.boxes([key])[1][0]
 
 
 def completed_weight(stored: list[float], branching: int) -> float:
@@ -370,14 +378,6 @@ class SemanticOctree:
             cond = expand_truncated(dist, self.registry).probs
             cond.flags.writeable = False
         return Node(kind, weight=weight, dist=dist, cond=cond)
-
-    def expand_records(self, nodes: list[Node]) -> None:
-        """Give validated LEAF or SUMMARY nodes their dense vectors, all in
-        one ``expand_rows`` call (a file load)."""
-        conds = expand_rows(TruncatedRows.of([n.dist for n in nodes]), self.num_classes)
-        conds.flags.writeable = False
-        for node, cond in zip(nodes, conds):
-            node.cond = cond
 
     @classmethod
     def from_observations(cls, world: WorldConfig, num_classes: int, points,

@@ -307,22 +307,20 @@ def graph_from_tree(ctree: CompressedTree, query: PlanQuery,
     """
     _check_k_neighbors(k_neighbors)
     world: WorldConfig = ctree.world
-    positions, centers, colors = [], [], []
+    keys, colors = [], []
     for key, leaf in ctree.leaf_items():
         if leaf.virtual:
             continue
         cid = dominant_class(leaf.marginals)
         if cid != 0 and cid not in query.relevant:
             continue
-        center = world.center_of(key)
-        positions.append(center[:2])
-        centers.append(center)
+        keys.append(key)
         colors.append(cid)
-    if not positions:
+    if not keys:
         raise GraphError("no traversable blocks: compressed tree has no "
                          "free-space or relevant-class leaves")
-    positions = np.array(positions)
-    centers = np.array(centers)
+    centers = world.boxes(keys)[0]
+    positions = centers[:, :2].copy()
     step = world.edge_length / (1 << (world.max_depth + 1))
     edges = _knn_edges(positions, centers, k_neighbors,
                        BlockIndex.from_compressed(ctree), step, query)

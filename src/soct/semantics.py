@@ -14,6 +14,7 @@ to call concurrently from any number of threads.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass, field
 from typing import NamedTuple
 
@@ -81,28 +82,11 @@ class TruncatedSemanticDistribution:
     p_residual: float
 
     def validate(self, num_classes: int) -> None:
-        if len(self.top3) > 3:
-            raise DistributionError("more than 3 stored classes")
-        ids = [c for c, _ in self.top3]
-        if len(set(ids)) != len(ids) or any(c == 0 for c in ids):
-            raise DistributionError("stored class ids must be distinct and non-zero")
-        if any(not 1 <= c <= num_classes for c in ids):
-            raise DistributionError("stored class id out of range")
-        probs = [p for _, p in self.top3]
-        for value in probs + [self.p_free, self.p_residual]:
-            if not -FIELD_TOL <= value <= 1 + FIELD_TOL:
-                raise DistributionError(f"probability {value} outside [0, 1]")
-        if any(probs[i] < probs[i + 1] for i in range(len(probs) - 1)):
-            raise DistributionError("stored classes not sorted by probability")
-        total = sum(probs) + self.p_free + self.p_residual
-        if abs(total - 1.0) > SUM_TOL:
-            raise DistributionError(f"probabilities sum to {total}, not 1")
-        if len(self.top3) < 3 and self.p_residual > SUM_TOL:
-            raise DistributionError("residual mass requires 3 stored classes")
-        if num_classes > 3 and self.top3:
-            share = self.p_residual / (num_classes - 3)
-            if self.top3[-1][1] < share - FIELD_TOL:
-                raise DistributionError("stored probability below residual share")
+        """Raise ``DistributionError`` if this is no valid record (one-row
+        ``record_errors``)."""
+        for message in record_errors(TruncatedRows.of([self]), np.array([len(self.top3)]),
+                                     num_classes).values():
+            raise DistributionError(message)
 
     def is_close(self, other: "TruncatedSemanticDistribution",
                  tol: float = FIELD_TOL) -> bool:
@@ -173,8 +157,9 @@ class TruncatedRows(NamedTuple):
     @classmethod
     def of(cls, records) -> "TruncatedRows":
         unused = ((0, 0.0),) * 3
-        top = np.array([(r.top3 + unused)[:3] for r in records],
-                       dtype=np.float64).reshape(-1, 3, 2)
+        slots = itertools.chain.from_iterable((r.top3 + unused)[:3] for r in records)
+        top = np.fromiter(itertools.chain.from_iterable(slots),
+                          dtype=np.float64).reshape(-1, 3, 2)
         return cls(top[:, :, 0].astype(np.int64), np.ascontiguousarray(top[:, :, 1]),
                    np.array([r.p_free for r in records], dtype=np.float64),
                    np.array([r.p_residual for r in records], dtype=np.float64))
@@ -201,6 +186,51 @@ def check_rows(rows: np.ndarray) -> None:
         if negative[i].any():
             raise DistributionError("negative probability entry")
         raise DistributionError(f"probabilities sum to {float(totals[i])}, not 1")
+
+
+def record_errors(records: TruncatedRows, counts: np.ndarray,
+                  num_classes: int) -> dict[int, str]:
+    """Rows that are no valid truncated record, by row, with the first rule
+    each breaks.
+
+    ``counts`` holds each row's number of stored classes; later slots are
+    not read. The rules, in order: at most three stored classes, with
+    distinct ids in 1..K; every field in [0, 1] within FIELD_TOL; stored
+    classes sorted by descending probability; a total of 1 within SUM_TOL,
+    added in slot order, then free space, then the residual; no residual
+    without three stored classes; no stored class below the residual's
+    per-class share.
+    """
+    ids, probs, p_free, p_residual = records
+    used = np.arange(3) < counts[:, None]
+    fields = np.column_stack([np.where(used, probs, 0.0), p_free, p_residual])
+    bad_field = ~((fields >= -FIELD_TOL) & (fields <= 1 + FIELD_TOL))
+    bad_field[:, :3] &= used
+    total = 0.0
+    with np.errstate(invalid="ignore"):  # inf + -inf is a nan total, as in Python
+        for column in fields.T:
+            total = total + column
+    last = fields[np.arange(len(counts)), np.clip(counts, 1, 3) - 1]
+    share = p_residual / (num_classes - 3) if num_classes > 3 else -np.inf
+    rules = [
+        (counts > 3, "more than 3 stored classes"),
+        ((used[:, 1] & (ids[:, 0] == ids[:, 1])) | (used & (ids == 0)).any(axis=1)
+         | (used[:, 2] & ((ids[:, 0] == ids[:, 2]) | (ids[:, 1] == ids[:, 2]))),
+         "stored class ids must be distinct and non-zero"),
+        ((used & ((ids < 1) | (ids > num_classes))).any(axis=1),
+         "stored class id out of range"),
+        (bad_field.any(axis=1), "probability {value} outside [0, 1]"),
+        ((used[:, 1:] & (fields[:, :2] < fields[:, 1:3])).any(axis=1),
+         "stored classes not sorted by probability"),
+        (np.abs(total - 1.0) > SUM_TOL, "probabilities sum to {total}, not 1"),
+        ((counts < 3) & (p_residual > SUM_TOL), "residual mass requires 3 stored classes"),
+        ((counts > 0) & (last < share - FIELD_TOL),
+         "stored probability below residual share"),
+    ]
+    broken = np.column_stack([rule for rule, _ in rules])
+    return {i: rules[int(np.argmax(broken[i]))][1].format(
+                value=fields[i, np.argmax(bad_field[i])].item(), total=total[i].item())
+            for i in np.flatnonzero(broken.any(axis=1)).tolist()}
 
 
 def observation_errors(obs_class, confidence, num_classes: int) -> dict[int, str]:

@@ -7,13 +7,33 @@ route, not against themselves.
 """
 
 import math
+import struct
 
 import numpy as np
 
 from soct.compression import CompressionWeights
-from soct.octree import INTERIOR, NodeKey, SemanticOctree, WorldConfig, child_keys
+from soct.errors import ConfigError, CorruptionError, FormatError, TreeError
+from soct.formats import FORMAT_VERSION, MAGIC
+from soct.octree import (
+    INTERIOR,
+    LEAF,
+    ROOT_KEY,
+    SUMMARY,
+    Node,
+    NodeKey,
+    SemanticOctree,
+    WorldConfig,
+    child_key,
+    child_keys,
+    completed_weight,
+)
 from soct.semantics import (
+    FIELD_TOL,
+    SUM_TOL,
     FullSemanticDistribution,
+    TruncatedRows,
+    TruncatedSemanticDistribution,
+    expand_rows,
     expand_truncated,
     truncate_full,
 )
@@ -155,6 +175,143 @@ def ref_relative_gain(tree, key, cw):
         if k is not None and tree.nodes[k].kind == INTERIOR:
             value += p * ref_relative_gain(tree, k, cw)
     return max(value, 0.0)
+
+
+# -- independent tree-file reference ----------------------------------------------
+
+
+def ref_record_error(dist, num_classes):
+    """The first rule a truncated record breaks, as a message, or None;
+    checked one field at a time."""
+    if len(dist.top3) > 3:
+        return "more than 3 stored classes"
+    ids = [c for c, _ in dist.top3]
+    if len(set(ids)) != len(ids) or any(c == 0 for c in ids):
+        return "stored class ids must be distinct and non-zero"
+    if any(not 1 <= c <= num_classes for c in ids):
+        return "stored class id out of range"
+    probs = [p for _, p in dist.top3]
+    for value in probs + [dist.p_free, dist.p_residual]:
+        if not -FIELD_TOL <= value <= 1 + FIELD_TOL:
+            return f"probability {value} outside [0, 1]"
+    if any(probs[i] < probs[i + 1] for i in range(len(probs) - 1)):
+        return "stored classes not sorted by probability"
+    total = sum(probs) + dist.p_free + dist.p_residual
+    if abs(total - 1.0) > SUM_TOL:
+        return f"probabilities sum to {total}, not 1"
+    if len(dist.top3) < 3 and dist.p_residual > SUM_TOL:
+        return "residual mass requires 3 stored classes"
+    if num_classes > 3 and dist.top3:
+        share = dist.p_residual / (num_classes - 3)
+        if dist.top3[-1][1] < share - FIELD_TOL:
+            return "stored probability below residual share"
+    return None
+
+
+class _Reader:
+    def __init__(self, data):
+        self.data = data
+        self.pos = 0
+
+    def take(self, fmt):
+        size = struct.calcsize(fmt)
+        if self.pos + size > len(self.data):
+            raise CorruptionError("truncated tree file")
+        out = struct.unpack_from(fmt, self.data, self.pos)
+        self.pos += size
+        return out
+
+
+def _ref_unpack_dist(reader):
+    (n_top,) = reader.take("<B")
+    if n_top > 3:
+        raise CorruptionError(f"leaf stores {n_top} classes, maximum is 3")
+    top = tuple((int(cid), float(p))
+                for cid, p in (reader.take("<Hd") for _ in range(n_top)))
+    p_free, p_residual = reader.take("<dd")
+    return TruncatedSemanticDistribution(top, p_free, p_residual)
+
+
+def _ref_record(tree, key, kind, weight, dist, records):
+    message = ref_record_error(dist, tree.num_classes)
+    if message is not None:
+        raise CorruptionError(f"record {key} is invalid: {message}")
+    records.append(Node(kind, weight=weight, dist=dist))
+    return records[-1]
+
+
+def _ref_read_node(reader, tree, key, records):
+    (kind, weight) = reader.take("<Bd")
+    max_depth = tree.world.max_depth
+    if kind in (1, 2) and not (math.isfinite(weight) and weight >= 0.0):
+        raise CorruptionError(f"record {key} has invalid weight {weight!r}")
+    if kind == 1:
+        if key.depth != max_depth:
+            raise CorruptionError(f"leaf record at depth {key.depth}")
+        tree.nodes[key] = _ref_record(tree, key, LEAF, weight,
+                                      _ref_unpack_dist(reader), records)
+    elif kind == 2:
+        if key.depth >= max_depth:
+            raise CorruptionError(f"summary record at depth {key.depth}")
+        tree.nodes[key] = _ref_record(tree, key, SUMMARY, weight,
+                                      _ref_unpack_dist(reader), records)
+    elif kind == 0:
+        if key.depth >= max_depth:
+            raise CorruptionError(f"interior record at depth {key.depth}")
+        (mask,) = reader.take("<B")
+        if mask >> tree.world.branching:
+            raise CorruptionError(f"child bitmask {mask:#x} exceeds branching")
+        if mask == 0 and key != ROOT_KEY:
+            raise CorruptionError(f"childless interior record at {key}")
+        tree.nodes[key] = Node(INTERIOR, weight=weight)
+        expected = completed_weight(
+            [_ref_read_node(reader, tree, child_key(key, octant, tree.world.dims), records)
+             for octant in range(tree.world.branching) if mask & (1 << octant)],
+            tree.world.branching)
+        if not (math.isfinite(weight)
+                and abs(weight - expected) <= 1e-9 * abs(expected)):
+            raise CorruptionError(f"interior record {key} has weight {weight!r}, "
+                                  f"its children complete to {expected!r}")
+    else:
+        raise CorruptionError(f"unknown node kind {kind}")
+    return weight
+
+
+def reference_deserialize(path):
+    """The recursive tree-file reader: one ``struct`` read per field, each
+    record checked by ``ref_record_error`` as it is read, and each interior
+    weight once its children are read."""
+    with open(path, "rb") as fh:
+        data = fh.read()
+    reader = _Reader(data)
+    if len(data) < 4 or data[:4] != MAGIC:
+        raise FormatError("bad magic: not a tree file")
+    reader.pos = 4
+    (version,) = reader.take("<B")
+    if version != FORMAT_VERSION:
+        raise FormatError(f"unsupported format version {version}")
+    origin = reader.take("<3d")
+    edge, depth, branching, num_classes = reader.take("<dBBH")
+    try:
+        world = WorldConfig(origin, edge, depth, branching)
+        tree = SemanticOctree(world, num_classes)
+    except ConfigError as exc:
+        raise CorruptionError(f"invalid world header: {exc}") from None
+    tree.nodes.clear()
+    records = []
+    try:
+        _ref_read_node(reader, tree, ROOT_KEY, records)
+    except TreeError as exc:
+        raise CorruptionError(str(exc)) from None
+    if reader.pos != len(data):
+        raise CorruptionError(f"{len(data) - reader.pos} trailing bytes")
+    if ROOT_KEY not in tree.nodes or tree.nodes[ROOT_KEY].kind == LEAF:
+        raise CorruptionError("missing or malformed root record")
+    conds = expand_rows(TruncatedRows.of([n.dist for n in records]), tree.num_classes)
+    conds.flags.writeable = False
+    for node, cond in zip(records, conds):
+        node.cond = cond
+    return tree
 
 
 # -- independent planning references ------------------------------------------------

@@ -328,10 +328,13 @@ def test_criterion_10_end_to_end_pipeline(tmp_path, capsys):
         assert code == 0, out.err
         return out.out
 
+    def sha256(data):
+        return hashlib.sha256(data).hexdigest()
+
     run(["build", "--world", tmp_path / "world.cfg",
          "--cloud", tmp_path / "cloud.csv", "--out", tmp_path / "tree.soct"])
     # The demo tree, byte for byte, as the record-by-record build wrote it.
-    assert hashlib.sha256((tmp_path / "tree.soct").read_bytes()).hexdigest() == (
+    assert sha256((tmp_path / "tree.soct").read_bytes()) == (
         "3c114fbad1b86c4fc35b599a1bec85e533ab492d6a21ae85d361f35d817b3b90")
     report = run(["compress", "--tree", tmp_path / "tree.soct",
                   "--weights", tmp_path / "weights.cfg",
@@ -339,8 +342,8 @@ def test_criterion_10_end_to_end_pipeline(tmp_path, capsys):
     fields = dict(line.split(None, 1) for line in report.splitlines()
                   if line and not line.startswith("class"))
     assert int(fields["leaves_kept"]) < int(fields["leaves_full"])
-    run(["report", "--tree", tmp_path / "tree.soct",
-         "--weights", tmp_path / "weights.cfg"])
+    report_out = run(["report", "--tree", tmp_path / "tree.soct",
+                      "--weights", tmp_path / "weights.cfg"])
     run(["export", "--tree", tmp_path / "tree.soct",
          "--weights", tmp_path / "weights.cfg",
          "--what", "graph", "--out", tmp_path / "graph.csv"])
@@ -350,6 +353,22 @@ def test_criterion_10_end_to_end_pipeline(tmp_path, capsys):
     plan = dict(line.split(None, 1) for line in plan_out.splitlines()
                 if line and not line.startswith(("path", "vertex")))
     assert plan["status"] == "ok"
+    # Every demo output, byte for byte, as the parent implementations gave it.
+    digests = {
+        "compress": sha256(report.encode()),
+        "leaves.csv": sha256((tmp_path / "leaves.csv").read_bytes()),
+        "report": sha256(report_out.encode()),
+        "graph.csv": sha256((tmp_path / "graph.csv").read_bytes()),
+        "plan": sha256(plan_out.encode()),
+    }
+    report_digest = "4cec234cf8416a299d63b6e8b58a5e12ee2242996cb4015218e3fdd9e1fe16d7"
+    assert digests == {
+        "compress": report_digest,
+        "leaves.csv": "da6f09309255c425f7bbaebd2862711aa9f877430d9dc229f23d1ceb466ab14a",
+        "report": report_digest,
+        "graph.csv": "f642687770b4552bb89239b92eef2e21573e8b3af5ae1a4f909dd448b507981f",
+        "plan": "7ef597fa38395727432f53ae2aad722a6a6459f468def1ba0a7c80f833484d78",
+    }
 
     graph = _parse_graph_csv(tmp_path / "graph.csv")
     query = PlanQuery(int(plan["start_vertex"]), int(plan["goal_vertex"]),

@@ -20,6 +20,7 @@ from soct.compression import (
     per_class_information,
     refresh_all,
     refresh_upward,
+    report,
     split_terms,
     weighted_gain,
 )
@@ -574,3 +575,35 @@ def test_information_report_rejects_foreign_subtree():
     ctree.expanded.add(other.world.key_from_coords((3, 3), 2))
     with pytest.raises(TreeError):
         information_report(tree, ctree, cw)
+
+
+@settings(max_examples=40, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), branching=st.sampled_from([2, 4, 8]),
+       shape=st.sampled_from(["empty", "root_only", "random"]))
+def test_report_equals_full_tree_and_per_class_information(seed, branching, shape):
+    """The one-pass report gives the full tree's leaf count and both trees'
+    per-class bits exactly as ``full_tree`` and ``per_class_information``
+    do, and the objective and partition of ``information_report``."""
+    rng = np.random.default_rng(seed)
+    depth = {2: 4, 4: 3, 8: 2}[branching]
+    if shape == "empty":
+        tree = SemanticOctree(WorldConfig((0, 0, 0), 16.0, depth, branching), 4)
+    else:
+        tree = make_random_tree(rng, branching, depth, fill=float(rng.uniform(0.1, 1.0)))
+        coords = tuple(int(c) for c in rng.integers(0, 1 << depth, tree.world.dims))
+        tree.set_leaf(coords, random_truncated(rng, 4), 0.0)
+    cw = random_weights(rng)
+    if shape == "root_only":
+        cw = CompressionWeights(cw.retain, cw.remove, 1e3)
+    refresh_all(tree, cw)
+    ctree = compress_tree(tree, cw)
+    if shape != "random":
+        assert not ctree.expanded
+    objective, partition_bits, leaves_full, full_bits, kept_bits = report(tree, ctree, cw)
+    full = full_tree(tree)
+    assert leaves_full == full.num_leaves
+    assert repr(full_bits) == repr(per_class_information(tree, full))
+    assert repr(kept_bits) == repr(per_class_information(tree, ctree))
+    info = information_report(tree, ctree, cw)
+    assert partition_bits == pytest.approx(info.partition_bits, rel=1e-12, abs=1e-15)
+    assert objective == pytest.approx(info.objective, rel=1e-9, abs=1e-12)

@@ -1,7 +1,10 @@
+import struct
 from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from soct.compression import refresh_all
 from soct.errors import (
@@ -24,7 +27,12 @@ from soct.formats import (
 from soct.octree import INTERIOR, LEAF, SUMMARY, SemanticOctree, WorldConfig
 from soct.semantics import TruncatedSemanticDistribution
 
-from helpers import make_random_tree, random_truncated, random_weights
+from helpers import (
+    make_random_tree,
+    random_truncated,
+    random_weights,
+    reference_deserialize,
+)
 
 
 def collect(path, num_classes, **kw):
@@ -324,3 +332,102 @@ def test_refreshed_random_trees_load(tmp_path, branching):
         loaded = deserialize_tree(p)
         assert {k: n.weight for k, n in loaded.nodes.items()} == {
             k: n.weight for k, n in tree.nodes.items()}
+
+
+# -- the reader against the recursive reference ----------------------------------
+
+_SPECIALS = [float("nan"), float("inf"), -1.0, 1e300, 0.0, -0.0, 0.5, 2.0]
+
+
+def _fuzz_tree(rng, branching):
+    """A random tree with zero-weight leaves and, usually, a summary."""
+    depth = {2: 3, 4: 2, 8: 2}[branching]
+    tree = make_random_tree(rng, branching, depth, fill=float(rng.uniform(0.2, 1.0)))
+    dims, n = tree.world.dims, 1 << depth
+    for _ in range(2):
+        coords = tuple(int(c) for c in rng.integers(0, n, dims))
+        tree.set_leaf(coords, random_truncated(rng, 4), 0.0)
+    if rng.random() < 0.7:
+        parent = rng.integers(0, n // 2, dims)
+        shared = random_truncated(rng, 4)
+        for octant in range(branching):
+            tree.set_leaf(tuple(int(2 * parent[a] + ((octant >> a) & 1))
+                                for a in range(dims)),
+                          shared, float(rng.uniform(0.0, 2.0)))
+        tree.prune_all_identical()
+    return tree
+
+
+def _corrupt_values(rng, tree, count):
+    """Give ``count`` random nodes some of: a bad weight, a bad record field,
+    reversed stored classes, the other record kind (a depth error)."""
+    keys = list(tree.nodes)
+    for i in rng.integers(0, len(keys), count):
+        node = tree.nodes[keys[i]]
+        change = rng.random(5) < 0.5
+        if change[0] or node.dist is None:
+            node.weight = (node.weight * (1 + 1e-6) if rng.random() < 0.5
+                           else _SPECIALS[rng.integers(0, len(_SPECIALS))])
+        if node.dist is None:
+            continue
+        if change[1]:
+            node.dist = replace(node.dist,
+                                p_free=_SPECIALS[rng.integers(0, len(_SPECIALS))])
+        if change[2] and node.dist.top3:
+            _, p = node.dist.top3[0]
+            node.dist = replace(node.dist, top3=((int(rng.choice([0, 5, 60000])), p),)
+                                + node.dist.top3[1:])
+        if change[3]:
+            node.dist = replace(node.dist, top3=node.dist.top3[::-1],
+                                p_residual=node.dist.p_residual + 1e-3)
+        if change[4]:
+            node.kind = SUMMARY if node.kind == LEAF else LEAF
+
+
+def _load(loader, path):
+    try:
+        return loader(path)
+    except (FormatError, CorruptionError) as exc:
+        return type(exc), str(exc)
+
+
+def _same_tree(a, b):
+    assert list(a.nodes) == list(b.nodes)
+    assert (a.world, a.num_classes) == (b.world, b.num_classes)
+    for key, node in a.nodes.items():
+        other = b.nodes[key]
+        assert (other.kind, struct.pack("<d", other.weight), other.dist) == (
+            node.kind, struct.pack("<d", node.weight), node.dist)
+        if node.cond is None:
+            assert other.cond is None
+        else:
+            assert other.cond.tobytes() == node.cond.tobytes()
+
+
+@settings(max_examples=150, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), branching=st.sampled_from([2, 4, 8]),
+       bad_values=st.integers(0, 6),
+       edits=st.lists(st.tuples(st.integers(0, 2**20), st.integers(0, 255)), max_size=3),
+       cut=st.one_of(st.none(), st.integers(0, 2**20)), tail=st.binary(max_size=2))
+def test_reader_matches_recursive_reference(tmp_path_factory, seed, branching,
+                                            bad_values, edits, cut, tail):
+    """Mutated and truncated files load as the recursive reader loads them,
+    or fail with its exception type and message, and with no other type."""
+    rng = np.random.default_rng(seed)
+    tree = _fuzz_tree(rng, branching)
+    _corrupt_values(rng, tree, bad_values)
+    path = tmp_path_factory.mktemp("fuzz") / "tree.soct"
+    serialize_tree(tree, path)
+    data = bytearray(path.read_bytes())
+    for at, value in edits:
+        data[at % len(data)] = value
+    if cut is not None:
+        data = data[:cut % (len(data) + 1)]
+    path.write_bytes(bytes(data) + tail)
+    want = _load(reference_deserialize, path)
+    got = _load(deserialize_tree, path)
+    if isinstance(want, tuple):
+        assert got == want
+    else:
+        assert not isinstance(got, tuple), got
+        _same_tree(want, got)

@@ -1,5 +1,9 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from soct.errors import ConfigError, DistributionError
 from soct.semantics import (
@@ -13,12 +17,13 @@ from soct.semantics import (
     fuse_observation,
     fuse_rows,
     observation_errors,
+    record_errors,
     truncate_full,
     truncate_rows,
     uniform_full,
 )
 
-from helpers import random_full
+from helpers import random_full, random_truncated, ref_record_error
 
 
 def sequential_bayes(prior, observations, num_classes):
@@ -309,3 +314,52 @@ def test_truncation_checks_its_rows():
         truncate_rows(np.array([good, [0.6, 0.6, 0.0, 0.0, 0.0], [-1.0, 2, 0, 0, 0]]))
     with pytest.raises(DistributionError, match="need a 1-d vector"):
         truncate_full(FullSemanticDistribution(np.full((2, 2), 0.25)))
+
+
+_ODD_VALUES = [float("nan"), float("inf"), -float("inf"), -0.5, 1.5, -1e-13, 2e-12,
+               1.0 + 1e-13, 5e-10, 0.0, -0.0]
+
+
+def _odd_record(rng, num_classes):
+    """A random record with up to three of its fields, ids or order broken."""
+    dist = random_truncated(rng, num_classes)
+    for _ in range(int(rng.integers(0, 4))):
+        top = list(dist.top3)
+        what = int(rng.integers(0, 7))
+        if what == 0 and top:
+            slot = int(rng.integers(0, len(top)))
+            top[slot] = (top[slot][0], _ODD_VALUES[rng.integers(0, len(_ODD_VALUES))])
+        elif what == 1:
+            field = "p_free" if rng.random() < 0.5 else "p_residual"
+            dist = replace(dist, **{field: _ODD_VALUES[rng.integers(0, len(_ODD_VALUES))]})
+        elif what == 2 and top:
+            slot = int(rng.integers(0, len(top)))
+            top[slot] = (int(rng.choice([0, top[0][0], num_classes + 1])), top[slot][1])
+        elif what == 3:
+            top = top[::-1]
+        elif what == 4:
+            top = top[:int(rng.integers(0, len(top) + 1))]
+        elif what == 5:
+            top.append((num_classes, 0.0))
+        dist = replace(dist, top3=tuple(top))
+    return dist
+
+
+@settings(max_examples=60, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), num_classes=st.sampled_from([3, 4, 6, 24]))
+def test_record_errors_match_the_field_by_field_check(seed, num_classes):
+    """The row check names each record as the scalar reference does, and
+    ``validate`` (its one-row call) raises exactly then, with that message."""
+    rng = np.random.default_rng(seed)
+    records = [_odd_record(rng, max(num_classes, 4)) for _ in range(40)]
+    want = {i: ref_record_error(r, num_classes) for i, r in enumerate(records)}
+    want = {i: message for i, message in want.items() if message is not None}
+    counts = np.array([len(r.top3) for r in records])
+    assert record_errors(TruncatedRows.of(records), counts, num_classes) == want
+    for i, record in enumerate(records):
+        if i in want:
+            with pytest.raises(DistributionError) as exc:
+                record.validate(num_classes)
+            assert str(exc.value) == want[i]
+        else:
+            record.validate(num_classes)
