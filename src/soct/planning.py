@@ -22,13 +22,20 @@ Edge lengths, segment lengths and the A* heuristic all come from one
 batched row-norm kernel, ``_norms``; a query computes every vertex's
 straight-line distance to its goal in one call before searching.
 
+A graph's ``SearchIndex`` (its one adjacency store and connected-component
+labels) is built on first use and shared by ``ColoredGraph.neighbors`` and
+the search. A query between two components returns None without a search.
+A graph's edges must not change after its first query.
+
 Graph construction and search are read-only over their inputs; multiple
-queries may run concurrently on one graph.
+queries may run concurrently on one graph. Concurrent first queries build
+equal indexes, and a single attribute store publishes one of them whole.
 """
 
 from __future__ import annotations
 
 import heapq
+import math
 from dataclasses import dataclass, field
 from typing import NamedTuple
 
@@ -76,21 +83,57 @@ class Edge(NamedTuple):
     color: int
 
 
+class SearchIndex(NamedTuple):
+    """What Class-Ordered A* reads of a graph, built from its edge list.
+
+    ``adjacency[u]`` lists ``(v, length, color)`` for every edge at ``u``, in
+    edge order; ``labels[u]`` names ``u``'s connected component (its lowest
+    vertex), so two vertices are connected exactly when their labels match.
+    """
+
+    adjacency: list[list[tuple[int, float, int]]]
+    labels: list[int]
+
+
+def _search_index(n: int, edges: list[Edge]) -> SearchIndex:
+    adjacency: list[list[tuple[int, float, int]]] = [[] for _ in range(n)]
+    for u, v, length, color in edges:
+        adjacency[u].append((v, length, color))
+        adjacency[v].append((u, length, color))
+    labels = [-1] * n
+    for s in range(n):
+        if labels[s] < 0:
+            labels[s] = s
+            stack = [s]
+            while stack:
+                for v, _, _ in adjacency[stack.pop()]:
+                    if labels[v] < 0:
+                        labels[v] = s
+                        stack.append(v)
+    return SearchIndex(adjacency, labels)
+
+
 @dataclass
 class ColoredGraph:
-    """Undirected graph with per-vertex positions/colors and colored edges."""
+    """Undirected graph with per-vertex positions/colors and colored edges.
+
+    Edges must not change after the graph's first query: the search index
+    is built from them once, on first use.
+    """
 
     positions: np.ndarray
     colors: np.ndarray
     edges: list[Edge]
-    _adjacency: dict[int, list[tuple[int, float, int]]] = field(
-        default_factory=dict, repr=False)
+    _index: SearchIndex | None = field(default=None, init=False, repr=False,
+                                       compare=False)
 
     def __post_init__(self):
         n = len(self.positions)
         for e in self.edges:
             if not (0 <= e.u < n and 0 <= e.v < n):
                 raise GraphError(f"edge {e} references a missing vertex")
+            if not math.isfinite(e.length):
+                raise GraphError(f"edge {e} has non-finite length")
             if e.length <= 0:
                 raise GraphError(f"edge {e} has non-positive length")
 
@@ -98,14 +141,19 @@ class ColoredGraph:
     def num_vertices(self) -> int:
         return len(self.positions)
 
+    def search_index(self) -> SearchIndex:
+        """The graph's adjacency lists and component labels, built on first use.
+
+        Concurrent first calls build equal indexes; one attribute store
+        publishes each whole, so every caller sees a complete one.
+        """
+        index = self._index
+        if index is None:
+            index = self._index = _search_index(self.num_vertices, self.edges)
+        return index
+
     def neighbors(self, u: int) -> list[tuple[int, float, int]]:
-        if not self._adjacency:
-            adj: dict[int, list] = {i: [] for i in range(self.num_vertices)}
-            for e in self.edges:
-                adj[e.u].append((e.v, e.length, e.color))
-                adj[e.v].append((e.u, e.length, e.color))
-            self._adjacency.update(adj)
-        return self._adjacency[u]
+        return self.search_index().adjacency[u]
 
 
 class PlanResult(NamedTuple):
@@ -384,37 +432,53 @@ def class_ordered_astar(graph: ColoredGraph,
     re-expanded on improvement so admissibility alone suffices. Returns None
     when the goal is unreachable; a trivial start == goal query yields a
     single-vertex path with zero cost.
+
+    The search reads the graph's ``SearchIndex``, built on the graph's first
+    query and shared by ``ColoredGraph.neighbors``: a goal in another
+    connected component returns None without a search, and expansions walk
+    the cached adjacency lists. The graph's edges must not change after its
+    first query. Concurrent first queries build equal indexes, and one
+    attribute store publishes one of them whole.
     """
     n = graph.num_vertices
-    if not (0 <= query.start < n and 0 <= query.goal < n):
+    start, goal = query.start, query.goal
+    if not (0 <= start < n and 0 <= goal < n):
         raise GraphError("start/goal outside the vertex range")
-    if query.start == query.goal:
-        return PlanResult([query.start], 0, 0.0)
+    if start == goal:
+        return PlanResult([start], 0, 0.0)
+    adjacency, labels = graph.search_index()
+    if labels[start] != labels[goal]:
+        return None
     bad = set(query.undesired) | {UNKNOWN_CLASS}
     positions = np.asarray(graph.positions, dtype=np.float64)
-    h = _norms(positions - positions[query.goal]).tolist()
-    best: dict[int, tuple[int, float]] = {query.start: (0, 0.0)}
-    parent: dict[int, int] = {}
+    h = _norms(positions - positions[goal]).tolist()
+    # v's best cost so far is (best_bad[v], best_len[v]), compared
+    # lexicographically; two flat lists are cheaper than a list of tuples
+    best_bad = [math.inf] * n
+    best_len = [math.inf] * n
+    best_bad[start], best_len[start] = 0, 0.0
+    parent = [-1] * n
     counter = 0
     # Entries are (f_bad, f_len, counter, v, g_bad, g_len): equal f pops in
-    # push order. One whose g is no longer best[v] was superseded by a
+    # push order. One whose g is no longer v's best was superseded by a
     # cheaper push and is skipped.
-    heap = [(0, h[query.start], counter, query.start, 0, 0.0)]
+    heap = [(0, h[start], counter, start, 0, 0.0)]
     while heap:
         _, _, _, u, g_bad, g_len = heapq.heappop(heap)
-        if best[u] != (g_bad, g_len):
+        if best_len[u] != g_len or best_bad[u] != g_bad:
             continue
-        if u == query.goal:
+        if u == goal:
             path = [u]
-            while path[-1] != query.start:
+            while path[-1] != start:
                 path.append(parent[path[-1]])
             path.reverse()
             return PlanResult(path, g_bad, g_len)
-        for v, length, color in graph.neighbors(u):
+        for v, length, color in adjacency[u]:
             c_bad = g_bad + 1 if color in bad else g_bad
             c_len = g_len + length
-            if v not in best or (c_bad, c_len) < best[v]:
-                best[v] = (c_bad, c_len)
+            b = best_bad[v]
+            if c_bad < b or (c_bad == b and c_len < best_len[v]):
+                best_bad[v], best_len[v] = c_bad, c_len
                 parent[v] = u
                 counter += 1
                 heapq.heappush(heap, (c_bad, c_len + h[v], counter, v, c_bad, c_len))

@@ -12,7 +12,7 @@ import struct
 import numpy as np
 
 from soct.compression import CompressionWeights
-from soct.errors import ConfigError, CorruptionError, FormatError, TreeError
+from soct.errors import ConfigError, CorruptionError, FormatError, GraphError, TreeError
 from soct.formats import FORMAT_VERSION, MAGIC
 from soct.octree import (
     INTERIOR,
@@ -27,6 +27,7 @@ from soct.octree import (
     child_keys,
     completed_weight,
 )
+from soct.planning import UNKNOWN_CLASS, PlanResult, _norms
 from soct.semantics import (
     FIELD_TOL,
     SUM_TOL,
@@ -315,11 +316,71 @@ def reference_deserialize(path):
 
 
 # -- independent planning references ------------------------------------------------
+#
+# Every reference walks its own adjacency, built from ``graph.edges``, never
+# the graph's cached search index.
+
+
+def ref_adjacency(graph):
+    """Per-vertex ``(v, length, color)`` lists in edge order, from the edges."""
+    adj = {i: [] for i in range(graph.num_vertices)}
+    for e in graph.edges:
+        adj[e.u].append((e.v, e.length, e.color))
+        adj[e.v].append((e.u, e.length, e.color))
+    return adj
+
+
+def reference_astar(graph, query):
+    """Class-Ordered A* as it searched before the graph search index.
+
+    It searches every query, including one whose goal lies in another
+    connected component, and keeps ``best`` and ``parent`` in dicts; its
+    pops, and so its ``PlanResult``, are what ``class_ordered_astar`` must
+    return.
+    """
+    import heapq
+
+    n = graph.num_vertices
+    if not (0 <= query.start < n and 0 <= query.goal < n):
+        raise GraphError("start/goal outside the vertex range")
+    if query.start == query.goal:
+        return PlanResult([query.start], 0, 0.0)
+    adjacency = ref_adjacency(graph)
+    bad = set(query.undesired) | {UNKNOWN_CLASS}
+    positions = np.asarray(graph.positions, dtype=np.float64)
+    h = _norms(positions - positions[query.goal]).tolist()
+    best = {query.start: (0, 0.0)}
+    parent = {}
+    counter = 0
+    # Entries are (f_bad, f_len, counter, v, g_bad, g_len): equal f pops in
+    # push order. One whose g is no longer best[v] was superseded by a
+    # cheaper push and is skipped.
+    heap = [(0, h[query.start], counter, query.start, 0, 0.0)]
+    while heap:
+        _, _, _, u, g_bad, g_len = heapq.heappop(heap)
+        if best[u] != (g_bad, g_len):
+            continue
+        if u == query.goal:
+            path = [u]
+            while path[-1] != query.start:
+                path.append(parent[path[-1]])
+            path.reverse()
+            return PlanResult(path, g_bad, g_len)
+        for v, length, color in adjacency[u]:
+            c_bad = g_bad + 1 if color in bad else g_bad
+            c_len = g_len + length
+            if v not in best or (c_bad, c_len) < best[v]:
+                best[v] = (c_bad, c_len)
+                parent[v] = u
+                counter += 1
+                heapq.heappush(heap, (c_bad, c_len + h[v], counter, v, c_bad, c_len))
+    return None
 
 
 def ref_all_paths_best(graph, query):
     """Lexicographic optimum over all simple paths, by exhaustive DFS."""
     bad = set(query.undesired) | {-1}
+    adjacency = ref_adjacency(graph)
     best = [None]
 
     def dfs(u, visited, n_bad, length):
@@ -328,7 +389,7 @@ def ref_all_paths_best(graph, query):
             if best[0] is None or cost < best[0]:
                 best[0] = cost
             return
-        for v, elen, color in graph.neighbors(u):
+        for v, elen, color in adjacency[u]:
             if v in visited:
                 continue
             visited.add(v)
@@ -343,6 +404,7 @@ def ref_dijkstra_length(graph, start, goal):
     """Plain shortest-path length ignoring colors; None if unreachable."""
     import heapq
 
+    adjacency = ref_adjacency(graph)
     dist = {start: 0.0}
     heap = [(0.0, start)]
     while heap:
@@ -351,7 +413,7 @@ def ref_dijkstra_length(graph, start, goal):
             continue
         if u == goal:
             return d
-        for v, length, _ in graph.neighbors(u):
+        for v, length, _ in adjacency[u]:
             nd = d + length
             if nd < dist.get(v, math.inf):
                 dist[v] = nd
@@ -362,13 +424,14 @@ def ref_dijkstra_length(graph, start, goal):
 def zero_bad_path_exists(graph, query):
     """Reachability through edges free of undesired/unknown colors."""
     bad = set(query.undesired) | {-1}
+    adjacency = ref_adjacency(graph)
     seen = {query.start}
     stack = [query.start]
     while stack:
         u = stack.pop()
         if u == query.goal:
             return True
-        for v, _, color in graph.neighbors(u):
+        for v, _, color in adjacency[u]:
             if color not in bad and v not in seen:
                 seen.add(v)
                 stack.append(v)

@@ -325,6 +325,26 @@ def test_plan_halton_graph(workspace, capsys):
     assert "status" in out
 
 
+def test_plan_between_islands_is_no_path(workspace, capsys):
+    # Road strips at x < 2 and x >= 6 across grass: with k = 3 every
+    # vertex's neighbors lie in its own strip, so the graph has two islands.
+    rng = np.random.default_rng(102)
+    records = [(ix + 0.5, iy + 0.5, 0.5, 1 if ix in (0, 1, 6, 7) else 2,
+                float(rng.uniform(0.7, 0.95)))
+               for ix in range(8) for iy in range(8) for _ in range(2)]
+    write_cloud(workspace / "cloud.csv", records)
+    code, _, err = build(workspace, capsys)
+    assert code == 0, err
+    code, out, err = run(capsys, [
+        "plan", "--tree", workspace / "tree.soct",
+        "--weights", workspace / "weights.cfg",
+        "--start", "0.5,3.5", "--goal", "7.5,4.5", "--k-neighbors", "3"])
+    assert code == 1
+    assert "status no-path\n" in out
+    assert err == "error: no-path: goal is unreachable\n"
+    assert "Traceback" not in out + err
+
+
 def test_adhoc_prune_shrinks_tree(workspace, capsys):
     code, out_plain, _ = build(workspace, capsys)
     plain_nodes = int([l for l in out_plain.splitlines()

@@ -1,3 +1,6 @@
+import sys
+import threading
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -26,8 +29,10 @@ from soct.semantics import TruncatedSemanticDistribution
 
 from helpers import (
     make_random_tree,
+    ref_adjacency,
     ref_all_paths_best,
     ref_dijkstra_length,
+    reference_astar,
     zero_bad_path_exists,
 )
 
@@ -383,3 +388,128 @@ def test_astar_cost_is_its_path_cost(seed, kind):
     assert result.undesired_edges == bad
     assert result.undesired_edges == ref[0]
     assert abs(result.length - ref[1]) < 1e-9
+
+
+@pytest.mark.parametrize("length", [float("nan"), float("inf"), float("-inf")])
+def test_non_finite_edge_length_rejected(length):
+    edges = [Edge(0, 1, 1.0, 0), Edge(1, 2, length, 0)]
+    with pytest.raises(GraphError, match=r"Edge\(u=1, v=2, .*non-finite"):
+        ColoredGraph(np.zeros((3, 2)), np.zeros(3, dtype=int), edges)
+
+
+def test_search_index_adjacency_and_components():
+    rng = np.random.default_rng(70)
+    # 0-3-5 and 1-4 are components, 2 and 6 isolated vertices
+    edges = [Edge(3, 0, 1.5, 2), Edge(1, 4, 1.0, UNKNOWN_CLASS),
+             Edge(5, 3, 2.0, 0), Edge(0, 5, 3.5, 1)]
+    g = ColoredGraph(rng.uniform(0, 1, (7, 2)), np.zeros(7, dtype=int), edges)
+    index = g.search_index()
+    assert index is g.search_index()
+    assert index.adjacency == [ref_adjacency(g)[u] for u in range(7)]
+    assert all(g.neighbors(u) is index.adjacency[u] for u in range(7))
+    assert index.labels == [0, 1, 2, 0, 1, 0, 6]
+    assert class_ordered_astar(g, PlanQuery(0, 4)) is None
+    assert class_ordered_astar(g, PlanQuery(2, 6)) is None
+    assert class_ordered_astar(g, PlanQuery(2, 2)).vertices == [2]
+
+
+def test_concurrent_first_queries_agree():
+    # More threads than cores race to build each graph's index; a torn or
+    # mixed index would change some answer.
+    rng = np.random.default_rng(71)
+    switch = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for _ in range(5):
+            g = grid_graph(rng, 6, 6)
+            queries = [PlanQuery(int(s), int(t), undesired={2})
+                       for s, t in rng.integers(0, g.num_vertices, (8, 2))]
+            want = [reference_astar(g, q) for q in queries]
+            got = [None] * len(queries)
+
+            def run(i):
+                got[i] = class_ordered_astar(g, queries[i])
+
+            threads = [threading.Thread(target=run, args=(i,))
+                       for i in range(len(queries))]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=30)
+            assert not any(t.is_alive() for t in threads)
+            assert got == want
+            assert g.search_index().adjacency == [ref_adjacency(g)[u]
+                                                  for u in range(g.num_vertices)]
+    finally:
+        sys.setswitchinterval(switch)
+
+
+@st.composite
+def island_graphs(draw):
+    """Positions, colors and an edge list of 1-4 connected components.
+
+    A component of one vertex is an isolated vertex. Component vertex ids
+    are interleaved, and the edge list is shuffled with random endpoint
+    order. On an integer grid, positions and lengths are whole numbers, so
+    many routes tie.
+    """
+    sizes = draw(st.lists(st.integers(1, 7), min_size=1, max_size=4))
+    n = sum(sizes)
+    ids = draw(st.permutations(range(n)))
+    grid = draw(st.booleans())
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    if grid:
+        positions = rng.integers(0, 4, (n, 2)).astype(float)
+    else:
+        positions = rng.uniform(0, 10, (n, 2))
+    pairs = set()
+    first = 0
+    for size in sizes:
+        members = ids[first:first + size]
+        first += size
+        for i in range(1, size):  # a random spanning tree of the component
+            pairs.add((members[int(rng.integers(0, i))], members[i]))
+        for _ in range(int(rng.integers(0, 2 * size))):
+            a, b = rng.choice(members, 2)
+            if a != b and (b, a) not in pairs:
+                pairs.add((int(a), int(b)))
+    edges = []
+    for a, b in sorted(pairs):
+        dist = float(np.linalg.norm(positions[a] - positions[b]))
+        if grid:
+            length = float(max(np.ceil(dist), 1.0) + rng.integers(0, 2))
+        else:
+            length = max(dist * float(rng.uniform(1.0, 1.5)), 1e-6)
+        color = int(rng.choice([0, 1, 2, UNKNOWN_CLASS]))
+        edges.append(Edge(a, b, length, color) if rng.random() < 0.5
+                     else Edge(b, a, length, color))
+    order = rng.permutation(len(edges))
+    return positions, rng.integers(0, 3, n), [edges[i] for i in order]
+
+
+def _outcome(result):
+    if result is None:
+        return None
+    return result.vertices, result.undesired_edges, repr(result.length)
+
+
+@settings(max_examples=150, deadline=None)
+@given(parts=island_graphs(), data=st.data())
+def test_astar_equals_reference_search(parts, data):
+    positions, colors, edges = parts
+    n = len(positions)
+    vertex = st.integers(0, n - 1)
+    undesired = st.frozensets(st.integers(0, 2), max_size=2)
+    # The same graph answers several queries in turn, each with its own
+    # undesired set; a second graph on the same vertices keeps a random
+    # subset of the edges, so its components differ.
+    graph = ColoredGraph(positions, colors, edges)
+    keep = data.draw(st.lists(st.booleans(), min_size=len(edges),
+                              max_size=len(edges)))
+    sub = ColoredGraph(positions, colors, [e for e, k in zip(edges, keep) if k])
+    for g in data.draw(st.permutations([graph, graph, sub])):
+        start = data.draw(vertex)
+        goal = data.draw(st.one_of(st.just(start), vertex))
+        query = PlanQuery(start, goal, undesired=data.draw(undesired))
+        assert _outcome(class_ordered_astar(g, query)) == \
+            _outcome(reference_astar(g, query))
