@@ -47,8 +47,11 @@ def _fmt(value: float) -> str:
 
 
 def _read(path: str) -> str:
-    with open(path, "r", encoding="utf-8") as fh:
-        return fh.read()
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            return fh.read()
+    except UnicodeDecodeError:
+        raise FormatError(f"{path} is not valid UTF-8") from None
 
 
 def _load_for_weights(tree_path: str, weights_path: str):
@@ -103,22 +106,19 @@ def _cmd_build(args) -> int:
     if args.error_budget < 0:
         raise ConfigError("--error-budget must be non-negative")
     bad_lines: list[tuple[int, str, bool]] = []
-    records, parse_abort = [], None
+    parse_abort = None
     try:
-        for r in formats.ingest(
-                args.cloud, num_classes, error_budget=args.error_budget,
-                on_error=lambda lineno, msg: bad_lines.append((lineno, msg, False))):
-            records.append((r.x, r.y, r.z, r.class_id, r.confidence, r.lineno))
+        cloud = formats.read_cloud(
+            args.cloud, num_classes, args.error_budget,
+            on_error=lambda lineno, msg: bad_lines.append((lineno, msg, False)))
     except IngestError as exc:
-        parse_abort = exc
-    table = np.array(records, dtype=np.float64).reshape(-1, 6)
+        cloud, parse_abort = exc.cloud, exc
     tree, rejected = SemanticOctree.from_observations(
-        world, num_classes, table[:, :3], table[:, 3].astype(np.int64), table[:, 4])
-    lines = table[:, 5].astype(np.int64)
-    bad_lines += [(int(lines[i]), msg, True) for i, msg in rejected.items()]
+        world, num_classes, cloud.points, cloud.classes, cloud.confidences)
+    bad_lines += [(int(cloud.lines[i]), msg, True) for i, msg in rejected.items()]
     # Report in file order, and abort where a record-by-record build would:
     # at the first rejected record that takes the count over the budget, or
-    # where ``ingest`` gave up on malformed lines.
+    # where the reader gave up on malformed lines.
     for count, (lineno, msg, is_record) in enumerate(sorted(bad_lines), 1):
         print(f"warning: line {lineno}: {msg}", file=sys.stderr)
         if is_record and count > args.error_budget:
@@ -126,7 +126,7 @@ def _cmd_build(args) -> int:
                               f"(budget {args.error_budget})")
     if parse_abort is not None:
         raise parse_abort
-    inserted = len(records) - len(rejected)
+    inserted = len(cloud.lines) - len(rejected)
     pruned = tree.prune_all_identical() if args.adhoc_prune else 0
     formats.serialize_tree(tree, args.out)
     print(f"records_inserted {inserted}")

@@ -447,8 +447,10 @@ def compressed_from_expanded(tree: SemanticOctree,
     leaves: dict[NodeKey, CompressedLeaf] = {}
     root_weight = tree.root.weight
     if ROOT_KEY not in expanded:
+        # A root without stored children is an empty map: unobserved space.
+        empty = tree.root.kind == INTERIOR and not tree.stored_children(ROOT_KEY)
         leaves[ROOT_KEY] = CompressedLeaf(
-            ROOT_KEY, root_weight, np.array(tree.conditional(ROOT_KEY)), False)
+            ROOT_KEY, root_weight, np.array(tree.conditional(ROOT_KEY)), empty)
     else:
         for key in expanded:
             kept.add(key)
@@ -576,8 +578,8 @@ def report(tree: SemanticOctree, ctree: CompressedTree, cw: CompressionWeights):
                  - sum(w * kept_bits[c] for c, w in cw.remove.items())
                  - cw.compress * partition_bits)
     # The full tree's observed leaves are the stored nodes it does not
-    # expand, or the root alone.
-    leaves_full = len(tree.nodes) - len(full) if full else 1
+    # expand; an empty map (the root alone) has none.
+    leaves_full = len(tree.nodes) - len(full) if full else 0
     return objective, partition_bits, leaves_full, full_bits, kept_bits
 
 

@@ -42,11 +42,16 @@ class CorruptionError(SoctError):
 
 
 class IngestError(SoctError):
-    """Too many malformed records while reading a point-cloud file."""
+    """Too many malformed records while reading a point-cloud file.
+
+    When ``formats.read_cloud`` raises it, ``cloud`` holds the records read
+    before the abort.
+    """
 
     def __init__(self, message, line_errors=None):
         super().__init__(message)
         self.line_errors = list(line_errors or [])
+        self.cloud = None
 
 
 class GraphError(SoctError):

@@ -1,6 +1,11 @@
 """File formats: point-cloud CSV, key-value configs, and the binary tree format.
 
-Point clouds are comma-separated text with header ``x,y,z,class_id,confidence``.
+Point clouds are UTF-8, comma-separated text with header
+``x,y,z,class_id,confidence``. ``read_cloud`` reads a whole cloud into arrays:
+a plain file (the header, then only ASCII numerals, commas, spaces and tabs;
+no blank line; every line valid) is parsed in one ``np.loadtxt`` pass and
+checked with vectorized rules, and any other file goes through ``ingest``,
+the per-line reader that defines every per-line error, with the same result.
 World and weight profiles use a flat key-value text format that round-trips
 unchanged. Trees use a versioned little-endian binary format, so serialize ->
 deserialize -> serialize is byte-identical: a 41-byte header (magic ``SOCT``,
@@ -13,12 +18,14 @@ f64), p_free f64 and p_residual f64 (26 + 10·n_top bytes).
 
 from __future__ import annotations
 
+import io
 import itertools
 import logging
 import math
+import re
 import struct
 from dataclasses import dataclass, field
-from typing import Callable, Iterator
+from typing import Callable, Iterator, NamedTuple
 
 import numpy as np
 
@@ -76,11 +83,40 @@ class CloudRecord:
         return (self.x, self.y, self.z)
 
 
+class Cloud(NamedTuple):
+    """A point cloud as arrays, in file order: ``points`` (N, 3) f8,
+    ``classes`` (N,) i8, ``confidences`` (N,) f8 and ``lines`` (N,) i8, the
+    line of each record in the file (the header is line 1)."""
+
+    points: np.ndarray
+    classes: np.ndarray
+    confidences: np.ndarray
+    lines: np.ndarray
+
+
+# Bytes that are not UTF-8, as a read with errors="surrogateescape" gives them.
+_UNDECODABLE = re.compile("[\udc80-\udcff]")
+
+
+def _undecodable(text: str) -> bool:
+    return not text.isascii() and _UNDECODABLE.search(text) is not None
+
+
+def _plain(field: str) -> bool:
+    # float() and int() also read digit separators and non-ASCII digits;
+    # a cloud file's numerals are plain ASCII.
+    return field.isascii() and "_" not in field
+
+
 def _parse_cloud_line(line: str, num_classes: int, lineno: int) -> CloudRecord:
+    if _undecodable(line):
+        raise ValueError("not valid UTF-8")
     parts = line.split(",")
     if len(parts) != 5:
         raise ValueError(f"expected 5 columns, found {len(parts)}")
     try:
+        if not all(map(_plain, (parts[0], parts[1], parts[2], parts[4]))):
+            raise ValueError
         x, y, z = float(parts[0]), float(parts[1]), float(parts[2])
         confidence = float(parts[4])
     except ValueError:
@@ -88,6 +124,8 @@ def _parse_cloud_line(line: str, num_classes: int, lineno: int) -> CloudRecord:
     if not all(math.isfinite(v) for v in (x, y, z, confidence)):
         raise ValueError("non-finite coordinate or confidence")
     try:
+        if not _plain(parts[3]):
+            raise ValueError
         class_id = int(parts[3])
     except ValueError:
         raise ValueError(f"non-integer class id {parts[3]!r}") from None
@@ -101,17 +139,23 @@ def _parse_cloud_line(line: str, num_classes: int, lineno: int) -> CloudRecord:
 def ingest(path, num_classes: int, error_budget: int = 100,
            on_error: Callable[[int, str], None] | None = None,
            ) -> Iterator[CloudRecord]:
-    """Yield records from a point-cloud file in file order.
+    """Yield records from a point-cloud file in file order, one line at a time.
 
-    Malformed lines are reported with their line number through ``on_error``
-    (default: a log warning) and skipped; once more than ``error_budget``
-    lines have failed, the whole file is rejected.
+    This is the per-line path: it defines every per-line error, and
+    ``read_cloud`` falls back to it for any file its array pass does not
+    take. Blank lines are skipped. Malformed lines, including lines that are
+    not valid UTF-8, are reported with their line number through
+    ``on_error`` (default: a log warning) and skipped; once more than
+    ``error_budget`` lines have failed, the whole file is rejected. A wrong
+    or undecodable header is a ``FormatError``.
     """
     if on_error is None:
         on_error = lambda lineno, msg: log.warning("line %d: %s", lineno, msg)
     errors: list[tuple[int, str]] = []
-    with open(path, "r", encoding="utf-8") as fh:
+    with open(path, "r", encoding="utf-8", errors="surrogateescape") as fh:
         header = fh.readline().strip()
+        if _undecodable(header):
+            raise FormatError("point-cloud header is not valid UTF-8")
         if header != CLOUD_HEADER:
             raise FormatError(
                 f"bad point-cloud header {header!r}, expected {CLOUD_HEADER!r}")
@@ -128,6 +172,78 @@ def ingest(path, num_classes: int, error_budget: int = 100,
                     raise IngestError(
                         f"aborting after {len(errors)} malformed lines "
                         f"(budget {error_budget})", errors) from None
+
+
+_CLOUD_ROW = np.dtype([("x", "<f8"), ("y", "<f8"), ("z", "<f8"),
+                       ("class_id", "<i8"), ("confidence", "<f8")])
+# All a plain cloud body holds: ASCII numerals without digit separators,
+# commas, spaces, tabs and line ends.
+_PLAIN_BYTES = b"0123456789+-.eE, \t\n"
+
+
+def _cloud(rows: np.ndarray, lines) -> Cloud:
+    return Cloud(np.column_stack((rows["x"], rows["y"], rows["z"])),
+                 rows["class_id"].copy(), rows["confidence"].copy(),
+                 np.asarray(lines, dtype=np.int64))
+
+
+def _read_plain(data: bytes, num_classes: int) -> Cloud | None:
+    """The array pass: the cloud of a plain file, or None for a file that
+    needs ``ingest``. A plain file starts with the header, holds only
+    ``_PLAIN_BYTES`` after it, has no blank line (``ingest`` skips those, so
+    later line numbers shift), and every line parses in ``np.loadtxt`` and
+    passes the checks of ``_parse_cloud_line``. On such text ``np.loadtxt``
+    reads the numerals that ``float()`` and ``int()`` read, to the same
+    values."""
+    if b"\r" in data:  # the universal newlines of the text-mode read in ``ingest``
+        data = data.replace(b"\r\n", b"\n").replace(b"\r", b"\n")
+    header, _, body = data.partition(b"\n")
+    if (header.strip() != CLOUD_HEADER.encode() or body.translate(None, _PLAIN_BYTES)
+            or b"\n\n" in b"\n" + body):
+        return None
+    if not body:
+        return _cloud(np.empty(0, _CLOUD_ROW), [])
+    if not body.endswith(b"\n"):
+        body += b"\n"
+    try:
+        rows = np.loadtxt(io.StringIO(body.decode("ascii")), dtype=_CLOUD_ROW,
+                          delimiter=",", comments=None, ndmin=1)
+    except ValueError:
+        return None
+    cloud = _cloud(rows, np.arange(2, len(rows) + 2))
+    conf = cloud.confidences
+    if (len(rows) == body.count(b"\n")
+            and np.isfinite(cloud.points).all()
+            and ((cloud.classes >= 0) & (cloud.classes <= num_classes)).all()
+            and ((conf > 0.0) & (conf <= 1.0)).all()):  # also rejects NaN and inf
+        return cloud
+    return None
+
+
+def read_cloud(path, num_classes: int, error_budget: int = 100,
+               on_error: Callable[[int, str], None] | None = None) -> Cloud:
+    """Read a whole point-cloud file into arrays.
+
+    The result, the ``on_error`` calls and any error are those of collecting
+    ``ingest`` record by record, line numbers included. A plain file is
+    parsed in one ``np.loadtxt`` pass and checked with vectorized rules; any
+    other file (one that is not ASCII, has a blank line, or has a line that
+    fails to parse or a check) is read by ``ingest``. An ``IngestError``
+    carries the records read before the abort in its ``cloud``.
+    """
+    with open(path, "rb") as fh:
+        cloud = _read_plain(fh.read(), num_classes)
+    if cloud is not None:
+        return cloud
+    rows, lines = [], []
+    try:
+        for r in ingest(path, num_classes, error_budget, on_error):
+            rows.append((r.x, r.y, r.z, r.class_id, r.confidence))
+            lines.append(r.lineno)
+    except IngestError as exc:
+        exc.cloud = _cloud(np.array(rows, dtype=_CLOUD_ROW), lines)
+        raise
+    return _cloud(np.array(rows, dtype=_CLOUD_ROW), lines)
 
 
 # -- key-value configs ------------------------------------------------------------

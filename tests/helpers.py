@@ -10,6 +10,7 @@ import math
 import struct
 
 import numpy as np
+from hypothesis import strategies as st
 
 from soct.compression import CompressionWeights
 from soct.errors import ConfigError, CorruptionError, FormatError, GraphError, TreeError
@@ -584,6 +585,62 @@ def write_cloud(path, records):
     for x, y, z, cid, conf in records:
         lines.append(f"{x:.9g},{y:.9g},{z:.9g},{cid},{conf:.9g}")
     path.write_text("\n".join(lines) + "\n")
+
+
+# Edits that take a cloud file off the plain path: numerals that only
+# float()/int() read, values the per-line checks reject, lines that are
+# blank, skipped or malformed, and bytes that are not UTF-8. Field edits are
+# (column, text); line edits are (None, line).
+CLOUD_FIELD_EDITS = (
+    *((col, text) for col in (0, 2) for text in (
+        "1_5", "１.5", "nan", "inf", "-Infinity", "1e400", " 2.5 ", "+.5", "5.",
+        "2.5e-1", "0x1p1", "", "2.5.1", "4.9e-324", "\xa02.5")),
+    *((3, text) for text in (
+        "1_0", "３", "3.0", "+3", " 3 ", "-0", "03", "5", "-1", "3e0",
+        "99999999999999999999", "x", "")),
+    *((4, text) for text in ("nan", "inf", "1e400", "0", "-0.5", "1.5", "0.1", "1_0", " 0.9", "1.")),
+)
+CLOUD_LINE_EDITS = tuple((None, line) for line in (
+    b"", b"  \t ", b"#1,2,3,4,0.5", b"1,2,3,4", b"1,2,3,4,0.5,6", b"1,2,3,4,0.5,",
+    b"garbage", b"1.5,\xff,0.5,1,0.9", b"1.5,2.5,0.5,1,0.9\xc3"))
+
+_NUMERAL_FORMATS = ("{!r}", "{:.3f}", "{:.6e}", "{:.9g}", "{:+.2f}")
+_CLOUD_HEADERS = (b"x,y,z,class_id,confidence", b" x,y,z,class_id,confidence\t",
+                  b"x,y,z,label", b"x,y,z,class_id,confidence\xff", b"")
+
+
+def cloud_files(world_edge=8.0, num_classes=4, max_rows=6):
+    """Hypothesis strategy for the bytes of point-cloud files: rows of
+    numerals, each row in one of several formats, then up to two edits (a field edit as
+    likely as a line edit), line ends LF, CRLF or CR, a final line end or
+    none, and now and then a bad header."""
+    coord = st.one_of(st.floats(-0.5, world_edge + 0.5),
+                      st.floats(allow_nan=False, allow_infinity=False))
+    row = st.tuples(coord, coord, coord, st.integers(0, num_classes),
+                    st.floats(0.0, 1.0, exclude_min=True), st.sampled_from(_NUMERAL_FORMATS))
+    edit = st.one_of(st.sampled_from(CLOUD_FIELD_EDITS), st.sampled_from(CLOUD_LINE_EDITS))
+
+    @st.composite
+    def files(draw):
+        lines = []
+        for x, y, z, cid, p, fmt in draw(st.lists(row, max_size=max_rows)):
+            fields = [fmt.format(x), fmt.format(y), fmt.format(z), str(cid), fmt.format(p)]
+            lines.append(",".join(fields).encode())
+        for at, (col, text) in draw(st.lists(
+                st.tuples(st.integers(0, max_rows), edit), max_size=2)):
+            if col is None:
+                lines.insert(at % (len(lines) + 1), text)
+            elif lines:
+                fields = lines[at % len(lines)].split(b",")
+                if col < len(fields):
+                    fields[col] = text.encode()
+                    lines[at % len(lines)] = b",".join(fields)
+        header = draw(st.sampled_from(_CLOUD_HEADERS[:1] * 6 + _CLOUD_HEADERS))
+        eol = draw(st.sampled_from([b"\n", b"\n", b"\r\n", b"\r"]))
+        text = eol.join([header, *lines])
+        return text + eol if draw(st.booleans()) else text
+
+    return files()
 
 
 DEMO_WORLD = "origin 0 0 0\nedge_length 64\nmax_depth 6\nbranching 8\nnum_classes 4\n"

@@ -1,19 +1,23 @@
+import io
 import os
 import subprocess
 import sys
+from contextlib import redirect_stderr, redirect_stdout
 from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from soct import planning
 from soct.cli import main
-from soct.errors import DistributionError, IngestError, OutOfBoundsError
+from soct.errors import DistributionError, FormatError, IngestError, OutOfBoundsError
 from soct.formats import deserialize_tree, ingest, parse_world_config, serialize_tree
 from soct.octree import SemanticOctree
 
-from helpers import write_cloud
+from helpers import cloud_files, write_cloud
 
 WORLD = "origin 0 0 0\nedge_length 8\nmax_depth 3\nbranching 8\nnum_classes 4\n"
 
@@ -239,10 +243,11 @@ def test_rejected_record_in_unobserved_cell_builds_a_loadable_tree(tmp_path, cap
     assert "leaves_full 1" in out
 
 
-def _record_by_record_build(world_text, cloud, budget):
+def _record_by_record_build(world_text, cloud, budget, out=None):
     """What the build reports when it inserts one record at a time: the
     warning lines, then the abort line if the budget runs out (None if
-    not), and the number of records inserted."""
+    not), and the number of records inserted. Given ``out``, a build that
+    does not abort writes its tree there."""
     world, k = parse_world_config(world_text)
     tree = SemanticOctree(world, k)
     lines, inserted = [], 0
@@ -262,6 +267,8 @@ def _record_by_record_build(world_text, cloud, budget):
                                    f"records (budget {budget})"), inserted
     except IngestError as exc:
         return lines, f"error: ingest: {exc}", inserted
+    if out is not None:
+        serialize_tree(tree, out)
     return lines, None, inserted
 
 
@@ -311,6 +318,93 @@ def test_errors_report_as_record_by_record(workspace, capsys, cloud, budget):
     assert (workspace / "tree.soct").exists() == (abort is None)
     if abort is None:
         assert f"records_inserted {inserted}\nrecord_errors {len(warnings)}\n" in out
+
+
+@settings(max_examples=60, deadline=None)
+@given(data=cloud_files(), budget=st.sampled_from([0, 2, 100]))
+def test_build_matches_record_by_record_on_generated_clouds(tmp_path_factory, data, budget):
+    """On generated and edited cloud files, ``soct build`` prints, exits and
+    writes exactly what a build one record at a time does."""
+    ws = tmp_path_factory.getbasetemp() / "generated-build"
+    ws.mkdir(exist_ok=True)
+    for name in ("tree.soct", "want.soct"):
+        (ws / name).unlink(missing_ok=True)
+    (ws / "world.cfg").write_text(WORLD)
+    (ws / "cloud.csv").write_bytes(data)
+    try:
+        warnings, abort, inserted = _record_by_record_build(
+            WORLD, ws / "cloud.csv", budget, out=ws / "want.soct")
+    except FormatError as exc:
+        warnings, abort, inserted = [], f"error: format: {exc}", 0
+    out, err = io.StringIO(), io.StringIO()
+    with redirect_stdout(out), redirect_stderr(err):
+        code = main(["build", "--world", str(ws / "world.cfg"),
+                     "--cloud", str(ws / "cloud.csv"), "--out", str(ws / "tree.soct"),
+                     "--error-budget", str(budget)])
+    assert err.getvalue().splitlines() == warnings + ([abort] if abort else [])
+    assert code == (1 if abort else 0)
+    if abort is None:
+        want = deserialize_tree(ws / "want.soct")
+        assert out.getvalue() == (
+            f"records_inserted {inserted}\nrecord_errors {len(warnings)}\n"
+            f"nodes_pruned 0\nstored_nodes {len(want.nodes)}\n"
+            f"stored_leaves {want.leaf_count()}\n")
+        same_tree = (ws / "tree.soct").read_bytes() == (ws / "want.soct").read_bytes()
+        assert same_tree
+    else:
+        assert out.getvalue() == ""
+        assert not (ws / "tree.soct").exists()
+
+
+def test_undecodable_cloud_line_is_a_budgeted_warning(workspace, capsys):
+    text = (workspace / "cloud.csv").read_bytes().split(b"\n")
+    text[2] = text[2][:5] + b"\xff" + text[2][5:]  # line 3, inside the first chunk
+    (workspace / "cloud.csv").write_bytes(b"\n".join(text))
+    code, out, err = build(workspace, capsys)
+    assert code == 0, err
+    assert err == "warning: line 3: not valid UTF-8\n"
+    assert "records_inserted 127\nrecord_errors 1\n" in out
+    code, out, err = build(workspace, capsys, ["--error-budget", "0"])
+    assert code == 1
+    assert err.splitlines() == ["warning: line 3: not valid UTF-8",
+                                "error: ingest: aborting after 1 malformed lines (budget 0)"]
+
+
+@pytest.mark.parametrize("name,command", [
+    ("cloud.csv", "build"), ("world.cfg", "build"), ("weights.cfg", "compress")])
+def test_undecodable_header_or_config_is_format_error(workspace, capsys, name, command):
+    build(workspace, capsys)
+    path = workspace / name
+    path.write_bytes(path.read_bytes().replace(b"x,y,z", b"x,\xff,z", 1)
+                     .replace(b"origin", b"\xffrigin", 1).replace(b"alpha", b"\xfflpha", 1))
+    code, out, err = (build(workspace, capsys) if command == "build" else run(capsys, [
+        "compress", "--tree", workspace / "tree.soct", "--weights", workspace / "weights.cfg"]))
+    assert code == 1
+    assert out == ""
+    assert err.startswith("error: format:") and "not valid UTF-8" in err
+    assert "Traceback" not in err
+
+
+def test_empty_map_is_unobserved_space(workspace, capsys):
+    """A header-only cloud builds a root-only map: no observed block is
+    kept, and the tree graph has nothing to plan through."""
+    (workspace / "cloud.csv").write_text("x,y,z,class_id,confidence\n")
+    code, out, err = build(workspace, capsys)
+    assert (code, err) == (0, "")
+    assert "records_inserted 0\n" in out
+    code, out, err = run(capsys, ["compress", "--tree", workspace / "tree.soct",
+                                  "--weights", workspace / "weights.cfg",
+                                  "--out-leaves", workspace / "leaves.csv"])
+    assert code == 0, err
+    assert "leaves_full 0\nleaves_kept 0\n" in out
+    assert (workspace / "leaves.csv").read_text().splitlines()[1].endswith(",-1,0,1")
+    code, out, err = run(capsys, ["plan", "--tree", workspace / "tree.soct",
+                                  "--weights", workspace / "weights.cfg",
+                                  "--start", "0.5,3.5", "--goal", "7.5,4.5"])
+    assert code == 1
+    assert "status" not in out
+    assert err.startswith("error: graph: no traversable blocks")
+    assert err.count("\n") == 1
 
 
 def test_plan_halton_graph(workspace, capsys):
@@ -445,13 +539,23 @@ def test_bad_interior_weight_is_corruption_error(workspace, capsys, bad):
     assert out == ""
 
 
-def test_cli_import_leaves_scipy_unloaded():
+def test_cli_import_leaves_scipy_unloaded(workspace):
     # Only graph builds need the k-d tree; build/compress/report must not
-    # pay for importing scipy.spatial.
-    code = "import sys, soct.cli; print('scipy.spatial' in sys.modules)"
+    # pay for importing scipy.spatial, and a build loads neither scipy nor
+    # pandas and prints no Python warning, on a header-only cloud either.
+    (workspace / "empty.csv").write_text("x,y,z,class_id,confidence\n")
+    builds = [["build", "--world", str(workspace / "world.cfg"), "--cloud",
+               str(workspace / cloud), "--out", str(workspace / "tree.soct")]
+              for cloud in ("cloud.csv", "empty.csv")]
+    code = ("import sys, soct.cli; print('scipy.spatial' in sys.modules)\n"
+            f"for argv in {builds!r}:\n"
+            "    assert soct.cli.main(argv) == 0\n"
+            "print(sorted(m for m in ('scipy', 'pandas') if m in sys.modules))")
     env = dict(os.environ)
     src = str(Path(__file__).resolve().parent.parent / "src")
     env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
-    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
-                         capture_output=True, text=True).stdout
-    assert out.strip() == "False"
+    done = subprocess.run([sys.executable, "-W", "always", "-c", code], env=env,
+                          check=True, capture_output=True, text=True)
+    assert done.stdout.splitlines()[0] == "False"
+    assert done.stdout.splitlines()[-1] == "[]"
+    assert done.stderr == ""

@@ -3,9 +3,10 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from soct import formats
 from soct.compression import refresh_all
 from soct.errors import (
     ConfigError,
@@ -22,12 +23,14 @@ from soct.formats import (
     ingest,
     parse_weights_config,
     parse_world_config,
+    read_cloud,
     serialize_tree,
 )
 from soct.octree import INTERIOR, LEAF, SUMMARY, SemanticOctree, WorldConfig
 from soct.semantics import TruncatedSemanticDistribution
 
 from helpers import (
+    cloud_files,
     make_random_tree,
     random_truncated,
     random_weights,
@@ -85,6 +88,118 @@ def test_ingest_rejects_bad_header(tmp_path):
     p.write_text("x,y,z,label\n1,2,3,4\n")
     with pytest.raises(FormatError):
         collect(p, 24)
+
+
+@pytest.mark.parametrize("line,message", [
+    ("1_5,2.5,0.5,1,0.9", "non-numeric coordinate or confidence"),
+    ("1.5,2.5,0.5,1,0.9_0", "non-numeric coordinate or confidence"),
+    ("１.5,2.5,0.5,1,0.9", "non-numeric coordinate or confidence"),
+    ("1.5,2.5,\xa00.5,1,0.9", "non-numeric coordinate or confidence"),
+    ("1.5,2.5,0.5,1_0,0.9", "non-integer class id '1_0'"),
+    ("1.5,2.5,0.5,３,0.9", "non-integer class id '３'"),
+    ("1.5,2.5,0.5,3.0,0.9", "non-integer class id '3.0'"),
+])
+def test_ingest_reads_plain_ascii_numerals_only(tmp_path, line, message):
+    p = tmp_path / "cloud.csv"
+    p.write_text(f"x,y,z,class_id,confidence\n{line}\n1.5,2.5,0.5, +3 ,0.9\n",
+                 encoding="utf-8")
+    records, errors = collect(p, 24)
+    assert errors == [(2, message)]
+    assert records == [CloudRecord(1.5, 2.5, 0.5, 3, 0.9)]
+
+
+def test_ingest_reports_undecodable_lines(tmp_path):
+    p = tmp_path / "cloud.csv"
+    p.write_bytes(b"x,y,z,class_id,confidence\n1.5,2.5,0.5,1,0.9\n"
+                  b"1.5,\xff,0.5,1,0.9\n1,2,3,\xc3\n")
+    records, errors = collect(p, 24)
+    assert records == [CloudRecord(1.5, 2.5, 0.5, 1, 0.9)]
+    assert errors == [(3, "not valid UTF-8"), (4, "not valid UTF-8")]
+    with pytest.raises(IngestError) as exc:
+        collect(p, 24, error_budget=1)
+    assert exc.value.line_errors == errors
+
+
+def test_ingest_rejects_undecodable_header(tmp_path):
+    p = tmp_path / "cloud.csv"
+    p.write_bytes(b"x,y,z,class_id,confidence\xff\n1.5,2.5,0.5,1,0.9\n")
+    with pytest.raises(FormatError, match="header is not valid UTF-8"):
+        collect(p, 24)
+
+
+_PLAIN_CLOUD = (b"x,y,z,class_id,confidence\n1.5,2.5,0.5,1,0.9\n"
+                b"0.9,2.5,7.5,4,0.8\n2.5,2.5,0.5,0,1\n")
+
+
+def _as_read(read, path, num_classes, budget):
+    """What a cloud reader gives: its arrays (dtype, shape and bytes; None
+    after a header error), its ``on_error`` calls, and its error."""
+    calls = []
+    try:
+        cloud = read(path, num_classes, budget, lambda n, m: calls.append((n, m)))
+        error = None
+    except IngestError as exc:
+        cloud, error = exc.cloud, (str(exc), exc.line_errors)
+    except FormatError as exc:
+        cloud, error = None, str(exc)
+    arrays = None if cloud is None else [(a.dtype.str, a.shape, a.tobytes()) for a in cloud]
+    return arrays, calls, error
+
+
+def _collect_ingest(path, num_classes, budget, on_error):
+    """``ingest``, collected record by record into the arrays of a cloud."""
+    def arrays(records):
+        return formats.Cloud(
+            np.array([r.point for r in records], dtype=np.float64).reshape(-1, 3),
+            np.array([r.class_id for r in records], dtype=np.int64),
+            np.array([r.confidence for r in records], dtype=np.float64),
+            np.array([r.lineno for r in records], dtype=np.int64))
+
+    records = []
+    try:
+        records.extend(ingest(path, num_classes, budget, on_error))
+    except IngestError as exc:
+        exc.cloud = arrays(records)
+        raise
+    return arrays(records)
+
+
+@settings(max_examples=300, deadline=None)
+@given(data=cloud_files(), budget=st.sampled_from([0, 1, 2, 100]))
+@example(data=_PLAIN_CLOUD.replace(b"0.9\n", b"0.9\n\n"), budget=100)  # blank line
+@example(data=_PLAIN_CLOUD.replace(b"2.5,", b"1e400,", 1), budget=100)  # reads as inf
+@example(data=_PLAIN_CLOUD.replace(b"0.9,", b"nan,", 1), budget=100)  # nan
+@example(data=_PLAIN_CLOUD.rstrip(b"\n"), budget=100)  # no final line end
+def test_read_cloud_matches_collected_ingest(tmp_path_factory, data, budget):
+    """The array reader gives what collecting ``ingest`` gives, bit for bit
+    and line numbers included, with the same ``on_error`` calls and the
+    same error, on plain files and on every kind of edit that sends a file
+    to the per-line path."""
+    path = tmp_path_factory.getbasetemp() / "generated-cloud.csv"
+    path.write_bytes(data)
+    got, want = (_as_read(read, path, 4, budget) for read in (read_cloud, _collect_ingest))
+    # A plain bool: pytest would otherwise diff the byte strings of every
+    # failing example while Hypothesis shrinks it.
+    same = got == want
+    assert same, [part for part, a, b in zip(("arrays", "calls", "error"), got, want)
+                  if a != b]
+
+
+def test_read_cloud_takes_the_array_pass_on_plain_files(tmp_path, monkeypatch):
+    def fail(*args, **kwargs):
+        raise AssertionError("fell back to the per-line path")
+
+    p = tmp_path / "cloud.csv"
+    p.write_bytes(b"x,y,z,class_id,confidence\r\n1.5,2.5,0.5,1,0.9\r\n"
+                  b" 3e-1 ,-0.0,\t.5, +4 ,1\r\n0.5,0.5,0.5,0,1e-3")
+    monkeypatch.setattr(formats, "ingest", fail)
+    cloud = read_cloud(p, 4)
+    assert cloud.points.tolist() == [[1.5, 2.5, 0.5], [0.3, -0.0, 0.5], [0.5, 0.5, 0.5]]
+    assert cloud.classes.tolist() == [1, 4, 0]
+    assert cloud.confidences.tolist() == [0.9, 1.0, 1e-3]
+    assert cloud.lines.tolist() == [2, 3, 4]
+    p.write_bytes(b"x,y,z,class_id,confidence\n")
+    assert read_cloud(p, 4).points.shape == (0, 3)
 
 
 def test_world_config_roundtrip():
