@@ -8,6 +8,7 @@ printing ``error: <category>: <message>`` on stderr.
 from __future__ import annotations
 
 import argparse
+import math
 import sys
 
 import numpy as np
@@ -26,7 +27,7 @@ from .errors import (
     TreeError,
 )
 from .octree import SemanticOctree
-from .planning import PlanQuery, UNKNOWN_CLASS
+from .planning import PlanQuery
 
 _CATEGORIES = (
     (CorruptionError, "corruption"),
@@ -71,8 +72,9 @@ def _leaf_rows(ctree) -> list[str]:
     rows = ["cx,cy,cz,sx,sy,sz,depth,class_id,weight,virtual"]
     items = list(ctree.leaf_items())
     centers, sizes = ctree.world.boxes([key for key, _ in items])
-    for (key, leaf), center, size in zip(items, centers.tolist(), sizes.tolist()):
-        cid = UNKNOWN_CLASS if leaf.virtual else planning.dominant_class(leaf.marginals)
+    classes = planning.leaf_classes([leaf for _, leaf in items], ctree.num_classes)
+    for (key, leaf), center, size, cid in zip(items, centers.tolist(), sizes.tolist(),
+                                              classes.tolist()):
         rows.append(",".join([
             *map(_fmt, center), *map(_fmt, size),
             str(key.depth), str(cid), _fmt(leaf.weight),
@@ -197,16 +199,20 @@ def _parse_xy(text: str) -> tuple[float, float]:
     if len(parts) != 2:
         raise ConfigError(f"expected X,Y coordinates, got {text!r}")
     try:
-        return float(parts[0]), float(parts[1])
+        xy = float(parts[0]), float(parts[1])
     except ValueError:
         raise ConfigError(f"non-numeric coordinates {text!r}") from None
+    if not all(map(math.isfinite, xy)):
+        raise ConfigError(f"non-finite coordinates {text!r}")
+    return xy
 
 
 def _cmd_plan(args) -> int:
+    start_xy, goal_xy = _parse_xy(args.start), _parse_xy(args.goal)
     tree, cfg, cw = _load_for_weights(args.tree, args.weights)
     graph, roles = _build_graph(args, tree, cfg, cw)
-    start = _nearest_vertex(graph, _parse_xy(args.start))
-    goal = _nearest_vertex(graph, _parse_xy(args.goal))
+    start = _nearest_vertex(graph, start_xy)
+    goal = _nearest_vertex(graph, goal_xy)
     query = PlanQuery(start, goal, undesired=roles.undesired,
                       relevant=roles.relevant)
     result = planning.class_ordered_astar(graph, query)
@@ -275,8 +281,10 @@ def _parser() -> argparse.ArgumentParser:
     p = sub.add_parser("plan", help="search a colored graph built from the map")
     p.add_argument("--tree", required=True)
     p.add_argument("--weights", required=True)
-    p.add_argument("--start", required=True, metavar="X,Y")
-    p.add_argument("--goal", required=True, metavar="X,Y")
+    p.add_argument("--start", required=True, metavar="X,Y",
+                   help="start point; write a negative X as --start=-3,5")
+    p.add_argument("--goal", required=True, metavar="X,Y",
+                   help="goal point; write a negative X as --goal=-3,5")
     p.add_argument("--graph", choices=("tree", "halton"), default="tree")
     p.add_argument("--halton-n", type=int, default=256)
     p.add_argument("--k-neighbors", type=int, default=8)

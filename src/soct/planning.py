@@ -12,11 +12,14 @@ batch of points into finest-depth Morton (Z-order) codes, and a node's
 region is one contiguous code range. ``BlockIndex`` sorts the map's blocks
 by range start: the leaves of a compressed tree, which tile the world with
 virtual blocks as UNKNOWN_CLASS, or the stored leaves and summaries of a
-raw octree, where a gap is unobserved space. One ``searchsorted`` then
-places a whole batch of samples. A graph build classifies the samples of
-its edges in batches of up to 1,024 edges, and each edge's color is a
-maximum over severity ranks. ``class_at`` and ``octree_class_at`` are
-one-point calls of the same path.
+raw octree, where a gap is unobserved space. The index classifies all its
+blocks when it is built, with one ``dominant_class`` call over their stacked
+distributions, so placing a whole batch of samples is one ``searchsorted``
+and one gather. A graph build classifies the samples of its edges in
+batches of up to 1,024 edges, and each edge's color is a maximum over
+severity ranks; ``graph_from_tree`` also picks its vertices from the
+index's classes. ``class_at`` and ``octree_class_at`` are one-point calls
+of the same path.
 
 Edge lengths, segment lengths and the A* heuristic all come from one
 batched row-norm kernel, ``_norms``; a query computes every vertex's
@@ -35,6 +38,7 @@ equal indexes, and a single attribute store publishes one of them whole.
 from __future__ import annotations
 
 import heapq
+import itertools
 import math
 from dataclasses import dataclass, field
 from typing import NamedTuple
@@ -165,31 +169,46 @@ class PlanResult(NamedTuple):
 # -- class lookups ------------------------------------------------------------
 
 
-def dominant_class(marginals: np.ndarray) -> int:
-    """Most likely class id of a distribution (ties to the lower id)."""
-    return int(np.argmax(marginals))
+def dominant_class(marginals):
+    """Most likely class id of every distribution in an (N, K+1) array, as an
+    (N,) array; ties go to the lower id. One distribution (1-d) gives an int.
+    """
+    classes = np.argmax(marginals, axis=-1)
+    return int(classes) if np.ndim(marginals) == 1 else classes
+
+
+def leaf_classes(leaves, num_classes: int) -> np.ndarray:
+    """Class id of every compressed leaf: its dominant class, or
+    UNKNOWN_CLASS for a virtual (unobserved) leaf. One ``dominant_class``
+    call over the stacked marginals."""
+    leaves = list(leaves)
+    marginals = np.array([leaf.marginals for leaf in leaves], dtype=np.float64)
+    classes = dominant_class(marginals.reshape(len(leaves), num_classes + 1))
+    classes[[leaf.virtual for leaf in leaves]] = UNKNOWN_CLASS
+    return classes
 
 
 class BlockIndex:
-    """Map blocks as disjoint ranges [start, end) of finest-depth Morton codes.
+    """Map blocks as disjoint ranges [start, end) of finest-depth Morton codes,
+    each with its class id.
 
     A point lies in the block whose range holds its ``WorldConfig.morton``
-    code; a code in no range is unobserved space. ``class_of`` gives a
-    block's class from its key and runs only for blocks that points hit.
+    code; a code in no range is unobserved space. ``keys``, ``starts``,
+    ``ends`` and ``classes`` are sorted by range start. The constructors
+    classify every block at once, so ``classify`` only gathers.
     """
 
-    def __init__(self, world: WorldConfig, keys: list[NodeKey], class_of):
-        shifts = [world.dims * (world.max_depth - k.depth) for k in keys]
-        starts = np.array([k.index << s for k, s in zip(keys, shifts)],
-                          dtype=np.int64)
-        ends = np.array([(k.index + 1) << s for k, s in zip(keys, shifts)],
-                        dtype=np.int64)
+    def __init__(self, world: WorldConfig, keys: list[NodeKey], classes):
+        depth, index = np.fromiter(itertools.chain.from_iterable(keys), dtype=np.int64,
+                                   count=2 * len(keys)).reshape(-1, 2).T
+        shift = world.dims * (world.max_depth - depth)
+        starts = index << shift
         order = np.argsort(starts, kind="stable")
         self.world = world
-        self.keys = [keys[i] for i in order]
+        self.keys = [keys[i] for i in order.tolist()]
         self.starts = starts[order]
-        self.ends = ends[order]
-        self.class_of = class_of
+        self.ends = ((index + 1) << shift)[order]
+        self.classes = np.asarray(classes, dtype=np.int64)[order]
 
     @classmethod
     def from_compressed(cls, ctree: CompressedTree) -> "BlockIndex":
@@ -197,12 +216,8 @@ class BlockIndex:
 
         Virtual (unobserved) leaves classify as UNKNOWN_CLASS.
         """
-
-        def class_of(key: NodeKey) -> int:
-            leaf = ctree.leaves[key]
-            return UNKNOWN_CLASS if leaf.virtual else dominant_class(leaf.marginals)
-
-        index = cls(ctree.world, list(ctree.leaves), class_of)
+        index = cls(ctree.world, list(ctree.leaves),
+                    leaf_classes(ctree.leaves.values(), ctree.num_classes))
         n_codes = 1 << (ctree.world.dims * ctree.world.max_depth)
         if not (len(index.keys) and index.starts[0] == 0
                 and index.ends[-1] == n_codes
@@ -212,10 +227,12 @@ class BlockIndex:
 
     @classmethod
     def from_octree(cls, tree: SemanticOctree) -> "BlockIndex":
-        """Blocks of a raw octree: its stored leaves and summaries."""
+        """Blocks of a raw octree: its stored leaves and summaries, classified
+        by their conditionals. An empty tree has no blocks."""
         keys = [k for k, node in tree.nodes.items() if node.kind != INTERIOR]
+        conds = np.array([tree.conditional(k) for k in keys], dtype=np.float64)
         return cls(tree.world, keys,
-                   lambda key: dominant_class(tree.conditional(key)))
+                   dominant_class(conds.reshape(len(keys), tree.num_classes + 1)))
 
     def classify(self, points) -> np.ndarray:
         """Class id of every point in an (N, 3) array; UNKNOWN_CLASS off-map."""
@@ -223,10 +240,8 @@ class BlockIndex:
         block = np.searchsorted(self.starts, codes, side="right") - 1
         hit = inside & (block >= 0)
         hit[hit] = codes[hit] < self.ends[block[hit]]
-        hit_blocks, inverse = np.unique(block[hit], return_inverse=True)
-        classes = np.full(len(codes), UNKNOWN_CLASS)
-        classes[hit] = np.array([self.class_of(self.keys[b]) for b in hit_blocks],
-                                dtype=int)[inverse]
+        classes = np.full(len(codes), UNKNOWN_CLASS, dtype=np.int64)
+        classes[hit] = self.classes[block[hit]]
         return classes
 
 
@@ -316,24 +331,25 @@ def _knn_edges(positions: np.ndarray, centers3d: np.ndarray, k: int,
     u = np.repeat(np.arange(n), idx.shape[1])
     v = idx.ravel()
     keep = (v != u) & (v < n)
-    pairs = np.unique(np.column_stack([np.minimum(u, v), np.maximum(u, v)])[keep],
-                      axis=0)
-    chords = positions[pairs[:, 0]] - positions[pairs[:, 1]]
-    lengths = _norms(chords)
-    pairs, lengths = pairs[lengths > 0.0], lengths[lengths > 0.0]
-    if not len(pairs):
+    u, v = u[keep], v[keep]
+    # each pair (a, b), a < b < n, as one code a * n + b: sorting the codes
+    # sorts the pairs as rows, (a, b) lexicographically
+    a, b = np.divmod(np.unique(np.minimum(u, v) * n + np.maximum(u, v)), n)
+    lengths = _norms(positions[a] - positions[b])
+    apart = lengths > 0.0
+    a, b, lengths = a[apart], b[apart], lengths[apart]
+    if not len(a):
         return []
-    p0 = centers3d[pairs[:, 0]]
-    delta = centers3d[pairs[:, 1]] - p0
+    p0 = centers3d[a]
+    delta = centers3d[b] - p0
     dists = _norms(delta)
     counts = np.maximum(np.ceil(dists / step).astype(int), 1) + 1
     colors = []
-    for lo in range(0, len(pairs), _SEGMENTS_PER_BATCH):
+    for lo in range(0, len(a), _SEGMENTS_PER_BATCH):
         hi = lo + _SEGMENTS_PER_BATCH
         colors += _segment_colors(p0[lo:hi], delta[lo:hi], counts[lo:hi],
                                   blocks, query)
-    return [Edge(a, b, length, color) for (a, b), length, color
-            in zip(pairs.tolist(), lengths.tolist(), colors)]
+    return list(map(Edge, a.tolist(), b.tolist(), lengths.tolist(), colors))
 
 
 # -- graph construction ------------------------------------------------------------
@@ -349,29 +365,27 @@ def graph_from_tree(ctree: CompressedTree, query: PlanQuery,
     """Colored graph over the traversable blocks of a compressed tree.
 
     One vertex sits at the horizontal center of every observed block whose
-    dominant class is free space or a relevant class. Each vertex connects
-    to its k nearest neighbors; edge colors come from sampling the 3-d
-    segment between block centers at half a finest-cell step.
+    dominant class is free space or a relevant class, in key order
+    (``leaf_items``). Each vertex connects to its k nearest neighbors; edge
+    colors come from sampling the 3-d segment between block centers at half
+    a finest-cell step. The block classes that pick the vertices are the
+    ones the edges are colored with, from one ``BlockIndex``.
     """
     _check_k_neighbors(k_neighbors)
     world: WorldConfig = ctree.world
-    keys, colors = [], []
-    for key, leaf in ctree.leaf_items():
-        if leaf.virtual:
-            continue
-        cid = dominant_class(leaf.marginals)
-        if cid != 0 and cid not in query.relevant:
-            continue
-        keys.append(key)
-        colors.append(cid)
-    if not keys:
+    blocks = BlockIndex.from_compressed(ctree)
+    traversable = sorted((query.relevant | {0}) - {UNKNOWN_CLASS})
+    picked = np.flatnonzero(np.isin(blocks.classes, traversable)).tolist()
+    vertices = sorted(zip([blocks.keys[i] for i in picked],
+                          blocks.classes[picked].tolist()))
+    if not vertices:
         raise GraphError("no traversable blocks: compressed tree has no "
                          "free-space or relevant-class leaves")
+    keys, colors = zip(*vertices)
     centers = world.boxes(keys)[0]
     positions = centers[:, :2].copy()
     step = world.edge_length / (1 << (world.max_depth + 1))
-    edges = _knn_edges(positions, centers, k_neighbors,
-                       BlockIndex.from_compressed(ctree), step, query)
+    edges = _knn_edges(positions, centers, k_neighbors, blocks, step, query)
     return ColoredGraph(positions, np.array(colors, dtype=int), edges)
 
 
@@ -386,9 +400,22 @@ def halton(index: int, base: int) -> float:
 
 
 def halton_points(n: int, bases: tuple[int, int] = (2, 3)) -> np.ndarray:
-    """First n points of the 2-d Halton sequence in the unit square."""
-    return np.array([[halton(i, bases[0]), halton(i, bases[1])]
-                     for i in range(1, n + 1)])
+    """First n points of the 2-d Halton sequence in the unit square.
+
+    Each column takes ``halton``'s steps for all n indices at once, in the
+    same order; an index out of digits adds exact zeros, so every value
+    equals ``halton``'s bit for bit.
+    """
+    columns = []
+    for base in bases:
+        index = np.arange(1, n + 1)
+        f, r = 1.0, np.zeros(n)
+        while index.any():
+            f /= base
+            r += f * (index % base)
+            index //= base
+        columns.append(r)
+    return np.column_stack(columns)
 
 
 def halton_graph(world: WorldConfig, tree: SemanticOctree, n_vertices: int,

@@ -14,14 +14,16 @@ from hypothesis import strategies as st
 
 from soct.compression import compress_tree, full_tree, refresh_all
 from soct.errors import GraphError, OutOfBoundsError
-from soct.octree import WorldConfig
+from soct.octree import SemanticOctree, WorldConfig
 from soct.planning import (
+    UNKNOWN_CLASS,
     BlockIndex,
     PlanQuery,
     dominant_class,
     graph_from_tree,
     halton_graph,
 )
+from soct.semantics import FullSemanticDistribution, truncate_full
 
 from helpers import (
     make_random_tree,
@@ -37,20 +39,36 @@ ORIGINS = [(0.0, 0.0, 0.0), (0.1, -0.3, 0.7), (-5.25, 3.3, 1e-3)]
 EDGES = [16.0, 10.0, 0.3, 0.8, 6.4]
 
 
+def tied_truncated(rng, num_classes):
+    """Random record whose two most likely classes (free space included)
+    tie exactly, so its dominant class is the lower id of the two."""
+    probs = rng.dirichlet(np.full(num_classes + 1, 0.5))
+    top = int(np.argmax(probs))
+    probs[rng.choice([c for c in range(num_classes + 1) if c != top])] = probs[top]
+    return truncate_full(FullSemanticDistribution(probs / probs.sum()))
+
+
 def random_map(rng, branching, depth, origin, edge_length, prune):
-    """Random partially observed tree; with ``prune``, some whole blocks
-    share one record and collapse into summaries."""
+    """Random partially observed tree in which some leaves' top classes tie
+    exactly; with ``prune``, some whole blocks share one record and collapse
+    into summaries."""
     tree = make_random_tree(rng, branching=branching, depth=depth,
                             fill=float(rng.uniform(0.3, 1.0)),
                             origin=origin, edge_length=edge_length)
+    for key in [k for k, node in tree.nodes.items() if node.dist is not None]:
+        if rng.random() < 0.3:
+            tree.set_leaf(tree.world.coords_of(key), tied_truncated(rng, tree.num_classes),
+                          float(rng.uniform(0.2, 3.0)))
     if prune:
         block_depth = int(rng.integers(0, depth))
         shared = {}
         for coords in itertools.product(range(1 << depth), repeat=tree.world.dims):
             block = tuple(c >> (depth - block_depth) for c in coords)
             if block not in shared:
-                shared[block] = (random_truncated(rng, tree.num_classes)
-                                 if rng.random() < 0.5 else None)
+                draw = rng.random()
+                shared[block] = (None if draw < 0.5
+                                 else tied_truncated(rng, tree.num_classes) if draw < 0.65
+                                 else random_truncated(rng, tree.num_classes))
             if shared[block] is not None:
                 tree.set_leaf(coords, shared[block], float(rng.uniform(0.2, 3.0)))
         tree.prune_all_identical()
@@ -76,6 +94,21 @@ def probe_points(rng, world, count=120):
         [np.nan, o[1], o[2]], [np.inf, o[1], o[2]], [o[0], -np.inf, o[2]],
     ])
     return np.vstack([inner, faces, below, mixed, decimal, special])
+
+
+@pytest.mark.parametrize("branching", [2, 4, 8])
+@pytest.mark.parametrize("origin", ORIGINS)
+def test_empty_octree_reads_unknown(branching, origin):
+    """An octree with no stored leaf or summary gives an index of zero
+    blocks, and every probe, inside the world or not, reads UNKNOWN_CLASS."""
+    rng = np.random.default_rng(branching)
+    tree = SemanticOctree(WorldConfig(origin, 6.4, 3, branching), 4)
+    points = probe_points(rng, tree.world)
+    index = BlockIndex.from_octree(tree)
+    assert len(index.starts) == len(index.classes) == 0
+    got = index.classify(points)
+    assert got.tolist() == [ref_octree_class(tree, p) for p in points]
+    assert set(got.tolist()) == {UNKNOWN_CLASS}
 
 
 @settings(max_examples=60, deadline=None)

@@ -419,6 +419,45 @@ def test_plan_halton_graph(workspace, capsys):
     assert "status" in out
 
 
+@pytest.mark.parametrize("text", ["nan,3.5", "0.5,inf", "1e400,3.5"])
+@pytest.mark.parametrize("flag", ["--start", "--goal"])
+def test_non_finite_plan_coordinates_are_config_error(workspace, capsys, flag, text):
+    build(workspace, capsys)
+    points = {"--start": "0.5,3.5", "--goal": "7.5,4.5", flag: text}
+    code, out, err = run(capsys, [
+        "plan", "--tree", workspace / "tree.soct",
+        "--weights", workspace / "weights.cfg",
+        "--start", points["--start"], "--goal", points["--goal"]])
+    assert code == 1
+    assert err == f"error: config: non-finite coordinates '{text}'\n"
+    assert out == ""
+
+
+def test_plan_on_negative_origin_world(tmp_path, capsys):
+    """Negative coordinates join their flag with '='; written as a separate
+    argument, argparse takes '-7.5,-0.5' for an option (usage error)."""
+    rng = np.random.default_rng(103)
+    (tmp_path / "world.cfg").write_text(WORLD.replace("origin 0 0 0", "origin -8 -4 0"))
+    (tmp_path / "weights.cfg").write_text(WEIGHTS)
+    write_cloud(tmp_path / "cloud.csv",
+                [(x - 8.0, y - 4.0, z, cid, conf)
+                 for x, y, z, cid, conf in tiny_records(rng)])
+    code, _, err = build(tmp_path, capsys)
+    assert code == 0, err
+    tree_args = ["plan", "--tree", tmp_path / "tree.soct",
+                 "--weights", tmp_path / "weights.cfg"]
+    code, out, err = run(capsys, [*tree_args, "--start=-7.5,-0.5", "--goal=-0.5,0.5"])
+    assert code == 0, err
+    assert "status ok\n" in out
+    vertices = [line.split() for line in out.splitlines() if line.startswith("vertex ")]
+    assert [float(v) for v in vertices[0][2:4]] == [-7.5, -0.5]
+    assert [float(v) for v in vertices[-1][2:4]] == [-0.5, 0.5]
+    with pytest.raises(SystemExit) as exc:
+        run(capsys, [*tree_args, "--start", "-7.5,-0.5", "--goal=-0.5,0.5"])
+    assert exc.value.code == 2
+    assert "expected one argument" in capsys.readouterr().err
+
+
 def test_plan_between_islands_is_no_path(workspace, capsys):
     # Road strips at x < 2 and x >= 6 across grass: with k = 3 every
     # vertex's neighbors lie in its own strip, so the graph has two islands.

@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 from soct import planning
 from soct.compression import CompressionWeights, compress_tree, full_tree, refresh_all
 from soct.errors import ConfigError, GraphError
-from soct.octree import SemanticOctree, WorldConfig
+from soct.octree import INTERIOR, SemanticOctree, WorldConfig
 from soct.planning import (
     UNKNOWN_CLASS,
     ColoredGraph,
@@ -88,6 +88,44 @@ def test_halton_base_two_and_three():
     pts = halton_points(5)
     assert pts.shape == (5, 2)
     assert np.allclose(pts[0], [0.5, 1 / 3])
+
+
+@pytest.mark.parametrize("bases", [(2, 3), (5, 7)])
+@pytest.mark.parametrize("n", [1, 2, 5, 255, 256, 4097])
+def test_halton_points_equal_scalar_halton_bit_for_bit(n, bases):
+    ref = np.array([[halton(i, bases[0]), halton(i, bases[1])]
+                    for i in range(1, n + 1)])
+    got = halton_points(n, bases)
+    assert got.shape == (n, 2)
+    assert got.tobytes() == ref.tobytes()
+
+
+@pytest.mark.parametrize("k", [1, 4, 12])
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_knn_edges_keep_row_unique_pair_order(seed, k):
+    """Edges come in the order ``np.unique(axis=0)`` gives the (a, b) rows,
+    without the zero-length pairs that duplicate points make."""
+    from scipy.spatial import cKDTree
+
+    rng = np.random.default_rng(seed)
+    base = rng.uniform(0.0, 8.0, (60, 2))
+    positions = np.vstack([base, base[rng.integers(0, 60, 20)]])
+    rng.shuffle(positions)
+    n = len(positions)
+    world = WorldConfig((0, 0, 0), 8.0, 3, branching=4)
+    centers = np.column_stack([positions, np.full(n, 0.5)])
+    blocks = planning.BlockIndex.from_octree(SemanticOctree(world, 4))
+    edges = planning._knn_edges(positions, centers, k, blocks, 0.5, PlanQuery(0, 0))
+
+    _, idx = cKDTree(positions).query(positions, k=k + 1)
+    u, v = np.repeat(np.arange(n), k + 1), idx.ravel()
+    keep = (u != v) & (v < n)
+    pairs = np.unique(np.column_stack([np.minimum(u, v), np.maximum(u, v)])[keep],
+                      axis=0)
+    apart = np.linalg.norm(positions[pairs[:, 0]] - positions[pairs[:, 1]], axis=1) > 0
+    assert not apart.all()  # some duplicate points are neighbors
+    assert [[e.u, e.v] for e in edges] == pairs[apart].tolist()
+    assert {e.color for e in edges} == {UNKNOWN_CLASS}
 
 
 def test_query_rejects_overlapping_sets():
@@ -281,6 +319,46 @@ def test_unknown_edges_count_as_undesired():
 def test_dominant_class_tie_breaks_low():
     assert dominant_class(np.array([0.3, 0.3, 0.2, 0.2])) == 0
     assert dominant_class(np.array([0.1, 0.5, 0.4])) == 1
+    assert type(dominant_class(np.array([0.2, 0.4, 0.4]))) is int
+    rows = np.array([[0.3, 0.3, 0.2, 0.2], [0.1, 0.2, 0.35, 0.35], [0.1, 0.6, 0.2, 0.1]])
+    assert dominant_class(rows).tolist() == [0, 2, 1]
+    assert dominant_class(np.empty((0, 4))).shape == (0,)
+
+
+def test_graph_builds_classify_each_block_index_once(monkeypatch):
+    """One ``dominant_class`` call per ``BlockIndex`` build, over all its
+    blocks, on a map of the benchmark's size (16x16x8 cells at depth 4): a
+    per-block or per-leaf loop would make hundreds of calls."""
+    rng = np.random.default_rng(77)
+    world = WorldConfig((0, 0, 0), 16.0, 4)
+    cells = np.array(list(np.ndindex(16, 16, 8)), dtype=float)
+    terrain = np.where((cells[:, 1] >= 6) & (cells[:, 1] < 10), ROAD, GRASS)
+    truth = np.repeat(np.where(cells[:, 2] == 0, terrain, 0), 3)
+    noisy = rng.random(len(truth)) < 0.15
+    truth[noisy] = rng.integers(0, 5, np.count_nonzero(noisy))
+    points = np.repeat(cells, 3, axis=0) + rng.uniform(0.05, 0.95, (len(truth), 3))
+    tree, rejected = SemanticOctree.from_observations(
+        world, 4, points, truth, rng.uniform(0.6, 0.95, len(truth)))
+    assert not rejected
+    weights = CompressionWeights({ROAD: 4.0}, {GRASS: 0.5, 3: 0.5}, 0.02)
+    refresh_all(tree, weights)
+    ctree = compress_tree(tree, weights)
+    query = PlanQuery(0, 0, undesired={GRASS, 3}, relevant={ROAD})
+    calls = []
+
+    def counting(marginals):
+        calls.append(len(marginals))
+        return dominant_class(marginals)
+
+    monkeypatch.setattr(planning, "dominant_class", counting)
+    graph = graph_from_tree(ctree, query, 8)
+    assert calls == [len(ctree.leaves)]
+    assert graph.num_vertices > 300
+    calls.clear()
+    halton_graph(world, tree, 128, 8, query)
+    blocks = sum(node.kind != INTERIOR for node in tree.nodes.values())
+    assert calls == [blocks]
+    assert blocks == 16 * 16 * 8
 
 
 def test_zero_bad_path_oracle_consistency():
