@@ -171,13 +171,6 @@ def _cmd_compress(args) -> int:
     return 0
 
 
-def _cmd_report(args) -> int:
-    tree, cfg, cw = _load_for_weights(args.tree, args.weights)
-    ctree = compression.compress_tree(tree, cw)
-    _print_report(tree, cfg, cw, ctree)
-    return 0
-
-
 def _build_graph(args, tree, cfg, cw):
     registry = cfg.registry()
     roles = PlanQuery(0, 0, undesired=registry.irrelevant_ids,
@@ -276,7 +269,7 @@ def _parser() -> argparse.ArgumentParser:
                        help="per-class retention and leaf counts after compression")
     p.add_argument("--tree", required=True)
     p.add_argument("--weights", required=True)
-    p.set_defaults(func=_cmd_report)
+    p.set_defaults(func=_cmd_compress, out_leaves=None)
 
     p = sub.add_parser("plan", help="search a colored graph built from the map")
     p.add_argument("--tree", required=True)

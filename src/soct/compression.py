@@ -14,17 +14,21 @@ per-node increments over its expanded nodes, with masses normalized by the
 root mass; these sums telescope to the entropy of the leaf-weight partition
 and to the mutual information between each class and the leaf index.
 
-Every JS divergence and split entropy here comes from one kernel,
-``split_terms``, which takes child sets stacked into (N, B) weights and
-(N, B, C) marginals and gives each row the same bits it gets alone.
-``refresh_upward`` chains weights and conditionals up a leaf's root path,
-then evaluates all the path's child sets in one call and chains the gains;
-``refresh_all`` evaluates a tree level (deepest first) in stacked batches;
-``expansion_gain`` passes one row, ``per_class_information`` all expanded
-nodes at once, and ``report`` all those of the full tree, for the full and
-a compressed tree together. ``weighted_gain`` and ``information_report``
-stay on the separate ``infotheory.split_increments`` route, so they check
-the kernel rather than repeat it.
+Child sets come stacked from ``SemanticOctree.child_sets``, which alone
+completes absent children. Every JS divergence and split entropy here
+comes from one kernel, ``split_terms``, which takes child sets stacked
+into (N, B) weights and (N, B, C) marginals and gives each row the same
+bits it gets alone. ``refresh_upward`` gathers each ancestor of a leaf
+once the node below it is refreshed, chaining weights and conditionals up
+the root path, then evaluates all the path's child sets in one call and
+chains the gains; ``refresh_all`` gathers and evaluates a tree level
+(deepest first) in stacked batches; ``expansion_gain`` passes one row,
+``per_class_information`` all expanded nodes at once, and ``report`` all
+those of the full tree, for the full and a compressed tree together; the
+extraction gathers all expanded nodes in one call. ``weighted_gain`` and
+``information_report`` stay on the separate
+``infotheory.split_increments`` route, so they check the kernel rather
+than repeat it.
 
 Trees containing summary nodes must be expanded (``expand_summaries``)
 before the tree-level operations here; per-node gain queries and cache
@@ -38,6 +42,7 @@ and the exhaustive enumeration are read-only and may run concurrently.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass, field
 from typing import Iterable, Mapping, NamedTuple
 
@@ -55,7 +60,6 @@ from .octree import (
     parent_key,
     uniform_row,
 )
-from .semantics import uniform_full
 
 G_EPS = 1e-12
 MAX_CANDIDATES = 1_000_000
@@ -68,7 +72,7 @@ class CompressionWeights:
     ``retain`` maps relevant class ids to their retention weight, ``remove``
     maps irrelevant class ids to their removal weight, and ``compress``
     prices the size of the compressed representation. The two class sets
-    must be disjoint and all weights non-negative.
+    must be disjoint and all weights non-negative and finite.
     """
 
     retain: Mapping[int, float]
@@ -85,9 +89,9 @@ class CompressionWeights:
         overlap = set(self.retain) & set(self.remove)
         if overlap:
             raise ConfigError(f"classes {sorted(overlap)} both retained and removed")
-        values = list(self.retain.values()) + list(self.remove.values())
-        if any(v < 0 for v in values) or self.compress < 0:
-            raise ConfigError("weights must be non-negative")
+        values = [*self.retain.values(), *self.remove.values(), self.compress]
+        if not all(0 <= v < math.inf for v in values):
+            raise ConfigError("weights must be non-negative and finite")
         class_ids = sorted(set(self.retain) | set(self.remove))
         object.__setattr__(self, "class_ids", class_ids)
         object.__setattr__(self, "signed", tuple(
@@ -256,8 +260,11 @@ def expansion_gain(tree: SemanticOctree, key: NodeKey,
         raise TreeError(f"unknown key {key}")
     if node.kind != INTERIOR or node.weight <= 0.0:
         return 0.0
-    weights, dists, _ = tree.completed_child_arrays(key, allow_empty=True)
-    if weights is None or float(weights.sum()) <= 0.0:
+    if not tree.stored_children(key):
+        return 0.0
+    weights, dists, _ = tree.child_sets([key])
+    weights, dists = weights[0], dists[0]
+    if float(weights.sum()) <= 0.0:
         return 0.0
     gains = np.zeros(len(weights))
     dims = tree.world.dims
@@ -282,12 +289,15 @@ def weighted_gain(tree: SemanticOctree, key: NodeKey,
         raise TreeError(f"unknown key {key}")
     if node.kind != INTERIOR or node.weight <= 0.0:
         return 0.0
-    weights, dists, _ = tree.completed_child_arrays(key, allow_empty=True)
-    if weights is None or float(weights.sum()) <= 0.0:
+    stored = tree.stored_children(key)
+    if not stored:
         return 0.0
-    inc = _increments(node.weight, weights, dists, cw)
+    weights, dists, _ = tree.child_sets([key])
+    if float(weights[0].sum()) <= 0.0:
+        return 0.0
+    inc = _increments(node.weight, weights[0], dists[0], cw)
     total = inc.reward
-    for ck in tree.stored_children(key):
+    for ck in stored:
         if tree.nodes[ck].kind == INTERIOR:
             total += weighted_gain(tree, ck, cw)
     return max(total, 0.0)
@@ -309,69 +319,44 @@ def refresh_upward(tree: SemanticOctree, leaf: NodeKey,
     The incremental half of the build loop: after inserting or updating one
     finest-resolution leaf, exactly the nodes on its root path have stale
     caches, and they are recomputed bottom-up from immediate child data.
-    Nothing off the path is touched. Weights and conditionals chain up the
-    path level by level; the JS and entropy terms of all its child sets
-    then come from one ``split_terms`` call, and the gains chain up last.
+    Nothing off the path is touched. Each ancestor's child set is gathered
+    once the node below it is refreshed, so weights and conditionals chain
+    up the path; the JS and entropy terms of all its child sets then come
+    from one ``split_terms`` call, and the gains chain up last.
     """
     node = tree.nodes.get(leaf)
     if node is None or node.kind != LEAF or leaf.depth != tree.world.max_depth:
         raise TreeError(f"{leaf} is not a stored finest-resolution leaf")
     node.gain = 0.0
     dims, branching = tree.world.dims, tree.world.branching
-    get = tree.nodes.get
-    # Level i is the ancestor i + 1 levels up. Its children sit at depth
-    # leaf.depth - i from index first[i] on, the one on the path at octant
-    # octants[i]; each child slot is looked up once.
-    levels = range(leaf.depth)
-    first = [leaf.index >> dims * (i + 1) << dims for i in levels]
-    octants = [(leaf.index >> dims * i) & (branching - 1) for i in levels]
-    kids = [[get((depth, base | o)) for o in range(branching)]
-            for depth, base in zip(range(leaf.depth, 0, -1), first)]
-    path = [kids[i + 1][octants[i + 1]] for i in levels[:-1]] + [tree.root]
-    # Conditionals as in ``completed_child_arrays``; a path slot is filled
-    # once the node below it is refreshed.
-    uniform = uniform_row(tree.num_classes)
-    dists = np.array([
-        uniform if c is None or o == octants[i]
-        else c.cond if c.cond is not None
-        else tree.conditional(NodeKey(leaf.depth - i, first[i] | o))
-        for i in levels for o, c in enumerate(kids[i])])
-    dists = dists.reshape(leaf.depth, branching, -1)
-    pi = np.empty((leaf.depth, branching))
-    live = []  # levels with positive mass
-    below = node  # the leaf
-    for i in levels:
-        dists[i, octants[i]] = below.cond
-        below = node = path[i]
-        stored = [c.weight for c in kids[i] if c is not None]
-        mean_w = sum(stored) / len(stored)
-        weights = np.array([mean_w if c is None else c.weight for c in kids[i]],
-                           dtype=np.float64)
+    # Level i is the ancestor i + 1 levels up.
+    path = [(depth, leaf.index >> dims * (leaf.depth - depth))
+            for depth in reversed(range(leaf.depth))]
+    nodes = [tree.nodes[key] for key in path]
+    pis, dists, gains = [], [], []
+    for key, node in zip(path, nodes):
+        weights, conds, child_gains = tree.child_sets([key])
+        gains.append(child_gains[0])
         node.weight = float(weights.sum())
         if node.weight <= 0.0:
-            node.cond = uniform_full(tree.num_classes).probs
+            node.cond = uniform_row(tree.num_classes)
             continue
-        np.divide(weights, node.weight, out=pi[i])
-        node.cond = pi[i] @ dists[i]
-        live.append(i)
-    if len(live) < leaf.depth:
-        pi, dists = pi[live], dists[live]
-    if live:
-        js, h = split_terms(pi, dists[:, :, cw.class_ids])
+        pi, conds = weights[0] / node.weight, conds[0]
+        pis.append(pi)
+        dists.append(conds)
+        node.cond = pi @ conds
+    if pis:
+        js, h = split_terms(np.array(pis), np.array(dists)[:, :, cw.class_ids])
         js, h = js.tolist(), h.tolist()
-    # Gains chain up last; a path slot takes the gain just set below it.
-    gains = np.array([c.gain if c is not None and c.kind == INTERIOR else 0.0
-                      for row in kids for c in row], dtype=np.float64)
-    gains = gains.reshape(leaf.depth, branching)
+    # Gains chain up last; the slot of the node below takes its new gain.
     row = 0
-    for i in levels:
-        node = path[i]
+    for i, node in enumerate(nodes):
         if i:
-            gains[i, octants[i]] = path[i - 1].gain
+            gains[i][path[i - 1][1] & (branching - 1)] = nodes[i - 1].gain
         if node.weight <= 0.0:
             node.gain = 0.0
             continue
-        node.gain = _gain(float(pi[row] @ gains[i]), h[row], js[row], cw)
+        node.gain = _gain(float(pis[row] @ gains[i]), h[row], js[row], cw)
         row += 1
 
 
@@ -383,9 +368,16 @@ def refresh_all(tree: SemanticOctree, cw: CompressionWeights) -> None:
     nodes depend only on the level below, so each level is refreshed in
     stacked batches of at most ``CHUNK_ROWS`` nodes.
     """
-    levels = itertools.groupby(tree.interior_keys_deepest_first(),
-                               key=lambda k: k.depth)
-    for _, level in levels:
+    dims = tree.world.dims
+    parents = {(d - 1, i >> dims) for d, i in tree.nodes if d}
+    keys = []
+    for key in tree.interior_keys_deepest_first():
+        if key in parents:
+            keys.append(key)
+        else:  # childless: massless, no cached conditional
+            node = tree.nodes[key]
+            node.weight, node.cond, node.gain = 0.0, None, 0.0
+    for _, level in itertools.groupby(keys, key=lambda k: k.depth):
         level = list(level)
         for start in range(0, len(level), CHUNK_ROWS):
             _refresh_batch(tree, level[start:start + CHUNK_ROWS], cw)
@@ -393,32 +385,23 @@ def refresh_all(tree: SemanticOctree, cw: CompressionWeights) -> None:
 
 def _refresh_batch(tree: SemanticOctree, keys: list[NodeKey],
                    cw: CompressionWeights) -> None:
-    """Refresh interior nodes whose children's caches are all current."""
-    nodes, arrays = [], []
-    for key in keys:
-        node = tree.nodes[key]
-        weights, dists, gains = tree.completed_child_arrays(key, allow_empty=True)
-        if weights is None:
-            node.weight, node.cond, node.gain = 0.0, None, 0.0
-            continue
-        nodes.append(node)
-        arrays.append((weights, dists, gains))
-    if not nodes:
-        return
-    weights = np.array([a[0] for a in arrays])
+    """Refresh interior nodes with stored children whose children's caches
+    are all current."""
+    weights, dists, gains = tree.child_sets(keys)
     totals = weights.sum(axis=1)
     live = np.flatnonzero(totals > 0.0)
     pi = weights[live] / totals[live, None]
-    dists = np.array([a[1] for a in arrays])[live]
+    dists = dists[live]
     conds = np.matmul(pi[:, None, :], dists)[:, 0]
-    child_terms = np.vecdot(pi, np.array([a[2] for a in arrays])[live]).tolist()
+    child_terms = np.vecdot(pi, gains[live]).tolist()
     js, h = split_terms(pi, dists[:, :, cw.class_ids])
     js, h = js.tolist(), h.tolist()
     row = 0
-    for node, total in zip(nodes, totals.tolist()):
+    for key, total in zip(keys, totals.tolist()):
+        node = tree.nodes[key]
         node.weight = total
         if total <= 0.0:
-            node.cond = uniform_full(tree.num_classes).probs
+            node.cond = uniform_row(tree.num_classes)
             node.gain = 0.0
         else:
             node.cond = conds[row]
@@ -452,20 +435,18 @@ def compressed_from_expanded(tree: SemanticOctree,
         leaves[ROOT_KEY] = CompressedLeaf(
             ROOT_KEY, root_weight, np.array(tree.conditional(ROOT_KEY)), empty)
     else:
-        for key in expanded:
+        keys = list(expanded)
+        weights, dists, _ = tree.child_sets(keys)
+        for key, row_w, row_d in zip(keys, weights.tolist(), dists):
             kept.add(key)
-            weights, dists, _ = tree.completed_child_arrays(key)
             for o, ck in enumerate(child_keys(key, dims)):
                 kept.add(ck)
                 if ck in expanded:
                     continue
                 child = tree.nodes.get(ck)
-                if child is None:
-                    leaves[ck] = CompressedLeaf(
-                        ck, float(weights[o]), dists[o].copy(), True)
-                else:
-                    leaves[ck] = CompressedLeaf(
-                        ck, child.weight, np.array(tree.conditional(ck)), False)
+                leaves[ck] = CompressedLeaf(
+                    ck, row_w[o] if child is None else child.weight,
+                    row_d[o].copy(), child is None)
     return CompressedTree(kept, leaves, set(expanded), root_weight,
                           tree.world, tree.num_classes)
 
@@ -539,8 +520,8 @@ def information_report(tree: SemanticOctree, ctree: CompressedTree,
             node = tree.nodes[key]
             if node.weight <= 0.0:
                 continue
-            weights, dists, _ = tree.completed_child_arrays(key)
-            inc = _increments(node.weight / p_root, weights, dists, cw)
+            weights, dists, _ = tree.child_sets([key])
+            inc = _increments(node.weight / p_root, weights[0], dists[0], cw)
             for cid, v in inc.relevant_bits.items():
                 relevant[cid] += v
             for cid, v in inc.irrelevant_bits.items():
@@ -591,10 +572,9 @@ def _bits(tree: SemanticOctree, keys: list[NodeKey], kept: set[NodeKey]):
     keys = [k for k in keys if tree.nodes[k].weight > 0.0] if p_root > 0.0 else []
     js, h = np.zeros((len(keys), tree.num_classes + 1)), np.zeros(len(keys))
     if keys:
-        arrays = [tree.completed_child_arrays(k) for k in keys]
-        weights = np.array([a[0] for a in arrays])
+        weights, dists, _ = tree.child_sets(keys)
         pi = weights / weights.sum(axis=1)[:, None]
-        js, h = split_terms(pi, np.array([a[1] for a in arrays]))
+        js, h = split_terms(pi, dists)
     mass = np.array([tree.nodes[k].weight / p_root for k in keys])
     terms = np.c_[mass * h, mass[:, None] * js]
     all_sums, kept_sums = (

@@ -275,6 +275,7 @@ def parse_world_config(text: str) -> tuple[WorldConfig, int]:
         raise FormatError("malformed world config value") from None
     if len(origin) != 3:
         raise FormatError("origin needs exactly 3 values")
+    _check_num_classes(num_classes)
     return WorldConfig(origin, edge, depth, branching), num_classes
 
 
@@ -292,7 +293,7 @@ class WeightsConfig:
     """Per-class roles and weights plus the compression price.
 
     Each class id appears at most once; relevant/irrelevant entries carry a
-    non-negative weight, neutral entries carry none.
+    non-negative finite weight, neutral entries carry none.
     """
 
     num_classes: int
@@ -311,12 +312,12 @@ class WeightsConfig:
                 if weight is not None:
                     raise ConfigError(f"neutral class {cid} must not carry a weight")
             elif role in (ROLE_RELEVANT, ROLE_IRRELEVANT):
-                if weight is None or weight < 0:
-                    raise ConfigError(f"class {cid} needs a non-negative weight")
+                if weight is None or not 0 <= weight < math.inf:
+                    raise ConfigError(f"class {cid} needs a non-negative finite weight")
             else:
                 raise ConfigError(f"unknown role {role!r}")
-        if self.alpha < 0:
-            raise ConfigError("alpha must be non-negative")
+        if not 0 <= self.alpha < math.inf:
+            raise ConfigError("alpha must be non-negative and finite")
 
     def registry(self) -> ClassRegistry:
         names = {cid: name for cid, _, _, name in self.entries if name}
@@ -387,10 +388,19 @@ _TAIL = np.dtype([("p_free", "<f8"), ("p_residual", "<f8")])
 _KINDS = (INTERIOR, LEAF, SUMMARY)  # node kind by file kind
 
 
+def _check_num_classes(num_classes: int) -> None:
+    """The header and every record slot store class ids as u16."""
+    limit = np.iinfo(_SLOT["id"]).max
+    if num_classes > limit:
+        raise ConfigError(f"num_classes must be at most {limit}")
+
+
 def serialize_tree(tree: SemanticOctree, path) -> None:
     """Write a tree to its binary format (deterministic, byte-stable): the
     nodes in pre-order (by the Morton code of their region, a parent
-    first), packed into one buffer."""
+    first), packed into one buffer. A tree with more classes than the
+    format holds is rejected before the file is opened."""
+    _check_num_classes(tree.num_classes)
     world, keys = tree.world, list(tree.nodes)
     depth, index = np.fromiter(itertools.chain.from_iterable(keys), dtype=np.int64,
                                count=2 * len(keys)).reshape(-1, 2).T

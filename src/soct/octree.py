@@ -3,9 +3,12 @@
 Nodes are addressed by (depth, index) keys where the index bit-interleaves
 the per-axis cell coordinates at that depth. Only observed regions are
 stored; missing children are completed transiently with a maximum-entropy
-class distribution and a weight equal to the mean weight of their stored
-siblings. Observed finest-resolution leaves carry unit weight, and every
-interior weight is the sum of its (virtually completed) children.
+class distribution, zero gain and a weight equal to the mean weight of
+their stored siblings. ``SemanticOctree.child_sets`` is the one place that
+applies this rule: every computation on a node's full child set reads it
+from there, stacked for many nodes at once. Observed finest-resolution
+leaves carry unit weight, and every interior weight is the sum of its
+(virtually completed) children.
 
 Three node kinds exist: depth-D leaves and their ancestors (interior nodes
 with cached aggregate conditionals), plus summary nodes produced by pruning
@@ -297,70 +300,56 @@ class SemanticOctree:
 
         Leaves and summaries return the dense vector stored with their
         record; interior nodes use the cached aggregate when present and
-        otherwise compute it recursively without mutating the tree. An
-        empty node (zero stored children) is treated as unobserved, i.e.
-        maximum entropy.
+        otherwise compute it recursively without mutating the tree. A
+        childless or massless node is treated as unobserved, i.e. maximum
+        entropy.
         """
         node = self.nodes.get(key)
         if node is None:
             raise TreeError(f"unknown key {key}")
         if node.cond is not None:
             return node.cond
-        weights, dists, _ = self.completed_child_arrays(key, allow_empty=True)
-        if weights is None:
-            return uniform_full(self.num_classes).probs
-        total = float(weights.sum())
+        if not self.stored_children(key):
+            return uniform_row(self.num_classes)
+        weights, conds, _ = self.child_sets([key])
+        total = float(weights[0].sum())
         if total <= 0.0:
-            return uniform_full(self.num_classes).probs
-        return (weights / total) @ dists
+            return uniform_row(self.num_classes)
+        return (weights[0] / total) @ conds[0]
 
-    def completed_child_arrays(self, key: NodeKey, allow_empty: bool = False):
-        """Weights, conditionals and cached gains of the full child set.
+    def child_sets(self, keys) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Weights (N, B), conditionals (N, B, K+1) and cached gains (N, B)
+        of the full child sets of N interior keys with stored children.
 
-        Missing children are filled in with the mean stored-sibling weight
-        and the uniform distribution; they are never written to storage.
-        Returns (None, None, None) for a childless node when ``allow_empty``.
+        An absent child is completed virtually and never stored: it weighs
+        the mean of its stored siblings' weights and has the uniform
+        conditional and zero gain. A stored child's gain is its cached one
+        if it is interior, else 0. A key's row does not depend on the keys
+        beside it. Keys may be plain (depth, index) pairs.
         """
-        node = self.nodes.get(key)
-        if node is None:
-            raise TreeError(f"unknown key {key}")
-        if node.kind != INTERIOR:
-            raise TreeError(f"{key} is not an interior node")
-        kids = self._child_slots(key)
-        stored = [c for c in kids if c is not None]
-        if not stored:
-            if allow_empty:
-                return None, None, None
-            raise TreeError(f"{key} has no stored children to complete")
-        mean_w = sum(c.weight for c in stored) / len(stored)
+        get, dims, octants = self.nodes.get, self.world.dims, range(self.world.branching)
         uniform = uniform_row(self.num_classes)
-        base = key.index << self.world.dims
-        weights = np.array([mean_w if c is None else c.weight for c in kids],
-                           dtype=np.float64)
-        dists = np.array([
-            uniform if c is None
-            else c.cond if c.cond is not None
-            else self.conditional(NodeKey(key.depth + 1, base | o))
-            for o, c in enumerate(kids)])
-        gains = np.array([c.gain if c is not None and c.kind == INTERIOR else 0.0
-                          for c in kids], dtype=np.float64)
-        return weights, dists, gains
-
-    def _child_slots(self, key: NodeKey) -> list[Node | None]:
-        """Stored child per octant, None where absent.
-
-        Looks up plain (depth, index) tuples, which hash and compare equal
-        to the ``NodeKey`` stored for them.
-        """
-        get = self.nodes.get
-        depth = key.depth + 1
-        base = key.index << self.world.dims
-        return [get((depth, base | o)) for o in range(self.world.branching)]
-
-    def completed_children(self, key: NodeKey) -> list[tuple[float, np.ndarray]]:
-        """Full child set of an interior node as (weight, marginals) pairs."""
-        weights, dists, _ = self.completed_child_arrays(key)
-        return [(float(weights[o]), dists[o].copy()) for o in range(len(weights))]
+        weights, conds, gains = [], [], []
+        for depth, index in keys:
+            base = index << dims
+            kids = [get((depth + 1, base | o)) for o in octants]
+            stored = [c.weight for c in kids if c is not None]
+            if not stored:
+                raise TreeError(f"{(depth, index)} has no stored children to complete")
+            mean_w = sum(stored) / len(stored)
+            for o, c in zip(octants, kids):
+                if c is None:
+                    weights.append(mean_w)
+                    conds.append(uniform)
+                    gains.append(0.0)
+                else:
+                    weights.append(c.weight)
+                    conds.append(c.cond if c.cond is not None
+                                 else self.conditional(NodeKey(depth + 1, base | o)))
+                    gains.append(c.gain if c.kind == INTERIOR else 0.0)
+        n, b = len(keys), len(octants)
+        weights, gains = np.array(weights + gains, dtype=np.float64).reshape(2, n, b)
+        return weights, np.array(conds).reshape(n, b, self.num_classes + 1), gains
 
     # -- construction -----------------------------------------------------
 

@@ -419,12 +419,12 @@ def halton_points(n: int, bases: tuple[int, int] = (2, 3)) -> np.ndarray:
 
 
 def halton_graph(world: WorldConfig, tree: SemanticOctree, n_vertices: int,
-                 k_neighbors: int, query: PlanQuery,
-                 z: float | None = None) -> ColoredGraph:
+                 k_neighbors: int, query: PlanQuery) -> ColoredGraph:
     """Semantics-agnostic baseline graph from low-discrepancy samples.
 
     Vertices sit at the first ``n_vertices`` Halton points (bases 2 and 3)
-    scaled to the world footprint, at ground height unless ``z`` is given.
+    scaled to the world footprint, at ground height: the centre height of
+    the lowest finest cells.
     Vertex and edge colors are read from the finest stored octree node at
     each location; unobserved locations color as UNKNOWN_CLASS.
     """
@@ -434,8 +434,7 @@ def halton_graph(world: WorldConfig, tree: SemanticOctree, n_vertices: int,
         raise ConfigError(f"{n_vertices} Halton vertices exceed the "
                           f"{MAX_HALTON_VERTICES} limit")
     _check_k_neighbors(k_neighbors)
-    if z is None:
-        z = world.origin[2] + world.leaf_size / 2.0
+    z = world.origin[2] + world.leaf_size / 2.0
     pts = halton_points(n_vertices)
     positions = np.array(world.origin[:2]) + pts * world.edge_length
     centers = np.column_stack([positions, np.full(n_vertices, z)])

@@ -222,6 +222,29 @@ def test_negative_error_budget_is_config_error(workspace, capsys):
     assert not (workspace / "tree.soct").exists()
 
 
+@pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+@pytest.mark.parametrize("command", ["compress", "report"])
+def test_non_finite_weights_are_config_error(workspace, capsys, command, value):
+    build(workspace, capsys)
+    cases = [(f"num_classes 4\nalpha {value}\nclass 1 relevant 4 road\n",
+              "error: config: alpha must be non-negative and finite\n"),
+             (f"num_classes 4\nalpha 0.02\nclass 1 relevant {value} road\n",
+              "error: config: class 1 needs a non-negative finite weight\n")]
+    for text, line in cases:
+        (workspace / "bad.cfg").write_text(text)
+        code, out, err = run(capsys, [command, "--tree", workspace / "tree.soct",
+                                      "--weights", workspace / "bad.cfg"])
+        assert (code, out, err) == (1, "", line)
+
+
+def test_class_count_above_format_limit_is_config_error(workspace, capsys):
+    (workspace / "world.cfg").write_text(WORLD.replace("num_classes 4", "num_classes 70000"))
+    (workspace / "tree.soct").write_bytes(b"an existing map")
+    code, out, err = build(workspace, capsys)
+    assert (code, out, err) == (1, "", "error: config: num_classes must be at most 65535\n")
+    assert (workspace / "tree.soct").read_bytes() == b"an existing map"
+
+
 def test_rejected_record_in_unobserved_cell_builds_a_loadable_tree(tmp_path, capsys):
     """A record that parses but cannot be fused, alone in its cell, leaves
     no interior nodes behind; they used to make the file unloadable."""

@@ -81,6 +81,13 @@ def test_weights_validation():
         CompressionWeights({}, {}, -0.1)
 
 
+@pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf")])
+def test_non_finite_weights_are_rejected(value):
+    for args in [({1: value}, {}, 0.0), ({}, {2: value}, 0.0), ({}, {}, value)]:
+        with pytest.raises(ConfigError, match="non-negative and finite"):
+            CompressionWeights(*args)
+
+
 def test_gain_zero_for_leaves_and_empty():
     tree = two_leaf_tree()
     cw = CompressionWeights({1: 1.0}, {}, 0.5)
@@ -263,6 +270,38 @@ def test_gain_types_are_kept():
         assert type(tree.root.gain) is kind
 
 
+def test_cache_rebuild_and_extraction_gather_child_sets_per_batch(monkeypatch):
+    """On a map of the benchmark's size (16x16x8 cells at depth 4),
+    ``refresh_all`` gathers child sets once per level batch and
+    ``compress_tree`` once in all: a per-node gather would make hundreds of
+    calls."""
+    rng = np.random.default_rng(78)
+    world = WorldConfig((0, 0, 0), 16.0, 4)
+    cells = np.array(list(np.ndindex(16, 16, 8)), dtype=float)
+    truth = np.where((cells[:, 1] >= 6) & (cells[:, 1] < 10), 1, 2)
+    noisy = rng.random(len(truth)) < 0.15
+    truth[noisy] = rng.integers(0, 5, np.count_nonzero(noisy))
+    points = cells + rng.uniform(0.05, 0.95, cells.shape)
+    tree, rejected = SemanticOctree.from_observations(
+        world, 4, points, truth, rng.uniform(0.6, 0.95, len(truth)))
+    assert not rejected
+    cw = CompressionWeights({1: 4.0}, {2: 0.5}, 0.02)
+    calls = []
+    gather = SemanticOctree.child_sets
+
+    def counting(self, keys):
+        calls.append(len(keys))
+        return gather(self, keys)
+
+    monkeypatch.setattr(SemanticOctree, "child_sets", counting)
+    refresh_all(tree, cw)
+    assert calls == [8 * 8 * 4, 4 * 4 * 2, 2 * 2 * 1, 1]
+    calls.clear()
+    ctree = compress_tree(tree, cw)
+    assert calls == [len(ctree.expanded)]
+    assert len(ctree.expanded) > 50
+
+
 def test_per_class_information_adds_node_terms_in_key_order():
     rng = np.random.default_rng(36)
     for branching in (2, 4, 8):
@@ -272,9 +311,9 @@ def test_per_class_information_adds_node_terms_in_key_order():
         ctree = full_tree(tree)
         bits = np.zeros(tree.num_classes + 1)
         for key in sorted(ctree.expanded):
-            weights, dists, _ = tree.completed_child_arrays(key)
+            weights, dists, _ = tree.child_sets([key])
             pi = weights / weights.sum()
-            js, _ = split_terms(pi[None], dists[None])
+            js, _ = split_terms(pi, dists)
             bits += (tree.nodes[key].weight / tree.root.weight) * js[0]
         assert per_class_information(tree, ctree) == dict(enumerate(bits.tolist()))
 

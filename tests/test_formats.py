@@ -254,6 +254,27 @@ def test_weights_config_errors():
         WeightsConfig(4, 0.1, ((9, "relevant", 1.0, None),))
 
 
+@pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf")])
+def test_non_finite_weights_config_is_rejected(value):
+    with pytest.raises(ConfigError, match="alpha must be non-negative and finite"):
+        WeightsConfig(4, value, ((1, "relevant", 1.0, None),))
+    for role in ("relevant", "irrelevant"):
+        with pytest.raises(ConfigError, match="needs a non-negative finite weight"):
+            WeightsConfig(4, 0.1, ((1, role, value, None),))
+
+
+def test_class_count_above_format_limit_is_rejected_before_writing(tmp_path):
+    world = WorldConfig((0, 0, 0), 8.0, 3)
+    path = tmp_path / "tree.soct"
+    path.write_bytes(b"an existing map")
+    with pytest.raises(ConfigError, match="num_classes must be at most 65535"):
+        serialize_tree(SemanticOctree(world, 65536), path)
+    assert path.read_bytes() == b"an existing map"
+    with pytest.raises(ConfigError, match="num_classes must be at most 65535"):
+        parse_world_config(emit_world_config(world, 65536))
+    assert parse_world_config(emit_world_config(world, 65535))[1] == 65535
+
+
 def test_serialize_empty_tree(tmp_path):
     tree = SemanticOctree(WorldConfig((0, 0, 0), 8.0, 3), 4)
     path = tmp_path / "empty.soct"

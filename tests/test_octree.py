@@ -22,7 +22,7 @@ from soct.octree import (
 )
 from soct.semantics import TruncatedSemanticDistribution, expand_truncated
 
-from helpers import make_random_tree, random_truncated, random_weights
+from helpers import _ref_children, make_random_tree, random_truncated, random_weights
 
 
 def snapshot(tree):
@@ -162,20 +162,23 @@ def test_completed_children_full_set():
         for iy in range(2):
             for iz in range(2):
                 tree.set_leaf((ix, iy, iz), random_truncated(rng, 4), 1.0)
-    entries = tree.completed_children(ROOT_KEY)
-    assert len(entries) == 8
-    assert all(w == 1.0 for w, _ in entries)
+    weights, conds, gains = tree.child_sets([ROOT_KEY])
+    assert weights.shape == gains.shape == (1, 8)
+    assert conds.shape == (1, 8, 5)
+    assert weights.tolist() == [[1.0] * 8]
+    for o, key in enumerate(child_keys(ROOT_KEY, world.dims)):
+        assert np.array_equal(conds[0, o], tree.nodes[key].cond)
 
 
 def test_completed_children_virtual_entries():
     world = WorldConfig((0, 0, 0), 2.0, 1, branching=8)
     tree = SemanticOctree(world, 4)
     tree.set_leaf((0, 0, 0), TruncatedSemanticDistribution(((1, 1.0),), 0, 0), 2.0)
-    entries = tree.completed_children(ROOT_KEY)
-    assert len(entries) == 8
-    virtual = [e for e in entries if np.allclose(e[1], 0.2)]
-    assert len(virtual) == 7
-    assert all(w == 2.0 for w, _ in virtual)
+    weights, conds, gains = tree.child_sets([ROOT_KEY])
+    virtual = [o for o in range(8) if np.allclose(conds[0, o], 0.2)]
+    assert virtual == list(range(1, 8))
+    assert weights[0].tolist() == [2.0] * 8
+    assert gains[0].tolist() == [0.0] * 8
     assert abs(tree.root.weight - 16.0) < 1e-12
 
 
@@ -186,11 +189,44 @@ def test_completed_children_does_not_mutate(tmp_path):
     tree = make_random_tree(rng, branching=8, depth=1, fill=0.4)
     before = snapshot(tree)
     serialize_tree(tree, tmp_path / "before.soct")
-    tree.completed_children(ROOT_KEY)
+    tree.child_sets([ROOT_KEY])
     tree.conditional(ROOT_KEY)
     assert snapshots_equal(before, snapshot(tree))
     serialize_tree(tree, tmp_path / "after.soct")
     assert (tmp_path / "before.soct").read_bytes() == (tmp_path / "after.soct").read_bytes()
+
+
+@settings(max_examples=40, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), branching=st.sampled_from([2, 4, 8]))
+def test_child_sets_match_reference_completion(seed, branching):
+    """Each row of ``child_sets`` is the plain-Python completed child set of
+    ``_ref_children``, over missing children, zero-weight leaves and
+    interior children without a cached conditional, and a key's row in a
+    batch is bit for bit its row alone."""
+    rng = np.random.default_rng(seed)
+    depth = {2: 4, 4: 3, 8: 2}[branching]
+    tree = make_random_tree(rng, branching, depth, fill=float(rng.uniform(0.2, 0.9)))
+    for node in tree.nodes.values():
+        if node.kind == LEAF and rng.random() < 0.2:
+            node.weight = 0.0
+    refresh_all(tree, random_weights(rng))
+    for node in tree.nodes.values():
+        if node.kind == INTERIOR and rng.random() < 0.4:
+            node.cond = None
+    keys = [k for k, n in tree.nodes.items()
+            if n.kind == INTERIOR and tree.stored_children(k)]
+    keys = [keys[i] for i in rng.permutation(len(keys))]
+    batch = tree.child_sets(keys)
+    for i, key in enumerate(keys):
+        entries = _ref_children(tree, key)
+        weights, conds, gains = (a[i] for a in batch)
+        assert weights.tolist() == [w for w, _, _ in entries]
+        assert gains.tolist() == [
+            0.0 if k is None or tree.nodes[k].kind != INTERIOR else tree.nodes[k].gain
+            for _, _, k in entries]
+        assert np.abs(conds - np.array([d for _, d, _ in entries])).max() <= 1e-12
+        alone = tree.child_sets([key])
+        assert [a[i].tobytes() for a in batch] == [a[0].tobytes() for a in alone]
 
 
 def test_prune_identical_children():
@@ -320,7 +356,7 @@ def _check_reads_are_pure(tree):
     for key, node in list(tree.nodes.items()):
         tree.conditional(key)
         if node.kind == INTERIOR and tree.stored_children(key):
-            tree.completed_children(key)
+            tree.child_sets([key])
     assert snapshots_equal(before, snapshot(tree))
 
 
