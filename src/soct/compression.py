@@ -18,11 +18,12 @@ Child sets come stacked from ``SemanticOctree.child_sets``, which alone
 completes absent children. Every JS divergence and split entropy here
 comes from one kernel, ``split_terms``, which takes child sets stacked
 into (N, B) weights and (N, B, C) marginals and gives each row the same
-bits it gets alone. ``refresh_upward`` gathers each ancestor of a leaf
-once the node below it is refreshed, chaining weights and conditionals up
-the root path, then evaluates all the path's child sets in one call and
-chains the gains; ``refresh_all`` gathers and evaluates a tree level
-(deepest first) in stacked batches; ``expansion_gain`` passes one row,
+bits it gets alone. ``refresh_upward`` gathers a leaf's whole root path in
+one call, patches each row's path slot with what was just computed for the
+node below while chaining weights and conditionals up, then evaluates all
+the path's child sets in one call and chains the gains; ``refresh_all``
+gathers and evaluates a tree level (deepest first) in stacked batches;
+``expansion_gain`` passes one row,
 ``per_class_information`` all expanded nodes at once, and ``report`` all
 those of the full tree, for the full and a compressed tree together; the
 extraction gathers all expanded nodes in one call. ``weighted_gain`` and
@@ -319,44 +320,69 @@ def refresh_upward(tree: SemanticOctree, leaf: NodeKey,
     The incremental half of the build loop: after inserting or updating one
     finest-resolution leaf, exactly the nodes on its root path have stale
     caches, and they are recomputed bottom-up from immediate child data.
-    Nothing off the path is touched. Each ancestor's child set is gathered
-    once the node below it is refreshed, so weights and conditionals chain
-    up the path; the JS and entropy terms of all its child sets then come
-    from one ``split_terms`` call, and the gains chain up last.
+    Nothing off the path is touched. The child sets of the whole path come
+    from one ``child_sets`` call; walking up, each row's path slot is then
+    patched with the values just computed for the node below, so weights,
+    conditionals and gains chain up the path exactly as if each row were
+    gathered after the row below it was refreshed. The JS and entropy terms
+    of all rows come from one ``split_terms`` call.
     """
     node = tree.nodes.get(leaf)
     if node is None or node.kind != LEAF or leaf.depth != tree.world.max_depth:
         raise TreeError(f"{leaf} is not a stored finest-resolution leaf")
     node.gain = 0.0
     dims, branching = tree.world.dims, tree.world.branching
-    # Level i is the ancestor i + 1 levels up.
-    path = [(depth, leaf.index >> dims * (leaf.depth - depth))
-            for depth in reversed(range(leaf.depth))]
-    nodes = [tree.nodes[key] for key in path]
-    pis, dists, gains = [], [], []
-    for key, node in zip(path, nodes):
-        weights, conds, child_gains = tree.child_sets([key])
-        gains.append(child_gains[0])
-        node.weight = float(weights.sum())
-        if node.weight <= 0.0:
-            node.cond = uniform_row(tree.num_classes)
+    uniform = uniform_row(tree.num_classes)
+    # Row i is the ancestor i + 1 levels up; its path slot holds the node
+    # below it. Every path conditional is rewritten below, so a placeholder
+    # keeps the gather from deriving stale ones.
+    path, slots, nodes = [], [], []
+    index = leaf.index
+    for depth in reversed(range(leaf.depth)):
+        slots.append(index & (branching - 1))
+        index >>= dims
+        path.append((depth, index))
+        node = tree.nodes[depth, index]
+        node.cond = uniform
+        nodes.append(node)
+    weights, conds, gains = tree.child_sets(path)
+    totals = weights.sum(axis=1).tolist()
+    for i in range(1, len(path)):
+        if weights[i, slots[i]] == totals[i - 1]:
             continue
-        pi, conds = weights[0] / node.weight, conds[0]
-        pis.append(pi)
-        dists.append(conds)
-        node.cond = pi @ conds
-    if pis:
-        js, h = split_terms(np.array(pis), np.array(dists)[:, :, cw.class_ids])
+        # Only under a new leaf: the slot held the weight ``_refresh_path``
+        # derived, and the absent children are completed again from the new
+        # value, as ``child_sets`` completes them.
+        weights[i, slots[i]] = totals[i - 1]
+        depth, index = path[i]
+        absent = [o for o in range(branching)
+                  if (depth + 1, index << dims | o) not in tree.nodes]
+        if absent:
+            stored = [w for o, w in enumerate(weights[i].tolist()) if o not in absent]
+            weights[i, absent] = sum(stored) / len(stored)
+        totals[i] = float(weights[i].sum())
+    live = [i for i, total in enumerate(totals) if total > 0.0]
+    with np.errstate(divide="ignore", invalid="ignore"):
+        pi = weights / np.array(totals)[:, None]
+    for i, node in enumerate(nodes):
+        node.weight = totals[i]
+        if i:
+            conds[i, slots[i]] = nodes[i - 1].cond
+        node.cond = pi[i] @ conds[i] if totals[i] > 0.0 else uniform
+    if len(live) < len(path):
+        pi, conds = pi[live], conds[live]
+    if live:
+        js, h = split_terms(pi, conds.take(cw.class_ids, axis=2))
         js, h = js.tolist(), h.tolist()
     # Gains chain up last; the slot of the node below takes its new gain.
     row = 0
     for i, node in enumerate(nodes):
         if i:
-            gains[i][path[i - 1][1] & (branching - 1)] = nodes[i - 1].gain
-        if node.weight <= 0.0:
+            gains[i, slots[i]] = nodes[i - 1].gain
+        if totals[i] <= 0.0:
             node.gain = 0.0
             continue
-        node.gain = _gain(float(pis[row] @ gains[i]), h[row], js[row], cw)
+        node.gain = _gain(float(pi[row] @ gains[i]), h[row], js[row], cw)
         row += 1
 
 
@@ -461,18 +487,21 @@ def compress_tree(tree: SemanticOctree, cw: CompressionWeights) -> CompressedTre
     An empty tree yields the root-only result.
     """
     _require_no_summaries(tree)
+    get, dims, octants = tree.nodes.get, tree.world.dims, range(tree.world.branching)
     expanded: set[NodeKey] = set()
-    stack = []
+    # Candidates are interior with positive gain; one without stored
+    # children is not expanded. Each child slot is looked up once.
     root = tree.root
-    if root.kind == INTERIOR and root.gain > G_EPS and tree.stored_children(ROOT_KEY):
-        stack.append(ROOT_KEY)
+    stack = [(0, 0)] if root.kind == INTERIOR and root.gain > G_EPS else []
     while stack:
-        key = stack.pop()
-        expanded.add(key)
-        for ck in tree.stored_children(key):
-            child = tree.nodes[ck]
-            if child.kind == INTERIOR and child.gain > G_EPS and tree.stored_children(ck):
-                stack.append(ck)
+        depth, index = stack.pop()
+        base = index << dims
+        kids = [(base | o, get((depth + 1, base | o))) for o in octants]
+        kids = [(i, c) for i, c in kids if c is not None]
+        if kids:
+            expanded.add(NodeKey(depth, index))
+            stack += [(depth + 1, i) for i, c in kids
+                      if c.kind == INTERIOR and c.gain > G_EPS]
     return compressed_from_expanded(tree, frozenset(expanded))
 
 

@@ -145,13 +145,7 @@ class WorldConfig:
         Cells are half-open [lo, hi) per axis; points at the world's upper
         corner are rejected. Works on plain floats, one point at a time.
         """
-        p = [float(v) for v in point]
-        if not self.contains(p):
-            raise OutOfBoundsError(_outside(p))
-        last = (1 << self.max_depth) - 1
-        size = self.leaf_size
-        return tuple(min(int((p[axis] - self.origin[axis]) // size), last)
-                     for axis in range(self.dims))
+        return self.coords_of(self.leaf_key(point))
 
     def morton(self, points) -> tuple[np.ndarray, np.ndarray]:
         """Finest-depth Morton codes of an (N, 3) array of points.
@@ -177,8 +171,19 @@ class WorldConfig:
         return codes, inside
 
     def leaf_key(self, point) -> NodeKey:
-        depth = self.max_depth
-        return NodeKey(depth, _interleave(self.leaf_coords(point), self.dims, depth))
+        """Key of the finest cell containing point (see ``leaf_coords``).
+
+        On plain floats and ints: the bounds check of ``contains``, then per
+        axis the floor and upper clamp of ``morton``, then the interleave.
+        """
+        x, y, z = p = [float(v) for v in point]
+        (ox, oy, oz), e = self.origin, self.edge_length
+        if not (ox <= x < ox + e and oy <= y < oy + e and oz <= z < oz + e):
+            raise OutOfBoundsError(_outside(p))
+        depth, dims = self.max_depth, self.dims
+        last, size = (1 << depth) - 1, self.leaf_size
+        cells = [min(int((v - o) // size), last) for v, o in zip(p[:dims], self.origin)]
+        return NodeKey(depth, _interleave(cells, dims, depth))
 
     def key_from_coords(self, coords: tuple[int, ...], depth: int) -> NodeKey:
         if len(coords) != self.dims:
@@ -475,8 +480,8 @@ class SemanticOctree:
     def set_leaf(self, coords: tuple[int, ...],
                  dist: TruncatedSemanticDistribution, weight: float = 1.0) -> NodeKey:
         """Directly install a finest-resolution leaf (fixtures, bulk loads)."""
-        if weight < 0:
-            raise ConfigError("leaf weight must be non-negative")
+        if not 0 <= weight < math.inf:  # NaN fails too
+            raise ConfigError(f"leaf weight must be non-negative and finite, not {weight}")
         record = self.make_record(LEAF, weight, dist)
         key = self.world.key_from_coords(coords, self.world.max_depth)
         self._open_path(key)

@@ -154,10 +154,11 @@ def test_single_point_lookup_matches_reference(seed, branching, depth, origin,
         ref = ref_cell_coords(world, point)
         assert world.contains(point) == (ref is not None) == ok
         if ref is None:
-            with pytest.raises(OutOfBoundsError) as err:
-                world.leaf_coords(point)
-            assert str(err.value) == (f"point {[float(v) for v in point]} "
-                                      "outside world volume")
+            message = f"point {[float(v) for v in point]} outside world volume"
+            for lookup in (world.leaf_coords, world.leaf_key):
+                with pytest.raises(OutOfBoundsError) as err:
+                    lookup(point)
+                assert str(err.value) == message
             continue
         assert world.leaf_coords(point) == tuple(ref)
         assert world.leaf_key(point).index == code

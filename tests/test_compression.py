@@ -206,6 +206,64 @@ def test_refresh_upward_rejects_non_leaf():
         refresh_upward(tree, ROOT_KEY, cw)
 
 
+def test_refresh_upward_gathers_and_evaluates_once(monkeypatch):
+    """On a branching-8, depth-4 stream of new leaves (with new ancestors)
+    and updates, each ``refresh_upward`` gathers its whole root path in one
+    ``child_sets`` call and evaluates it in one ``split_terms`` call: a
+    gather per level, or a recursive ``conditional`` of a new ancestor,
+    would make more."""
+    rng = np.random.default_rng(79)
+    world = WorldConfig((0, 0, 0), 16.0, 4)
+    tree = SemanticOctree(world, 4)
+    cw = CompressionWeights({1: 4.0}, {2: 0.5}, 0.02)
+    calls = []
+    gather, kernel = SemanticOctree.child_sets, split_terms
+
+    def counting_gather(self, keys):
+        calls.append(("child_sets", len(keys)))
+        return gather(self, keys)
+
+    def counting_kernel(pi, marginals):
+        calls.append(("split_terms", len(pi)))
+        return kernel(pi, marginals)
+
+    monkeypatch.setattr(SemanticOctree, "child_sets", counting_gather)
+    monkeypatch.setattr("soct.compression.split_terms", counting_kernel)
+    cells = rng.integers(0, 16, (30, 3)) * [1, 1, 0.5]
+    for cell in np.vstack([cells, cells]):  # new leaves, then updates
+        leaf = tree.add_observation(cell + rng.uniform(0.1, 0.4, 3),
+                                    int(rng.integers(0, 5)), 0.8)
+        calls.clear()
+        refresh_upward(tree, leaf, cw)
+        assert calls == [("child_sets", 4), ("split_terms", 4)]
+
+
+def test_refresh_upward_patches_every_path_slot_bit_for_bit():
+    """A new leaf under parents with absent siblings: ``add_observation``
+    and ``set_leaf`` leave each ancestor at its ``completed_weight``, which
+    here differs in the last bit from the sum of its completed child row.
+    ``refresh_upward`` gathers the path before any weight is refreshed, so
+    it must patch the path slot of every row above the first and complete
+    that row's absent children again from the new value."""
+    world = WorldConfig((0, 0, 0), 8.0, 3)
+    tree = SemanticOctree(world, 4)
+    record = TruncatedSemanticDistribution(((1, 0.6), (2, 0.3)), 0.1, 0.0)
+    cw = CompressionWeights({1: 2.0}, {2: 0.5}, 0.01)
+    for cell in ((0, 1, 0), (1, 1, 0)):
+        refresh_upward(tree, tree.set_leaf(cell, record, 0.1), cw)
+    leaf = tree.set_leaf((0, 0, 0), record, 1.0)
+    # The slot of (depth - 1, 0) holds the weight of (depth, 0) as written;
+    # a row gathered after the node below is refreshed holds its row sum.
+    probe = copy.deepcopy(tree)
+    for depth in (2, 1):
+        node = probe.nodes[(depth, 0)]
+        total = float(probe.child_sets([(depth, 0)])[0].sum())
+        assert node.weight != total
+        node.weight = total
+    refresh_upward(tree, leaf, cw)
+    _assert_caches_equal_batch_bit_for_bit(tree, cw)
+
+
 def random_child_sets(rng, n, branching, columns):
     """Stacked child sets with zero-weight children, constant columns and
     entries at and just outside 0 and 1; returns weights, pi, marginals."""

@@ -309,11 +309,20 @@ def test_expand_summaries_restores_leaves():
     assert abs(tree.root.weight - total_before) < 1e-12
 
 
-def test_set_leaf_rejects_bad_weight():
+def test_set_leaf_rejects_bad_weight(tmp_path):
+    """A negative or non-finite weight is a config error and leaves the
+    tree as it was: a NaN would spread to every ancestor's weight, and an
+    inf would write a file that the reader rejects."""
     world = WorldConfig((0, 0, 0), 2.0, 1, branching=2)
     tree = SemanticOctree(world, 4)
-    with pytest.raises(ConfigError):
-        tree.set_leaf((0,), TruncatedSemanticDistribution(((1, 1.0),), 0, 0), -1.0)
+    tree.set_leaf((1,), TruncatedSemanticDistribution(((2, 1.0),), 0, 0), 1.0)
+    before = snapshot(tree)
+    for weight in (-1.0, float("nan"), float("inf"), -float("inf")):
+        with pytest.raises(ConfigError, match="non-negative and finite"):
+            tree.set_leaf((0,), TruncatedSemanticDistribution(((1, 1.0),), 0, 0), weight)
+        assert snapshots_equal(before, snapshot(tree))
+    serialize_tree(tree, tmp_path / "tree.soct")
+    assert deserialize_tree(tmp_path / "tree.soct").root.weight == 2.0
 
 
 def test_tree_requires_four_classes():
