@@ -15,21 +15,21 @@ root mass; these sums telescope to the entropy of the leaf-weight partition
 and to the mutual information between each class and the leaf index.
 
 Child sets come stacked from ``SemanticOctree.child_sets``, which alone
-completes absent children. Every JS divergence and split entropy here
-comes from one kernel, ``split_terms``, which takes child sets stacked
-into (N, B) weights and (N, B, C) marginals and gives each row the same
-bits it gets alone. ``refresh_upward`` gathers a leaf's whole root path in
-one call, patches each row's path slot with what was just computed for the
-node below while chaining weights and conditionals up, then evaluates all
-the path's child sets in one call and chains the gains; ``refresh_all``
+completes absent children and reports each row's total weight, the
+``completed_weight`` that every weight normalization here divides by.
+Every JS divergence and split entropy here comes from one kernel,
+``split_terms``, which takes child sets stacked into (N, B) weights and
+(N, B, C) marginals and gives each row the same bits it gets alone.
+``refresh_upward`` gathers a leaf's whole root path in one call, chains
+the conditionals up through each row's path slot, then evaluates all the
+path's child sets in one call and chains the gains; ``refresh_all``
 gathers and evaluates a tree level (deepest first) in stacked batches;
-``expansion_gain`` passes one row,
-``per_class_information`` all expanded nodes at once, and ``report`` all
-those of the full tree, for the full and a compressed tree together; the
-extraction gathers all expanded nodes in one call. ``weighted_gain`` and
-``information_report`` stay on the separate
-``infotheory.split_increments`` route, so they check the kernel rather
-than repeat it.
+``expansion_gain`` passes one row, ``per_class_information`` all expanded
+nodes at once, and ``report`` all those of the full tree, for the full and
+a compressed tree together; the extraction gathers all expanded nodes in
+one call. ``weighted_gain`` and ``information_report`` stay on the
+separate ``infotheory.split_increments`` route, so they check the kernel
+rather than repeat it.
 
 Trees containing summary nodes must be expanded (``expand_summaries``)
 before the tree-level operations here; per-node gain queries and cache
@@ -45,7 +45,7 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass, field
-from typing import Iterable, Mapping, NamedTuple
+from typing import Iterable, Iterator, Mapping, NamedTuple
 
 import numpy as np
 
@@ -263,9 +263,9 @@ def expansion_gain(tree: SemanticOctree, key: NodeKey,
         return 0.0
     if not tree.stored_children(key):
         return 0.0
-    weights, dists, _ = tree.child_sets([key])
-    weights, dists = weights[0], dists[0]
-    if float(weights.sum()) <= 0.0:
+    weights, dists, _, totals = tree.child_sets([key])
+    weights, dists, total = weights[0], dists[0], float(totals[0])
+    if total <= 0.0:
         return 0.0
     gains = np.zeros(len(weights))
     dims = tree.world.dims
@@ -273,7 +273,7 @@ def expansion_gain(tree: SemanticOctree, key: NodeKey,
         child = tree.nodes.get(ck)
         if child is not None and child.kind == INTERIOR:
             gains[o] = expansion_gain(tree, ck, cw)
-    pi = weights / float(weights.sum())
+    pi = weights / total
     js, h = split_terms(pi[None], dists[None][:, :, cw.class_ids])
     return _gain(float(pi @ gains), h.tolist()[0], js.tolist()[0], cw)
 
@@ -293,8 +293,8 @@ def weighted_gain(tree: SemanticOctree, key: NodeKey,
     stored = tree.stored_children(key)
     if not stored:
         return 0.0
-    weights, dists, _ = tree.child_sets([key])
-    if float(weights[0].sum()) <= 0.0:
+    weights, dists, _, totals = tree.child_sets([key])
+    if totals[0] <= 0.0:
         return 0.0
     inc = _increments(node.weight, weights[0], dists[0], cw)
     total = inc.reward
@@ -315,17 +315,18 @@ def _increments(mass: float, weights: np.ndarray, dists: np.ndarray,
 
 def refresh_upward(tree: SemanticOctree, leaf: NodeKey,
                    cw: CompressionWeights) -> None:
-    """Refresh weights, conditionals and gains on the leaf-to-root path.
+    """Refresh conditionals and gains on the leaf-to-root path.
 
     The incremental half of the build loop: after inserting or updating one
     finest-resolution leaf, exactly the nodes on its root path have stale
     caches, and they are recomputed bottom-up from immediate child data.
-    Nothing off the path is touched. The child sets of the whole path come
-    from one ``child_sets`` call; walking up, each row's path slot is then
-    patched with the values just computed for the node below, so weights,
-    conditionals and gains chain up the path exactly as if each row were
-    gathered after the row below it was refreshed. The JS and entropy terms
-    of all rows come from one ``split_terms`` call.
+    Nothing off the path is touched. Weights are the insert's:
+    ``add_observation`` and ``set_leaf`` store ``completed_weight`` along
+    the path, the total ``child_sets`` reports, so every path slot already
+    holds the total of the row below it. The whole path is gathered in one
+    ``child_sets`` call; walking up, each row's path slot takes the
+    conditional and gain just computed for the node below. The JS and
+    entropy terms of all rows come from one ``split_terms`` call.
     """
     node = tree.nodes.get(leaf)
     if node is None or node.kind != LEAF or leaf.depth != tree.world.max_depth:
@@ -345,27 +346,12 @@ def refresh_upward(tree: SemanticOctree, leaf: NodeKey,
         node = tree.nodes[depth, index]
         node.cond = uniform
         nodes.append(node)
-    weights, conds, gains = tree.child_sets(path)
-    totals = weights.sum(axis=1).tolist()
-    for i in range(1, len(path)):
-        if weights[i, slots[i]] == totals[i - 1]:
-            continue
-        # Only under a new leaf: the slot held the weight ``_refresh_path``
-        # derived, and the absent children are completed again from the new
-        # value, as ``child_sets`` completes them.
-        weights[i, slots[i]] = totals[i - 1]
-        depth, index = path[i]
-        absent = [o for o in range(branching)
-                  if (depth + 1, index << dims | o) not in tree.nodes]
-        if absent:
-            stored = [w for o, w in enumerate(weights[i].tolist()) if o not in absent]
-            weights[i, absent] = sum(stored) / len(stored)
-        totals[i] = float(weights[i].sum())
-    live = [i for i, total in enumerate(totals) if total > 0.0]
+    weights, conds, gains, totals = tree.child_sets(path)
     with np.errstate(divide="ignore", invalid="ignore"):
-        pi = weights / np.array(totals)[:, None]
+        pi = weights / totals[:, None]
+    totals = totals.tolist()
+    live = [i for i, total in enumerate(totals) if total > 0.0]
     for i, node in enumerate(nodes):
-        node.weight = totals[i]
         if i:
             conds[i, slots[i]] = nodes[i - 1].cond
         node.cond = pi[i] @ conds[i] if totals[i] > 0.0 else uniform
@@ -394,8 +380,7 @@ def refresh_all(tree: SemanticOctree, cw: CompressionWeights) -> None:
     nodes depend only on the level below, so each level is refreshed in
     stacked batches of at most ``CHUNK_ROWS`` nodes.
     """
-    dims = tree.world.dims
-    parents = {(d - 1, i >> dims) for d, i in tree.nodes if d}
+    parents = tree.keys_with_children()
     keys = []
     for key in tree.interior_keys_deepest_first():
         if key in parents:
@@ -413,8 +398,7 @@ def _refresh_batch(tree: SemanticOctree, keys: list[NodeKey],
                    cw: CompressionWeights) -> None:
     """Refresh interior nodes with stored children whose children's caches
     are all current."""
-    weights, dists, gains = tree.child_sets(keys)
-    totals = weights.sum(axis=1)
+    weights, dists, gains, totals = tree.child_sets(keys)
     live = np.flatnonzero(totals > 0.0)
     pi = weights[live] / totals[live, None]
     dists = dists[live]
@@ -462,7 +446,7 @@ def compressed_from_expanded(tree: SemanticOctree,
             ROOT_KEY, root_weight, np.array(tree.conditional(ROOT_KEY)), empty)
     else:
         keys = list(expanded)
-        weights, dists, _ = tree.child_sets(keys)
+        weights, dists, _, _ = tree.child_sets(keys)
         for key, row_w, row_d in zip(keys, weights.tolist(), dists):
             kept.add(key)
             for o, ck in enumerate(child_keys(key, dims)):
@@ -508,8 +492,7 @@ def compress_tree(tree: SemanticOctree, cw: CompressionWeights) -> CompressedTre
 def full_tree(tree: SemanticOctree) -> CompressedTree:
     """The uncompressed representation: every stored interior node expanded."""
     _require_no_summaries(tree)
-    expanded = frozenset(k for k, n in tree.nodes.items()
-                         if n.kind == INTERIOR and tree.stored_children(k))
+    expanded = frozenset(map(NodeKey._make, tree.keys_with_children()))
     return compressed_from_expanded(tree, expanded)
 
 
@@ -549,7 +532,7 @@ def information_report(tree: SemanticOctree, ctree: CompressedTree,
             node = tree.nodes[key]
             if node.weight <= 0.0:
                 continue
-            weights, dists, _ = tree.child_sets([key])
+            weights, dists, _, _ = tree.child_sets([key])
             inc = _increments(node.weight / p_root, weights[0], dists[0], cw)
             for cid, v in inc.relevant_bits.items():
                 relevant[cid] += v
@@ -581,8 +564,7 @@ def report(tree: SemanticOctree, ctree: CompressedTree, cw: CompressionWeights):
     """
     _require_no_summaries(tree)
     _validate_subtree(tree, ctree)
-    dims = tree.world.dims
-    full = sorted({NodeKey(d - 1, i >> dims) for d, i in tree.nodes if d})
+    full = sorted(tree.keys_with_children())
     full_bits, partition_bits, kept_bits = _bits(tree, full, ctree.expanded)
     objective = (sum(w * kept_bits[c] for c, w in cw.retain.items())
                  - sum(w * kept_bits[c] for c, w in cw.remove.items())
@@ -601,8 +583,8 @@ def _bits(tree: SemanticOctree, keys: list[NodeKey], kept: set[NodeKey]):
     keys = [k for k in keys if tree.nodes[k].weight > 0.0] if p_root > 0.0 else []
     js, h = np.zeros((len(keys), tree.num_classes + 1)), np.zeros(len(keys))
     if keys:
-        weights, dists, _ = tree.child_sets(keys)
-        pi = weights / weights.sum(axis=1)[:, None]
+        weights, dists, _, totals = tree.child_sets(keys)
+        pi = weights / totals[:, None]
         js, h = split_terms(pi, dists)
     mass = np.array([tree.nodes[k].weight / p_root for k in keys])
     terms = np.c_[mass * h, mass[:, None] * js]
@@ -637,27 +619,15 @@ def count_candidate_trees(tree: SemanticOctree, key: NodeKey = ROOT_KEY) -> int:
     return 1 + product
 
 
-def _candidate_sets(tree: SemanticOctree, key: NodeKey) -> list[frozenset[NodeKey]]:
+def _candidate_sets(tree: SemanticOctree, key: NodeKey) -> Iterator[frozenset[NodeKey]]:
+    """The expanded sets of ``key``'s subtree, the empty one first, lazily:
+    ``itertools.product`` holds its children's sets, never ``key``'s own."""
+    yield frozenset()
     if not _expandable(tree, key):
-        return [frozenset()]
+        return
     child_lists = [_candidate_sets(tree, ck) for ck in tree.stored_children(key)]
-    out = [frozenset()]
     for combo in itertools.product(*child_lists):
         merged = {key}
-        for part in combo:
-            merged |= part
-        out.append(frozenset(merged))
-    return out
-
-
-def _iter_candidates(tree: SemanticOctree):
-    yield frozenset()
-    if not _expandable(tree, ROOT_KEY):
-        return
-    child_lists = [_candidate_sets(tree, ck)
-                   for ck in tree.stored_children(ROOT_KEY)]
-    for combo in itertools.product(*child_lists):
-        merged = {ROOT_KEY}
         for part in combo:
             merged |= part
         yield frozenset(merged)
@@ -677,7 +647,7 @@ def exhaustive_search(tree: SemanticOctree,
         raise SizeLimitError(
             f"{count} candidate trees exceed the {MAX_CANDIDATES} limit")
     objectives = []
-    for expanded in _iter_candidates(tree):
+    for expanded in _candidate_sets(tree, ROOT_KEY):
         ctree = compressed_from_expanded(tree, expanded)
         objectives.append(information_report(tree, ctree, cw).objective)
     best = max(objectives)

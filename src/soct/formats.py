@@ -249,20 +249,37 @@ def read_cloud(path, num_classes: int, error_budget: int = 100,
 # -- key-value configs ------------------------------------------------------------
 
 
-def _kv_lines(text: str) -> Iterator[tuple[int, list[str]]]:
+def _kv_lines(text: str, arity: dict[str, int]) -> Iterator[tuple[int, str, list[str]]]:
+    """(line number, key, values) of each line with content, comments cut.
+
+    A key that ``arity`` does not list, more values than ``arity[key]``, or
+    a repeated key other than ``class`` is a ``FormatError`` naming the line.
+    """
+    seen = set()
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
-        if line:
-            yield lineno, line.split()
+        if not line:
+            continue
+        key, *values = line.split()
+        if key not in arity:
+            raise FormatError(f"line {lineno}: unknown key {key!r}")
+        if key in seen:
+            raise FormatError(f"line {lineno}: duplicate key {key!r}")
+        if len(values) > arity[key]:
+            raise FormatError(f"line {lineno}: too many values for {key!r}")
+        if key != "class":
+            seen.add(key)
+        yield lineno, key, values
+
+
+_WORLD_KEYS = {"origin": 3, "edge_length": 1, "max_depth": 1, "branching": 1,
+               "num_classes": 1}
+_WEIGHTS_KEYS = {"num_classes": 1, "alpha": 1, "class": 4}
 
 
 def parse_world_config(text: str) -> tuple[WorldConfig, int]:
     """Parse a world description; returns the config and the class count."""
-    values: dict[str, list[str]] = {}
-    for lineno, parts in _kv_lines(text):
-        if parts[0] in values:
-            raise FormatError(f"line {lineno}: duplicate key {parts[0]!r}")
-        values[parts[0]] = parts[1:]
+    values = {key: args for _, key, args in _kv_lines(text, _WORLD_KEYS)}
     try:
         origin = tuple(float(v) for v in values.get("origin", ["0", "0", "0"]))
         edge = float(values["edge_length"][0])
@@ -336,27 +353,19 @@ def parse_weights_config(text: str) -> WeightsConfig:
     num_classes = None
     alpha = None
     entries = []
-    for lineno, parts in _kv_lines(text):
-        key = parts[0]
+    for lineno, key, args in _kv_lines(text, _WEIGHTS_KEYS):
         try:
             if key == "num_classes":
-                num_classes = int(parts[1])
+                num_classes = int(args[0])
             elif key == "alpha":
-                alpha = float(parts[1])
-            elif key == "class":
-                cid = int(parts[1])
-                role = parts[2]
-                weight = None
-                name = None
-                rest = parts[3:]
-                if role != ROLE_NEUTRAL and rest:
-                    weight = float(rest[0])
-                    rest = rest[1:]
-                if rest:
-                    name = rest[0]
-                entries.append((cid, role, weight, name))
+                alpha = float(args[0])
             else:
-                raise FormatError(f"line {lineno}: unknown key {key!r}")
+                cid, role, *rest = args
+                weight = float(rest.pop(0)) if role != ROLE_NEUTRAL and rest else None
+                name = rest.pop(0) if rest else None
+                if rest:  # a neutral class carries no weight
+                    raise FormatError(f"line {lineno}: too many values for 'class'")
+                entries.append((int(cid), role, weight, name))
         except (ValueError, IndexError):
             raise FormatError(f"line {lineno}: malformed {key!r} entry") from None
     if num_classes is None:
@@ -503,12 +512,14 @@ def deserialize_tree(path) -> SemanticOctree:
     Structure, weights and records are restored exactly. A structural pass
     (``_walk``) finds the nodes and checks their weights: a leaf or summary
     weight must be finite and non-negative, an interior weight finite and
-    within 1e-9 relative of its children's ``completed_weight``, which
-    admits the rounding of either way of summing them. The records are then
-    decoded and validated at once (``record_errors``). The first violation
-    in file order is a ``CorruptionError``, an interior weight counting once
-    its subtree is read. Interior caches are rebuilt on the next
-    ``refresh_all``.
+    within 1e-9 relative of its children's ``completed_weight``. The
+    tolerance stays although this version writes that value bit for bit: a
+    file is outside input, and files that earlier versions saved after
+    ``refresh_all`` hold row sums, which can differ in the last bit. The
+    records are then decoded and validated at once (``record_errors``).
+    The first violation in file order is a ``CorruptionError``, an interior
+    weight counting once its subtree is read. Interior caches are rebuilt
+    on the next ``refresh_all``.
     """
     with open(path, "rb") as fh:
         data = fh.read()

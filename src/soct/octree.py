@@ -7,8 +7,10 @@ class distribution, zero gain and a weight equal to the mean weight of
 their stored siblings. ``SemanticOctree.child_sets`` is the one place that
 applies this rule: every computation on a node's full child set reads it
 from there, stacked for many nodes at once. Observed finest-resolution
-leaves carry unit weight, and every interior weight is the sum of its
-(virtually completed) children.
+leaves carry unit weight, and an interior weight is the sum of its
+(virtually completed) children, always evaluated by ``completed_weight``:
+the insert paths store it and ``child_sets`` reports it per row, so a
+stored weight equals its row's total bit for bit.
 
 Three node kinds exist: depth-D leaves and their ancestors (interior nodes
 with cached aggregate conditionals), plus summary nodes produced by pruning
@@ -282,6 +284,13 @@ class SemanticOctree:
     def stored_children(self, key: NodeKey) -> list[NodeKey]:
         return [k for k in child_keys(key, self.world.dims) if k in self.nodes]
 
+    def keys_with_children(self) -> set[tuple[int, int]]:
+        """Keys of the stored nodes with stored children (the parents of
+        every stored key but the root), as plain (depth, index) pairs, which
+        compare and hash as their ``NodeKey``."""
+        dims = self.world.dims
+        return {(d - 1, i >> dims) for d, i in self.nodes if d}
+
     def has_summaries(self) -> bool:
         return any(n.kind == SUMMARY for n in self.nodes.values())
 
@@ -316,31 +325,34 @@ class SemanticOctree:
             return node.cond
         if not self.stored_children(key):
             return uniform_row(self.num_classes)
-        weights, conds, _ = self.child_sets([key])
-        total = float(weights[0].sum())
-        if total <= 0.0:
+        weights, conds, _, totals = self.child_sets([key])
+        if totals[0] <= 0.0:
             return uniform_row(self.num_classes)
-        return (weights[0] / total) @ conds[0]
+        return (weights[0] / totals[0]) @ conds[0]
 
-    def child_sets(self, keys) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Weights (N, B), conditionals (N, B, K+1) and cached gains (N, B)
-        of the full child sets of N interior keys with stored children.
+    def child_sets(self, keys) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+        """Weights (N, B), conditionals (N, B, K+1), cached gains (N, B) and
+        total weights (N,) of the full child sets of N interior keys with
+        stored children.
 
         An absent child is completed virtually and never stored: it weighs
         the mean of its stored siblings' weights and has the uniform
         conditional and zero gain. A stored child's gain is its cached one
-        if it is interior, else 0. A key's row does not depend on the keys
-        beside it. Keys may be plain (depth, index) pairs.
+        if it is interior, else 0. A row's total is ``completed_weight`` of
+        its stored weights, the node's weight by definition; consumers
+        normalize by it instead of summing the row. A key's row does not
+        depend on the keys beside it. Keys may be plain (depth, index) pairs.
         """
         get, dims, octants = self.nodes.get, self.world.dims, range(self.world.branching)
         uniform = uniform_row(self.num_classes)
-        weights, conds, gains = [], [], []
+        weights, conds, gains, totals = [], [], [], []
         for depth, index in keys:
             base = index << dims
             kids = [get((depth + 1, base | o)) for o in octants]
             stored = [c.weight for c in kids if c is not None]
             if not stored:
                 raise TreeError(f"{(depth, index)} has no stored children to complete")
+            totals.append(completed_weight(stored, len(octants)))
             mean_w = sum(stored) / len(stored)
             for o, c in zip(octants, kids):
                 if c is None:
@@ -354,7 +366,8 @@ class SemanticOctree:
                     gains.append(c.gain if c.kind == INTERIOR else 0.0)
         n, b = len(keys), len(octants)
         weights, gains = np.array(weights + gains, dtype=np.float64).reshape(2, n, b)
-        return weights, np.array(conds).reshape(n, b, self.num_classes + 1), gains
+        conds = np.array(conds).reshape(n, b, self.num_classes + 1)
+        return weights, conds, gains, np.array(totals, dtype=np.float64)
 
     # -- construction -----------------------------------------------------
 

@@ -161,6 +161,16 @@ def test_class_count_mismatch_is_config_error(workspace, capsys):
     assert "error: config:" in err
 
 
+def test_repeated_alpha_is_format_error_naming_its_line(workspace, capsys):
+    build(workspace, capsys)
+    (workspace / "bad.cfg").write_text("num_classes 4\nalpha 0.01\nalpha 5\n")
+    code, out, err = run(capsys, [
+        "compress", "--tree", workspace / "tree.soct",
+        "--weights", workspace / "bad.cfg"])
+    assert code == 1 and out == ""
+    assert err.splitlines() == ["error: format: line 3: duplicate key 'alpha'"]
+
+
 def test_corrupt_tree_reports_category(workspace, capsys):
     build(workspace, capsys)
     data = (workspace / "tree.soct").read_bytes()

@@ -238,13 +238,12 @@ def test_refresh_upward_gathers_and_evaluates_once(monkeypatch):
         assert calls == [("child_sets", 4), ("split_terms", 4)]
 
 
-def test_refresh_upward_patches_every_path_slot_bit_for_bit():
-    """A new leaf under parents with absent siblings: ``add_observation``
-    and ``set_leaf`` leave each ancestor at its ``completed_weight``, which
-    here differs in the last bit from the sum of its completed child row.
-    ``refresh_upward`` gathers the path before any weight is refreshed, so
-    it must patch the path slot of every row above the first and complete
-    that row's absent children again from the new value."""
+def test_refresh_upward_path_slots_hold_row_totals_bit_for_bit():
+    """A new leaf under parents with absent siblings, where summing a
+    completed child row differs in the last bit from ``completed_weight``:
+    ``set_leaf`` leaves each ancestor at the total ``child_sets`` reports
+    for its row, so ``refresh_upward``, which gathers the path before
+    anything is refreshed, reads every path slot as the row below totals."""
     world = WorldConfig((0, 0, 0), 8.0, 3)
     tree = SemanticOctree(world, 4)
     record = TruncatedSemanticDistribution(((1, 0.6), (2, 0.3)), 0.1, 0.0)
@@ -252,14 +251,12 @@ def test_refresh_upward_patches_every_path_slot_bit_for_bit():
     for cell in ((0, 1, 0), (1, 1, 0)):
         refresh_upward(tree, tree.set_leaf(cell, record, 0.1), cw)
     leaf = tree.set_leaf((0, 0, 0), record, 1.0)
-    # The slot of (depth - 1, 0) holds the weight of (depth, 0) as written;
-    # a row gathered after the node below is refreshed holds its row sum.
-    probe = copy.deepcopy(tree)
+    row_sums_agree = []
     for depth in (2, 1):
-        node = probe.nodes[(depth, 0)]
-        total = float(probe.child_sets([(depth, 0)])[0].sum())
-        assert node.weight != total
-        node.weight = total
+        weights, _, _, totals = tree.child_sets([(depth, 0)])
+        assert tree.nodes[(depth, 0)].weight == totals[0]
+        row_sums_agree.append(weights.sum() == totals[0])
+    assert not all(row_sums_agree)  # the fixture reaches the last-bit gap
     refresh_upward(tree, leaf, cw)
     _assert_caches_equal_batch_bit_for_bit(tree, cw)
 
@@ -369,8 +366,8 @@ def test_per_class_information_adds_node_terms_in_key_order():
         ctree = full_tree(tree)
         bits = np.zeros(tree.num_classes + 1)
         for key in sorted(ctree.expanded):
-            weights, dists, _ = tree.child_sets([key])
-            pi = weights / weights.sum()
+            weights, dists, _, totals = tree.child_sets([key])
+            pi = weights / totals[:, None]
             js, _ = split_terms(pi, dists)
             bits += (tree.nodes[key].weight / tree.root.weight) * js[0]
         assert per_class_information(tree, ctree) == dict(enumerate(bits.tolist()))

@@ -220,6 +220,37 @@ def test_world_config_errors():
                            "max_depth 2\nnum_classes 4\n")
 
 
+WORLD = "origin 0 0 0\nedge_length 8\nmax_depth 2\nnum_classes 4\n"
+WEIGHTS = "num_classes 4\nalpha 0.01\nclass 1 relevant 4 road\nclass 2 neutral\n"
+
+
+@pytest.mark.parametrize("old, new, message", [
+    ("\n", "\nfoo 1\n", "line 2: unknown key 'foo'"),
+    ("\n", "\nedge_length 9\n", "line 3: duplicate key 'edge_length'"),
+    ("0 0 0", "0 0 0 1", "line 1: too many values for 'origin'"),
+    ("edge_length 8", "edge_length 8 9", "line 2: too many values for 'edge_length'"),
+])
+def test_world_config_rejects_each_bad_line(old, new, message):
+    with pytest.raises(FormatError, match=f"^{message}$"):
+        parse_world_config(WORLD.replace(old, new, 1))
+
+
+@pytest.mark.parametrize("line, message", [
+    ("alpha 5", "line 5: duplicate key 'alpha'"),
+    ("num_classes 4", "line 5: duplicate key 'num_classes'"),
+    ("class 3 relevant 4 trees extra", "line 5: too many values for 'class'"),
+    ("class 3 neutral trees extra", "line 5: too many values for 'class'"),
+    ("bar 2", "line 5: unknown key 'bar'"),
+])
+def test_weights_config_rejects_each_bad_line(line, message):
+    with pytest.raises(FormatError, match=f"^{message}$"):
+        parse_weights_config(WEIGHTS + line + "\n")
+    with pytest.raises(FormatError, match="^line 2: too many values for 'alpha'$"):
+        parse_weights_config(WEIGHTS.replace("alpha 0.01", "alpha 0.01 7"))
+    assert parse_weights_config(WEIGHTS + "class 3 neutral trees\n").entries[-1] == (
+        3, "neutral", None, "trees")
+
+
 def test_weights_config_roundtrip():
     text = ("num_classes 4\n"
             "alpha 0.25\n"

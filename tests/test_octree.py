@@ -18,6 +18,7 @@ from soct.octree import (
     SemanticOctree,
     WorldConfig,
     child_keys,
+    completed_weight,
     parent_key,
 )
 from soct.semantics import TruncatedSemanticDistribution, expand_truncated
@@ -162,10 +163,11 @@ def test_completed_children_full_set():
         for iy in range(2):
             for iz in range(2):
                 tree.set_leaf((ix, iy, iz), random_truncated(rng, 4), 1.0)
-    weights, conds, gains = tree.child_sets([ROOT_KEY])
+    weights, conds, gains, totals = tree.child_sets([ROOT_KEY])
     assert weights.shape == gains.shape == (1, 8)
     assert conds.shape == (1, 8, 5)
     assert weights.tolist() == [[1.0] * 8]
+    assert totals.tolist() == [8.0]
     for o, key in enumerate(child_keys(ROOT_KEY, world.dims)):
         assert np.array_equal(conds[0, o], tree.nodes[key].cond)
 
@@ -174,12 +176,12 @@ def test_completed_children_virtual_entries():
     world = WorldConfig((0, 0, 0), 2.0, 1, branching=8)
     tree = SemanticOctree(world, 4)
     tree.set_leaf((0, 0, 0), TruncatedSemanticDistribution(((1, 1.0),), 0, 0), 2.0)
-    weights, conds, gains = tree.child_sets([ROOT_KEY])
+    weights, conds, gains, totals = tree.child_sets([ROOT_KEY])
     virtual = [o for o in range(8) if np.allclose(conds[0, o], 0.2)]
     assert virtual == list(range(1, 8))
     assert weights[0].tolist() == [2.0] * 8
     assert gains[0].tolist() == [0.0] * 8
-    assert abs(tree.root.weight - 16.0) < 1e-12
+    assert totals.tolist() == [tree.root.weight] == [16.0]
 
 
 def test_completed_children_does_not_mutate(tmp_path):
@@ -219,7 +221,10 @@ def test_child_sets_match_reference_completion(seed, branching):
     batch = tree.child_sets(keys)
     for i, key in enumerate(keys):
         entries = _ref_children(tree, key)
-        weights, conds, gains = (a[i] for a in batch)
+        weights, conds, gains, total = (a[i] for a in batch)
+        assert total == completed_weight([tree.nodes[k].weight
+                                          for _, _, k in entries if k is not None],
+                                         branching)
         assert weights.tolist() == [w for w, _, _ in entries]
         assert gains.tolist() == [
             0.0 if k is None or tree.nodes[k].kind != INTERIOR else tree.nodes[k].gain
@@ -508,3 +513,49 @@ def test_batched_build_equals_record_by_record(tmp_path_factory, seed, k, cells,
             assert node.dist == serial.nodes[key].dist
             assert node.cond.tobytes() == serial.nodes[key].cond.tobytes()
             assert not node.cond.flags.writeable
+
+
+def _assert_weights_are_completion_totals(tree):
+    """Every key with stored children weighs, bit for bit, the total that
+    ``child_sets`` reports for its row."""
+    keys = sorted(k for k in tree.nodes if tree.stored_children(k))
+    assert tree.keys_with_children() == set(keys)
+    totals = tree.child_sets(keys)[3].tolist() if keys else []
+    for key, total in zip(keys, totals):
+        assert repr(tree.nodes[key].weight) == repr(total), key
+
+
+@settings(max_examples=12, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), branching=st.sampled_from([2, 4, 8]))
+def test_interior_weights_equal_their_completion_totals(tmp_path_factory, seed, branching):
+    """The one weight rule holds after a batch build, a stream of non-unit
+    ``set_leaf`` installs and observations, each ``refresh_upward``,
+    ``refresh_all`` and a file round trip."""
+    rng = np.random.default_rng(seed)
+    depth = {2: 4, 4: 3, 8: 2}[branching]
+    world = WorldConfig((0, 0, 0), 16.0, depth, branching)
+    points = rng.uniform(0, 16, (40, 3))
+    built, _ = SemanticOctree.from_observations(
+        world, 4, points, rng.integers(0, 5, 40), rng.uniform(0.5, 0.95, 40))
+    _assert_weights_are_completion_totals(built)
+    tree = make_random_tree(rng, branching, depth, fill=float(rng.uniform(0.1, 0.6)),
+                            weight_range=(0.05, 7.0))
+    _assert_weights_are_completion_totals(tree)
+    cw = random_weights(rng)
+    n = 1 << depth
+    for _ in range(12):
+        if rng.random() < 0.5:
+            coords = tuple(int(c) for c in rng.integers(0, n, world.dims))
+            leaf = tree.set_leaf(coords, random_truncated(rng, 4),
+                                 float(rng.uniform(0.0, 7.0)))
+        else:
+            leaf = tree.add_observation(rng.uniform(0, 16, 3), int(rng.integers(0, 5)),
+                                        float(rng.uniform(0.5, 0.95)))
+        _assert_weights_are_completion_totals(tree)
+        refresh_upward(tree, leaf, cw)
+        _assert_weights_are_completion_totals(tree)
+    refresh_all(tree, cw)
+    _assert_weights_are_completion_totals(tree)
+    path = tmp_path_factory.mktemp("weights") / "tree.soct"
+    serialize_tree(tree, path)
+    _assert_weights_are_completion_totals(deserialize_tree(path))
