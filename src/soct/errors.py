@@ -48,9 +48,8 @@ class IngestError(SoctError):
     before the abort.
     """
 
-    def __init__(self, message, line_errors=None):
+    def __init__(self, message):
         super().__init__(message)
-        self.line_errors = list(line_errors or [])
         self.cloud = None
 
 

@@ -10,8 +10,9 @@ World and weight profiles use a flat key-value text format that round-trips
 unchanged. Trees use a versioned little-endian binary format, so serialize ->
 deserialize -> serialize is byte-identical: a 41-byte header (magic ``SOCT``,
 version u8, origin 3×f64, edge length f64, max depth u8, branching u8, class
-count u16), then each node in pre-order. A node starts with its kind u8 and
-weight f64; an interior node ends with its child-presence bitmask u8 (10 bytes),
+count u16), then each node in pre-order. A node starts with its kind u8
+(``octree.INTERIOR``, ``LEAF``, ``SUMMARY``: 0, 1, 2) and weight f64; an
+interior node ends with its child-presence bitmask u8 (10 bytes),
 a leaf or summary goes on with n_top u8, n_top × (class id u16, probability
 f64), p_free f64 and p_residual f64 (26 + 10·n_top bytes).
 """
@@ -57,10 +58,6 @@ CLOUD_HEADER = "x,y,z,class_id,confidence"
 
 MAGIC = b"SOCT"
 FORMAT_VERSION = 1
-
-_NODE_INTERIOR = 0
-_NODE_LEAF = 1
-_NODE_SUMMARY = 2
 
 
 # -- point-cloud ingestion ------------------------------------------------------
@@ -151,7 +148,7 @@ def ingest(path, num_classes: int, error_budget: int = 100,
     """
     if on_error is None:
         on_error = lambda lineno, msg: log.warning("line %d: %s", lineno, msg)
-    errors: list[tuple[int, str]] = []
+    failed = 0
     with open(path, "r", encoding="utf-8", errors="surrogateescape") as fh:
         header = fh.readline().strip()
         if _undecodable(header):
@@ -166,12 +163,11 @@ def ingest(path, num_classes: int, error_budget: int = 100,
             try:
                 yield _parse_cloud_line(line, num_classes, lineno)
             except ValueError as exc:
-                errors.append((lineno, str(exc)))
+                failed += 1
                 on_error(lineno, str(exc))
-                if len(errors) > error_budget:
-                    raise IngestError(
-                        f"aborting after {len(errors)} malformed lines "
-                        f"(budget {error_budget})", errors) from None
+                if failed > error_budget:
+                    raise IngestError(f"aborting after {failed} malformed lines "
+                                      f"(budget {error_budget})") from None
 
 
 _CLOUD_ROW = np.dtype([("x", "<f8"), ("y", "<f8"), ("z", "<f8"),
@@ -394,7 +390,6 @@ _WEIGHT = struct.Struct("<d")
 _HEAD = np.dtype([("kind", "u1"), ("weight", "<f8"), ("field", "u1")])
 _SLOT = np.dtype([("id", "<u2"), ("p", "<f8")])
 _TAIL = np.dtype([("p_free", "<f8"), ("p_residual", "<f8")])
-_KINDS = (INTERIOR, LEAF, SUMMARY)  # node kind by file kind
 
 
 def _check_num_classes(num_classes: int) -> None:
@@ -418,7 +413,7 @@ def serialize_tree(tree: SemanticOctree, path) -> None:
     depth, index, code = depth[order], index[order], code[order]
     nodes = [tree.nodes[keys[i]] for i in order.tolist()]
     head = np.zeros(len(nodes), dtype=_HEAD)
-    head["kind"] = [_KINDS.index(n.kind) for n in nodes]
+    head["kind"] = [n.kind for n in nodes]
     head["weight"] = [n.weight for n in nodes]
     # The nodes that share a code are a chain of first children, one level
     # apart; a child's parent is in the chain of its code with its octant cleared.
@@ -427,10 +422,10 @@ def serialize_tree(tree: SemanticOctree, path) -> None:
         world.max_depth - depth[child] + 1))
     np.bitwise_or.at(head["field"], first + depth[child] - 1 - depth[first],
                      1 << (index[child] & (world.branching - 1)))
-    rec = np.flatnonzero(head["kind"] != _NODE_INTERIOR)
+    rec = np.flatnonzero(head["kind"] != INTERIOR)
     dists = [nodes[i].dist for i in rec.tolist()]
     head["field"][rec] = n_top = np.array([len(d.top3) for d in dists], dtype=np.int64)
-    sizes = 10 + (head["kind"] != _NODE_INTERIOR) * (16 + 10 * head["field"].astype(np.int64))
+    sizes = 10 + (head["kind"] != INTERIOR) * (16 + 10 * head["field"].astype(np.int64))
     at, rows = np.cumsum(sizes) - sizes, TruncatedRows.of(dists)
     slots = np.zeros((len(rec), 3), dtype=_SLOT)
     slots["id"], slots["p"] = rows.ids, rows.probs
@@ -449,7 +444,7 @@ def serialize_tree(tree: SemanticOctree, path) -> None:
 
 
 def _walk(data: bytes, world: WorldConfig):
-    """The structural pass, with every weight check: the offset, file kind,
+    """The structural pass, with every weight check: the offset, kind,
     depth, index and weight of each node read, in pre-order, and the first
     error met, or None. Records are checked afterwards, all at once."""
     nodes: list[tuple] = []
@@ -468,20 +463,20 @@ def _walk(data: bytes, world: WorldConfig):
             if pos + 9 > len(data):
                 raise CorruptionError("truncated tree file")
             kind, (weight,) = data[pos], _WEIGHT.unpack_from(data, pos + 1)
-            if kind in (_NODE_LEAF, _NODE_SUMMARY) and not (
+            if kind in (LEAF, SUMMARY) and not (
                     math.isfinite(weight) and weight >= 0.0):
                 raise CorruptionError(
                     f"record {NodeKey(depth, index)} has invalid weight {weight!r}")
-            if kind > _NODE_SUMMARY:
+            if kind > SUMMARY:
                 raise CorruptionError(f"unknown node kind {kind}")
-            if depth > max_depth - (kind != _NODE_LEAF) or (
-                    kind == _NODE_LEAF and depth < max_depth):
+            if depth > max_depth - (kind != LEAF) or (
+                    kind == LEAF and depth < max_depth):
                 name = ("interior", "leaf", "summary")[kind]
                 raise CorruptionError(f"{name} record at depth {depth}")
             if pos + 10 > len(data):
                 raise CorruptionError("truncated tree file")
             field = data[pos + 9]  # n_top, or the child mask
-            if kind != _NODE_INTERIOR:
+            if kind != INTERIOR:
                 if field > 3:
                     raise CorruptionError(f"leaf stores {field} classes, maximum is 3")
                 if pos + 26 + 10 * field > len(data):
@@ -498,7 +493,7 @@ def _walk(data: bytes, world: WorldConfig):
                           for o in range(branching - 1, -1, -1) if field >> o & 1]
             siblings.append(weight)
             nodes.append((pos, kind, depth, index, weight))
-            pos += 10 if kind == _NODE_INTERIOR else 26 + 10 * field
+            pos += 10 if kind == INTERIOR else 26 + 10 * field
         if pos != len(data):
             raise CorruptionError(f"{len(data) - pos} trailing bytes")
     except CorruptionError as exc:
@@ -538,7 +533,7 @@ def deserialize_tree(path) -> SemanticOctree:
     nodes, error = _walk(data, world)
     offsets, kinds, depths, indices, weights = zip(*nodes) if nodes else [()] * 5
     u8 = np.frombuffer(data, dtype=np.uint8)
-    rec = np.flatnonzero(np.array(kinds, dtype=np.int64) != _NODE_INTERIOR)
+    rec = np.flatnonzero(np.array(kinds, dtype=np.int64) != INTERIOR)
     at = np.array(offsets, dtype=np.int64)[rec]
     n_top = u8[at + 9].astype(np.int64)
     tail = u8[(at + 10 + 10 * n_top)[:, None] + np.arange(_TAIL.itemsize)].view(_TAIL)[:, 0]
@@ -556,6 +551,6 @@ def deserialize_tree(path) -> SemanticOctree:
     conds = expand_rows(rows, num_classes)
     conds.flags.writeable = False
     records = zip(rows.records(), conds)
-    tree.nodes = {key: Node(_KINDS[k], w, *(next(records) if k else ()))
+    tree.nodes = {key: Node(k, w, *(next(records) if k != INTERIOR else ()))
                   for key, k, w in zip(map(NodeKey, depths, indices), kinds, weights)}
     return tree

@@ -9,8 +9,8 @@ applies this rule: every computation on a node's full child set reads it
 from there, stacked for many nodes at once. Observed finest-resolution
 leaves carry unit weight, and an interior weight is the sum of its
 (virtually completed) children, always evaluated by ``completed_weight``:
-the insert paths store it and ``child_sets`` reports it per row, so a
-stored weight equals its row's total bit for bit.
+the insert paths and summary expansion store it and ``child_sets`` reports
+it per row, so a stored weight equals its row's total bit for bit.
 
 Three node kinds exist: depth-D leaves and their ancestors (interior nodes
 with cached aggregate conditionals), plus summary nodes produced by pruning
@@ -40,7 +40,6 @@ import numpy as np
 from .errors import ConfigError, DistributionError, OutOfBoundsError, TreeError
 from .semantics import (
     CONTRADICTED,
-    ClassRegistry,
     TruncatedRows,
     TruncatedSemanticDistribution,
     expand_rows,
@@ -49,12 +48,9 @@ from .semantics import (
     fuse_rows,
     observation_errors,
     truncate_rows,
-    uniform_full,
 )
 
-LEAF = 0
-SUMMARY = 1
-INTERIOR = 2
+INTERIOR, LEAF, SUMMARY = 0, 1, 2  # the node kind bytes of the ``SOCT`` format
 
 _MAX_DEPTH = 20
 
@@ -224,17 +220,22 @@ class WorldConfig:
         return self.boxes([key])[1][0]
 
 
+def _completion(stored: list[float], branching: int) -> tuple[float, float]:
+    """``completed_weight`` of at least one stored child weight, and the
+    mean stored weight, at which each absent child counts."""
+    total = sum(stored)
+    m = len(stored)
+    mean = total / m
+    return total + (branching - m) * mean, mean
+
+
 def completed_weight(stored: list[float], branching: int) -> float:
     """Weight of an interior node from its stored children's weights.
 
     Absent children count at the mean stored weight; 0.0 without stored
     children.
     """
-    if not stored:
-        return 0.0
-    total = sum(stored)
-    m = len(stored)
-    return total + (branching - m) * (total / m)
+    return _completion(stored, branching)[0] if stored else 0.0
 
 
 @dataclass(slots=True)
@@ -252,7 +253,7 @@ ROOT_KEY = NodeKey(0, 0)
 @functools.lru_cache(maxsize=None)
 def uniform_row(num_classes: int) -> np.ndarray:
     """Read-only maximum-entropy vector, the conditional of a missing child."""
-    row = uniform_full(num_classes).probs
+    row = np.full(num_classes + 1, 1.0 / (num_classes + 1))
     row.flags.writeable = False
     return row
 
@@ -270,10 +271,6 @@ class SemanticOctree:
             raise ConfigError("truncated leaf storage needs at least 4 classes")
         if not self.nodes:
             self.nodes[ROOT_KEY] = Node(INTERIOR)
-
-    @property
-    def registry(self) -> ClassRegistry:
-        return ClassRegistry(self.num_classes)
 
     @property
     def root(self) -> Node:
@@ -352,8 +349,8 @@ class SemanticOctree:
             stored = [c.weight for c in kids if c is not None]
             if not stored:
                 raise TreeError(f"{(depth, index)} has no stored children to complete")
-            totals.append(completed_weight(stored, len(octants)))
-            mean_w = sum(stored) / len(stored)
+            total, mean_w = _completion(stored, len(octants))
+            totals.append(total)
             for o, c in zip(octants, kids):
                 if c is None:
                     weights.append(mean_w)
@@ -382,7 +379,7 @@ class SemanticOctree:
         copying and may be shared.
         """
         if cond is None:
-            cond = expand_truncated(dist, self.registry).probs
+            cond = expand_truncated(dist, self.num_classes)
             cond.flags.writeable = False
         return Node(kind, weight=weight, dist=dist, cond=cond)
 
@@ -592,17 +589,25 @@ class SemanticOctree:
     def expand_summaries(self) -> int:
         """Expand every summary down to explicit depth-D leaves.
 
-        Returns the number of expansion steps performed. Weight, conditional
-        and gain caches stay valid: an expanded summary has identical
-        children, which add no information at any level.
+        Returns the number of expansion steps performed. The weights of the
+        expanded nodes and their ancestors are then re-derived, deepest
+        first, since the children's shares need not add up to the summary's
+        weight bit for bit. Conditional and gain caches stay valid: an
+        expanded summary has identical children, which add no information
+        at any level.
         """
-        steps = 0
+        dims = self.world.dims
+        expanded = []
         pending = [k for k, n in self.nodes.items() if n.kind == SUMMARY]
         while pending:
             key = pending.pop()
             self._expand_summary(key)
-            steps += 1
-            for k in child_keys(key, self.world.dims):
+            expanded.append(key)
+            for k in child_keys(key, dims):
                 if self.nodes[k].kind == SUMMARY:
                     pending.append(k)
-        return steps
+        stale = {(d, index >> dims * (depth - d))
+                 for depth, index in expanded for d in range(depth + 1)}
+        for key in sorted(stale, key=lambda k: -k[0]):
+            self._refresh_weight(key)
+        return len(expanded)

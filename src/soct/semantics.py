@@ -1,15 +1,18 @@
-"""Per-cell semantic class distributions and their Bayesian fusion.
+"""Per-cell semantic class distributions, their Bayesian fusion, and the
+class role model.
 
 A map cell carries a categorical distribution over class ids 0..K where id 0
 is free space and ids 1..K are semantic categories (road, grass, building,
-...). Leaf cells store a truncated record: the three most likely non-free
-classes, the free-space probability, and a single residual mass covering
-every remaining class. Expanding a truncated record back to a dense vector
-spreads the residual uniformly over the K-3 outstanding classes, which is
-why K >= 4 is required.
+...). A dense distribution is a plain (K+1,) float64 array. Leaf cells store
+a truncated record: the three most likely non-free classes, the free-space
+probability, and a single residual mass covering every remaining class.
+Expanding a truncated record back to a dense vector spreads the residual
+uniformly over the K-3 outstanding classes, which is why K >= 4 is required.
+The module holds the records, the row kernel that fuses, truncates and
+expands them, and the class role model (``ClassRegistry``).
 
-All functions here are pure and operate on immutable values; they are safe
-to call concurrently from any number of threads.
+All functions here are pure and do not modify their arguments; they are
+safe to call concurrently from any number of threads.
 """
 
 from __future__ import annotations
@@ -100,43 +103,14 @@ class TruncatedSemanticDistribution:
                 and abs(self.p_residual - other.p_residual) <= tol)
 
 
-class FullSemanticDistribution:
-    """Dense categorical distribution over class ids 0..K (index 0 = free)."""
-
-    __slots__ = ("probs",)
-
-    def __init__(self, probs):
-        self.probs = np.asarray(probs, dtype=np.float64)
-
-    @property
-    def num_classes(self) -> int:
-        return len(self.probs) - 1
-
-    def row(self) -> np.ndarray:
-        """The vector as a one-row (1, K+1) view, the input of the row kernels."""
-        if self.probs.ndim != 1 or len(self.probs) < 2:
-            raise DistributionError("need a 1-d vector over ids 0..K")
-        return self.probs[None, :]
-
-    def validate(self) -> None:
-        check_rows(self.row())
-
-    def __repr__(self):
-        return f"FullSemanticDistribution({self.probs.tolist()})"
-
-
-def uniform_full(num_classes: int) -> FullSemanticDistribution:
-    """Maximum-entropy distribution over ids 0..num_classes."""
-    return FullSemanticDistribution(np.full(num_classes + 1, 1.0 / (num_classes + 1)))
-
-
 # -- the row kernel ---------------------------------------------------------------
 #
 # Fusion, truncation and expansion work on (N, K+1) arrays, one distribution
-# per row; the scalar functions below are one-row calls. Every row gets the
-# bits it would get alone: products and quotients are elementwise, a row
-# total is a C-ordered ``sum(axis=1)`` (numpy reduces each row as it does a
-# 1-d vector), and the residual adds its columns one at a time in rank order.
+# per row; the one-row functions at the end take and return (K+1,) vectors
+# and call the kernel on a (1, K+1) view. Every row gets the bits it would
+# get alone: products and quotients are elementwise, a row total is a
+# C-ordered ``sum(axis=1)`` (numpy reduces each row as it does a 1-d
+# vector), and the residual adds its columns one at a time in rank order.
 
 CONTRADICTED = "observation contradicts a zero-probability prior"
 
@@ -311,33 +285,40 @@ def expand_rows(records: TruncatedRows, num_classes: int) -> np.ndarray:
     return rows
 
 
-def expand_truncated(dist: TruncatedSemanticDistribution,
-                     registry: ClassRegistry) -> FullSemanticDistribution:
-    """Validate a truncated record and expand it to a dense vector over all
-    class ids (one-row ``expand_rows``)."""
-    dist.validate(registry.num_classes)
-    return FullSemanticDistribution(
-        expand_rows(TruncatedRows.of([dist]), registry.num_classes)[0])
+def _row(probs) -> np.ndarray:
+    """A dense vector as a one-row (1, K+1) float64 view, the input of the
+    row kernels."""
+    probs = np.asarray(probs, dtype=np.float64)
+    if probs.ndim != 1 or len(probs) < 2:
+        raise DistributionError("need a 1-d vector over ids 0..K")
+    return probs[None, :]
 
 
-def truncate_full(full: FullSemanticDistribution) -> TruncatedSemanticDistribution:
-    """One-row ``truncate_rows``; expanding the result reproduces the stored
-    fields and the total residual mass."""
-    return truncate_rows(full.row()).records()[0]
+def expand_truncated(dist: TruncatedSemanticDistribution, num_classes: int) -> np.ndarray:
+    """Validate a truncated record and expand it to a dense vector over ids
+    0..num_classes (one-row ``expand_rows``)."""
+    dist.validate(num_classes)
+    return expand_rows(TruncatedRows.of([dist]), num_classes)[0]
 
 
-def fuse_observation(prior: FullSemanticDistribution, obs_class: int,
-                     confidence: float) -> FullSemanticDistribution:
-    """Validate the prior and the observation, then a one-row ``fuse_rows``.
+def truncate_full(probs: np.ndarray) -> TruncatedSemanticDistribution:
+    """One-row ``truncate_rows`` of a dense vector; expanding the result
+    reproduces the stored fields and the total residual mass."""
+    return truncate_rows(_row(probs)).records()[0]
+
+
+def fuse_observation(prior: np.ndarray, obs_class: int, confidence: float) -> np.ndarray:
+    """Validate the dense prior and the observation, then a one-row
+    ``fuse_rows``; returns the posterior vector.
 
     Raises ``DistributionError`` for an invalid prior, an observation that
     ``observation_errors`` names, or one the prior contradicts.
     """
-    prior.validate()
-    for message in observation_errors(obs_class, confidence, prior.num_classes).values():
+    row = _row(prior)
+    check_rows(row)
+    for message in observation_errors(obs_class, confidence, row.shape[1] - 1).values():
         raise DistributionError(message)
-    posterior, contradicted = fuse_rows(prior.row(), np.array([obs_class]),
-                                        np.array([confidence]))
+    posterior, contradicted = fuse_rows(row, np.array([obs_class]), np.array([confidence]))
     if contradicted[0]:
         raise DistributionError(CONTRADICTED)
-    return FullSemanticDistribution(posterior[0])
+    return posterior[0]

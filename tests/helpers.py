@@ -32,7 +32,6 @@ from soct.planning import UNKNOWN_CLASS, PlanResult, _norms
 from soct.semantics import (
     FIELD_TOL,
     SUM_TOL,
-    FullSemanticDistribution,
     TruncatedRows,
     TruncatedSemanticDistribution,
     expand_rows,
@@ -42,8 +41,7 @@ from soct.semantics import (
 
 
 def random_full(rng, num_classes, concentration=0.5):
-    return FullSemanticDistribution(
-        rng.dirichlet(np.full(num_classes + 1, concentration)))
+    return rng.dirichlet(np.full(num_classes + 1, concentration))
 
 
 def random_truncated(rng, num_classes, concentration=0.5):
@@ -146,7 +144,7 @@ def _ref_children(tree, key):
 def ref_conditional(tree, key):
     node = tree.nodes[key]
     if node.kind != INTERIOR:
-        return list(expand_truncated(node.dist, tree.registry).probs)
+        return list(expand_truncated(node.dist, tree.num_classes))
     entries = _ref_children(tree, key)
     total = sum(w for w, _, _ in entries)
     if total == 0:  # a massless node reads as unobserved: maximum entropy

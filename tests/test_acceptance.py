@@ -35,7 +35,7 @@ from soct.planning import (
     PlanQuery,
     class_ordered_astar,
 )
-from soct.semantics import FullSemanticDistribution, truncate_full
+from soct.semantics import truncate_full
 
 from helpers import (
     DEMO_WEIGHTS,
@@ -192,7 +192,7 @@ def _suppression_map(rng):
                 probs[GRASS] = grass
                 probs[0] = 0.95 - grass
             probs[3] = 1.0 - probs.sum() + probs[3]
-            tree.set_leaf((ix, iy), truncate_full(FullSemanticDistribution(probs)))
+            tree.set_leaf((ix, iy), truncate_full(probs))
     return tree
 
 

@@ -23,7 +23,7 @@ from soct.planning import (
     graph_from_tree,
     halton_graph,
 )
-from soct.semantics import FullSemanticDistribution, truncate_full
+from soct.semantics import truncate_full
 
 from helpers import (
     make_random_tree,
@@ -45,7 +45,7 @@ def tied_truncated(rng, num_classes):
     probs = rng.dirichlet(np.full(num_classes + 1, 0.5))
     top = int(np.argmax(probs))
     probs[rng.choice([c for c in range(num_classes + 1) if c != top])] = probs[top]
-    return truncate_full(FullSemanticDistribution(probs / probs.sum()))
+    return truncate_full(probs / probs.sum())
 
 
 def random_map(rng, branching, depth, origin, edge_length, prune):

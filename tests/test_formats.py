@@ -71,9 +71,8 @@ def test_ingest_reports_line_errors(tmp_path):
 def test_ingest_budget_abort(tmp_path):
     p = tmp_path / "cloud.csv"
     p.write_text("x,y,z,class_id,confidence\n" + "bad line\n" * 10)
-    with pytest.raises(IngestError) as exc:
+    with pytest.raises(IngestError, match=r"aborting after 4 malformed lines \(budget 3\)"):
         collect(p, 24, error_budget=3)
-    assert len(exc.value.line_errors) == 4
 
 
 def test_ingest_empty_after_header(tmp_path):
@@ -115,9 +114,10 @@ def test_ingest_reports_undecodable_lines(tmp_path):
     records, errors = collect(p, 24)
     assert records == [CloudRecord(1.5, 2.5, 0.5, 1, 0.9)]
     assert errors == [(3, "not valid UTF-8"), (4, "not valid UTF-8")]
-    with pytest.raises(IngestError) as exc:
-        collect(p, 24, error_budget=1)
-    assert exc.value.line_errors == errors
+    calls = []
+    with pytest.raises(IngestError, match="aborting after 2 malformed lines"):
+        list(ingest(p, 24, error_budget=1, on_error=lambda n, m: calls.append((n, m))))
+    assert calls == errors
 
 
 def test_ingest_rejects_undecodable_header(tmp_path):
@@ -139,7 +139,7 @@ def _as_read(read, path, num_classes, budget):
         cloud = read(path, num_classes, budget, lambda n, m: calls.append((n, m)))
         error = None
     except IngestError as exc:
-        cloud, error = exc.cloud, (str(exc), exc.line_errors)
+        cloud, error = exc.cloud, str(exc)
     except FormatError as exc:
         cloud, error = None, str(exc)
     arrays = None if cloud is None else [(a.dtype.str, a.shape, a.tobytes()) for a in cloud]
@@ -421,7 +421,7 @@ def test_bad_summary_weight_rejected(tmp_path, bad):
         for iy in range(2):
             tree.set_leaf((ix, iy), shared, 1.0)
     assert tree.prune_all_identical() == 1
-    summary = next(n for n in tree.nodes.values() if n.kind == 1)
+    summary = next(n for n in tree.nodes.values() if n.kind == SUMMARY)
     summary.weight = bad
     p = tmp_path / "summary.soct"
     serialize_tree(tree, p)

@@ -112,17 +112,17 @@ def test_first_insertion_creates_single_path():
     assert len(tree.nodes) == 4  # leaf plus its 3 ancestors
     node = tree.nodes[leaf]
     assert node.kind == LEAF and node.weight == 1.0
-    full = expand_truncated(node.dist, tree.registry)
-    assert np.argmax(full.probs) == 2
+    full = expand_truncated(node.dist, tree.num_classes)
+    assert np.argmax(full) == 2
 
 
 def test_repeated_observation_same_key_concentrates():
     world = WorldConfig((0, 0, 0), 8.0, 3, branching=8)
     tree = SemanticOctree(world, 4)
     k1 = tree.add_observation((1.5, 2.5, 3.5), 2, 0.8)
-    p1 = expand_truncated(tree.nodes[k1].dist, tree.registry).probs[2]
+    p1 = expand_truncated(tree.nodes[k1].dist, tree.num_classes)[2]
     k2 = tree.add_observation((1.5, 2.5, 3.5), 2, 0.8)
-    p2 = expand_truncated(tree.nodes[k2].dist, tree.registry).probs[2]
+    p2 = expand_truncated(tree.nodes[k2].dist, tree.num_classes)[2]
     assert k1 == k2
     assert p2 > p1
     assert tree.nodes[k1].weight == 1.0
@@ -291,7 +291,7 @@ def test_summary_reexpands_on_observation():
     sibling = world.key_from_coords((1,), 1)
     assert tree.nodes[sibling].dist.is_close(shared)
     assert not tree.nodes[key].dist.is_close(shared)
-    marg = expand_truncated(tree.nodes[key].dist, tree.registry).probs
+    marg = expand_truncated(tree.nodes[key].dist, tree.num_classes)
     assert marg[1] > 0.2  # the observed class gained mass
 
 
@@ -362,7 +362,7 @@ def _check_records(tree):
     for key, node in tree.nodes.items():
         if node.kind != INTERIOR:
             assert np.array_equal(node.cond,
-                                  expand_truncated(node.dist, tree.registry).probs), key
+                                  expand_truncated(node.dist, tree.num_classes)), key
 
 
 def _check_reads_are_pure(tree):
@@ -530,7 +530,7 @@ def _assert_weights_are_completion_totals(tree):
 def test_interior_weights_equal_their_completion_totals(tmp_path_factory, seed, branching):
     """The one weight rule holds after a batch build, a stream of non-unit
     ``set_leaf`` installs and observations, each ``refresh_upward``,
-    ``refresh_all`` and a file round trip."""
+    ``refresh_all``, a file round trip, and a prune and summary expansion."""
     rng = np.random.default_rng(seed)
     depth = {2: 4, 4: 3, 8: 2}[branching]
     world = WorldConfig((0, 0, 0), 16.0, depth, branching)
@@ -559,3 +559,12 @@ def test_interior_weights_equal_their_completion_totals(tmp_path_factory, seed, 
     path = tmp_path_factory.mktemp("weights") / "tree.soct"
     serialize_tree(tree, path)
     _assert_weights_are_completion_totals(deserialize_tree(path))
+    # A summary of weight w expands to B shares w / B, whose total can differ
+    # from w in the last bit; one distinct leaf keeps the root interior.
+    tree = SemanticOctree(world, 4)
+    shared, other = random_truncated(rng, 4), random_truncated(rng, 4)
+    for cell in itertools.product(range(n), repeat=world.dims):
+        tree.set_leaf(cell, shared if any(cell) else other, float(rng.uniform(0.1, 3.0)))
+    assert tree.prune_all_identical()
+    tree.expand_summaries()
+    _assert_weights_are_completion_totals(tree)

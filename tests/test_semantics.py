@@ -9,7 +9,6 @@ from soct.errors import ConfigError, DistributionError
 from soct.semantics import (
     CONTRADICTED,
     ClassRegistry,
-    FullSemanticDistribution,
     TruncatedRows,
     TruncatedSemanticDistribution,
     expand_rows,
@@ -20,7 +19,6 @@ from soct.semantics import (
     record_errors,
     truncate_full,
     truncate_rows,
-    uniform_full,
 )
 
 from helpers import random_full, random_truncated, ref_record_error
@@ -54,44 +52,40 @@ def test_registry_rejects_bad_entries():
 
 
 def test_expand_spreads_residual_uniformly():
-    reg = ClassRegistry(24)
     d = TruncatedSemanticDistribution(((5, 0.5), (7, 0.2), (9, 0.1)), 0.1, 0.1)
-    full = expand_truncated(d, reg)
-    assert full.probs[5] == 0.5
-    assert full.probs[7] == 0.2
-    assert full.probs[9] == 0.1
-    assert full.probs[0] == 0.1
-    others = [full.probs[c] for c in range(1, 25) if c not in (5, 7, 9)]
+    full = expand_truncated(d, 24)
+    assert full[5] == 0.5
+    assert full[7] == 0.2
+    assert full[9] == 0.1
+    assert full[0] == 0.1
+    others = [full[c] for c in range(1, 25) if c not in (5, 7, 9)]
     assert len(others) == 21
     assert np.allclose(others, 0.1 / 21)
-    assert abs(full.probs.sum() - 1.0) < 1e-9
+    assert abs(full.sum() - 1.0) < 1e-9
 
 
 def test_expand_point_mass():
-    reg = ClassRegistry(24)
     d = TruncatedSemanticDistribution(((1, 1.0),), 0.0, 0.0)
-    full = expand_truncated(d, reg)
-    assert full.probs[1] == 1.0
-    assert full.probs.sum() == 1.0
+    full = expand_truncated(d, 24)
+    assert full[1] == 1.0
+    assert full.sum() == 1.0
 
 
 def test_expand_single_outstanding_class():
-    reg = ClassRegistry(4)
     d = TruncatedSemanticDistribution(((1, 0.25), (2, 0.25), (3, 0.25)), 0.125, 0.125)
-    full = expand_truncated(d, reg)
-    assert full.probs[4] == 0.125
+    full = expand_truncated(d, 4)
+    assert full[4] == 0.125
 
 
 def test_expand_requires_four_classes():
     with pytest.raises(ConfigError):
-        expand_truncated(TruncatedSemanticDistribution(((1, 1.0),), 0.0, 0.0),
-                         ClassRegistry(3))
+        expand_truncated(TruncatedSemanticDistribution(((1, 1.0),), 0.0, 0.0), 3)
 
 
 def test_truncate_tie_break_prefers_lower_id():
     probs = np.zeros(25)
     probs[1:] = 1.0 / 24
-    t = truncate_full(FullSemanticDistribution(probs))
+    t = truncate_full(probs)
     assert [c for c, _ in t.top3] == [1, 2, 3]
     assert t.p_free == 0.0
     assert abs(t.p_residual - 21.0 / 24) < 1e-12
@@ -100,7 +94,7 @@ def test_truncate_tie_break_prefers_lower_id():
 def test_truncate_free_space_point_mass():
     probs = np.zeros(25)
     probs[0] = 1.0
-    t = truncate_full(FullSemanticDistribution(probs))
+    t = truncate_full(probs)
     assert t.top3 == ()
     assert t.p_free == 1.0
     assert t.p_residual == 0.0
@@ -109,21 +103,20 @@ def test_truncate_free_space_point_mass():
 def test_truncate_omits_zero_entries():
     probs = np.zeros(25)
     probs[3], probs[8], probs[0] = 0.6, 0.3, 0.1
-    t = truncate_full(FullSemanticDistribution(probs))
+    t = truncate_full(probs)
     assert t.top3 == ((3, 0.6), (8, 0.3))
     assert t.p_residual == 0.0
 
 
 def test_roundtrip_identity_on_random_distributions():
     rng = np.random.default_rng(11)
-    reg = ClassRegistry(9)
     for _ in range(500):
         t = truncate_full(random_full(rng, 9))
-        back = truncate_full(expand_truncated(t, reg))
+        back = truncate_full(expand_truncated(t, 9))
         assert back.is_close(t, 1e-12)
-        full = expand_truncated(t, reg)
-        assert abs(full.probs.sum() - 1.0) < 1e-9
-        assert np.all(full.probs >= 0)
+        full = expand_truncated(t, 9)
+        assert abs(full.sum() - 1.0) < 1e-9
+        assert np.all(full >= 0)
 
 
 def test_invalid_truncated_records_rejected():
@@ -138,37 +131,36 @@ def test_invalid_truncated_records_rejected():
 
 
 def test_fuse_single_observation():
-    prior = uniform_full(4)
+    prior = np.full(5, 0.2)
     post = fuse_observation(prior, 3, 0.9)
-    assert abs(post.probs[3] - 0.9) < 1e-12
-    assert abs(post.probs.sum() - 1.0) < 1e-12
+    assert abs(post[3] - 0.9) < 1e-12
+    assert abs(post.sum() - 1.0) < 1e-12
 
 
 def test_fuse_point_mass_prior_is_fixed():
     probs = np.zeros(5)
     probs[3] = 1.0
-    post = fuse_observation(FullSemanticDistribution(probs), 1, 0.9)
-    assert post.probs[3] == 1.0
+    post = fuse_observation(probs, 1, 0.9)
+    assert post[3] == 1.0
 
 
 def test_fuse_two_step_matches_reference():
-    prior = uniform_full(4)
+    prior = np.full(5, 0.2)
     post = fuse_observation(fuse_observation(prior, 2, 0.8), 2, 0.8)
-    assert abs(post.probs[2] - 0.64 / 0.65) < 1e-12
-    ref = sequential_bayes(prior.probs, [(2, 0.8), (2, 0.8)], 4)
-    assert np.allclose(post.probs, ref, atol=1e-12)
+    assert abs(post[2] - 0.64 / 0.65) < 1e-12
+    ref = sequential_bayes(prior, [(2, 0.8), (2, 0.8)], 4)
+    assert np.allclose(post, ref, atol=1e-12)
 
 
 def test_fuse_repeated_observations_concentrate():
     rng = np.random.default_rng(5)
-    dist = random_full(rng, 6)
-    dist = FullSemanticDistribution(dist.probs + 1e-3)
-    dist = FullSemanticDistribution(dist.probs / dist.probs.sum())
-    last = dist.probs[2]
+    dist = random_full(rng, 6) + 1e-3
+    dist = dist / dist.sum()
+    last = dist[2]
     for _ in range(5):
         dist = fuse_observation(dist, 2, 0.7)
-        assert dist.probs[2] > last
-        last = dist.probs[2]
+        assert dist[2] > last
+        last = dist[2]
 
 
 def test_fuse_near_uniform_confidence_approaches_prior():
@@ -177,13 +169,13 @@ def test_fuse_near_uniform_confidence_approaches_prior():
     gaps = []
     for eps in (1e-2, 1e-4, 1e-6):
         post = fuse_observation(prior, 1, 1.0 / 5 + eps)
-        gaps.append(np.abs(post.probs - prior.probs).max())
+        gaps.append(np.abs(post - prior).max())
     assert gaps[0] > gaps[1] > gaps[2]
     assert gaps[2] < 1e-5
 
 
 def test_fuse_rejects_uninformative_confidence():
-    prior = uniform_full(4)
+    prior = np.full(5, 0.2)
     with pytest.raises(DistributionError):
         fuse_observation(prior, 1, 0.2)
     with pytest.raises(DistributionError):
@@ -196,7 +188,7 @@ def test_fuse_contradictory_observation_rejected():
     probs = np.zeros(5)
     probs[3] = 1.0
     with pytest.raises(DistributionError):
-        fuse_observation(FullSemanticDistribution(probs), 1, 1.0)
+        fuse_observation(probs, 1, 1.0)
 
 
 def _ref_fuse(prior, obs_class, confidence):
@@ -259,28 +251,25 @@ def test_row_kernel_gives_every_row_its_one_row_bits(k):
     assert dense.tobytes() == expand_rows(truncate_rows(np.asfortranarray(post[fused])),
                                           k).tobytes()
     listed = records.records()
-    reg = ClassRegistry(k)
     exact = k + 1 < 8
     for i, row in enumerate(np.flatnonzero(fused)):
         one, bad = fuse_rows(prior[row:row + 1], obs_class[row:row + 1],
                              confidence[row:row + 1])
         assert not bad[0] and one.tobytes() == post[row:row + 1].tobytes()
-        scalar = fuse_observation(FullSemanticDistribution(prior[row]),
-                                  int(obs_class[row]), float(confidence[row]))
-        assert scalar.probs.tobytes() == post[row].tobytes()
+        scalar = fuse_observation(prior[row], int(obs_class[row]), float(confidence[row]))
+        assert scalar.tobytes() == post[row].tobytes()
         ref = _ref_fuse(prior[row].tolist(), obs_class[row], confidence[row])
         if exact:
             assert ref == post[row].tolist()
         else:
             assert np.allclose(ref, post[row], rtol=0, atol=1e-15)
         assert listed[i] == truncate_full(scalar) == _ref_truncate(post[row].tolist())
-        assert dense[i].tobytes() == expand_truncated(listed[i], reg).probs.tobytes()
+        assert dense[i].tobytes() == expand_truncated(listed[i], k).tobytes()
         assert dense[i].tolist() == _ref_expand(listed[i], k)
     for row in np.flatnonzero(contradicted):
         assert _ref_fuse(prior[row].tolist(), obs_class[row], confidence[row]) is None
         with pytest.raises(DistributionError, match=CONTRADICTED):
-            fuse_observation(FullSemanticDistribution(prior[row]), int(obs_class[row]),
-                             float(confidence[row]))
+            fuse_observation(prior[row], int(obs_class[row]), float(confidence[row]))
 
 
 def test_truncated_rows_round_trip():
@@ -307,13 +296,13 @@ def test_observation_errors_name_each_bad_row():
 def test_truncation_checks_its_rows():
     """Rows that reach truncation are checked, and the first bad row names
     the failure."""
-    good = uniform_full(4).probs
+    good = np.full(5, 0.2)
     with pytest.raises(DistributionError, match="negative probability entry"):
         truncate_rows(np.array([good, [0.5, 0.6, -0.1, 0.0, 0.0]]))
     with pytest.raises(DistributionError, match=r"probabilities sum to 1.2, not 1"):
         truncate_rows(np.array([good, [0.6, 0.6, 0.0, 0.0, 0.0], [-1.0, 2, 0, 0, 0]]))
     with pytest.raises(DistributionError, match="need a 1-d vector"):
-        truncate_full(FullSemanticDistribution(np.full((2, 2), 0.25)))
+        truncate_full(np.full((2, 2), 0.25))
 
 
 _ODD_VALUES = [float("nan"), float("inf"), -float("inf"), -0.5, 1.5, -1e-13, 2e-12,
