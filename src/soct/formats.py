@@ -423,10 +423,18 @@ def serialize_tree(tree: SemanticOctree, path) -> None:
     np.bitwise_or.at(head["field"], first + depth[child] - 1 - depth[first],
                      1 << (index[child] & (world.branching - 1)))
     rec = np.flatnonzero(head["kind"] != INTERIOR)
-    dists = [nodes[i].dist for i in rec.tolist()]
-    head["field"][rec] = n_top = np.array([len(d.top3) for d in dists], dtype=np.int64)
+    # Each record is a row of a table (``octree.Node``): one gather from the
+    # distinct tables, concatenated with an empty one (a tree may have none).
+    records = [nodes[i] for i in rec.tolist()]
+    tables = {id(n.table): n.table for n in records}
+    start = dict(zip(tables, itertools.accumulate(
+        (len(t.ids) for t in tables.values()), initial=0)))
+    index = np.array([start[id(n.table)] + n.row for n in records], dtype=np.int64)
+    rows = TruncatedRows(*(np.concatenate(column)[index] for column in zip(
+        *((*t[:4], t.stored()) for t in tables.values()), TruncatedRows.of([]))))
+    head["field"][rec] = n_top = rows.counts
     sizes = 10 + (head["kind"] != INTERIOR) * (16 + 10 * head["field"].astype(np.int64))
-    at, rows = np.cumsum(sizes) - sizes, TruncatedRows.of(dists)
+    at = np.cumsum(sizes) - sizes
     slots = np.zeros((len(rec), 3), dtype=_SLOT)
     slots["id"], slots["p"] = rows.ids, rows.probs
     tail = np.zeros(len(rec), dtype=_TAIL)
@@ -541,16 +549,17 @@ def deserialize_tree(path) -> SemanticOctree:
     slot = np.where(used, at[:, None] + np.arange(10, 40, 10), 0)  # unused: offset 0
     slots = u8[slot[:, :, None] + np.arange(_SLOT.itemsize)].view(_SLOT)[:, :, 0]
     rows = TruncatedRows(np.where(used, slots["id"], 0), np.where(used, slots["p"], 0.0),
-                         tail["p_free"], tail["p_residual"])
+                         tail["p_free"], tail["p_residual"], n_top)
     # Each record precedes the error that stopped the walk, so it is met first.
-    for row, message in record_errors(rows, n_top, num_classes).items():
+    for row, message in record_errors(rows, num_classes).items():
         key = NodeKey(depths[rec[row]], indices[rec[row]])
         raise CorruptionError(f"record {key} is invalid: {message}")
     if error is not None:
         raise error
-    conds = expand_rows(rows, num_classes)
+    conds = expand_rows(rows.read_only(), num_classes)
     conds.flags.writeable = False
-    records = zip(rows.records(), conds)
-    tree.nodes = {key: Node(k, w, *(next(records) if k != INTERIOR else ()))
+    row = itertools.count()  # each record refers to its row of the one table
+    tree.nodes = {key: Node(k, w) if k == INTERIOR else Node(k, w, rows, r := next(row),
+                                                              conds[r])
                   for key, k, w in zip(map(NodeKey, depths, indices), kinds, weights)}
     return tree

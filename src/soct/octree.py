@@ -17,11 +17,12 @@ with cached aggregate conditionals), plus summary nodes produced by pruning
 identical children; a summary stands in for a homogeneous subtree and is
 re-expanded on the next observation that touches its region.
 
-Leaves and summaries hold a truncated record plus its dense vector over
-ids 0..K. The record is validated and expanded once, when it is installed
-(``make_record``: an observation, ``set_leaf``, a summary expansion or
-prune; ``from_observations``; ``formats.deserialize_tree``: a file load);
-reading a conditional afterwards is a plain lookup.
+Leaves and summaries hold a truncated record, a row of a read-only
+``TruncatedRows`` table (one per batch build or file load, one row per
+observation; a summary's prune or expansion shares its row), plus its dense
+vector over ids 0..K; ``Node.dist`` builds the record on each read. The
+record is validated and expanded once, when it is installed; reading a
+conditional afterwards is a plain lookup.
 
 Concurrency: mutating operations require exclusive access to a tree;
 read-only traversals may run concurrently with each other.
@@ -240,11 +241,24 @@ def completed_weight(stored: list[float], branching: int) -> float:
 
 @dataclass(slots=True)
 class Node:
+    """A stored node. A leaf or summary record is row ``row`` of ``table``."""
+
     kind: int
     weight: float = 0.0
-    dist: TruncatedSemanticDistribution | None = None
+    table: TruncatedRows | None = None
+    row: int = 0
     cond: np.ndarray | None = None
     gain: float = 0.0
+
+    @property
+    def dist(self) -> TruncatedSemanticDistribution | None:
+        return None if self.table is None else self.table.record(self.row)
+
+    @dist.setter
+    def dist(self, record: TruncatedSemanticDistribution | None) -> None:
+        """A new one-row table holds ``record``, unchecked; ``cond`` stays."""
+        self.table = None if record is None else TruncatedRows.of([record]).read_only()
+        self.row = 0
 
 
 ROOT_KEY = NodeKey(0, 0)
@@ -368,21 +382,6 @@ class SemanticOctree:
 
     # -- construction -----------------------------------------------------
 
-    def make_record(self, kind: int, weight: float,
-                    dist: TruncatedSemanticDistribution,
-                    cond: np.ndarray | None = None) -> Node:
-        """A LEAF or SUMMARY node carrying ``dist`` and its dense vector.
-
-        The record is validated and expanded once (``DistributionError``
-        if invalid), unless ``cond`` already holds its expansion. The
-        vector is read-only, since conditionals are returned without
-        copying and may be shared.
-        """
-        if cond is None:
-            cond = expand_truncated(dist, self.num_classes)
-            cond.flags.writeable = False
-        return Node(kind, weight=weight, dist=dist, cond=cond)
-
     @classmethod
     def from_observations(cls, world: WorldConfig, num_classes: int, points,
                           obs_class, confidence) -> tuple["SemanticOctree", dict[int, str]]:
@@ -432,13 +431,13 @@ class SemanticOctree:
             leaves = leaf_of[sel[~contradicted]]
             records = truncate_rows(posterior[~contradicted])
             state[leaves] = expand_rows(records, num_classes)
-            for column, values in zip(kept, records):
+            for column, values in zip(kept[:4], records):
                 column[leaves] = values
         state.flags.writeable = False
+        kept.read_only()
         codes = codes[first]
-        for i, (code, dist) in enumerate(zip(codes.tolist(), kept.records())):
-            tree.nodes[NodeKey(world.max_depth, code)] = tree.make_record(
-                LEAF, 1.0, dist, state[i])
+        for i, code in enumerate(codes.tolist()):
+            tree.nodes[NodeKey(world.max_depth, code)] = Node(LEAF, 1.0, kept, i, state[i])
         weights = [1.0] * len(codes)
         for depth in reversed(range(world.max_depth)):
             parents = codes >> world.dims
@@ -479,10 +478,10 @@ class SemanticOctree:
                                             np.array([confidence]))
         if contradicted[0]:
             raise DistributionError(CONTRADICTED)
-        record = truncate_rows(posterior)
+        record = truncate_rows(posterior).read_only()
         cond = expand_rows(record, self.num_classes)[0].copy()  # frees the (1, K+1) base
         cond.flags.writeable = False
-        self.nodes[leaf] = self.make_record(LEAF, weight, record.records()[0], cond)
+        self.nodes[leaf] = Node(LEAF, weight, record, 0, cond)
         if new_leaf:  # an update keeps the leaf's weight, so no weight changes
             self._refresh_path(leaf)
         return leaf
@@ -492,7 +491,10 @@ class SemanticOctree:
         """Directly install a finest-resolution leaf (fixtures, bulk loads)."""
         if not 0 <= weight < math.inf:  # NaN fails too
             raise ConfigError(f"leaf weight must be non-negative and finite, not {weight}")
-        record = self.make_record(LEAF, weight, dist)
+        cond = expand_truncated(dist, self.num_classes)
+        cond.flags.writeable = False  # conditionals are returned without copying
+        record = Node(LEAF, weight, cond=cond)
+        record.dist = dist
         key = self.world.key_from_coords(coords, self.world.max_depth)
         self._open_path(key)
         self.nodes[key] = record
@@ -555,7 +557,8 @@ class SemanticOctree:
             return False
         for k in kids:
             del self.nodes[k]
-        self.nodes[key] = self.make_record(SUMMARY, node.weight, first, records[0].cond)
+        self.nodes[key] = Node(SUMMARY, node.weight, records[0].table, records[0].row,
+                               records[0].cond)
         return True
 
     def prune_all_identical(self) -> int:
@@ -583,7 +586,7 @@ class SemanticOctree:
         child_kind = LEAF if key.depth + 1 == self.world.max_depth else SUMMARY
         share = node.weight / self.world.branching
         for k in child_keys(key, dims):
-            self.nodes[k] = self.make_record(child_kind, share, node.dist, node.cond)
+            self.nodes[k] = Node(child_kind, share, node.table, node.row, node.cond)
         self.nodes[key] = Node(INTERIOR, weight=node.weight, cond=node.cond)
 
     def expand_summaries(self) -> int:
@@ -592,9 +595,10 @@ class SemanticOctree:
         Returns the number of expansion steps performed. The weights of the
         expanded nodes and their ancestors are then re-derived, deepest
         first, since the children's shares need not add up to the summary's
-        weight bit for bit. Conditional and gain caches stay valid: an
-        expanded summary has identical children, which add no information
-        at any level.
+        weight bit for bit. Conditional and gain caches stay valid within
+        rounding: an expanded node keeps its record's vector and gain 0, where
+        ``compression.refresh_all`` averages its identical children, which can
+        differ in the last bits, here and above; it makes them exact again.
         """
         dims = self.world.dims
         expanded = []

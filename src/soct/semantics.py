@@ -8,8 +8,10 @@ a truncated record: the three most likely non-free classes, the free-space
 probability, and a single residual mass covering every remaining class.
 Expanding a truncated record back to a dense vector spreads the residual
 uniformly over the K-3 outstanding classes, which is why K >= 4 is required.
-The module holds the records, the row kernel that fuses, truncates and
-expands them, and the class role model (``ClassRegistry``).
+Records are stored as rows of ``TruncatedRows`` tables; a
+``TruncatedSemanticDistribution`` is one record as a value, made from a row
+when it is read. The module holds both forms, the row kernel that fuses,
+truncates and expands records, and the class role model (``ClassRegistry``).
 
 All functions here are pure and do not modify their arguments; they are
 safe to call concurrently from any number of threads.
@@ -87,8 +89,7 @@ class TruncatedSemanticDistribution:
     def validate(self, num_classes: int) -> None:
         """Raise ``DistributionError`` if this is no valid record (one-row
         ``record_errors``)."""
-        for message in record_errors(TruncatedRows.of([self]), np.array([len(self.top3)]),
-                                     num_classes).values():
+        for message in record_errors(TruncatedRows.of([self]), num_classes).values():
             raise DistributionError(message)
 
     def is_close(self, other: "TruncatedSemanticDistribution",
@@ -119,14 +120,21 @@ class TruncatedRows(NamedTuple):
     """N truncated records as arrays.
 
     ``ids`` and ``probs`` (N, 3) hold the stored classes in rank order, an
-    unused slot id 0 and probability 0.0; ``p_free`` and ``p_residual``
-    have shape (N,).
+    unused slot id 0 and probability 0.0; ``p_free``, ``p_residual`` and
+    ``counts``, the number of stored classes, have shape (N,). A slot
+    below its row's count is used even if its id is 0 (an invalid record).
+    Without ``counts`` (the kernel's tables), a row stores its nonzero ids.
     """
 
     ids: np.ndarray
     probs: np.ndarray
     p_free: np.ndarray
     p_residual: np.ndarray
+    counts: np.ndarray | None = None
+
+    def stored(self) -> np.ndarray:
+        """Each row's number of stored classes."""
+        return np.count_nonzero(self.ids, axis=1) if self.counts is None else self.counts
 
     @classmethod
     def of(cls, records) -> "TruncatedRows":
@@ -136,14 +144,22 @@ class TruncatedRows(NamedTuple):
                           dtype=np.float64).reshape(-1, 3, 2)
         return cls(top[:, :, 0].astype(np.int64), np.ascontiguousarray(top[:, :, 1]),
                    np.array([r.p_free for r in records], dtype=np.float64),
-                   np.array([r.p_residual for r in records], dtype=np.float64))
+                   np.array([r.p_residual for r in records], dtype=np.float64),
+                   np.array([len(r.top3) for r in records], dtype=np.int64))
 
-    def records(self) -> list[TruncatedSemanticDistribution]:
-        return [TruncatedSemanticDistribution(
-                    tuple(zip(ids[:3 - ids.count(0)], probs)), free, residual)
-                for ids, probs, free, residual in zip(
-                    self.ids.tolist(), self.probs.tolist(),
-                    self.p_free.tolist(), self.p_residual.tolist())]
+    def record(self, i: int) -> TruncatedSemanticDistribution:
+        """Row ``i`` as a record; ``of([record(i)])`` gives the row back."""
+        ids = self.ids[i].tolist()
+        n = 3 - ids.count(0) if self.counts is None else int(self.counts[i])
+        return TruncatedSemanticDistribution(
+            tuple(zip(ids[:n], self.probs[i, :n].tolist())),
+            float(self.p_free[i]), float(self.p_residual[i]))
+
+    def read_only(self) -> "TruncatedRows":
+        """This table, its columns made read-only for nodes to refer to."""
+        for column in self[:4] if self.counts is None else self:
+            column.flags.writeable = False
+        return self
 
 
 def check_rows(rows: np.ndarray) -> None:
@@ -162,20 +178,19 @@ def check_rows(rows: np.ndarray) -> None:
         raise DistributionError(f"probabilities sum to {float(totals[i])}, not 1")
 
 
-def record_errors(records: TruncatedRows, counts: np.ndarray,
-                  num_classes: int) -> dict[int, str]:
+def record_errors(records: TruncatedRows, num_classes: int) -> dict[int, str]:
     """Rows that are no valid truncated record, by row, with the first rule
     each breaks.
 
-    ``counts`` holds each row's number of stored classes; later slots are
-    not read. The rules, in order: at most three stored classes, with
-    distinct ids in 1..K; every field in [0, 1] within FIELD_TOL; stored
-    classes sorted by descending probability; a total of 1 within SUM_TOL,
-    added in slot order, then free space, then the residual; no residual
-    without three stored classes; no stored class below the residual's
-    per-class share.
+    Slots at or past a row's count are not read. The rules, in order: at
+    most three stored classes, with distinct ids in 1..K; every field in
+    [0, 1] within FIELD_TOL; stored classes sorted by descending
+    probability; a total of 1 within SUM_TOL, added in slot order, then
+    free space, then the residual; no residual without three stored
+    classes; no stored class below the residual's per-class share.
     """
-    ids, probs, p_free, p_residual = records
+    ids, probs, p_free, p_residual, _ = records
+    counts = records.stored()
     used = np.arange(3) < counts[:, None]
     fields = np.column_stack([np.where(used, probs, 0.0), p_free, p_residual])
     bad_field = ~((fields >= -FIELD_TOL) & (fields <= 1 + FIELD_TOL))
@@ -304,7 +319,7 @@ def expand_truncated(dist: TruncatedSemanticDistribution, num_classes: int) -> n
 def truncate_full(probs: np.ndarray) -> TruncatedSemanticDistribution:
     """One-row ``truncate_rows`` of a dense vector; expanding the result
     reproduces the stored fields and the total residual mass."""
-    return truncate_rows(_row(probs)).records()[0]
+    return truncate_rows(_row(probs)).record(0)
 
 
 def fuse_observation(prior: np.ndarray, obs_class: int, confidence: float) -> np.ndarray:

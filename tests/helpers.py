@@ -236,7 +236,8 @@ def _ref_record(tree, key, kind, weight, dist, records):
     message = ref_record_error(dist, tree.num_classes)
     if message is not None:
         raise CorruptionError(f"record {key} is invalid: {message}")
-    records.append(Node(kind, weight=weight, dist=dist))
+    records.append(Node(kind, weight=weight))
+    records[-1].dist = dist
     return records[-1]
 
 
@@ -312,6 +313,33 @@ def reference_deserialize(path):
     for node, cond in zip(records, conds):
         node.cond = cond
     return tree
+
+
+def _ref_write_node(tree, key, out):
+    node = tree.nodes[key]
+    out.append(struct.pack("<Bd", node.kind, node.weight))
+    if node.kind != INTERIOR:
+        dist = node.dist
+        out.append(struct.pack("<B", len(dist.top3)))
+        out += [struct.pack("<Hd", cid, p) for cid, p in dist.top3]
+        out.append(struct.pack("<dd", dist.p_free, dist.p_residual))
+        return
+    kids = [k for k in child_keys(key, tree.world.dims) if k in tree.nodes]
+    out.append(struct.pack("<B", sum(1 << (k.index & (tree.world.branching - 1))
+                                     for k in kids)))
+    for k in kids:
+        _ref_write_node(tree, k, out)
+
+
+def reference_serialize(tree):
+    """The recursive tree-file writer: one ``struct`` write per field, each
+    record written from its ``node.dist``, children in octant order."""
+    world = tree.world
+    out = [struct.pack("<4sB3ddBBH", MAGIC, FORMAT_VERSION, *world.origin,
+                       world.edge_length, world.max_depth, world.branching,
+                       tree.num_classes)]
+    _ref_write_node(tree, ROOT_KEY, out)
+    return b"".join(out)
 
 
 # -- independent planning references ------------------------------------------------

@@ -26,7 +26,7 @@ from soct.formats import (
     read_cloud,
     serialize_tree,
 )
-from soct.octree import INTERIOR, LEAF, SUMMARY, SemanticOctree, WorldConfig
+from soct.octree import INTERIOR, LEAF, SUMMARY, NodeKey, SemanticOctree, WorldConfig
 from soct.semantics import TruncatedSemanticDistribution
 
 from helpers import (
@@ -35,6 +35,7 @@ from helpers import (
     random_truncated,
     random_weights,
     reference_deserialize,
+    reference_serialize,
 )
 
 
@@ -598,3 +599,75 @@ def test_reader_matches_recursive_reference(tmp_path_factory, seed, branching,
     else:
         assert not isinstance(got, tuple), got
         _same_tree(want, got)
+
+
+def _record_source_ops(rng, tree, count):
+    """Streamed observations (new leaves and updates), ``set_leaf``, a
+    pruned and re-expanded block, and ``node.dist`` assignments."""
+    world, k = tree.world, tree.num_classes
+    n = 1 << world.max_depth
+    for op in rng.integers(0, 5, count):
+        leaves = [key for key, node in tree.nodes.items() if node.kind == LEAF]
+        if op == 0 or (op == 1 and not leaves):
+            tree.add_observation(rng.uniform(0, 8, 3), int(rng.integers(0, k + 1)),
+                                 float(rng.uniform(0.5, 0.95)))
+        elif op == 1:
+            key = leaves[int(rng.integers(len(leaves)))]
+            tree.add_observation(world.center_of(key), int(rng.integers(0, k + 1)), 0.9)
+        elif op == 2:
+            tree.set_leaf(tuple(int(c) for c in rng.integers(0, n, world.dims)),
+                          random_truncated(rng, k), float(rng.uniform(0.1, 3.0)))
+        elif op == 3:
+            block, shared = int(rng.integers(0, n ** world.dims // world.branching)), \
+                random_truncated(rng, k)
+            for octant in range(world.branching):
+                tree.set_leaf(world.coords_of(NodeKey(world.max_depth,
+                                                      block * world.branching + octant)),
+                              shared)
+            assert tree.prune_all_identical()
+            if rng.random() < 0.5:
+                tree.expand_summaries()
+        else:
+            records = [node for node in tree.nodes.values() if node.kind != INTERIOR]
+            records[int(rng.integers(len(records)))].dist = random_truncated(rng, k)
+
+
+def _assert_writes_as_reference(tree, path):
+    serialize_tree(tree, path)
+    assert path.read_bytes() == reference_serialize(tree)
+    read = reference_deserialize(path)
+    assert read.nodes.keys() == tree.nodes.keys()
+    for key, node in tree.nodes.items():
+        other = read.nodes[key]
+        assert (other.kind, struct.pack("<d", other.weight), other.dist) == (
+            node.kind, struct.pack("<d", node.weight), node.dist), key
+
+
+@settings(max_examples=15, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), branching=st.sampled_from([2, 4, 8]))
+def test_records_from_every_source_write_as_the_reference(tmp_path_factory, seed,
+                                                          branching):
+    """A tree whose records come from a batch build, a load, streamed
+    updates, ``set_leaf``, prune and summary expansion and ``node.dist``
+    assignments writes the bytes of the per-field reference writer, and the
+    reference reader reads it back node for node. An invalid record with
+    id 0 in a used slot is written as it is: the slot stays used."""
+    rng = np.random.default_rng(seed)
+    depth = {2: 4, 4: 3, 8: 2}[branching]
+    k = int(rng.integers(4, 7))
+    world = WorldConfig((0, 0, 0), 8.0, depth, branching)
+    path = tmp_path_factory.mktemp("sources") / "tree.soct"
+    tree, _ = SemanticOctree.from_observations(
+        world, k, rng.uniform(0, 8, (30, 3)), rng.integers(0, k + 1, 30),
+        rng.uniform(0.5, 0.95, 30))
+    _record_source_ops(rng, tree, 6)
+    _assert_writes_as_reference(tree, path)
+    tree = deserialize_tree(path)
+    _record_source_ops(rng, tree, 6)
+    _assert_writes_as_reference(tree, path)
+    node = next(node for node in tree.nodes.values() if node.dist and node.dist.top3)
+    node.dist = replace(node.dist, top3=((0, node.dist.top3[0][1]),) + node.dist.top3[1:])
+    serialize_tree(tree, path)
+    assert path.read_bytes() == reference_serialize(tree)
+    with pytest.raises(CorruptionError, match="distinct and non-zero"):
+        deserialize_tree(path)

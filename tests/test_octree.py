@@ -21,9 +21,15 @@ from soct.octree import (
     completed_weight,
     parent_key,
 )
-from soct.semantics import TruncatedSemanticDistribution, expand_truncated
+from soct.semantics import TruncatedRows, TruncatedSemanticDistribution, expand_truncated
 
-from helpers import _ref_children, make_random_tree, random_truncated, random_weights
+from helpers import (
+    _ref_children,
+    make_random_tree,
+    random_truncated,
+    random_weights,
+    reference_deserialize,
+)
 
 
 def snapshot(tree):
@@ -314,6 +320,45 @@ def test_expand_summaries_restores_leaves():
     assert abs(tree.root.weight - total_before) < 1e-12
 
 
+def test_expand_summaries_keeps_caches_within_rounding(tmp_path):
+    """After an expansion, cached conditionals and gains agree with a fresh
+    ``refresh_all`` within rounding, not bit for bit; ``refresh_all`` then
+    makes them exact (they equal those of a reloaded copy, which holds no
+    caches)."""
+    rng = np.random.default_rng(61)
+    world = WorldConfig((0, 0, 0), 4.0, 2, 8)
+    inexact = 0
+    for i in range(8):
+        tree, cw = SemanticOctree(world, 4), random_weights(rng)
+        for block in range(8):  # blocks 1..7 hold one shared record each
+            shared = random_truncated(rng, 4)
+            for octant in range(8):
+                tree.set_leaf(world.coords_of(NodeKey(2, block << 3 | octant)),
+                              shared if block else random_truncated(rng, 4),
+                              float(rng.uniform(0.1, 3.0)))
+        refresh_all(tree, cw)
+        assert tree.prune_all_identical() == 7
+        refresh_all(tree, cw)
+        tree.expand_summaries()
+        fresh = copy.deepcopy(tree)
+        refresh_all(fresh, cw)
+        for key, node in tree.nodes.items():
+            ref = fresh.nodes[key]
+            if node.kind == INTERIOR:
+                assert np.allclose(node.cond, ref.cond, rtol=0, atol=1e-15), key
+                assert abs(node.gain - ref.gain) <= 1e-15, key
+                inexact += node.cond.tobytes() != ref.cond.tobytes() or node.gain != ref.gain
+        refresh_all(tree, cw)
+        serialize_tree(tree, tmp_path / f"{i}.soct")
+        loaded = deserialize_tree(tmp_path / f"{i}.soct")
+        refresh_all(loaded, cw)
+        for key, node in tree.nodes.items():
+            if node.kind == INTERIOR:
+                assert node.cond.tobytes() == loaded.nodes[key].cond.tobytes(), key
+                assert repr(node.gain) == repr(loaded.nodes[key].gain), key
+    assert inexact  # the fixture reaches caches that differ in the last bits
+
+
 def test_set_leaf_rejects_bad_weight(tmp_path):
     """A negative or non-finite weight is a config error and leaves the
     tree as it was: a NaN would spread to every ancestor's weight, and an
@@ -568,3 +613,56 @@ def test_interior_weights_equal_their_completion_totals(tmp_path_factory, seed, 
     assert tree.prune_all_identical()
     tree.expand_summaries()
     _assert_weights_are_completion_totals(tree)
+
+
+def test_installs_and_writes_make_no_record_objects(tmp_path, monkeypatch):
+    """A batch build, a file load, streamed observations (a new leaf, an
+    update, one into a summary), summary expansion and the writer make no
+    ``TruncatedSemanticDistribution``: records stay rows of read-only tables,
+    and each ``node.dist`` is the record its row holds."""
+    made = []
+    init = TruncatedSemanticDistribution.__init__
+
+    def counting_init(self, *args, **kwargs):
+        made.append(args)
+        init(self, *args, **kwargs)
+
+    rng = np.random.default_rng(62)
+    world = WorldConfig((0, 0, 0), 8.0, 3)
+    shared = random_truncated(rng, 5)
+    prunable = SemanticOctree(world, 5)
+    for octant in range(8):
+        prunable.set_leaf(world.coords_of(NodeKey(3, 8 + octant)), shared)
+    assert prunable.prune_all_identical() == 1
+    serialize_tree(prunable, tmp_path / "summary.soct")
+    monkeypatch.setattr(TruncatedSemanticDistribution, "__init__", counting_init)
+    points = rng.uniform(0, 4, (200, 3))
+    built, _ = SemanticOctree.from_observations(world, 5, points, rng.integers(0, 6, 200),
+                                                rng.uniform(0.5, 0.95, 200))
+    serialize_tree(built, tmp_path / "built.soct")
+    loaded = deserialize_tree(tmp_path / "built.soct")
+    serialize_tree(loaded, tmp_path / "loaded.soct")
+    assert (tmp_path / "loaded.soct").read_bytes() == (tmp_path / "built.soct").read_bytes()
+    new = loaded.add_observation((7.5, 7.5, 7.5), 2, 0.9)
+    loaded.add_observation((7.5, 7.5, 7.5), 3, 0.8)
+    summaries = deserialize_tree(tmp_path / "summary.soct")
+    into = summaries.add_observation(world.center_of(NodeKey(3, 8)), 1, 0.9)
+    summaries.expand_summaries()
+    for tree in (built, loaded, summaries):
+        serialize_tree(tree, tmp_path / "out.soct")
+    assert made == []
+    assert loaded.nodes[new].kind == summaries.nodes[into].kind == LEAF
+    reference = reference_deserialize(tmp_path / "built.soct")
+    for tree in (built, loaded, summaries):
+        for key, node in tree.nodes.items():
+            if node.kind == INTERIOR:
+                assert node.table is None
+                continue
+            table = node.table
+            assert not any(c.flags.writeable for c in table if c is not None), key
+            one = TruncatedRows.of([node.dist])
+            assert all(np.array_equal(a[0], b[node.row])
+                       for a, b in zip((*one[:4], one.counts), (*table[:4], table.stored())))
+            if tree is not summaries and key in reference.nodes and key != new:
+                assert node.dist == reference.nodes[key].dist, key
+    assert made  # each read built a record

@@ -250,7 +250,7 @@ def test_row_kernel_gives_every_row_its_one_row_bits(k):
     dense = expand_rows(records, k)
     assert dense.tobytes() == expand_rows(truncate_rows(np.asfortranarray(post[fused])),
                                           k).tobytes()
-    listed = records.records()
+    listed = [records.record(i) for i in range(len(records.ids))]
     exact = k + 1 < 8
     for i, row in enumerate(np.flatnonzero(fused)):
         one, bad = fuse_rows(prior[row:row + 1], obs_class[row:row + 1],
@@ -277,7 +277,8 @@ def test_truncated_rows_round_trip():
     records = [truncate_full(random_full(rng, 6)) for _ in range(50)]
     records.append(TruncatedSemanticDistribution((), 1.0, 0.0))
     records.append(TruncatedSemanticDistribution(((2, 0.75),), 0.25, 0.0))
-    assert TruncatedRows.of(records).records() == records
+    rows = TruncatedRows.of(records)
+    assert [rows.record(i) for i in range(len(records))] == records
 
 
 def test_observation_errors_name_each_bad_row():
@@ -343,8 +344,7 @@ def test_record_errors_match_the_field_by_field_check(seed, num_classes):
     records = [_odd_record(rng, max(num_classes, 4)) for _ in range(40)]
     want = {i: ref_record_error(r, num_classes) for i, r in enumerate(records)}
     want = {i: message for i, message in want.items() if message is not None}
-    counts = np.array([len(r.top3) for r in records])
-    assert record_errors(TruncatedRows.of(records), counts, num_classes) == want
+    assert record_errors(TruncatedRows.of(records), num_classes) == want
     for i, record in enumerate(records):
         if i in want:
             with pytest.raises(DistributionError) as exc:
