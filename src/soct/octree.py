@@ -48,6 +48,7 @@ from .semantics import (
     fuse_observation,  # noqa: F401  the benchmark's tracer counts calls here
     fuse_rows,
     observation_errors,
+    rows_close,
     truncate_rows,
 )
 
@@ -549,32 +550,33 @@ class SemanticOctree:
         kids = self.stored_children(key)
         if len(kids) != self.world.branching:
             raise TreeError(f"{key} does not have a full stored child set")
-        records = [self.nodes[k] for k in kids]
-        if any(r.kind == INTERIOR for r in records):
+        children = [self.nodes[k] for k in kids]
+        if any(c.kind == INTERIOR for c in children):
             raise TreeError(f"children of {key} include interior nodes")
-        first = records[0].dist
-        if not all(r.dist.is_close(first) for r in records[1:]):
+        return self._prune(key, kids, children)
+
+    def _prune(self, key: NodeKey, kids: list[NodeKey], children: list[Node]) -> bool:
+        """Make ``key`` a summary if its full set of record ``children`` holds
+        one record (``rows_close``); compares rows and builds no records."""
+        if not rows_close([(c.table, c.row) for c in children]):
             return False
         for k in kids:
             del self.nodes[k]
-        self.nodes[key] = Node(SUMMARY, node.weight, records[0].table, records[0].row,
-                               records[0].cond)
+        first = children[0]
+        self.nodes[key] = Node(SUMMARY, self.nodes[key].weight, first.table, first.row,
+                               first.cond)
         return True
 
     def prune_all_identical(self) -> int:
         """Bottom-up sweep of ``prune_identical_children`` wherever applicable."""
         pruned = 0
         for key in self.interior_keys_deepest_first():
-            node = self.nodes.get(key)
-            if node is None or node.kind != INTERIOR:
-                continue
             kids = self.stored_children(key)
             if len(kids) != self.world.branching:
                 continue
-            if any(self.nodes[k].kind == INTERIOR for k in kids):
-                continue
-            if self.prune_identical_children(key):
-                pruned += 1
+            children = [self.nodes[k] for k in kids]
+            if not any(c.kind == INTERIOR for c in children):
+                pruned += self._prune(key, kids, children)
         return pruned
 
     def _expand_summary(self, key: NodeKey) -> None:

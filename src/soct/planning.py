@@ -25,14 +25,19 @@ Edge lengths, segment lengths and the A* heuristic all come from one
 batched row-norm kernel, ``_norms``; a query computes every vertex's
 straight-line distance to its goal in one call before searching.
 
-A graph's ``SearchIndex`` (its one adjacency store and connected-component
-labels) is built on first use and shared by ``ColoredGraph.neighbors`` and
-the search. A query between two components returns None without a search.
-A graph's edges must not change after its first query.
+A graph's ``SearchIndex`` (its adjacency lists, connected-component labels
+and edge colors) is built on first use and shared by
+``ColoredGraph.neighbors`` and the search. A query between two components
+returns None without a search. For each undesired color set the graph also
+keeps a role split of the index's adjacency: per vertex, its clean and its
+undesired edges. Class-Ordered A* keeps its open set in two buckets, one per
+live undesired count (Dial's bucket queue), and relaxes each kind of edge
+into its own bucket without testing colors. A graph's edges must not change
+after its first query.
 
 Graph construction and search are read-only over their inputs; multiple
 queries may run concurrently on one graph. Concurrent first queries build
-equal indexes, and a single attribute store publishes one of them whole.
+equal indexes and splits, and a single store publishes each whole.
 """
 
 from __future__ import annotations
@@ -40,6 +45,7 @@ from __future__ import annotations
 import heapq
 import itertools
 import math
+import operator
 from dataclasses import dataclass, field
 from typing import NamedTuple
 
@@ -51,10 +57,12 @@ from .octree import INTERIOR, NodeKey, SemanticOctree, WorldConfig
 
 UNKNOWN_CLASS = -1
 # Largest Halton graph built; a larger request is a config error, raised
-# before any point is generated. A graph holds about 2 kB per vertex in
-# edge tuples and adjacency lists at k = 8 (20,000 vertices took +80 MB of
-# peak RSS, 40,000 took +122 MB), so this cap is ~200 MB where 1,000,000
-# vertices would need ~2 GB.
+# before any point is generated. At k = 8 a graph holds about 1.6 kB per
+# vertex in edge tuples, its search index and a role split (tracemalloc,
+# 20,000 vertices on the demo map; each split is 16-29 B per vertex there).
+# Building it and a first query raised peak RSS by 42 MB at 20,000 vertices
+# and by 76 MB at 40,000. This cap is ~170 MB where 1,000,000 vertices
+# would need ~1.7 GB.
 MAX_HALTON_VERTICES = 100_000
 
 
@@ -93,10 +101,13 @@ class SearchIndex(NamedTuple):
     ``adjacency[u]`` lists ``(v, length, color)`` for every edge at ``u``, in
     edge order; ``labels[u]`` names ``u``'s connected component (its lowest
     vertex), so two vertices are connected exactly when their labels match.
+    ``colors[i]`` is the color of edge ``i``, for picking the vertices a
+    class touches in one numpy pass.
     """
 
     adjacency: list[list[tuple[int, float, int]]]
     labels: list[int]
+    colors: np.ndarray
 
 
 def _search_index(n: int, edges: list[Edge]) -> SearchIndex:
@@ -114,7 +125,33 @@ def _search_index(n: int, edges: list[Edge]) -> SearchIndex:
                     if labels[v] < 0:
                         labels[v] = s
                         stack.append(v)
-    return SearchIndex(adjacency, labels)
+    colors = np.fromiter(map(operator.itemgetter(3), edges), np.int64, len(edges))
+    return SearchIndex(adjacency, labels, colors)
+
+
+def _role_split(index: SearchIndex, edges: list[Edge],
+                bad: frozenset[int]) -> tuple[list, list]:
+    """``(clean, undesired)``: each vertex's adjacency entries split by
+    whether their color is in ``bad``, in adjacency order.
+
+    Only a vertex with edges of both kinds gets new lists, which share the
+    index's entry tuples. Any other vertex keeps its adjacency list itself
+    as the one kind it has and ``()`` as the other. The vertices with an
+    edge colored in ``bad`` are picked in one numpy pass over
+    ``SearchIndex.colors``.
+    """
+    clean = index.adjacency.copy()
+    undesired = [()] * len(clean)
+    # one == per class: np.isin costs more than that on a few classes
+    marked = np.logical_or.reduce([index.colors == c for c in bad])
+    for u in {w for i in np.flatnonzero(marked).tolist() for w in edges[i][:2]}:
+        entries = clean[u]
+        kept = [e for e in entries if e[2] not in bad]
+        if kept:
+            clean[u], undesired[u] = kept, [e for e in entries if e[2] in bad]
+        else:
+            clean[u], undesired[u] = (), entries
+    return clean, undesired
 
 
 @dataclass
@@ -130,6 +167,8 @@ class ColoredGraph:
     edges: list[Edge]
     _index: SearchIndex | None = field(default=None, init=False, repr=False,
                                        compare=False)
+    _splits: dict = field(default_factory=dict, init=False, repr=False,
+                          compare=False)
 
     def __post_init__(self):
         n = len(self.positions)
@@ -158,6 +197,19 @@ class ColoredGraph:
 
     def neighbors(self, u: int) -> list[tuple[int, float, int]]:
         return self.search_index().adjacency[u]
+
+    def role_split(self, bad: frozenset[int]) -> tuple[list, list]:
+        """``(clean, undesired)`` adjacency lists for the undesired color set
+        ``bad``, built once per set (see ``_role_split``).
+
+        Concurrent first calls build equal splits; one dict store publishes
+        each whole.
+        """
+        split = self._splits.get(bad)
+        if split is None:
+            split = self._splits[bad] = _role_split(self.search_index(),
+                                                    self.edges, bad)
+        return split
 
 
 class PlanResult(NamedTuple):
@@ -459,12 +511,21 @@ def class_ordered_astar(graph: ColoredGraph,
     when the goal is unreachable; a trivial start == goal query yields a
     single-vertex path with zero cost.
 
-    The search reads the graph's ``SearchIndex``, built on the graph's first
-    query and shared by ``ColoredGraph.neighbors``: a goal in another
-    connected component returns None without a search, and expansions walk
-    the cached adjacency lists. The graph's edges must not change after its
-    first query. Concurrent first queries build equal indexes, and one
-    attribute store publishes one of them whole.
+    The undesired count grows by 0 or 1 per edge, so the open set is a
+    bucket queue (Dial's algorithm) of two heaps, for the current count
+    ``b`` and for ``b + 1``; vertices pop as from one heap ordered by
+    (count, f length, push order). ``cur[v]`` is v's best length if its
+    best count is ``b``, -inf if lower and +inf if higher; ``nxt[v]`` is
+    the same for ``b + 1``. A popped entry is stale when ``cur[u]`` is no
+    longer its length.
+
+    The search reads the graph's ``SearchIndex`` and its ``role_split`` for
+    the query's undesired set, each built on first use and kept on the
+    graph: a goal in another component returns None without a search, and
+    an expansion relaxes clean edges into the current bucket, then
+    undesired ones into the next, with no color test. The graph's edges
+    must not change after its first query. Concurrent first queries build
+    equal indexes and splits, and one store publishes each whole.
     """
     n = graph.num_vertices
     start, goal = query.start, query.goal
@@ -472,40 +533,52 @@ def class_ordered_astar(graph: ColoredGraph,
         raise GraphError("start/goal outside the vertex range")
     if start == goal:
         return PlanResult([start], 0, 0.0)
-    adjacency, labels = graph.search_index()
+    labels = graph.search_index().labels
     if labels[start] != labels[goal]:
         return None
-    bad = set(query.undesired) | {UNKNOWN_CLASS}
+    clean, undesired = graph.role_split(query.undesired | {UNKNOWN_CLASS})
     positions = np.asarray(graph.positions, dtype=np.float64)
     h = _norms(positions - positions[goal]).tolist()
-    # v's best cost so far is (best_bad[v], best_len[v]), compared
-    # lexicographically; two flat lists are cheaper than a list of tuples
-    best_bad = [math.inf] * n
-    best_len = [math.inf] * n
-    best_bad[start], best_len[start] = 0, 0.0
+    inf, ninf = math.inf, -math.inf
+    cur = [inf] * n
+    nxt = [inf] * n
+    cur[start], nxt[start] = 0.0, ninf
     parent = [-1] * n
-    counter = 0
-    # Entries are (f_bad, f_len, counter, v, g_bad, g_len): equal f pops in
-    # push order. One whose g is no longer v's best was superseded by a
-    # cheaper push and is skipped.
-    heap = [(0, h[start], counter, start, 0, 0.0)]
-    while heap:
-        _, _, _, u, g_bad, g_len = heapq.heappop(heap)
-        if best_len[u] != g_len or best_bad[u] != g_bad:
-            continue
-        if u == goal:
-            path = [u]
-            while path[-1] != start:
-                path.append(parent[path[-1]])
-            path.reverse()
-            return PlanResult(path, g_bad, g_len)
-        for v, length, color in adjacency[u]:
-            c_bad = g_bad + 1 if color in bad else g_bad
-            c_len = g_len + length
-            b = best_bad[v]
-            if c_bad < b or (c_bad == b and c_len < best_len[v]):
-                best_bad[v], best_len[v] = c_bad, c_len
-                parent[v] = u
-                counter += 1
-                heapq.heappush(heap, (c_bad, c_len + h[v], counter, v, c_bad, c_len))
-    return None
+    push, pop = heapq.heappush, heapq.heappop
+    b = counter = 0
+    # Entries are (f_len, counter, v, g_len): equal f pops in push order.
+    heap, later = [(h[start], counter, start, 0.0)], []
+    while True:
+        while heap:
+            _, _, u, g_len = pop(heap)
+            if cur[u] != g_len:
+                continue
+            if u == goal:
+                path = [u]
+                while path[-1] != start:
+                    path.append(parent[path[-1]])
+                path.reverse()
+                return PlanResult(path, b, g_len)
+            for v, length, _ in clean[u]:
+                c_len = g_len + length
+                if c_len < cur[v]:
+                    cur[v], nxt[v] = c_len, ninf
+                    parent[v] = u
+                    counter += 1
+                    push(heap, (c_len + h[v], counter, v, c_len))
+            for v, length, _ in undesired[u]:
+                c_len = g_len + length
+                if c_len < nxt[v]:
+                    nxt[v] = c_len
+                    parent[v] = u
+                    counter += 1
+                    push(later, (c_len + h[v], counter, v, c_len))
+        if not later:
+            return None
+        # the next bucket becomes current; every vertex it reached now has
+        # a lower count than the bucket after it
+        b += 1
+        heap, later = later, []
+        cur, nxt = nxt, nxt.copy()
+        for entry in heap:
+            nxt[entry[2]] = ninf

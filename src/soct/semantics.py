@@ -95,13 +95,23 @@ class TruncatedSemanticDistribution:
     def is_close(self, other: "TruncatedSemanticDistribution",
                  tol: float = FIELD_TOL) -> bool:
         """Field-by-field equality within ``tol`` (same ids, close values)."""
-        if len(self.top3) != len(other.top3):
+        return rows_close([(TruncatedRows.of([self]), 0), (TruncatedRows.of([other]), 0)],
+                          tol)
+
+
+def rows_close(rows, tol: float = FIELD_TOL) -> bool:
+    """Whether every ``(table, row)`` record of ``rows`` equals the first
+    field by field within ``tol``: the same stored ids, and probabilities,
+    p_free and p_residual each within ``tol``. Reads the rows and builds no
+    records."""
+    ids, probs, p_free, p_residual = rows[0][0].fields(rows[0][1])
+    for table, i in rows[1:]:
+        ids_i, probs_i, free_i, residual_i = table.fields(i)
+        if (ids_i != ids or abs(free_i - p_free) > tol
+                or abs(residual_i - p_residual) > tol
+                or any(abs(a - b) > tol for a, b in zip(probs_i, probs))):
             return False
-        for (ca, pa), (cb, pb) in zip(self.top3, other.top3):
-            if ca != cb or abs(pa - pb) > tol:
-                return False
-        return (abs(self.p_free - other.p_free) <= tol
-                and abs(self.p_residual - other.p_residual) <= tol)
+    return True
 
 
 # -- the row kernel ---------------------------------------------------------------
@@ -147,13 +157,18 @@ class TruncatedRows(NamedTuple):
                    np.array([r.p_residual for r in records], dtype=np.float64),
                    np.array([len(r.top3) for r in records], dtype=np.int64))
 
-    def record(self, i: int) -> TruncatedSemanticDistribution:
-        """Row ``i`` as a record; ``of([record(i)])`` gives the row back."""
+    def fields(self, i: int) -> tuple[list[int], list[float], float, float]:
+        """Row ``i`` as plain values: its stored ids and probabilities,
+        p_free and p_residual."""
         ids = self.ids[i].tolist()
         n = 3 - ids.count(0) if self.counts is None else int(self.counts[i])
-        return TruncatedSemanticDistribution(
-            tuple(zip(ids[:n], self.probs[i, :n].tolist())),
-            float(self.p_free[i]), float(self.p_residual[i]))
+        return (ids[:n], self.probs[i, :n].tolist(),
+                float(self.p_free[i]), float(self.p_residual[i]))
+
+    def record(self, i: int) -> TruncatedSemanticDistribution:
+        """Row ``i`` as a record; ``of([record(i)])`` gives the row back."""
+        ids, probs, p_free, p_residual = self.fields(i)
+        return TruncatedSemanticDistribution(tuple(zip(ids, probs)), p_free, p_residual)
 
     def read_only(self) -> "TruncatedRows":
         """This table, its columns made read-only for nodes to refer to."""

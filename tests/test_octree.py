@@ -270,6 +270,37 @@ def test_prune_rejects_near_identical():
     assert tree.prune_identical_children(ROOT_KEY) is False
 
 
+def test_prune_compares_rows_as_is_close():
+    """Prune reads the children's rows and decides as ``is_close`` does on
+    their records: the same stored ids, every value within FIELD_TOL."""
+    t = TruncatedSemanticDistribution
+    base = t(((2, 0.5), (1, 0.3), (3, 0.1)), 0.05, 0.05)
+    variants = [
+        base,
+        t(((2, 0.5 + 5e-13), (1, 0.3), (3, 0.1)), 0.05 - 5e-13, 0.05),
+        t(((2, 0.5 + 2e-12), (1, 0.3), (3, 0.1)), 0.05 - 2e-12, 0.05),
+        t(((2, 0.5), (1, 0.3), (4, 0.1)), 0.05, 0.05),
+        t(((2, 0.5), (1, 0.3)), 0.2, 0.0),
+        t(((2, 0.5), (1, 0.3), (3, 0.1)), 0.05 + 2e-12, 0.05),
+        t(((2, 0.5), (1, 0.3), (3, 0.1)), 0.05, 0.05 + 2e-12),
+        t(((2, 0.5), (1, 0.3), (3, 0.1)), 0.05 - 5e-13, 0.05 + 5e-13),
+    ]
+    world = WorldConfig((0, 0, 0), 2.0, 1, branching=2)
+    for other in variants:
+        tree = SemanticOctree(world, 4)
+        tree.set_leaf((0,), base, 1.0)
+        tree.set_leaf((1,), other, 1.0)
+        assert tree.prune_identical_children(ROOT_KEY) is base.is_close(other), other
+    assert [base.is_close(v) for v in variants] == [True, True, False, False, False,
+                                                    False, False, True]
+    # an assigned id 0 in a used slot is a stored class, unlike an unused slot
+    tree = SemanticOctree(world, 4)
+    tree.set_leaf((0,), t((), 1.0, 0.0), 1.0)
+    tree.set_leaf((1,), t((), 1.0, 0.0), 1.0)
+    tree.nodes[world.key_from_coords((1,), 1)].dist = t(((0, 0.0),), 1.0, 0.0)
+    assert tree.prune_identical_children(ROOT_KEY) is False
+
+
 def test_prune_requires_uniform_truncated_children():
     rng = np.random.default_rng(5)
     world = WorldConfig((0, 0, 0), 4.0, 2, branching=2)
@@ -617,7 +648,8 @@ def test_interior_weights_equal_their_completion_totals(tmp_path_factory, seed, 
 
 def test_installs_and_writes_make_no_record_objects(tmp_path, monkeypatch):
     """A batch build, a file load, streamed observations (a new leaf, an
-    update, one into a summary), summary expansion and the writer make no
+    update, one into a summary), summary expansion, pruning sweeps (one that
+    prunes, ones that compare and keep) and the writer make no
     ``TruncatedSemanticDistribution``: records stay rows of read-only tables,
     and each ``node.dist`` is the record its row holds."""
     made = []
@@ -633,9 +665,9 @@ def test_installs_and_writes_make_no_record_objects(tmp_path, monkeypatch):
     prunable = SemanticOctree(world, 5)
     for octant in range(8):
         prunable.set_leaf(world.coords_of(NodeKey(3, 8 + octant)), shared)
+    monkeypatch.setattr(TruncatedSemanticDistribution, "__init__", counting_init)
     assert prunable.prune_all_identical() == 1
     serialize_tree(prunable, tmp_path / "summary.soct")
-    monkeypatch.setattr(TruncatedSemanticDistribution, "__init__", counting_init)
     points = rng.uniform(0, 4, (200, 3))
     built, _ = SemanticOctree.from_observations(world, 5, points, rng.integers(0, 6, 200),
                                                 rng.uniform(0.5, 0.95, 200))
@@ -643,11 +675,13 @@ def test_installs_and_writes_make_no_record_objects(tmp_path, monkeypatch):
     loaded = deserialize_tree(tmp_path / "built.soct")
     serialize_tree(loaded, tmp_path / "loaded.soct")
     assert (tmp_path / "loaded.soct").read_bytes() == (tmp_path / "built.soct").read_bytes()
+    assert built.prune_all_identical() == loaded.prune_all_identical() == 0
     new = loaded.add_observation((7.5, 7.5, 7.5), 2, 0.9)
     loaded.add_observation((7.5, 7.5, 7.5), 3, 0.8)
     summaries = deserialize_tree(tmp_path / "summary.soct")
     into = summaries.add_observation(world.center_of(NodeKey(3, 8)), 1, 0.9)
     summaries.expand_summaries()
+    assert summaries.prune_all_identical() == 0
     for tree in (built, loaded, summaries):
         serialize_tree(tree, tmp_path / "out.soct")
     assert made == []

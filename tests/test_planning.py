@@ -1,3 +1,4 @@
+import heapq
 import sys
 import threading
 
@@ -37,6 +38,7 @@ from helpers import (
 )
 
 ROAD, GRASS = 1, 2
+heapq_pop = heapq.heappop
 
 
 def pure(cid):
@@ -500,8 +502,10 @@ def test_concurrent_first_queries_agree():
     try:
         for _ in range(5):
             g = grid_graph(rng, 6, 6)
-            queries = [PlanQuery(int(s), int(t), undesired={2})
-                       for s, t in rng.integers(0, g.num_vertices, (8, 2))]
+            # three undesired sets, so first builds of each set's split race too
+            sets = [{2}, {1}, {1, 2}]
+            queries = [PlanQuery(int(s), int(t), undesired=sets[i % 3])
+                       for i, (s, t) in enumerate(rng.integers(0, g.num_vertices, (12, 2)))]
             want = [reference_astar(g, q) for q in queries]
             got = [None] * len(queries)
 
@@ -518,8 +522,112 @@ def test_concurrent_first_queries_agree():
             assert got == want
             assert g.search_index().adjacency == [ref_adjacency(g)[u]
                                                   for u in range(g.num_vertices)]
+            for undesired in sets:
+                bad = frozenset(undesired) | {UNKNOWN_CLASS}
+                clean, dirty = g.role_split(bad)
+                assert all([*c, *d] == [e for e in ref_adjacency(g)[u] if e[2] not in bad]
+                           + [e for e in ref_adjacency(g)[u] if e[2] in bad]
+                           for u, (c, d) in enumerate(zip(clean, dirty)))
     finally:
         sys.setswitchinterval(switch)
+
+
+def _line_graph(lengths_colors, extra=()):
+    """Vertices 0..n on the x axis, each edge i joining i and i + 1 with the
+    given (length, color); ``extra`` edges are appended after them."""
+    n = len(lengths_colors) + 1
+    positions = np.column_stack([np.arange(n, dtype=float), np.zeros(n)])
+    edges = [Edge(i, i + 1, length, color)
+             for i, (length, color) in enumerate(lengths_colors)]
+    return ColoredGraph(positions, np.zeros(n, dtype=int), edges + list(extra))
+
+
+BUCKET_CASES = {
+    # only route crosses two undesired edges: counts 0, 1 and 2 are buckets
+    "three_buckets": (_line_graph([(1.0, 0), (1.0, 2), (1.0, 0), (1.0, 2), (1.0, 0)],
+                                  [Edge(0, 2, 3.0, UNKNOWN_CLASS)]), 0, 5, 2),
+    # 2 is first reached over the undesired edge 0-2, then improved over the
+    # clean 0-1-2; its entry in the next bucket is stale when that bucket is
+    # current, since the goal 3 lies behind another undesired edge. The
+    # start, reached again from 2 over 0-2, is pushed to no bucket.
+    "stale_in_next_bucket": (_line_graph([(1.0, 0), (1.0, 0), (10.0, 2)],
+                                         [Edge(0, 2, 2.5, 2)]), 0, 3, 1),
+    # the whole clean component {0, 1, 2, 3} is searched before the goal 4,
+    # reached only over an undesired edge, comes off the next bucket
+    "goal_after_clean_bucket": (_line_graph([(1.0, 0), (1.0, 0), (1.0, 0), (1.0, 2)],
+                                            [Edge(0, 2, 2.5, 1), Edge(1, 3, 2.5, 0)]),
+                                0, 4, 1),
+    # parallel edges of both kinds, undesired first in edge order, and a
+    # self-loop of each kind
+    "parallel_and_loops": (_line_graph([(1.5, 2), (1.0, 2)],
+                                       [Edge(0, 1, 2.0, 0), Edge(1, 1, 1.0, 2),
+                                        Edge(1, 1, 1.0, 0), Edge(1, 2, 3.0, 0)]),
+                           0, 2, 0),
+}
+
+
+def _pops(search, graph, query):
+    """``search``'s outcome and the (vertex, length) of every heap entry it
+    pops, read from either entry layout: the reference's (f_bad, f_len,
+    counter, v, g_bad, g_len) or the bucket queue's (f_len, counter, v,
+    g_len)."""
+    popped = []
+
+    def recording_pop(heap):
+        entry = heapq_pop(heap)
+        popped.append(entry[3::2] if len(entry) == 6 else entry[2:])
+        return entry
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(heapq, "heappop", recording_pop)
+        result = search(graph, query)
+    return _outcome(result), popped
+
+
+@pytest.mark.parametrize("case", sorted(BUCKET_CASES))
+def test_astar_bucket_edge_cases(case):
+    graph, start, goal, count = BUCKET_CASES[case]
+    for s, t in ((start, goal), (goal, start)):
+        query = PlanQuery(s, t, undesired={2})
+        assert _pops(class_ordered_astar, graph, query) == \
+            _pops(reference_astar, graph, query)
+        assert class_ordered_astar(graph, query).undesired_edges == count
+
+
+def test_role_split_is_built_once_per_set_and_shares_lists(monkeypatch):
+    built = []
+    split = planning._role_split
+
+    def counting_split(*args):
+        built.append(args[2])
+        return split(*args)
+
+    monkeypatch.setattr(planning, "_role_split", counting_split)
+    g = grid_graph(np.random.default_rng(73), 4, 5)
+    pairs = [(0, 19), (3, 16), (7, 12), (19, 0)]
+    for undesired in ({2}, {2}, {1}, {2}):
+        for s, t in pairs:
+            query = PlanQuery(s, t, undesired=undesired)
+            assert _outcome(class_ordered_astar(g, query)) == \
+                _outcome(reference_astar(g, query))
+    assert built == [frozenset({2, UNKNOWN_CLASS}), frozenset({1, UNKNOWN_CLASS})]
+    adjacency = g.search_index().adjacency
+    bad = frozenset({2, UNKNOWN_CLASS})
+    clean, dirty = g.role_split(bad)
+    assert g.role_split(bad)[0] is clean
+    kinds = set()
+    for u, entries in enumerate(adjacency):
+        want = ([e for e in entries if e[2] not in bad], [e for e in entries if e[2] in bad])
+        assert (list(clean[u]), list(dirty[u])) == want
+        # the split shares the index's entry tuples, and a vertex with one
+        # kind of edge keeps the index's list itself
+        assert sorted(map(id, [*clean[u], *dirty[u]])) == sorted(map(id, entries))
+        if not want[1]:
+            assert clean[u] is entries and dirty[u] == ()
+        elif not want[0]:
+            assert dirty[u] is entries and clean[u] == ()
+        kinds.add((bool(want[0]), bool(want[1])))
+    assert kinds == {(True, False), (False, True), (True, True)}
 
 
 @st.composite
@@ -591,3 +699,19 @@ def test_astar_equals_reference_search(parts, data):
         query = PlanQuery(start, goal, undesired=data.draw(undesired))
         assert _outcome(class_ordered_astar(g, query)) == \
             _outcome(reference_astar(g, query))
+
+
+@settings(max_examples=60, deadline=None)
+@given(parts=island_graphs(), data=st.data())
+def test_astar_pops_in_reference_order(parts, data):
+    """Without parallel edges the bucket queue pops the reference's heap
+    entries in the reference's order, stale ones included. (Between two
+    components only the reference searches.)"""
+    graph = ColoredGraph(*parts)
+    labels = graph.search_index().labels
+    start = data.draw(st.integers(0, graph.num_vertices - 1))
+    goal = data.draw(st.sampled_from([v for v, c in enumerate(labels) if c == labels[start]]))
+    query = PlanQuery(start, goal,
+                      undesired=data.draw(st.frozensets(st.integers(0, 2), max_size=2)))
+    assert _pops(class_ordered_astar, graph, query) == \
+        _pops(reference_astar, graph, query)
