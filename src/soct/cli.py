@@ -87,9 +87,9 @@ def _graph_rows(graph) -> list[str]:
     for i in range(graph.num_vertices):
         rows.append(f"v,{i},{_fmt(graph.positions[i][0])},"
                     f"{_fmt(graph.positions[i][1])},{graph.colors[i]}")
-    rows.append(f"edges,{len(graph.edges)}")
-    for e in graph.edges:
-        rows.append(f"e,{e.u},{e.v},{_fmt(e.length)},{e.color}")
+    rows.append(f"edges,{graph.num_edges}")
+    for u, v, length, color in zip(*(c.tolist() for c in graph.edge_arrays)):
+        rows.append(f"e,{u},{v},{_fmt(length)},{color}")
     return rows
 
 
@@ -210,7 +210,7 @@ def _cmd_plan(args) -> int:
                       relevant=roles.relevant)
     result = planning.class_ordered_astar(graph, query)
     print(f"graph_vertices {graph.num_vertices}")
-    print(f"graph_edges {len(graph.edges)}")
+    print(f"graph_edges {graph.num_edges}")
     print(f"start_vertex {start}")
     print(f"goal_vertex {goal}")
     if result is None:

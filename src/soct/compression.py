@@ -429,14 +429,14 @@ def compressed_from_expanded(tree: SemanticOctree,
     The set must be parent-closed toward the root; every expanded node
     contributes its full (virtually completed) child set.
     """
-    dims = tree.world.dims
+    get, dims, octants = tree.nodes.get, tree.world.dims, range(tree.world.branching)
     for key in expanded:
-        node = tree.nodes.get(key)
+        node = get(key)
         if node is None or node.kind != INTERIOR:
             raise TreeError(f"cannot expand {key}: not a stored interior node")
-        if key != ROOT_KEY and parent_key(key, dims) not in expanded:
+        if key != ROOT_KEY and (key.depth - 1, key.index >> dims) not in expanded:
             raise TreeError(f"expanded node {key} has an unexpanded parent")
-    kept = {ROOT_KEY}
+    kept = {ROOT_KEY, *expanded}
     leaves: dict[NodeKey, CompressedLeaf] = {}
     root_weight = tree.root.weight
     if ROOT_KEY not in expanded:
@@ -447,16 +447,17 @@ def compressed_from_expanded(tree: SemanticOctree,
     else:
         keys = list(expanded)
         weights, dists, _, _ = tree.child_sets(keys)
-        for key, row_w, row_d in zip(keys, weights.tolist(), dists):
-            kept.add(key)
-            for o, ck in enumerate(child_keys(key, dims)):
+        dists.flags.writeable = False  # the leaves share its rows
+        for (depth, index), row_w, row_d in zip(keys, weights.tolist(), dists):
+            base = index << dims
+            for o in octants:
+                ck = NodeKey(depth + 1, base | o)
                 kept.add(ck)
-                if ck in expanded:
-                    continue
-                child = tree.nodes.get(ck)
-                leaves[ck] = CompressedLeaf(
-                    ck, row_w[o] if child is None else child.weight,
-                    row_d[o].copy(), child is None)
+                if ck not in expanded:
+                    child = get(ck)
+                    leaves[ck] = CompressedLeaf(
+                        ck, row_w[o] if child is None else child.weight, row_d[o],
+                        child is None)
     return CompressedTree(kept, leaves, set(expanded), root_weight,
                           tree.world, tree.num_classes)
 

@@ -14,7 +14,8 @@ count u16), then each node in pre-order. A node starts with its kind u8
 (``octree.INTERIOR``, ``LEAF``, ``SUMMARY``: 0, 1, 2) and weight f64; an
 interior node ends with its child-presence bitmask u8 (10 bytes),
 a leaf or summary goes on with n_top u8, n_top × (class id u16, probability
-f64), p_free f64 and p_residual f64 (26 + 10·n_top bytes).
+f64), p_free f64 and p_residual f64 (26 + 10·n_top bytes). A read walks the
+kind and field bytes in Python and leaves every other read and check to arrays.
 """
 
 from __future__ import annotations
@@ -386,7 +387,6 @@ def emit_weights_config(cfg: WeightsConfig) -> str:
 # -- binary tree format ------------------------------------------------------------
 
 _HEADER = struct.Struct("<4sB3ddBBH")
-_WEIGHT = struct.Struct("<d")
 _HEAD = np.dtype([("kind", "u1"), ("weight", "<f8"), ("field", "u1")])
 _SLOT = np.dtype([("id", "<u2"), ("p", "<f8")])
 _TAIL = np.dtype([("p_free", "<f8"), ("p_residual", "<f8")])
@@ -452,77 +452,47 @@ def serialize_tree(tree: SemanticOctree, path) -> None:
 
 
 def _walk(data: bytes, world: WorldConfig):
-    """The structural pass, with every weight check: the offset, kind,
-    depth, index and weight of each node read, in pre-order, and the first
-    error met, or None. Records are checked afterwards, all at once."""
-    nodes: list[tuple] = []
-    max_depth, dims, branching = world.max_depth, world.dims, world.branching
-    pos, stack = _HEADER.size, [(0, 0, [])]  # (depth, index, weights of its siblings)
-    try:
-        while stack:
-            depth, index, siblings = stack.pop()
-            if depth is None:  # the end of a subtree: index holds its root and weight
-                (key, weight), expected = index, completed_weight(siblings, branching)
-                if not (math.isfinite(weight)
-                        and abs(weight - expected) <= 1e-9 * abs(expected)):
-                    raise CorruptionError(f"interior record {key} has weight {weight!r}, "
-                                          f"its children complete to {expected!r}")
-                continue
-            if pos + 9 > len(data):
-                raise CorruptionError("truncated tree file")
-            kind, (weight,) = data[pos], _WEIGHT.unpack_from(data, pos + 1)
-            if kind in (LEAF, SUMMARY) and not (
-                    math.isfinite(weight) and weight >= 0.0):
-                raise CorruptionError(
-                    f"record {NodeKey(depth, index)} has invalid weight {weight!r}")
-            if kind > SUMMARY:
-                raise CorruptionError(f"unknown node kind {kind}")
-            if depth > max_depth - (kind != LEAF) or (
-                    kind == LEAF and depth < max_depth):
-                name = ("interior", "leaf", "summary")[kind]
-                raise CorruptionError(f"{name} record at depth {depth}")
-            if pos + 10 > len(data):
-                raise CorruptionError("truncated tree file")
-            field = data[pos + 9]  # n_top, or the child mask
-            if kind != INTERIOR:
-                if field > 3:
-                    raise CorruptionError(f"leaf stores {field} classes, maximum is 3")
-                if pos + 26 + 10 * field > len(data):
-                    raise CorruptionError("truncated tree file")
-            elif field >> branching:
-                raise CorruptionError(f"child bitmask {field:#x} exceeds branching")
-            elif field == 0 and depth:
-                key = NodeKey(depth, index)
-                raise CorruptionError(f"childless interior record at {key}")
-            else:
-                children: list[float] = []
-                stack.append((None, (NodeKey(depth, index), weight), children))
-                stack += [(depth + 1, index << dims | o, children)
-                          for o in range(branching - 1, -1, -1) if field >> o & 1]
-            siblings.append(weight)
-            nodes.append((pos, kind, depth, index, weight))
-            pos += 10 if kind == INTERIOR else 26 + 10 * field
-        if pos != len(data):
-            raise CorruptionError(f"{len(data) - pos} trailing bytes")
-    except CorruptionError as exc:
-        return nodes, exc
-    return nodes, None
+    """``(depth, index, parent row)`` and offset of each node met, in
+    pre-order, and the offset after the last. Reads kind and field bytes
+    only; stops after a node whose extent or children it cannot tell (cut
+    short, unknown kind, n_top > 3, bad mask, interior at max depth)."""
+    n, dims, branching, max_depth = len(data), world.dims, world.branching, world.max_depth
+    octants = range(branching - 1, -1, -1)
+    nodes, offsets = [], []
+    pos, stack = _HEADER.size, [(0, 0, -1)]
+    while stack:
+        node = stack.pop()
+        nodes.append(node)
+        offsets.append(pos)
+        if pos + 10 > n:
+            break
+        kind, field = data[pos], data[pos + 9]
+        if kind != INTERIOR:
+            if kind > SUMMARY or field > 3:
+                break
+            pos += 26 + 10 * field
+        else:
+            depth, index, _ = node
+            if field >> branching or depth >= max_depth:
+                break
+            pos += 10
+            parent, base = len(nodes) - 1, index << dims
+            stack += [(depth + 1, base | o, parent) for o in octants if field >> o & 1]
+    return nodes, offsets, pos
 
 
 def deserialize_tree(path) -> SemanticOctree:
     """Read a tree from its binary format.
 
-    Structure, weights and records are restored exactly. A structural pass
-    (``_walk``) finds the nodes and checks their weights: a leaf or summary
-    weight must be finite and non-negative, an interior weight finite and
-    within 1e-9 relative of its children's ``completed_weight``. The
-    tolerance stays although this version writes that value bit for bit: a
-    file is outside input, and files that earlier versions saved after
-    ``refresh_all`` hold row sums, which can differ in the last bit. The
-    records are then decoded and validated at once (``record_errors``).
-    The first violation in file order is a ``CorruptionError``, an interior
-    weight counting once its subtree is read. Interior caches are rebuilt
-    on the next ``refresh_all``.
+    Structure, weights and records are restored exactly. ``_walk`` finds
+    the nodes; all else is gathered from the buffer and checked at once. A
+    leaf or summary weight must be finite and non-negative, an interior
+    weight finite and within 1e-9 relative of its children's
+    ``completed_weight`` (files saved after ``refresh_all`` by earlier
+    versions hold row sums). Records are checked by ``record_errors``. The
+    first violation in file order is a ``CorruptionError``: a node's checks
+    in the order of its bytes, an interior weight once its subtree is read.
+    Interior caches are rebuilt on the next ``refresh_all``.
     """
     with open(path, "rb") as fh:
         data = fh.read()
@@ -538,28 +508,76 @@ def deserialize_tree(path) -> SemanticOctree:
         tree = SemanticOctree(world, num_classes)
     except ConfigError as exc:
         raise CorruptionError(f"invalid world header: {exc}") from None
-    nodes, error = _walk(data, world)
-    offsets, kinds, depths, indices, weights = zip(*nodes) if nodes else [()] * 5
-    u8 = np.frombuffer(data, dtype=np.uint8)
-    rec = np.flatnonzero(np.array(kinds, dtype=np.int64) != INTERIOR)
-    at = np.array(offsets, dtype=np.int64)[rec]
-    n_top = u8[at + 9].astype(np.int64)
-    tail = u8[(at + 10 + 10 * n_top)[:, None] + np.arange(_TAIL.itemsize)].view(_TAIL)[:, 0]
+    nodes, offsets, end = _walk(data, world)
+    n, m = len(data), len(nodes)
+    depth, index, parent = np.fromiter(itertools.chain.from_iterable(nodes), np.int64,
+                                       3 * m).reshape(-1, 3).T
+    at = np.minimum(offsets, n)  # the node the walk stopped at may start past the end
+    u8 = np.frombuffer(data + bytes(10), dtype=np.uint8)
+    kind, field = u8[at].astype(np.int64), u8[at + 9].astype(np.int64)
+    weight = u8[(at + 1)[:, None] + np.arange(8)].view("<f8")[:, 0]
+    interior, record = kind == INTERIOR, (kind == LEAF) | (kind == SUMMARY)
+    rec = np.flatnonzero(record & (field <= 3) & (at + 26 + 10 * field <= n))
+    start, n_top = at[rec], field[rec]
+    tail = u8[(start + 10 + 10 * n_top)[:, None] + np.arange(_TAIL.itemsize)]
+    tail = tail.view(_TAIL)[:, 0]
     used = np.arange(3) < n_top[:, None]
-    slot = np.where(used, at[:, None] + np.arange(10, 40, 10), 0)  # unused: offset 0
+    slot = np.where(used, start[:, None] + np.arange(10, 40, 10), 0)  # unused: offset 0
     slots = u8[slot[:, :, None] + np.arange(_SLOT.itemsize)].view(_SLOT)[:, :, 0]
     rows = TruncatedRows(np.where(used, slots["id"], 0), np.where(used, slots["p"], 0.0),
                          tail["p_free"], tail["p_residual"], n_top)
-    # Each record precedes the error that stopped the walk, so it is met first.
-    for row, message in record_errors(rows, num_classes).items():
-        key = NodeKey(depths[rec[row]], indices[rec[row]])
-        raise CorruptionError(f"record {key} is invalid: {message}")
-    if error is not None:
-        raise error
+    # An interior weight against its children's, summed in octant order.
+    children = np.zeros((m, branching))
+    children[parent[1:], index[1:] & (branching - 1)] = weight[1:]
+    count = np.bincount(parent[1:], minlength=m)
+    with np.errstate(all="ignore"):  # as Python floats: inf and nan, no error
+        invalid = record_errors(rows, num_classes)
+        total = sum(children.T, np.zeros(m))
+        expected = total + (branching - count) * (total / np.maximum(count, 1))
+        off_weight = interior & ~(np.isfinite(weight) & (
+            np.abs(weight - expected) <= 1e-9 * np.abs(expected)))
+    checks = [  # each node's, in the order they read its bytes
+        (at + 9 > n, "truncated tree file"),
+        (record & ~(np.isfinite(weight) & (weight >= 0.0)),
+         "record {key} has invalid weight {weight!r}"),
+        (kind > SUMMARY, "unknown node kind {kind}"),
+        (np.where(kind == LEAF, depth != max_depth, depth >= max_depth),
+         "{name} record at depth {depth}"),
+        (at + 10 > n, "truncated tree file"),
+        (record & (field > 3), "leaf stores {field} classes, maximum is 3"),
+        (interior & (field >> branching > 0), "child bitmask {field:#x} exceeds branching"),
+        (interior & (field == 0) & (depth > 0), "childless interior record at {key}"),
+        (record & (at + 26 + 10 * field > n), "truncated tree file"),
+        (np.isin(np.arange(m), rec[list(invalid)]), "record {key} is invalid: {invalid}"),
+    ]
+    hit = np.array([mask for mask, _ in checks])
+    heads = np.flatnonzero(hit.any(axis=0))
+    first = heads[0] if len(heads) else m
+    # A subtree ends where its last child's does; its root's weight is
+    # checked there, deeper roots first, before the next node is read.
+    ends = np.arange(1, m + 1)
+    for d in range(int(depth.max()), 0, -1):
+        np.maximum.at(ends, parent[depth == d], ends[depth == d])
+    done = np.flatnonzero(off_weight & (ends <= first))
+    key = lambda i: NodeKey(int(depth[i]), int(index[i]))  # noqa: E731
+    if len(done):
+        i = done[np.lexsort((-depth[done], ends[done]))[0]]
+        expected = completed_weight(weight[parent == i].tolist(), branching)
+        raise CorruptionError(f"interior record {key(i)} has weight {float(weight[i])!r}, "
+                              f"its children complete to {expected!r}")
+    if len(heads):
+        raise CorruptionError(checks[int(np.argmax(hit[:, first]))][1].format(
+            key=key(first), weight=float(weight[first]), kind=kind[first],
+            depth=depth[first], field=int(field[first]),
+            name=("interior", "leaf", "summary", "")[min(kind[first], 3)],
+            invalid=invalid.get(int(np.searchsorted(rec, first)))))
+    if end != n:
+        raise CorruptionError(f"{n - end} trailing bytes")
     conds = expand_rows(rows.read_only(), num_classes)
     conds.flags.writeable = False
     row = itertools.count()  # each record refers to its row of the one table
     tree.nodes = {key: Node(k, w) if k == INTERIOR else Node(k, w, rows, r := next(row),
                                                               conds[r])
-                  for key, k, w in zip(map(NodeKey, depths, indices), kinds, weights)}
+                  for key, k, w in zip(map(NodeKey, depth.tolist(), index.tolist()),
+                                       kind.tolist(), weight.tolist())}
     return tree

@@ -158,16 +158,17 @@ class WorldConfig:
         """
         p = np.asarray(points, dtype=np.float64).reshape(-1, 3)
         o = np.asarray(self.origin)
-        inside = np.all(p >= o, axis=1) & np.all(p < o + self.edge_length, axis=1)
+        ok = (p >= o) & (p < o + self.edge_length)  # NaN compares False
+        inside = ok[:, 0] & ok[:, 1] & ok[:, 2]
         n = 1 << self.max_depth
         codes = np.zeros(len(p), dtype=np.int64)
-        for axis in range(self.dims):
-            c = (p[inside, axis] - self.origin[axis]) // self.leaf_size
-            c = np.minimum(c.astype(np.int64), n - 1)
-            spread = np.zeros_like(c)
-            for bit in range(self.max_depth):
-                spread |= ((c >> bit) & 1) << (bit * self.dims + axis)
-            codes[inside] |= spread
+        with np.errstate(invalid="ignore"):  # outside cells may be NaN: codes are 0 there
+            for axis in range(self.dims):
+                c = (p[:, axis] - self.origin[axis]) // self.leaf_size
+                c = np.minimum(c.astype(np.int64), n - 1)
+                for bit in range(self.max_depth):
+                    codes |= ((c >> bit) & 1) << (bit * self.dims + axis)
+        codes[~inside] = 0
         return codes, inside
 
     def leaf_key(self, point) -> NodeKey:
@@ -555,7 +556,7 @@ class SemanticOctree:
             raise TreeError(f"children of {key} include interior nodes")
         return self._prune(key, kids, children)
 
-    def _prune(self, key: NodeKey, kids: list[NodeKey], children: list[Node]) -> bool:
+    def _prune(self, key: NodeKey, kids: list, children: list[Node]) -> bool:
         """Make ``key`` a summary if its full set of record ``children`` holds
         one record (``rows_close``); compares rows and builds no records."""
         if not rows_close([(c.table, c.row) for c in children]):
@@ -568,14 +569,15 @@ class SemanticOctree:
         return True
 
     def prune_all_identical(self) -> int:
-        """Bottom-up sweep of ``prune_identical_children`` wherever applicable."""
+        """Bottom-up sweep of ``prune_identical_children`` wherever applicable;
+        child slots are plain (depth, index) pairs, each looked up once."""
+        get, dims, octants = self.nodes.get, self.world.dims, range(self.world.branching)
         pruned = 0
         for key in self.interior_keys_deepest_first():
-            kids = self.stored_children(key)
-            if len(kids) != self.world.branching:
-                continue
-            children = [self.nodes[k] for k in kids]
-            if not any(c.kind == INTERIOR for c in children):
+            base = key.index << dims
+            kids = [(key.depth + 1, base | o) for o in octants]
+            children = [get(k) for k in kids]
+            if all(c is not None and c.kind != INTERIOR for c in children):
                 pruned += self._prune(key, kids, children)
         return pruned
 

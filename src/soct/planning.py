@@ -18,15 +18,16 @@ distributions, so placing a whole batch of samples is one ``searchsorted``
 and one gather. A graph build classifies the samples of its edges in
 batches of up to 1,024 edges, and each edge's color is a maximum over
 severity ranks; ``graph_from_tree`` also picks its vertices from the
-index's classes. ``class_at`` and ``octree_class_at`` are one-point calls
-of the same path.
+index's classes. Edges stay columns (``EdgeArrays``) from the kNN search
+to the graph. ``class_at`` and ``octree_class_at`` are one-point calls of
+the same path.
 
 Edge lengths, segment lengths and the A* heuristic all come from one
 batched row-norm kernel, ``_norms``; a query computes every vertex's
 straight-line distance to its goal in one call before searching.
 
-A graph's ``SearchIndex`` (its adjacency lists, connected-component labels
-and edge colors) is built on first use and shared by
+A graph's ``SearchIndex`` (its adjacency lists and connected-component
+labels) is built on first use and shared by
 ``ColoredGraph.neighbors`` and the search. A query between two components
 returns None without a search. For each undesired color set the graph also
 keeps a role split of the index's adjacency: per vertex, its clean and its
@@ -45,7 +46,6 @@ from __future__ import annotations
 import heapq
 import itertools
 import math
-import operator
 from dataclasses import dataclass, field
 from typing import NamedTuple
 
@@ -57,12 +57,12 @@ from .octree import INTERIOR, NodeKey, SemanticOctree, WorldConfig
 
 UNKNOWN_CLASS = -1
 # Largest Halton graph built; a larger request is a config error, raised
-# before any point is generated. At k = 8 a graph holds about 1.6 kB per
-# vertex in edge tuples, its search index and a role split (tracemalloc,
+# before any point is generated. At k = 8 a graph holds about 1.3 kB per
+# vertex in its edge arrays, search index and a role split (tracemalloc,
 # 20,000 vertices on the demo map; each split is 16-29 B per vertex there).
-# Building it and a first query raised peak RSS by 42 MB at 20,000 vertices
-# and by 76 MB at 40,000. This cap is ~170 MB where 1,000,000 vertices
-# would need ~1.7 GB.
+# Building it and a first query raised peak RSS by 41 MB at 20,000 vertices
+# and by 81 MB at 40,000. This cap is ~130 MB where 1,000,000 vertices
+# would need ~1.3 GB.
 MAX_HALTON_VERTICES = 100_000
 
 
@@ -95,24 +95,36 @@ class Edge(NamedTuple):
     color: int
 
 
+class EdgeArrays(NamedTuple):
+    """A graph's edges as columns, in edge order: endpoints ``u`` and ``v``
+    (int64), ``length`` (float64) and ``color`` (int64)."""
+
+    u: np.ndarray
+    v: np.ndarray
+    length: np.ndarray
+    color: np.ndarray
+
+    @classmethod
+    def of(cls, edges) -> "EdgeArrays":
+        columns = list(zip(*edges)) or [()] * 4
+        return cls(*map(np.array, columns, (np.int64, np.int64, np.float64, np.int64)))
+
+
 class SearchIndex(NamedTuple):
-    """What Class-Ordered A* reads of a graph, built from its edge list.
+    """What Class-Ordered A* reads of a graph, built from its edge arrays.
 
     ``adjacency[u]`` lists ``(v, length, color)`` for every edge at ``u``, in
     edge order; ``labels[u]`` names ``u``'s connected component (its lowest
     vertex), so two vertices are connected exactly when their labels match.
-    ``colors[i]`` is the color of edge ``i``, for picking the vertices a
-    class touches in one numpy pass.
     """
 
     adjacency: list[list[tuple[int, float, int]]]
     labels: list[int]
-    colors: np.ndarray
 
 
-def _search_index(n: int, edges: list[Edge]) -> SearchIndex:
+def _search_index(n: int, edges: EdgeArrays) -> SearchIndex:
     adjacency: list[list[tuple[int, float, int]]] = [[] for _ in range(n)]
-    for u, v, length, color in edges:
+    for u, v, length, color in zip(*(column.tolist() for column in edges)):
         adjacency[u].append((v, length, color))
         adjacency[v].append((u, length, color))
     labels = [-1] * n
@@ -125,11 +137,10 @@ def _search_index(n: int, edges: list[Edge]) -> SearchIndex:
                     if labels[v] < 0:
                         labels[v] = s
                         stack.append(v)
-    colors = np.fromiter(map(operator.itemgetter(3), edges), np.int64, len(edges))
-    return SearchIndex(adjacency, labels, colors)
+    return SearchIndex(adjacency, labels)
 
 
-def _role_split(index: SearchIndex, edges: list[Edge],
+def _role_split(index: SearchIndex, edges: EdgeArrays,
                 bad: frozenset[int]) -> tuple[list, list]:
     """``(clean, undesired)``: each vertex's adjacency entries split by
     whether their color is in ``bad``, in adjacency order.
@@ -137,14 +148,14 @@ def _role_split(index: SearchIndex, edges: list[Edge],
     Only a vertex with edges of both kinds gets new lists, which share the
     index's entry tuples. Any other vertex keeps its adjacency list itself
     as the one kind it has and ``()`` as the other. The vertices with an
-    edge colored in ``bad`` are picked in one numpy pass over
-    ``SearchIndex.colors``.
+    edge colored in ``bad`` are picked in one numpy pass over the edge
+    colors.
     """
     clean = index.adjacency.copy()
     undesired = [()] * len(clean)
     # one == per class: np.isin costs more than that on a few classes
-    marked = np.logical_or.reduce([index.colors == c for c in bad])
-    for u in {w for i in np.flatnonzero(marked).tolist() for w in edges[i][:2]}:
+    marked = np.logical_or.reduce([edges.color == c for c in bad])
+    for u in np.union1d(edges.u[marked], edges.v[marked]).tolist():
         entries = clean[u]
         kept = [e for e in entries if e[2] not in bad]
         if kept:
@@ -156,33 +167,52 @@ def _role_split(index: SearchIndex, edges: list[Edge],
 
 @dataclass
 class ColoredGraph:
-    """Undirected graph with per-vertex positions/colors and colored edges.
-
-    Edges must not change after the graph's first query: the search index
-    is built from them once, on first use.
+    """Undirected graph with per-vertex positions/colors and colored edges,
+    held as ``EdgeArrays`` (a list of ``Edge`` is converted). ``edges``
+    builds the ``Edge`` list on its first read and keeps it; no graph
+    build, search or CLI command reads it. Edges must not change after the
+    graph's first query: the search index is built from them on first use.
     """
 
     positions: np.ndarray
     colors: np.ndarray
-    edges: list[Edge]
+    edge_arrays: EdgeArrays
+    _edges: list[Edge] | None = field(default=None, init=False, repr=False,
+                                      compare=False)
     _index: SearchIndex | None = field(default=None, init=False, repr=False,
                                        compare=False)
     _splits: dict = field(default_factory=dict, init=False, repr=False,
                           compare=False)
 
     def __post_init__(self):
+        if not isinstance(self.edge_arrays, EdgeArrays):
+            self.edge_arrays = EdgeArrays.of(self.edge_arrays)
+        u, v, length, _ = self.edge_arrays
         n = len(self.positions)
-        for e in self.edges:
-            if not (0 <= e.u < n and 0 <= e.v < n):
-                raise GraphError(f"edge {e} references a missing vertex")
-            if not math.isfinite(e.length):
-                raise GraphError(f"edge {e} has non-finite length")
-            if e.length <= 0:
-                raise GraphError(f"edge {e} has non-positive length")
+        bad = np.array([(u < 0) | (u >= n) | (v < 0) | (v >= n), ~np.isfinite(length),
+                        length <= 0])  # each edge's checks, in order
+        first = np.flatnonzero(bad.any(axis=0))
+        if len(first):
+            i = first[0]
+            problem = ("references a missing vertex", "has non-finite length",
+                       "has non-positive length")[int(np.argmax(bad[:, i]))]
+            raise GraphError(f"edge {Edge(*(c[i].item() for c in self.edge_arrays))} "
+                             f"{problem}")
 
     @property
     def num_vertices(self) -> int:
         return len(self.positions)
+
+    @property
+    def num_edges(self) -> int:
+        return len(self.edge_arrays.u)
+
+    @property
+    def edges(self) -> list[Edge]:
+        """The edges as an ``Edge`` list, built on the first read."""
+        if self._edges is None:
+            self._edges = list(map(Edge, *(c.tolist() for c in self.edge_arrays)))
+        return self._edges
 
     def search_index(self) -> SearchIndex:
         """The graph's adjacency lists and component labels, built on first use.
@@ -192,7 +222,7 @@ class ColoredGraph:
         """
         index = self._index
         if index is None:
-            index = self._index = _search_index(self.num_vertices, self.edges)
+            index = self._index = _search_index(self.num_vertices, self.edge_arrays)
         return index
 
     def neighbors(self, u: int) -> list[tuple[int, float, int]]:
@@ -208,7 +238,7 @@ class ColoredGraph:
         split = self._splits.get(bad)
         if split is None:
             split = self._splits[bad] = _role_split(self.search_index(),
-                                                    self.edges, bad)
+                                                    self.edge_arrays, bad)
         return split
 
 
@@ -280,11 +310,12 @@ class BlockIndex:
     @classmethod
     def from_octree(cls, tree: SemanticOctree) -> "BlockIndex":
         """Blocks of a raw octree: its stored leaves and summaries, classified
-        by their conditionals. An empty tree has no blocks."""
-        keys = [k for k, node in tree.nodes.items() if node.kind != INTERIOR]
-        conds = np.array([tree.conditional(k) for k in keys], dtype=np.float64)
-        return cls(tree.world, keys,
-                   dominant_class(conds.reshape(len(keys), tree.num_classes + 1)))
+        by the vectors installed with their records. An empty tree has no
+        blocks."""
+        records = {k: node.cond for k, node in tree.nodes.items() if node.kind != INTERIOR}
+        conds = np.array(list(records.values()), dtype=np.float64)
+        return cls(tree.world, list(records),
+                   dominant_class(conds.reshape(len(records), tree.num_classes + 1)))
 
     def classify(self, points) -> np.ndarray:
         """Class id of every point in an (N, 3) array; UNKNOWN_CLASS off-map."""
@@ -346,36 +377,31 @@ _SEGMENTS_PER_BATCH = 1024  # bounds the sample arrays alive at once
 
 
 def _segment_colors(p0: np.ndarray, delta: np.ndarray, counts: np.ndarray,
-                    blocks: BlockIndex, query: PlanQuery) -> list[int]:
-    """Most-undesired class among ``counts[i]`` evenly spaced samples of each
-    segment ``p0[i] + t * delta[i]``, t in [0, 1].
-
-    All samples are classified in one batch; a per-segment maximum over
-    integer severity ranks then picks each color.
-    """
-    ts = {c: np.linspace(0.0, 1.0, c) for c in np.unique(counts).tolist()}
-    t = np.concatenate([ts[c] for c in counts.tolist()])
+                    blocks: BlockIndex, rank: np.ndarray) -> np.ndarray:
+    """Highest severity rank (``rank[c + 1]`` for class ``c``) among
+    ``counts[i]`` evenly spaced samples of each segment
+    ``p0[i] + t * delta[i]``, t in [0, 1], all classified in one batch."""
+    offsets = np.cumsum(counts) - counts
     seg = np.repeat(np.arange(len(counts)), counts)
+    # np.linspace(0, 1, count) per segment: sample j at j * (1 / (count - 1)),
+    # the last at 1 exactly
+    t = (np.arange(len(seg)) - offsets[seg]) * (1.0 / (counts - 1))[seg]
+    t[offsets + counts - 1] = 1.0
     # p0 + t * (p1 - p0) per sample, in place; IEEE + and * commute exactly
     samples = delta[seg]
     samples *= t[:, None]
     samples += p0[seg]
-    found, inverse = np.unique(blocks.classify(samples), return_inverse=True)
-    by_severity = sorted(found.tolist(), key=lambda c: _severity(c, query))
-    rank = np.array([by_severity.index(c) for c in found.tolist()])
-    offsets = np.concatenate([[0], np.cumsum(counts)[:-1]])
-    worst = np.maximum.reduceat(rank[inverse], offsets)
-    return [by_severity[w] for w in worst.tolist()]
+    return np.maximum.reduceat(rank[blocks.classify(samples) + 1], offsets)
 
 
 def _knn_edges(positions: np.ndarray, centers3d: np.ndarray, k: int,
-               blocks: BlockIndex, step: float, query: PlanQuery) -> list[Edge]:
+               blocks: BlockIndex, step: float, query: PlanQuery) -> EdgeArrays:
     """k-nearest-neighbor edges, each colored with the most-undesired class
     sampled along its 3-d segment at ``step`` spacing, endpoints included."""
     n = len(positions)
     k = min(k, n - 1)
     if k <= 0:
-        return []
+        return EdgeArrays.of([])
     from scipy.spatial import cKDTree  # deferred: a slow import only graphs need
 
     _, idx = cKDTree(positions).query(positions, k=k + 1)
@@ -390,18 +416,21 @@ def _knn_edges(positions: np.ndarray, centers3d: np.ndarray, k: int,
     lengths = _norms(positions[a] - positions[b])
     apart = lengths > 0.0
     a, b, lengths = a[apart], b[apart], lengths[apart]
-    if not len(a):
-        return []
     p0 = centers3d[a]
     delta = centers3d[b] - p0
     dists = _norms(delta)
     counts = np.maximum(np.ceil(dists / step).astype(int), 1) + 1
-    colors = []
-    for lo in range(0, len(a), _SEGMENTS_PER_BATCH):
-        hi = lo + _SEGMENTS_PER_BATCH
-        colors += _segment_colors(p0[lo:hi], delta[lo:hi], counts[lo:hi],
-                                  blocks, query)
-    return list(map(Edge, a.tolist(), b.tolist(), lengths.tolist(), colors))
+    # The classes a sample can meet (off-map ones are UNKNOWN_CLASS) by
+    # severity, and a table of their ranks by class id + 1.
+    present = np.flatnonzero(np.bincount(blocks.classes + 1, minlength=1)) - 1
+    by_severity = np.array(sorted({UNKNOWN_CLASS, *present.tolist()},
+                                  key=lambda c: _severity(c, query)))
+    rank = np.zeros(by_severity.max() + 2, dtype=np.int64)
+    rank[by_severity + 1] = np.arange(len(by_severity))
+    cuts = range(_SEGMENTS_PER_BATCH, len(a), _SEGMENTS_PER_BATCH)
+    worst = [_segment_colors(*batch, blocks, rank)
+             for batch in zip(*(np.split(x, cuts) for x in (p0, delta, counts)))]
+    return EdgeArrays(a, b, lengths, by_severity[np.concatenate(worst)])
 
 
 # -- graph construction ------------------------------------------------------------

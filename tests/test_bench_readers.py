@@ -1,9 +1,12 @@
-"""The benchmark's untimed checks read soct trees through ``Node``.
+"""The benchmark's untimed checks read soct trees through ``Node`` and
+graphs through ``ColoredGraph.edges``.
 
 ``bench/reference.check_halton_graph`` reads each node's ``dist`` fields,
 and ``cache_mismatches`` deep-copies a streamed tree and compares its
-caches with a batch rebuild. A ``Node`` change that breaks either fails
-here, not only in a benchmark run. ``bench/`` is imported read-only.
+caches with a batch rebuild. ``check_tree_graph``, ``graph_fingerprint``
+and ``LexDijkstra`` read a graph's ``Edge`` list. A change that breaks any
+of them fails here, not only in a benchmark run. ``bench/`` is imported
+read-only.
 """
 
 import importlib
@@ -50,3 +53,32 @@ def test_cache_check_reads_a_streamed_tree(bench):
     ctree = compression.compress_tree(tree, cw)
     assert reference.cache_mismatches(tree, cw, ctree, compression.refresh_all,
                                       compression.compress_tree) == []
+
+
+def test_graph_checks_read_a_tree_graph(bench, tmp_path):
+    reference, W = bench
+    path = tmp_path / "map.soct"
+    records = W.make_cloud(np.random.default_rng(7), N)
+    path.write_bytes(reference.encode_tree(records, N, DEPTH, W.NUM_CLASSES))
+    tree = formats.deserialize_tree(path)
+    tree.expand_summaries()
+    weights = formats.parse_weights_config(W.WEIGHTS)
+    cw, registry = weights.compression_weights(), weights.registry()
+    roles = planning.PlanQuery(0, 0, undesired=registry.irrelevant_ids,
+                               relevant=registry.relevant_ids)
+    compression.refresh_all(tree, cw)
+    ctree = compression.compress_tree(tree, cw)
+    graph = planning.graph_from_tree(ctree, roles, 8)
+    assert graph.num_edges
+    assert reference.check_tree_graph(ctree, graph, roles.undesired, roles.relevant) == []
+    lex = reference.LexDijkstra(graph, roles.undesired)
+    for start in range(0, graph.num_vertices, 3):
+        query = planning.PlanQuery(start, graph.num_vertices - 1,
+                                   undesired=roles.undesired, relevant=roles.relevant)
+        assert reference.query_mismatch(lex, start, query.goal,
+                                        planning.class_ordered_astar(graph, query)) is None
+    fingerprint = reference.graph_fingerprint(graph)
+    e = graph.edges[0]
+    graph.edges[0] = e._replace(color=0 if e.color else 2)  # the checks read the kept list
+    assert reference.check_tree_graph(ctree, graph, roles.undesired, roles.relevant)
+    assert reference.graph_fingerprint(graph) != fingerprint

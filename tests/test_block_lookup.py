@@ -6,6 +6,7 @@ The references in ``helpers`` derive integer cell coordinates and walk the
 """
 
 import itertools
+import warnings
 
 import numpy as np
 import pytest
@@ -145,11 +146,15 @@ def test_single_point_lookup_matches_reference(seed, branching, depth, origin,
                                                edge_length):
     """``contains``/``leaf_coords``/``leaf_key`` on one point agree with the
     per-point reference and with the batched ``morton`` codes, on faces,
-    just below them, the upper corner and non-finite points."""
+    just below them, the upper corner and non-finite points. ``morton``
+    warns of nothing and gives an outside point code 0."""
     rng = np.random.default_rng(seed)
     world = WorldConfig(origin, edge_length, depth, branching)
     points = probe_points(rng, world, count=40)
-    codes, inside = world.morton(points)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        codes, inside = world.morton(points)
+    assert not codes[~inside].any()
     for point, code, ok in zip(points, codes.tolist(), inside.tolist()):
         ref = ref_cell_coords(world, point)
         assert world.contains(point) == (ref is not None) == ok

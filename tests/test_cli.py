@@ -11,10 +11,16 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from soct import planning
+from soct import compression, planning
 from soct.cli import main
 from soct.errors import DistributionError, FormatError, IngestError, OutOfBoundsError
-from soct.formats import deserialize_tree, ingest, parse_world_config, serialize_tree
+from soct.formats import (
+    deserialize_tree,
+    ingest,
+    parse_weights_config,
+    parse_world_config,
+    serialize_tree,
+)
 from soct.octree import SemanticOctree
 
 from helpers import cloud_files, write_cloud
@@ -438,6 +444,41 @@ def test_empty_map_is_unobserved_space(workspace, capsys):
     assert "status" not in out
     assert err.startswith("error: graph: no traversable blocks")
     assert err.count("\n") == 1
+
+
+def test_graph_builds_queries_and_commands_make_no_edge_objects(workspace, capsys,
+                                                                monkeypatch):
+    """Graph builds, queries, ``plan`` and ``export --what graph`` read the
+    edge arrays; only a read of ``graph.edges`` makes ``Edge`` tuples."""
+    build(workspace, capsys)
+    made = []
+    new = planning.Edge.__new__
+    monkeypatch.setattr(planning.Edge, "__new__",
+                        lambda cls, *args: made.append(args) or new(cls, *args))
+    tree = deserialize_tree(workspace / "tree.soct")
+    weights = parse_weights_config((workspace / "weights.cfg").read_text())
+    roles = planning.PlanQuery(0, 0, undesired=weights.registry().irrelevant_ids,
+                               relevant=weights.registry().relevant_ids)
+    cw = weights.compression_weights()
+    compression.refresh_all(tree, cw)
+    graphs = [planning.graph_from_tree(compression.compress_tree(tree, cw), roles, 8),
+              planning.halton_graph(tree.world, tree, 64, 8, roles)]
+    for g in graphs:
+        for start in range(10):
+            planning.class_ordered_astar(g, replace(roles, start=start,
+                                                    goal=g.num_vertices - 1 - start))
+    args = ["--tree", workspace / "tree.soct", "--weights", workspace / "weights.cfg"]
+    for graph in ("tree", "halton"):
+        code, _, err = run(capsys, ["plan", *args, "--graph", graph, "--halton-n", "64",
+                                    "--start", "0.5,3.5", "--goal", "7.5,4.5"])
+        assert code == 0, err
+        code, _, err = run(capsys, ["export", *args, "--graph", graph, "--halton-n", "64",
+                                    "--what", "graph", "--out", workspace / "graph.csv"])
+        assert code == 0, err
+    assert made == []
+    assert all(g.num_edges for g in graphs)
+    assert [len(g.edges) for g in graphs] == [g.num_edges for g in graphs]
+    assert len(made) == sum(g.num_edges for g in graphs)
 
 
 def test_plan_halton_graph(workspace, capsys):

@@ -476,6 +476,106 @@ def test_interior_weight_off_its_children_rejected(tmp_path):
         deserialize_tree(p)
 
 
+# Hand-made files on a branching-2, depth-2 world, node by node in pre-order.
+
+
+def _interior(weight, mask):
+    return struct.pack("<BdB", INTERIOR, weight, mask)
+
+
+def _record(weight, kind=LEAF, p_free=0.3, n_top=1):
+    return (struct.pack("<BdB", kind, weight, n_top) + struct.pack("<Hd", 1, 0.7)
+            + struct.pack("<Hd", 2, 0.0) * (n_top - 1) + struct.pack("<dd", p_free, 0.0))
+
+
+def _tree_file(*nodes, depth=2, branching=2):
+    return struct.pack("<4sB3ddBBH", formats.MAGIC, formats.FORMAT_VERSION,
+                       0.0, 0.0, 0.0, 8.0, depth, branching, 4) + b"".join(nodes)
+
+
+_R = _record(1.0)
+_VALID = _tree_file(_interior(4.0, 3), _interior(2.0, 3), _R, _R, _interior(2.0, 3), _R, _R)
+_DEPTH_2 = "NodeKey(depth=2, index={})"
+# Eight leaf weights that complete to 12.475999999999999 added in octant
+# order, as ``completed_weight`` adds them; numpy's pairwise sum gives 12.476.
+_EIGHT = [_record(w) for w in (1.947, 0.882, 0.219, 0.148, 2.458, 2.747, 1.859, 2.216)]
+
+
+@pytest.mark.parametrize("data, message", [
+    (_VALID, None),
+    (_tree_file(_interior(0.0, 0)), None),  # an empty map
+    (_tree_file(_interior(4.0, 3), _interior(2.0, 1), _R, _interior(2.0, 2), _R), None),
+    (_VALID[:41 + 20 + 26 + 5], "truncated tree file"),  # in a head
+    (_VALID[:41 + 20 + 26 + 9], "truncated tree file"),  # before a field byte
+    (_VALID[:41 + 20 + 20], "truncated tree file"),  # in a record
+    (_VALID[:41], "truncated tree file"),
+    (_tree_file(_interior(4.0, 3), _interior(2.0, 3), struct.pack("<Bd", LEAF, -1.0)),
+     f"record {_DEPTH_2.format(0)} has invalid weight -1.0"),  # before the cut
+    (_tree_file(_interior(4.0, 3), _interior(2.0, 3), _R, struct.pack("<Bd", 7, 1.0)),
+     "unknown node kind 7"),
+    (_tree_file(_interior(4.0, 3), _interior(2.0, 3), _R, _record(1.0, kind=3)),
+     "unknown node kind 3"),
+    (_tree_file(_interior(4.0, 3), _record(2.0), _interior(2.0, 3), _R, _R),
+     "leaf record at depth 1"),
+    (_tree_file(_interior(4.0, 3), _interior(2.0, 3), _record(1.0, SUMMARY), _R),
+     "summary record at depth 2"),
+    (_tree_file(_interior(4.0, 3), _interior(2.0, 3), _interior(1.0, 3), _R, _R),
+     "interior record at depth 2"),
+    (_tree_file(_interior(4.0, 4), _R), "child bitmask 0x4 exceeds branching"),
+    (_tree_file(_interior(4.0, 3), _interior(2.0, 0x83), _R, _R),
+     "child bitmask 0x83 exceeds branching"),
+    (_tree_file(_interior(4.0, 3), _interior(2.0, 0), _interior(2.0, 3), _R, _R),
+     "childless interior record at NodeKey(depth=1, index=0)"),
+    (_tree_file(_interior(4.0, 3), _interior(2.0, 3), _record(1.0, n_top=4), _R),
+     "leaf stores 4 classes, maximum is 3"),
+    (_VALID + b"\x00\x01\x02", "3 trailing bytes"),
+    # An interior weight is checked once its subtree is read: a bad record
+    # inside comes first, one after it comes later.
+    (_tree_file(_interior(4.0, 3), _interior(5.0, 3), _R, _record(1.0, p_free=0.5),
+                _interior(2.0, 3), _R, _R),
+     f"record {_DEPTH_2.format(1)} is invalid: probabilities sum to 1.2, not 1"),
+    (_tree_file(_interior(4.0, 3), _interior(5.0, 3), _R, _R,
+                _interior(2.0, 3), _record(1.0, p_free=0.5), _R),
+     "interior record NodeKey(depth=1, index=0) has weight 5.0, its children complete "
+     "to 2.0"),
+    (_tree_file(_interior(4.0, 3), _interior(5.0, 3), _R, _R, _interior(2.0, 3))[:-3],
+     "interior record NodeKey(depth=1, index=0) has weight 5.0, its children complete "
+     "to 2.0"),
+    # Subtrees that end together: the deeper root first.
+    (_tree_file(_interior(4.25, 3), _interior(2.0, 3), _R, _R, _interior(2.5, 3), _R, _R),
+     "interior record NodeKey(depth=1, index=1) has weight 2.5, its children complete "
+     "to 2.0"),
+    (_tree_file(_interior(4.0, 3), _interior(1.0, 1), _R, _interior(2.0, 3), _R, _R),
+     "interior record NodeKey(depth=1, index=0) has weight 1.0, its children complete "
+     "to 2.0"),  # an absent child counts at the mean
+    (_tree_file(_interior(1.0, 0)),
+     "interior record NodeKey(depth=0, index=0) has weight 1.0, its children complete "
+     "to 0.0"),
+    # The last weight within 1e-9 of that sum, and the first one past it.
+    (_tree_file(_interior(12.476000012475998, 0xff), *_EIGHT, depth=1, branching=8), None),
+    (_tree_file(_interior(12.476000012476, 0xff), *_EIGHT, depth=1, branching=8),
+     "interior record NodeKey(depth=0, index=0) has weight 12.476000012476, its children "
+     "complete to 12.475999999999999"),
+    (_tree_file(_interior(float("nan"), 3), _interior(2.0, 3), _R, _R,
+                _interior(2.0, 3), _R, _R),
+     "interior record NodeKey(depth=0, index=0) has weight nan, its children complete "
+     "to 4.0"),
+])
+def test_reader_meets_errors_in_the_reference_order(tmp_path, data, message):
+    """Each node's checks in the order its bytes are read, an interior
+    weight once its subtree is read: the first error and its message are
+    the recursive reference reader's."""
+    path = tmp_path / "tree.soct"
+    path.write_bytes(data)
+    want = _load(reference_deserialize, path)
+    got = _load(deserialize_tree, path)
+    if message is None:
+        assert not isinstance(want, tuple), want
+        _same_tree(want, got)
+    else:
+        assert want == got == (CorruptionError, message)
+
+
 @pytest.mark.parametrize("branching", [2, 4, 8])
 def test_refreshed_random_trees_load(tmp_path, branching):
     """Interior weights summed either way (observation path or batch

@@ -33,6 +33,9 @@ from helpers import (
     ref_adjacency,
     ref_all_paths_best,
     ref_dijkstra_length,
+    ref_octree_class,
+    ref_segment_color,
+    ref_tree_class,
     reference_astar,
     zero_bad_path_exists,
 )
@@ -126,8 +129,8 @@ def test_knn_edges_keep_row_unique_pair_order(seed, k):
                       axis=0)
     apart = np.linalg.norm(positions[pairs[:, 0]] - positions[pairs[:, 1]], axis=1) > 0
     assert not apart.all()  # some duplicate points are neighbors
-    assert [[e.u, e.v] for e in edges] == pairs[apart].tolist()
-    assert {e.color for e in edges} == {UNKNOWN_CLASS}
+    assert np.column_stack([edges.u, edges.v]).tolist() == pairs[apart].tolist()
+    assert set(edges.color.tolist()) == {UNKNOWN_CLASS}
 
 
 def test_query_rejects_overlapping_sets():
@@ -475,6 +478,102 @@ def test_non_finite_edge_length_rejected(length):
     edges = [Edge(0, 1, 1.0, 0), Edge(1, 2, length, 0)]
     with pytest.raises(GraphError, match=r"Edge\(u=1, v=2, .*non-finite"):
         ColoredGraph(np.zeros((3, 2)), np.zeros(3, dtype=int), edges)
+
+
+_EDGES = [Edge(0, 1, 1.0, 0), Edge(1, 2, 2.0, 1), Edge(2, 3, 1.5, UNKNOWN_CLASS),
+          Edge(3, 4, 1.0, 2), Edge(0, 4, 3.0, 0)]
+
+
+@pytest.mark.parametrize("at", [0, 2, 4])
+@pytest.mark.parametrize("bad, problem", [
+    (Edge(0, 5, 1.0, 0), "references a missing vertex"),
+    (Edge(-1, 2, 1.0, 1), "references a missing vertex"),
+    (Edge(7, 2, float("nan"), 0), "references a missing vertex"),  # vertices first
+    (Edge(1, 2, float("nan"), 0), "has non-finite length"),
+    (Edge(1, 2, float("-inf"), 2), "has non-finite length"),
+    (Edge(1, 2, 0.0, 0), "has non-positive length"),
+    (Edge(1, 2, -2.5, UNKNOWN_CLASS), "has non-positive length"),
+])
+def test_edge_checks_name_the_first_bad_edge(bad, problem, at):
+    """Each edge's checks run in order (vertices, finite, positive) and the
+    first bad edge in edge order is reported, from a list or from arrays."""
+    edges = _EDGES.copy()
+    edges[at] = bad
+    edges += [Edge(1, 9, 1.0, 0), Edge(0, 1, float("inf"), 0), Edge(0, 1, 0.0, 0)]
+    for given in (edges, planning.EdgeArrays.of(edges)):
+        with pytest.raises(GraphError) as err:
+            ColoredGraph(np.zeros((5, 2)), np.zeros(5, dtype=int), given)
+        assert str(err.value) == f"edge {bad} {problem}"
+
+
+def _reference_edges(positions, centers, k, step, class_of_point, query):
+    """The edges as a per-edge build lists them: row-unique kNN pairs (a, b),
+    a < b, without zero-length ones, each with its ``np.linalg.norm``
+    length and its color sampled one point at a time."""
+    from scipy.spatial import cKDTree
+
+    n = len(positions)
+    k = min(k, n - 1)
+    _, idx = cKDTree(positions).query(positions, k=k + 1)
+    u, v = np.repeat(np.arange(n), k + 1), np.atleast_2d(idx).ravel()
+    keep = (u != v) & (v < n)
+    pairs = np.unique(np.column_stack([np.minimum(u, v), np.maximum(u, v)])[keep],
+                      axis=0)
+    edges = []
+    for a, b in pairs.tolist():
+        length = float(np.linalg.norm(positions[a] - positions[b]))
+        if length > 0:
+            edges.append(Edge(a, b, length, ref_segment_color(
+                class_of_point, centers[a], centers[b], step, query.undesired,
+                query.relevant)))
+    return edges
+
+
+def test_edge_samples_reach_the_far_endpoint_exactly():
+    """For every sample count, a segment's last sample is its endpoint, as
+    with ``np.linspace``, although ``(count - 1) * (1 / (count - 1))`` can
+    fall short of 1: an endpoint exactly on a grass block's edge colors the
+    edge grass."""
+    tree = grid_map([[0, 0, 0, 0, GRASS, GRASS, GRASS, GRASS]] * 8)
+    blocks = planning.BlockIndex.from_octree(tree)
+    query = PlanQuery(0, 0, undesired=frozenset({GRASS}))
+    centers = np.array([[0.5, 0.5, 0.5], [4.0, 0.5, 0.5]])
+    for samples in range(2, 120):
+        step = 3.5 / (samples - 1)
+        edges = planning._knn_edges(centers[:, :2], centers, 1, blocks, step, query)
+        assert edges.color.tolist() == [GRASS] == [ref_segment_color(
+            lambda p: ref_octree_class(tree, p), centers[0], centers[1], step,
+            query.undesired, query.relevant)]
+
+
+def test_graph_edges_read_as_the_per_edge_reference():
+    """``graph.edges`` lists the edges of a tree and of a Halton graph in the
+    reference's order, with Python int and float fields, and the graph keeps
+    the list it built. The Halton graph has more edges than one coloring
+    batch."""
+    rng = np.random.default_rng(90)
+    tree = make_random_tree(rng, branching=8, depth=2, edge_length=8.0)
+    world = tree.world
+    query = PlanQuery(0, 0, undesired=frozenset({2}), relevant=frozenset({1}))
+    step = world.edge_length / (1 << (world.max_depth + 1))
+    halton = halton_graph(world, tree, 300, 8, query)
+    centers = np.column_stack([halton.positions, np.full(300, world.origin[2]
+                                                         + world.leaf_size / 2.0)])
+    cw = CompressionWeights({1: 4.0}, {2: 0.5}, 0.01)
+    refresh_all(tree, cw)
+    ctree = compress_tree(tree, cw)
+    graph = graph_from_tree(ctree, query, 8)
+    keys = [key for key, leaf in ctree.leaf_items() if not leaf.virtual
+            and dominant_class(leaf.marginals) in query.relevant | {0}]
+    for g, points, class_of in (
+            (halton, centers, lambda p: ref_octree_class(tree, p)),
+            (graph, np.array([world.center_of(k) for k in keys]),
+             lambda p: ref_tree_class(ctree, p))):
+        want = _reference_edges(g.positions, points, 8, step, class_of, query)
+        assert g.edges == want
+        assert {tuple(map(type, e)) for e in g.edges} == {(int, int, float, int)}
+        assert g.edges is g.edges and g.num_edges == len(want)
+    assert halton.num_edges > planning._SEGMENTS_PER_BATCH
 
 
 def test_search_index_adjacency_and_components():
