@@ -33,19 +33,22 @@ from __future__ import annotations
 import functools
 import itertools
 import math
+import operator
 from dataclasses import dataclass, field
 from typing import Iterator, NamedTuple
 
 import numpy as np
 
-from .errors import ConfigError, DistributionError, OutOfBoundsError, TreeError
+from .errors import ConfigError, OutOfBoundsError, TreeError
 from .semantics import (
     CONTRADICTED,
     TruncatedRows,
     TruncatedSemanticDistribution,
+    check_observation,
     expand_rows,
     expand_truncated,
     fuse_observation,  # noqa: F401  the benchmark's tracer counts calls here
+    fuse_record,
     fuse_rows,
     observation_errors,
     rows_close,
@@ -154,17 +157,21 @@ class WorldConfig:
         coordinates that ``leaf_coords`` gives (same floor and upper clamp),
         so a node's region is the code range of its index shifted left by
         ``dims`` bits per level below it. ``inside`` applies the half-open
-        bounds of ``contains``; outside points get code 0.
+        bounds of ``contains``; outside points get code 0. A power-of-two
+        leaf size divides exactly as a product with its inverse, far faster.
         """
         p = np.asarray(points, dtype=np.float64).reshape(-1, 3)
         o = np.asarray(self.origin)
         ok = (p >= o) & (p < o + self.edge_length)  # NaN compares False
         inside = ok[:, 0] & ok[:, 1] & ok[:, 2]
         n = 1 << self.max_depth
+        size = self.leaf_size
+        exact = math.frexp(size)[0] == 0.5 and math.isfinite(1 / size)
         codes = np.zeros(len(p), dtype=np.int64)
         with np.errstate(invalid="ignore"):  # outside cells may be NaN: codes are 0 there
             for axis in range(self.dims):
-                c = (p[:, axis] - self.origin[axis]) // self.leaf_size
+                x = p[:, axis] - self.origin[axis]
+                c = np.floor(x * (1 / size)) if exact else x // size
                 c = np.minimum(c.astype(np.int64), n - 1)
                 for bit in range(self.max_depth):
                     codes |= ((c >> bit) & 1) << (bit * self.dims + axis)
@@ -406,10 +413,13 @@ class SemanticOctree:
         """
         tree = cls(world, num_classes)
         points = np.asarray(points, dtype=np.float64).reshape(-1, 3)
-        obs_class = np.asarray(obs_class, dtype=np.int64)
         confidence = np.asarray(confidence, dtype=np.float64)
-        codes, inside = world.morton(points)
         rejected = observation_errors(obs_class, confidence, num_classes)
+        ids = np.asarray(obs_class)
+        if ids.dtype.kind not in "iu":  # rejected rows are never fused
+            ids = [0 if i in rejected else operator.index(c) for i, c in enumerate(obs_class)]
+        obs_class = np.asarray(ids, dtype=np.int64)
+        codes, inside = world.morton(points)
         rejected.update((i, _outside(points[i])) for i in np.flatnonzero(~inside).tolist())
         ok = inside.copy()
         ok[list(rejected)] = False
@@ -457,16 +467,16 @@ class SemanticOctree:
         a whole cloud at once).
 
         Rejects an out-of-bounds point or an observation that
-        ``observation_errors`` names before touching the tree. Then fuses
-        the observation into the leaf's distribution. A new leaf first gets
+        ``check_observation`` refuses before touching the tree. Then fuses
+        the observation into the leaf's distribution on Python floats
+        (``fuse_record``, the batch kernel's bits). A new leaf first gets
         its missing ancestors (any summary node on the path is re-expanded),
         and then the weights along its path to the root are refreshed; an
         update keeps every weight. Returns the leaf key. Conditional/gain
         caches are refreshed separately (see ``compression.refresh_upward``).
         """
         leaf = self.world.leaf_key(point)
-        for message in observation_errors(obs_class, confidence, self.num_classes).values():
-            raise DistributionError(message)
+        obs_class, confidence = check_observation(obs_class, confidence, self.num_classes)
         node = self.nodes.get(leaf)
         new_leaf = node is None
         if new_leaf:
@@ -476,13 +486,7 @@ class SemanticOctree:
             prior, weight = uniform_row(self.num_classes), 1.0
         else:
             prior, weight = node.cond, node.weight
-        posterior, contradicted = fuse_rows(prior[None, :], np.array([obs_class]),
-                                            np.array([confidence]))
-        if contradicted[0]:
-            raise DistributionError(CONTRADICTED)
-        record = truncate_rows(posterior).read_only()
-        cond = expand_rows(record, self.num_classes)[0].copy()  # frees the (1, K+1) base
-        cond.flags.writeable = False
+        record, cond = fuse_record(prior, obs_class, confidence)
         self.nodes[leaf] = Node(LEAF, weight, record, 0, cond)
         if new_leaf:  # an update keeps the leaf's weight, so no weight changes
             self._refresh_path(leaf)

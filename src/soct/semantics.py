@@ -10,8 +10,9 @@ Expanding a truncated record back to a dense vector spreads the residual
 uniformly over the K-3 outstanding classes, which is why K >= 4 is required.
 Records are stored as rows of ``TruncatedRows`` tables; a
 ``TruncatedSemanticDistribution`` is one record as a value, made from a row
-when it is read. The module holds both forms, the row kernel that fuses,
-truncates and expands records, and the class role model (``ClassRegistry``).
+when it is read. Two kernels, on (N, K+1) arrays and on one row of Python
+floats, fuse, truncate and expand records with the same bits; the class
+role model is ``ClassRegistry``.
 
 All functions here are pure and do not modify their arguments; they are
 safe to call concurrently from any number of threads.
@@ -20,6 +21,7 @@ safe to call concurrently from any number of threads.
 from __future__ import annotations
 
 import itertools
+import operator
 from dataclasses import dataclass, field
 from typing import NamedTuple
 
@@ -114,14 +116,14 @@ def rows_close(rows, tol: float = FIELD_TOL) -> bool:
     return True
 
 
-# -- the row kernel ---------------------------------------------------------------
+# -- the row kernels ---------------------------------------------------------------
 #
-# Fusion, truncation and expansion work on (N, K+1) arrays, one distribution
-# per row; the one-row functions at the end take and return (K+1,) vectors
-# and call the kernel on a (1, K+1) view. Every row gets the bits it would
-# get alone: products and quotients are elementwise, a row total is a
-# C-ordered ``sum(axis=1)`` (numpy reduces each row as it does a 1-d
-# vector), and the residual adds its columns one at a time in rank order.
+# Fusion, truncation and expansion run on (N, K+1) arrays for batch builds
+# and loads, and on one row of Python floats for the streamed insert
+# (``fuse_record``) and the one-row functions. A row gets the same bits from
+# both: products and quotients are elementwise, ranking is a stable sort, a
+# row total adds its columns left to right from 0.0 (``row_totals``), and
+# the residual adds its classes one at a time in rank order.
 
 CONTRADICTED = "observation contradicts a zero-probability prior"
 
@@ -173,24 +175,37 @@ class TruncatedRows(NamedTuple):
     def read_only(self) -> "TruncatedRows":
         """This table, its columns made read-only for nodes to refer to."""
         for column in self[:4] if self.counts is None else self:
-            column.flags.writeable = False
+            column.setflags(write=False)
         return self
 
 
-def check_rows(rows: np.ndarray) -> None:
-    """Raise ``DistributionError`` at the first row that is no distribution.
+def row_totals(rows: np.ndarray) -> np.ndarray:
+    """Each row's total, its columns added left to right from 0.0 as a
+    Python loop adds one row (inf + -inf is a nan total, as in Python)."""
+    total = np.zeros(len(rows))
+    with np.errstate(invalid="ignore"):
+        for column in rows.T:
+            total += column
+    return total
 
-    A row must have no entry below -FIELD_TOL and a total within SUM_TOL
-    of 1.
-    """
-    negative = rows < -FIELD_TOL
-    totals = rows.sum(axis=1)
-    off = np.abs(totals - 1.0) > SUM_TOL
-    if np.count_nonzero(negative) or np.count_nonzero(off):
-        i = int(np.argmax(negative.any(axis=1) | off))
-        if negative[i].any():
-            raise DistributionError("negative probability entry")
-        raise DistributionError(f"probabilities sum to {float(totals[i])}, not 1")
+
+def _check_row(row: list[float]) -> None:
+    """Raise ``DistributionError`` unless a row of Python floats has no entry
+    below -FIELD_TOL and a total within SUM_TOL of 1 (a nan total is not)."""
+    total = 0.0
+    for v in row:
+        total += v
+    if any(v < -FIELD_TOL for v in row):
+        raise DistributionError("negative probability entry")
+    if not abs(total - 1.0) <= SUM_TOL:
+        raise DistributionError(f"probabilities sum to {total}, not 1")
+
+
+def check_rows(rows: np.ndarray) -> None:
+    """``_check_row`` of the first row that is no distribution, if any."""
+    bad = (rows < -FIELD_TOL).any(axis=1) | ~(np.abs(row_totals(rows) - 1.0) <= SUM_TOL)
+    if bad.any():
+        _check_row(rows[int(np.argmax(bad))].tolist())
 
 
 def record_errors(records: TruncatedRows, num_classes: int) -> dict[int, str]:
@@ -210,10 +225,7 @@ def record_errors(records: TruncatedRows, num_classes: int) -> dict[int, str]:
     fields = np.column_stack([np.where(used, probs, 0.0), p_free, p_residual])
     bad_field = ~((fields >= -FIELD_TOL) & (fields <= 1 + FIELD_TOL))
     bad_field[:, :3] &= used
-    total = 0.0
-    with np.errstate(invalid="ignore"):  # inf + -inf is a nan total, as in Python
-        for column in fields.T:
-            total = total + column
+    total = row_totals(fields)
     last = fields[np.arange(len(counts)), np.clip(counts, 1, 3) - 1]
     share = p_residual / (num_classes - 3) if num_classes > 3 else -np.inf
     rules = [
@@ -237,23 +249,36 @@ def record_errors(records: TruncatedRows, num_classes: int) -> dict[int, str]:
             for i in np.flatnonzero(broken.any(axis=1)).tolist()}
 
 
-def observation_errors(obs_class, confidence, num_classes: int) -> dict[int, str]:
-    """Observations that ``fuse_rows`` cannot fuse, by row, with the reason.
+def check_observation(obs_class, confidence, num_classes: int) -> tuple[int, float]:
+    """One observation as an ``int`` class id in 0..K and a ``float``
+    confidence in (1/(K+1), 1], or ``DistributionError``. The class id is
+    what ``operator.index`` gives (2.0 is none); at or below 1/(K+1) a label
+    carries no information."""
+    try:
+        obs_class = operator.index(obs_class)
+    except TypeError:
+        raise DistributionError(f"non-integer class id {obs_class!r}") from None
+    confidence, k = float(confidence), num_classes
+    if not 0 <= obs_class <= k:
+        raise DistributionError(f"observed class {obs_class} outside 0..{k}")
+    if not 1.0 / (k + 1) < confidence <= 1.0:
+        raise DistributionError(f"confidence {confidence} outside (1/{k + 1}, 1]")
+    return obs_class, confidence
 
-    Takes arrays, or one observation as two scalars (row 0). The class must
-    lie in 0..K, and the confidence in (1/(K+1), 1]: at or below 1/(K+1) a
-    label carries no information.
-    """
-    k = num_classes
-    ok = ((obs_class >= 0) & (obs_class <= k)
-          & (confidence > 1.0 / (k + 1)) & (confidence <= 1.0))
-    if np.count_nonzero(ok) == np.size(ok):
-        return {}
-    obs_class, confidence, ok = np.atleast_1d(obs_class, confidence, ok)
-    return {i: (f"observed class {obs_class[i].item()} outside 0..{k}"
-                if not 0 <= obs_class[i] <= k
-                else f"confidence {confidence[i].item()} outside (1/{k + 1}, 1]")
-            for i in np.flatnonzero(~ok).tolist()}
+
+def observation_errors(obs_class, confidence: np.ndarray, num_classes: int) -> dict[int, str]:
+    """Observations that ``fuse_rows`` cannot fuse, by row, with the reason
+    ``check_observation`` gives; an integer array is screened at once."""
+    k, rows, errors = num_classes, range(len(confidence)), {}
+    if isinstance(obs_class, np.ndarray) and obs_class.dtype.kind in "iu":
+        rows = np.flatnonzero(~((obs_class >= 0) & (obs_class <= k) & (confidence <= 1.0)
+                                & (confidence > 1.0 / (k + 1)))).tolist()
+    for i in rows:
+        try:
+            check_observation(obs_class[i], confidence[i], k)
+        except DistributionError as exc:
+            errors[i] = str(exc)
+    return errors
 
 
 def fuse_rows(prior: np.ndarray, obs_class: np.ndarray,
@@ -270,7 +295,7 @@ def fuse_rows(prior: np.ndarray, obs_class: np.ndarray,
     likelihood = ((1.0 - confidence) / (k1 - 1))[:, None].repeat(k1, axis=1)
     likelihood[np.arange(n), obs_class] = confidence
     posterior = prior * likelihood
-    totals = posterior.sum(axis=1)
+    totals = row_totals(posterior)
     contradicted = totals <= 0.0
     totals[contradicted] = 1.0
     posterior /= totals[:, None]
@@ -315,40 +340,79 @@ def expand_rows(records: TruncatedRows, num_classes: int) -> np.ndarray:
     return rows
 
 
-def _row(probs) -> np.ndarray:
-    """A dense vector as a one-row (1, K+1) float64 view, the input of the
-    row kernels."""
+def _vector(probs) -> list[float]:
+    """A dense vector over ids 0..K as Python floats."""
     probs = np.asarray(probs, dtype=np.float64)
     if probs.ndim != 1 or len(probs) < 2:
         raise DistributionError("need a 1-d vector over ids 0..K")
-    return probs[None, :]
+    return probs.tolist()
+
+
+def _fuse_row(prior: list[float], obs_class: int, confidence: float) -> list[float]:
+    other = (1.0 - confidence) / (len(prior) - 1)
+    posterior = [p * other for p in prior]
+    posterior[obs_class] = prior[obs_class] * confidence
+    total = 0.0
+    for v in posterior:
+        total += v
+    if total <= 0.0:
+        raise DistributionError(CONTRADICTED)
+    return [v / total for v in posterior]
+
+
+def _truncate_row(row: list[float]) -> tuple[list[int], list[float], float, float]:
+    _check_row(row)
+    order = sorted(range(1, len(row)), key=row.__getitem__, reverse=True)  # ties: lower id
+    ids = [c for c in order[:3] if row[c] > 0.0]
+    residual = 0.0
+    for c in order[3:]:
+        residual += row[c]
+    return ids, [row[c] for c in ids], row[0], residual
+
+
+def _expand_row(ids, probs, p_free: float, p_residual: float, k: int) -> list[float]:
+    if k < 4:
+        raise ConfigError("expansion needs at least 4 semantic classes")
+    row = [p_residual / (k - 3)] * (k + 1)
+    for c, p in zip(ids, probs):
+        row[c] = p
+    row[0] = p_free
+    return row
+
+
+def fuse_record(prior: np.ndarray, obs_class: int,
+                confidence: float) -> tuple[TruncatedRows, np.ndarray]:
+    """The streamed insert: ``fuse_rows``, ``truncate_rows`` and ``expand_rows``
+    of a dense prior and one checked observation (``check_observation``): a
+    read-only one-row table and the record's read-only dense vector."""
+    row = _fuse_row(prior.tolist(), obs_class, confidence)
+    ids, probs, p_free, residual = _truncate_row(row)
+    table = TruncatedRows(np.array([(ids + [0, 0, 0])[:3]]), np.array([(probs + [0.0] * 3)[:3]]),
+                          np.array([p_free]), np.array([residual])).read_only()
+    cond = np.array(_expand_row(ids, probs, p_free, residual, len(row) - 1))
+    cond.setflags(write=False)
+    return table, cond
 
 
 def expand_truncated(dist: TruncatedSemanticDistribution, num_classes: int) -> np.ndarray:
     """Validate a truncated record and expand it to a dense vector over ids
     0..num_classes (one-row ``expand_rows``)."""
     dist.validate(num_classes)
-    return expand_rows(TruncatedRows.of([dist]), num_classes)[0]
+    return np.array(_expand_row(*TruncatedRows.of([dist]).fields(0), num_classes))
 
 
 def truncate_full(probs: np.ndarray) -> TruncatedSemanticDistribution:
     """One-row ``truncate_rows`` of a dense vector; expanding the result
     reproduces the stored fields and the total residual mass."""
-    return truncate_rows(_row(probs)).record(0)
+    ids, probs, p_free, residual = _truncate_row(_vector(probs))
+    return TruncatedSemanticDistribution(tuple(zip(ids, probs)), p_free, residual)
 
 
 def fuse_observation(prior: np.ndarray, obs_class: int, confidence: float) -> np.ndarray:
-    """Validate the dense prior and the observation, then a one-row
-    ``fuse_rows``; returns the posterior vector.
-
-    Raises ``DistributionError`` for an invalid prior, an observation that
-    ``observation_errors`` names, or one the prior contradicts.
-    """
-    row = _row(prior)
-    check_rows(row)
-    for message in observation_errors(obs_class, confidence, row.shape[1] - 1).values():
-        raise DistributionError(message)
-    posterior, contradicted = fuse_rows(row, np.array([obs_class]), np.array([confidence]))
-    if contradicted[0]:
-        raise DistributionError(CONTRADICTED)
-    return posterior[0]
+    """One-row ``check_rows`` of the dense prior, ``check_observation``,
+    then one-row ``fuse_rows``: the posterior vector, or
+    ``DistributionError`` if the prior contradicts the observation."""
+    row = _vector(prior)
+    _check_row(row)
+    obs_class, confidence = check_observation(obs_class, confidence, len(row) - 1)
+    return np.array(_fuse_row(row, obs_class, confidence))

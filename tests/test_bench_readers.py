@@ -82,3 +82,17 @@ def test_graph_checks_read_a_tree_graph(bench, tmp_path):
     graph.edges[0] = e._replace(color=0 if e.color else 2)  # the checks read the kept list
     assert reference.check_tree_graph(ctree, graph, roles.undesired, roles.relevant)
     assert reference.graph_fingerprint(graph) != fingerprint
+
+
+def test_streamed_bits_are_pinned(bench):
+    """The benchmark's ``stream`` phase at the tiny size (2,334 streamed
+    records; label and position streams as ``bench/run.py --seed 1`` draws
+    them) keeps the cache fingerprint the benchmark checks: weights, cached
+    gains and the kept set, bit for bit."""
+    phases = importlib.import_module("phases")
+    phase = phases.StreamPhase(N, DEPTH, np.random.default_rng([0, 1]),
+                               np.random.default_rng([1, 1]))
+    out = phase.run()
+    assert phase.check(out) == {}
+    assert phase.fingerprints(out) == {"stream_caches_sha256":
+        "cd02cda1f4873141a97c272ea6029d895ba89362f54c2455086d3e43226af884"}

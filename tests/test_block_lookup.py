@@ -142,6 +142,8 @@ def test_batched_lookup_matches_reference(seed, branching, depth, prune, origin,
        depth=st.integers(1, 6), origin=st.sampled_from(ORIGINS),
        edge_length=st.sampled_from(EDGES))
 @example(seed=0, branching=8, depth=3, origin=(0.0, 0.0, 0.0), edge_length=0.8)
+# a power-of-two leaf size (0.25): ``morton`` multiplies by its inverse there
+@example(seed=1, branching=8, depth=6, origin=(-5.25, 3.3, 1e-3), edge_length=16.0)
 def test_single_point_lookup_matches_reference(seed, branching, depth, origin,
                                                edge_length):
     """``contains``/``leaf_coords``/``leaf_key`` on one point agree with the

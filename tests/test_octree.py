@@ -1,11 +1,14 @@
 import copy
 import itertools
+import operator
+from collections import Counter
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from soct import octree, semantics
 from soct.compression import refresh_all, refresh_upward
 from soct.errors import ConfigError, DistributionError, OutOfBoundsError, TreeError
 from soct.formats import deserialize_tree, serialize_tree
@@ -700,3 +703,116 @@ def test_installs_and_writes_make_no_record_objects(tmp_path, monkeypatch):
             if tree is not summaries and key in reference.nodes and key != new:
                 assert node.dist == reference.nodes[key].dist, key
     assert made  # each read built a record
+
+
+def _streamed(world, k, points, classes, confidence):
+    """A record-by-record build and its rejections, as ``from_observations``
+    reports them."""
+    tree, rejected = SemanticOctree(world, k), {}
+    for i, (point, cid, conf) in enumerate(zip(points, classes, confidence)):
+        try:
+            tree.add_observation(point, cid, conf)
+        except (OutOfBoundsError, DistributionError) as exc:
+            rejected[i] = str(exc)
+    return tree, rejected
+
+
+def _same_file(tmp_path, *trees):
+    for i, tree in enumerate(trees):
+        serialize_tree(tree, tmp_path / f"{i}.soct")
+    return len({(tmp_path / f"{i}.soct").read_bytes() for i in range(len(trees))}) == 1
+
+
+def test_streamed_insert_never_calls_the_batch_kernel(monkeypatch):
+    """New leaves, updates and an observation into a summary run on the
+    one-row kernel: a streamed build makes no call of ``fuse_rows``,
+    ``truncate_rows`` or ``expand_rows``, which ``from_observations``
+    still calls."""
+    calls = Counter()
+
+    def counted(name, fn):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    for module in (octree, semantics):
+        for name in ("fuse_rows", "truncate_rows", "expand_rows"):
+            monkeypatch.setattr(module, name, counted(name, getattr(module, name)))
+    rng = np.random.default_rng(63)
+    world = WorldConfig((0, 0, 0), 8.0, 3)
+    tree = SemanticOctree(world, 5)
+    shared = random_truncated(rng, 5)
+    for octant in range(8):
+        tree.set_leaf(world.coords_of(NodeKey(3, 8 + octant)), shared)
+    assert tree.prune_all_identical() == 1
+    points = rng.uniform(0, 8, (60, 3))
+    points[:, 2] += 4.0 - points[:, 2] / 2  # above the summary
+    for point in np.vstack([points, points]):  # new leaves, then updates
+        tree.add_observation(point, int(rng.integers(0, 6)), 0.8)
+    summary = NodeKey(2, 1)
+    assert tree.nodes[summary].kind == SUMMARY
+    tree.add_observation(world.center_of(NodeKey(3, 8)), 1, 0.9)
+    assert tree.nodes[summary].kind == INTERIOR
+    assert sum(calls.values()) == 0
+    SemanticOctree.from_observations(world, 5, points, rng.integers(0, 6, 60),
+                                     np.full(60, 0.8))
+    assert set(calls) == {"fuse_rows", "truncate_rows", "expand_rows"}
+
+
+_NOT_INTEGERS = [1.5, 2.0, np.float64(2.0), "2", np.True_, None, [2]]
+
+
+@pytest.mark.parametrize("obs_class", _NOT_INTEGERS)
+def test_add_observation_rejects_class_ids_that_are_no_integer(obs_class):
+    """A class id that ``operator.index`` refuses, 2.0 too, is a
+    ``DistributionError`` that names it; the tree is left untouched, and an
+    out-of-bounds point is reported first."""
+    tree = SemanticOctree(WorldConfig((0, 0, 0), 8.0, 3), 4)
+    with pytest.raises(DistributionError) as err:
+        tree.add_observation((1.5, 1.5, 1.5), obs_class, 0.9)
+    assert str(err.value) == f"non-integer class id {obs_class!r}"
+    assert list(tree.nodes) == [ROOT_KEY]
+    with pytest.raises(OutOfBoundsError):
+        tree.add_observation((9.0, 1.5, 1.5), obs_class, 0.9)
+
+
+def test_from_observations_rejects_class_ids_that_are_no_integer(tmp_path):
+    """``from_observations`` rejects the rows whose class id is no
+    integer, in row order, as the streamed build does, where it used to
+    truncate 1.5 to class 1; a float array is refused row by row."""
+    world = WorldConfig((0, 0, 0), 8.0, 3)
+    points = [(1.5, 1.5, 1.5), (2.5, 1.5, 1.5), (9.0, 1.5, 1.5), (1.5, 1.5, 1.5),
+              (3.5, 1.5, 1.5), (4.5, 1.5, 1.5), (5.5, 1.5, 1.5)]
+    classes = [1, 1.5, 2.5, 2.0, "3", 2, 7]
+    confidence = [0.9] * 7
+    batch, rejected = SemanticOctree.from_observations(world, 4, points, classes,
+                                                       confidence)
+    assert rejected == {1: "non-integer class id 1.5",
+                        2: "point [9.0, 1.5, 1.5] outside world volume",
+                        3: "non-integer class id 2.0", 4: "non-integer class id '3'",
+                        6: "observed class 7 outside 0..4"}
+    streamed, expected = _streamed(world, 4, points, classes, confidence)
+    assert rejected == expected
+    assert _same_file(tmp_path, batch, streamed)
+    assert batch.leaf_count() == 2
+    _, rejected = SemanticOctree.from_observations(world, 4, points[:2],
+                                                   np.array([1.0, 2.0]), [0.9, 0.9])
+    assert rejected == {i: f"non-integer class id {np.float64(i + 1.0)!r}" for i in (0, 1)}
+
+
+def test_class_ids_are_what_operator_index_accepts(tmp_path):
+    """``True``, numpy integers and ints fuse as the int ``operator.index``
+    gives, and numpy confidences as their float64 value, in both build
+    paths."""
+    world = WorldConfig((0, 0, 0), 8.0, 3)
+    points = [(1.5, 1.5, 1.5), (2.5, 1.5, 1.5), (1.5, 1.5, 1.5), (3.5, 1.5, 1.5)]
+    classes = [True, np.int64(2), np.uint8(3), 4]
+    confidence = [np.float32(0.9), 0.8, np.float64(0.7), np.float16(0.6)]
+    streamed, rejected = _streamed(world, 4, points, classes, confidence)
+    plain, _ = _streamed(world, 4, points, [operator.index(c) for c in classes],
+                         np.asarray(confidence, dtype=np.float64).tolist())
+    batch, batch_rejected = SemanticOctree.from_observations(world, 4, points, classes,
+                                                             confidence)
+    assert rejected == batch_rejected == {}
+    assert _same_file(tmp_path, streamed, plain, batch)

@@ -11,9 +11,12 @@ from soct.semantics import (
     ClassRegistry,
     TruncatedRows,
     TruncatedSemanticDistribution,
+    check_observation,
+    check_rows,
     expand_rows,
     expand_truncated,
     fuse_observation,
+    fuse_record,
     fuse_rows,
     observation_errors,
     record_errors,
@@ -231,9 +234,8 @@ def _stored_priors(rng, k, n):
 def test_row_kernel_gives_every_row_its_one_row_bits(k):
     """Fusion, truncation and expansion of a 2,000-row batch give each row
     the bits of its own one-row call and of the scalar functions, in C or
-    Fortran layout. Truncation and expansion equal a plain-Python
-    reference bit for bit; fusion does where numpy adds a row left to
-    right (K + 1 < 8) and within 1e-15 beyond."""
+    Fortran layout, and of a plain-Python reference that adds a row left
+    to right, for every K."""
     rng = np.random.default_rng(k)
     n = 2000
     prior = _stored_priors(rng, k, n)
@@ -251,18 +253,14 @@ def test_row_kernel_gives_every_row_its_one_row_bits(k):
     assert dense.tobytes() == expand_rows(truncate_rows(np.asfortranarray(post[fused])),
                                           k).tobytes()
     listed = [records.record(i) for i in range(len(records.ids))]
-    exact = k + 1 < 8
     for i, row in enumerate(np.flatnonzero(fused)):
         one, bad = fuse_rows(prior[row:row + 1], obs_class[row:row + 1],
                              confidence[row:row + 1])
         assert not bad[0] and one.tobytes() == post[row:row + 1].tobytes()
         scalar = fuse_observation(prior[row], int(obs_class[row]), float(confidence[row]))
         assert scalar.tobytes() == post[row].tobytes()
-        ref = _ref_fuse(prior[row].tolist(), obs_class[row], confidence[row])
-        if exact:
-            assert ref == post[row].tolist()
-        else:
-            assert np.allclose(ref, post[row], rtol=0, atol=1e-15)
+        assert _ref_fuse(prior[row].tolist(), obs_class[row], confidence[row]) \
+            == post[row].tolist()
         assert listed[i] == truncate_full(scalar) == _ref_truncate(post[row].tolist())
         assert dense[i].tobytes() == expand_truncated(listed[i], k).tobytes()
         assert dense[i].tolist() == _ref_expand(listed[i], k)
@@ -270,6 +268,73 @@ def test_row_kernel_gives_every_row_its_one_row_bits(k):
         assert _ref_fuse(prior[row].tolist(), obs_class[row], confidence[row]) is None
         with pytest.raises(DistributionError, match=CONTRADICTED):
             fuse_observation(prior[row], int(obs_class[row]), float(confidence[row]))
+
+
+def _raised(fn, *args):
+    """The type and message of the exception ``fn(*args)`` raises."""
+    with pytest.raises(Exception) as err:
+        fn(*args)
+    return type(err.value), str(err.value)
+
+
+@pytest.mark.parametrize("k", [4, 6, 7, 9, 12])
+def test_one_row_kernel_is_the_batch_row(k):
+    """The streamed insert's kernel on Python floats (``fuse_record``) gives
+    each row the posterior, record and dense vector of ``fuse_rows`` ->
+    ``truncate_rows`` -> ``expand_rows``, byte for byte, and the one-row
+    functions reject what the batch kernel rejects, with the same type and
+    message. Priors have tied and zero entries; confidences sit at 1.0 and
+    just above 1/(K+1), so some observations are contradicted."""
+    rng = np.random.default_rng(40 + k)
+    n = 800
+    prior = _stored_priors(rng, k, n)
+    prior[n - 100:] = 1.0 / (k + 1)  # every entry tied
+    pair = np.zeros(k + 1)
+    pair[[0, k // 2, k]] = 0.25, 0.375, 0.375  # two tied classes, the rest zero
+    prior[n - 50:] = pair
+    obs_class = rng.integers(0, k + 1, n)
+    low = float(np.nextafter(1.0 / (k + 1), 1.0))
+    confidence = rng.choice([1.0, low, 0.7], n)
+    confidence[: n // 4] = rng.uniform(1.0 / (k + 1), 1.0, n // 4)
+    post, contradicted = fuse_rows(prior, obs_class, confidence)
+    assert contradicted.any() and not contradicted.all()
+    records = truncate_rows(post[~contradicted])
+    dense = expand_rows(records, k)
+    fused = iter(range(len(dense)))
+    for i in range(n):
+        c, conf = int(obs_class[i]), float(confidence[i])
+        if contradicted[i]:
+            assert _raised(fuse_record, prior[i], c, conf) == (DistributionError, CONTRADICTED)
+            assert _raised(fuse_observation, prior[i], c, conf) == (DistributionError,
+                                                                    CONTRADICTED)
+            continue
+        j = next(fused)
+        table, cond = fuse_record(prior[i], c, conf)
+        assert fuse_observation(prior[i], c, conf).tobytes() == post[i].tobytes()
+        assert table.counts is None and not any(col.flags.writeable for col in table[:4])
+        for got, want in zip(table[:4], records[:4]):
+            assert got.dtype == want.dtype and got.tobytes() == want[j:j + 1].tobytes()
+        assert cond.tobytes() == dense[j].tobytes() and not cond.flags.writeable
+        assert truncate_full(post[i]) == records.record(j)
+        assert expand_truncated(records.record(j), k).tobytes() == dense[j].tobytes()
+    for c, conf in [(-1, 0.9), (k + 1, 0.9), (1, 1.0 / (k + 1)), (1, 1.0000001),
+                    (1, float("nan")), (k + 1, 0.0)]:
+        want = observation_errors(np.array([c]), np.array([conf]), k)[0]
+        assert _raised(check_observation, c, conf, k) == (DistributionError, want)
+        assert _raised(fuse_observation, prior[0], c, conf) == (DistributionError, want)
+    for bad in ([0.5, 0.6, -0.1] + [0.0] * (k - 2), [0.6, 0.6] + [0.0] * (k - 1),
+                [float("nan"), 1.0] + [0.0] * (k - 1)):
+        bad = np.array(bad)
+        want = _raised(check_rows, bad[None, :])
+        assert _raised(fuse_observation, bad, 1, 0.9) == want
+        assert _raised(truncate_full, bad) == want == _raised(truncate_rows, bad[None, :])
+    tiny = np.array([0.9, -1e-13, 0.1] + [0.0] * (k - 2))  # negative within FIELD_TOL
+    assert truncate_full(tiny) == truncate_rows(tiny[None, :]).record(0)
+    assert fuse_observation(tiny, 2, 0.9).tobytes() == fuse_rows(
+        tiny[None, :], np.array([2]), np.array([0.9]))[0].tobytes()
+    mass = TruncatedSemanticDistribution(((1, 1.0),), 0.0, 0.0)
+    assert _raised(expand_truncated, mass, 3) == _raised(expand_rows,
+                                                         TruncatedRows.of([mass]), 3)
 
 
 def test_truncated_rows_round_trip():
