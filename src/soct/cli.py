@@ -69,17 +69,15 @@ def _load_for_weights(tree_path: str, weights_path: str):
 
 
 def _leaf_rows(ctree) -> list[str]:
-    rows = ["cx,cy,cz,sx,sy,sz,depth,class_id,weight,virtual"]
-    items = list(ctree.leaf_items())
-    centers, sizes = ctree.world.boxes([key for key, _ in items])
-    classes = planning.leaf_classes([leaf for _, leaf in items], ctree.num_classes)
-    for (key, leaf), center, size, cid in zip(items, centers.tolist(), sizes.tolist(),
-                                              classes.tolist()):
-        rows.append(",".join([
-            *map(_fmt, center), *map(_fmt, size),
-            str(key.depth), str(cid), _fmt(leaf.weight),
-            "1" if leaf.virtual else "0"]))
-    return rows
+    blocks = ctree.leaf_arrays
+    centers, sizes = ctree.world.boxes(blocks.depth, blocks.index)
+    classes = planning.leaf_classes(blocks)
+    # one % format per row; "%.9g" is _fmt's spec
+    row = ",".join(["%.9g"] * 6 + ["%d", "%d", "%.9g", "%d"])
+    return ["cx,cy,cz,sx,sy,sz,depth,class_id,weight,virtual",
+            *map(row.__mod__, zip(*centers.T.tolist(), *sizes.T.tolist(),
+                                  blocks.depth.tolist(), classes.tolist(),
+                                  blocks.weight.tolist(), blocks.virtual.tolist()))]
 
 
 def _graph_rows(graph) -> list[str]:

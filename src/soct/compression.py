@@ -26,10 +26,15 @@ path's child sets in one call and chains the gains; ``refresh_all``
 gathers and evaluates a tree level (deepest first) in stacked batches;
 ``expansion_gain`` passes one row, ``per_class_information`` all expanded
 nodes at once, and ``report`` all those of the full tree, for the full and
-a compressed tree together; the extraction gathers all expanded nodes in
-one call. ``weighted_gain`` and ``information_report`` stay on the
-separate ``infotheory.split_increments`` route, so they check the kernel
-rather than repeat it.
+a compressed tree together. ``weighted_gain`` and ``information_report``
+stay on the separate ``infotheory.split_increments`` route, so they check
+the kernel rather than repeat it.
+
+The extraction gathers all expanded nodes in one call and keeps the
+compressed tree's blocks as columns (``LeafArrays``: depth, index, weight,
+marginals and a virtual mask, in key order), which the leaves CSV, the
+block index and the tree graph read. The per-block ``CompressedLeaf``
+objects and the ``kept`` key set are built only when read.
 
 Trees containing summary nodes must be expanded (``expand_summaries``)
 before the tree-level operations here; per-node gain queries and cache
@@ -58,6 +63,8 @@ from .octree import (
     NodeKey,
     SemanticOctree,
     child_keys,
+    key_arrays,
+    node_keys,
     parent_key,
     uniform_row,
 )
@@ -114,25 +121,63 @@ class CompressedLeaf:
     virtual: bool
 
 
-@dataclass
-class CompressedTree:
-    """Root-containing subtree in which every expanded node keeps all children."""
+class LeafArrays(NamedTuple):
+    """A compressed tree's blocks as columns, in key order ``(depth, index)``:
+    ``depth`` and ``index`` (int64), ``weight`` (float64), a read-only
+    (n, K+1) ``marginals`` matrix and the ``virtual`` mask (bool) of the
+    blocks that were never observed."""
 
-    kept: set[NodeKey]
-    leaves: dict[NodeKey, CompressedLeaf]
+    depth: np.ndarray
+    index: np.ndarray
+    weight: np.ndarray
+    marginals: np.ndarray
+    virtual: np.ndarray
+
+
+@dataclass(eq=False)
+class CompressedTree:
+    """Root-containing subtree in which every expanded node keeps all children.
+
+    Its blocks are ``leaf_arrays``. ``leaves`` (a ``CompressedLeaf`` per
+    block) and ``kept`` (every key of the subtree) are built from them on
+    their first read and then kept. Two trees compare by identity.
+    """
+
+    leaf_arrays: LeafArrays
     expanded: set[NodeKey]
     root_weight: float
     world: "object"
     num_classes: int
+    _leaves: dict | None = field(default=None, init=False, repr=False)
+    _kept: set | None = field(default=None, init=False, repr=False)
+
+    @property
+    def leaves(self) -> dict[NodeKey, CompressedLeaf]:
+        """The blocks by key, in key order."""
+        if self._leaves is None:
+            b = self.leaf_arrays
+            self._leaves = {key: CompressedLeaf(key, w, m, v) for key, w, m, v in zip(
+                node_keys(b.depth, b.index), b.weight.tolist(), b.marginals,
+                b.virtual.tolist())}
+        return self._leaves
+
+    @property
+    def kept(self) -> set[NodeKey]:
+        """The root, the expanded nodes and the blocks."""
+        if self._kept is None:
+            b = self.leaf_arrays
+            self._kept = {ROOT_KEY, *self.expanded, *node_keys(b.depth, b.index)}
+        return self._kept
 
     @property
     def num_leaves(self) -> int:
         """Leaves backed by observed nodes (virtual blocks excluded)."""
-        return sum(1 for lf in self.leaves.values() if not lf.virtual)
+        virtual = self.leaf_arrays.virtual
+        return len(virtual) - int(np.count_nonzero(virtual))
 
     def leaf_items(self):
-        for key in sorted(self.leaves):
-            yield key, self.leaves[key]
+        """``(key, CompressedLeaf)`` per block, in key order."""
+        return iter(self.leaves.items())
 
 
 @dataclass(frozen=True)
@@ -427,39 +472,39 @@ def compressed_from_expanded(tree: SemanticOctree,
     """Materialize the subtree that expands exactly the given stored nodes.
 
     The set must be parent-closed toward the root; every expanded node
-    contributes its full (virtually completed) child set.
+    contributes its full (virtually completed) child set. One ``child_sets``
+    gather of the expanded nodes in key order gives the blocks: its child
+    slots, in that order, are in key order too, and a slot that is not
+    expanded is a block with its row's weight (a stored child's own) and
+    conditional.
     """
-    get, dims, octants = tree.nodes.get, tree.world.dims, range(tree.world.branching)
+    get, dims, branching = tree.nodes.get, tree.world.dims, tree.world.branching
     for key in expanded:
         node = get(key)
         if node is None or node.kind != INTERIOR:
             raise TreeError(f"cannot expand {key}: not a stored interior node")
         if key != ROOT_KEY and (key.depth - 1, key.index >> dims) not in expanded:
             raise TreeError(f"expanded node {key} has an unexpanded parent")
-    kept = {ROOT_KEY, *expanded}
-    leaves: dict[NodeKey, CompressedLeaf] = {}
     root_weight = tree.root.weight
     if ROOT_KEY not in expanded:
         # A root without stored children is an empty map: unobserved space.
         empty = tree.root.kind == INTERIOR and not tree.stored_children(ROOT_KEY)
-        leaves[ROOT_KEY] = CompressedLeaf(
-            ROOT_KEY, root_weight, np.array(tree.conditional(ROOT_KEY)), empty)
+        blocks = LeafArrays(*key_arrays([ROOT_KEY]), np.array([root_weight]),
+                            np.array([tree.conditional(ROOT_KEY)]), np.array([empty]))
     else:
-        keys = list(expanded)
+        keys = sorted(expanded)
         weights, dists, _, _ = tree.child_sets(keys)
-        dists.flags.writeable = False  # the leaves share its rows
-        for (depth, index), row_w, row_d in zip(keys, weights.tolist(), dists):
-            base = index << dims
-            for o in octants:
-                ck = NodeKey(depth + 1, base | o)
-                kept.add(ck)
-                if ck not in expanded:
-                    child = get(ck)
-                    leaves[ck] = CompressedLeaf(
-                        ck, row_w[o] if child is None else child.weight, row_d[o],
-                        child is None)
-    return CompressedTree(kept, leaves, set(expanded), root_weight,
-                          tree.world, tree.num_classes)
+        depth, index = key_arrays(keys)
+        depth = np.repeat(depth + 1, branching)
+        index = ((index << dims)[:, None] | np.arange(branching)).ravel()
+        slots = list(zip(depth.tolist(), index.tolist()))
+        leaf = ~np.fromiter(map(expanded.__contains__, slots), bool, len(slots))
+        stored = np.fromiter(map(tree.nodes.__contains__, slots), bool, len(slots))
+        blocks = LeafArrays(depth[leaf], index[leaf], weights.ravel()[leaf],
+                            dists.reshape(len(slots), -1)[leaf], ~stored[leaf])
+    blocks.marginals.flags.writeable = False
+    return CompressedTree(blocks, set(expanded), root_weight, tree.world,
+                          tree.num_classes)
 
 
 def compress_tree(tree: SemanticOctree, cw: CompressionWeights) -> CompressedTree:
@@ -503,8 +548,6 @@ def full_tree(tree: SemanticOctree) -> CompressedTree:
 def _validate_subtree(tree: SemanticOctree, ctree: CompressedTree) -> None:
     if ctree.world != tree.world or ctree.num_classes != tree.num_classes:
         raise TreeError("compressed tree belongs to a different world")
-    if ROOT_KEY not in ctree.kept:
-        raise TreeError("compressed tree does not contain the root")
     dims = tree.world.dims
     for key in ctree.expanded:
         node = tree.nodes.get(key)

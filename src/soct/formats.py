@@ -42,6 +42,8 @@ from .octree import (
     SemanticOctree,
     WorldConfig,
     completed_weight,
+    key_arrays,
+    node_keys,
 )
 from .semantics import (
     ROLE_IRRELEVANT,
@@ -406,8 +408,7 @@ def serialize_tree(tree: SemanticOctree, path) -> None:
     format holds is rejected before the file is opened."""
     _check_num_classes(tree.num_classes)
     world, keys = tree.world, list(tree.nodes)
-    depth, index = np.fromiter(itertools.chain.from_iterable(keys), dtype=np.int64,
-                               count=2 * len(keys)).reshape(-1, 2).T
+    depth, index = key_arrays(keys)
     code = index << world.dims * (world.max_depth - depth)  # of the region's first cell
     order = np.lexsort((depth, code))
     depth, index, code = depth[order], index[order], code[order]
@@ -575,9 +576,13 @@ def deserialize_tree(path) -> SemanticOctree:
         raise CorruptionError(f"{n - end} trailing bytes")
     conds = expand_rows(rows.read_only(), num_classes)
     conds.flags.writeable = False
-    row = itertools.count()  # each record refers to its row of the one table
-    tree.nodes = {key: Node(k, w) if k == INTERIOR else Node(k, w, rows, r := next(row),
-                                                              conds[r])
-                  for key, k, w in zip(map(NodeKey, depth.tolist(), index.tolist()),
-                                       kind.tolist(), weight.tolist())}
+    # Each record refers to its row of the one table; a node's slot in the
+    # pools below is 0 (an interior node's None) or its record's row + 1.
+    slot = np.zeros(m, dtype=np.int64)
+    slot[rec] = np.arange(1, len(rec) + 1)
+    slot = slot.tolist()
+    tables, row_of, cond_of = [None, rows], [0, *range(len(rec))], [None, *conds]
+    tree.nodes = dict(zip(node_keys(depth, index), map(
+        Node, kind.tolist(), weight.tolist(), map(tables.__getitem__, record.tolist()),
+        map(row_of.__getitem__, slot), map(cond_of.__getitem__, slot))))
     return tree

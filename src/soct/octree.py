@@ -67,6 +67,20 @@ class NodeKey(NamedTuple):
     index: int
 
 
+def key_arrays(keys) -> tuple[np.ndarray, np.ndarray]:
+    """``(depth, index)`` int64 columns of a sequence of N node keys, which
+    may be plain (depth, index) pairs."""
+    return np.fromiter(itertools.chain.from_iterable(keys), dtype=np.int64,
+                       count=2 * len(keys)).reshape(-1, 2).T
+
+
+def node_keys(depth: np.ndarray, index: np.ndarray) -> Iterator[NodeKey]:
+    """The ``NodeKey``s of paired depth and index columns, in order; each is
+    made by ``tuple.__new__``, without ``NodeKey``'s per-call constructor."""
+    return map(tuple.__new__, itertools.repeat(NodeKey),
+               zip(depth.tolist(), index.tolist()))
+
+
 def parent_key(key: NodeKey, dims: int) -> NodeKey:
     if key.depth == 0:
         raise TreeError("root has no parent")
@@ -204,18 +218,17 @@ class WorldConfig:
     def coords_of(self, key: NodeKey) -> tuple[int, ...]:
         return tuple(_deinterleave(np.array([key.index]), self.dims, key.depth)[0].tolist())
 
-    def boxes(self, keys) -> tuple[np.ndarray, np.ndarray]:
-        """3-d centers and sizes, (N, 3) each, of the cells of N node keys.
+    def boxes(self, depth: np.ndarray, index: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """3-d centers and sizes, (N, 3) each, of the cells of N node keys,
+        given as int64 depth and index columns (``key_arrays``).
 
         Along subdivided axes a cell is centered on its coordinates; the
         other axes use the world center and span the full edge.
         """
-        depth, index = np.fromiter(itertools.chain.from_iterable(keys), dtype=np.int64,
-                                   count=2 * len(keys)).reshape(-1, 2).T
         side = self.edge_length / (1 << depth)
         centers = np.repeat((np.array(self.origin) + self.edge_length / 2.0)[None, :],
-                            len(keys), axis=0)
-        sizes = np.full((len(keys), 3), self.edge_length)
+                            len(depth), axis=0)
+        sizes = np.full((len(depth), 3), self.edge_length)
         coords = _deinterleave(index, self.dims, self.max_depth)
         for axis in range(self.dims):
             centers[:, axis] = self.origin[axis] + (coords[:, axis] + 0.5) * side
@@ -224,10 +237,10 @@ class WorldConfig:
 
     def center_of(self, key: NodeKey) -> np.ndarray:
         """3-d center of a node's cell (one-row ``boxes``)."""
-        return self.boxes([key])[0][0]
+        return self.boxes(*key_arrays([key]))[0][0]
 
     def sizes_of(self, key: NodeKey) -> np.ndarray:
-        return self.boxes([key])[1][0]
+        return self.boxes(*key_arrays([key]))[1][0]
 
 
 def _completion(stored: list[float], branching: int) -> tuple[float, float]:

@@ -44,16 +44,15 @@ equal indexes and splits, and a single store publishes each whole.
 from __future__ import annotations
 
 import heapq
-import itertools
 import math
 from dataclasses import dataclass, field
 from typing import NamedTuple
 
 import numpy as np
 
-from .compression import CompressedTree
+from .compression import CompressedTree, LeafArrays
 from .errors import ConfigError, GraphError, TreeError
-from .octree import INTERIOR, NodeKey, SemanticOctree, WorldConfig
+from .octree import INTERIOR, SemanticOctree, WorldConfig, key_arrays
 
 UNKNOWN_CLASS = -1
 # Largest Halton graph built; a larger request is a config error, raised
@@ -123,21 +122,36 @@ class SearchIndex(NamedTuple):
 
 
 def _search_index(n: int, edges: EdgeArrays) -> SearchIndex:
+    # Appending entry tuples edge by edge measured faster than one stable
+    # sort of the 2E directed entries sliced into per-vertex lists.
     adjacency: list[list[tuple[int, float, int]]] = [[] for _ in range(n)]
     for u, v, length, color in zip(*(column.tolist() for column in edges)):
         adjacency[u].append((v, length, color))
         adjacency[v].append((u, length, color))
-    labels = [-1] * n
-    for s in range(n):
-        if labels[s] < 0:
-            labels[s] = s
-            stack = [s]
-            while stack:
-                for v, _, _ in adjacency[stack.pop()]:
-                    if labels[v] < 0:
-                        labels[v] = s
-                        stack.append(v)
-    return SearchIndex(adjacency, labels)
+    return SearchIndex(adjacency, _component_labels(n, edges.u, edges.v).tolist())
+
+
+def _component_labels(n: int, u: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """Each vertex's component, named by its lowest vertex.
+
+    A forest in which every vertex points at a lower one or at itself: each
+    round hooks the higher root of every edge whose ends have different
+    roots under the lower one, then jumps pointers (``parent[parent]``)
+    until every vertex points at its root. A tree's root is its lowest
+    vertex, and once no edge joins two trees, each tree is a component.
+    """
+    parent = np.arange(n)
+    while True:
+        ru, rv = parent[u], parent[v]
+        split = ru != rv
+        if not split.any():
+            return parent
+        np.minimum.at(parent, np.maximum(ru, rv)[split], np.minimum(ru, rv)[split])
+        while True:
+            up = parent[parent]
+            if np.array_equal(up, parent):
+                break
+            parent = up
 
 
 def _role_split(index: SearchIndex, edges: EdgeArrays,
@@ -259,14 +273,12 @@ def dominant_class(marginals):
     return int(classes) if np.ndim(marginals) == 1 else classes
 
 
-def leaf_classes(leaves, num_classes: int) -> np.ndarray:
-    """Class id of every compressed leaf: its dominant class, or
-    UNKNOWN_CLASS for a virtual (unobserved) leaf. One ``dominant_class``
-    call over the stacked marginals."""
-    leaves = list(leaves)
-    marginals = np.array([leaf.marginals for leaf in leaves], dtype=np.float64)
-    classes = dominant_class(marginals.reshape(len(leaves), num_classes + 1))
-    classes[[leaf.virtual for leaf in leaves]] = UNKNOWN_CLASS
+def leaf_classes(blocks: LeafArrays) -> np.ndarray:
+    """Class id of every compressed block: its dominant class, or
+    UNKNOWN_CLASS for a virtual (unobserved) block. One ``dominant_class``
+    call over the marginals matrix."""
+    classes = dominant_class(blocks.marginals)
+    classes[blocks.virtual] = UNKNOWN_CLASS
     return classes
 
 
@@ -275,19 +287,18 @@ class BlockIndex:
     each with its class id.
 
     A point lies in the block whose range holds its ``WorldConfig.morton``
-    code; a code in no range is unobserved space. ``keys``, ``starts``,
-    ``ends`` and ``classes`` are sorted by range start. The constructors
-    classify every block at once, so ``classify`` only gathers.
+    code; a code in no range is unobserved space. The blocks' keys
+    (``depth``, ``index``), ``starts``, ``ends`` and ``classes`` are sorted
+    by range start. The constructors classify every block at once, so
+    ``classify`` only gathers.
     """
 
-    def __init__(self, world: WorldConfig, keys: list[NodeKey], classes):
-        depth, index = np.fromiter(itertools.chain.from_iterable(keys), dtype=np.int64,
-                                   count=2 * len(keys)).reshape(-1, 2).T
+    def __init__(self, world: WorldConfig, depth: np.ndarray, index: np.ndarray, classes):
         shift = world.dims * (world.max_depth - depth)
         starts = index << shift
         order = np.argsort(starts, kind="stable")
         self.world = world
-        self.keys = [keys[i] for i in order.tolist()]
+        self.depth, self.index = depth[order], index[order]
         self.starts = starts[order]
         self.ends = ((index + 1) << shift)[order]
         self.classes = np.asarray(classes, dtype=np.int64)[order]
@@ -298,10 +309,10 @@ class BlockIndex:
 
         Virtual (unobserved) leaves classify as UNKNOWN_CLASS.
         """
-        index = cls(ctree.world, list(ctree.leaves),
-                    leaf_classes(ctree.leaves.values(), ctree.num_classes))
+        blocks = ctree.leaf_arrays
+        index = cls(ctree.world, blocks.depth, blocks.index, leaf_classes(blocks))
         n_codes = 1 << (ctree.world.dims * ctree.world.max_depth)
-        if not (len(index.keys) and index.starts[0] == 0
+        if not (len(index.starts) and index.starts[0] == 0
                 and index.ends[-1] == n_codes
                 and np.all(index.starts[1:] == index.ends[:-1])):
             raise TreeError("compressed tree leaves do not tile the world volume")
@@ -314,7 +325,7 @@ class BlockIndex:
         blocks."""
         records = {k: node.cond for k, node in tree.nodes.items() if node.kind != INTERIOR}
         conds = np.array(list(records.values()), dtype=np.float64)
-        return cls(tree.world, list(records),
+        return cls(tree.world, *key_arrays(list(records)),
                    dominant_class(conds.reshape(len(records), tree.num_classes + 1)))
 
     def classify(self, points) -> np.ndarray:
@@ -412,7 +423,8 @@ def _knn_edges(positions: np.ndarray, centers3d: np.ndarray, k: int,
     u, v = u[keep], v[keep]
     # each pair (a, b), a < b < n, as one code a * n + b: sorting the codes
     # sorts the pairs as rows, (a, b) lexicographically
-    a, b = np.divmod(np.unique(np.minimum(u, v) * n + np.maximum(u, v)), n)
+    codes = np.sort(np.minimum(u, v) * n + np.maximum(u, v))
+    a, b = np.divmod(codes[np.diff(codes, prepend=-1) != 0], n)
     lengths = _norms(positions[a] - positions[b])
     apart = lengths > 0.0
     a, b, lengths = a[apart], b[apart], lengths[apart]
@@ -446,28 +458,27 @@ def graph_from_tree(ctree: CompressedTree, query: PlanQuery,
     """Colored graph over the traversable blocks of a compressed tree.
 
     One vertex sits at the horizontal center of every observed block whose
-    dominant class is free space or a relevant class, in key order
-    (``leaf_items``). Each vertex connects to its k nearest neighbors; edge
-    colors come from sampling the 3-d segment between block centers at half
-    a finest-cell step. The block classes that pick the vertices are the
-    ones the edges are colored with, from one ``BlockIndex``.
+    dominant class is free space or a relevant class, in key order (the
+    order of ``leaf_arrays``). Each vertex connects to its k nearest
+    neighbors; edge colors come from sampling the 3-d segment between block
+    centers at half a finest-cell step. The block classes that pick the
+    vertices are the ones the edges are colored with, from one
+    ``BlockIndex``.
     """
     _check_k_neighbors(k_neighbors)
     world: WorldConfig = ctree.world
     blocks = BlockIndex.from_compressed(ctree)
     traversable = sorted((query.relevant | {0}) - {UNKNOWN_CLASS})
-    picked = np.flatnonzero(np.isin(blocks.classes, traversable)).tolist()
-    vertices = sorted(zip([blocks.keys[i] for i in picked],
-                          blocks.classes[picked].tolist()))
-    if not vertices:
+    picked = np.flatnonzero(np.isin(blocks.classes, traversable))
+    if not len(picked):
         raise GraphError("no traversable blocks: compressed tree has no "
                          "free-space or relevant-class leaves")
-    keys, colors = zip(*vertices)
-    centers = world.boxes(keys)[0]
+    picked = picked[np.lexsort((blocks.index[picked], blocks.depth[picked]))]
+    centers = world.boxes(blocks.depth[picked], blocks.index[picked])[0]
     positions = centers[:, :2].copy()
     step = world.edge_length / (1 << (world.max_depth + 1))
     edges = _knn_edges(positions, centers, k_neighbors, blocks, step, query)
-    return ColoredGraph(positions, np.array(colors, dtype=int), edges)
+    return ColoredGraph(positions, blocks.classes[picked], edges)
 
 
 def halton(index: int, base: int) -> float:

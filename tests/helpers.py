@@ -177,6 +177,37 @@ def ref_relative_gain(tree, key, cw):
     return max(value, 0.0)
 
 
+# -- compressed-tree extraction reference ------------------------------------------
+
+
+def ref_extraction(tree, expanded):
+    """``(kept, blocks)`` of the subtree that expands ``expanded``, node by
+    node: the kept keys, and per block key its ``(weight, marginals,
+    virtual)``. A stored child is a block with its own weight and
+    conditional; an absent one weighs the mean of its stored siblings and
+    is uniform. Without the root expanded, the root is the one block,
+    virtual when nothing is stored under it."""
+    kept = {ROOT_KEY, *expanded}
+    if ROOT_KEY not in expanded:
+        empty = tree.root.kind == INTERIOR and not any(
+            k in tree.nodes for k in child_keys(ROOT_KEY, tree.world.dims))
+        return kept, {ROOT_KEY: (tree.root.weight, tree.conditional(ROOT_KEY), empty)}
+    uniform = np.full(tree.num_classes + 1, 1.0 / (tree.num_classes + 1))
+    blocks = {}
+    for key in expanded:
+        kids = child_keys(key, tree.world.dims)
+        stored = [tree.nodes[k].weight for k in kids if k in tree.nodes]
+        mean = sum(stored) / len(stored)
+        for k in kids:
+            kept.add(k)
+            node = tree.nodes.get(k)
+            if k in expanded:
+                continue
+            blocks[k] = ((mean, uniform, True) if node is None
+                         else (node.weight, tree.conditional(k), False))
+    return kept, blocks
+
+
 # -- independent tree-file reference ----------------------------------------------
 
 

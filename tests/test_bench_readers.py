@@ -1,11 +1,14 @@
-"""The benchmark's untimed checks read soct trees through ``Node`` and
-graphs through ``ColoredGraph.edges``.
+"""The benchmark's untimed checks read soct trees through ``Node``,
+compressed trees through their ``leaves`` and ``kept`` views and graphs
+through ``ColoredGraph.edges``.
 
 ``bench/reference.check_halton_graph`` reads each node's ``dist`` fields,
 and ``cache_mismatches`` deep-copies a streamed tree and compares its
-caches with a batch rebuild. ``check_tree_graph``, ``graph_fingerprint``
-and ``LexDijkstra`` read a graph's ``Edge`` list. A change that breaks any
-of them fails here, not only in a benchmark run. ``bench/`` is imported
+caches with a batch rebuild. ``check_tree_graph`` reads a compressed
+tree's ``leaves``, and the ``stream`` fingerprint hashes the repr of its
+sorted ``kept`` keys. ``check_tree_graph``, ``graph_fingerprint`` and
+``LexDijkstra`` read a graph's ``Edge`` list. A change that breaks any of
+them fails here, not only in a benchmark run. ``bench/`` is imported
 read-only.
 """
 
@@ -17,6 +20,8 @@ import pytest
 
 from soct import compression, formats, planning
 from soct.octree import SemanticOctree
+
+from helpers import ref_extraction
 
 N, DEPTH = 8, 3  # the benchmark's tiny world: an 8-unit cube at depth 3
 
@@ -53,6 +58,10 @@ def test_cache_check_reads_a_streamed_tree(bench):
     ctree = compression.compress_tree(tree, cw)
     assert reference.cache_mismatches(tree, cw, ctree, compression.refresh_all,
                                       compression.compress_tree) == []
+    # what the stream fingerprint hashes of the kept set: NodeKey reprs
+    kept, _ = ref_extraction(tree, frozenset(ctree.expanded))
+    assert len(ctree.expanded) > 1
+    assert repr(sorted(ctree.kept)) == repr(sorted(kept))
 
 
 def test_graph_checks_read_a_tree_graph(bench, tmp_path):
@@ -67,6 +76,9 @@ def test_graph_checks_read_a_tree_graph(bench, tmp_path):
     roles = planning.PlanQuery(0, 0, undesired=registry.irrelevant_ids,
                                relevant=registry.relevant_ids)
     compression.refresh_all(tree, cw)
+    full = compression.full_tree(tree)
+    assert reference.check_tree_graph(full, planning.graph_from_tree(full, roles, 8),
+                                      roles.undesired, roles.relevant) == []
     ctree = compression.compress_tree(tree, cw)
     graph = planning.graph_from_tree(ctree, roles, 8)
     assert graph.num_edges

@@ -30,6 +30,7 @@ from soct.octree import (
     INTERIOR,
     ROOT_KEY,
     SUMMARY,
+    NodeKey,
     SemanticOctree,
     WorldConfig,
 )
@@ -41,6 +42,7 @@ from helpers import (
     random_weights,
     ref_bernoulli_js,
     ref_entropy,
+    ref_extraction,
     ref_mutual_information,
     ref_relative_gain,
 )
@@ -639,6 +641,50 @@ def test_compressed_tree_virtual_leaves_partition_weight():
     for leaf in ctree.leaves.values():
         if leaf.virtual:
             assert np.allclose(leaf.marginals, 1.0 / 5)
+
+
+@settings(max_examples=40, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), branching=st.sampled_from([2, 4, 8]),
+       shape=st.sampled_from(["empty", "root_only", "random"]))
+def test_extraction_equals_the_node_by_node_reference(seed, branching, shape):
+    """``compress_tree``, ``full_tree`` and ``compressed_from_expanded``
+    keep the blocks as columns in key order; their columns, their ``kept``
+    and ``leaves`` views and ``num_leaves`` equal ``ref_extraction`` bit for
+    bit, with ``NodeKey`` keys."""
+    rng = np.random.default_rng(seed)
+    depth = {2: 4, 4: 3, 8: 2}[branching]
+    if shape == "empty":
+        tree = SemanticOctree(WorldConfig((0, 0, 0), 16.0, depth, branching), 4)
+    else:
+        tree = make_random_tree(rng, branching, depth, fill=float(rng.uniform(0.1, 1.0)))
+    cw = random_weights(rng)
+    if shape == "root_only":
+        cw = CompressionWeights(cw.retain, cw.remove, 1e3)
+    refresh_all(tree, cw)
+    if shape != "random":  # the root alone, a virtual block on an empty map
+        ctree = compress_tree(tree, cw)
+        assert not ctree.expanded
+        assert ctree.leaf_arrays.virtual.tolist() == [shape == "empty"]
+    for ctree in (compress_tree(tree, cw), full_tree(tree),
+                  compressed_from_expanded(tree, random_expanded_set(tree, rng))):
+        kept, blocks = ref_extraction(tree, frozenset(ctree.expanded))
+        keys = sorted(blocks)
+        b = ctree.leaf_arrays
+        assert list(zip(b.depth.tolist(), b.index.tolist())) == keys
+        assert b.weight.tobytes() == np.array([blocks[k][0] for k in keys]).tobytes()
+        assert b.marginals.tobytes() == np.array([blocks[k][1] for k in keys]).tobytes()
+        assert b.virtual.tolist() == [blocks[k][2] for k in keys]
+        assert not b.marginals.flags.writeable
+        assert ctree.num_leaves == sum(not blocks[k][2] for k in keys)
+        assert ctree.kept == kept
+        assert all(type(k) is NodeKey for k in ctree.kept)
+        assert list(ctree.leaves) == [key for key, _ in ctree.leaf_items()] == keys
+        for key, leaf in ctree.leaf_items():
+            weight, marginals, virtual = blocks[key]
+            assert type(key) is NodeKey and leaf.key == key
+            assert type(leaf.weight) is float and repr(leaf.weight) == repr(weight)
+            assert leaf.marginals.tobytes() == np.asarray(marginals).tobytes()
+            assert leaf.virtual is virtual
 
 
 def test_build_and_compress_matches_manual_loop():
