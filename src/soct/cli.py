@@ -8,6 +8,7 @@ printing ``error: <category>: <message>`` on stderr.
 from __future__ import annotations
 
 import argparse
+import functools
 import math
 import sys
 
@@ -241,7 +242,10 @@ def _cmd_export(args) -> int:
 # -- entry point --------------------------------------------------------------
 
 
+@functools.cache
 def _parser() -> argparse.ArgumentParser:
+    """The command-line parser, built on the first call of a process; a
+    parse keeps its values in the namespace it returns, not in the parser."""
     parser = argparse.ArgumentParser(
         prog="soct",
         description="Build, compress, inspect and plan over semantic octrees.")

@@ -14,9 +14,11 @@ per-node increments over its expanded nodes, with masses normalized by the
 root mass; these sums telescope to the entropy of the leaf-weight partition
 and to the mutual information between each class and the leaf index.
 
-Child sets come stacked from ``SemanticOctree.child_sets``, which alone
-completes absent children and reports each row's total weight, the
-``completed_weight`` that every weight normalization here divides by.
+Child sets come stacked from ``SemanticOctree.child_sets`` (the per-node
+paths) or ``Levels.child_sets`` (the batch operations, which run on the
+tree's per-depth columns), which alone complete absent children and report
+each row's total weight, the ``completed_weight`` that every weight
+normalization here divides by.
 Every JS divergence and split entropy here comes from one kernel,
 ``split_terms``, which takes child sets stacked into (N, B) weights and
 (N, B, C) marginals and gives each row the same bits it gets alone.
@@ -42,7 +44,9 @@ refreshes treat summaries as zero-gain leaf-likes, which is exact because a
 homogeneous subtree adds no information at any level.
 
 Concurrency: cache refreshes require exclusive tree access; search, reports
-and the exhaustive enumeration are read-only and may run concurrently.
+and the exhaustive enumeration are read-only and may run concurrently, once
+a loaded tree's ``nodes`` have been read (``information_report`` and the
+enumeration read them).
 """
 
 from __future__ import annotations
@@ -60,12 +64,12 @@ from .octree import (
     INTERIOR,
     LEAF,
     ROOT_KEY,
+    Levels,
     NodeKey,
     SemanticOctree,
     child_keys,
     key_arrays,
     node_keys,
-    parent_key,
     uniform_row,
 )
 
@@ -421,47 +425,45 @@ def refresh_all(tree: SemanticOctree, cw: CompressionWeights) -> None:
     """Recompute every interior cache bottom-up (deepest level first).
 
     The batch counterpart of ``refresh_upward``: used after bulk loads and
-    as the reference when validating incremental maintenance. A level's
-    nodes depend only on the level below, so each level is refreshed in
-    stacked batches of at most ``CHUNK_ROWS`` nodes.
+    as the reference when validating incremental maintenance. It runs on
+    the tree's ``Levels``: a level's nodes depend only on the level below,
+    so each level's nodes with stored children are refreshed in index order
+    in stacked batches of at most ``CHUNK_ROWS``, and a childless interior
+    node becomes massless, with no cached conditional. A node-backed tree
+    gets the results written back into its nodes.
     """
-    parents = tree.keys_with_children()
-    keys = []
-    for key in tree.interior_keys_deepest_first():
-        if key in parents:
-            keys.append(key)
-        else:  # childless: massless, no cached conditional
-            node = tree.nodes[key]
-            node.weight, node.cond, node.gain = 0.0, None, 0.0
-    for _, level in itertools.groupby(keys, key=lambda k: k.depth):
-        level = list(level)
-        for start in range(0, len(level), CHUNK_ROWS):
-            _refresh_batch(tree, level[start:start + CHUNK_ROWS], cw)
+    store = tree.levels()
+    inner = store.kind == INTERIOR
+    parents = inner & store.has_children
+    bare = inner & ~parents
+    store.weight[bare] = store.gain[bare] = 0.0
+    store.cached[bare] = store.boxed[bare] = False
+    for a, b in reversed(list(zip(store.bounds, store.bounds[1:]))):
+        rows = a + np.flatnonzero(parents[a:b])
+        for start in range(0, len(rows), CHUNK_ROWS):
+            _refresh_rows(store, rows[start:start + CHUNK_ROWS], cw)
+    store.write_back()
 
 
-def _refresh_batch(tree: SemanticOctree, keys: list[NodeKey],
-                   cw: CompressionWeights) -> None:
-    """Refresh interior nodes with stored children whose children's caches
-    are all current."""
-    weights, dists, gains, totals = tree.child_sets(keys)
-    live = np.flatnonzero(totals > 0.0)
+def _refresh_rows(store: Levels, rows: np.ndarray, cw: CompressionWeights) -> None:
+    """Refresh nodes with stored children whose children's caches are all
+    current. Each gain is ``_gain``'s, column by column: the same IEEE
+    operations in the same order, and the same type."""
+    weights, dists, gains, totals = store.child_sets(rows)
+    live = totals > 0.0
     pi = weights[live] / totals[live, None]
     dists = dists[live]
-    conds = np.matmul(pi[:, None, :], dists)[:, 0]
-    child_terms = np.vecdot(pi, gains[live]).tolist()
     js, h = split_terms(pi, dists[:, :, cw.class_ids])
-    js, h = js.tolist(), h.tolist()
-    row = 0
-    for key, total in zip(keys, totals.tolist()):
-        node = tree.nodes[key]
-        node.weight = total
-        if total <= 0.0:
-            node.cond = uniform_row(tree.num_classes)
-            node.gain = 0.0
-        else:
-            node.cond = conds[row]
-            node.gain = _gain(child_terms[row], h[row], js[row], cw)
-            row += 1
+    value = np.vecdot(pi, gains[live]) - cw.compress * h
+    for j, w in enumerate(cw.signed):
+        value = value + w * js[:, j]
+    store.weight[rows] = totals
+    store.cond[rows] = uniform_row(store.num_classes)
+    store.cond[rows[live]] = np.matmul(pi[:, None, :], dists)[:, 0]
+    store.cached[rows] = True
+    store.gain[rows], store.boxed[rows] = 0.0, False
+    store.gain[rows[live]] = np.where(value < 0.0, 0.0, value)
+    store.boxed[rows[live]] = bool(cw.signed) & ~(value < 0.0)
 
 
 # -- compressed-tree extraction ------------------------------------------------
@@ -472,39 +474,60 @@ def compressed_from_expanded(tree: SemanticOctree,
     """Materialize the subtree that expands exactly the given stored nodes.
 
     The set must be parent-closed toward the root; every expanded node
-    contributes its full (virtually completed) child set. One ``child_sets``
-    gather of the expanded nodes in key order gives the blocks: its child
-    slots, in that order, are in key order too, and a slot that is not
-    expanded is a block with its row's weight (a stored child's own) and
-    conditional.
+    contributes its full (virtually completed) child set.
     """
-    get, dims, branching = tree.nodes.get, tree.world.dims, tree.world.branching
-    for key in expanded:
-        node = get(key)
-        if node is None or node.kind != INTERIOR:
-            raise TreeError(f"cannot expand {key}: not a stored interior node")
-        if key != ROOT_KEY and (key.depth - 1, key.index >> dims) not in expanded:
-            raise TreeError(f"expanded node {key} has an unexpanded parent")
-    root_weight = tree.root.weight
-    if ROOT_KEY not in expanded:
+    store = tree.levels()
+    return _extract(store, _expanded_rows(store, expanded))
+
+
+def _extract(store: Levels, rows: np.ndarray) -> CompressedTree:
+    """The compressed tree that expands the sorted, parent-closed ``rows``.
+    One ``child_sets`` gather of them gives the blocks: its child slots, in
+    row order, are in key order too, and a slot that is not expanded is a
+    block with its row's weight (a stored child's own) and conditional."""
+    world, branching = store.world, store.world.branching
+    root_weight = float(store.weight[0])
+    if not len(rows):
         # A root without stored children is an empty map: unobserved space.
-        empty = tree.root.kind == INTERIOR and not tree.stored_children(ROOT_KEY)
+        empty = store.kind[0] == INTERIOR and not store.has_children[0]
         blocks = LeafArrays(*key_arrays([ROOT_KEY]), np.array([root_weight]),
-                            np.array([tree.conditional(ROOT_KEY)]), np.array([empty]))
+                            store.conditionals(np.zeros(1, np.int64)), np.array([empty]))
     else:
-        keys = sorted(expanded)
-        weights, dists, _, _ = tree.child_sets(keys)
-        depth, index = key_arrays(keys)
-        depth = np.repeat(depth + 1, branching)
-        index = ((index << dims)[:, None] | np.arange(branching)).ravel()
-        slots = list(zip(depth.tolist(), index.tolist()))
-        leaf = ~np.fromiter(map(expanded.__contains__, slots), bool, len(slots))
-        stored = np.fromiter(map(tree.nodes.__contains__, slots), bool, len(slots))
+        weights, dists, _, _ = store.child_sets(rows)
+        slots = store.slots[rows].ravel()
+        split = np.zeros(len(store.index) + 1, bool)
+        split[rows] = True  # slot -1 (absent) reads the last entry, False
+        leaf = ~split[slots]
+        depth = np.repeat(store.depth[rows] + 1, branching)
+        index = ((store.index[rows] << world.dims)[:, None] | np.arange(branching)).ravel()
         blocks = LeafArrays(depth[leaf], index[leaf], weights.ravel()[leaf],
-                            dists.reshape(len(slots), -1)[leaf], ~stored[leaf])
+                            dists.reshape(len(slots), -1)[leaf], slots[leaf] < 0)
     blocks.marginals.flags.writeable = False
-    return CompressedTree(blocks, set(expanded), root_weight, tree.world,
-                          tree.num_classes)
+    return CompressedTree(blocks, set(node_keys(store.depth[rows], store.index[rows])),
+                          root_weight, world, store.num_classes)
+
+
+def _expanded_rows(store: Levels, expanded) -> np.ndarray:
+    """The sorted rows of the keys in ``expanded``; a key that is not a
+    stored interior node, or not the root nor a child of another key, is a
+    ``TreeError``."""
+    depth, index = key_arrays(list(expanded))
+    order = np.lexsort((index, depth))
+    depth, index = depth[order], index[order]
+    rows = np.full(len(depth), -1)
+    for d in set(depth.tolist()) & set(range(len(store.bounds) - 1)):
+        a, b = store.bounds[d:d + 2]
+        at = depth == d
+        found = np.searchsorted(store.index[a:b], index[at])
+        hit = np.append(store.index[a:b], -1)[found] == index[at]
+        rows[at] = np.where(hit, a + found, -1)
+    bad = (rows < 0) | (store.kind[rows] != INTERIOR)  # interior rows have slots
+    bad |= (depth > 0) & ~np.isin(rows, store.slots[np.where(bad, 0, rows)])
+    if bad.any():
+        key = NodeKey(int(depth[bad][0]), int(index[bad][0]))
+        raise TreeError(f"cannot expand {key}: not a stored interior node below an "
+                        "expanded parent")
+    return rows
 
 
 def compress_tree(tree: SemanticOctree, cw: CompressionWeights) -> CompressedTree:
@@ -514,47 +537,40 @@ def compress_tree(tree: SemanticOctree, cw: CompressionWeights) -> CompressedTre
     positive (strictly above 1e-12); zero-gain ties resolve to pruning, so
     among objective-equal trees the smallest is returned. Caches must be
     valid (maintained by ``refresh_upward`` or rebuilt by ``refresh_all``).
-    An empty tree yields the root-only result.
+    An empty tree yields the root-only result. Runs level by level on the
+    tree's ``Levels``: a level's candidates are the root or the stored
+    children of the level above's expanded rows, and those that are
+    interior, have a positive gain and stored children are expanded.
     """
     _require_no_summaries(tree)
-    get, dims, octants = tree.nodes.get, tree.world.dims, range(tree.world.branching)
-    expanded: set[NodeKey] = set()
-    # Candidates are interior with positive gain; one without stored
-    # children is not expanded. Each child slot is looked up once.
-    root = tree.root
-    stack = [(0, 0)] if root.kind == INTERIOR and root.gain > G_EPS else []
-    while stack:
-        depth, index = stack.pop()
-        base = index << dims
-        kids = [(base | o, get((depth + 1, base | o))) for o in octants]
-        kids = [(i, c) for i, c in kids if c is not None]
-        if kids:
-            expanded.add(NodeKey(depth, index))
-            stack += [(depth + 1, i) for i, c in kids
-                      if c.kind == INTERIOR and c.gain > G_EPS]
-    return compressed_from_expanded(tree, frozenset(expanded))
+    store = tree.levels()
+    expanded, candidates = [], np.zeros(1, np.int64)  # the root's row
+    while len(candidates):
+        rows = candidates[(store.kind[candidates] == INTERIOR)
+                          & (store.gain[candidates] > G_EPS) & store.has_children[candidates]]
+        expanded.append(rows)
+        slots = store.slots[rows].ravel()
+        candidates = slots[slots >= 0]
+    return _extract(store, np.concatenate(expanded))
 
 
 def full_tree(tree: SemanticOctree) -> CompressedTree:
     """The uncompressed representation: every stored interior node expanded."""
     _require_no_summaries(tree)
-    expanded = frozenset(map(NodeKey._make, tree.keys_with_children()))
-    return compressed_from_expanded(tree, expanded)
+    store = tree.levels()
+    return _extract(store, np.flatnonzero(store.has_children))
 
 
 # -- information functionals ---------------------------------------------------
 
 
-def _validate_subtree(tree: SemanticOctree, ctree: CompressedTree) -> None:
+def _subtree_rows(tree: SemanticOctree, ctree: CompressedTree):
+    """The tree's ``Levels`` and the rows of ``ctree``'s expanded nodes
+    (``_expanded_rows``, which checks them)."""
     if ctree.world != tree.world or ctree.num_classes != tree.num_classes:
         raise TreeError("compressed tree belongs to a different world")
-    dims = tree.world.dims
-    for key in ctree.expanded:
-        node = tree.nodes.get(key)
-        if node is None or node.kind != INTERIOR:
-            raise TreeError(f"expanded node {key} is not stored interior")
-        if key != ROOT_KEY and parent_key(key, dims) not in ctree.expanded:
-            raise TreeError(f"expanded node {key} detached from the root")
+    store = tree.levels()
+    return store, _expanded_rows(store, ctree.expanded)
 
 
 def information_report(tree: SemanticOctree, ctree: CompressedTree,
@@ -566,13 +582,20 @@ def information_report(tree: SemanticOctree, ctree: CompressedTree,
     equals the mutual information between that class and the leaf index.
     """
     _require_no_summaries(tree)
-    _validate_subtree(tree, ctree)
+    _subtree_rows(tree, ctree)
+    return _information(tree, sorted(ctree.expanded), cw)
+
+
+def _information(tree: SemanticOctree, keys: list[NodeKey],
+                 cw: CompressionWeights) -> InfoReport:
+    """``information_report`` of the expanded nodes ``keys``, in key order,
+    node by node."""
     relevant = {cid: 0.0 for cid in cw.retain}
     irrelevant = {cid: 0.0 for cid in cw.remove}
     partition = 0.0
     p_root = tree.root.weight
     if p_root > 0.0:
-        for key in sorted(ctree.expanded):
+        for key in keys:
             node = tree.nodes[key]
             if node.weight <= 0.0:
                 continue
@@ -593,8 +616,8 @@ def per_class_information(tree: SemanticOctree,
                           ctree: CompressedTree) -> dict[int, float]:
     """Retained information per class id (all ids 0..K, roles ignored)."""
     _require_no_summaries(tree)
-    _validate_subtree(tree, ctree)
-    return _bits(tree, sorted(ctree.expanded), ctree.expanded)[0]
+    store, rows = _subtree_rows(tree, ctree)
+    return _bits(store, rows, rows)[0]
 
 
 def report(tree: SemanticOctree, ctree: CompressedTree, cw: CompressionWeights):
@@ -602,39 +625,40 @@ def report(tree: SemanticOctree, ctree: CompressedTree, cw: CompressionWeights):
     what ``information_report`` and ``per_class_information`` give for
     ``ctree``, and ``full_tree(tree).num_leaves`` and ``per_class_information``
     for ``full_tree(tree)``. One ``split_terms`` evaluation over the full
-    tree's expanded nodes (every stored node with stored children) serves
-    both trees. The per-class bits are equal bit for bit; the objective and
-    partition bits, summed from other terms, are equal up to rounding.
+    tree's expanded nodes (every stored node with stored children, read
+    level by level) serves both trees. The per-class bits are equal bit for
+    bit; the objective and partition bits, summed from other terms, are
+    equal up to rounding.
     """
     _require_no_summaries(tree)
-    _validate_subtree(tree, ctree)
-    full = sorted(tree.keys_with_children())
-    full_bits, partition_bits, kept_bits = _bits(tree, full, ctree.expanded)
+    store, kept = _subtree_rows(tree, ctree)
+    full = np.flatnonzero(store.has_children)
+    full_bits, partition_bits, kept_bits = _bits(store, full, kept)
     objective = (sum(w * kept_bits[c] for c, w in cw.retain.items())
                  - sum(w * kept_bits[c] for c, w in cw.remove.items())
                  - cw.compress * partition_bits)
     # The full tree's observed leaves are the stored nodes it does not
     # expand; an empty map (the root alone) has none.
-    leaves_full = len(tree.nodes) - len(full) if full else 0
+    leaves_full = len(store.index) - len(full) if len(full) else 0
     return objective, partition_bits, leaves_full, full_bits, kept_bits
 
 
-def _bits(tree: SemanticOctree, keys: list[NodeKey], kept: set[NodeKey]):
-    """Per-class bits of the sorted expanded nodes ``keys``, and the
-    partition and per-class bits of those in ``kept``: one ``split_terms``
+def _bits(store: Levels, rows: np.ndarray, kept: np.ndarray):
+    """Per-class bits of the sorted expanded ``rows``, and the partition
+    and per-class bits of those also in ``kept``: one ``split_terms``
     evaluation, each sum then taken row by row in key order."""
-    p_root = tree.root.weight
-    keys = [k for k in keys if tree.nodes[k].weight > 0.0] if p_root > 0.0 else []
-    js, h = np.zeros((len(keys), tree.num_classes + 1)), np.zeros(len(keys))
-    if keys:
-        weights, dists, _, totals = tree.child_sets(keys)
+    p_root = float(store.weight[0])
+    rows = rows[store.weight[rows] > 0.0] if p_root > 0.0 else rows[:0]
+    js, h = np.zeros((len(rows), store.num_classes + 1)), np.zeros(len(rows))
+    if len(rows):
+        weights, dists, _, totals = store.child_sets(rows)
         pi = weights / totals[:, None]
         js, h = split_terms(pi, dists)
-    mass = np.array([tree.nodes[k].weight / p_root for k in keys])
+    mass = store.weight[rows] / p_root
     terms = np.c_[mass * h, mass[:, None] * js]
     all_sums, kept_sums = (
-        np.add.accumulate(np.vstack([np.zeros(terms.shape[1]), rows]))[-1].tolist()
-        for rows in (terms, terms[[k in kept for k in keys]]))
+        np.add.accumulate(np.vstack([np.zeros(terms.shape[1]), part]))[-1].tolist()
+        for part in (terms, terms[np.isin(rows, kept)]))
     return dict(enumerate(all_sums[1:])), kept_sums[0], dict(enumerate(kept_sums[1:]))
 
 
@@ -679,7 +703,8 @@ def _candidate_sets(tree: SemanticOctree, key: NodeKey) -> Iterator[frozenset[No
 
 def exhaustive_search(tree: SemanticOctree,
                       cw: CompressionWeights) -> ExhaustiveResult:
-    """Enumerate every candidate tree and score it through the report.
+    """Enumerate every candidate tree and score it as ``information_report``
+    does.
 
     Returns the best objective, the number of candidates within 1e-9 of it,
     and the candidate count. Instances above one million candidates are
@@ -690,10 +715,8 @@ def exhaustive_search(tree: SemanticOctree,
     if count > MAX_CANDIDATES:
         raise SizeLimitError(
             f"{count} candidate trees exceed the {MAX_CANDIDATES} limit")
-    objectives = []
-    for expanded in _candidate_sets(tree, ROOT_KEY):
-        ctree = compressed_from_expanded(tree, expanded)
-        objectives.append(information_report(tree, ctree, cw).objective)
+    objectives = [_information(tree, sorted(expanded), cw).objective
+                  for expanded in _candidate_sets(tree, ROOT_KEY)]
     best = max(objectives)
     optimal = sum(1 for v in objectives if v >= best - 1e-9)
     return ExhaustiveResult(best, optimal, len(objectives))

@@ -37,13 +37,12 @@ from .octree import (
     INTERIOR,
     LEAF,
     SUMMARY,
-    Node,
+    Levels,
     NodeKey,
     SemanticOctree,
     WorldConfig,
     completed_weight,
     key_arrays,
-    node_keys,
 )
 from .semantics import (
     ROLE_IRRELEVANT,
@@ -493,7 +492,8 @@ def deserialize_tree(path) -> SemanticOctree:
     versions hold row sums). Records are checked by ``record_errors``. The
     first violation in file order is a ``CorruptionError``: a node's checks
     in the order of its bytes, an interior weight once its subtree is read.
-    Interior caches are rebuilt on the next ``refresh_all``.
+    The tree keeps its nodes as ``octree.Levels`` columns and builds no
+    ``Node``. Interior caches are rebuilt on the next ``refresh_all``.
     """
     with open(path, "rb") as fh:
         data = fh.read()
@@ -506,7 +506,7 @@ def deserialize_tree(path) -> SemanticOctree:
     _, _, *origin, edge, max_depth, branching, num_classes = _HEADER.unpack_from(data)
     try:
         world = WorldConfig(tuple(origin), edge, max_depth, branching)
-        tree = SemanticOctree(world, num_classes)
+        SemanticOctree.check_classes(num_classes)
     except ConfigError as exc:
         raise CorruptionError(f"invalid world header: {exc}") from None
     nodes, offsets, end = _walk(data, world)
@@ -574,15 +574,13 @@ def deserialize_tree(path) -> SemanticOctree:
             invalid=invalid.get(int(np.searchsorted(rec, first)))))
     if end != n:
         raise CorruptionError(f"{n - end} trailing bytes")
-    conds = expand_rows(rows.read_only(), num_classes)
-    conds.flags.writeable = False
-    # Each record refers to its row of the one table; a node's slot in the
-    # pools below is 0 (an interior node's None) or its record's row + 1.
-    slot = np.zeros(m, dtype=np.int64)
-    slot[rec] = np.arange(1, len(rec) + 1)
-    slot = slot.tolist()
-    tables, row_of, cond_of = [None, rows], [0, *range(len(rec))], [None, *conds]
-    tree.nodes = dict(zip(node_keys(depth, index), map(
-        Node, kind.tolist(), weight.tolist(), map(tables.__getitem__, record.tolist()),
-        map(row_of.__getitem__, slot), map(cond_of.__getitem__, slot))))
-    return tree
+    # Pre-order lists each depth by index: the levels are the nodes in file
+    # order, stably sorted by depth; a record's row is its rank in the file.
+    cond = np.zeros((m, num_classes + 1))
+    cond[rec] = expand_rows(rows.read_only(), num_classes)
+    row = np.zeros(m, dtype=np.int64)
+    row[rec] = np.arange(len(rec))
+    order = np.argsort(depth, kind="stable")
+    columns = (depth, index, kind, weight, row, cond, record, np.zeros(m), np.zeros(m, bool))
+    return SemanticOctree(world, num_classes, levels=Levels(
+        world, num_classes, [c[order] for c in columns], rows))

@@ -4,9 +4,12 @@ Nodes are addressed by (depth, index) keys where the index bit-interleaves
 the per-axis cell coordinates at that depth. Only observed regions are
 stored; missing children are completed transiently with a maximum-entropy
 class distribution, zero gain and a weight equal to the mean weight of
-their stored siblings. ``SemanticOctree.child_sets`` is the one place that
-applies this rule: every computation on a node's full child set reads it
-from there, stacked for many nodes at once. Observed finest-resolution
+their stored siblings. Two gathers apply this rule, each stacked for many
+nodes at once: ``SemanticOctree.child_sets`` over the node dict, for the
+per-node paths, and ``Levels.child_sets`` over the per-depth columns, for
+the batch operations; every computation on a node's full child set reads
+one of them. A loaded tree keeps its nodes as ``Levels``; any other tree
+is a dict of ``Node`` (see ``SemanticOctree``). Observed finest-resolution
 leaves carry unit weight, and an interior weight is the sum of its
 (virtually completed) children, always evaluated by ``completed_weight``:
 the insert paths and summary expansion store it and ``child_sets`` reports
@@ -25,7 +28,8 @@ record is validated and expanded once, when it is installed; reading a
 conditional afterwards is a plain lookup.
 
 Concurrency: mutating operations require exclusive access to a tree;
-read-only traversals may run concurrently with each other.
+read-only traversals may run concurrently with each other. The first read
+of a loaded tree's ``nodes`` builds them and counts as a mutation.
 """
 
 from __future__ import annotations
@@ -34,7 +38,7 @@ import functools
 import itertools
 import math
 import operator
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Iterator, NamedTuple
 
 import numpy as np
@@ -51,6 +55,7 @@ from .semantics import (
     fuse_record,
     fuse_rows,
     observation_errors,
+    row_totals,
     rows_close,
     truncate_rows,
 )
@@ -95,11 +100,25 @@ def child_keys(key: NodeKey, dims: int) -> tuple[NodeKey, ...]:
     return tuple(child_key(key, o, dims) for o in range(1 << dims))
 
 
+def _spread_table(dims: int) -> list[int]:
+    """Each byte value with its bits spread ``dims`` apart."""
+    table = [0]
+    for bit in range(8):
+        table += [t | 1 << bit * dims for t in table]
+    return table
+
+
+_SPREAD = {dims: _spread_table(dims) for dims in (1, 2, 3)}
+
+
 def _interleave(coords: tuple[int, ...], dims: int, depth: int) -> int:
-    code = 0
-    for bit in range(depth):
-        for axis in range(dims):
-            code |= ((coords[axis] >> bit) & 1) << (bit * dims + axis)
+    """Bit-interleave the low ``depth`` bits of ``dims`` cell coordinates,
+    one spread-table lookup per coordinate byte (``depth`` is at most 24)."""
+    spread, mask, code = _SPREAD[dims], (1 << depth) - 1, 0
+    for axis in range(dims):
+        c = coords[axis] & mask
+        code |= (spread[c & 255] | spread[c >> 8 & 255] << 8 * dims
+                 | spread[c >> 16] << 16 * dims) << axis
     return code
 
 
@@ -137,6 +156,9 @@ class WorldConfig:
             raise ConfigError(f"max_depth must be in 1..{_MAX_DEPTH}")
         if not (self.edge_length > 0 and math.isfinite(self.edge_length)):
             raise ConfigError("edge_length must be positive and finite")
+        if not self.leaf_size > 0:
+            raise ConfigError(f"edge_length {self.edge_length!r} is too small for "
+                              f"max_depth {self.max_depth}: the finest cell size is 0")
         if len(self.origin) != 3 or not all(math.isfinite(v) for v in self.origin):
             raise ConfigError("origin must be a finite 3-vector")
         object.__setattr__(self, "origin", tuple(float(v) for v in self.origin))
@@ -294,19 +316,168 @@ def uniform_row(num_classes: int) -> np.ndarray:
     return row
 
 
-@dataclass
+def _caches(cond, cached, gain, boxed) -> tuple[list, list]:
+    """Per node its ``Node.cond`` (a row of ``cond`` or None) and its gain
+    (a Python float or a numpy float64)."""
+    return ([c if ok else None for c, ok in zip(cond, cached.tolist())],
+            [np.float64(g) if b else g for g, b in zip(gain.tolist(), boxed.tolist())])
+
+
+class Levels:
+    """A tree's stored nodes as columns in key order: level d, rows
+    ``bounds[d]:bounds[d + 1]``, lists depth d's nodes by Morton index, a
+    linear octree (Gargantini 1982). Per row: ``depth``, ``index``, ``kind``,
+    ``weight``, ``row`` (a record's row of ``table``), a conditional in the
+    (n, K+1) ``cond`` matrix where ``cached`` holds, ``gain`` and ``boxed``
+    (the gain is a numpy float64, as ``compression`` types a gain over
+    weighted classes). ``slots`` holds, for each row above depth D, its
+    children's rows in octant order, -1 for an absent child: one
+    ``searchsorted`` per level.
+
+    A file load keeps them as its tree's store. ``SemanticOctree.levels``
+    gathers a node-backed tree into them, each row's ``Node`` in ``nodes``,
+    into which ``write_back`` copies the interior caches.
+    """
+
+    def __init__(self, world: WorldConfig, num_classes: int, columns,
+                 table: TruncatedRows | None = None, nodes: list | None = None):
+        (self.depth, self.index, self.kind, self.weight, self.row, self.cond, self.cached,
+         self.gain, self.boxed) = columns
+        self.world, self.num_classes, self.table, self.nodes = world, num_classes, table, nodes
+        bounds = np.searchsorted(self.depth, np.arange(world.max_depth + 2)).tolist()
+        self.bounds = bounds
+        self.slots = np.full((bounds[-2], world.branching), -1)
+        for up, a, b in zip(bounds, bounds[1:], bounds[2:]):
+            parents, children = self.index[up:a], self.index[a:b]
+            at = np.searchsorted(parents, children >> world.dims)
+            ok = np.append(parents, -1)[at] == children >> world.dims
+            self.slots[up + at[ok], children[ok] & world.branching - 1] = np.arange(a, b)[ok]
+        self.has_children = np.zeros(len(self.index), bool)
+        self.has_children[:bounds[-2]] = (self.slots >= 0).any(axis=1)
+
+    @classmethod
+    def gather(cls, world: WorldConfig, num_classes: int, nodes: dict) -> "Levels":
+        depth, index = key_arrays(list(nodes))
+        order = np.lexsort((index, depth))
+        values = list(nodes.values())
+        values = [values[i] for i in order.tolist()]
+        n, uniform = len(values), uniform_row(num_classes)
+        return cls(world, num_classes, (
+            depth[order], index[order], np.fromiter((v.kind for v in values), np.int64, n),
+            np.fromiter((v.weight for v in values), np.float64, n), np.zeros(n, np.int64),
+            np.array([uniform if v.cond is None else v.cond for v in values]).reshape(
+                n, num_classes + 1),
+            np.fromiter((v.cond is not None for v in values), bool, n),
+            np.fromiter((v.gain for v in values), np.float64, n),
+            np.fromiter((type(v.gain) is np.float64 for v in values), bool, n)), nodes=values)
+
+    def node_dict(self) -> dict[NodeKey, Node]:
+        """A ``Node`` per row, caches included, in pre-order (the file's
+        order); records refer to rows of ``table``."""
+        world = self.world
+        order = np.lexsort((self.depth, self.index << world.dims * (
+            world.max_depth - self.depth)))
+        kind, cond = self.kind[order], self.cond[order]
+        cond.flags.writeable = False
+        conds, gains = _caches(cond, self.cached[order], self.gain[order], self.boxed[order])
+        tables = [None, self.table]
+        return dict(zip(node_keys(self.depth[order], self.index[order]), map(
+            Node, kind.tolist(), self.weight[order].tolist(),
+            map(tables.__getitem__, (kind != INTERIOR).tolist()), self.row[order].tolist(),
+            conds, gains)))
+
+    def write_back(self) -> None:
+        """Copy each interior weight, conditional and gain into the gathered
+        ``Node``s; a file load's store has none."""
+        inner = np.flatnonzero(self.kind == INTERIOR) if self.nodes else []
+        conds, gains = _caches(self.cond[inner], self.cached[inner], self.gain[inner],
+                               self.boxed[inner])
+        for i, w, c, g in zip(inner, self.weight[inner].tolist(), conds, gains):
+            node = self.nodes[i]
+            node.weight, node.cond, node.gain = w, c, g
+
+    def child_sets(self, rows) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+        """``SemanticOctree.child_sets`` of ``rows``, by gathers: a row's
+        stored weights are added in octant order (0.0 for an absent child,
+        which is exact), and a stored child without a cached conditional
+        gets ``conditionals``'s."""
+        slots = self.slots[rows]
+        present = slots >= 0
+        count = present.sum(axis=1)
+        if not count.all():
+            i = np.asarray(rows)[count == 0][0]
+            raise TreeError(f"{(int(self.depth[i]), int(self.index[i]))} has no stored "
+                            "children to complete")
+        stored = np.where(present, self.weight[slots], 0.0)
+        total = row_totals(stored)
+        mean = total / count
+        conds = self.cond[slots]
+        conds[~present] = uniform_row(self.num_classes)
+        stale = present & ~self.cached[slots]
+        if stale.any():
+            conds[stale] = self.conditionals(slots[stale])
+        gains = np.where(present & (self.kind[slots] == INTERIOR), self.gain[slots], 0.0)
+        return (np.where(present, stored, mean[:, None]), conds, gains,
+                total + (self.world.branching - count) * mean)
+
+    def conditionals(self, rows: np.ndarray) -> np.ndarray:
+        """``SemanticOctree.conditional`` of each of ``rows``, without
+        writing: the uncached ones with stored children are computed from
+        one ``child_sets`` gather, row by row as that method computes one."""
+        conds = self.cond[rows]
+        todo = ~self.cached[rows]
+        conds[todo] = uniform_row(self.num_classes)
+        deep = np.flatnonzero(todo & self.has_children[rows])
+        if len(deep):
+            weights, children, _, totals = self.child_sets(rows[deep])
+            for i, row in enumerate(deep.tolist()):
+                if totals[i] > 0.0:
+                    conds[row] = (weights[i] / totals[i]) @ children[i]
+        return conds
+
+
 class SemanticOctree:
-    """Probabilistic multi-class octree built from labeled point observations."""
+    """Probabilistic multi-class octree built from labeled point observations.
 
-    world: WorldConfig
-    num_classes: int
-    nodes: dict[NodeKey, Node] = field(default_factory=dict)
+    How a tree was made picks how it holds its nodes: a file load keeps
+    ``Levels``, which the batch operations update in place; any other tree
+    is node-backed (``nodes``), and a batch operation gathers it into
+    ``Levels`` and writes back. The first read of ``nodes`` makes a tree
+    node-backed for good.
+    """
 
-    def __post_init__(self):
-        if self.num_classes < 4:
+    nodes: dict[NodeKey, Node]  # an attribute once the tree is node-backed
+
+    def __init__(self, world: WorldConfig, num_classes: int,
+                 nodes: dict[NodeKey, Node] | None = None, *, levels: Levels | None = None):
+        self.check_classes(num_classes)
+        self.world, self.num_classes, self._levels = world, num_classes, levels
+        if levels is None:
+            self.nodes = {} if nodes is None else nodes
+            if not self.nodes:
+                self.nodes[ROOT_KEY] = Node(INTERIOR)
+
+    @staticmethod
+    def check_classes(num_classes: int) -> None:
+        if num_classes < 4:
             raise ConfigError("truncated leaf storage needs at least 4 classes")
-        if not self.nodes:
-            self.nodes[ROOT_KEY] = Node(INTERIOR)
+
+    def __getattr__(self, name: str):
+        """``nodes`` of a column-backed tree: built on this first read, in
+        file order with their caches; the tree is node-backed from then on.
+        A node-backed tree's ``nodes`` is a plain attribute, which the
+        streamed path reads several times per record."""
+        if name != "nodes" or self.__dict__.get("_levels") is None:
+            raise AttributeError(name)
+        self.nodes, self._levels = self._levels.node_dict(), None
+        return self.nodes
+
+    def levels(self) -> Levels:
+        """The stored nodes as columns: a column-backed tree's own, or a
+        gather of a node-backed tree's (see ``Levels.write_back``)."""
+        if self._levels is not None:
+            return self._levels
+        return Levels.gather(self.world, self.num_classes, self.nodes)
 
     @property
     def root(self) -> Node:
@@ -317,15 +488,15 @@ class SemanticOctree:
     def stored_children(self, key: NodeKey) -> list[NodeKey]:
         return [k for k in child_keys(key, self.world.dims) if k in self.nodes]
 
-    def keys_with_children(self) -> set[tuple[int, int]]:
-        """Keys of the stored nodes with stored children (the parents of
-        every stored key but the root), as plain (depth, index) pairs, which
-        compare and hash as their ``NodeKey``."""
-        dims = self.world.dims
-        return {(d - 1, i >> dims) for d, i in self.nodes if d}
+    def _kind_counts(self) -> np.ndarray:
+        if self._levels is not None:
+            return np.bincount(self._levels.kind, minlength=3)
+        nodes = self.nodes.values()
+        return np.bincount(np.fromiter((n.kind for n in nodes), np.int64, len(nodes)),
+                           minlength=3)
 
     def has_summaries(self) -> bool:
-        return any(n.kind == SUMMARY for n in self.nodes.values())
+        return bool(self._kind_counts()[SUMMARY])
 
     def leaf_items(self) -> Iterator[tuple[NodeKey, Node]]:
         """Depth-D leaves, in key order."""
@@ -335,12 +506,7 @@ class SemanticOctree:
                 yield key, node
 
     def leaf_count(self) -> int:
-        return sum(1 for n in self.nodes.values() if n.kind == LEAF)
-
-    def interior_keys_deepest_first(self) -> list[NodeKey]:
-        keys = [k for k, n in self.nodes.items() if n.kind == INTERIOR]
-        keys.sort(key=lambda k: (-k.depth, k.index))
-        return keys
+        return int(self._kind_counts()[LEAF])
 
     def conditional(self, key: NodeKey) -> np.ndarray:
         """Aggregate class distribution of a node, over ids 0..K.
@@ -590,7 +756,8 @@ class SemanticOctree:
         child slots are plain (depth, index) pairs, each looked up once."""
         get, dims, octants = self.nodes.get, self.world.dims, range(self.world.branching)
         pruned = 0
-        for key in self.interior_keys_deepest_first():
+        keys = [k for k, n in self.nodes.items() if n.kind == INTERIOR]
+        for key in sorted(keys, key=lambda k: (-k.depth, k.index)):
             base = key.index << dims
             kids = [(key.depth + 1, base | o) for o in octants]
             children = [get(k) for k in kids]
@@ -621,6 +788,8 @@ class SemanticOctree:
         ``compression.refresh_all`` averages its identical children, which can
         differ in the last bits, here and above; it makes them exact again.
         """
+        if not self.has_summaries():  # a column-backed tree stays so
+            return 0
         dims = self.world.dims
         expanded = []
         pending = [k for k, n in self.nodes.items() if n.kind == SUMMARY]

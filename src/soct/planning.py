@@ -52,7 +52,7 @@ import numpy as np
 
 from .compression import CompressedTree, LeafArrays
 from .errors import ConfigError, GraphError, TreeError
-from .octree import INTERIOR, SemanticOctree, WorldConfig, key_arrays
+from .octree import INTERIOR, SemanticOctree, WorldConfig
 
 UNKNOWN_CLASS = -1
 # Largest Halton graph built; a larger request is a config error, raised
@@ -323,10 +323,10 @@ class BlockIndex:
         """Blocks of a raw octree: its stored leaves and summaries, classified
         by the vectors installed with their records. An empty tree has no
         blocks."""
-        records = {k: node.cond for k, node in tree.nodes.items() if node.kind != INTERIOR}
-        conds = np.array(list(records.values()), dtype=np.float64)
-        return cls(tree.world, *key_arrays(list(records)),
-                   dominant_class(conds.reshape(len(records), tree.num_classes + 1)))
+        store = tree.levels()
+        rec = store.kind != INTERIOR
+        return cls(tree.world, store.depth[rec], store.index[rec],
+                   dominant_class(store.cond[rec]))
 
     def classify(self, points) -> np.ndarray:
         """Class id of every point in an (N, 3) array; UNKNOWN_CLASS off-map."""

@@ -70,6 +70,23 @@ def make_random_tree(rng, branching=4, depth=2, num_classes=4, fill=0.85,
     return tree
 
 
+def ref_interleave(coords, dims, depth):
+    """Morton code of cell coordinates, one bit at a time: the low ``depth``
+    bits of each axis, interleaved axis by axis within each level."""
+    code = 0
+    for bit in range(depth):
+        for axis in range(dims):
+            code |= ((coords[axis] >> bit) & 1) << (bit * dims + axis)
+    return code
+
+
+def keys_with_children(tree):
+    """Keys of the stored nodes with stored children (the parents of every
+    stored key but the root), as plain (depth, index) pairs."""
+    dims = tree.world.dims
+    return {(d - 1, i >> dims) for d, i in tree.nodes if d}
+
+
 def random_weights(rng, num_classes=4, alpha_range=(0.0, 0.2),
                    retain_range=(0.5, 3.0), remove_range=(0.0, 0.8)):
     ids = list(range(1, num_classes + 1))

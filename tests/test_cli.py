@@ -11,7 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from soct import compression, planning
+from soct import cli, compression, planning
 from soct.cli import main
 from soct.errors import DistributionError, FormatError, IngestError, OutOfBoundsError
 from soct.formats import (
@@ -672,3 +672,32 @@ def test_cli_import_leaves_scipy_unloaded(workspace):
     assert done.stdout.splitlines()[0] == "False"
     assert done.stdout.splitlines()[-1] == "[]"
     assert done.stderr == ""
+
+
+def test_world_whose_finest_cell_underflows_is_a_config_error(workspace, capsys):
+    (workspace / "world.cfg").write_text(WORLD.replace("edge_length 8", "edge_length 1e-320")
+                                         .replace("max_depth 3", "max_depth 20"))
+    code, out, err = build(workspace, capsys)
+    assert (code, out) == (1, "")
+    assert err.startswith("error: config: edge_length 1e-320 is too small for max_depth 20")
+    assert not (workspace / "tree.soct").exists()
+
+
+def test_parser_is_built_once_and_keeps_no_values(workspace, capsys):
+    """One parser serves every call in a process; each parse's values live
+    in its own namespace, so a report after ``compress --out-leaves``
+    writes no leaves file."""
+    assert build(workspace, capsys)[0] == 0
+    leaves = workspace / "leaves.csv"
+    tree = ["--tree", workspace / "tree.soct"]
+    weights = ["--weights", workspace / "weights.cfg"]
+    assert run(capsys, ["compress", *tree, *weights, "--out-leaves", leaves])[0] == 0
+    leaves.unlink()
+    assert run(capsys, ["report", *tree, *weights])[0] == 0
+    assert not leaves.exists()
+    assert cli._parser() is cli._parser()
+    with pytest.raises(SystemExit) as exc:
+        main(["report", *map(str, tree)])  # --weights is missing
+    assert exc.value.code == 2
+    assert "--weights" in capsys.readouterr().err
+    assert run(capsys, ["report", *tree, *weights])[0] == 0

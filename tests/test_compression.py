@@ -30,6 +30,7 @@ from soct.octree import (
     INTERIOR,
     ROOT_KEY,
     SUMMARY,
+    Levels,
     NodeKey,
     SemanticOctree,
     WorldConfig,
@@ -330,8 +331,8 @@ def test_gain_types_are_kept():
 def test_cache_rebuild_and_extraction_gather_child_sets_per_batch(monkeypatch):
     """On a map of the benchmark's size (16x16x8 cells at depth 4),
     ``refresh_all`` gathers child sets once per level batch and
-    ``compress_tree`` once in all: a per-node gather would make hundreds of
-    calls."""
+    ``compress_tree`` once in all, from the tree's ``Levels``: a per-node
+    gather would make hundreds of calls."""
     rng = np.random.default_rng(78)
     world = WorldConfig((0, 0, 0), 16.0, 4)
     cells = np.array(list(np.ndindex(16, 16, 8)), dtype=float)
@@ -344,13 +345,14 @@ def test_cache_rebuild_and_extraction_gather_child_sets_per_batch(monkeypatch):
     assert not rejected
     cw = CompressionWeights({1: 4.0}, {2: 0.5}, 0.02)
     calls = []
-    gather = SemanticOctree.child_sets
+    gather = Levels.child_sets
 
-    def counting(self, keys):
-        calls.append(len(keys))
-        return gather(self, keys)
+    def counting(self, rows):
+        calls.append(len(rows))
+        return gather(self, rows)
 
-    monkeypatch.setattr(SemanticOctree, "child_sets", counting)
+    monkeypatch.setattr(Levels, "child_sets", counting)
+    monkeypatch.setattr(SemanticOctree, "child_sets", None)  # the per-node gather
     refresh_all(tree, cw)
     assert calls == [8 * 8 * 4, 4 * 4 * 2, 2 * 2 * 1, 1]
     calls.clear()

@@ -501,6 +501,14 @@ _DEPTH_2 = "NodeKey(depth=2, index={})"
 _EIGHT = [_record(w) for w in (1.947, 0.882, 0.219, 0.148, 2.458, 2.747, 1.859, 2.216)]
 
 
+def test_header_whose_finest_cell_underflows_is_corruption(tmp_path):
+    path = tmp_path / "tree.soct"
+    path.write_bytes(struct.pack("<4sB3ddBBH", formats.MAGIC, formats.FORMAT_VERSION,
+                                 0.0, 0.0, 0.0, 1e-320, 20, 8, 4) + _interior(0.0, 0))
+    with pytest.raises(CorruptionError, match="^invalid world header: .*cell size is 0"):
+        deserialize_tree(path)
+
+
 @pytest.mark.parametrize("data, message", [
     (_VALID, None),
     (_tree_file(_interior(0.0, 0)), None),  # an empty map

@@ -20,6 +20,7 @@ from soct.octree import (
     NodeKey,
     SemanticOctree,
     WorldConfig,
+    _interleave,
     child_keys,
     completed_weight,
     parent_key,
@@ -28,6 +29,8 @@ from soct.semantics import TruncatedRows, TruncatedSemanticDistribution, expand_
 
 from helpers import (
     _ref_children,
+    keys_with_children,
+    ref_interleave,
     make_random_tree,
     random_truncated,
     random_weights,
@@ -92,6 +95,38 @@ def test_world_config_validation():
         WorldConfig((0, 0, 0), -1.0, 2)
     with pytest.raises(ConfigError):
         WorldConfig((0, 0, 0), 1.0, 0)
+
+
+def test_world_whose_finest_cell_underflows_is_rejected():
+    """The finest cell size must not round to 0.0: ``morton`` would floor
+    by it and ``leaf_key`` divide by it. At depth 20 the smallest edge
+    keeps the least subnormal cell; half of it rounds to 0.0."""
+    with pytest.raises(ConfigError, match="finest cell size is 0"):
+        WorldConfig((0, 0, 0), 1e-320, 20)
+    with pytest.raises(ConfigError, match="finest cell size is 0"):
+        WorldConfig((0, 0, 0), 2.0 ** 19 * 5e-324, 20)
+    world = WorldConfig((0, 0, 0), 2.0 ** 20 * 5e-324, 20)
+    assert world.leaf_size == 5e-324
+    assert world.leaf_key((0.0, 0.0, 0.0)) == NodeKey(20, 0)
+    codes, inside = world.morton(np.array([[0.0, 0.0, 0.0], [world.edge_length] * 3]))
+    assert codes.tolist() == [0, 0] and inside.tolist() == [True, False]
+
+
+@pytest.mark.parametrize("branching", [2, 4, 8])
+def test_interleave_matches_the_bit_loop(branching):
+    """The spread-table interleave gives the reference bit loop's codes at
+    every depth, for the corner cells and random ones."""
+    rng = np.random.default_rng(branching)
+    dims = branching.bit_length() - 1
+    for depth in range(1, 21):
+        top = (1 << depth) - 1
+        cells = [(top,) * dims, (0,) * dims, (top,) + (0,) * (dims - 1),
+                 *(tuple(rng.integers(0, top + 1, dims).tolist()) for _ in range(50))]
+        for coords in cells:
+            assert _interleave(coords, dims, depth) == ref_interleave(coords, dims, depth)
+        world = WorldConfig((0, 0, 0), 1.0, depth, branching)
+        top_key = NodeKey(depth, (1 << dims * depth) - 1)
+        assert world.key_from_coords(cells[0], depth) == top_key
 
 
 def test_point_to_cell_half_open():
@@ -598,7 +633,7 @@ def _assert_weights_are_completion_totals(tree):
     """Every key with stored children weighs, bit for bit, the total that
     ``child_sets`` reports for its row."""
     keys = sorted(k for k in tree.nodes if tree.stored_children(k))
-    assert tree.keys_with_children() == set(keys)
+    assert keys_with_children(tree) == set(keys)
     totals = tree.child_sets(keys)[3].tolist() if keys else []
     for key, total in zip(keys, totals):
         assert repr(tree.nodes[key].weight) == repr(total), key
