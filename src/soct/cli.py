@@ -133,7 +133,7 @@ def _cmd_build(args) -> int:
     print(f"records_inserted {inserted}")
     print(f"record_errors {len(bad_lines)}")
     print(f"nodes_pruned {pruned}")
-    print(f"stored_nodes {len(tree.nodes)}")
+    print(f"stored_nodes {tree.node_count()}")
     print(f"stored_leaves {tree.leaf_count()}")
     return 0
 

@@ -42,7 +42,6 @@ from .octree import (
     SemanticOctree,
     WorldConfig,
     completed_weight,
-    key_arrays,
 )
 from .semantics import (
     ROLE_IRRELEVANT,
@@ -400,38 +399,41 @@ def _check_num_classes(num_classes: int) -> None:
         raise ConfigError(f"num_classes must be at most {limit}")
 
 
-def serialize_tree(tree: SemanticOctree, path) -> None:
-    """Write a tree to its binary format (deterministic, byte-stable): the
-    nodes in pre-order (by the Morton code of their region, a parent
-    first), packed into one buffer. A tree with more classes than the
-    format holds is rejected before the file is opened."""
-    _check_num_classes(tree.num_classes)
-    world, keys = tree.world, list(tree.nodes)
-    depth, index = key_arrays(keys)
-    code = index << world.dims * (world.max_depth - depth)  # of the region's first cell
-    order = np.lexsort((depth, code))
-    depth, index, code = depth[order], index[order], code[order]
-    nodes = [tree.nodes[keys[i]] for i in order.tolist()]
-    head = np.zeros(len(nodes), dtype=_HEAD)
-    head["kind"] = [n.kind for n in nodes]
-    head["weight"] = [n.weight for n in nodes]
-    # The nodes that share a code are a chain of first children, one level
-    # apart; a child's parent is in the chain of its code with its octant cleared.
-    child = np.flatnonzero(depth)
-    first = np.searchsorted(code, index[child] >> world.dims << world.dims * (
-        world.max_depth - depth[child] + 1))
-    np.bitwise_or.at(head["field"], first + depth[child] - 1 - depth[first],
-                     1 << (index[child] & (world.branching - 1)))
-    rec = np.flatnonzero(head["kind"] != INTERIOR)
-    # Each record is a row of a table (``octree.Node``): one gather from the
-    # distinct tables, concatenated with an empty one (a tree may have none).
-    records = [nodes[i] for i in rec.tolist()]
+def _records(levels: Levels) -> tuple[TruncatedRows, np.ndarray]:
+    """A record table and each row's row in it: a column-backed tree's own,
+    or the distinct tables that a gather's ``Node``s refer to, concatenated
+    with an empty one (a tree may have none)."""
+    if levels.nodes is None:
+        return levels.table, levels.row
+    rec = np.flatnonzero(levels.kind != INTERIOR).tolist()
+    records = [levels.nodes[i] for i in rec]
     tables = {id(n.table): n.table for n in records}
     start = dict(zip(tables, itertools.accumulate(
         (len(t.ids) for t in tables.values()), initial=0)))
-    index = np.array([start[id(n.table)] + n.row for n in records], dtype=np.int64)
-    rows = TruncatedRows(*(np.concatenate(column)[index] for column in zip(
-        *((*t[:4], t.stored()) for t in tables.values()), TruncatedRows.of([]))))
+    row = np.zeros(len(levels.kind), dtype=np.int64)
+    row[rec] = [start[id(n.table)] + n.row for n in records]
+    return TruncatedRows(*(np.concatenate(column) for column in zip(
+        *((*t[:4], t.stored()) for t in tables.values()), TruncatedRows.of([])))), row
+
+
+def serialize_tree(tree: SemanticOctree, path) -> None:
+    """Write a tree to its binary format (deterministic, byte-stable) from
+    its columns (``tree.levels()``): the nodes in pre-order (by the Morton
+    code of their region, a parent first), packed into one buffer. A tree
+    with more classes than the format holds is rejected before the file
+    is opened."""
+    _check_num_classes(tree.num_classes)
+    world, levels = tree.world, tree.levels()
+    table, row = _records(levels)
+    code = levels.index << world.dims * (world.max_depth - levels.depth)
+    order = np.lexsort((levels.depth, code))
+    head = np.zeros(len(order), dtype=_HEAD)
+    head["kind"], head["weight"] = levels.kind[order], levels.weight[order]
+    present = np.pad(levels.slots >= 0, ((0, len(order) - len(levels.slots)), (0, 0)))
+    head["field"] = np.packbits(present, axis=1, bitorder="little")[order, 0]
+    rec = np.flatnonzero(head["kind"] != INTERIOR)
+    picked = row[order[rec]]
+    rows = TruncatedRows(*(column[picked] for column in (*table[:4], table.stored())))
     head["field"][rec] = n_top = rows.counts
     sizes = 10 + (head["kind"] != INTERIOR) * (16 + 10 * head["field"].astype(np.int64))
     at = np.cumsum(sizes) - sizes

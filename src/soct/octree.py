@@ -8,12 +8,13 @@ their stored siblings. Two gathers apply this rule, each stacked for many
 nodes at once: ``SemanticOctree.child_sets`` over the node dict, for the
 per-node paths, and ``Levels.child_sets`` over the per-depth columns, for
 the batch operations; every computation on a node's full child set reads
-one of them. A loaded tree keeps its nodes as ``Levels``; any other tree
-is a dict of ``Node`` (see ``SemanticOctree``). Observed finest-resolution
-leaves carry unit weight, and an interior weight is the sum of its
-(virtually completed) children, always evaluated by ``completed_weight``:
-the insert paths and summary expansion store it and ``child_sets`` reports
-it per row, so a stored weight equals its row's total bit for bit.
+one of them. A loaded or batch-built tree keeps its nodes as ``Levels``;
+any other tree is a dict of ``Node`` (see ``SemanticOctree``). Observed
+finest-resolution leaves carry unit weight, and an interior weight is the
+sum of its (virtually completed) children, always evaluated by
+``completed_weight``: the builds, inserts and summary expansion store it
+and ``child_sets`` reports it per row, so a stored weight equals its row's
+total bit for bit.
 
 Three node kinds exist: depth-D leaves and their ancestors (interior nodes
 with cached aggregate conditionals), plus summary nodes produced by pruning
@@ -29,7 +30,7 @@ conditional afterwards is a plain lookup.
 
 Concurrency: mutating operations require exclusive access to a tree;
 read-only traversals may run concurrently with each other. The first read
-of a loaded tree's ``nodes`` builds them and counts as a mutation.
+of a column-backed tree's ``nodes`` builds them and counts as a mutation.
 """
 
 from __future__ import annotations
@@ -334,9 +335,10 @@ class Levels:
     children's rows in octant order, -1 for an absent child: one
     ``searchsorted`` per level.
 
-    A file load keeps them as its tree's store. ``SemanticOctree.levels``
-    gathers a node-backed tree into them, each row's ``Node`` in ``nodes``,
-    into which ``write_back`` copies the interior caches.
+    A file load or batch build keeps them as its tree's store.
+    ``SemanticOctree.levels`` gathers a node-backed tree into them, each
+    row's ``Node`` in ``nodes``, into which ``write_back`` copies the
+    interior caches; such a gather has no ``table``.
     """
 
     def __init__(self, world: WorldConfig, num_classes: int, columns,
@@ -365,7 +367,7 @@ class Levels:
         return cls(world, num_classes, (
             depth[order], index[order], np.fromiter((v.kind for v in values), np.int64, n),
             np.fromiter((v.weight for v in values), np.float64, n), np.zeros(n, np.int64),
-            np.array([uniform if v.cond is None else v.cond for v in values]).reshape(
+            np.concatenate([uniform if v.cond is None else v.cond for v in values]).reshape(
                 n, num_classes + 1),
             np.fromiter((v.cond is not None for v in values), bool, n),
             np.fromiter((v.gain for v in values), np.float64, n),
@@ -395,6 +397,15 @@ class Levels:
         for i, w, c, g in zip(inner, self.weight[inner].tolist(), conds, gains):
             node = self.nodes[i]
             node.weight, node.cond, node.gain = w, c, g
+
+    def identical_sets(self) -> bool:
+        """Whether some interior row's children are all stored records that
+        hold one record (``rows_close``)."""
+        slots = self.slots[self.kind[:len(self.slots)] == INTERIOR]
+        slots = slots[(slots >= 0).all(axis=1)]
+        slots = slots[(self.kind[slots] != INTERIOR).all(axis=1)]
+        return any(rows_close([(self.table, r) for r in rows])
+                   for rows in self.row[slots].tolist())
 
     def child_sets(self, rows) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
         """``SemanticOctree.child_sets`` of ``rows``, by gathers: a row's
@@ -439,11 +450,11 @@ class Levels:
 class SemanticOctree:
     """Probabilistic multi-class octree built from labeled point observations.
 
-    How a tree was made picks how it holds its nodes: a file load keeps
-    ``Levels``, which the batch operations update in place; any other tree
-    is node-backed (``nodes``), and a batch operation gathers it into
-    ``Levels`` and writes back. The first read of ``nodes`` makes a tree
-    node-backed for good.
+    How a tree was made picks how it holds its nodes: a file load or a
+    batch build keeps ``Levels``, which the batch operations update in
+    place; any other tree is node-backed (``nodes``), and a batch operation
+    gathers it into ``Levels`` and writes back. The first read of ``nodes``
+    makes a tree node-backed for good.
     """
 
     nodes: dict[NodeKey, Node]  # an attribute once the tree is node-backed
@@ -507,6 +518,9 @@ class SemanticOctree:
 
     def leaf_count(self) -> int:
         return int(self._kind_counts()[LEAF])
+
+    def node_count(self) -> int:
+        return len(self.nodes) if self._levels is None else len(self._levels.index)
 
     def conditional(self, key: NodeKey) -> np.ndarray:
         """Aggregate class distribution of a node, over ids 0..K.
@@ -586,11 +600,12 @@ class SemanticOctree:
         sees its observations in row order, which matters because every
         fusion is truncated. Fusion runs in rounds: round r fuses the r-th
         observation of every leaf that has one, in one row-kernel call.
-        Interior nodes are then created and weighted once, level by level.
-        Caches are left for ``compression.refresh_all``. Rejected rows come
-        in row order.
+        The tree keeps the result as ``Levels`` and makes no ``Node``: the
+        leaves' codes, record rows and dense rows, and interior nodes, made
+        and weighted once, level by level, uncached with gain 0.0 (without
+        leaves, the root alone, of weight 0.0). Caches are left for
+        ``compression.refresh_all``. Rejected rows come in row order.
         """
-        tree = cls(world, num_classes)
         points = np.asarray(points, dtype=np.float64).reshape(-1, 3)
         confidence = np.asarray(confidence, dtype=np.float64)
         rejected = observation_errors(obs_class, confidence, num_classes)
@@ -625,20 +640,28 @@ class SemanticOctree:
             for column, values in zip(kept[:4], records):
                 column[leaves] = values
         state.flags.writeable = False
-        kept.read_only()
-        codes = codes[first]
-        for i, code in enumerate(codes.tolist()):
-            tree.nodes[NodeKey(world.max_depth, code)] = Node(LEAF, 1.0, kept, i, state[i])
-        weights = [1.0] * len(codes)
-        for depth in reversed(range(world.max_depth)):
-            parents = codes >> world.dims
-            starts = np.flatnonzero(np.diff(parents, prepend=-1)).tolist()
-            codes = parents[starts]
-            weights = [completed_weight(weights[a:b], world.branching)
-                       for a, b in zip(starts, starts[1:] + [len(weights)])]
-            for code, weight in zip(codes.tolist(), weights):
-                tree.nodes[NodeKey(depth, code)] = Node(INTERIOR, weight=weight)
-        return tree, dict(sorted(rejected.items()))
+        # Level by level upward, a parent's ``completed_weight`` from its
+        # stored weights in octant order (0.0 for an absent child, exact).
+        index, weight, b = [codes[first]], [np.ones(len(first))], world.branching
+        for _ in range(world.max_depth):
+            parents = index[0] >> world.dims
+            new = np.diff(parents, prepend=-1) != 0
+            group = np.cumsum(new) - 1
+            stored = np.zeros((int(new.sum()), b))
+            stored[group, index[0] & b - 1] = weight[0]
+            total, count = row_totals(stored), np.bincount(group, minlength=len(stored))
+            index.insert(0, parents[new])
+            weight.insert(0, total + (b - count) * (total / count))
+        if not len(first):
+            index[0], weight[0] = np.zeros(1, np.int64), np.zeros(1)
+        depth = np.repeat(np.arange(world.max_depth + 1), list(map(len, index)))
+        leaf, inner = depth == world.max_depth, len(depth) - len(first)
+        return cls(world, num_classes, levels=Levels(world, num_classes, (
+            depth, np.concatenate(index), np.where(leaf, LEAF, INTERIOR),
+            np.concatenate(weight), np.r_[np.zeros(inner, np.int64), np.arange(len(first))],
+            np.concatenate([np.zeros((inner, num_classes + 1)), state]), leaf,
+            np.zeros(len(depth)), np.zeros(len(depth), bool)), kept.read_only())), dict(
+                sorted(rejected.items()))
 
     def add_observation(self, point, obs_class: int, confidence: float) -> NodeKey:
         """Insert or update the finest leaf containing ``point``; the
@@ -753,7 +776,11 @@ class SemanticOctree:
 
     def prune_all_identical(self) -> int:
         """Bottom-up sweep of ``prune_identical_children`` wherever applicable;
-        child slots are plain (depth, index) pairs, each looked up once."""
+        child slots are plain (depth, index) pairs, each looked up once. Only
+        a full set of record children that holds one record starts a prune:
+        without one, a column-backed tree stays so."""
+        if self._levels is not None and not self._levels.identical_sets():
+            return 0
         get, dims, octants = self.nodes.get, self.world.dims, range(self.world.branching)
         pruned = 0
         keys = [k for k, n in self.nodes.items() if n.kind == INTERIOR]

@@ -6,6 +6,7 @@ enumeration) so that library results are checked against an independent
 route, not against themselves.
 """
 
+import itertools
 import math
 import struct
 
@@ -27,6 +28,7 @@ from soct.octree import (
     child_key,
     child_keys,
     completed_weight,
+    key_arrays,
 )
 from soct.planning import UNKNOWN_CLASS, PlanResult, _norms
 from soct.semantics import (
@@ -388,6 +390,58 @@ def reference_serialize(tree):
                        tree.num_classes)]
     _ref_write_node(tree, ROOT_KEY, out)
     return b"".join(out)
+
+
+_HEAD = np.dtype([("kind", "u1"), ("weight", "<f8"), ("field", "u1")])
+_SLOT = np.dtype([("id", "<u2"), ("p", "<f8")])
+_TAIL = np.dtype([("p_free", "<f8"), ("p_residual", "<f8")])
+
+
+def node_serialize(tree):
+    """The tree-file writer over ``tree.nodes`` (which a column-backed tree
+    builds on this read): the nodes in pre-order, each interior node's child
+    bits found through the chain of first children of its region's code,
+    each record a row of the tables its ``Node`` refers to, packed into one
+    buffer."""
+    world, keys = tree.world, list(tree.nodes)
+    depth, index = key_arrays(keys)
+    code = index << world.dims * (world.max_depth - depth)  # of the region's first cell
+    order = np.lexsort((depth, code))
+    depth, index, code = depth[order], index[order], code[order]
+    nodes = [tree.nodes[keys[i]] for i in order.tolist()]
+    head = np.zeros(len(nodes), dtype=_HEAD)
+    head["kind"] = [n.kind for n in nodes]
+    head["weight"] = [n.weight for n in nodes]
+    # The nodes that share a code are a chain of first children, one level
+    # apart; a child's parent is in the chain of its code with its octant cleared.
+    child = np.flatnonzero(depth)
+    first = np.searchsorted(code, index[child] >> world.dims << world.dims * (
+        world.max_depth - depth[child] + 1))
+    np.bitwise_or.at(head["field"], first + depth[child] - 1 - depth[first],
+                     1 << (index[child] & (world.branching - 1)))
+    rec = np.flatnonzero(head["kind"] != INTERIOR)
+    records = [nodes[i] for i in rec.tolist()]
+    tables = {id(n.table): n.table for n in records}
+    start = dict(zip(tables, itertools.accumulate(
+        (len(t.ids) for t in tables.values()), initial=0)))
+    at = np.array([start[id(n.table)] + n.row for n in records], dtype=np.int64)
+    rows = TruncatedRows(*(np.concatenate(column)[at] for column in zip(
+        *((*t[:4], t.stored()) for t in tables.values()), TruncatedRows.of([]))))
+    head["field"][rec] = n_top = rows.counts
+    sizes = 10 + (head["kind"] != INTERIOR) * (16 + 10 * head["field"].astype(np.int64))
+    offset = np.cumsum(sizes) - sizes
+    slots = np.zeros((len(rec), 3), dtype=_SLOT)
+    slots["id"], slots["p"] = rows.ids, rows.probs
+    tail = np.zeros(len(rec), dtype=_TAIL)
+    tail["p_free"], tail["p_residual"] = rows.p_free, rows.p_residual
+    used = np.arange(3) < n_top[:, None]
+    buf = np.zeros(int(sizes.sum()), dtype=np.uint8)
+    for offsets, values in [(offset, head), (offset[rec] + 10 + 10 * n_top, tail),
+                            ((offset[rec, None] + np.arange(10, 40, 10))[used], slots[used])]:
+        buf[offsets[:, None] + np.arange(values.itemsize)] = values.view(np.uint8).reshape(
+            len(values), values.itemsize)
+    return struct.pack("<4sB3ddBBH", MAGIC, FORMAT_VERSION, *world.origin, world.edge_length,
+                       world.max_depth, world.branching, tree.num_classes) + buf.tobytes()
 
 
 # -- independent planning references ------------------------------------------------

@@ -1,5 +1,6 @@
-"""A loaded tree keeps its nodes as ``Levels`` columns; any other tree is
-node-backed. Batch operations give the same results on both."""
+"""A loaded or batch-built tree keeps its nodes as ``Levels`` columns; any
+other tree is node-backed. Batch operations and the writer give the same
+results on both."""
 
 import itertools
 
@@ -21,23 +22,23 @@ from soct.formats import deserialize_tree, serialize_tree
 from soct.octree import ROOT_KEY, Levels, Node, SemanticOctree, WorldConfig, uniform_row
 from soct.planning import BlockIndex
 
-from helpers import random_truncated, random_weights, write_cloud
+from helpers import node_serialize, random_truncated, random_weights, write_cloud
 
 
-def _random_tree(rng, branching, shape):
+def _random_tree(rng, branching, shape, k=4):
     """A tree of set leaves: ``empty`` (the root alone), ``plain``, or
     ``summaries``, whose leaves share a few records and are pruned."""
     depth = {2: 3, 4: 2, 8: 2}[branching]
     world = WorldConfig((0, 0, 0), 16.0, depth, branching)
-    tree = SemanticOctree(world, 4)
+    tree = SemanticOctree(world, k)
     if shape == "empty":
         return tree
-    pool = [random_truncated(rng, 4) for _ in range(int(rng.integers(1, 3)))
+    pool = [random_truncated(rng, k) for _ in range(int(rng.integers(1, 3)))
             if shape == "summaries"] or None
     fill = float(rng.uniform(0.3, 1.0))
     for cell in itertools.product(range(1 << depth), repeat=world.dims):
         if rng.random() < fill or not any(cell):
-            dist = random_truncated(rng, 4) if pool is None else pool[rng.integers(len(pool))]
+            dist = random_truncated(rng, k) if pool is None else pool[rng.integers(len(pool))]
             tree.set_leaf(cell, dist, 1.0 if pool else float(rng.uniform(0.2, 3.0)))
     if shape == "summaries":
         tree.prune_all_identical()
@@ -114,6 +115,65 @@ def test_column_backed_load_equals_node_backed(tmp_path_factory, seed, branching
                 assert node.cond.tobytes() == want.cond.tobytes(), key
 
 
+def _written_tree(rng, branching, k, source):
+    """A tree to write. ``batch``: a batch build, of no points for
+    ``empty``, of only out-of-bounds points for ``rejected``; ``pruned``: a
+    batch build of one observation per cell, one label per sibling set,
+    to prune; ``streamed``: non-unit ``set_leaf`` weights and
+    observations; ``summaries``: pruned ``set_leaf`` records."""
+    depth = {2: 3, 4: 2, 8: 2}[branching]
+    world = WorldConfig((0, 0, 0), 16.0, depth, branching)
+    if source in ("batch", "empty", "rejected", "pruned"):
+        n = {"empty": 0, "pruned": branching ** depth}.get(source, int(rng.integers(1, 60)))
+        points = rng.uniform(0, 16, (n, 3)) + (16.0 if source == "rejected" else 0.0)
+        classes, confidence = rng.integers(0, k + 1, n), rng.uniform(0.5, 0.95, n)
+        if source == "pruned":
+            points = world.boxes(np.full(n, depth), np.arange(n))[0]
+            classes = rng.integers(1, 3, n // branching).repeat(branching)
+            confidence[:] = 0.8
+            kept = rng.random(n) < 0.9
+            points, classes, confidence = points[kept], classes[kept], confidence[kept]
+        return SemanticOctree.from_observations(world, k, points, classes, confidence)[0]
+    tree = _random_tree(rng, branching, "plain" if source == "streamed" else "summaries", k)
+    if source == "streamed":
+        for point in rng.uniform(0, 16, (int(rng.integers(1, 8)), 3)):
+            tree.add_observation(point, int(rng.integers(0, k + 1)),
+                                 float(rng.uniform(0.5, 0.95)))
+    return tree
+
+
+@settings(max_examples=60, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), branching=st.sampled_from([2, 4, 8]),
+       k=st.sampled_from([4, 6]), loaded=st.booleans(),
+       source=st.sampled_from(["batch", "empty", "rejected", "pruned", "streamed",
+                               "summaries"]))
+def test_column_writer_equals_the_node_writer(tmp_path_factory, seed, branching, k, loaded,
+                                              source):
+    """``serialize_tree`` writes, from columns, the bytes of the writer over
+    ``tree.nodes`` (``helpers.node_serialize``), and keeps a column-backed
+    tree so: batch builds, also of an empty or an all-rejected cloud, pruned batch
+    builds, streamed trees with non-unit ``set_leaf`` weights, pruned trees
+    that hold summaries, and loads of each. A pruned batch build prunes
+    as its node-backed twin."""
+    rng = np.random.default_rng(seed)
+    tree = _written_tree(rng, branching, k, source)
+    path = tmp_path_factory.mktemp("writer") / "tree.soct"
+    if source == "pruned":  # the sweep prunes the columns as it prunes ``Node``s
+        twin = _written_tree(np.random.default_rng(seed), branching, k, source)
+        twin.nodes
+        assert tree.prune_all_identical() == twin.prune_all_identical()
+        serialize_tree(tree, path)
+        assert path.read_bytes() == node_serialize(twin)
+    if loaded:
+        serialize_tree(tree, path)
+        tree = deserialize_tree(path)
+    column_backed = tree._levels is not None
+    assert column_backed or not (loaded or source in ("batch", "empty", "rejected"))
+    serialize_tree(tree, path)
+    assert (tree._levels is not None) == column_backed
+    assert path.read_bytes() == node_serialize(tree)
+
+
 @pytest.fixture
 def loaded_map(tmp_path, capsys):
     rng = np.random.default_rng(7)
@@ -131,18 +191,9 @@ def loaded_map(tmp_path, capsys):
     return tmp_path
 
 
-@pytest.mark.parametrize("command", [
-    ["compress", "--out-leaves", "leaves.csv"],
-    ["report"],
-    ["export", "--what", "leaves", "--out", "leaves.csv"],
-    ["export", "--what", "graph", "--out", "graph.csv"],
-    ["export", "--what", "graph", "--graph", "halton", "--out", "graph.csv"],
-    ["plan", "--start", "0.5,3.5", "--goal", "7.5,4.5"],
-    ["plan", "--graph", "halton", "--start", "0.5,3.5", "--goal", "7.5,4.5"],
-])
-def test_commands_on_a_loaded_map_build_no_node(loaded_map, monkeypatch, capsys, command):
-    """A command that reads a map works on its columns: it never builds the
-    tree's ``Node`` dict, nor any ``Node``."""
+@pytest.fixture
+def made(monkeypatch):
+    """Every ``Node`` built and every ``Levels.node_dict`` call from here on."""
     made = []
     init = Node.__init__
 
@@ -152,9 +203,57 @@ def test_commands_on_a_loaded_map_build_no_node(loaded_map, monkeypatch, capsys,
 
     monkeypatch.setattr(Levels, "node_dict", lambda self: made.append("node_dict"))
     monkeypatch.setattr(Node, "__init__", counting_init)
+    return made
+
+
+@pytest.mark.parametrize("command", [
+    ["compress", "--out-leaves", "leaves.csv"],
+    ["report"],
+    ["export", "--what", "leaves", "--out", "leaves.csv"],
+    ["export", "--what", "graph", "--out", "graph.csv"],
+    ["export", "--what", "graph", "--graph", "halton", "--out", "graph.csv"],
+    ["plan", "--start", "0.5,3.5", "--goal", "7.5,4.5"],
+    ["plan", "--graph", "halton", "--start", "0.5,3.5", "--goal", "7.5,4.5"],
+])
+def test_commands_on_a_loaded_map_build_no_node(loaded_map, made, monkeypatch, capsys,
+                                                command):
+    """A command that reads a map works on its columns: it never builds the
+    tree's ``Node`` dict, nor any ``Node``."""
     argv = [command[0], "--tree", "map.soct", "--weights", "weights.cfg", *command[1:]]
     monkeypatch.chdir(loaded_map)
     code = main(argv)
     out, err = capsys.readouterr()
     assert code == 0 or "error: no-path" in err, err
     assert made == []
+
+
+@pytest.mark.parametrize("extra", [[], ["--adhoc-prune"]])
+def test_build_makes_no_node(loaded_map, made, monkeypatch, capsys, extra):
+    """``build`` fuses, counts and writes the map as columns: it builds no
+    ``Node`` and never the ``Node`` dict, and writes the same file. So does
+    ``--adhoc-prune`` when no sibling set holds one record."""
+    monkeypatch.chdir(loaded_map)
+    code = main(["build", "--world", "world.cfg", "--cloud", "cloud.csv", "--out",
+                 "again.soct", *extra])
+    out, err = capsys.readouterr()
+    assert code == 0, err
+    assert "nodes_pruned 0\n" in out and "stored_nodes 85\n" in out
+    assert made == []
+    assert (loaded_map / "again.soct").read_bytes() == (loaded_map / "map.soct").read_bytes()
+
+
+def test_a_batch_build_is_column_backed_until_nodes_is_read(tmp_path):
+    """Writing, refreshing and compressing a batch build keep it column-backed;
+    the first read of ``nodes`` makes it node-backed, with the same counts."""
+    rng = np.random.default_rng(3)
+    world = WorldConfig((0, 0, 0), 8.0, 3)
+    tree, _ = SemanticOctree.from_observations(
+        world, 4, rng.uniform(0, 8, (40, 3)), rng.integers(0, 5, 40), rng.uniform(0.5, 0.9, 40))
+    count, leaves = tree.node_count(), tree.leaf_count()
+    assert tree._levels is not None and "nodes" not in vars(tree)
+    serialize_tree(tree, tmp_path / "tree.soct")
+    refresh_all(tree, CompressionWeights({}, {}, 0.01))
+    compress_tree(tree, CompressionWeights({}, {}, 0.01))
+    assert tree._levels is not None and "nodes" not in vars(tree)
+    assert len(tree.nodes) == count and tree._levels is None
+    assert (tree.node_count(), tree.leaf_count()) == (count, leaves)

@@ -17,6 +17,7 @@ from soct.octree import (
     LEAF,
     ROOT_KEY,
     SUMMARY,
+    Levels,
     NodeKey,
     SemanticOctree,
     WorldConfig,
@@ -604,7 +605,10 @@ def test_batched_build_equals_record_by_record(tmp_path_factory, seed, k, cells,
     ``add_observation`` build, byte for byte, and rejects the same rows
     with the same messages. With K > 4, truncation drops information, so
     the order of fusions within a leaf and the residual's summation order
-    both show in the bytes."""
+    both show in the bytes. Before ``nodes`` is read, the built tree's
+    columns are the gather of the record-by-record tree: keys, kinds,
+    weights (by ``repr``), record fields, cached conditionals and the
+    cached mask."""
     rng = np.random.default_rng(seed)
     world = WorldConfig((0, 0, 0), 8.0, 3)
     points, classes, confidence = _observations(rng, k, cells, n)
@@ -617,6 +621,15 @@ def test_batched_build_equals_record_by_record(tmp_path_factory, seed, k, cells,
         except (OutOfBoundsError, DistributionError) as exc:
             expected[i] = str(exc)
     assert rejected == expected
+    got, want = batch.levels(), Levels.gather(world, k, serial.nodes)
+    assert "nodes" not in vars(batch) and got.nodes is None
+    for column in ("depth", "index", "kind", "cached"):
+        assert getattr(got, column).tolist() == getattr(want, column).tolist(), column
+    assert list(map(repr, got.weight.tolist())) == list(map(repr, want.weight.tolist()))
+    assert got.cond[got.cached].tobytes() == want.cond[want.cached].tobytes()
+    records = np.flatnonzero(got.kind != INTERIOR).tolist()
+    assert [got.table.record(got.row[i]) for i in records] == [
+        want.nodes[i].dist for i in records]
     out = tmp_path_factory.mktemp("batch")
     serialize_tree(batch, out / "batch.soct")
     serialize_tree(serial, out / "serial.soct")
