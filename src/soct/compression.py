@@ -14,11 +14,11 @@ per-node increments over its expanded nodes, with masses normalized by the
 root mass; these sums telescope to the entropy of the leaf-weight partition
 and to the mutual information between each class and the leaf index.
 
-Child sets come stacked from ``SemanticOctree.child_sets`` (the per-node
-paths) or ``Levels.child_sets`` (the batch operations, which run on the
-tree's per-depth columns), which alone complete absent children and report
-each row's total weight, the ``completed_weight`` that every weight
-normalization here divides by.
+Child sets come stacked from ``Levels.child_sets``, over the tree's
+per-depth columns (``SemanticOctree.child_sets`` looks keys up first),
+which alone completes absent children and reports each row's total
+weight, the ``completed_weight`` that every weight normalization here
+divides by.
 Every JS divergence and split entropy here comes from one kernel,
 ``split_terms``, which takes child sets stacked into (N, B) weights and
 (N, B, C) marginals and gives each row the same bits it gets alone.
@@ -45,8 +45,8 @@ homogeneous subtree adds no information at any level.
 
 Concurrency: cache refreshes require exclusive tree access; search, reports
 and the exhaustive enumeration are read-only and may run concurrently, once
-a loaded tree's ``nodes`` have been read (``information_report`` and the
-enumeration read them).
+the tree's overlay is merged and its ``nodes`` view built
+(``information_report`` and the enumeration read it).
 """
 
 from __future__ import annotations
@@ -372,53 +372,47 @@ def refresh_upward(tree: SemanticOctree, leaf: NodeKey,
     Nothing off the path is touched. Weights are the insert's:
     ``add_observation`` and ``set_leaf`` store ``completed_weight`` along
     the path, the total ``child_sets`` reports, so every path slot already
-    holds the total of the row below it. The whole path is gathered in one
-    ``child_sets`` call; walking up, each row's path slot takes the
-    conditional and gain just computed for the node below. The JS and
-    entropy terms of all rows come from one ``split_terms`` call.
+    holds the total of the row below it. The path's rows, found by a walk
+    down the slots (``Levels.path``) of the columns as they stand, are
+    gathered in one ``child_sets`` call; walking up, each row's path slot
+    takes the conditional and gain just computed for the node below. The
+    JS and entropy terms of all rows come from one ``split_terms`` call.
     """
-    node = tree.nodes.get(leaf)
-    if node is None or node.kind != LEAF or leaf.depth != tree.world.max_depth:
+    store = tree.columns()
+    path = store.path(leaf.depth, leaf.index) if leaf.depth == tree.world.max_depth else [-1]
+    if path[-1] < 0 or store.kind[path[-1]] != LEAF:
         raise TreeError(f"{leaf} is not a stored finest-resolution leaf")
-    node.gain = 0.0
-    dims, branching = tree.world.dims, tree.world.branching
-    uniform = uniform_row(tree.num_classes)
-    # Row i is the ancestor i + 1 levels up; its path slot holds the node
-    # below it. Every path conditional is rewritten below, so a placeholder
-    # keeps the gather from deriving stale ones.
-    path, slots, nodes = [], [], []
-    index = leaf.index
-    for depth in reversed(range(leaf.depth)):
-        slots.append(index & (branching - 1))
-        index >>= dims
-        path.append((depth, index))
-        node = tree.nodes[depth, index]
-        node.cond = uniform
-        nodes.append(node)
-    weights, conds, gains, totals = tree.child_sets(path)
+    store.gain[path[-1]], store.boxed[path[-1]] = 0.0, False
+    # Row i is the ancestor i + 1 levels up; its path slot holds the node below
+    # it. Path conditionals are all rewritten, so the gather derives none.
+    rows, dims, mask = path[-2::-1], tree.world.dims, tree.world.branching - 1
+    slots = [leaf.index >> dims * i & mask for i in range(len(rows))]
+    store.cached[rows] = True
+    weights, conds, gains, totals = store.child_sets(rows)
     with np.errstate(divide="ignore", invalid="ignore"):
         pi = weights / totals[:, None]
     totals = totals.tolist()
     live = [i for i, total in enumerate(totals) if total > 0.0]
-    for i, node in enumerate(nodes):
+    for i, (row, total) in enumerate(zip(rows, totals)):
         if i:
-            conds[i, slots[i]] = nodes[i - 1].cond
-        node.cond = pi[i] @ conds[i] if totals[i] > 0.0 else uniform
-    if len(live) < len(path):
+            conds[i, slots[i]] = cond
+        cond = pi[i] @ conds[i] if total > 0.0 else uniform_row(tree.num_classes)
+        store.cond[row] = cond
+    if len(live) < len(rows):
         pi, conds = pi[live], conds[live]
     if live:
         js, h = split_terms(pi, conds.take(cw.class_ids, axis=2))
         js, h = js.tolist(), h.tolist()
     # Gains chain up last; the slot of the node below takes its new gain.
-    row = 0
-    for i, node in enumerate(nodes):
+    gain, j = 0.0, 0
+    for i, (row, total) in enumerate(zip(rows, totals)):
         if i:
-            gains[i, slots[i]] = nodes[i - 1].gain
-        if totals[i] <= 0.0:
-            node.gain = 0.0
-            continue
-        node.gain = _gain(float(pi[row] @ gains[i]), h[row], js[row], cw)
-        row += 1
+            gains[i, slots[i]] = gain
+        gain = 0.0
+        if total > 0.0:
+            gain = _gain(float(pi[j] @ gains[i]), h[j], js[j], cw)
+            j += 1
+        store.gain[row], store.boxed[row] = gain, type(gain) is np.float64
 
 
 def refresh_all(tree: SemanticOctree, cw: CompressionWeights) -> None:
@@ -429,10 +423,10 @@ def refresh_all(tree: SemanticOctree, cw: CompressionWeights) -> None:
     the tree's ``Levels``: a level's nodes depend only on the level below,
     so each level's nodes with stored children are refreshed in index order
     in stacked batches of at most ``CHUNK_ROWS``, and a childless interior
-    node becomes massless, with no cached conditional. A node-backed tree
-    gets the results written back into its nodes.
+    node becomes massless, with no cached conditional.
     """
-    store = tree.levels()
+    tree.levels()  # merges the overlay
+    store = tree.columns()
     inner = store.kind == INTERIOR
     parents = inner & store.has_children
     bare = inner & ~parents
@@ -442,7 +436,6 @@ def refresh_all(tree: SemanticOctree, cw: CompressionWeights) -> None:
         rows = a + np.flatnonzero(parents[a:b])
         for start in range(0, len(rows), CHUNK_ROWS):
             _refresh_rows(store, rows[start:start + CHUNK_ROWS], cw)
-    store.write_back()
 
 
 def _refresh_rows(store: Levels, rows: np.ndarray, cw: CompressionWeights) -> None:
@@ -514,13 +507,7 @@ def _expanded_rows(store: Levels, expanded) -> np.ndarray:
     depth, index = key_arrays(list(expanded))
     order = np.lexsort((index, depth))
     depth, index = depth[order], index[order]
-    rows = np.full(len(depth), -1)
-    for d in set(depth.tolist()) & set(range(len(store.bounds) - 1)):
-        a, b = store.bounds[d:d + 2]
-        at = depth == d
-        found = np.searchsorted(store.index[a:b], index[at])
-        hit = np.append(store.index[a:b], -1)[found] == index[at]
-        rows[at] = np.where(hit, a + found, -1)
+    rows = store.lookup(depth, index)
     bad = (rows < 0) | (store.kind[rows] != INTERIOR)  # interior rows have slots
     bad |= (depth > 0) & ~np.isin(rows, store.slots[np.where(bad, 0, rows)])
     if bad.any():
@@ -582,30 +569,24 @@ def information_report(tree: SemanticOctree, ctree: CompressedTree,
     equals the mutual information between that class and the leaf index.
     """
     _require_no_summaries(tree)
-    _subtree_rows(tree, ctree)
-    return _information(tree, sorted(ctree.expanded), cw)
+    return _information(*_subtree_rows(tree, ctree), cw)
 
 
-def _information(tree: SemanticOctree, keys: list[NodeKey],
-                 cw: CompressionWeights) -> InfoReport:
-    """``information_report`` of the expanded nodes ``keys``, in key order,
-    node by node."""
+def _information(store: Levels, rows: np.ndarray, cw: CompressionWeights) -> InfoReport:
+    """``information_report`` of the sorted expanded ``rows``, row by row
+    from one ``child_sets`` gather."""
     relevant = {cid: 0.0 for cid in cw.retain}
     irrelevant = {cid: 0.0 for cid in cw.remove}
-    partition = 0.0
-    p_root = tree.root.weight
-    if p_root > 0.0:
-        for key in keys:
-            node = tree.nodes[key]
-            if node.weight <= 0.0:
-                continue
-            weights, dists, _, _ = tree.child_sets([key])
-            inc = _increments(node.weight / p_root, weights[0], dists[0], cw)
-            for cid, v in inc.relevant_bits.items():
-                relevant[cid] += v
-            for cid, v in inc.irrelevant_bits.items():
-                irrelevant[cid] += v
-            partition += inc.split_bits
+    partition, p_root = 0.0, float(store.weight[0])
+    rows = rows[store.weight[rows] > 0.0] if p_root > 0.0 else rows[:0]
+    weights, dists, _, _ = store.child_sets(rows)
+    for mass, w, d in zip((store.weight[rows] / p_root).tolist(), weights, dists):
+        inc = _increments(mass, w, d, cw)
+        for cid, v in inc.relevant_bits.items():
+            relevant[cid] += v
+        for cid, v in inc.irrelevant_bits.items():
+            irrelevant[cid] += v
+        partition += inc.split_bits
     objective = (sum(cw.retain[c] * v for c, v in relevant.items())
                  - sum(cw.remove[c] * v for c, v in irrelevant.items())
                  - cw.compress * partition)
@@ -715,7 +696,8 @@ def exhaustive_search(tree: SemanticOctree,
     if count > MAX_CANDIDATES:
         raise SizeLimitError(
             f"{count} candidate trees exceed the {MAX_CANDIDATES} limit")
-    objectives = [_information(tree, sorted(expanded), cw).objective
+    store = tree.levels()
+    objectives = [_information(store, _expanded_rows(store, expanded), cw).objective
                   for expanded in _candidate_sets(tree, ROOT_KEY)]
     best = max(objectives)
     optimal = sum(1 for v in objectives if v >= best - 1e-9)

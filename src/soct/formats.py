@@ -399,23 +399,6 @@ def _check_num_classes(num_classes: int) -> None:
         raise ConfigError(f"num_classes must be at most {limit}")
 
 
-def _records(levels: Levels) -> tuple[TruncatedRows, np.ndarray]:
-    """A record table and each row's row in it: a column-backed tree's own,
-    or the distinct tables that a gather's ``Node``s refer to, concatenated
-    with an empty one (a tree may have none)."""
-    if levels.nodes is None:
-        return levels.table, levels.row
-    rec = np.flatnonzero(levels.kind != INTERIOR).tolist()
-    records = [levels.nodes[i] for i in rec]
-    tables = {id(n.table): n.table for n in records}
-    start = dict(zip(tables, itertools.accumulate(
-        (len(t.ids) for t in tables.values()), initial=0)))
-    row = np.zeros(len(levels.kind), dtype=np.int64)
-    row[rec] = [start[id(n.table)] + n.row for n in records]
-    return TruncatedRows(*(np.concatenate(column) for column in zip(
-        *((*t[:4], t.stored()) for t in tables.values()), TruncatedRows.of([])))), row
-
-
 def serialize_tree(tree: SemanticOctree, path) -> None:
     """Write a tree to its binary format (deterministic, byte-stable) from
     its columns (``tree.levels()``): the nodes in pre-order (by the Morton
@@ -424,13 +407,12 @@ def serialize_tree(tree: SemanticOctree, path) -> None:
     is opened."""
     _check_num_classes(tree.num_classes)
     world, levels = tree.world, tree.levels()
-    table, row = _records(levels)
+    table, row = levels.table, levels.row
     code = levels.index << world.dims * (world.max_depth - levels.depth)
     order = np.lexsort((levels.depth, code))
     head = np.zeros(len(order), dtype=_HEAD)
     head["kind"], head["weight"] = levels.kind[order], levels.weight[order]
-    present = np.pad(levels.slots >= 0, ((0, len(order) - len(levels.slots)), (0, 0)))
-    head["field"] = np.packbits(present, axis=1, bitorder="little")[order, 0]
+    head["field"] = np.packbits(levels.slots >= 0, axis=1, bitorder="little")[order, 0]
     rec = np.flatnonzero(head["kind"] != INTERIOR)
     picked = row[order[rec]]
     rows = TruncatedRows(*(column[picked] for column in (*table[:4], table.stored())))

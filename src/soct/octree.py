@@ -2,16 +2,12 @@
 
 Nodes are addressed by (depth, index) keys where the index bit-interleaves
 the per-axis cell coordinates at that depth. Only observed regions are
-stored; missing children are completed transiently with a maximum-entropy
-class distribution, zero gain and a weight equal to the mean weight of
-their stored siblings. Two gathers apply this rule, each stacked for many
-nodes at once: ``SemanticOctree.child_sets`` over the node dict, for the
-per-node paths, and ``Levels.child_sets`` over the per-depth columns, for
-the batch operations; every computation on a node's full child set reads
-one of them. A loaded or batch-built tree keeps its nodes as ``Levels``;
-any other tree is a dict of ``Node`` (see ``SemanticOctree``). Observed
-finest-resolution leaves carry unit weight, and an interior weight is the
-sum of its (virtually completed) children, always evaluated by
+stored, as per-depth columns (``Levels``, see ``SemanticOctree``); missing
+children are completed transiently with a maximum-entropy class
+distribution, zero gain and the mean weight of their stored siblings, by
+``Levels.child_sets``, which every computation on a full child set reads.
+Observed finest-resolution leaves carry unit weight, and an interior weight
+is the sum of its (virtually completed) children, always evaluated by
 ``completed_weight``: the builds, inserts and summary expansion store it
 and ``child_sets`` reports it per row, so a stored weight equals its row's
 total bit for bit.
@@ -21,16 +17,15 @@ with cached aggregate conditionals), plus summary nodes produced by pruning
 identical children; a summary stands in for a homogeneous subtree and is
 re-expanded on the next observation that touches its region.
 
-Leaves and summaries hold a truncated record, a row of a read-only
-``TruncatedRows`` table (one per batch build or file load, one row per
-observation; a summary's prune or expansion shares its row), plus its dense
-vector over ids 0..K; ``Node.dist`` builds the record on each read. The
-record is validated and expanded once, when it is installed; reading a
-conditional afterwards is a plain lookup.
+Leaves and summaries hold a truncated record, a row of the tree's one
+record table (``TruncatedRows``; each streamed record is appended, and a
+summary's prune or expansion shares its row), plus its dense vector over
+ids 0..K, validated and expanded once, when it is installed.
 
 Concurrency: mutating operations require exclusive access to a tree;
-read-only traversals may run concurrently with each other. The first read
-of a column-backed tree's ``nodes`` builds them and counts as a mutation.
+read-only traversals may run concurrently with each other. The first
+``levels()`` or read of ``nodes`` after a write merges the overlay or
+builds the view, and counts as a mutation.
 """
 
 from __future__ import annotations
@@ -40,7 +35,8 @@ import itertools
 import math
 import operator
 from dataclasses import dataclass
-from typing import Iterator, NamedTuple
+from types import MappingProxyType
+from typing import Iterator, Mapping, NamedTuple
 
 import numpy as np
 
@@ -266,27 +262,22 @@ class WorldConfig:
         return self.boxes(*key_arrays([key]))[1][0]
 
 
-def _completion(stored: list[float], branching: int) -> tuple[float, float]:
-    """``completed_weight`` of at least one stored child weight, and the
-    mean stored weight, at which each absent child counts."""
-    total = sum(stored)
-    m = len(stored)
-    mean = total / m
-    return total + (branching - m) * mean, mean
-
-
 def completed_weight(stored: list[float], branching: int) -> float:
     """Weight of an interior node from its stored children's weights.
 
     Absent children count at the mean stored weight; 0.0 without stored
     children.
     """
-    return _completion(stored, branching)[0] if stored else 0.0
+    if not stored:
+        return 0.0
+    total = sum(stored)
+    return total + (branching - len(stored)) * (total / len(stored))
 
 
 @dataclass(slots=True)
 class Node:
-    """A stored node. A leaf or summary record is row ``row`` of ``table``."""
+    """A node of a dict that ``SemanticOctree(..., nodes=)`` takes, or of the
+    ``nodes`` view. A leaf or summary record is row ``row`` of ``table``."""
 
     kind: int
     weight: float = 0.0
@@ -306,7 +297,27 @@ class Node:
         self.row = 0
 
 
+class ViewNode(Node):
+    """The node at ``key`` of ``tree.nodes``. Its gain writes to the tree's
+    columns (a cached gain may be set to check a cache); any other set, or
+    any set once a write replaced the view, raises ``TypeError``."""
+
+    __slots__ = ("tree", "key")
+
+    def __setattr__(self, name: str, value) -> None:
+        tree = self.tree
+        current = tree._nodes is not None and tree._nodes.get(self.key) is self
+        if name != "gain" or not current:
+            raise TypeError(f"cannot set {name}: tree.nodes is a read-only view"
+                            + ("" if current else " that a write replaced"))
+        row = tree.rows([self.key])[0]
+        tree._store.gain[row], tree._store.boxed[row] = value, type(value) is np.float64
+        super().__setattr__(name, value)
+
+
 ROOT_KEY = NodeKey(0, 0)
+_DELETED = -1  # the kind of a row that a prune removed, until the next merge
+_COLUMNS = ("depth", "index", "kind", "weight", "row", "cond", "cached", "gain", "boxed")
 
 
 @functools.lru_cache(maxsize=None)
@@ -317,124 +328,228 @@ def uniform_row(num_classes: int) -> np.ndarray:
     return row
 
 
-def _caches(cond, cached, gain, boxed) -> tuple[list, list]:
-    """Per node its ``Node.cond`` (a row of ``cond`` or None) and its gain
-    (a Python float or a numpy float64)."""
-    return ([c if ok else None for c, ok in zip(cond, cached.tolist())],
-            [np.float64(g) if b else g for g, b in zip(gain.tolist(), boxed.tolist())])
-
-
 class Levels:
-    """A tree's stored nodes as columns in key order: level d, rows
-    ``bounds[d]:bounds[d + 1]``, lists depth d's nodes by Morton index, a
-    linear octree (Gargantini 1982). Per row: ``depth``, ``index``, ``kind``,
-    ``weight``, ``row`` (a record's row of ``table``), a conditional in the
-    (n, K+1) ``cond`` matrix where ``cached`` holds, ``gain`` and ``boxed``
-    (the gain is a numpy float64, as ``compression`` types a gain over
-    weighted classes). ``slots`` holds, for each row above depth D, its
-    children's rows in octant order, -1 for an absent child: one
-    ``searchsorted`` per level.
+    """A tree's nodes as columns: level d, rows ``bounds[d]:bounds[d + 1]``,
+    lists depth d's nodes by Morton index, a linear octree (Gargantini
+    1982). Per row: ``depth``, ``index``, ``kind``, ``weight``, ``row`` (a
+    record's row of ``table``, the tree's one record table), a conditional
+    in the (n, K+1) ``cond`` matrix where ``cached`` holds, ``gain`` and
+    ``boxed`` (the gain is a numpy float64, as ``compression`` types a gain
+    over weighted classes). ``slots`` holds, for each row, its children's
+    rows in octant order, -1 for an absent child.
 
-    A file load or batch build keeps them as its tree's store.
-    ``SemanticOctree.levels`` gathers a node-backed tree into them, each
-    row's ``Node`` in ``nodes``, into which ``write_back`` copies the
-    interior caches; such a gather has no ``table``.
+    Per-node writes go to an overlay: rows and records are appended to
+    columns whose room doubles, a prune marks rows deleted, and no row
+    moves. ``merged`` puts the ``size`` rows back into key order.
     """
 
-    def __init__(self, world: WorldConfig, num_classes: int, columns,
-                 table: TruncatedRows | None = None, nodes: list | None = None):
-        (self.depth, self.index, self.kind, self.weight, self.row, self.cond, self.cached,
-         self.gain, self.boxed) = columns
-        self.world, self.num_classes, self.table, self.nodes = world, num_classes, table, nodes
+    def __init__(self, world: WorldConfig, num_classes: int, columns, table: TruncatedRows):
+        for name, column in zip(_COLUMNS, columns):
+            setattr(self, name, column)
+        self.world, self.num_classes, self.table = world, num_classes, table
+        self.size, self.records, self.overlay = len(self.index), len(table.ids), False
         bounds = np.searchsorted(self.depth, np.arange(world.max_depth + 2)).tolist()
         self.bounds = bounds
-        self.slots = np.full((bounds[-2], world.branching), -1)
+        self.slots = np.full((len(self.index), world.branching), -1)
         for up, a, b in zip(bounds, bounds[1:], bounds[2:]):
             parents, children = self.index[up:a], self.index[a:b]
             at = np.searchsorted(parents, children >> world.dims)
             ok = np.append(parents, -1)[at] == children >> world.dims
             self.slots[up + at[ok], children[ok] & world.branching - 1] = np.arange(a, b)[ok]
-        self.has_children = np.zeros(len(self.index), bool)
-        self.has_children[:bounds[-2]] = (self.slots >= 0).any(axis=1)
+        self.has_children = (self.slots >= 0).any(axis=1)
 
     @classmethod
     def gather(cls, world: WorldConfig, num_classes: int, nodes: dict) -> "Levels":
+        """The columns of a dict of ``Node``s, caches included; the distinct
+        tables their records refer to become one."""
         depth, index = key_arrays(list(nodes))
         order = np.lexsort((index, depth))
-        values = list(nodes.values())
-        values = [values[i] for i in order.tolist()]
+        values = list(map(list(nodes.values()).__getitem__, order.tolist()))
         n, uniform = len(values), uniform_row(num_classes)
+        kind = np.fromiter((v.kind for v in values), np.int64, n)
+        records = [values[i] for i in np.flatnonzero(kind != INTERIOR).tolist()]
+        tables = {id(v.table): v.table for v in records}
+        start = dict(zip(tables, itertools.accumulate(
+            (len(t.ids) for t in tables.values()), initial=0)))
+        row = np.zeros(n, dtype=np.int64)
+        row[kind != INTERIOR] = [start[id(v.table)] + v.row for v in records]
         return cls(world, num_classes, (
-            depth[order], index[order], np.fromiter((v.kind for v in values), np.int64, n),
-            np.fromiter((v.weight for v in values), np.float64, n), np.zeros(n, np.int64),
-            np.concatenate([uniform if v.cond is None else v.cond for v in values]).reshape(
+            depth[order], index[order], kind, np.fromiter((v.weight for v in values), np.float64, n),
+            row, np.concatenate([uniform if v.cond is None else v.cond for v in values]).reshape(
                 n, num_classes + 1),
             np.fromiter((v.cond is not None for v in values), bool, n),
             np.fromiter((v.gain for v in values), np.float64, n),
-            np.fromiter((type(v.gain) is np.float64 for v in values), bool, n)), nodes=values)
+            np.fromiter((type(v.gain) is np.float64 for v in values), bool, n)),
+            TruncatedRows(*(np.concatenate(column) for column in zip(
+                *((*t[:4], t.stored()) for t in tables.values()), TruncatedRows.of([])))))
 
-    def node_dict(self) -> dict[NodeKey, Node]:
-        """A ``Node`` per row, caches included, in pre-order (the file's
-        order); records refer to rows of ``table``."""
+    def node_dict(self, tree: "SemanticOctree") -> dict[NodeKey, Node]:
+        """A ``ViewNode`` of ``tree`` per row of merged columns, caches
+        included, in pre-order (the file's order)."""
         world = self.world
         order = np.lexsort((self.depth, self.index << world.dims * (
             world.max_depth - self.depth)))
         kind, cond = self.kind[order], self.cond[order]
         cond.flags.writeable = False
-        conds, gains = _caches(cond, self.cached[order], self.gain[order], self.boxed[order])
-        tables = [None, self.table]
-        return dict(zip(node_keys(self.depth[order], self.index[order]), map(
-            Node, kind.tolist(), self.weight[order].tolist(),
-            map(tables.__getitem__, (kind != INTERIOR).tolist()), self.row[order].tolist(),
-            conds, gains)))
+        keys, tables = list(node_keys(self.depth[order], self.index[order])), [None, self.table]
+        nodes = {key: ViewNode.__new__(ViewNode) for key in keys}
+        for name, values in zip(("tree", "key", *Node.__slots__), (
+                itertools.repeat(tree), keys, kind.tolist(), self.weight[order].tolist(),
+                map(tables.__getitem__, (kind != INTERIOR).tolist()), self.row[order].tolist(),
+                [c if ok else None for c, ok in zip(cond, self.cached[order].tolist())],
+                [np.float64(g) if b else g
+                 for g, b in zip(self.gain[order].tolist(), self.boxed[order].tolist())])):
+            for node, value in zip(nodes.values(), values):
+                object.__setattr__(node, name, value)  # past ViewNode's, which raises
+        return nodes
 
-    def write_back(self) -> None:
-        """Copy each interior weight, conditional and gain into the gathered
-        ``Node``s; a file load's store has none."""
-        inner = np.flatnonzero(self.kind == INTERIOR) if self.nodes else []
-        conds, gains = _caches(self.cond[inner], self.cached[inner], self.gain[inner],
-                               self.boxed[inner])
-        for i, w, c, g in zip(inner, self.weight[inner].tolist(), conds, gains):
-            node = self.nodes[i]
-            node.weight, node.cond, node.gain = w, c, g
+    def merged(self) -> "Levels":
+        """The live rows in key order, over only the records they refer to."""
+        live = np.flatnonzero(self.kind[:self.size] != _DELETED)
+        order = live[np.lexsort((self.index[live], self.depth[live]))]
+        columns = [getattr(self, name)[order] for name in _COLUMNS]
+        rec = columns[2] != INTERIOR
+        used, columns[4][rec] = np.unique(columns[4][rec], return_inverse=True)
+        return Levels(self.world, self.num_classes, columns, TruncatedRows(
+            *(c[used] for c in (*self.table[:4], self.table.stored()))).read_only())
 
-    def identical_sets(self) -> bool:
-        """Whether some interior row's children are all stored records that
-        hold one record (``rows_close``)."""
-        slots = self.slots[self.kind[:len(self.slots)] == INTERIOR]
-        slots = slots[(slots >= 0).all(axis=1)]
-        slots = slots[(self.kind[slots] != INTERIOR).all(axis=1)]
-        return any(rows_close([(self.table, r) for r in rows])
-                   for rows in self.row[slots].tolist())
+    def lookup(self, depth: np.ndarray, index: np.ndarray) -> np.ndarray:
+        """Merged columns' rows of the nodes at (depth, index), -1 if absent."""
+        rows = np.full(len(depth), -1)
+        for d in set(depth.tolist()) & set(range(len(self.bounds) - 1)):
+            a, b = self.bounds[d:d + 2]
+            at = depth == d
+            found = np.searchsorted(self.index[a:b], index[at])
+            rows[at] = np.where(np.append(self.index[a:b], -1)[found] == index[at], a + found, -1)
+        return rows
 
-    def child_sets(self, rows) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-        """``SemanticOctree.child_sets`` of ``rows``, by gathers: a row's
-        stored weights are added in octant order (0.0 for an absent child,
-        which is exact), and a stored child without a cached conditional
-        gets ``conditionals``'s."""
+    def path(self, depth: int, index: int) -> list[int]:
+        """The rows of the root path of node (depth, index), root first, -1
+        from the first absent node on: a walk down the slots."""
+        rows, row, dims, mask = [0], 0, self.world.dims, self.world.branching - 1
+        for shift in range(dims * (depth - 1), -1, -dims):
+            if row >= 0:
+                row = self.slots.item(row, index >> shift & mask)
+            rows.append(row)
+        return rows
+
+    # -- the overlay ---------------------------------------------------------
+
+    def _grow(self) -> None:
+        n, room = self.size, 2 * self.size + 16
+        for name in (*_COLUMNS, "has_children", "slots"):
+            old = getattr(self, name)
+            new = np.full((room, *old.shape[1:]), -1 if name == "slots" else 0, old.dtype)
+            new[:n] = old[:n]
+            setattr(self, name, new)
+
+    def add_row(self, parent: int, octant: int, kind: int, weight: float = 0.0,
+                row: int = 0, cond: np.ndarray | None = None) -> int:
+        """Append a child of row ``parent`` in ``octant``, with gain 0.0 and
+        cached if ``cond`` is given; returns its row."""
+        if self.size >= len(self.slots):
+            self._grow()
+        new, dims = self.size, self.world.dims
+        self.depth[new], self.index[new] = self.depth[parent] + 1, self.index[parent] << dims | octant
+        self.kind[new], self.weight[new], self.row[new] = kind, weight, row
+        if cond is not None:
+            self.cond[new], self.cached[new] = cond, True
+        self.slots[parent, octant], self.has_children[parent] = new, True
+        self.size, self.overlay = new + 1, True
+        return new
+
+    def install(self, row: int, weight: float, fields: tuple, cond) -> None:
+        """Give finest ``row`` ``weight``, gain 0.0, the record of ``fields``
+        (``TruncatedRows.fields``), appended to ``table``, and its dense vector
+        ``cond``. A full table is first copied with room for as many more
+        records; when the other rows refer to at most half of them (an
+        update leaves its old record behind), only those are kept."""
+        at, table = self.records, self.table
+        if at == len(table.ids):
+            refers, keep = self.kind[:self.size] > INTERIOR, slice(at)  # leaves, summaries
+            refers[row] = False
+            if 2 * np.count_nonzero(refers) <= at:
+                rec = np.flatnonzero(refers)
+                keep, self.row[rec] = np.unique(self.row[rec], return_inverse=True)
+            columns = [c[keep] for c in (*table[:4], table.stored())]
+            at = len(columns[0])
+            table = self.table = TruncatedRows(*(np.concatenate([c, np.zeros(
+                (at + 16, *c.shape[1:]), c.dtype)]) for c in columns))
+        ids, probs, p_free, p_residual = fields
+        table.ids[at, :len(ids)], table.probs[at, :len(ids)] = ids, probs
+        table.p_free[at], table.p_residual[at], table.counts[at] = p_free, p_residual, len(ids)
+        self.weight[row], self.row[row], self.cond[row], self.cached[row] = weight, at, cond, True
+        self.gain[row], self.boxed[row], self.records, self.overlay = 0.0, False, at + 1, True
+
+    def expand(self, row: int) -> range:
+        """The rows of the new children of summary ``row``, now interior: they
+        share its record and conditional and split its weight; leaves at
+        depth D, else summaries."""
+        b, first = self.world.branching, self.size
+        kind = LEAF if self.depth[row] + 1 == self.world.max_depth else SUMMARY
+        share, record, cond = self.weight[row] / b, self.row[row], self.cond[row].copy()
+        for octant in range(b):
+            self.add_row(row, octant, kind, share, record, cond)
+        self.kind[row], self.gain[row], self.boxed[row] = INTERIOR, 0.0, False
+        return range(first, self.size)
+
+    def prune(self, rows: np.ndarray) -> int:
+        """How many of ``rows`` (interior, with a full set of record children)
+        become summaries, those whose children hold one record (``rows_close``):
+        each takes its first child's record and conditional, and its children
+        are deleted."""
+        kids = self.slots[rows]
+        same = np.array([rows_close([(self.table, r) for r in self.row[k].tolist()])
+                         for k in kids], dtype=bool)
+        rows, kids = rows[same], kids[same]
+        self.kind[rows], self.row[rows] = SUMMARY, self.row[kids[:, 0]]
+        self.cond[rows] = self.cond[kids[:, 0]]
+        self.cached[rows], self.gain[rows], self.boxed[rows] = True, 0.0, False
+        self.has_children[rows], self.slots[rows], self.kind[kids] = False, -1, _DELETED
+        self.overlay |= bool(len(rows))
+        return len(rows)
+
+    # -- child sets ------------------------------------------------------------
+
+    def _stored(self, rows):
+        """Per row: child slots, which are stored, their weights (0.0 for an
+        absent child, which adds exactly), mean and ``completed_weight``."""
         slots = self.slots[rows]
         present = slots >= 0
         count = present.sum(axis=1)
-        if not count.all():
+        if np.count_nonzero(count) < len(count):
             i = np.asarray(rows)[count == 0][0]
             raise TreeError(f"{(int(self.depth[i]), int(self.index[i]))} has no stored "
                             "children to complete")
         stored = np.where(present, self.weight[slots], 0.0)
         total = row_totals(stored)
         mean = total / count
+        return slots, present, stored, mean, total + (self.world.branching - count) * mean
+
+    def child_sets(self, rows) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+        """Weights (N, B), conditionals (N, B, K+1), cached gains (N, B) and
+        total weights (N,) of the full child sets of N rows with stored
+        children, by gathers. An absent child is completed virtually and
+        never stored: it weighs the mean of its stored siblings' weights and
+        has the uniform conditional and zero gain. A stored child's gain is
+        its cached one if it is interior, else 0, and its conditional its
+        cached one or ``conditionals``'s. A row's total is
+        ``completed_weight`` of its stored weights in octant order, the
+        node's weight by definition; consumers normalize by it instead of
+        summing the row. A row's results do not depend on the rows beside
+        it."""
+        slots, present, stored, mean, total = self._stored(rows)
         conds = self.cond[slots]
         conds[~present] = uniform_row(self.num_classes)
         stale = present & ~self.cached[slots]
-        if stale.any():
+        if np.count_nonzero(stale):
             conds[stale] = self.conditionals(slots[stale])
         gains = np.where(present & (self.kind[slots] == INTERIOR), self.gain[slots], 0.0)
-        return (np.where(present, stored, mean[:, None]), conds, gains,
-                total + (self.world.branching - count) * mean)
+        return np.where(present, stored, mean[:, None]), conds, gains, total
 
     def conditionals(self, rows: np.ndarray) -> np.ndarray:
-        """``SemanticOctree.conditional`` of each of ``rows``, without
-        writing: the uncached ones with stored children are computed from
-        one ``child_sets`` gather, row by row as that method computes one."""
+        """``SemanticOctree.conditional`` of each of ``rows``, without writing:
+        uncached ones with stored children from one ``child_sets`` gather."""
         conds = self.cond[rows]
         todo = ~self.cached[rows]
         conds[todo] = uniform_row(self.num_classes)
@@ -450,45 +565,48 @@ class Levels:
 class SemanticOctree:
     """Probabilistic multi-class octree built from labeled point observations.
 
-    How a tree was made picks how it holds its nodes: a file load or a
-    batch build keeps ``Levels``, which the batch operations update in
-    place; any other tree is node-backed (``nodes``), and a batch operation
-    gathers it into ``Levels`` and writes back. The first read of ``nodes``
-    makes a tree node-backed for good.
+    Every tree keeps its nodes as one ``Levels``, an empty tree the root
+    alone. Per-node writes (``add_observation``, ``set_leaf``, summary
+    expansion, both prunes) go to its overlay, which ``levels()`` merges
+    into key order for a batch operation. ``nodes`` is a read-only view.
     """
-
-    nodes: dict[NodeKey, Node]  # an attribute once the tree is node-backed
 
     def __init__(self, world: WorldConfig, num_classes: int,
                  nodes: dict[NodeKey, Node] | None = None, *, levels: Levels | None = None):
+        """A tree of ``levels``, of a gathered dict of ``nodes``, or the root."""
         self.check_classes(num_classes)
-        self.world, self.num_classes, self._levels = world, num_classes, levels
-        if levels is None:
-            self.nodes = {} if nodes is None else nodes
-            if not self.nodes:
-                self.nodes[ROOT_KEY] = Node(INTERIOR)
+        self.world, self.num_classes, self._nodes = world, num_classes, None
+        self._store = levels if levels is not None else Levels.gather(
+            world, num_classes, nodes or {ROOT_KEY: Node(INTERIOR)})
+
+    def __getstate__(self) -> dict:
+        """A copy leaves the ``nodes`` view behind and builds its own."""
+        return {**self.__dict__, "_nodes": None}
 
     @staticmethod
     def check_classes(num_classes: int) -> None:
         if num_classes < 4:
             raise ConfigError("truncated leaf storage needs at least 4 classes")
 
-    def __getattr__(self, name: str):
-        """``nodes`` of a column-backed tree: built on this first read, in
-        file order with their caches; the tree is node-backed from then on.
-        A node-backed tree's ``nodes`` is a plain attribute, which the
-        streamed path reads several times per record."""
-        if name != "nodes" or self.__dict__.get("_levels") is None:
-            raise AttributeError(name)
-        self.nodes, self._levels = self._levels.node_dict(), None
-        return self.nodes
-
     def levels(self) -> Levels:
-        """The stored nodes as columns: a column-backed tree's own, or a
-        gather of a node-backed tree's (see ``Levels.write_back``)."""
-        if self._levels is not None:
-            return self._levels
-        return Levels.gather(self.world, self.num_classes, self.nodes)
+        """The nodes as columns in key order, for a batch operation: the
+        overlay of the writes since the last call is merged in first."""
+        if self._store.overlay:
+            self._store = self._store.merged()
+        return self._store
+
+    def columns(self) -> Levels:
+        """The columns as they stand, to write in place; drops ``nodes``."""
+        self._nodes = None
+        return self._store
+
+    @property
+    def nodes(self) -> Mapping[NodeKey, Node]:
+        """The nodes by key in pre-order, a read-only mapping of ``ViewNode``s
+        that the first read after a write builds."""
+        if self._nodes is None:
+            self._nodes = MappingProxyType(self.levels().node_dict(self))
+        return self._nodes
 
     @property
     def root(self) -> Node:
@@ -496,91 +614,54 @@ class SemanticOctree:
 
     # -- structure queries ------------------------------------------------
 
-    def stored_children(self, key: NodeKey) -> list[NodeKey]:
-        return [k for k in child_keys(key, self.world.dims) if k in self.nodes]
+    def _row(self, key) -> int:
+        """The row of ``key``, a (depth, index) pair, in the columns as they
+        stand (``Levels.path``), -1 if it is absent or out of range."""
+        depth, index = key
+        if not (0 <= depth <= self.world.max_depth and 0 <= index < 1 << self.world.dims * depth):
+            return -1
+        return self._store.path(depth, index)[-1]
 
-    def _kind_counts(self) -> np.ndarray:
-        if self._levels is not None:
-            return np.bincount(self._levels.kind, minlength=3)
-        nodes = self.nodes.values()
-        return np.bincount(np.fromiter((n.kind for n in nodes), np.int64, len(nodes)),
-                           minlength=3)
+    def stored_children(self, key: NodeKey) -> list[NodeKey]:
+        row = self._row(key)
+        octants = np.flatnonzero(self._store.slots[row] >= 0).tolist() if row >= 0 else []
+        return [child_key(key, o, self.world.dims) for o in octants]
+
+    def _count(self, kind: int) -> int:
+        store = self._store
+        return int(np.count_nonzero(store.kind[:store.size] == kind))
 
     def has_summaries(self) -> bool:
-        return bool(self._kind_counts()[SUMMARY])
-
-    def leaf_items(self) -> Iterator[tuple[NodeKey, Node]]:
-        """Depth-D leaves, in key order."""
-        for key in sorted(self.nodes):
-            node = self.nodes[key]
-            if node.kind == LEAF:
-                yield key, node
+        return self._count(SUMMARY) > 0
 
     def leaf_count(self) -> int:
-        return int(self._kind_counts()[LEAF])
+        return self._count(LEAF)
 
     def node_count(self) -> int:
-        return len(self.nodes) if self._levels is None else len(self._levels.index)
+        return self._store.size - self._count(_DELETED)
+
+    def rows(self, keys) -> np.ndarray:
+        """The rows of ``keys`` in the columns as they stand, one walk down
+        the slots each, or ``TreeError``: per-key reads merge nothing."""
+        rows = [self._row(key) for key in keys]
+        if -1 in rows:
+            raise TreeError(f"unknown key {keys[rows.index(-1)]}")
+        return np.array(rows, dtype=np.int64)
 
     def conditional(self, key: NodeKey) -> np.ndarray:
         """Aggregate class distribution of a node, over ids 0..K.
 
         Leaves and summaries return the dense vector stored with their
-        record; interior nodes use the cached aggregate when present and
-        otherwise compute it recursively without mutating the tree. A
-        childless or massless node is treated as unobserved, i.e. maximum
-        entropy.
+        record; interior nodes the cached aggregate, or else one computed
+        from their children (``Levels.conditionals``). A childless or
+        massless node reads as unobserved, i.e. maximum entropy.
         """
-        node = self.nodes.get(key)
-        if node is None:
-            raise TreeError(f"unknown key {key}")
-        if node.cond is not None:
-            return node.cond
-        if not self.stored_children(key):
-            return uniform_row(self.num_classes)
-        weights, conds, _, totals = self.child_sets([key])
-        if totals[0] <= 0.0:
-            return uniform_row(self.num_classes)
-        return (weights[0] / totals[0]) @ conds[0]
+        return self._store.conditionals(self.rows([key]))[0]
 
     def child_sets(self, keys) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-        """Weights (N, B), conditionals (N, B, K+1), cached gains (N, B) and
-        total weights (N,) of the full child sets of N interior keys with
-        stored children.
-
-        An absent child is completed virtually and never stored: it weighs
-        the mean of its stored siblings' weights and has the uniform
-        conditional and zero gain. A stored child's gain is its cached one
-        if it is interior, else 0. A row's total is ``completed_weight`` of
-        its stored weights, the node's weight by definition; consumers
-        normalize by it instead of summing the row. A key's row does not
-        depend on the keys beside it. Keys may be plain (depth, index) pairs.
-        """
-        get, dims, octants = self.nodes.get, self.world.dims, range(self.world.branching)
-        uniform = uniform_row(self.num_classes)
-        weights, conds, gains, totals = [], [], [], []
-        for depth, index in keys:
-            base = index << dims
-            kids = [get((depth + 1, base | o)) for o in octants]
-            stored = [c.weight for c in kids if c is not None]
-            if not stored:
-                raise TreeError(f"{(depth, index)} has no stored children to complete")
-            total, mean_w = _completion(stored, len(octants))
-            totals.append(total)
-            for o, c in zip(octants, kids):
-                if c is None:
-                    weights.append(mean_w)
-                    conds.append(uniform)
-                    gains.append(0.0)
-                else:
-                    weights.append(c.weight)
-                    conds.append(c.cond if c.cond is not None
-                                 else self.conditional(NodeKey(depth + 1, base | o)))
-                    gains.append(c.gain if c.kind == INTERIOR else 0.0)
-        n, b = len(keys), len(octants)
-        weights, gains = np.array(weights + gains, dtype=np.float64).reshape(2, n, b)
-        conds = np.array(conds).reshape(n, b, self.num_classes + 1)
-        return weights, conds, gains, np.array(totals, dtype=np.float64)
+        """``Levels.child_sets`` of the rows of ``keys``, which may be plain
+        (depth, index) pairs; a finest node has no stored children."""
+        return self._store.child_sets(self.rows(keys))
 
     # -- construction -----------------------------------------------------
 
@@ -600,11 +681,10 @@ class SemanticOctree:
         sees its observations in row order, which matters because every
         fusion is truncated. Fusion runs in rounds: round r fuses the r-th
         observation of every leaf that has one, in one row-kernel call.
-        The tree keeps the result as ``Levels`` and makes no ``Node``: the
-        leaves' codes, record rows and dense rows, and interior nodes, made
-        and weighted once, level by level, uncached with gain 0.0 (without
-        leaves, the root alone, of weight 0.0). Caches are left for
-        ``compression.refresh_all``. Rejected rows come in row order.
+        The columns hold the leaves' codes, record rows and dense rows, and
+        interior nodes made and weighted once, level by level, uncached
+        with gain 0.0 (without leaves, the root alone, of weight 0.0); no
+        ``Node`` is made. Rejected rows come in row order.
         """
         points = np.asarray(points, dtype=np.float64).reshape(-1, 3)
         confidence = np.asarray(confidence, dtype=np.float64)
@@ -679,19 +759,15 @@ class SemanticOctree:
         """
         leaf = self.world.leaf_key(point)
         obs_class, confidence = check_observation(obs_class, confidence, self.num_classes)
-        node = self.nodes.get(leaf)
-        new_leaf = node is None
+        store = self.columns()
+        path = store.path(leaf.depth, leaf.index)
+        new_leaf = path[-1] < 0
         if new_leaf:
-            self._open_path(leaf)
-            node = self.nodes.get(leaf)  # present if a summary held its cell
-        if node is None:
-            prior, weight = uniform_row(self.num_classes), 1.0
-        else:
-            prior, weight = node.cond, node.weight
-        record, cond = fuse_record(prior, obs_class, confidence)
-        self.nodes[leaf] = Node(LEAF, weight, record, 0, cond)
+            self._open_path(store, leaf, path)
+        at = path[-1]
+        store.install(at, store.weight[at], *fuse_record(store.cond[at], obs_class, confidence))
         if new_leaf:  # an update keeps the leaf's weight, so no weight changes
-            self._refresh_path(leaf)
+            self._refresh_path(store, path)
         return leaf
 
     def set_leaf(self, coords: tuple[int, ...],
@@ -700,43 +776,39 @@ class SemanticOctree:
         if not 0 <= weight < math.inf:  # NaN fails too
             raise ConfigError(f"leaf weight must be non-negative and finite, not {weight}")
         cond = expand_truncated(dist, self.num_classes)
-        cond.flags.writeable = False  # conditionals are returned without copying
-        record = Node(LEAF, weight, cond=cond)
-        record.dist = dist
         key = self.world.key_from_coords(coords, self.world.max_depth)
-        self._open_path(key)
-        self.nodes[key] = record
-        self._refresh_path(key)
+        store = self.columns()
+        path = store.path(key.depth, key.index)
+        self._open_path(store, key, path)
+        store.install(path[-1], weight, TruncatedRows.of([dist]).fields(0), cond)
+        self._refresh_path(store, path)
         return key
 
-    def _open_path(self, leaf: NodeKey) -> None:
-        """Create the missing ancestors of ``leaf`` and expand any summary
-        among them, top down."""
-        dims = self.world.dims
+    def _open_path(self, store: Levels, leaf: NodeKey, path: list[int]) -> None:
+        """Complete ``path`` (``Levels.path`` of ``leaf``) top down: expand
+        any summary on it, and make each missing node, an uncached interior
+        one or the leaf, uniform and of weight 1.0."""
+        dims, mask = self.world.dims, self.world.branching - 1
         for depth in range(leaf.depth):
-            key = NodeKey(depth, leaf.index >> dims * (leaf.depth - depth))
-            node = self.nodes.get(key)
-            if node is None:
-                self.nodes[key] = Node(INTERIOR)
-            elif node.kind == SUMMARY:
-                self._expand_summary(key)
-            elif node.kind == LEAF:
-                raise TreeError(f"leaf record {key} above max depth")
+            row, shift = path[depth], dims * (leaf.depth - depth - 1)
+            kind, octant = store.kind[row], leaf.index >> shift & mask
+            if kind == SUMMARY:
+                store.expand(row)
+            elif kind == LEAF:
+                raise TreeError(f"leaf record {NodeKey(depth, leaf.index >> shift + dims)} "
+                                "above max depth")
+            child = store.slots.item(row, octant)
+            if child < 0:
+                child = (store.add_row(row, octant, INTERIOR) if shift else store.add_row(
+                    row, octant, LEAF, 1.0, 0, uniform_row(self.num_classes)))
+            path[depth + 1] = child
 
-    def _refresh_weight(self, key) -> None:
-        """Re-derive an interior weight from its stored children; ``key``
-        may be a plain (depth, index) pair."""
-        depth, index = key
-        base, branching = index << self.world.dims, self.world.branching
-        kids = map(self.nodes.get, [(depth + 1, base | o) for o in range(branching)])
-        self.nodes[key].weight = completed_weight(
-            [c.weight for c in kids if c is not None], branching)
-
-    def _refresh_path(self, leaf: NodeKey) -> None:
-        """Re-derive the weight of every ancestor of ``leaf``, deepest first."""
-        dims = self.world.dims
-        for depth in reversed(range(leaf.depth)):
-            self._refresh_weight((depth, leaf.index >> dims * (leaf.depth - depth)))
+    def _refresh_path(self, store: Levels, path: list[int]) -> None:
+        """Re-derive the weight of every ancestor on ``path``, deepest first."""
+        for row in reversed(path[:-1]):
+            kids = store.slots[row]
+            store.weight[row] = completed_weight(store.weight[kids[kids >= 0]].tolist(),
+                                                 self.world.branching)
 
     # -- summary handling ---------------------------------------------------
 
@@ -746,89 +818,55 @@ class SemanticOctree:
         Applicable only when every child is stored and holds a truncated
         record (a finest leaf or an already-pruned summary). On success the
         children are deleted and the node becomes a summary carrying the
-        shared distribution; it re-expands on the next observation in its
-        region.
+        shared distribution, to re-expand on the next observation in it.
         """
-        node = self.nodes.get(key)
-        if node is None:
-            raise TreeError(f"unknown key {key}")
-        if node.kind != INTERIOR:
+        row, store = self.rows([key])[0], self._store
+        if store.kind[row] != INTERIOR:
             raise TreeError(f"{key} is not an interior node")
-        kids = self.stored_children(key)
-        if len(kids) != self.world.branching:
+        kids = store.slots[row]
+        if (kids < 0).any():
             raise TreeError(f"{key} does not have a full stored child set")
-        children = [self.nodes[k] for k in kids]
-        if any(c.kind == INTERIOR for c in children):
+        if (store.kind[kids] == INTERIOR).any():
             raise TreeError(f"children of {key} include interior nodes")
-        return self._prune(key, kids, children)
-
-    def _prune(self, key: NodeKey, kids: list, children: list[Node]) -> bool:
-        """Make ``key`` a summary if its full set of record ``children`` holds
-        one record (``rows_close``); compares rows and builds no records."""
-        if not rows_close([(c.table, c.row) for c in children]):
-            return False
-        for k in kids:
-            del self.nodes[k]
-        first = children[0]
-        self.nodes[key] = Node(SUMMARY, self.nodes[key].weight, first.table, first.row,
-                               first.cond)
-        return True
+        return bool(self.columns().prune(np.array([row])))
 
     def prune_all_identical(self) -> int:
-        """Bottom-up sweep of ``prune_identical_children`` wherever applicable;
-        child slots are plain (depth, index) pairs, each looked up once. Only
-        a full set of record children that holds one record starts a prune:
-        without one, a column-backed tree stays so."""
-        if self._levels is not None and not self._levels.identical_sets():
-            return 0
-        get, dims, octants = self.nodes.get, self.world.dims, range(self.world.branching)
-        pruned = 0
-        keys = [k for k, n in self.nodes.items() if n.kind == INTERIOR]
-        for key in sorted(keys, key=lambda k: (-k.depth, k.index)):
-            base = key.index << dims
-            kids = [(key.depth + 1, base | o) for o in octants]
-            children = [get(k) for k in kids]
-            if all(c is not None and c.kind != INTERIOR for c in children):
-                pruned += self._prune(key, kids, children)
+        """Bottom-up sweep of ``prune_identical_children`` wherever
+        applicable, one level of the columns at a time."""
+        store, pruned = self.levels(), 0
+        for depth in reversed(range(self.world.max_depth)):
+            a, b = store.bounds[depth:depth + 2]
+            kids = store.slots[a:b]
+            full = (store.kind[a:b] == INTERIOR) & (kids >= 0).all(axis=1)
+            full[full] = (store.kind[kids[full]] != INTERIOR).all(axis=1)
+            pruned += store.prune(a + np.flatnonzero(full))
+        if pruned:
+            self.columns()
         return pruned
-
-    def _expand_summary(self, key: NodeKey) -> None:
-        """Re-create one level of identical children under a summary node."""
-        node = self.nodes[key]
-        if node.kind != SUMMARY:
-            raise TreeError(f"{key} is not a summary node")
-        dims = self.world.dims
-        child_kind = LEAF if key.depth + 1 == self.world.max_depth else SUMMARY
-        share = node.weight / self.world.branching
-        for k in child_keys(key, dims):
-            self.nodes[k] = Node(child_kind, share, node.table, node.row, node.cond)
-        self.nodes[key] = Node(INTERIOR, weight=node.weight, cond=node.cond)
 
     def expand_summaries(self) -> int:
         """Expand every summary down to explicit depth-D leaves.
 
         Returns the number of expansion steps performed. The weights of the
         expanded nodes and their ancestors are then re-derived, deepest
-        first, since the children's shares need not add up to the summary's
-        weight bit for bit. Conditional and gain caches stay valid within
-        rounding: an expanded node keeps its record's vector and gain 0, where
-        ``compression.refresh_all`` averages its identical children, which can
-        differ in the last bits, here and above; it makes them exact again.
+        first: the children's shares need not add up to the summary's weight
+        bit for bit. Caches stay valid within rounding: an expanded node keeps
+        its record's vector and gain 0, which ``compression.refresh_all``
+        makes exact again, here and above.
         """
-        if not self.has_summaries():  # a column-backed tree stays so
+        pending = np.flatnonzero(self.levels().kind == SUMMARY).tolist()
+        if not pending:
             return 0
-        dims = self.world.dims
-        expanded = []
-        pending = [k for k, n in self.nodes.items() if n.kind == SUMMARY]
-        while pending:
-            key = pending.pop()
-            self._expand_summary(key)
-            expanded.append(key)
-            for k in child_keys(key, dims):
-                if self.nodes[k].kind == SUMMARY:
-                    pending.append(k)
-        stale = {(d, index >> dims * (depth - d))
-                 for depth, index in expanded for d in range(depth + 1)}
-        for key in sorted(stale, key=lambda k: -k[0]):
-            self._refresh_weight(key)
-        return len(expanded)
+        store, stale, expanded = self.columns(), set(), len(pending)
+        while pending:  # (depth, row) of each expanded node and its ancestors
+            row = pending.pop()
+            children = store.expand(row)
+            stale.update(enumerate(store.path(int(store.depth[row]), int(store.index[row]))))
+            if store.kind[children[0]] == SUMMARY:
+                expanded += len(children)
+                pending += children
+        for depth in reversed(range(self.world.max_depth)):
+            rows = [row for d, row in stale if d == depth]
+            if rows:
+                store.weight[rows] = store._stored(rows)[-1]
+        return expanded

@@ -380,18 +380,14 @@ def _expand_row(ids, probs, p_free: float, p_residual: float, k: int) -> list[fl
     return row
 
 
-def fuse_record(prior: np.ndarray, obs_class: int,
-                confidence: float) -> tuple[TruncatedRows, np.ndarray]:
+def fuse_record(prior: np.ndarray, obs_class: int, confidence: float):
     """The streamed insert: ``fuse_rows``, ``truncate_rows`` and ``expand_rows``
-    of a dense prior and one checked observation (``check_observation``): a
-    read-only one-row table and the record's read-only dense vector."""
+    of a dense prior and one checked observation (``check_observation``) on
+    Python floats. Returns the record's fields, as ``TruncatedRows.fields``
+    gives them, and its dense vector as a list."""
     row = _fuse_row(prior.tolist(), obs_class, confidence)
-    ids, probs, p_free, residual = _truncate_row(row)
-    table = TruncatedRows(np.array([(ids + [0, 0, 0])[:3]]), np.array([(probs + [0.0] * 3)[:3]]),
-                          np.array([p_free]), np.array([residual])).read_only()
-    cond = np.array(_expand_row(ids, probs, p_free, residual, len(row) - 1))
-    cond.setflags(write=False)
-    return table, cond
+    fields = _truncate_row(row)
+    return fields, _expand_row(*fields, len(row) - 1)
 
 
 def expand_truncated(dist: TruncatedSemanticDistribution, num_classes: int) -> np.ndarray:

@@ -29,6 +29,7 @@ from soct.octree import (
     child_keys,
     completed_weight,
     key_arrays,
+    uniform_row,
 )
 from soct.planning import UNKNOWN_CLASS, PlanResult, _norms
 from soct.semantics import (
@@ -175,6 +176,39 @@ def ref_conditional(tree, key):
     return out
 
 
+def node_child_set(tree, key):
+    """One node's full child set as the per-node ``SemanticOctree.child_sets``
+    gathered it from ``tree.nodes`` before the columns did: weights (B,),
+    conditionals (B, K+1), each stored child's cached one or else its
+    ``node_conditional``, and the total, ``completed_weight`` of the stored
+    weights; an absent child weighs their mean and is uniform."""
+    kids = [(k, tree.nodes.get(k)) for k in child_keys(key, tree.world.dims)]
+    stored = [node.weight for _, node in kids if node is not None]
+    total = sum(stored)
+    mean = total / len(stored)
+    uniform = uniform_row(tree.num_classes)
+    weights = np.array([mean if node is None else node.weight for _, node in kids])
+    conds = np.array([uniform if node is None else node.cond if node.cond is not None
+                      else node_conditional(tree, k) for k, node in kids])
+    return weights, conds, total + (len(kids) - len(stored)) * mean
+
+
+def node_conditional(tree, key):
+    """``SemanticOctree.conditional`` as the recursion over ``tree.nodes``
+    computed it before the columns did: a node's cached or record vector,
+    else ``(weights / total) @ conds`` of its ``node_child_set``, uniform
+    without stored children or mass. Its bits are the column code's."""
+    node = tree.nodes[key]
+    if node.cond is not None:
+        return node.cond
+    if not any(k in tree.nodes for k in child_keys(key, tree.world.dims)):
+        return uniform_row(tree.num_classes)
+    weights, conds, total = node_child_set(tree, key)
+    if total <= 0.0:
+        return uniform_row(tree.num_classes)
+    return (weights / total) @ conds
+
+
 def ref_relative_gain(tree, key, cw):
     """Recursive relative gain computed with plain-python loops."""
     node = tree.nodes[key]
@@ -203,14 +237,14 @@ def ref_extraction(tree, expanded):
     """``(kept, blocks)`` of the subtree that expands ``expanded``, node by
     node: the kept keys, and per block key its ``(weight, marginals,
     virtual)``. A stored child is a block with its own weight and
-    conditional; an absent one weighs the mean of its stored siblings and
+    ``node_conditional``; an absent one weighs the mean of its stored siblings and
     is uniform. Without the root expanded, the root is the one block,
     virtual when nothing is stored under it."""
     kept = {ROOT_KEY, *expanded}
     if ROOT_KEY not in expanded:
         empty = tree.root.kind == INTERIOR and not any(
             k in tree.nodes for k in child_keys(ROOT_KEY, tree.world.dims))
-        return kept, {ROOT_KEY: (tree.root.weight, tree.conditional(ROOT_KEY), empty)}
+        return kept, {ROOT_KEY: (tree.root.weight, node_conditional(tree, ROOT_KEY), empty)}
     uniform = np.full(tree.num_classes + 1, 1.0 / (tree.num_classes + 1))
     blocks = {}
     for key in expanded:
@@ -223,7 +257,7 @@ def ref_extraction(tree, expanded):
             if k in expanded:
                 continue
             blocks[k] = ((mean, uniform, True) if node is None
-                         else (node.weight, tree.conditional(k), False))
+                         else (node.weight, node_conditional(tree, k), False))
     return kept, blocks
 
 
@@ -291,7 +325,7 @@ def _ref_record(tree, key, kind, weight, dist, records):
     return records[-1]
 
 
-def _ref_read_node(reader, tree, key, records):
+def _ref_read_node(reader, tree, key, records, nodes):
     (kind, weight) = reader.take("<Bd")
     max_depth = tree.world.max_depth
     if kind in (1, 2) and not (math.isfinite(weight) and weight >= 0.0):
@@ -299,13 +333,12 @@ def _ref_read_node(reader, tree, key, records):
     if kind == 1:
         if key.depth != max_depth:
             raise CorruptionError(f"leaf record at depth {key.depth}")
-        tree.nodes[key] = _ref_record(tree, key, LEAF, weight,
-                                      _ref_unpack_dist(reader), records)
+        nodes[key] = _ref_record(tree, key, LEAF, weight, _ref_unpack_dist(reader), records)
     elif kind == 2:
         if key.depth >= max_depth:
             raise CorruptionError(f"summary record at depth {key.depth}")
-        tree.nodes[key] = _ref_record(tree, key, SUMMARY, weight,
-                                      _ref_unpack_dist(reader), records)
+        nodes[key] = _ref_record(tree, key, SUMMARY, weight, _ref_unpack_dist(reader),
+                                 records)
     elif kind == 0:
         if key.depth >= max_depth:
             raise CorruptionError(f"interior record at depth {key.depth}")
@@ -314,9 +347,10 @@ def _ref_read_node(reader, tree, key, records):
             raise CorruptionError(f"child bitmask {mask:#x} exceeds branching")
         if mask == 0 and key != ROOT_KEY:
             raise CorruptionError(f"childless interior record at {key}")
-        tree.nodes[key] = Node(INTERIOR, weight=weight)
+        nodes[key] = Node(INTERIOR, weight=weight)
         expected = completed_weight(
-            [_ref_read_node(reader, tree, child_key(key, octant, tree.world.dims), records)
+            [_ref_read_node(reader, tree, child_key(key, octant, tree.world.dims), records,
+                            nodes)
              for octant in range(tree.world.branching) if mask & (1 << octant)],
             tree.world.branching)
         if not (math.isfinite(weight)
@@ -348,21 +382,57 @@ def reference_deserialize(path):
         tree = SemanticOctree(world, num_classes)
     except ConfigError as exc:
         raise CorruptionError(f"invalid world header: {exc}") from None
-    tree.nodes.clear()
-    records = []
+    records, nodes = [], {}
     try:
-        _ref_read_node(reader, tree, ROOT_KEY, records)
+        _ref_read_node(reader, tree, ROOT_KEY, records, nodes)
     except TreeError as exc:
         raise CorruptionError(str(exc)) from None
     if reader.pos != len(data):
         raise CorruptionError(f"{len(data) - reader.pos} trailing bytes")
-    if ROOT_KEY not in tree.nodes or tree.nodes[ROOT_KEY].kind == LEAF:
+    if ROOT_KEY not in nodes or nodes[ROOT_KEY].kind == LEAF:
         raise CorruptionError("missing or malformed root record")
     conds = expand_rows(TruncatedRows.of([n.dist for n in records]), tree.num_classes)
     conds.flags.writeable = False
     for node, cond in zip(records, conds):
         node.cond = cond
-    return tree
+    return SemanticOctree(world, num_classes, nodes)
+
+
+def scaled_leaves(tree, c):
+    """The tree with every leaf weight times ``c``, built from a dict of its
+    nodes; ``refresh_all`` re-derives the interior weights, deepest first."""
+    nodes = editable_nodes(tree)
+    for node in nodes.values():
+        if node.kind == LEAF:
+            node.weight *= c
+    return SemanticOctree(tree.world, tree.num_classes, nodes)
+
+
+def ref_prune_all(tree):
+    """``prune_all_identical`` node by node on a dict of the tree's nodes:
+    deepest parents first, one whose full child set holds only records, all
+    ``is_close`` to the first, becomes a summary of its weight and the first
+    child's record. Returns the pruned tree and the number of prunes."""
+    nodes, dims, pruned = editable_nodes(tree), tree.world.dims, 0
+    parents = sorted((k for k, n in nodes.items() if n.kind == INTERIOR),
+                     key=lambda k: (-k.depth, k.index))
+    for key in parents:
+        kids = [nodes.get(k) for k in child_keys(key, dims)]
+        if all(c is not None and c.kind != INTERIOR and c.dist.is_close(kids[0].dist)
+               for c in kids):
+            for k in child_keys(key, dims):
+                del nodes[k]
+            nodes[key] = Node(SUMMARY, nodes[key].weight, kids[0].table, kids[0].row,
+                              kids[0].cond)
+            pruned += 1
+    return SemanticOctree(tree.world, tree.num_classes, nodes), pruned
+
+
+def editable_nodes(tree):
+    """Plain ``Node`` copies of ``tree.nodes``, a read-only view, by key: a
+    dict to edit and build a tree of (``SemanticOctree(world, k, nodes)``)."""
+    return {key: Node(n.kind, n.weight, n.table, n.row, n.cond, n.gain)
+            for key, n in tree.nodes.items()}
 
 
 def _ref_write_node(tree, key, out):
@@ -398,8 +468,8 @@ _TAIL = np.dtype([("p_free", "<f8"), ("p_residual", "<f8")])
 
 
 def node_serialize(tree):
-    """The tree-file writer over ``tree.nodes`` (which a column-backed tree
-    builds on this read): the nodes in pre-order, each interior node's child
+    """The tree-file writer over ``tree.nodes`` (the read-only view of the
+    tree's columns): the nodes in pre-order, each interior node's child
     bits found through the chain of first children of its region's code,
     each record a row of the tables its ``Node`` refers to, packed into one
     buffer."""

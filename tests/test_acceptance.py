@@ -45,6 +45,7 @@ from helpers import (
     make_demo_cloud,
     make_random_tree,
     random_weights,
+    scaled_leaves,
     ref_all_paths_best,
     ref_dijkstra_length,
     ref_mutual_information,
@@ -252,12 +253,7 @@ def test_criterion_8_scale_invariance():
         for c in (0.1, 1.0, 7.3):
             r = np.random.default_rng(seed)
             _random_shape(r)  # keep the stream aligned with the shape draw
-            tree = make_random_tree(r, branching, depth, fill=0.8)
-            for _, node in tree.leaf_items():
-                node.weight *= c
-            for d in reversed(range(depth)):
-                for key in [k for k in tree.nodes if k.depth == d]:
-                    tree._refresh_weight(key)
+            tree = scaled_leaves(make_random_tree(r, branching, depth, fill=0.8), c)
             refresh_all(tree, cw)
             kept_sets.append(frozenset(compress_tree(tree, cw).expanded))
         assert kept_sets[0] == kept_sets[1] == kept_sets[2]

@@ -21,9 +21,9 @@ from soct.formats import (
     parse_world_config,
     serialize_tree,
 )
-from soct.octree import SemanticOctree
+from soct.octree import LEAF, SemanticOctree
 
-from helpers import cloud_files, write_cloud
+from helpers import cloud_files, editable_nodes, write_cloud
 
 WORLD = "origin 0 0 0\nedge_length 8\nmax_depth 3\nbranching 8\nnum_classes 4\n"
 
@@ -610,8 +610,10 @@ def test_halton_n_above_limit_is_config_error(workspace, capsys, monkeypatch,
 def test_nan_leaf_weight_is_corruption_error(workspace, capsys, command):
     build(workspace, capsys)
     tree = deserialize_tree(workspace / "tree.soct")
-    next(tree.leaf_items())[1].weight = float("nan")
-    serialize_tree(tree, workspace / "tree.soct")
+    nodes = editable_nodes(tree)
+    next(n for n in nodes.values() if n.kind == LEAF).weight = float("nan")
+    serialize_tree(SemanticOctree(tree.world, tree.num_classes, nodes),
+                   workspace / "tree.soct")
     extra = ["--start", "0.5,3.5", "--goal", "7.5,4.5"] if command == "plan" else []
     code, _, err = run(capsys, [
         command, "--tree", workspace / "tree.soct",
@@ -625,9 +627,11 @@ def test_nan_leaf_weight_is_corruption_error(workspace, capsys, command):
 def test_invalid_leaf_record_is_corruption_error(workspace, capsys, command):
     build(workspace, capsys)
     tree = deserialize_tree(workspace / "tree.soct")
-    node = next(tree.leaf_items())[1]
+    nodes = editable_nodes(tree)
+    node = next(n for n in nodes.values() if n.kind == LEAF)
     node.dist = replace(node.dist, p_free=float("nan"))
-    serialize_tree(tree, workspace / "tree.soct")
+    serialize_tree(SemanticOctree(tree.world, tree.num_classes, nodes),
+                   workspace / "tree.soct")
     extra = ["--start", "0.5,3.5", "--goal", "7.5,4.5"] if command == "plan" else []
     code, _, err = run(capsys, [
         command, "--tree", workspace / "tree.soct",
@@ -641,8 +645,10 @@ def test_invalid_leaf_record_is_corruption_error(workspace, capsys, command):
 def test_bad_interior_weight_is_corruption_error(workspace, capsys, bad):
     build(workspace, capsys)
     tree = deserialize_tree(workspace / "tree.soct")
-    tree.root.weight = bad
-    serialize_tree(tree, workspace / "tree.soct")
+    nodes = editable_nodes(tree)
+    nodes[(0, 0)].weight = bad
+    serialize_tree(SemanticOctree(tree.world, tree.num_classes, nodes),
+                   workspace / "tree.soct")
     code, out, err = run(capsys, [
         "report", "--tree", workspace / "tree.soct",
         "--weights", workspace / "weights.cfg"])

@@ -25,6 +25,7 @@ from soct.compression import (
     weighted_gain,
 )
 from soct.errors import ConfigError, SizeLimitError, SummaryError, TreeError
+from soct.formats import deserialize_tree, serialize_tree
 from soct.infotheory import entropy, split_increments
 from soct.octree import (
     INTERIOR,
@@ -39,6 +40,7 @@ from soct.semantics import TruncatedSemanticDistribution
 
 from helpers import (
     make_random_tree,
+    node_serialize,
     random_truncated,
     random_weights,
     ref_bernoulli_js,
@@ -46,6 +48,7 @@ from helpers import (
     ref_extraction,
     ref_mutual_information,
     ref_relative_gain,
+    scaled_leaves,
 )
 
 
@@ -212,25 +215,25 @@ def test_refresh_upward_rejects_non_leaf():
 def test_refresh_upward_gathers_and_evaluates_once(monkeypatch):
     """On a branching-8, depth-4 stream of new leaves (with new ancestors)
     and updates, each ``refresh_upward`` gathers its whole root path in one
-    ``child_sets`` call and evaluates it in one ``split_terms`` call: a
-    gather per level, or a recursive ``conditional`` of a new ancestor,
-    would make more."""
+    ``child_sets`` call on the columns and evaluates it in one
+    ``split_terms`` call: a gather per level, or a recursive conditional of
+    a new ancestor (``Levels.conditionals`` gathers too), would make more."""
     rng = np.random.default_rng(79)
     world = WorldConfig((0, 0, 0), 16.0, 4)
     tree = SemanticOctree(world, 4)
     cw = CompressionWeights({1: 4.0}, {2: 0.5}, 0.02)
     calls = []
-    gather, kernel = SemanticOctree.child_sets, split_terms
+    gather, kernel = Levels.child_sets, split_terms
 
-    def counting_gather(self, keys):
-        calls.append(("child_sets", len(keys)))
-        return gather(self, keys)
+    def counting_gather(self, rows):
+        calls.append(("child_sets", len(rows)))
+        return gather(self, rows)
 
     def counting_kernel(pi, marginals):
         calls.append(("split_terms", len(pi)))
         return kernel(pi, marginals)
 
-    monkeypatch.setattr(SemanticOctree, "child_sets", counting_gather)
+    monkeypatch.setattr(Levels, "child_sets", counting_gather)
     monkeypatch.setattr("soct.compression.split_terms", counting_kernel)
     cells = rng.integers(0, 16, (30, 3)) * [1, 1, 0.5]
     for cell in np.vstack([cells, cells]):  # new leaves, then updates
@@ -377,7 +380,22 @@ def test_per_class_information_adds_node_terms_in_key_order():
         assert per_class_information(tree, ctree) == dict(enumerate(bits.tolist()))
 
 
-BIT_OPS = ("observe", "zero_leaf", "identical", "prune", "observe_summary")
+def _expanded_by_cached_gain(tree):
+    """The nodes that the extraction expands, found node by node from the
+    root: stored interior nodes with a cached gain above 1e-12 and stored
+    children, under expanded parents."""
+    expanded, todo = set(), [ROOT_KEY]
+    while todo:
+        key = todo.pop()
+        children = tree.stored_children(key)
+        if tree.nodes[key].kind == INTERIOR and tree.nodes[key].gain > 1e-12 and children:
+            expanded.add(key)
+            todo += children
+    return expanded
+
+
+BIT_OPS = ("observe", "zero_leaf", "identical", "prune", "observe_summary", "compress",
+           "reload")
 
 
 def _assert_caches_equal_batch_bit_for_bit(tree, cw):
@@ -398,11 +416,15 @@ def _assert_caches_equal_batch_bit_for_bit(tree, cw):
 @given(seed=st.integers(0, 2**32 - 1),
        branching=st.sampled_from([2, 4, 8]),
        ops=st.lists(st.sampled_from(BIT_OPS), min_size=1, max_size=12))
-def test_incremental_caches_equal_batch_bit_for_bit(seed, branching, ops):
+def test_incremental_caches_equal_batch_bit_for_bit(tmp_path_factory, seed, branching, ops):
     """Observations, zero-weight leaves, blocks of identical leaves (constant
-    columns) and observations into summaries, in any order: after each step
-    every weight, conditional and gain that ``refresh_upward`` maintains is
-    exactly what ``refresh_all`` computes on a copy."""
+    columns), observations into summaries, a compression mid-stream (which
+    merges the streamed rows into key order) and a write and reload (whose
+    caches a refresh rebuilds), in any order: after each step every weight,
+    conditional and gain that ``refresh_upward`` maintains is exactly what
+    ``refresh_all`` computes on a copy, and the tree writes the bytes of
+    the writer over ``tree.nodes``."""
+    path = tmp_path_factory.mktemp("bits") / "tree.soct"
     rng = np.random.default_rng(seed)
     depth = {2: 4, 4: 3, 8: 2}[branching]
     k = int(rng.integers(4, 7))
@@ -434,7 +456,14 @@ def test_incremental_caches_equal_batch_bit_for_bit(seed, branching, ops):
             # replaces, so the ancestors are rebuilt
             tree.prune_all_identical()
             refresh_all(tree, cw)
-        else:
+        elif op == "compress" and not tree.has_summaries():
+            expanded = compress_tree(tree, cw).expanded
+            assert expanded == _expanded_by_cached_gain(tree)
+        elif op == "reload":
+            serialize_tree(tree, path)
+            tree = deserialize_tree(path)
+            refresh_all(tree, cw)
+        elif op == "observe_summary":
             summaries = sorted(key for key, node in tree.nodes.items()
                                if node.kind == SUMMARY)
             if summaries:
@@ -443,6 +472,8 @@ def test_incremental_caches_equal_batch_bit_for_bit(seed, branching, ops):
                                             int(rng.integers(0, k + 1)), 0.9)
                 refresh_upward(tree, leaf, cw)
         _assert_caches_equal_batch_bit_for_bit(tree, cw)
+        serialize_tree(tree, path)
+        assert path.read_bytes() == node_serialize(tree)
 
 
 def test_compress_dominant_alpha_gives_root_only():
@@ -575,13 +606,8 @@ def test_scale_invariance_of_kept_set():
         kept_sets = []
         for c in (0.1, 1.0, 7.3):
             r = np.random.default_rng(seed)
-            tree = make_random_tree(r, branching=4, depth=2, fill=0.8,
-                                    weight_range=(0.2, 3.0))
-            for _, node in tree.leaf_items():
-                node.weight *= c
-            for d in reversed(range(2)):
-                for key in [k for k in tree.nodes if k.depth == d]:
-                    tree._refresh_weight(key)
+            tree = scaled_leaves(make_random_tree(r, branching=4, depth=2, fill=0.8,
+                                                  weight_range=(0.2, 3.0)), c)
             refresh_all(tree, cw)
             kept_sets.append(frozenset(compress_tree(tree, cw).expanded))
         assert kept_sets[0] == kept_sets[1] == kept_sets[2]

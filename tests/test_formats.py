@@ -31,6 +31,7 @@ from soct.semantics import TruncatedSemanticDistribution
 
 from helpers import (
     cloud_files,
+    editable_nodes,
     make_random_tree,
     random_truncated,
     random_weights,
@@ -404,10 +405,10 @@ def test_trailing_garbage_rejected(tmp_path):
 def test_bad_leaf_weight_rejected(tmp_path, bad):
     rng = np.random.default_rng(74)
     tree = make_random_tree(rng, branching=4, depth=2)
-    key, node = next(tree.leaf_items())
-    node.weight = bad
+    nodes = editable_nodes(tree)
+    next(n for n in nodes.values() if n.kind == LEAF).weight = bad
     p = tmp_path / "weight.soct"
-    serialize_tree(tree, p)
+    serialize_tree(SemanticOctree(tree.world, 4, nodes), p)
     with pytest.raises(CorruptionError, match="weight"):
         deserialize_tree(p)
 
@@ -422,10 +423,10 @@ def test_bad_summary_weight_rejected(tmp_path, bad):
         for iy in range(2):
             tree.set_leaf((ix, iy), shared, 1.0)
     assert tree.prune_all_identical() == 1
-    summary = next(n for n in tree.nodes.values() if n.kind == SUMMARY)
-    summary.weight = bad
+    nodes = editable_nodes(tree)
+    next(n for n in nodes.values() if n.kind == SUMMARY).weight = bad
     p = tmp_path / "summary.soct"
-    serialize_tree(tree, p)
+    serialize_tree(SemanticOctree(tree.world, 4, nodes), p)
     with pytest.raises(CorruptionError, match="weight"):
         deserialize_tree(p)
 
@@ -441,14 +442,15 @@ def test_invalid_record_rejected_as_corruption(tmp_path, summary, field):
             tree.set_leaf((ix, iy), shared if summary else random_truncated(rng, 4))
     if summary:
         assert tree.prune_all_identical() == 1
-    node = next(n for n in tree.nodes.values() if n.kind == (SUMMARY if summary else LEAF))
+    nodes = editable_nodes(tree)
+    node = next(n for n in nodes.values() if n.kind == (SUMMARY if summary else LEAF))
     if field == "class_id":
         node.dist = replace(node.dist, top3=((5,) + node.dist.top3[0][1:],)
                             + node.dist.top3[1:])
     else:
         node.dist = replace(node.dist, p_free=float("nan"))
     p = tmp_path / "record.soct"
-    serialize_tree(tree, p)
+    serialize_tree(SemanticOctree(tree.world, 4, nodes), p)
     with pytest.raises(CorruptionError, match="invalid"):
         deserialize_tree(p)
 
@@ -458,9 +460,10 @@ def test_invalid_record_rejected_as_corruption(tmp_path, summary, field):
 def test_bad_interior_weight_rejected(tmp_path, bad):
     rng = np.random.default_rng(77)
     tree = make_random_tree(rng, branching=4, depth=2)
-    tree.root.weight = bad
+    nodes = editable_nodes(tree)
+    nodes[(0, 0)].weight = bad
     p = tmp_path / "interior.soct"
-    serialize_tree(tree, p)
+    serialize_tree(SemanticOctree(tree.world, tree.num_classes, nodes), p)
     with pytest.raises(CorruptionError, match="interior record"):
         deserialize_tree(p)
 
@@ -468,10 +471,11 @@ def test_bad_interior_weight_rejected(tmp_path, bad):
 def test_interior_weight_off_its_children_rejected(tmp_path):
     rng = np.random.default_rng(78)
     tree = make_random_tree(rng, branching=2, depth=3, fill=1.0)
-    key = next(k for k, n in tree.nodes.items() if n.kind == INTERIOR and k.depth == 2)
-    tree.nodes[key].weight *= 1.0 + 1e-6
+    nodes = editable_nodes(tree)
+    key = next(k for k, n in nodes.items() if n.kind == INTERIOR and k.depth == 2)
+    nodes[key].weight *= 1.0 + 1e-6
     p = tmp_path / "interior.soct"
-    serialize_tree(tree, p)
+    serialize_tree(SemanticOctree(tree.world, tree.num_classes, nodes), p)
     with pytest.raises(CorruptionError, match="interior record"):
         deserialize_tree(p)
 
@@ -635,11 +639,13 @@ def _fuzz_tree(rng, branching):
 
 
 def _corrupt_values(rng, tree, count):
-    """Give ``count`` random nodes some of: a bad weight, a bad record field,
-    reversed stored classes, the other record kind (a depth error)."""
-    keys = list(tree.nodes)
+    """The tree with ``count`` random nodes given some of: a bad weight, a
+    bad record field, reversed stored classes, the other record kind (a
+    depth error)."""
+    nodes = editable_nodes(tree)
+    keys = list(nodes)
     for i in rng.integers(0, len(keys), count):
-        node = tree.nodes[keys[i]]
+        node = nodes[keys[i]]
         change = rng.random(5) < 0.5
         if change[0] or node.dist is None:
             node.weight = (node.weight * (1 + 1e-6) if rng.random() < 0.5
@@ -658,6 +664,7 @@ def _corrupt_values(rng, tree, count):
                                 p_residual=node.dist.p_residual + 1e-3)
         if change[4]:
             node.kind = SUMMARY if node.kind == LEAF else LEAF
+    return SemanticOctree(tree.world, tree.num_classes, nodes)
 
 
 def _load(loader, path):
@@ -690,8 +697,7 @@ def test_reader_matches_recursive_reference(tmp_path_factory, seed, branching,
     """Mutated and truncated files load as the recursive reader loads them,
     or fail with its exception type and message, and with no other type."""
     rng = np.random.default_rng(seed)
-    tree = _fuzz_tree(rng, branching)
-    _corrupt_values(rng, tree, bad_values)
+    tree = _corrupt_values(rng, _fuzz_tree(rng, branching), bad_values)
     path = tmp_path_factory.mktemp("fuzz") / "tree.soct"
     serialize_tree(tree, path)
     data = bytearray(path.read_bytes())
@@ -710,8 +716,9 @@ def test_reader_matches_recursive_reference(tmp_path_factory, seed, branching,
 
 
 def _record_source_ops(rng, tree, count):
-    """Streamed observations (new leaves and updates), ``set_leaf``, a
-    pruned and re-expanded block, and ``node.dist`` assignments."""
+    """The tree after streamed observations (new leaves and updates),
+    ``set_leaf``, a pruned and re-expanded block, and ``node.dist``
+    assignments in a dict of its nodes that a new tree is built of."""
     world, k = tree.world, tree.num_classes
     n = 1 << world.max_depth
     for op in rng.integers(0, 5, count):
@@ -736,8 +743,11 @@ def _record_source_ops(rng, tree, count):
             if rng.random() < 0.5:
                 tree.expand_summaries()
         else:
-            records = [node for node in tree.nodes.values() if node.kind != INTERIOR]
+            nodes = editable_nodes(tree)
+            records = [node for node in nodes.values() if node.kind != INTERIOR]
             records[int(rng.integers(len(records)))].dist = random_truncated(rng, k)
+            tree = SemanticOctree(world, k, nodes)
+    return tree
 
 
 def _assert_writes_as_reference(tree, path):
@@ -768,13 +778,14 @@ def test_records_from_every_source_write_as_the_reference(tmp_path_factory, seed
     tree, _ = SemanticOctree.from_observations(
         world, k, rng.uniform(0, 8, (30, 3)), rng.integers(0, k + 1, 30),
         rng.uniform(0.5, 0.95, 30))
-    _record_source_ops(rng, tree, 6)
+    tree = _record_source_ops(rng, tree, 6)
     _assert_writes_as_reference(tree, path)
-    tree = deserialize_tree(path)
-    _record_source_ops(rng, tree, 6)
+    tree = _record_source_ops(rng, deserialize_tree(path), 6)
     _assert_writes_as_reference(tree, path)
-    node = next(node for node in tree.nodes.values() if node.dist and node.dist.top3)
+    nodes = editable_nodes(tree)
+    node = next(node for node in nodes.values() if node.dist and node.dist.top3)
     node.dist = replace(node.dist, top3=((0, node.dist.top3[0][1]),) + node.dist.top3[1:])
+    tree = SemanticOctree(world, k, nodes)
     serialize_tree(tree, path)
     assert path.read_bytes() == reference_serialize(tree)
     with pytest.raises(CorruptionError, match="distinct and non-zero"):

@@ -1,7 +1,10 @@
-"""A loaded or batch-built tree keeps its nodes as ``Levels`` columns; any
-other tree is node-backed. Batch operations and the writer give the same
-results on both."""
+"""Every tree keeps its nodes as ``Levels`` columns: loads, batch builds and
+streamed trees alike. ``tree.nodes`` is a read-only view of them. Loads,
+writes, prunes and refreshes give the values of the independent oracles in
+``helpers``, and the commands and streams that work on columns build no
+``Node``."""
 
+import copy
 import itertools
 
 import numpy as np
@@ -14,15 +17,37 @@ from soct.compression import (
     CompressionWeights,
     compress_tree,
     compressed_from_expanded,
-    full_tree,
+    expansion_gain,
     refresh_all,
-    report,
+    refresh_upward,
 )
+from soct.errors import TreeError
 from soct.formats import deserialize_tree, serialize_tree
-from soct.octree import ROOT_KEY, Levels, Node, SemanticOctree, WorldConfig, uniform_row
-from soct.planning import BlockIndex
+from soct.octree import (
+    INTERIOR,
+    LEAF,
+    ROOT_KEY,
+    SUMMARY,
+    Levels,
+    Node,
+    NodeKey,
+    SemanticOctree,
+    WorldConfig,
+    uniform_row,
+)
 
-from helpers import node_serialize, random_truncated, random_weights, write_cloud
+from helpers import (
+    node_conditional,
+    node_serialize,
+    random_truncated,
+    random_weights,
+    ref_conditional,
+    ref_extraction,
+    ref_prune_all,
+    ref_relative_gain,
+    reference_deserialize,
+    write_cloud,
+)
 
 
 def _random_tree(rng, branching, shape, k=4):
@@ -45,74 +70,67 @@ def _random_tree(rng, branching, shape, k=4):
     return tree
 
 
-def _same_columns(a, b):
-    assert len(a) == len(b)
-    for x, y in zip(a, b):
-        assert x.dtype == y.dtype and x.tobytes() == y.tobytes()
+def _same_nodes(tree, want):
+    """``tree.nodes`` holds ``want.nodes`` in its order: kinds, weights (by
+    ``repr``), records and conditionals (which are None) by bytes."""
+    assert list(tree.nodes) == list(want.nodes)
+    for key, node in tree.nodes.items():
+        other = want.nodes[key]
+        assert (node.kind, repr(node.weight), node.dist) == (
+            other.kind, repr(other.weight), other.dist), key
+        assert (node.cond is None) == (other.cond is None), key
+        if node.cond is not None:
+            assert node.cond.tobytes() == other.cond.tobytes(), key
 
 
 @settings(max_examples=40, deadline=None)
 @given(seed=st.integers(0, 2**32 - 1), branching=st.sampled_from([2, 4, 8]),
        shape=st.sampled_from(["empty", "plain", "summaries"]), weighted=st.booleans())
-def test_column_backed_load_equals_node_backed(tmp_path_factory, seed, branching, shape,
-                                               weighted):
-    """A load keeps columns; the same load with ``nodes`` read first, and
-    the tree it was written from, are node-backed. Refreshed, compressed
-    and reported, all three give the same bits: weights, conditionals (and
-    which are None), gains (and their types), kept sets, blocks, reports and
-    the raw block index; each writes its source file back. Unrefreshed,
-    the columns' blocks carry the per-node ``conditional``."""
+def test_a_load_gives_the_oracles_values(tmp_path_factory, seed, branching, shape,
+                                         weighted):
+    """A load holds the nodes the recursive reference reader reads, and
+    writes its file back as the writer over ``tree.nodes`` does. With its
+    summaries expanded and before a refresh, ``conditional`` and the blocks
+    carry the bits of the per-node recursion (``node_conditional``), and the
+    plain-loop ``ref_conditional`` within rounding. Refreshed, every
+    interior gain is ``expansion_gain``'s, bits and type, and the plain-loop
+    ``ref_relative_gain`` within rounding, and the compressed tree is
+    ``ref_extraction``'s of the same expanded set."""
     rng = np.random.default_rng(seed)
-    source = _random_tree(rng, branching, shape)
     path = tmp_path_factory.mktemp("levels") / "tree.soct"
-    serialize_tree(source, path)
+    serialize_tree(_random_tree(rng, branching, shape), path)
     data = path.read_bytes()
-    columns, nodes = deserialize_tree(path), deserialize_tree(path)
-    assert nodes.nodes and nodes._levels is None and columns._levels is not None
-    out = path.with_name("out.soct")
-    for tree in (deserialize_tree(path), nodes):
-        serialize_tree(tree, out)
-        assert out.read_bytes() == data
+    tree = deserialize_tree(path)
+    _same_nodes(tree, reference_deserialize(path))
+    assert node_serialize(tree) == data
+    serialize_tree(tree, path.with_name("out.soct"))
+    assert path.with_name("out.soct").read_bytes() == data
     cw = (random_weights(rng) if weighted
           else CompressionWeights({}, {}, float(rng.uniform(0.0, 0.2))))
-    trees, summaries = (columns, nodes, source), source.has_summaries()
-    for tree in trees:
-        tree.expand_summaries()
-    assert (columns._levels is not None) != summaries  # expanding summaries reads nodes
-    # Before a refresh, interior conditionals are uncached and computed on
-    # read: the columns give the node-by-node bits.
-    expanded = frozenset({ROOT_KEY} if nodes.stored_children(ROOT_KEY) else ())
-    for ctree in (compress_tree(columns, cw), compressed_from_expanded(columns, expanded)):
+    tree.expand_summaries()
+    for key in tree.nodes:
+        assert tree.conditional(key).tobytes() == node_conditional(tree, key).tobytes(), key
+    expanded = frozenset({ROOT_KEY} if tree.stored_children(ROOT_KEY) else ())
+    for ctree in (compress_tree(tree, cw), compressed_from_expanded(tree, expanded)):
         for key, leaf in ctree.leaves.items():
-            want = nodes.conditional(key) if key in nodes.nodes else uniform_row(4)
+            want = uniform_row(4) if leaf.virtual else node_conditional(tree, key)
             assert leaf.marginals.tobytes() == want.tobytes(), key
-    for tree in trees:
-        refresh_all(tree, cw)
-    results = []
-    for tree in trees:
-        ctree, full = compress_tree(tree, cw), full_tree(tree)
-        blocks = BlockIndex.from_octree(tree)
-        results.append((ctree.kept, ctree.leaf_arrays, full.kept, full.leaf_arrays,
-                        repr(report(tree, ctree, cw)), repr(report(tree, full, cw)),
-                        (blocks.depth, blocks.index, blocks.starts, blocks.ends,
-                         blocks.classes)))
-    for got in results[1:]:
-        want = results[0]
-        assert got[0] == want[0] and got[2] == want[2]
-        assert got[4:6] == want[4:6]
-        for i in (1, 3, 6):
-            _same_columns(got[i], want[i])
-    assert list(columns.nodes) == list(nodes.nodes)  # file order
-    for tree in (nodes, source):
-        assert tree.nodes.keys() == columns.nodes.keys()
-        for key, want in columns.nodes.items():
-            node = tree.nodes[key]
-            assert (node.kind, repr(node.weight), node.dist) == (
-                want.kind, repr(want.weight), want.dist)
-            assert (type(node.gain), repr(node.gain)) == (type(want.gain), repr(want.gain))
-            assert (node.cond is None) == (want.cond is None), key
-            if want.cond is not None:
-                assert node.cond.tobytes() == want.cond.tobytes(), key
+            if not leaf.virtual:
+                assert np.allclose(leaf.marginals, ref_conditional(tree, key), rtol=0,
+                                   atol=1e-12), key
+    refresh_all(tree, cw)
+    for key, node in tree.nodes.items():
+        if node.kind == INTERIOR:
+            gain = expansion_gain(tree, key, cw)
+            assert (type(node.gain), repr(node.gain)) == (type(gain), repr(gain)), key
+            assert abs(node.gain - ref_relative_gain(tree, key, cw)) < 1e-9, key
+    ctree = compress_tree(tree, cw)
+    kept, blocks = ref_extraction(tree, ctree.expanded)
+    assert ctree.kept == kept and ctree.leaves.keys() == blocks.keys()
+    for key, leaf in ctree.leaves.items():
+        weight, marginals, virtual = blocks[key]
+        assert (repr(leaf.weight), leaf.virtual) == (repr(weight), virtual), key
+        assert leaf.marginals.tobytes() == np.asarray(marginals).tobytes(), key
 
 
 def _written_tree(rng, branching, k, source):
@@ -150,27 +168,24 @@ def _written_tree(rng, branching, k, source):
 def test_column_writer_equals_the_node_writer(tmp_path_factory, seed, branching, k, loaded,
                                               source):
     """``serialize_tree`` writes, from columns, the bytes of the writer over
-    ``tree.nodes`` (``helpers.node_serialize``), and keeps a column-backed
-    tree so: batch builds, also of an empty or an all-rejected cloud, pruned batch
-    builds, streamed trees with non-unit ``set_leaf`` weights, pruned trees
-    that hold summaries, and loads of each. A pruned batch build prunes
-    as its node-backed twin."""
+    ``tree.nodes`` (``helpers.node_serialize``): batch builds, also of an
+    empty or an all-rejected cloud, pruned batch builds, streamed trees
+    with non-unit ``set_leaf`` weights, pruned trees that hold summaries,
+    and loads of each. A pruned batch build prunes as the node-by-node
+    ``ref_prune_all`` prunes the reference reader's tree of its file."""
     rng = np.random.default_rng(seed)
     tree = _written_tree(rng, branching, k, source)
     path = tmp_path_factory.mktemp("writer") / "tree.soct"
-    if source == "pruned":  # the sweep prunes the columns as it prunes ``Node``s
-        twin = _written_tree(np.random.default_rng(seed), branching, k, source)
-        twin.nodes
-        assert tree.prune_all_identical() == twin.prune_all_identical()
+    if source == "pruned":
+        serialize_tree(tree, path)
+        twin, pruned = ref_prune_all(reference_deserialize(path))
+        assert tree.prune_all_identical() == pruned
         serialize_tree(tree, path)
         assert path.read_bytes() == node_serialize(twin)
     if loaded:
         serialize_tree(tree, path)
         tree = deserialize_tree(path)
-    column_backed = tree._levels is not None
-    assert column_backed or not (loaded or source in ("batch", "empty", "rejected"))
     serialize_tree(tree, path)
-    assert (tree._levels is not None) == column_backed
     assert path.read_bytes() == node_serialize(tree)
 
 
@@ -193,15 +208,21 @@ def loaded_map(tmp_path, capsys):
 
 @pytest.fixture
 def made(monkeypatch):
-    """Every ``Node`` built and every ``Levels.node_dict`` call from here on."""
+    """Every ``Node`` built, and every ``Levels.node_dict`` and
+    ``Levels.gather`` call, from here on."""
     made = []
-    init = Node.__init__
+    init, gather = Node.__init__, Levels.gather.__func__
 
     def counting_init(self, *args, **kwargs):
         made.append(args)
         init(self, *args, **kwargs)
 
-    monkeypatch.setattr(Levels, "node_dict", lambda self: made.append("node_dict"))
+    def counting_gather(cls, *args):
+        made.append("gather")
+        return gather(cls, *args)
+
+    monkeypatch.setattr(Levels, "node_dict", lambda self, *args: made.append("node_dict"))
+    monkeypatch.setattr(Levels, "gather", classmethod(counting_gather))
     monkeypatch.setattr(Node, "__init__", counting_init)
     return made
 
@@ -242,18 +263,151 @@ def test_build_makes_no_node(loaded_map, made, monkeypatch, capsys, extra):
     assert (loaded_map / "again.soct").read_bytes() == (loaded_map / "map.soct").read_bytes()
 
 
-def test_a_batch_build_is_column_backed_until_nodes_is_read(tmp_path):
-    """Writing, refreshing and compressing a batch build keep it column-backed;
-    the first read of ``nodes`` makes it node-backed, with the same counts."""
-    rng = np.random.default_rng(3)
+def test_a_pruning_build_makes_no_node(tmp_path, monkeypatch, capsys):
+    """``build --adhoc-prune`` on a cloud whose sibling sets each hold one
+    record prunes on the columns: it builds no ``Node``, no ``Node`` dict and
+    no gather, and writes what the node-by-node ``ref_prune_all`` makes of
+    the unpruned map."""
+    records = [(ix + 0.5, iy + 0.5, iz + 0.5, 1 + (ix // 2 + iy // 2) % 3, 0.8)
+               for ix in range(8) for iy in range(8) for iz in range(2)]
+    write_cloud(tmp_path / "cloud.csv", records)
+    (tmp_path / "world.cfg").write_text(
+        "origin 0 0 0\nedge_length 8\nmax_depth 3\nbranching 8\nnum_classes 4\n")
+    monkeypatch.chdir(tmp_path)
+    argv = ["build", "--world", "world.cfg", "--cloud", "cloud.csv", "--out"]
+    assert main([*argv, "plain.soct"]) == 0
+    want, pruned = ref_prune_all(reference_deserialize(tmp_path / "plain.soct"))
+    assert pruned == 16
+    capsys.readouterr()
+    spy = []
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(Node, "__init__", lambda self, *a, **k: spy.append(a))
+        patch.setattr(Levels, "node_dict", lambda self, *args: spy.append("node_dict"))
+        patch.setattr(Levels, "gather", classmethod(lambda cls, *a: spy.append("gather")))
+        assert main([*argv, "pruned.soct", "--adhoc-prune"]) == 0
+    assert spy == []
+    out = capsys.readouterr().out
+    assert f"nodes_pruned {pruned}\n" in out and f"stored_nodes {len(want.nodes)}\n" in out
+    assert (tmp_path / "pruned.soct").read_bytes() == node_serialize(want)
+
+
+@pytest.mark.parametrize("source", ["loaded", "built"])
+def test_streaming_makes_no_node(loaded_map, made, source):
+    """Streaming into a loaded map or a batch build, with the path refreshes,
+    then compressing and writing the streamed tree, builds no ``Node``, no
+    ``Node`` dict and no gather."""
+    rng = np.random.default_rng(11)
+    if source == "loaded":
+        tree = deserialize_tree(loaded_map / "map.soct")
+    else:
+        tree = SemanticOctree.from_observations(
+            WorldConfig((0, 0, 0), 8.0, 3), 4, rng.uniform(0, 8, (60, 3)),
+            rng.integers(0, 5, 60), rng.uniform(0.6, 0.9, 60))[0]
+    cw = CompressionWeights({1: 4.0}, {2: 0.5}, 0.02)
+    refresh_all(tree, cw)
+    for point in rng.uniform(0, 8, (40, 3)):
+        refresh_upward(tree, tree.add_observation(point, int(rng.integers(0, 5)), 0.85), cw)
+    compress_tree(tree, cw)
+    serialize_tree(tree, loaded_map / "streamed.soct")
+    assert made == []
+
+
+def test_per_key_reads_merge_nothing(monkeypatch):
+    """After writes, a prune among them, the per-key reads (``conditional``,
+    ``child_sets``, ``stored_children``, ``rows``) and the counts walk the
+    columns as they stand: none merges the overlay, and each gives the bits
+    that the merged twin gives. Unknown and out-of-range keys are a
+    ``TreeError``, or no children."""
+    rng = np.random.default_rng(5)
+    world = WorldConfig((0, 0, 0), 4.0, 2, branching=4)
+    tree, same = SemanticOctree(world, 4), random_truncated(rng, 4)
+    for cell in itertools.product(range(4), repeat=2):
+        if cell < (2, 0) or rng.random() < 0.6:
+            tree.set_leaf(cell, same if cell < (2, 0) else random_truncated(rng, 4))
+    for point in rng.uniform(0, 4, (6, 3)):
+        tree.add_observation(point, int(rng.integers(0, 5)), 0.8)
+    assert tree.prune_identical_children(NodeKey(1, 0))
+    twin = copy.deepcopy(tree)
+    twin.levels()
+    merges = []
+    merged = Levels.merged
+    monkeypatch.setattr(Levels, "merged", lambda self: merges.append(1) or merged(self))
+    assert (tree.node_count(), tree.leaf_count(), tree.has_summaries()) == (
+        twin.node_count(), twin.leaf_count(), True)
+    for key in twin.nodes:
+        assert tree.conditional(key).tobytes() == twin.conditional(key).tobytes(), key
+        assert tree.stored_children(key) == twin.stored_children(key), key
+        if twin.stored_children(key):
+            for got, want in zip(tree.child_sets([key]), twin.child_sets([key])):
+                assert got.tobytes() == want.tobytes(), key
+    for key in (NodeKey(2, 0), NodeKey(1, 4), NodeKey(3, 0), NodeKey(-1, 0), (2, 16)):
+        with pytest.raises(TreeError):
+            tree.conditional(key)
+        assert tree.stored_children(key) == []
+    assert merges == []
+    assert tree.nodes.keys() == twin.nodes.keys() and merges == [1]
+
+
+def test_a_stream_of_updates_keeps_the_record_table_small():
+    """Each update leaves its old record in the table, and a full table that
+    rows refer to at most half of is copied with only those: 2,000 updates
+    of one cell beside a few other leaves keep the table within four times
+    its live records (and 16), and the streamed tree writes the batch
+    build's file."""
     world = WorldConfig((0, 0, 0), 8.0, 3)
-    tree, _ = SemanticOctree.from_observations(
-        world, 4, rng.uniform(0, 8, (40, 3)), rng.integers(0, 5, 40), rng.uniform(0.5, 0.9, 40))
-    count, leaves = tree.node_count(), tree.leaf_count()
-    assert tree._levels is not None and "nodes" not in vars(tree)
+    points = [(x + 0.5, 0.5, 0.5) for x in range(5)] + [(0.5, 0.5, 0.5)] * 2000
+    classes = [1, 2, 3, 4, 1] + [1, 2, 1, 3] * 500
+    tree = SemanticOctree(world, 4)
+    for point, c in zip(points, classes):
+        tree.add_observation(point, c, 0.6)
+    store = tree.columns()
+    assert store.records <= len(store.table.ids) <= 4 * tree.leaf_count() + 16
+    batch = SemanticOctree.from_observations(world, 4, points, classes, [0.6] * len(points))
+    assert batch[1] == {}
+    assert node_serialize(tree) == node_serialize(batch[0])
+
+
+def test_nodes_is_a_read_only_view(tmp_path):
+    """``tree.nodes`` is built once per state: two reads, or a read around a
+    batch read, return the same mapping, and a write replaces it. Writes
+    through it never vanish: setting an item, deleting one, or setting any
+    field of a node but its gain raises ``TypeError`` (clearing has no
+    method), a node's gain lands in the tree's columns, with its type, and
+    setting anything of a node of a replaced view raises."""
+    world = WorldConfig((0, 0, 0), 4.0, 2)
+    tree = SemanticOctree(world, 4)
+    cw = CompressionWeights({1: 4.0}, {2: 0.5}, 0.02)
+    for point in ((0.5, 0.5, 0.5), (1.5, 0.5, 0.5), (3.5, 3.5, 3.5)):
+        refresh_upward(tree, tree.add_observation(point, 1, 0.9), cw)
+    view = tree.nodes
+    assert tree.nodes is view
+    compress_tree(tree, cw)
+    assert tree.nodes is view
+    leaf = world.leaf_key((0.5, 0.5, 0.5))
+    with pytest.raises(TypeError):
+        view[leaf] = Node(LEAF)
+    with pytest.raises(TypeError):
+        del view[leaf]
+    with pytest.raises(AttributeError):
+        view.clear()
+    node, root = view[leaf], view[ROOT_KEY]
+    for name, value in (("kind", SUMMARY), ("weight", 2.5), ("cond", None),
+                        ("dist", node.dist), ("table", None), ("row", 1), ("tree", None),
+                        ("key", ROOT_KEY)):
+        with pytest.raises(TypeError):
+            setattr(node, name, value)
+    assert (node.kind, node.weight, view[leaf]) == (LEAF, 1.0, node) and node.cond is not None
+    node.gain, root.gain = np.float64(0.25), 0.5
+    assert tree.nodes is view
+    copy_ = copy.deepcopy(tree)  # a copy rebuilds its view from the columns
+    assert (repr(copy_.nodes[leaf].gain), repr(copy_.nodes[ROOT_KEY].gain)) == (
+        repr(np.float64(0.25)), "0.5")
     serialize_tree(tree, tmp_path / "tree.soct")
-    refresh_all(tree, CompressionWeights({}, {}, 0.01))
-    compress_tree(tree, CompressionWeights({}, {}, 0.01))
-    assert tree._levels is not None and "nodes" not in vars(tree)
-    assert len(tree.nodes) == count and tree._levels is None
-    assert (tree.node_count(), tree.leaf_count()) == (count, leaves)
+    assert (tmp_path / "tree.soct").read_bytes() == node_serialize(tree)
+    tree.add_observation((0.5, 0.5, 0.5), 2, 0.9)
+    assert tree.nodes is not view and tree.nodes[leaf].dist != node.dist
+    with pytest.raises(TypeError, match="replaced"):
+        root.gain = 1.0
+    assert tree.nodes[ROOT_KEY].gain == 0.5
+    assert all(type(n).__name__ == "ViewNode" for n in tree.nodes.values())
+    assert tree.node_count() == len(tree.nodes) and NodeKey(1, 0) in tree.nodes

@@ -17,7 +17,6 @@ from soct.octree import (
     LEAF,
     ROOT_KEY,
     SUMMARY,
-    Levels,
     NodeKey,
     SemanticOctree,
     WorldConfig,
@@ -30,6 +29,7 @@ from soct.semantics import TruncatedRows, TruncatedSemanticDistribution, expand_
 
 from helpers import (
     _ref_children,
+    editable_nodes,
     keys_with_children,
     ref_interleave,
     make_random_tree,
@@ -253,13 +253,17 @@ def test_child_sets_match_reference_completion(seed, branching):
     rng = np.random.default_rng(seed)
     depth = {2: 4, 4: 3, 8: 2}[branching]
     tree = make_random_tree(rng, branching, depth, fill=float(rng.uniform(0.2, 0.9)))
-    for node in tree.nodes.values():
+    nodes = editable_nodes(tree)  # the view is read-only: edit a copy, build a tree of it
+    for node in nodes.values():
         if node.kind == LEAF and rng.random() < 0.2:
             node.weight = 0.0
+    tree = SemanticOctree(tree.world, tree.num_classes, nodes)
     refresh_all(tree, random_weights(rng))
-    for node in tree.nodes.values():
+    nodes = editable_nodes(tree)
+    for node in nodes.values():
         if node.kind == INTERIOR and rng.random() < 0.4:
             node.cond = None
+    tree = SemanticOctree(tree.world, tree.num_classes, nodes)
     keys = [k for k, n in tree.nodes.items()
             if n.kind == INTERIOR and tree.stored_children(k)]
     keys = [keys[i] for i in rng.permutation(len(keys))]
@@ -336,7 +340,9 @@ def test_prune_compares_rows_as_is_close():
     tree = SemanticOctree(world, 4)
     tree.set_leaf((0,), t((), 1.0, 0.0), 1.0)
     tree.set_leaf((1,), t((), 1.0, 0.0), 1.0)
-    tree.nodes[world.key_from_coords((1,), 1)].dist = t(((0, 0.0),), 1.0, 0.0)
+    nodes = editable_nodes(tree)
+    nodes[world.key_from_coords((1,), 1)].dist = t(((0, 0.0),), 1.0, 0.0)
+    tree = SemanticOctree(world, 4, nodes)
     assert tree.prune_identical_children(ROOT_KEY) is False
 
 
@@ -386,7 +392,7 @@ def test_expand_summaries_restores_leaves():
     tree.expand_summaries()
     assert not tree.has_summaries()
     assert tree.leaf_count() == 16
-    assert all(n.dist.is_close(shared) for _, n in tree.leaf_items())
+    assert all(n.dist.is_close(shared) for n in tree.nodes.values() if n.kind == LEAF)
     assert abs(tree.root.weight - total_before) < 1e-12
 
 
@@ -606,9 +612,9 @@ def test_batched_build_equals_record_by_record(tmp_path_factory, seed, k, cells,
     with the same messages. With K > 4, truncation drops information, so
     the order of fusions within a leaf and the residual's summation order
     both show in the bytes. Before ``nodes`` is read, the built tree's
-    columns are the gather of the record-by-record tree: keys, kinds,
-    weights (by ``repr``), record fields, cached conditionals and the
-    cached mask."""
+    columns are the merged columns of the record-by-record tree: keys,
+    kinds, weights (by ``repr``), record fields, cached conditionals and
+    the cached mask."""
     rng = np.random.default_rng(seed)
     world = WorldConfig((0, 0, 0), 8.0, 3)
     points, classes, confidence = _observations(rng, k, cells, n)
@@ -621,15 +627,15 @@ def test_batched_build_equals_record_by_record(tmp_path_factory, seed, k, cells,
         except (OutOfBoundsError, DistributionError) as exc:
             expected[i] = str(exc)
     assert rejected == expected
-    got, want = batch.levels(), Levels.gather(world, k, serial.nodes)
-    assert "nodes" not in vars(batch) and got.nodes is None
+    got, want = batch.levels(), serial.levels()
+    assert batch._nodes is None and serial._nodes is None
     for column in ("depth", "index", "kind", "cached"):
         assert getattr(got, column).tolist() == getattr(want, column).tolist(), column
     assert list(map(repr, got.weight.tolist())) == list(map(repr, want.weight.tolist()))
     assert got.cond[got.cached].tobytes() == want.cond[want.cached].tobytes()
     records = np.flatnonzero(got.kind != INTERIOR).tolist()
     assert [got.table.record(got.row[i]) for i in records] == [
-        want.nodes[i].dist for i in records]
+        want.table.record(want.row[i]) for i in records]
     out = tmp_path_factory.mktemp("batch")
     serialize_tree(batch, out / "batch.soct")
     serialize_tree(serial, out / "serial.soct")

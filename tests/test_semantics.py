@@ -280,7 +280,7 @@ def _raised(fn, *args):
 @pytest.mark.parametrize("k", [4, 6, 7, 9, 12])
 def test_one_row_kernel_is_the_batch_row(k):
     """The streamed insert's kernel on Python floats (``fuse_record``) gives
-    each row the posterior, record and dense vector of ``fuse_rows`` ->
+    each row the posterior, record fields and dense vector of ``fuse_rows`` ->
     ``truncate_rows`` -> ``expand_rows``, byte for byte, and the one-row
     functions reject what the batch kernel rejects, with the same type and
     message. Priors have tied and zero entries; confidences sit at 1.0 and
@@ -309,12 +309,14 @@ def test_one_row_kernel_is_the_batch_row(k):
                                                                     CONTRADICTED)
             continue
         j = next(fused)
-        table, cond = fuse_record(prior[i], c, conf)
+        fields, cond = fuse_record(prior[i], c, conf)
         assert fuse_observation(prior[i], c, conf).tobytes() == post[i].tobytes()
-        assert table.counts is None and not any(col.flags.writeable for col in table[:4])
-        for got, want in zip(table[:4], records[:4]):
-            assert got.dtype == want.dtype and got.tobytes() == want[j:j + 1].tobytes()
-        assert cond.tobytes() == dense[j].tobytes() and not cond.flags.writeable
+        ids, probs, p_free, residual = fields
+        assert ids == records.ids[j, :records.stored()[j]].tolist()
+        assert all(type(v) is float for v in (*probs, p_free, residual, *cond))
+        assert np.array(probs + [p_free, residual], dtype=np.float64).tobytes() == np.r_[
+            records.probs[j, :len(ids)], records.p_free[j], records.p_residual[j]].tobytes()
+        assert np.array(cond).tobytes() == dense[j].tobytes()
         assert truncate_full(post[i]) == records.record(j)
         assert expand_truncated(records.record(j), k).tobytes() == dense[j].tobytes()
     for c, conf in [(-1, 0.9), (k + 1, 0.9), (1, 1.0 / (k + 1)), (1, 1.0000001),
@@ -417,3 +419,4 @@ def test_record_errors_match_the_field_by_field_check(seed, num_classes):
             assert str(exc.value) == want[i]
         else:
             record.validate(num_classes)
+
