@@ -82,14 +82,13 @@ def _leaf_rows(ctree) -> list[str]:
 
 
 def _graph_rows(graph) -> list[str]:
-    rows = [f"vertices,{graph.num_vertices}"]
-    for i in range(graph.num_vertices):
-        rows.append(f"v,{i},{_fmt(graph.positions[i][0])},"
-                    f"{_fmt(graph.positions[i][1])},{graph.colors[i]}")
-    rows.append(f"edges,{graph.num_edges}")
-    for u, v, length, color in zip(*(c.tolist() for c in graph.edge_arrays)):
-        rows.append(f"e,{u},{v},{_fmt(length)},{color}")
-    return rows
+    # one % format per row, as in _leaf_rows
+    x, y = graph.positions.T.tolist()
+    return [f"vertices,{graph.num_vertices}",
+            *map("v,%d,%.9g,%.9g,%d".__mod__,
+                 zip(range(graph.num_vertices), x, y, graph.colors.tolist())),
+            f"edges,{graph.num_edges}",
+            *map("e,%d,%d,%.9g,%d".__mod__, zip(*(c.tolist() for c in graph.edge_arrays)))]
 
 
 def _write_lines(path: str, rows: list[str]) -> None:

@@ -45,8 +45,8 @@ homogeneous subtree adds no information at any level.
 
 Concurrency: cache refreshes require exclusive tree access; search, reports
 and the exhaustive enumeration are read-only and may run concurrently, once
-the tree's overlay is merged and its ``nodes`` view built
-(``information_report`` and the enumeration read it).
+the tree's overlay is merged (``tree.levels()``, which the reports read) and,
+for the enumeration, its ``nodes`` view built (``_expandable`` reads it).
 """
 
 from __future__ import annotations

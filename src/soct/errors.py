@@ -13,10 +13,6 @@ class DistributionError(SoctError):
     """A probability vector or parameter violates range/normalization rules."""
 
 
-class SupportError(DistributionError):
-    """KL divergence undefined: the reference assigns zero mass where p does not."""
-
-
 class OutOfBoundsError(SoctError):
     """A point lies outside the mapped world volume."""
 

@@ -6,8 +6,10 @@ a plain file (the header, then only ASCII numerals, commas, spaces and tabs;
 no blank line; every line valid) is parsed in one ``np.loadtxt`` pass and
 checked with vectorized rules, and any other file goes through ``ingest``,
 the per-line reader that defines every per-line error, with the same result.
-World and weight profiles use a flat key-value text format that round-trips
-unchanged. Trees use a versioned little-endian binary format, so serialize ->
+World and weight profiles use a flat key-value text format: one key and its
+values per line, ``#`` to the line's end a comment, read by
+``parse_world_config`` and ``parse_weights_config``; the package writes none.
+Trees use a versioned little-endian binary format, so serialize ->
 deserialize -> serialize is byte-identical: a 41-byte header (magic ``SOCT``,
 version u8, origin 3×f64, edge length f64, max depth u8, branching u8, class
 count u16), then each node in pre-order. A node starts with its kind u8
@@ -293,15 +295,6 @@ def parse_world_config(text: str) -> tuple[WorldConfig, int]:
     return WorldConfig(origin, edge, depth, branching), num_classes
 
 
-def emit_world_config(world: WorldConfig, num_classes: int) -> str:
-    return (f"origin {world.origin[0]:.9g} {world.origin[1]:.9g} "
-            f"{world.origin[2]:.9g}\n"
-            f"edge_length {world.edge_length:.9g}\n"
-            f"max_depth {world.max_depth}\n"
-            f"branching {world.branching}\n"
-            f"num_classes {num_classes}\n")
-
-
 @dataclass(frozen=True)
 class WeightsConfig:
     """Per-class roles and weights plus the compression price.
@@ -372,18 +365,6 @@ def parse_weights_config(text: str) -> WeightsConfig:
     return WeightsConfig(num_classes, alpha, tuple(entries))
 
 
-def emit_weights_config(cfg: WeightsConfig) -> str:
-    lines = [f"num_classes {cfg.num_classes}", f"alpha {cfg.alpha:.9g}"]
-    for cid, role, weight, name in cfg.entries:
-        parts = ["class", str(cid), role]
-        if weight is not None:
-            parts.append(f"{weight:.9g}")
-        if name is not None:
-            parts.append(name)
-        lines.append(" ".join(parts))
-    return "\n".join(lines) + "\n"
-
-
 # -- binary tree format ------------------------------------------------------------
 
 _HEADER = struct.Struct("<4sB3ddBBH")
@@ -407,15 +388,12 @@ def serialize_tree(tree: SemanticOctree, path) -> None:
     is opened."""
     _check_num_classes(tree.num_classes)
     world, levels = tree.world, tree.levels()
-    table, row = levels.table, levels.row
-    code = levels.index << world.dims * (world.max_depth - levels.depth)
-    order = np.lexsort((levels.depth, code))
+    order = levels.preorder()
     head = np.zeros(len(order), dtype=_HEAD)
     head["kind"], head["weight"] = levels.kind[order], levels.weight[order]
     head["field"] = np.packbits(levels.slots >= 0, axis=1, bitorder="little")[order, 0]
     rec = np.flatnonzero(head["kind"] != INTERIOR)
-    picked = row[order[rec]]
-    rows = TruncatedRows(*(column[picked] for column in (*table[:4], table.stored())))
+    rows = levels.table.take(levels.row[order[rec]])
     head["field"][rec] = n_top = rows.counts
     sizes = 10 + (head["kind"] != INTERIOR) * (16 + 10 * head["field"].astype(np.int64))
     at = np.cumsum(sizes) - sizes

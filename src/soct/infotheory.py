@@ -15,7 +15,7 @@ from typing import TYPE_CHECKING, Mapping, Sequence
 
 import numpy as np
 
-from .errors import DistributionError, SupportError
+from .errors import DistributionError
 
 if TYPE_CHECKING:  # pragma: no cover
     from .compression import CompressionWeights
@@ -58,22 +58,6 @@ def entropy(p) -> float:
 def _entropy_of_weights(pi: np.ndarray) -> float:
     pos = pi[pi > 0]
     return float(-(pos * np.log2(pos)).sum())
-
-
-def kl_divergence(p, q) -> float:
-    """Kullback-Leibler divergence D(p || q) in bits.
-
-    Requires absolute continuity: wherever q is exactly zero, p must be too.
-    """
-    ap = _as_dist(p, "p")
-    aq = _as_dist(q, "q")
-    if len(ap) != len(aq):
-        raise DistributionError("p and q must have equal length")
-    bad = (aq == 0) & (ap > 0)
-    if np.any(bad):
-        raise SupportError("q assigns zero mass where p does not")
-    mask = ap > 0
-    return float((ap[mask] * np.log2(ap[mask] / aq[mask])).sum())
 
 
 def js_divergence(dists, weights) -> float:
@@ -121,17 +105,6 @@ def bernoulli_js(marginals, weights) -> float:
         t1 = np.where(ma > 0, ma * np.log2(ma / pbar), 0.0)
         t0 = np.where(ma < 1, (1 - ma) * np.log2((1 - ma) / (1 - pbar)), 0.0)
     return float(pa @ (t1 + t0))
-
-
-def aggregate_conditional(child_dists, weights) -> np.ndarray:
-    """Parent conditional as the weight-mixture of child conditionals."""
-    rows = np.asarray(child_dists, dtype=np.float64)
-    if rows.ndim != 2:
-        raise DistributionError("child_dists must be a list of vectors")
-    pi = normalized_weights(weights)
-    if len(pi) != rows.shape[0]:
-        raise DistributionError("number of weights must match number of dists")
-    return pi @ rows
 
 
 @dataclass(frozen=True)

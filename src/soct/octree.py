@@ -381,14 +381,12 @@ class Levels:
             np.fromiter((v.gain for v in values), np.float64, n),
             np.fromiter((type(v.gain) is np.float64 for v in values), bool, n)),
             TruncatedRows(*(np.concatenate(column) for column in zip(
-                *((*t[:4], t.stored()) for t in tables.values()), TruncatedRows.of([])))))
+                *(t.take() for t in tables.values()), TruncatedRows.of([])))))
 
     def node_dict(self, tree: "SemanticOctree") -> dict[NodeKey, Node]:
         """A ``ViewNode`` of ``tree`` per row of merged columns, caches
         included, in pre-order (the file's order)."""
-        world = self.world
-        order = np.lexsort((self.depth, self.index << world.dims * (
-            world.max_depth - self.depth)))
+        order = self.preorder()
         kind, cond = self.kind[order], self.cond[order]
         cond.flags.writeable = False
         keys, tables = list(node_keys(self.depth[order], self.index[order])), [None, self.table]
@@ -410,8 +408,13 @@ class Levels:
         columns = [getattr(self, name)[order] for name in _COLUMNS]
         rec = columns[2] != INTERIOR
         used, columns[4][rec] = np.unique(columns[4][rec], return_inverse=True)
-        return Levels(self.world, self.num_classes, columns, TruncatedRows(
-            *(c[used] for c in (*self.table[:4], self.table.stored()))).read_only())
+        return Levels(self.world, self.num_classes, columns, self.table.take(used).read_only())
+
+    def preorder(self) -> np.ndarray:
+        """The merged rows in pre-order, the file's order: by the Morton code
+        of their region, a parent before its children."""
+        world = self.world
+        return np.lexsort((self.depth, self.index << world.dims * (world.max_depth - self.depth)))
 
     def lookup(self, depth: np.ndarray, index: np.ndarray) -> np.ndarray:
         """Merged columns' rows of the nodes at (depth, index), -1 if absent."""
@@ -471,10 +474,10 @@ class Levels:
             if 2 * np.count_nonzero(refers) <= at:
                 rec = np.flatnonzero(refers)
                 keep, self.row[rec] = np.unique(self.row[rec], return_inverse=True)
-            columns = [c[keep] for c in (*table[:4], table.stored())]
-            at = len(columns[0])
+            kept = table.take(keep)
+            at = len(kept.ids)
             table = self.table = TruncatedRows(*(np.concatenate([c, np.zeros(
-                (at + 16, *c.shape[1:]), c.dtype)]) for c in columns))
+                (at + 16, *c.shape[1:]), c.dtype)]) for c in kept))
         ids, probs, p_free, p_residual = fields
         table.ids[at, :len(ids)], table.probs[at, :len(ids)] = ids, probs
         table.p_free[at], table.p_residual[at], table.counts[at] = p_free, p_residual, len(ids)

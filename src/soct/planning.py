@@ -26,19 +26,20 @@ Edge lengths, segment lengths and the A* heuristic all come from one
 batched row-norm kernel, ``_norms``; a query computes every vertex's
 straight-line distance to its goal in one call before searching.
 
-A graph's ``SearchIndex`` (its adjacency lists and connected-component
-labels) is built on first use and shared by
-``ColoredGraph.neighbors`` and the search. A query between two components
-returns None without a search. For each undesired color set the graph also
-keeps a role split of the index's adjacency: per vertex, its clean and its
-undesired edges. Class-Ordered A* keeps its open set in two buckets, one per
+For each undesired color set a query names, a graph keeps a role split of
+its edges (``ColoredGraph.role_split``): per vertex, its clean and its
+undesired edges, each list in edge order, built straight from the edge
+columns on the set's first query. ``ColoredGraph.neighbors`` reads the
+empty set's clean lists. The graph also keeps its connected-component labels
+(``ColoredGraph.labels``), and a query between two components returns None
+without a search. Class-Ordered A* keeps its open set in two buckets, one per
 live undesired count (Dial's bucket queue), and relaxes each kind of edge
 into its own bucket without testing colors. A graph's edges must not change
 after its first query.
 
 Graph construction and search are read-only over their inputs; multiple
 queries may run concurrently on one graph. Concurrent first queries build
-equal indexes and splits, and a single store publishes each whole.
+equal labels and splits, and a single store publishes each whole.
 """
 
 from __future__ import annotations
@@ -46,6 +47,7 @@ from __future__ import annotations
 import heapq
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import NamedTuple
 
 import numpy as np
@@ -57,11 +59,12 @@ from .octree import INTERIOR, SemanticOctree, WorldConfig
 UNKNOWN_CLASS = -1
 # Largest Halton graph built; a larger request is a config error, raised
 # before any point is generated. At k = 8 a graph holds about 1.3 kB per
-# vertex in its edge arrays, search index and a role split (tracemalloc,
-# 20,000 vertices on the demo map; each split is 16-29 B per vertex there).
-# Building it and a first query raised peak RSS by 41 MB at 20,000 vertices
-# and by 81 MB at 40,000. This cap is ~130 MB where 1,000,000 vertices
-# would need ~1.3 GB.
+# vertex after its first query: 163 B in its edge arrays, 1,168 B in its
+# labels and the query's role split (tracemalloc, 20,000 vertices on the
+# demo map); each further undesired set's split adds 1,160 B. Building it
+# and a first query raised peak RSS by 40 MB at 20,000 vertices and by
+# 83 MB at 40,000. This cap is ~130 MB where 1,000,000 vertices would need
+# ~1.3 GB.
 MAX_HALTON_VERTICES = 100_000
 
 
@@ -109,26 +112,17 @@ class EdgeArrays(NamedTuple):
         return cls(*map(np.array, columns, (np.int64, np.int64, np.float64, np.int64)))
 
 
-class SearchIndex(NamedTuple):
-    """What Class-Ordered A* reads of a graph, built from its edge arrays.
-
-    ``adjacency[u]`` lists ``(v, length, color)`` for every edge at ``u``, in
-    edge order; ``labels[u]`` names ``u``'s connected component (its lowest
-    vertex), so two vertices are connected exactly when their labels match.
-    """
-
-    adjacency: list[list[tuple[int, float, int]]]
-    labels: list[int]
-
-
-def _search_index(n: int, edges: EdgeArrays) -> SearchIndex:
+def _adjacency(n: int, edges: EdgeArrays,
+               mask: np.ndarray) -> list[list[tuple[int, float, int]]]:
+    """Per vertex, ``(v, length, color)`` for every edge at it that ``mask``
+    picks, in edge order."""
     # Appending entry tuples edge by edge measured faster than one stable
     # sort of the 2E directed entries sliced into per-vertex lists.
     adjacency: list[list[tuple[int, float, int]]] = [[] for _ in range(n)]
-    for u, v, length, color in zip(*(column.tolist() for column in edges)):
+    for u, v, length, color in zip(*(column[mask].tolist() for column in edges)):
         adjacency[u].append((v, length, color))
         adjacency[v].append((u, length, color))
-    return SearchIndex(adjacency, _component_labels(n, edges.u, edges.v).tolist())
+    return adjacency
 
 
 def _component_labels(n: int, u: np.ndarray, v: np.ndarray) -> np.ndarray:
@@ -154,47 +148,19 @@ def _component_labels(n: int, u: np.ndarray, v: np.ndarray) -> np.ndarray:
             parent = up
 
 
-def _role_split(index: SearchIndex, edges: EdgeArrays,
-                bad: frozenset[int]) -> tuple[list, list]:
-    """``(clean, undesired)``: each vertex's adjacency entries split by
-    whether their color is in ``bad``, in adjacency order.
-
-    Only a vertex with edges of both kinds gets new lists, which share the
-    index's entry tuples. Any other vertex keeps its adjacency list itself
-    as the one kind it has and ``()`` as the other. The vertices with an
-    edge colored in ``bad`` are picked in one numpy pass over the edge
-    colors.
-    """
-    clean = index.adjacency.copy()
-    undesired = [()] * len(clean)
-    # one == per class: np.isin costs more than that on a few classes
-    marked = np.logical_or.reduce([edges.color == c for c in bad])
-    for u in np.union1d(edges.u[marked], edges.v[marked]).tolist():
-        entries = clean[u]
-        kept = [e for e in entries if e[2] not in bad]
-        if kept:
-            clean[u], undesired[u] = kept, [e for e in entries if e[2] in bad]
-        else:
-            clean[u], undesired[u] = (), entries
-    return clean, undesired
-
-
 @dataclass
 class ColoredGraph:
     """Undirected graph with per-vertex positions/colors and colored edges,
     held as ``EdgeArrays`` (a list of ``Edge`` is converted). ``edges``
     builds the ``Edge`` list on its first read and keeps it; no graph
     build, search or CLI command reads it. Edges must not change after the
-    graph's first query: the search index is built from them on first use.
+    graph's first query: its labels and role splits are built from them on
+    first use.
     """
 
     positions: np.ndarray
     colors: np.ndarray
     edge_arrays: EdgeArrays
-    _edges: list[Edge] | None = field(default=None, init=False, repr=False,
-                                      compare=False)
-    _index: SearchIndex | None = field(default=None, init=False, repr=False,
-                                       compare=False)
     _splits: dict = field(default_factory=dict, init=False, repr=False,
                           compare=False)
 
@@ -221,38 +187,41 @@ class ColoredGraph:
     def num_edges(self) -> int:
         return len(self.edge_arrays.u)
 
-    @property
+    @cached_property
     def edges(self) -> list[Edge]:
         """The edges as an ``Edge`` list, built on the first read."""
-        if self._edges is None:
-            self._edges = list(map(Edge, *(c.tolist() for c in self.edge_arrays)))
-        return self._edges
+        return list(map(Edge, *(c.tolist() for c in self.edge_arrays)))
 
-    def search_index(self) -> SearchIndex:
-        """The graph's adjacency lists and component labels, built on first use.
-
-        Concurrent first calls build equal indexes; one attribute store
-        publishes each whole, so every caller sees a complete one.
-        """
-        index = self._index
-        if index is None:
-            index = self._index = _search_index(self.num_vertices, self.edge_arrays)
-        return index
+    @cached_property
+    def labels(self) -> list[int]:
+        """Each vertex's connected component, named by its lowest vertex, so
+        two vertices are connected exactly when their labels match; built
+        on the first read."""
+        return _component_labels(self.num_vertices, self.edge_arrays.u,
+                                 self.edge_arrays.v).tolist()
 
     def neighbors(self, u: int) -> list[tuple[int, float, int]]:
-        return self.search_index().adjacency[u]
+        """``(v, length, color)`` for every edge at ``u``, in edge order: the
+        clean list of the empty undesired set."""
+        return self.role_split(frozenset())[0][u]
 
     def role_split(self, bad: frozenset[int]) -> tuple[list, list]:
-        """``(clean, undesired)`` adjacency lists for the undesired color set
-        ``bad``, built once per set (see ``_role_split``).
+        """``(clean, undesired)``: per vertex, ``(v, length, color)`` for every
+        edge at it whose color is not in ``bad`` and for every one whose
+        color is, each list in edge order. Built from the edge columns on
+        the first call per set and kept.
 
         Concurrent first calls build equal splits; one dict store publishes
         each whole.
         """
         split = self._splits.get(bad)
         if split is None:
-            split = self._splits[bad] = _role_split(self.search_index(),
-                                                    self.edge_arrays, bad)
+            n, edges = self.num_vertices, self.edge_arrays
+            marked = np.zeros(self.num_edges, dtype=bool)
+            for c in bad:  # one == per class: np.isin costs more on a few classes
+                marked |= edges.color == c
+            split = self._splits[bad] = (_adjacency(n, edges, ~marked),
+                                         _adjacency(n, edges, marked))
         return split
 
 
@@ -559,13 +528,13 @@ def class_ordered_astar(graph: ColoredGraph,
     the same for ``b + 1``. A popped entry is stale when ``cur[u]`` is no
     longer its length.
 
-    The search reads the graph's ``SearchIndex`` and its ``role_split`` for
-    the query's undesired set, each built on first use and kept on the
-    graph: a goal in another component returns None without a search, and
-    an expansion relaxes clean edges into the current bucket, then
-    undesired ones into the next, with no color test. The graph's edges
-    must not change after its first query. Concurrent first queries build
-    equal indexes and splits, and one store publishes each whole.
+    The search reads the graph's ``labels`` and its ``role_split`` for the
+    query's undesired set, each built on first use and kept on the graph: a
+    goal in another component returns None without a search, and an
+    expansion relaxes clean edges into the current bucket, then undesired
+    ones into the next, with no color test. The graph's edges must not
+    change after its first query. Concurrent first queries build equal
+    labels and splits, and one store publishes each whole.
     """
     n = graph.num_vertices
     start, goal = query.start, query.goal
@@ -573,7 +542,7 @@ def class_ordered_astar(graph: ColoredGraph,
         raise GraphError("start/goal outside the vertex range")
     if start == goal:
         return PlanResult([start], 0, 0.0)
-    labels = graph.search_index().labels
+    labels = graph.labels
     if labels[start] != labels[goal]:
         return None
     clean, undesired = graph.role_split(query.undesired | {UNKNOWN_CLASS})

@@ -148,6 +148,10 @@ class TruncatedRows(NamedTuple):
         """Each row's number of stored classes."""
         return np.count_nonzero(self.ids, axis=1) if self.counts is None else self.counts
 
+    def take(self, rows=slice(None)) -> "TruncatedRows":
+        """Rows ``rows`` (all by default) as a table with ``counts``."""
+        return TruncatedRows(*(column[rows] for column in (*self[:4], self.stored())))
+
     @classmethod
     def of(cls, records) -> "TruncatedRows":
         unused = ((0, 0.0),) * 3

@@ -481,6 +481,25 @@ def test_graph_builds_queries_and_commands_make_no_edge_objects(workspace, capsy
     assert len(made) == sum(g.num_edges for g in graphs)
 
 
+def test_graph_rows_print_each_field_as_its_format():
+    """``export --what graph`` rows: each coordinate and length to 9
+    significant digits (``_fmt``), each id and color as an integer, the
+    edges in edge order, as one f-string per field prints them."""
+    positions = np.array([[0.0, -0.0], [1e-300, 1e300], [123456789.123, -2.5], [1 / 3, 2 / 3]])
+    colors = np.array([0, planning.UNKNOWN_CLASS, 4, 2])
+    edges = [planning.Edge(0, 1, 1e-9, 2), planning.Edge(3, 2, 123456789.5, -1),
+             planning.Edge(1, 1, 0.1 + 0.2, 0)]
+    rows = cli._graph_rows(planning.ColoredGraph(positions, colors, edges))
+    assert rows == [
+        "vertices,4",
+        *(f"v,{i},{cli._fmt(x)},{cli._fmt(y)},{c}"
+          for i, ((x, y), c) in enumerate(zip(positions, colors))),
+        "edges,3",
+        *(f"e,{e.u},{e.v},{cli._fmt(e.length)},{e.color}" for e in edges)]
+    assert rows[1:3] == ["v,0,0,-0,0", "v,1,1e-300,1e+300,-1"]
+    assert rows[-2:] == ["e,3,2,123456790,-1", "e,1,1,0.3,0"]
+
+
 def test_plan_halton_graph(workspace, capsys):
     build(workspace, capsys)
     code, out, err = run(capsys, [

@@ -18,8 +18,6 @@ from soct.formats import (
     CloudRecord,
     WeightsConfig,
     deserialize_tree,
-    emit_weights_config,
-    emit_world_config,
     ingest,
     parse_weights_config,
     parse_world_config,
@@ -204,12 +202,10 @@ def test_read_cloud_takes_the_array_pass_on_plain_files(tmp_path, monkeypatch):
     assert read_cloud(p, 4).points.shape == (0, 3)
 
 
-def test_world_config_roundtrip():
-    world = WorldConfig((1.0, -2.0, 0.5), 64.0, 6, 8)
-    text = emit_world_config(world, 24)
+def test_world_config_parse():
+    text = "origin 1 -2 0.5\nedge_length 64\nmax_depth 6\nbranching 8\nnum_classes 24\n"
     parsed, num_classes = parse_world_config(text)
-    assert parsed == world and num_classes == 24
-    assert emit_world_config(parsed, num_classes) == text
+    assert parsed == WorldConfig((1.0, -2.0, 0.5), 64.0, 6, 8) and num_classes == 24
 
 
 def test_world_config_errors():
@@ -253,15 +249,16 @@ def test_weights_config_rejects_each_bad_line(line, message):
         3, "neutral", None, "trees")
 
 
-def test_weights_config_roundtrip():
+def test_weights_config_parse():
     text = ("num_classes 4\n"
             "alpha 0.25\n"
             "class 1 relevant 2 road\n"
             "class 2 irrelevant 0.5 grass\n"
             "class 3 neutral\n")
     cfg = parse_weights_config(text)
-    assert emit_weights_config(cfg) == text
-    assert parse_weights_config(emit_weights_config(cfg)) == cfg
+    assert cfg == WeightsConfig(4, 0.25, ((1, "relevant", 2.0, "road"),
+                                          (2, "irrelevant", 0.5, "grass"),
+                                          (3, "neutral", None, None)))
     cw = cfg.compression_weights()
     assert cw.retain == {1: 2.0}
     assert cw.remove == {2: 0.5}
@@ -303,9 +300,10 @@ def test_class_count_above_format_limit_is_rejected_before_writing(tmp_path):
     with pytest.raises(ConfigError, match="num_classes must be at most 65535"):
         serialize_tree(SemanticOctree(world, 65536), path)
     assert path.read_bytes() == b"an existing map"
+    text = "origin 0 0 0\nedge_length 8\nmax_depth 3\nbranching 8\nnum_classes {}\n"
     with pytest.raises(ConfigError, match="num_classes must be at most 65535"):
-        parse_world_config(emit_world_config(world, 65536))
-    assert parse_world_config(emit_world_config(world, 65535))[1] == 65535
+        parse_world_config(text.format(65536))
+    assert parse_world_config(text.format(65535)) == (world, 65535)
 
 
 def test_serialize_empty_tree(tmp_path):

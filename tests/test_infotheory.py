@@ -2,21 +2,16 @@ import numpy as np
 import pytest
 
 from soct.compression import CompressionWeights
-from soct.errors import DistributionError, SupportError
+from soct.errors import DistributionError
 from soct.infotheory import (
-    aggregate_conditional,
     bernoulli_js,
     entropy,
     js_divergence,
-    kl_divergence,
     normalized_weights,
     split_increments,
 )
 
 from helpers import ref_bernoulli_js, ref_entropy
-
-# frozen by direct evaluation of the definitions (see helpers references)
-KL_075_025 = 0.18872187554086715
 
 
 def test_entropy_point_mass():
@@ -33,22 +28,6 @@ def test_entropy_rejects_unnormalized():
         entropy([0.5, 0.4])
     with pytest.raises(DistributionError):
         entropy([1.2, -0.2])
-
-
-def test_kl_identical_is_zero():
-    assert kl_divergence([0.3, 0.7], [0.3, 0.7]) == 0.0
-
-
-def test_kl_known_values():
-    assert abs(kl_divergence([1, 0], [0.5, 0.5]) - 1.0) < 1e-12
-    assert abs(kl_divergence([0.75, 0.25], [0.5, 0.5]) - KL_075_025) < 1e-12
-
-
-def test_kl_support_violation():
-    with pytest.raises(SupportError):
-        kl_divergence([0.5, 0.5], [1.0, 0.0])
-    with pytest.raises(DistributionError):
-        kl_divergence([0.5, 0.5], [0.3, 0.3, 0.4])
 
 
 def test_js_identical_distributions():
@@ -103,15 +82,6 @@ def test_bernoulli_js_matches_dense_js():
         dense = js_divergence(np.column_stack([1 - m, m]), w)
         assert abs(bernoulli_js(m, w) - dense) < 1e-12
         assert abs(bernoulli_js(m, w) - ref_bernoulli_js(m, w)) < 1e-12
-
-
-def test_aggregate_conditional_examples():
-    out = aggregate_conditional([[1, 0], [0, 1]], [0.25, 0.75])
-    assert np.allclose(out, [0.25, 0.75])
-    d = [0.3, 0.7]
-    assert np.allclose(aggregate_conditional([d, d, d], [1, 2, 3]), d)
-    out = aggregate_conditional([[0.2, 0.8], [0.6, 0.4]], [0.5, 0.5])
-    assert np.allclose(out, [0.4, 0.6])
 
 
 def test_split_increments_entropy_term():

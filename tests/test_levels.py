@@ -33,6 +33,7 @@ from soct.octree import (
     NodeKey,
     SemanticOctree,
     WorldConfig,
+    node_keys,
     uniform_row,
 )
 
@@ -187,6 +188,23 @@ def test_column_writer_equals_the_node_writer(tmp_path_factory, seed, branching,
         tree = deserialize_tree(path)
     serialize_tree(tree, path)
     assert path.read_bytes() == node_serialize(tree)
+
+
+@pytest.mark.parametrize("shape", ["empty", "plain", "summaries"])
+@pytest.mark.parametrize("branching", [2, 4, 8])
+def test_preorder_is_the_walk_from_the_root(branching, shape):
+    """``Levels.preorder`` lists the merged rows as a walk from the root that
+    visits each node's stored children in octant order, the file's order."""
+    tree = _random_tree(np.random.default_rng(branching), branching, shape)
+
+    def walk(key):
+        yield key
+        for child in tree.stored_children(key):
+            yield from walk(child)
+
+    levels = tree.levels()
+    order = levels.preorder()
+    assert list(node_keys(levels.depth[order], levels.index[order])) == list(walk(ROOT_KEY))
 
 
 @pytest.fixture

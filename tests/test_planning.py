@@ -576,25 +576,53 @@ def test_graph_edges_read_as_the_per_edge_reference():
     assert halton.num_edges > planning._SEGMENTS_PER_BATCH
 
 
-def test_search_index_adjacency_and_components():
+def test_labels_and_neighbors_of_components():
     rng = np.random.default_rng(70)
     # 0-3-5 and 1-4 are components, 2 and 6 isolated vertices
     edges = [Edge(3, 0, 1.5, 2), Edge(1, 4, 1.0, UNKNOWN_CLASS),
              Edge(5, 3, 2.0, 0), Edge(0, 5, 3.5, 1)]
     g = ColoredGraph(rng.uniform(0, 1, (7, 2)), np.zeros(7, dtype=int), edges)
-    index = g.search_index()
-    assert index is g.search_index()
-    assert index.adjacency == [ref_adjacency(g)[u] for u in range(7)]
-    assert all(g.neighbors(u) is index.adjacency[u] for u in range(7))
-    assert index.labels == [0, 1, 2, 0, 1, 0, 6]
+    assert g.labels == [0, 1, 2, 0, 1, 0, 6]
+    assert g.labels is g.labels
+    assert [g.neighbors(u) for u in range(7)] == [ref_adjacency(g)[u] for u in range(7)]
+    assert all(g.neighbors(u) is g.role_split(frozenset())[0][u] for u in range(7))
     assert class_ordered_astar(g, PlanQuery(0, 4)) is None
     assert class_ordered_astar(g, PlanQuery(2, 6)) is None
     assert class_ordered_astar(g, PlanQuery(2, 2)).vertices == [2]
 
 
+def _ref_labels(graph):
+    """Each vertex's lowest connected vertex, by search over ``ref_adjacency``."""
+    adjacency, labels = ref_adjacency(graph), [None] * graph.num_vertices
+    for root in range(graph.num_vertices):
+        todo = [root]
+        while todo:
+            u = todo.pop()
+            if labels[u] is None:
+                labels[u] = root
+                todo += [v for v, _, _ in adjacency[u]]
+    return labels
+
+
+def _check_splits(graph, sets):
+    """``role_split`` of each set, in the given order, is ``ref_adjacency``
+    filtered by kind in edge order, kept per set; ``neighbors`` is the
+    reference's whole list."""
+    ref = ref_adjacency(graph)
+    for bad in sets:
+        clean, undesired = split = graph.role_split(bad)
+        assert graph.role_split(bad) is split
+        assert len(clean) == len(undesired) == graph.num_vertices
+        for u in range(graph.num_vertices):
+            assert clean[u] == [e for e in ref[u] if e[2] not in bad]
+            assert undesired[u] == [e for e in ref[u] if e[2] in bad]
+    assert [graph.neighbors(u) for u in range(graph.num_vertices)] == \
+        [ref[u] for u in range(graph.num_vertices)]
+
+
 def test_concurrent_first_queries_agree():
-    # More threads than cores race to build each graph's index; a torn or
-    # mixed index would change some answer.
+    # More threads than cores race to build each graph's labels and splits;
+    # a torn or mixed one would change some answer.
     rng = np.random.default_rng(71)
     switch = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
@@ -619,14 +647,8 @@ def test_concurrent_first_queries_agree():
                 t.join(timeout=30)
             assert not any(t.is_alive() for t in threads)
             assert got == want
-            assert g.search_index().adjacency == [ref_adjacency(g)[u]
-                                                  for u in range(g.num_vertices)]
-            for undesired in sets:
-                bad = frozenset(undesired) | {UNKNOWN_CLASS}
-                clean, dirty = g.role_split(bad)
-                assert all([*c, *d] == [e for e in ref_adjacency(g)[u] if e[2] not in bad]
-                           + [e for e in ref_adjacency(g)[u] if e[2] in bad]
-                           for u, (c, d) in enumerate(zip(clean, dirty)))
+            assert g.labels == _ref_labels(g)
+            _check_splits(g, [frozenset(undesired) | {UNKNOWN_CLASS} for undesired in sets])
     finally:
         sys.setswitchinterval(switch)
 
@@ -693,15 +715,15 @@ def test_astar_bucket_edge_cases(case):
         assert class_ordered_astar(graph, query).undesired_edges == count
 
 
-def test_role_split_is_built_once_per_set_and_shares_lists(monkeypatch):
+def test_role_split_is_built_once_per_set(monkeypatch):
     built = []
-    split = planning._role_split
+    adjacency = planning._adjacency
 
-    def counting_split(*args):
-        built.append(args[2])
-        return split(*args)
+    def counting_adjacency(n, edges, mask):
+        built.append(frozenset(edges.color[mask].tolist()))
+        return adjacency(n, edges, mask)
 
-    monkeypatch.setattr(planning, "_role_split", counting_split)
+    monkeypatch.setattr(planning, "_adjacency", counting_adjacency)
     g = grid_graph(np.random.default_rng(73), 4, 5)
     pairs = [(0, 19), (3, 16), (7, 12), (19, 0)]
     for undesired in ({2}, {2}, {1}, {2}):
@@ -709,24 +731,41 @@ def test_role_split_is_built_once_per_set_and_shares_lists(monkeypatch):
             query = PlanQuery(s, t, undesired=undesired)
             assert _outcome(class_ordered_astar(g, query)) == \
                 _outcome(reference_astar(g, query))
-    assert built == [frozenset({2, UNKNOWN_CLASS}), frozenset({1, UNKNOWN_CLASS})]
-    adjacency = g.search_index().adjacency
+    # one clean and one undesired build per set: {2, UNKNOWN}, then {1, UNKNOWN}
+    colors = frozenset(g.edge_arrays.color.tolist())
+    assert built == [colors - {2, UNKNOWN_CLASS}, colors & {2, UNKNOWN_CLASS},
+                     colors - {1, UNKNOWN_CLASS}, colors & {1, UNKNOWN_CLASS}]
     bad = frozenset({2, UNKNOWN_CLASS})
+    _check_splits(g, [bad])
     clean, dirty = g.role_split(bad)
-    assert g.role_split(bad)[0] is clean
-    kinds = set()
-    for u, entries in enumerate(adjacency):
-        want = ([e for e in entries if e[2] not in bad], [e for e in entries if e[2] in bad])
-        assert (list(clean[u]), list(dirty[u])) == want
-        # the split shares the index's entry tuples, and a vertex with one
-        # kind of edge keeps the index's list itself
-        assert sorted(map(id, [*clean[u], *dirty[u]])) == sorted(map(id, entries))
-        if not want[1]:
-            assert clean[u] is entries and dirty[u] == ()
-        elif not want[0]:
-            assert dirty[u] is entries and clean[u] == ()
-        kinds.add((bool(want[0]), bool(want[1])))
+    kinds = {(bool(c), bool(d)) for c, d in zip(clean, dirty)}
     assert kinds == {(True, False), (False, True), (True, True)}
+
+
+@st.composite
+def multigraphs(draw):
+    """A graph of 1-8 vertices whose edges may be parallel or self-loops,
+    with some vertices on no edge, and 1-4 undesired color sets, the empty
+    set among them, in random order."""
+    n = draw(st.integers(1, 8))
+    vertex = st.integers(0, draw(st.integers(0, n - 1)))  # the rest isolated
+    pairs = draw(st.lists(st.tuples(vertex, vertex), max_size=12))
+    pairs += draw(st.lists(st.sampled_from(pairs), max_size=6)) if pairs else []
+    colors = st.sampled_from([0, 1, 2, 3, UNKNOWN_CLASS])
+    edges = [Edge(u, v, draw(st.floats(0.5, 4.0)), draw(colors)) for u, v in pairs]
+    sets = draw(st.lists(st.frozensets(colors, max_size=3), max_size=3))
+    positions = np.array(draw(st.lists(st.tuples(st.floats(0, 4), st.floats(0, 4)),
+                                       min_size=n, max_size=n)))
+    return (ColoredGraph(positions, np.zeros(n, dtype=int), edges),
+            draw(st.permutations([frozenset(), *sets])))
+
+
+@settings(max_examples=150, deadline=None)
+@given(parts=multigraphs())
+def test_role_splits_and_labels_equal_the_reference(parts):
+    graph, sets = parts
+    _check_splits(graph, sets)
+    assert graph.labels == _ref_labels(graph)
 
 
 @st.composite
@@ -807,7 +846,7 @@ def test_astar_pops_in_reference_order(parts, data):
     entries in the reference's order, stale ones included. (Between two
     components only the reference searches.)"""
     graph = ColoredGraph(*parts)
-    labels = graph.search_index().labels
+    labels = graph.labels
     start = data.draw(st.integers(0, graph.num_vertices - 1))
     goal = data.draw(st.sampled_from([v for v, c in enumerate(labels) if c == labels[start]]))
     query = PlanQuery(start, goal,

@@ -348,6 +348,26 @@ def test_truncated_rows_round_trip():
     assert [rows.record(i) for i in range(len(records))] == records
 
 
+def test_take_gives_the_picked_rows_with_counts():
+    """``take`` of a stored table and of a kernel table (no ``counts``)
+    gives the picked rows, repeats and any order included, with their
+    counts, also of a stored row whose used slot holds id 0; by default
+    every row."""
+    rng = np.random.default_rng(18)
+    full = np.array([random_full(rng, 6) for _ in range(30)])
+    records = [truncate_full(row) for row in full] + [
+        TruncatedSemanticDistribution((), 1.0, 0.0),
+        TruncatedSemanticDistribution(((0, 0.5),), 0.5, 0.0)]
+    for table in (TruncatedRows.of(records), truncate_rows(full)):
+        picked = np.append(rng.integers(0, len(table.ids), 40), len(table.ids) - 1)
+        rows = table.take(picked)
+        assert rows.counts.tolist() == table.stored()[picked].tolist()
+        assert [rows.record(i) for i in range(len(picked))] == [
+            table.record(i) for i in picked.tolist()]
+        assert [c.tobytes() for c in table.take()] == [
+            c.tobytes() for c in (*table[:4], table.stored())]
+
+
 def test_observation_errors_name_each_bad_row():
     classes = np.array([0, 4, 5, -1, 2, 2, 2, 2])
     conf = np.array([0.9, 1.0, 0.9, 0.3, 0.2, 1.0000001, float("nan"), 0.21])
