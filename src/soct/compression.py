@@ -72,6 +72,7 @@ from .octree import (
     node_keys,
     uniform_row,
 )
+from .semantics import left_sum
 
 G_EPS = 1e-12
 MAX_CANDIDATES = 1_000_000
@@ -90,9 +91,9 @@ class CompressionWeights:
     retain: Mapping[int, float]
     remove: Mapping[int, float]
     compress: float
-    # Derived: the weighted class ids in ascending order, and per id its
-    # weight, negated for removed classes.
-    class_ids: list[int] = field(init=False, repr=False, compare=False)
+    # Derived: the weighted class ids in ascending order (int64), and per id
+    # its weight, negated for removed classes.
+    class_ids: np.ndarray = field(init=False, repr=False, compare=False)
     signed: tuple[float, ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
@@ -105,7 +106,7 @@ class CompressionWeights:
         if not all(0 <= v < math.inf for v in values):
             raise ConfigError("weights must be non-negative and finite")
         class_ids = sorted(set(self.retain) | set(self.remove))
-        object.__setattr__(self, "class_ids", class_ids)
+        object.__setattr__(self, "class_ids", np.array(class_ids, dtype=np.int64))
         object.__setattr__(self, "signed", tuple(
             self.retain[c] if c in self.retain else -self.remove[c]
             for c in class_ids))
@@ -221,10 +222,10 @@ def split_terms(pi: np.ndarray, marginals: np.ndarray) -> tuple[np.ndarray, np.n
     zero-weight children are dropped row by row, constant columns read
     exactly 0.0, and at most ``CHUNK_ROWS`` rows are evaluated at once.
     """
-    act = pi > 0
-    if len(pi) <= CHUNK_ROWS and act.all():
+    act = pi > 0.0
+    if len(pi) <= CHUNK_ROWS and np.count_nonzero(act) == act.size:
         return _active_split_terms(pi, marginals)
-    full = act.all(axis=1)
+    full = np.logical_and.reduce(act, axis=1)
     js = np.zeros((len(pi), marginals.shape[2]))
     h = np.zeros(len(pi))
     rows = np.flatnonzero(full)
@@ -245,15 +246,15 @@ def _active_split_terms(pi: np.ndarray,
     # sum every column in one order, the order a single child set is
     # summed in.
     m = np.minimum(np.maximum(marginals.transpose(0, 2, 1), 0.0, order="C"), 1.0)
-    h = -(pi * np.log2(pi)).sum(axis=1)
-    varying = (m != m[:, :, :1]).any(axis=2)
-    if varying.all():
+    h = -np.add.reduce(pi * np.log2(pi), axis=1)
+    varying = np.logical_or.reduce(m != m[:, :, :1], axis=2)
+    if np.count_nonzero(varying) == varying.size:
         return _js_columns(pi, m), h
     # The products also depend on how many columns they span, so rows are
     # grouped by their number of varying columns, which are gathered to
     # the front; constant columns stay 0.0.
     js = np.zeros(varying.shape)
-    counts = varying.sum(axis=1)
+    counts = np.add.reduce(varying, axis=1)
     for k in np.unique(counts[counts > 0]):
         rows = np.flatnonzero(counts == k)
         cols = np.nonzero(varying[rows])[1].reshape(len(rows), k)
@@ -266,10 +267,14 @@ def _js_columns(pi: np.ndarray, m: np.ndarray) -> np.ndarray:
     """JS divergence per (row, column) of clipped marginals ``m`` (N, C, B)."""
     p = pi[:, :, None]
     pbar = np.matmul(m, p)
-    q = 1 - m
+    q = 1.0 - m
     with np.errstate(divide="ignore", invalid="ignore"):
-        t1 = np.where(m > 0, m * np.log2(m / pbar), 0.0)
-        t0 = np.where(q > 0, q * np.log2(q / (1 - pbar)), 0.0)
+        t1, t0 = m * np.log2(m / pbar), q * np.log2(q / (1.0 - pbar))
+    # A marginal of 0 or 1 has a term of 0.0. m * q > 0 exactly when
+    # 0 < m < 1: a factor below 2**-54 makes the other one 1.0, so the
+    # product never underflows to 0.
+    if np.count_nonzero(m * q > 0.0) < m.size:
+        t1, t0 = np.where(m > 0.0, t1, 0.0), np.where(q > 0.0, t0, 0.0)
     return np.matmul(t1 + t0, p)[:, :, 0]
 
 
@@ -283,9 +288,9 @@ def _gain(child_term: float, h: float, js: list[float],
     value = child_term - cw.compress * h
     for w, v in zip(cw.signed, js):
         value += w * v
-    if js:
-        value = np.float64(value)
-    return max(value, 0.0)
+    if value < 0.0:
+        return 0.0
+    return np.float64(value) if js else value
 
 
 def _require_no_summaries(tree: SemanticOctree) -> None:
@@ -385,33 +390,35 @@ def refresh_upward(tree: SemanticOctree, leaf: NodeKey,
     store.gain[path[-1]], store.boxed[path[-1]] = 0.0, False
     # Row i is the ancestor i + 1 levels up; its path slot holds the node below
     # it. Path conditionals are all rewritten, so the gather derives none.
-    rows, dims, mask = path[-2::-1], tree.world.dims, tree.world.branching - 1
-    slots = [leaf.index >> dims * i & mask for i in range(len(rows))]
+    path, dims, mask = path[-2::-1], tree.world.dims, tree.world.branching - 1
+    slots = [leaf.index >> dims * i & mask for i in range(len(path))]
+    rows = np.array(path)
     store.cached[rows] = True
     weights, conds, gains, totals = store.child_sets(rows)
-    with np.errstate(divide="ignore", invalid="ignore"):
+    mass = [total > 0.0 for total in totals.tolist()]
+    if all(mass):
         pi = weights / totals[:, None]
-    totals = totals.tolist()
-    live = [i for i, total in enumerate(totals) if total > 0.0]
-    for i, (row, total) in enumerate(zip(rows, totals)):
+    else:  # a massless row is uniform with gain 0.0, and is not evaluated
+        with np.errstate(divide="ignore", invalid="ignore"):
+            pi = weights / totals[:, None]
+    for i, (row, live, p, c) in enumerate(zip(path, mass, pi, conds)):
         if i:
-            conds[i, slots[i]] = cond
-        cond = pi[i] @ conds[i] if total > 0.0 else uniform_row(tree.num_classes)
+            c[slots[i]] = cond
+        cond = p @ c if live else uniform_row(tree.num_classes)
         store.cond[row] = cond
-    if len(live) < len(rows):
-        pi, conds = pi[live], conds[live]
-    if live:
-        js, h = split_terms(pi, conds.take(cw.class_ids, axis=2))
-        js, h = js.tolist(), h.tolist()
+    terms = iter(())
+    if any(mass):
+        p, c = (pi, conds) if all(mass) else (pi[mass], conds[mass])
+        js, h = split_terms(p, c.take(cw.class_ids, axis=2))
+        terms = zip(js.tolist(), h.tolist())
     # Gains chain up last; the slot of the node below takes its new gain.
-    gain, j = 0.0, 0
-    for i, (row, total) in enumerate(zip(rows, totals)):
+    for i, (row, live, p, g) in enumerate(zip(path, mass, pi, gains)):
         if i:
-            gains[i, slots[i]] = gain
+            g[slots[i]] = gain
         gain = 0.0
-        if total > 0.0:
-            gain = _gain(float(pi[j] @ gains[i]), h[j], js[j], cw)
-            j += 1
+        if live:
+            js_row, h_row = next(terms)
+            gain = _gain(float(p @ g), h_row, js_row, cw)
         store.gain[row], store.boxed[row] = gain, type(gain) is np.float64
 
 
@@ -587,8 +594,8 @@ def _information(store: Levels, rows: np.ndarray, cw: CompressionWeights) -> Inf
         for cid, v in inc.irrelevant_bits.items():
             irrelevant[cid] += v
         partition += inc.split_bits
-    objective = (sum(cw.retain[c] * v for c, v in relevant.items())
-                 - sum(cw.remove[c] * v for c, v in irrelevant.items())
+    objective = (left_sum(cw.retain[c] * v for c, v in relevant.items())
+                 - left_sum(cw.remove[c] * v for c, v in irrelevant.items())
                  - cw.compress * partition)
     return InfoReport(relevant, irrelevant, partition, objective)
 
@@ -615,8 +622,8 @@ def report(tree: SemanticOctree, ctree: CompressedTree, cw: CompressionWeights):
     store, kept = _subtree_rows(tree, ctree)
     full = np.flatnonzero(store.has_children)
     full_bits, partition_bits, kept_bits = _bits(store, full, kept)
-    objective = (sum(w * kept_bits[c] for c, w in cw.retain.items())
-                 - sum(w * kept_bits[c] for c, w in cw.remove.items())
+    objective = (left_sum(w * kept_bits[c] for c, w in cw.retain.items())
+                 - left_sum(w * kept_bits[c] for c, w in cw.remove.items())
                  - cw.compress * partition_bits)
     # The full tree's observed leaves are the stored nodes it does not
     # expand; an empty map (the root alone) has none.

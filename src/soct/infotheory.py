@@ -16,6 +16,7 @@ from typing import TYPE_CHECKING, Mapping, Sequence
 import numpy as np
 
 from .errors import DistributionError
+from .semantics import left_sum
 
 if TYPE_CHECKING:  # pragma: no cover
     from .compression import CompressionWeights
@@ -146,7 +147,7 @@ def split_increments(weight: float, child_weights: Sequence[float],
     for cid in sorted(cw.remove):
         irrelevant[cid] = weight * bernoulli_js(child_marginals[cid], pi)
     split_bits = weight * _entropy_of_weights(pi)
-    reward = (sum(cw.retain[c] * v for c, v in relevant.items())
-              - sum(cw.remove[c] * v for c, v in irrelevant.items())
+    reward = (left_sum(cw.retain[c] * v for c, v in relevant.items())
+              - left_sum(cw.remove[c] * v for c, v in irrelevant.items())
               - cw.compress * split_bits)
     return InfoIncrement(relevant, irrelevant, split_bits, reward)

@@ -51,6 +51,7 @@ from .semantics import (
     fuse_observation,  # noqa: F401  the benchmark's tracer counts calls here
     fuse_record,
     fuse_rows,
+    left_sum,
     observation_errors,
     row_totals,
     rows_close,
@@ -223,8 +224,10 @@ class WorldConfig:
             raise OutOfBoundsError(_outside(p))
         depth, dims = self.max_depth, self.dims
         last, size = (1 << depth) - 1, self.leaf_size
-        cells = [min(int((v - o) // size), last) for v, o in zip(p[:dims], self.origin)]
-        return NodeKey(depth, _interleave(cells, dims, depth))
+        cells = [int((x - ox) // size), int((y - oy) // size), int((z - oz) // size)][:dims]
+        if max(cells) > last:  # within rounding of the upper bound
+            cells = [min(c, last) for c in cells]
+        return tuple.__new__(NodeKey, (depth, _interleave(cells, dims, depth)))
 
     def key_from_coords(self, coords: tuple[int, ...], depth: int) -> NodeKey:
         if len(coords) != self.dims:
@@ -266,11 +269,11 @@ def completed_weight(stored: list[float], branching: int) -> float:
     """Weight of an interior node from its stored children's weights.
 
     Absent children count at the mean stored weight; 0.0 without stored
-    children.
+    children. The stored weights add left to right, as ``row_totals`` adds.
     """
     if not stored:
         return 0.0
-    total = sum(stored)
+    total = left_sum(stored)
     return total + (branching - len(stored)) * (total / len(stored))
 
 
@@ -517,9 +520,9 @@ class Levels:
     def _stored(self, rows):
         """Per row: child slots, which are stored, their weights (0.0 for an
         absent child, which adds exactly), mean and ``completed_weight``."""
-        slots = self.slots[rows]
+        slots = self.slots.take(rows, axis=0)
         present = slots >= 0
-        count = present.sum(axis=1)
+        count = np.add.reduce(present, axis=1)
         if np.count_nonzero(count) < len(count):
             i = np.asarray(rows)[count == 0][0]
             raise TreeError(f"{(int(self.depth[i]), int(self.index[i]))} has no stored "
@@ -542,9 +545,9 @@ class Levels:
         summing the row. A row's results do not depend on the rows beside
         it."""
         slots, present, stored, mean, total = self._stored(rows)
-        conds = self.cond[slots]
+        conds = self.cond.take(slots, axis=0)
         conds[~present] = uniform_row(self.num_classes)
-        stale = present & ~self.cached[slots]
+        stale = present > self.cached[slots]  # stored and uncached
         if np.count_nonzero(stale):
             conds[stale] = self.conditionals(slots[stale])
         gains = np.where(present & (self.kind[slots] == INTERIOR), self.gain[slots], 0.0)
@@ -808,10 +811,10 @@ class SemanticOctree:
 
     def _refresh_path(self, store: Levels, path: list[int]) -> None:
         """Re-derive the weight of every ancestor on ``path``, deepest first."""
+        weight, branching = store.weight, self.world.branching
         for row in reversed(path[:-1]):
-            kids = store.slots[row]
-            store.weight[row] = completed_weight(store.weight[kids[kids >= 0]].tolist(),
-                                                 self.world.branching)
+            weight[row] = completed_weight(
+                [weight.item(k) for k in store.slots[row].tolist() if k >= 0], branching)
 
     # -- summary handling ---------------------------------------------------
 

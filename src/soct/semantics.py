@@ -193,12 +193,19 @@ def row_totals(rows: np.ndarray) -> np.ndarray:
     return total
 
 
+def left_sum(values) -> float:
+    """``values`` added left to right from 0.0, as ``row_totals`` adds a row;
+    builtin ``sum`` compensates float rounding from Python 3.12 on."""
+    total = 0.0
+    for v in values:
+        total += v
+    return total
+
+
 def _check_row(row: list[float]) -> None:
     """Raise ``DistributionError`` unless a row of Python floats has no entry
     below -FIELD_TOL and a total within SUM_TOL of 1 (a nan total is not)."""
-    total = 0.0
-    for v in row:
-        total += v
+    total = left_sum(row)
     if any(v < -FIELD_TOL for v in row):
         raise DistributionError("negative probability entry")
     if not abs(total - 1.0) <= SUM_TOL:
@@ -356,9 +363,7 @@ def _fuse_row(prior: list[float], obs_class: int, confidence: float) -> list[flo
     other = (1.0 - confidence) / (len(prior) - 1)
     posterior = [p * other for p in prior]
     posterior[obs_class] = prior[obs_class] * confidence
-    total = 0.0
-    for v in posterior:
-        total += v
+    total = left_sum(posterior)
     if total <= 0.0:
         raise DistributionError(CONTRADICTED)
     return [v / total for v in posterior]

@@ -144,12 +144,21 @@ def ref_mutual_information(leaf_weights, leaf_marginals):
 # -- independent gain reference ---------------------------------------------------
 
 
+def ref_left_sum(values):
+    """``values`` added left to right from 0.0, as the library adds weights and
+    record fields; builtin ``sum`` compensates float rounding from Python 3.12 on."""
+    total = 0.0
+    for v in values:
+        total += v
+    return total
+
+
 def _ref_children(tree, key):
     """(weight, dense marginal vector, child key) for the completed child set."""
     dims = tree.world.dims
     stored = [(k, tree.nodes[k]) for k in child_keys(key, dims)
               if k in tree.nodes]
-    mean_w = sum(n.weight for _, n in stored) / len(stored)
+    mean_w = ref_left_sum(n.weight for _, n in stored) / len(stored)
     uniform = [1.0 / (tree.num_classes + 1)] * (tree.num_classes + 1)
     entries = []
     for k in child_keys(key, dims):
@@ -184,7 +193,7 @@ def node_child_set(tree, key):
     weights; an absent child weighs their mean and is uniform."""
     kids = [(k, tree.nodes.get(k)) for k in child_keys(key, tree.world.dims)]
     stored = [node.weight for _, node in kids if node is not None]
-    total = sum(stored)
+    total = ref_left_sum(stored)
     mean = total / len(stored)
     uniform = uniform_row(tree.num_classes)
     weights = np.array([mean if node is None else node.weight for _, node in kids])
@@ -230,6 +239,116 @@ def ref_relative_gain(tree, key, cw):
     return max(value, 0.0)
 
 
+# -- the column kernels as they were before their trimmed forms ---------------------
+#
+# ``Levels.child_sets``, ``split_terms`` and ``_js_columns`` write the
+# completions, zeros and masks only where some entry needs them. These copies
+# make every call unconditionally, so the trimmed kernels must equal them bit
+# for bit on any input.
+
+
+def ref_child_sets(store, rows):
+    """``Levels.child_sets`` of ``store``, with every completion, uncached
+    conditional (``ref_conditionals``) and gain mask applied to all rows."""
+    rows = np.asarray(rows, dtype=np.int64)
+    slots = store.slots[rows]
+    present = slots >= 0
+    count = present.sum(axis=1)
+    assert count.all(), "a row without stored children"
+    stored = np.where(present, store.weight[slots], 0.0)
+    total = np.zeros(len(rows))
+    for column in stored.T:  # left to right from 0.0
+        total += column
+    mean = total / count
+    conds = store.cond[slots]
+    conds[~present] = uniform_row(store.num_classes)
+    stale = present & ~store.cached[slots]
+    if stale.any():
+        conds[stale] = ref_conditionals(store, slots[stale])
+    gains = np.where(present & (store.kind[slots] == INTERIOR), store.gain[slots], 0.0)
+    return (np.where(present, stored, mean[:, None]), conds, gains,
+            total + (store.world.branching - count) * mean)
+
+
+def ref_conditionals(store, rows):
+    """``Levels.conditionals`` over ``ref_child_sets``."""
+    conds = store.cond[rows]
+    todo = ~store.cached[rows]
+    conds[todo] = uniform_row(store.num_classes)
+    deep = np.flatnonzero(todo & store.has_children[rows])
+    if len(deep):
+        weights, children, _, totals = ref_child_sets(store, rows[deep])
+        for i, row in enumerate(deep.tolist()):
+            if totals[i] > 0.0:
+                conds[row] = (weights[i] / totals[i]) @ children[i]
+    return conds
+
+
+def ref_split_terms(pi, marginals, chunk=1024):
+    """``compression.split_terms``: fully active batches of at most ``chunk``
+    rows, then each other row alone over its active children."""
+    act = pi > 0
+    if len(pi) <= chunk and act.all():
+        return _ref_active_split_terms(pi, marginals)
+    full = act.all(axis=1)
+    js = np.zeros((len(pi), marginals.shape[2]))
+    h = np.zeros(len(pi))
+    rows = np.flatnonzero(full)
+    for start in range(0, len(rows), chunk):
+        r = rows[start:start + chunk]
+        js[r], h[r] = _ref_active_split_terms(pi[r], marginals[r])
+    for r in np.flatnonzero(~full):
+        a = act[r]
+        js[r:r + 1], h[r:r + 1] = _ref_active_split_terms(pi[r:r + 1, a],
+                                                          marginals[r:r + 1, a])
+    return js, h
+
+
+def _ref_active_split_terms(pi, marginals):
+    m = np.minimum(np.maximum(marginals.transpose(0, 2, 1), 0.0, order="C"), 1.0)
+    h = -(pi * np.log2(pi)).sum(axis=1)
+    varying = (m != m[:, :, :1]).any(axis=2)
+    if varying.all():
+        return ref_js_columns(pi, m), h
+    js = np.zeros(varying.shape)
+    counts = varying.sum(axis=1)
+    for k in np.unique(counts[counts > 0]):
+        rows = np.flatnonzero(counts == k)
+        cols = np.nonzero(varying[rows])[1].reshape(len(rows), k)
+        sub = np.take_along_axis(m[rows], cols[:, :, None], axis=1)
+        js[rows[:, None], cols] = ref_js_columns(pi[rows], sub)
+    return js, h
+
+
+def ref_js_columns(pi, m):
+    """``compression._js_columns``: both zero-marginal masks always applied."""
+    p = pi[:, :, None]
+    pbar = np.matmul(m, p)
+    q = 1 - m
+    with np.errstate(divide="ignore", invalid="ignore"):
+        t1 = np.where(m > 0, m * np.log2(m / pbar), 0.0)
+        t0 = np.where(q > 0, q * np.log2(q / (1 - pbar)), 0.0)
+    return np.matmul(t1 + t0, p)[:, :, 0]
+
+
+def ref_gain(child_term, h, js, cw):
+    """``compression._gain``: summed in class order, boxed as a numpy scalar
+    with weighted classes, then ``max`` with 0.0."""
+    value = child_term - cw.compress * h
+    for w, v in zip(cw.signed, js):
+        value += w * v
+    if js:
+        value = np.float64(value)
+    return max(value, 0.0)
+
+
+def same_bits(a, b):
+    """Whether two float arrays have one dtype, one shape and equal bits."""
+    a, b = np.asarray(a), np.asarray(b)
+    return (a.dtype == b.dtype and a.shape == b.shape
+            and np.array_equal(a.view(np.int64), b.view(np.int64)))
+
+
 # -- compressed-tree extraction reference ------------------------------------------
 
 
@@ -250,7 +369,7 @@ def ref_extraction(tree, expanded):
     for key in expanded:
         kids = child_keys(key, tree.world.dims)
         stored = [tree.nodes[k].weight for k in kids if k in tree.nodes]
-        mean = sum(stored) / len(stored)
+        mean = ref_left_sum(stored) / len(stored)
         for k in kids:
             kept.add(k)
             node = tree.nodes.get(k)
@@ -280,7 +399,7 @@ def ref_record_error(dist, num_classes):
             return f"probability {value} outside [0, 1]"
     if any(probs[i] < probs[i + 1] for i in range(len(probs) - 1)):
         return "stored classes not sorted by probability"
-    total = sum(probs) + dist.p_free + dist.p_residual
+    total = ref_left_sum(probs) + dist.p_free + dist.p_residual
     if abs(total - 1.0) > SUM_TOL:
         return f"probabilities sum to {total}, not 1"
     if len(dist.top3) < 3 and dist.p_residual > SUM_TOL:

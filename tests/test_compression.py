@@ -1,5 +1,7 @@
+import builtins
 import copy
 import itertools
+import math
 
 import numpy as np
 import pytest
@@ -9,6 +11,8 @@ from hypothesis import strategies as st
 from soct.compression import (
     CHUNK_ROWS,
     CompressionWeights,
+    _gain,
+    _js_columns,
     build_and_compress,
     compress_tree,
     compressed_from_expanded,
@@ -35,8 +39,9 @@ from soct.octree import (
     NodeKey,
     SemanticOctree,
     WorldConfig,
+    completed_weight,
 )
-from soct.semantics import TruncatedSemanticDistribution
+from soct.semantics import TruncatedSemanticDistribution, left_sum, row_totals
 
 from helpers import (
     make_random_tree,
@@ -46,8 +51,12 @@ from helpers import (
     ref_bernoulli_js,
     ref_entropy,
     ref_extraction,
+    ref_gain,
+    ref_js_columns,
     ref_mutual_information,
     ref_relative_gain,
+    ref_split_terms,
+    same_bits,
     scaled_leaves,
 )
 
@@ -217,11 +226,17 @@ def test_refresh_upward_gathers_and_evaluates_once(monkeypatch):
     and updates, each ``refresh_upward`` gathers its whole root path in one
     ``child_sets`` call on the columns and evaluates it in one
     ``split_terms`` call: a gather per level, or a recursive conditional of
-    a new ancestor (``Levels.conditionals`` gathers too), would make more."""
+    a new ancestor (``Levels.conditionals`` gathers too), would make more.
+    The stream then fills full child sets on a whole path with one-hot
+    leaves (constant columns, marginals of 0 and 1) and sets zero-weight
+    leaves beside stored siblings and alone under massless ancestors, so
+    each of the kernels' skips runs both ways under the count."""
     rng = np.random.default_rng(79)
     world = WorldConfig((0, 0, 0), 16.0, 4)
     tree = SemanticOctree(world, 4)
     cw = CompressionWeights({1: 4.0}, {2: 0.5}, 0.02)
+    record = TruncatedSemanticDistribution(((1, 0.6), (2, 0.3)), 0.1, 0.0)
+    massless = (15, 15, 12)
     calls = []
     gather, kernel = Levels.child_sets, split_terms
 
@@ -233,15 +248,26 @@ def test_refresh_upward_gathers_and_evaluates_once(monkeypatch):
         calls.append(("split_terms", len(pi)))
         return kernel(pi, marginals)
 
+    def leaves():
+        cells = rng.integers(0, 16, (30, 3)) * [1, 1, 0.5]
+        for cell in np.vstack([cells, cells]):  # new leaves, then updates
+            yield tree.add_observation(cell + rng.uniform(0.1, 0.4, 3),
+                                       int(rng.integers(0, 5)), 0.8)
+        for size in (1, 2, 4, 8):  # cell (0, 0, 0)'s path: full child sets
+            for corner in itertools.product((0, size), repeat=3):
+                yield tree.add_observation(np.add(corner, 0.5), 0, 1.0)
+        yield tree.add_observation((0.5, 0.5, 0.5), 0, 1.0)
+        yield tree.set_leaf((1, 1, 1), record, 0.0)  # beside stored siblings
+        yield tree.set_leaf(massless, record, 0.0)  # under two massless ancestors
+
     monkeypatch.setattr(Levels, "child_sets", counting_gather)
     monkeypatch.setattr("soct.compression.split_terms", counting_kernel)
-    cells = rng.integers(0, 16, (30, 3)) * [1, 1, 0.5]
-    for cell in np.vstack([cells, cells]):  # new leaves, then updates
-        leaf = tree.add_observation(cell + rng.uniform(0.1, 0.4, 3),
-                                    int(rng.integers(0, 5)), 0.8)
+    for leaf in leaves():
         calls.clear()
         refresh_upward(tree, leaf, cw)
-        assert calls == [("child_sets", 4), ("split_terms", 4)]
+        live = 2 if leaf == world.key_from_coords(massless, 4) else 4
+        assert calls == [("child_sets", 4), ("split_terms", live)]
+    _assert_caches_equal_batch_bit_for_bit(tree, cw)
 
 
 def test_refresh_upward_path_slots_hold_row_totals_bit_for_bit():
@@ -314,6 +340,67 @@ def test_split_terms_row_is_the_same_alone_in_a_batch_and_across_chunks(branchin
             ref = ref_bernoulli_js(list(clipped[:, col]), list(pi[r][act]))
             assert abs(js[r, col] - ref) < 1e-12
         assert abs(h[r] - ref_entropy(pi[r])) < 1e-12
+
+
+ROW_STYLES = ("open", "edges", "constant", "zero_weight", "massless")
+
+
+def styled_child_sets(rng, n, branching, columns, styles):
+    """(pi, marginals) of n stacked child sets, each row of one of
+    ``styles``: ``open`` (positive weights, marginals inside (0, 1)),
+    ``edges`` (marginals of exactly 0 and 1, and just outside [0, 1]),
+    ``constant`` (some columns equal across the children), ``zero_weight``
+    (some children of weight 0) or ``massless`` (every weight 0, so pi is
+    0.0 throughout)."""
+    weights = rng.uniform(0.1, 3.0, (n, branching))
+    m = rng.uniform(0.01, 0.99, (n, branching, columns))
+    kind = rng.choice(sorted(styles), n)
+    for r in np.flatnonzero(kind == "edges"):
+        pick = rng.random((branching, columns))
+        for lo, hi, value in ((0.0, 0.3, 0.0), (0.3, 0.5, 1.0), (0.5, 0.55, -1e-13),
+                              (0.55, 0.6, 1.0 + 1e-13)):
+            m[r][(pick >= lo) & (pick < hi)] = value
+    for r in np.flatnonzero(kind == "constant"):
+        cols = rng.random(columns) < 0.6
+        m[r][:, cols] = m[r][0, cols]
+    for r in np.flatnonzero(kind == "zero_weight"):
+        weights[r, rng.random(branching) < 0.5] = 0.0
+        weights[r, rng.integers(branching)] = 1.0
+    weights[kind == "massless"] = 0.0
+    totals = weights.sum(axis=1)
+    return weights / np.where(totals > 0.0, totals, 1.0)[:, None], m
+
+
+@settings(max_examples=60, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1),
+       n=st.sampled_from([1, 2, 3, 4, 9, CHUNK_ROWS + 3]),
+       branching=st.sampled_from([2, 4, 8]), columns=st.integers(1, 5),
+       styles=st.sets(st.sampled_from(ROW_STYLES), min_size=1, max_size=3))
+def test_split_kernels_equal_their_untrimmed_oracles_bit_for_bit(seed, n, branching,
+                                                                 columns, styles):
+    """``split_terms``, ``_js_columns`` and ``_gain`` skip masks, zeros and
+    checks that decide nothing; on batches of one style (every skip taken)
+    and mixed ones (none taken), with zero-weight children, massless rows,
+    constant columns, marginals of 0 and 1 and more than ``CHUNK_ROWS``
+    rows, each gives the bits and types of the code that makes every call
+    (``helpers``)."""
+    rng = np.random.default_rng(seed)
+    pi, m = styled_child_sets(rng, n, branching, columns, styles)
+    js, h = split_terms(pi, m)
+    ref_js, ref_h = ref_split_terms(pi, m)
+    assert same_bits(js, ref_js) and same_bits(h, ref_h)
+    full = (pi > 0).all(axis=1)
+    clipped = np.minimum(np.maximum(m[full].transpose(0, 2, 1), 0.0, order="C"), 1.0)
+    assert same_bits(_js_columns(pi[full], clipped), ref_js_columns(pi[full], clipped))
+    retain = {c: float(rng.uniform(0.5, 3.0)) for c in range(columns) if c % 2 == 0}
+    remove = {c: float(rng.uniform(0.0, 0.8)) for c in range(columns) if c % 2}
+    for cw in (CompressionWeights(retain, remove, float(rng.uniform(0.0, 0.2))),
+               CompressionWeights({}, {}, 0.05)):
+        cols = cw.class_ids.tolist()
+        for term, row_h, row_js in zip((-1.0, -0.0, 0.0, *rng.normal(0.0, 0.1, n)),
+                                       h.tolist(), js[:, cols].tolist()):
+            got, ref = _gain(term, row_h, row_js, cw), ref_gain(term, row_h, row_js, cw)
+            assert type(got) is type(ref) and repr(got) == repr(ref)
 
 
 def test_gain_types_are_kept():
@@ -775,3 +862,38 @@ def test_report_equals_full_tree_and_per_class_information(seed, branching, shap
     info = information_report(tree, ctree, cw)
     assert partition_bits == pytest.approx(info.partition_bits, rel=1e-12, abs=1e-15)
     assert objective == pytest.approx(info.objective, rel=1e-9, abs=1e-12)
+
+
+def test_weights_and_objectives_add_left_to_right(monkeypatch):
+    """From Python 3.12 on, builtin ``sum`` of floats is compensated: it
+    reads 1.0000000000000002 for 1.0 + 1e-16 + 1e-16, where adding left to
+    right, as ``row_totals`` does, gives 1.0. Interior weights
+    (``completed_weight``) and the objective sums of ``split_increments``,
+    ``information_report`` and ``report`` add left to right on every
+    version: with ``sum`` made exact, as 3.12's nearly is, no bit changes."""
+    values = [1.0, 1e-16, 1e-16]
+    assert left_sum(values) == 1.0 == row_totals(np.array([values]))[0]
+    weights = np.array([values + [0.0]])
+    assert completed_weight(values, 4) == row_totals(weights)[0] * 4 / 3
+    cw = CompressionWeights({1: 1.3, 2: 0.7, 3: 2.9}, {4: 0.6, 5: 1.1}, 0.01)
+    rng = np.random.default_rng(113)
+    trees = [make_random_tree(rng, 4, 2, num_classes=6) for _ in range(20)]
+    for tree in trees:
+        refresh_all(tree, cw)
+
+    def results():
+        out = [completed_weight(values, 3)]
+        for tree in trees:
+            ctree = full_tree(tree)
+            out += [information_report(tree, ctree, cw).objective, report(tree, ctree, cw)[0]]
+            weights, dists, _, totals = tree.child_sets(sorted(ctree.expanded))
+            for w, d, total in zip(weights, dists, totals.tolist()):
+                marginals = {c: d[:, c] for c in range(1, 6)}
+                out.append(split_increments(total, w, marginals, cw).reward)
+        return out
+
+    plain = results()
+    assert plain[0] == 1.0
+    monkeypatch.setattr(builtins, "sum", lambda items, start=0: math.fsum([start, *items]))
+    assert sum(values) == 1.0000000000000002  # what Python 3.12.1 gives
+    assert repr(results()) == repr(plain)

@@ -42,11 +42,13 @@ from helpers import (
     node_serialize,
     random_truncated,
     random_weights,
+    ref_child_sets,
     ref_conditional,
     ref_extraction,
     ref_prune_all,
     ref_relative_gain,
     reference_deserialize,
+    same_bits,
     write_cloud,
 )
 
@@ -188,6 +190,45 @@ def test_column_writer_equals_the_node_writer(tmp_path_factory, seed, branching,
         tree = deserialize_tree(path)
     serialize_tree(tree, path)
     assert path.read_bytes() == node_serialize(tree)
+
+
+@settings(max_examples=40, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), branching=st.sampled_from([2, 4, 8]),
+       fill=st.sampled_from([0.3, 0.8, 1.0]), zero=st.sampled_from([0.0, 0.3, 1.0]),
+       cached=st.sampled_from(["none", "some", "all"]))
+def test_child_sets_equals_its_untrimmed_oracle_bit_for_bit(seed, branching, fill, zero,
+                                                            cached):
+    """``Levels.child_sets`` writes completions, uncached conditionals and
+    gain zeros only where some child needs them. On the columns as they
+    stand after a stream of set leaves (absent children, zero-weight
+    children, massless rows, no, some or all caches refreshed, and leaves
+    whose gain column is not 0), every batch of rows with children, alone,
+    in full and in random subsets, gets the bits of the code that writes
+    them everywhere (``helpers``)."""
+    rng = np.random.default_rng(seed)
+    depth = {2: 4, 4: 3, 8: 2}[branching]
+    world = WorldConfig((0, 0, 0), 16.0, depth, branching)
+    tree = SemanticOctree(world, 4)
+    cells = list(itertools.product(range(1 << depth), repeat=world.dims))
+    placed = [cell for cell in cells if rng.random() < fill] or cells[:1]
+    cw = random_weights(rng)
+    for cell in placed:
+        weight = 0.0 if rng.random() < zero else float(rng.uniform(0.2, 3.0))
+        leaf = tree.set_leaf(cell, random_truncated(rng, 4), weight)
+        if cached == "some" and rng.random() < 0.5:
+            refresh_upward(tree, leaf, cw)
+    if cached == "all":
+        refresh_all(tree, cw)
+    for node in tree.nodes.values():  # gains that only an interior child may pass on
+        if node.kind != INTERIOR:
+            node.gain = float(rng.uniform(0.1, 1.0))
+    store = tree.columns()
+    rows = np.flatnonzero(store.has_children[:store.size])
+    batches = [rows, rng.permutation(rows), rows[rng.random(len(rows)) < 0.5]]
+    for batch in [*batches, *(rows[i:i + 1] for i in range(len(rows)))]:
+        if len(batch):
+            for got, ref in zip(store.child_sets(batch), ref_child_sets(store, batch)):
+                assert same_bits(got, ref), batch
 
 
 @pytest.mark.parametrize("shape", ["empty", "plain", "summaries"])
