@@ -17,7 +17,7 @@ and to the mutual information between each class and the leaf index.
 Child sets come stacked from ``Levels.child_sets``, over the tree's
 per-depth columns (``SemanticOctree.child_sets`` looks keys up first),
 which alone completes absent children and reports each row's total
-weight, the ``completed_weight`` that every weight normalization here
+weight, the ``completed_weights`` that every weight normalization here
 divides by.
 Every JS divergence and split entropy here comes from one kernel,
 ``split_terms``, which takes child sets stacked into (N, B) weights and
@@ -179,10 +179,6 @@ class CompressedTree:
         """Leaves backed by observed nodes (virtual blocks excluded)."""
         virtual = self.leaf_arrays.virtual
         return len(virtual) - int(np.count_nonzero(virtual))
-
-    def leaf_items(self):
-        """``(key, CompressedLeaf)`` per block, in key order."""
-        return iter(self.leaves.items())
 
 
 @dataclass(frozen=True)

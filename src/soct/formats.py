@@ -43,7 +43,7 @@ from .octree import (
     NodeKey,
     SemanticOctree,
     WorldConfig,
-    completed_weight,
+    completed_weights,
 )
 from .semantics import (
     ROLE_IRRELEVANT,
@@ -450,7 +450,7 @@ def deserialize_tree(path) -> SemanticOctree:
     the nodes; all else is gathered from the buffer and checked at once. A
     leaf or summary weight must be finite and non-negative, an interior
     weight finite and within 1e-9 relative of its children's
-    ``completed_weight`` (files saved after ``refresh_all`` by earlier
+    ``completed_weights`` (files saved after ``refresh_all`` by earlier
     versions hold row sums). Records are checked by ``record_errors``. The
     first violation in file order is a ``CorruptionError``: a node's checks
     in the order of its bytes, an interior weight once its subtree is read.
@@ -489,14 +489,13 @@ def deserialize_tree(path) -> SemanticOctree:
     slots = u8[slot[:, :, None] + np.arange(_SLOT.itemsize)].view(_SLOT)[:, :, 0]
     rows = TruncatedRows(np.where(used, slots["id"], 0), np.where(used, slots["p"], 0.0),
                          tail["p_free"], tail["p_residual"], n_top)
-    # An interior weight against its children's, summed in octant order.
+    # An interior weight against its children's completion.
     children = np.zeros((m, branching))
     children[parent[1:], index[1:] & (branching - 1)] = weight[1:]
     count = np.bincount(parent[1:], minlength=m)
     with np.errstate(all="ignore"):  # as Python floats: inf and nan, no error
         invalid = record_errors(rows, num_classes)
-        total = sum(children.T, np.zeros(m))
-        expected = total + (branching - count) * (total / np.maximum(count, 1))
+        expected = completed_weights(children, count, branching)[1]
         off_weight = interior & ~(np.isfinite(weight) & (
             np.abs(weight - expected) <= 1e-9 * np.abs(expected)))
     checks = [  # each node's, in the order they read its bytes
@@ -525,9 +524,8 @@ def deserialize_tree(path) -> SemanticOctree:
     key = lambda i: NodeKey(int(depth[i]), int(index[i]))  # noqa: E731
     if len(done):
         i = done[np.lexsort((-depth[done], ends[done]))[0]]
-        expected = completed_weight(weight[parent == i].tolist(), branching)
         raise CorruptionError(f"interior record {key(i)} has weight {float(weight[i])!r}, "
-                              f"its children complete to {expected!r}")
+                              f"its children complete to {float(expected[i])!r}")
     if len(heads):
         raise CorruptionError(checks[int(np.argmax(hit[:, first]))][1].format(
             key=key(first), weight=float(weight[first]), kind=kind[first],

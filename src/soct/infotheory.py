@@ -16,19 +16,17 @@ from typing import TYPE_CHECKING, Mapping, Sequence
 import numpy as np
 
 from .errors import DistributionError
-from .semantics import left_sum
+from .semantics import FIELD_TOL, SUM_TOL, left_sum
 
 if TYPE_CHECKING:  # pragma: no cover
     from .compression import CompressionWeights
-
-SUM_TOL = 1e-9
 
 
 def _as_dist(p, name: str = "p") -> np.ndarray:
     arr = np.asarray(p, dtype=np.float64)
     if arr.ndim != 1:
         raise DistributionError(f"{name} must be a 1-d probability vector")
-    if np.any(arr < -1e-12):
+    if np.any(arr < -FIELD_TOL):
         raise DistributionError(f"{name} has a negative entry")
     total = float(arr.sum())
     if abs(total - 1.0) > SUM_TOL:

@@ -8,9 +8,11 @@ distribution, zero gain and the mean weight of their stored siblings, by
 ``Levels.child_sets``, which every computation on a full child set reads.
 Observed finest-resolution leaves carry unit weight, and an interior weight
 is the sum of its (virtually completed) children, always evaluated by
-``completed_weight``: the builds, inserts and summary expansion store it
-and ``child_sets`` reports it per row, so a stored weight equals its row's
-total bit for bit.
+``completed_weights`` (``completed_weight`` on Python floats for the
+streamed insert): the builds, inserts and summary expansion store it and
+``child_sets`` reports it per row, so a stored weight equals its row's
+total bit for bit. Keys find their rows by one walk down the child slots
+(``Levels.lookup``, ``Levels.path``).
 
 Three node kinds exist: depth-D leaves and their ancestors (interior nodes
 with cached aggregate conditionals), plus summary nodes produced by pruning
@@ -265,12 +267,23 @@ class WorldConfig:
         return self.boxes(*key_arrays([key]))[1][0]
 
 
-def completed_weight(stored: list[float], branching: int) -> float:
-    """Weight of an interior node from its stored children's weights.
+def completed_weights(stored: np.ndarray, count: np.ndarray,
+                      branching: int) -> tuple[np.ndarray, np.ndarray]:
+    """Each row's mean stored weight and completed weight, the weight of an
+    interior node, from (N, B) stored child weights (0.0 for an absent
+    child, which adds exactly) and the (N,) number stored.
 
-    Absent children count at the mean stored weight; 0.0 without stored
-    children. The stored weights add left to right, as ``row_totals`` adds.
+    The stored weights add left to right (``row_totals``) and absent
+    children count at their mean; both are 0.0 without stored children.
     """
+    total = row_totals(stored)
+    mean = total / np.maximum(count, 1)
+    return mean, total + (branching - count) * mean
+
+
+def completed_weight(stored: list[float], branching: int) -> float:
+    """One row of ``completed_weights`` on Python floats, for the streamed
+    insert: the weights of the stored children in octant order."""
     if not stored:
         return 0.0
     total = left_sum(stored)
@@ -384,7 +397,7 @@ class Levels:
             np.fromiter((v.gain for v in values), np.float64, n),
             np.fromiter((type(v.gain) is np.float64 for v in values), bool, n)),
             TruncatedRows(*(np.concatenate(column) for column in zip(
-                *(t.take() for t in tables.values()), TruncatedRows.of([])))))
+                *tables.values(), TruncatedRows.of([])))))
 
     def node_dict(self, tree: "SemanticOctree") -> dict[NodeKey, Node]:
         """A ``ViewNode`` of ``tree`` per row of merged columns, caches
@@ -420,18 +433,22 @@ class Levels:
         return np.lexsort((self.depth, self.index << world.dims * (world.max_depth - self.depth)))
 
     def lookup(self, depth: np.ndarray, index: np.ndarray) -> np.ndarray:
-        """Merged columns' rows of the nodes at (depth, index), -1 if absent."""
-        rows = np.full(len(depth), -1)
-        for d in set(depth.tolist()) & set(range(len(self.bounds) - 1)):
-            a, b = self.bounds[d:d + 2]
-            at = depth == d
-            found = np.searchsorted(self.index[a:b], index[at])
-            rows[at] = np.where(np.append(self.index[a:b], -1)[found] == index[at], a + found, -1)
+        """The rows of the nodes at (depth, index) int64 columns in the
+        columns as they stand, -1 if absent or out of range: every key walks
+        down the slots at once, one level per step, as ``path`` walks one."""
+        world = self.world
+        dims, mask = world.dims, world.branching - 1
+        level = np.clip(depth, 0, world.max_depth)
+        rows = np.where((depth == level) & (index >= 0) & (index >> dims * level == 0), 0, -1)
+        for step in range(1, int(level.max(initial=0)) + 1):  # where drops what row -1 reads
+            rows = np.where((level >= step) & (rows >= 0),
+                            self.slots[rows, index >> dims * (level - step) & mask], rows)
         return rows
 
     def path(self, depth: int, index: int) -> list[int]:
         """The rows of the root path of node (depth, index), root first, -1
-        from the first absent node on: a walk down the slots."""
+        from the first absent node on: ``lookup``'s walk, for one key on
+        Python ints (the streamed record)."""
         rows, row, dims, mask = [0], 0, self.world.dims, self.world.branching - 1
         for shift in range(dims * (depth - 1), -1, -dims):
             if row >= 0:
@@ -519,7 +536,7 @@ class Levels:
 
     def _stored(self, rows):
         """Per row: child slots, which are stored, their weights (0.0 for an
-        absent child, which adds exactly), mean and ``completed_weight``."""
+        absent child) and ``completed_weights``."""
         slots = self.slots.take(rows, axis=0)
         present = slots >= 0
         count = np.add.reduce(present, axis=1)
@@ -528,9 +545,7 @@ class Levels:
             raise TreeError(f"{(int(self.depth[i]), int(self.index[i]))} has no stored "
                             "children to complete")
         stored = np.where(present, self.weight[slots], 0.0)
-        total = row_totals(stored)
-        mean = total / count
-        return slots, present, stored, mean, total + (self.world.branching - count) * mean
+        return slots, present, stored, *completed_weights(stored, count, self.world.branching)
 
     def child_sets(self, rows) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
         """Weights (N, B), conditionals (N, B, K+1), cached gains (N, B) and
@@ -620,16 +635,8 @@ class SemanticOctree:
 
     # -- structure queries ------------------------------------------------
 
-    def _row(self, key) -> int:
-        """The row of ``key``, a (depth, index) pair, in the columns as they
-        stand (``Levels.path``), -1 if it is absent or out of range."""
-        depth, index = key
-        if not (0 <= depth <= self.world.max_depth and 0 <= index < 1 << self.world.dims * depth):
-            return -1
-        return self._store.path(depth, index)[-1]
-
     def stored_children(self, key: NodeKey) -> list[NodeKey]:
-        row = self._row(key)
+        row = self._store.lookup(*key_arrays([key]))[0]
         octants = np.flatnonzero(self._store.slots[row] >= 0).tolist() if row >= 0 else []
         return [child_key(key, o, self.world.dims) for o in octants]
 
@@ -647,12 +654,14 @@ class SemanticOctree:
         return self._store.size - self._count(_DELETED)
 
     def rows(self, keys) -> np.ndarray:
-        """The rows of ``keys`` in the columns as they stand, one walk down
-        the slots each, or ``TreeError``: per-key reads merge nothing."""
-        rows = [self._row(key) for key in keys]
-        if -1 in rows:
-            raise TreeError(f"unknown key {keys[rows.index(-1)]}")
-        return np.array(rows, dtype=np.int64)
+        """The rows of ``keys`` in the columns as they stand
+        (``Levels.lookup``), or ``TreeError`` naming the first unknown key:
+        per-key reads merge nothing."""
+        rows = self._store.lookup(*key_arrays(keys))
+        missing = np.flatnonzero(rows < 0)
+        if len(missing):
+            raise TreeError(f"unknown key {keys[missing[0]]}")
+        return rows
 
     def conditional(self, key: NodeKey) -> np.ndarray:
         """Aggregate class distribution of a node, over ids 0..K.
@@ -714,7 +723,7 @@ class SemanticOctree:
         state = np.repeat(uniform_row(num_classes)[None, :], len(first), axis=0)
         kept = TruncatedRows(np.zeros((len(first), 3), dtype=np.int64),
                              np.zeros((len(first), 3)), np.zeros(len(first)),
-                             np.zeros(len(first)))
+                             np.zeros(len(first)), np.zeros(len(first), dtype=np.int64))
         for sel in rounds:
             src = rows[sel]
             posterior, contradicted = fuse_rows(state[leaf_of[sel]], obs_class[src],
@@ -723,11 +732,10 @@ class SemanticOctree:
             leaves = leaf_of[sel[~contradicted]]
             records = truncate_rows(posterior[~contradicted])
             state[leaves] = expand_rows(records, num_classes)
-            for column, values in zip(kept[:4], records):
+            for column, values in zip(kept, records):
                 column[leaves] = values
         state.flags.writeable = False
-        # Level by level upward, a parent's ``completed_weight`` from its
-        # stored weights in octant order (0.0 for an absent child, exact).
+        # Level by level upward, the parents' ``completed_weights``.
         index, weight, b = [codes[first]], [np.ones(len(first))], world.branching
         for _ in range(world.max_depth):
             parents = index[0] >> world.dims
@@ -735,9 +743,8 @@ class SemanticOctree:
             group = np.cumsum(new) - 1
             stored = np.zeros((int(new.sum()), b))
             stored[group, index[0] & b - 1] = weight[0]
-            total, count = row_totals(stored), np.bincount(group, minlength=len(stored))
             index.insert(0, parents[new])
-            weight.insert(0, total + (b - count) * (total / count))
+            weight.insert(0, completed_weights(stored, np.bincount(group), b)[1])
         if not len(first):
             index[0], weight[0] = np.zeros(1, np.int64), np.zeros(1)
         depth = np.repeat(np.arange(world.max_depth + 1), list(map(len, index)))
@@ -863,16 +870,18 @@ class SemanticOctree:
         pending = np.flatnonzero(self.levels().kind == SUMMARY).tolist()
         if not pending:
             return 0
-        store, stale, expanded = self.columns(), set(), len(pending)
-        while pending:  # (depth, row) of each expanded node and its ancestors
+        store, done, expanded = self.columns(), [], len(pending)
+        while pending:
             row = pending.pop()
             children = store.expand(row)
-            stale.update(enumerate(store.path(int(store.depth[row]), int(store.index[row]))))
+            done.append(row)
             if store.kind[children[0]] == SUMMARY:
                 expanded += len(children)
                 pending += children
-        for depth in reversed(range(self.world.max_depth)):
-            rows = [row for d, row in stale if d == depth]
-            if rows:
-                store.weight[rows] = store._stored(rows)[-1]
+        depth, index, dims = store.depth[done], store.index[done], self.world.dims
+        for level in reversed(range(self.world.max_depth)):  # the expanded and their ancestors
+            at = depth >= level
+            keys = np.unique(index[at] >> dims * (depth[at] - level))
+            rows = store.lookup(np.full(len(keys), level), keys)
+            store.weight[rows] = store._stored(rows)[-1]
         return expanded

@@ -135,22 +135,17 @@ class TruncatedRows(NamedTuple):
     unused slot id 0 and probability 0.0; ``p_free``, ``p_residual`` and
     ``counts``, the number of stored classes, have shape (N,). A slot
     below its row's count is used even if its id is 0 (an invalid record).
-    Without ``counts`` (the kernel's tables), a row stores its nonzero ids.
     """
 
     ids: np.ndarray
     probs: np.ndarray
     p_free: np.ndarray
     p_residual: np.ndarray
-    counts: np.ndarray | None = None
+    counts: np.ndarray
 
-    def stored(self) -> np.ndarray:
-        """Each row's number of stored classes."""
-        return np.count_nonzero(self.ids, axis=1) if self.counts is None else self.counts
-
-    def take(self, rows=slice(None)) -> "TruncatedRows":
-        """Rows ``rows`` (all by default) as a table with ``counts``."""
-        return TruncatedRows(*(column[rows] for column in (*self[:4], self.stored())))
+    def take(self, rows) -> "TruncatedRows":
+        """Rows ``rows`` as a table."""
+        return TruncatedRows(*(column[rows] for column in self))
 
     @classmethod
     def of(cls, records) -> "TruncatedRows":
@@ -166,9 +161,8 @@ class TruncatedRows(NamedTuple):
     def fields(self, i: int) -> tuple[list[int], list[float], float, float]:
         """Row ``i`` as plain values: its stored ids and probabilities,
         p_free and p_residual."""
-        ids = self.ids[i].tolist()
-        n = 3 - ids.count(0) if self.counts is None else int(self.counts[i])
-        return (ids[:n], self.probs[i, :n].tolist(),
+        n = int(self.counts[i])
+        return (self.ids[i, :n].tolist(), self.probs[i, :n].tolist(),
                 float(self.p_free[i]), float(self.p_residual[i]))
 
     def record(self, i: int) -> TruncatedSemanticDistribution:
@@ -178,18 +172,18 @@ class TruncatedRows(NamedTuple):
 
     def read_only(self) -> "TruncatedRows":
         """This table, its columns made read-only for nodes to refer to."""
-        for column in self[:4] if self.counts is None else self:
+        for column in self:
             column.setflags(write=False)
         return self
 
 
 def row_totals(rows: np.ndarray) -> np.ndarray:
     """Each row's total, its columns added left to right from 0.0 as a
-    Python loop adds one row (inf + -inf is a nan total, as in Python)."""
+    Python loop adds one row. inf + -inf is a nan total, as in Python, and
+    numpy warns of it: a caller whose rows can hold both silences it."""
     total = np.zeros(len(rows))
-    with np.errstate(invalid="ignore"):
-        for column in rows.T:
-            total += column
+    for column in rows.T:
+        total += column
     return total
 
 
@@ -214,7 +208,9 @@ def _check_row(row: list[float]) -> None:
 
 def check_rows(rows: np.ndarray) -> None:
     """``_check_row`` of the first row that is no distribution, if any."""
-    bad = (rows < -FIELD_TOL).any(axis=1) | ~(np.abs(row_totals(rows) - 1.0) <= SUM_TOL)
+    with np.errstate(invalid="ignore"):  # inf + -inf: a nan total, no distribution
+        total = row_totals(rows)
+    bad = (rows < -FIELD_TOL).any(axis=1) | ~(np.abs(total - 1.0) <= SUM_TOL)
     if bad.any():
         _check_row(rows[int(np.argmax(bad))].tolist())
 
@@ -230,13 +226,13 @@ def record_errors(records: TruncatedRows, num_classes: int) -> dict[int, str]:
     free space, then the residual; no residual without three stored
     classes; no stored class below the residual's per-class share.
     """
-    ids, probs, p_free, p_residual, _ = records
-    counts = records.stored()
+    ids, probs, p_free, p_residual, counts = records
     used = np.arange(3) < counts[:, None]
     fields = np.column_stack([np.where(used, probs, 0.0), p_free, p_residual])
     bad_field = ~((fields >= -FIELD_TOL) & (fields <= 1 + FIELD_TOL))
     bad_field[:, :3] &= used
-    total = row_totals(fields)
+    with np.errstate(invalid="ignore"):  # inf + -inf: a nan total, which breaks the sum rule
+        total = row_totals(fields)
     last = fields[np.arange(len(counts)), np.clip(counts, 1, 3) - 1]
     share = p_residual / (num_classes - 3) if num_classes > 3 else -np.inf
     rules = [
@@ -333,7 +329,7 @@ def truncate_rows(rows: np.ndarray) -> TruncatedRows:
     for j in range(3, k1 - 1):
         residual += ranked[:, j]
     return TruncatedRows((order[:, :3] + 1) * stored, np.where(stored, ranked[:, :3], 0.0),
-                         rows[:, 0].copy(), residual)
+                         rows[:, 0].copy(), residual, np.count_nonzero(stored, axis=1))
 
 
 def expand_rows(records: TruncatedRows, num_classes: int) -> np.ndarray:

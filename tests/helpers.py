@@ -615,7 +615,7 @@ def node_serialize(tree):
         (len(t.ids) for t in tables.values()), initial=0)))
     at = np.array([start[id(n.table)] + n.row for n in records], dtype=np.int64)
     rows = TruncatedRows(*(np.concatenate(column)[at] for column in zip(
-        *((*t[:4], t.stored()) for t in tables.values()), TruncatedRows.of([]))))
+        *tables.values(), TruncatedRows.of([]))))
     head["field"][rec] = n_top = rows.counts
     sizes = 10 + (head["kind"] != INTERIOR) * (16 + 10 * head["field"].astype(np.int64))
     offset = np.cumsum(sizes) - sizes

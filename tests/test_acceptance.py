@@ -117,11 +117,11 @@ def test_criterion_3_telescoping_identities():
         refresh_all(tree, cw)
         ctree = compressed_from_expanded(tree, random_expanded_set(tree, rng))
         report = information_report(tree, ctree, cw)
-        weights = [leaf.weight for _, leaf in ctree.leaf_items()]
+        weights = [leaf.weight for _, leaf in ctree.leaves.items()]
         q = np.array(weights) / sum(weights)
         assert abs(report.partition_bits - entropy(q)) <= TOL
         for cid in list(cw.retain) + list(cw.remove):
-            marg = [leaf.marginals[cid] for _, leaf in ctree.leaf_items()]
+            marg = [leaf.marginals[cid] for _, leaf in ctree.leaves.items()]
             mi = ref_mutual_information(weights, marg)
             got = (report.relevant_bits.get(cid)
                    if cid in cw.retain else report.irrelevant_bits.get(cid))

@@ -210,7 +210,7 @@ def test_edge_colors_match_per_sample_reference(seed, shape, prune, origin,
         g = graph_from_tree(ctree, query, k)
     except GraphError:
         return
-    centers = np.array([world.center_of(key) for key, leaf in ctree.leaf_items()
+    centers = np.array([world.center_of(key) for key, leaf in ctree.leaves.items()
                         if not leaf.virtual and dominant_class(leaf.marginals)
                         in query.relevant | {0}])
     assert np.array_equal(g.positions, centers[:, :2])

@@ -655,13 +655,13 @@ def test_report_telescopes_to_leaf_entropy_and_mutual_information():
         refresh_all(tree, cw)
         ctree = compressed_from_expanded(tree, random_expanded_set(tree, rng))
         report = information_report(tree, ctree, cw)
-        weights = [leaf.weight for _, leaf in ctree.leaf_items()]
+        weights = [leaf.weight for _, leaf in ctree.leaves.items()]
         assert abs(sum(weights) - ctree.root_weight) < 1e-9
         if sum(weights) > 0:
             q = np.array(weights) / sum(weights)
             assert abs(report.partition_bits - entropy(q)) < 1e-9
             for cid in cw.retain:
-                marg = [leaf.marginals[cid] for _, leaf in ctree.leaf_items()]
+                marg = [leaf.marginals[cid] for _, leaf in ctree.leaves.items()]
                 mi = ref_mutual_information(weights, marg)
                 assert abs(report.relevant_bits[cid] - mi) < 1e-9
 
@@ -793,8 +793,8 @@ def test_extraction_equals_the_node_by_node_reference(seed, branching, shape):
         assert ctree.num_leaves == sum(not blocks[k][2] for k in keys)
         assert ctree.kept == kept
         assert all(type(k) is NodeKey for k in ctree.kept)
-        assert list(ctree.leaves) == [key for key, _ in ctree.leaf_items()] == keys
-        for key, leaf in ctree.leaf_items():
+        assert list(ctree.leaves) == keys
+        for key, leaf in ctree.leaves.items():
             weight, marginals, virtual = blocks[key]
             assert type(key) is NodeKey and leaf.key == key
             assert type(leaf.weight) is float and repr(leaf.weight) == repr(weight)

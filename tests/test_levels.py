@@ -6,6 +6,7 @@ writes, prunes and refreshes give the values of the independent oracles in
 
 import copy
 import itertools
+import re
 
 import numpy as np
 import pytest
@@ -405,6 +406,44 @@ def test_per_key_reads_merge_nothing(monkeypatch):
         assert tree.stored_children(key) == []
     assert merges == []
     assert tree.nodes.keys() == twin.nodes.keys() and merges == [1]
+
+
+@settings(max_examples=40, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), branching=st.sampled_from([2, 4, 8]),
+       shape=st.sampled_from(["plain", "summaries"]), expand=st.booleans())
+def test_lookup_is_the_slot_walk_on_unmerged_columns(seed, branching, shape, expand):
+    """On a tree of set leaves, pruned or not, maybe with every summary
+    expanded, then streamed observations (into summaries if any are left),
+    left unmerged, ``Levels.lookup`` of every key of the full tree and of
+    out-of-range keys gives each key's ``path(...)[-1]``, and -1 out of
+    range, before and after ``levels()`` merges; the rows found hold their
+    keys, which are the keys of ``nodes``. ``rows`` gives the rows of
+    stored keys and names the first unknown key of a list."""
+    rng = np.random.default_rng(seed)
+    tree = _random_tree(rng, branching, shape)
+    world = tree.world
+    if expand:
+        tree.expand_summaries()
+    for point in rng.uniform(0, 16, (int(rng.integers(1, 6)), 3)):
+        tree.add_observation(point, int(rng.integers(0, 5)), 0.8)
+    keys = [(d, i) for d in range(world.max_depth + 1) for i in range(1 << world.dims * d)]
+    outside = [(-1, 0), (world.max_depth + 1, 0), (1, -1), (2, 1 << 2 * world.dims)]
+    depth, index = np.array(keys + outside).T
+    assert tree.columns().overlay
+    for merge in (False, True):
+        store = tree.levels() if merge else tree.columns()
+        rows = store.lookup(depth, index)
+        assert rows.tolist() == [store.path(d, i)[-1] for d, i in keys] + [-1] * len(outside)
+        found = rows >= 0
+        assert (store.depth[rows[found]] == depth[found]).all()
+        assert (store.index[rows[found]] == index[found]).all()
+        stored = [keys[i] for i in np.flatnonzero(found)]
+        unknown = [keys[i] for i in np.flatnonzero(~found[:len(keys)])] + outside
+        picked = [unknown[j] for j in rng.choice(len(unknown), 2, replace=False)]
+        assert tree.rows(stored).tolist() == rows[found].tolist()
+        with pytest.raises(TreeError, match=re.escape(f"unknown key {picked[0]}")):
+            tree.rows(stored[:3] + picked + stored[3:])
+    assert set(stored) == set(tree.nodes)
 
 
 def test_a_stream_of_updates_keeps_the_record_table_small():

@@ -23,6 +23,7 @@ from soct.octree import (
     _interleave,
     child_keys,
     completed_weight,
+    completed_weights,
     parent_key,
 )
 from soct.semantics import TruncatedRows, TruncatedSemanticDistribution, expand_truncated
@@ -198,6 +199,28 @@ def test_weights_match_bottom_up_recomputation():
     for key, node in tree.nodes.items():
         if node.kind == INTERIOR:
             assert abs(node.weight - ref_completed_weight(tree, key)) < 1e-9
+
+
+@pytest.mark.parametrize("branching", [2, 4, 8])
+def test_completed_weights_is_completed_weight_bit_for_bit(branching):
+    """The array kernel gives each row the scalar rule's bits: random
+    stored weights with absent children (0.0 in the matrix), zero weights,
+    no stored child, and the rows that Python 3.12's compensated ``sum``
+    would round differently."""
+    rng = np.random.default_rng(branching)
+    n = 300
+    present = rng.random((n, branching)) < rng.uniform(0.0, 1.0, (n, 1))
+    weights = rng.exponential(2.0, (n, branching)) * (rng.random((n, branching)) < 0.8)
+    trap = [1.0, 1e-16, 1e-16][:branching]
+    present[:2], weights[:2] = False, 0.0
+    present[0, :len(trap)], weights[0, :len(trap)] = True, trap
+    stored = np.where(present, weights, 0.0)
+    mean, completed = completed_weights(stored, present.sum(axis=1), branching)
+    want = [completed_weight(row[mask].tolist(), branching)
+            for row, mask in zip(stored, present)]
+    assert completed.view(np.int64).tolist() == np.array(want).view(np.int64).tolist()
+    assert mean[1] == completed[1] == 0.0
+    assert completed[0] == 1.0 + (branching - len(trap)) * (1.0 / len(trap))
 
 
 def test_completed_children_full_set():
@@ -614,7 +637,7 @@ def test_batched_build_equals_record_by_record(tmp_path_factory, seed, k, cells,
     both show in the bytes. Before ``nodes`` is read, the built tree's
     columns are the merged columns of the record-by-record tree: keys,
     kinds, weights (by ``repr``), record fields, cached conditionals and
-    the cached mask."""
+    the cached mask; the built table counts each record's nonzero ids."""
     rng = np.random.default_rng(seed)
     world = WorldConfig((0, 0, 0), 8.0, 3)
     points, classes, confidence = _observations(rng, k, cells, n)
@@ -634,6 +657,7 @@ def test_batched_build_equals_record_by_record(tmp_path_factory, seed, k, cells,
     assert list(map(repr, got.weight.tolist())) == list(map(repr, want.weight.tolist()))
     assert got.cond[got.cached].tobytes() == want.cond[want.cached].tobytes()
     records = np.flatnonzero(got.kind != INTERIOR).tolist()
+    assert got.table.counts.tolist() == np.count_nonzero(got.table.ids, axis=1).tolist()
     assert [got.table.record(got.row[i]) for i in records] == [
         want.table.record(want.row[i]) for i in records]
     out = tmp_path_factory.mktemp("batch")
@@ -750,10 +774,9 @@ def test_installs_and_writes_make_no_record_objects(tmp_path, monkeypatch):
                 assert node.table is None
                 continue
             table = node.table
-            assert not any(c.flags.writeable for c in table if c is not None), key
+            assert not any(c.flags.writeable for c in table), key
             one = TruncatedRows.of([node.dist])
-            assert all(np.array_equal(a[0], b[node.row])
-                       for a, b in zip((*one[:4], one.counts), (*table[:4], table.stored())))
+            assert all(np.array_equal(a[0], b[node.row]) for a, b in zip(one, table))
             if tree is not summaries and key in reference.nodes and key != new:
                 assert node.dist == reference.nodes[key].dist, key
     assert made  # each read built a record

@@ -563,7 +563,7 @@ def test_graph_edges_read_as_the_per_edge_reference():
     refresh_all(tree, cw)
     ctree = compress_tree(tree, cw)
     graph = graph_from_tree(ctree, query, 8)
-    keys = [key for key, leaf in ctree.leaf_items() if not leaf.virtual
+    keys = [key for key, leaf in ctree.leaves.items() if not leaf.virtual
             and dominant_class(leaf.marginals) in query.relevant | {0}]
     for g, points, class_of in (
             (halton, centers, lambda p: ref_octree_class(tree, p)),

@@ -1,3 +1,4 @@
+import warnings
 from dataclasses import replace
 
 import numpy as np
@@ -312,7 +313,7 @@ def test_one_row_kernel_is_the_batch_row(k):
         fields, cond = fuse_record(prior[i], c, conf)
         assert fuse_observation(prior[i], c, conf).tobytes() == post[i].tobytes()
         ids, probs, p_free, residual = fields
-        assert ids == records.ids[j, :records.stored()[j]].tolist()
+        assert ids == records.ids[j, :records.counts[j]].tolist()
         assert all(type(v) is float for v in (*probs, p_free, residual, *cond))
         assert np.array(probs + [p_free, residual], dtype=np.float64).tobytes() == np.r_[
             records.probs[j, :len(ids)], records.p_free[j], records.p_residual[j]].tobytes()
@@ -349,23 +350,40 @@ def test_truncated_rows_round_trip():
 
 
 def test_take_gives_the_picked_rows_with_counts():
-    """``take`` of a stored table and of a kernel table (no ``counts``)
-    gives the picked rows, repeats and any order included, with their
-    counts, also of a stored row whose used slot holds id 0; by default
-    every row."""
+    """The kernel's table counts each row's nonzero ids, rows with fewer
+    than three positive classes included. ``take`` of a stored table and
+    of a kernel table gives the picked rows, repeats and any order
+    included, with their counts, also of a stored row whose used slot
+    holds id 0."""
     rng = np.random.default_rng(18)
-    full = np.array([random_full(rng, 6) for _ in range(30)])
+    sparse = np.zeros((3, 7))
+    sparse[0, 0] = sparse[1, :2] = sparse[2, 1:3] = 1.0
+    full = np.r_[[random_full(rng, 6) for _ in range(30)], sparse / sparse.sum(1)[:, None]]
+    kernel = truncate_rows(full)
+    assert kernel.counts.tolist() == np.count_nonzero(kernel.ids, axis=1).tolist()
+    assert kernel.counts[-3:].tolist() == [0, 1, 2]
     records = [truncate_full(row) for row in full] + [
         TruncatedSemanticDistribution((), 1.0, 0.0),
         TruncatedSemanticDistribution(((0, 0.5),), 0.5, 0.0)]
-    for table in (TruncatedRows.of(records), truncate_rows(full)):
+    for table in (TruncatedRows.of(records), kernel):
         picked = np.append(rng.integers(0, len(table.ids), 40), len(table.ids) - 1)
         rows = table.take(picked)
-        assert rows.counts.tolist() == table.stored()[picked].tolist()
+        assert rows.counts.tolist() == table.counts[picked].tolist()
         assert [rows.record(i) for i in range(len(picked))] == [
             table.record(i) for i in picked.tolist()]
-        assert [c.tobytes() for c in table.take()] == [
-            c.tobytes() for c in (*table[:4], table.stored())]
+
+
+def test_a_record_with_inf_and_minus_inf_is_invalid_without_a_warning():
+    """Fields inf and -inf add to a nan total: the record is invalid, and the
+    check's numpy arithmetic warns of nothing."""
+    inf = float("inf")
+    record = TruncatedSemanticDistribution(((1, .5), (2, .3), (3, .1)), inf, -inf)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(DistributionError):
+            record.validate(5)
+        with pytest.raises(DistributionError):
+            truncate_rows(np.array([[inf, -inf, 0.5, 0.5, 0.0]]))
 
 
 def test_observation_errors_name_each_bad_row():
