@@ -14,8 +14,9 @@ per-node increments over its expanded nodes, with masses normalized by the
 root mass; these sums telescope to the entropy of the leaf-weight partition
 and to the mutual information between each class and the leaf index.
 
-Child sets come stacked from ``Levels.child_sets``, over the tree's
-per-depth columns (``SemanticOctree.child_sets`` looks keys up first),
+Everything here reads rows of the tree's per-depth columns (``Levels``);
+a key is looked up once, by ``tree.rows``, and the per-node oracles then
+follow the child slots. Child sets come stacked from ``Levels.child_sets``,
 which alone completes absent children and reports each row's total
 weight, the ``completed_weights`` that every weight normalization here
 divides by.
@@ -26,11 +27,14 @@ Every JS divergence and split entropy here comes from one kernel,
 the conditionals up through each row's path slot, then evaluates all the
 path's child sets in one call and chains the gains; ``refresh_all``
 gathers and evaluates a tree level (deepest first) in stacked batches;
-``expansion_gain`` passes one row, ``per_class_information`` all expanded
-nodes at once, and ``report`` all those of the full tree, for the full and
-a compressed tree together. ``weighted_gain`` and ``information_report``
-stay on the separate ``infotheory.split_increments`` route, so they check
-the kernel rather than repeat it.
+``expansion_gain`` passes one row per node. The information of a
+compressed tree has one route: ``_bits`` evaluates a set of expanded rows
+once and sums the bits of any subsets of them, and ``_objective`` weighs
+those bits. ``information_report``, ``per_class_information``, ``report``
+(the full and a compressed tree together) and ``exhaustive_search`` (every
+candidate) read it. ``weighted_gain`` alone stays on the separate
+``infotheory.split_increments`` route, so it checks the kernel rather than
+repeats it.
 
 The extraction gathers all expanded nodes in one call and keeps the
 compressed tree's blocks as columns (``LeafArrays``: depth, index, weight,
@@ -43,10 +47,10 @@ before the tree-level operations here; per-node gain queries and cache
 refreshes treat summaries as zero-gain leaf-likes, which is exact because a
 homogeneous subtree adds no information at any level.
 
-Concurrency: cache refreshes require exclusive tree access; search, reports
-and the exhaustive enumeration are read-only and may run concurrently, once
-the tree's overlay is merged (``tree.levels()``, which the reports read) and,
-for the enumeration, its ``nodes`` view built (``_expandable`` reads it).
+Concurrency: cache refreshes require exclusive tree access; search, reports,
+the per-node oracles and the exhaustive enumeration are read-only and may
+run concurrently, once the tree's overlay is merged (``tree.levels()``,
+which each of them calls first).
 """
 
 from __future__ import annotations
@@ -59,7 +63,7 @@ from typing import Iterable, Iterator, Mapping, NamedTuple
 import numpy as np
 
 from .errors import ConfigError, SizeLimitError, SummaryError, TreeError
-from .infotheory import InfoIncrement, split_increments
+from .infotheory import split_increments
 from .octree import (
     INTERIOR,
     LEAF,
@@ -67,7 +71,6 @@ from .octree import (
     Levels,
     NodeKey,
     SemanticOctree,
-    child_keys,
     key_arrays,
     node_keys,
     uniform_row,
@@ -306,26 +309,30 @@ def expansion_gain(tree: SemanticOctree, key: NodeKey,
     weight-averaged gains of the stored children (absent children gain
     nothing).
     """
-    node = tree.nodes.get(key)
-    if node is None:
-        raise TreeError(f"unknown key {key}")
-    if node.kind != INTERIOR or node.weight <= 0.0:
+    store = tree.levels()
+    return _row_gain(store, tree.rows([key]).item(), cw)
+
+
+def _row_gain(store: Levels, row: int, cw: CompressionWeights) -> float:
+    """``expansion_gain`` of ``row``, recursing through its child slots."""
+    if not (_expandable(store, row) and store.weight[row] > 0.0):
         return 0.0
-    if not tree.stored_children(key):
-        return 0.0
-    weights, dists, _, totals = tree.child_sets([key])
-    weights, dists, total = weights[0], dists[0], float(totals[0])
+    weights, dists, _, totals = store.child_sets([row])
+    total = totals.item()
     if total <= 0.0:
         return 0.0
-    gains = np.zeros(len(weights))
-    dims = tree.world.dims
-    for o, ck in enumerate(child_keys(key, dims)):
-        child = tree.nodes.get(ck)
-        if child is not None and child.kind == INTERIOR:
-            gains[o] = expansion_gain(tree, ck, cw)
+    gains = np.zeros(weights.shape[1])
+    for o, child in enumerate(store.slots[row].tolist()):
+        if child >= 0 and store.kind[child] == INTERIOR:
+            gains[o] = _row_gain(store, child, cw)
     pi = weights / total
-    js, h = split_terms(pi[None], dists[None][:, :, cw.class_ids])
-    return _gain(float(pi @ gains), h.tolist()[0], js.tolist()[0], cw)
+    js, h = split_terms(pi, dists[:, :, cw.class_ids])
+    return _gain(float(pi[0] @ gains), h.item(), js.tolist()[0], cw)
+
+
+def _expandable(store: Levels, row: int) -> bool:
+    """Whether ``row`` is an interior node with stored children."""
+    return store.kind[row] == INTERIOR and bool(store.has_children[row])
 
 
 def weighted_gain(tree: SemanticOctree, key: NodeKey,
@@ -335,29 +342,24 @@ def weighted_gain(tree: SemanticOctree, key: NodeKey,
     Equals ``node mass * expansion_gain`` for every node; the identity is
     exercised directly by the test suite.
     """
-    node = tree.nodes.get(key)
-    if node is None:
-        raise TreeError(f"unknown key {key}")
-    if node.kind != INTERIOR or node.weight <= 0.0:
+    store = tree.levels()
+    return _row_weighted_gain(store, tree.rows([key]).item(), cw)
+
+
+def _row_weighted_gain(store: Levels, row: int, cw: CompressionWeights) -> float:
+    """``weighted_gain`` of ``row``: its ``split_increments`` reward plus
+    its interior children's, by its child slots."""
+    if not (_expandable(store, row) and store.weight[row] > 0.0):
         return 0.0
-    stored = tree.stored_children(key)
-    if not stored:
-        return 0.0
-    weights, dists, _, totals = tree.child_sets([key])
+    weights, dists, _, totals = store.child_sets([row])
     if totals[0] <= 0.0:
         return 0.0
-    inc = _increments(node.weight, weights[0], dists[0], cw)
-    total = inc.reward
-    for ck in stored:
-        if tree.nodes[ck].kind == INTERIOR:
-            total += weighted_gain(tree, ck, cw)
+    marginals = {cid: dists[0, :, cid] for cid in set(cw.retain) | set(cw.remove)}
+    total = split_increments(store.weight.item(row), weights[0], marginals, cw).reward
+    for child in store.slots[row].tolist():
+        if child >= 0 and store.kind[child] == INTERIOR:
+            total += _row_weighted_gain(store, child, cw)
     return max(total, 0.0)
-
-
-def _increments(mass: float, weights: np.ndarray, dists: np.ndarray,
-                cw: CompressionWeights) -> InfoIncrement:
-    marginals = {cid: dists[:, cid] for cid in set(cw.retain) | set(cw.remove)}
-    return split_increments(mass, weights, marginals, cw)
 
 
 # -- cache maintenance ---------------------------------------------------------
@@ -572,28 +574,10 @@ def information_report(tree: SemanticOctree, ctree: CompressedTree,
     equals the mutual information between that class and the leaf index.
     """
     _require_no_summaries(tree)
-    return _information(*_subtree_rows(tree, ctree), cw)
-
-
-def _information(store: Levels, rows: np.ndarray, cw: CompressionWeights) -> InfoReport:
-    """``information_report`` of the sorted expanded ``rows``, row by row
-    from one ``child_sets`` gather."""
-    relevant = {cid: 0.0 for cid in cw.retain}
-    irrelevant = {cid: 0.0 for cid in cw.remove}
-    partition, p_root = 0.0, float(store.weight[0])
-    rows = rows[store.weight[rows] > 0.0] if p_root > 0.0 else rows[:0]
-    weights, dists, _, _ = store.child_sets(rows)
-    for mass, w, d in zip((store.weight[rows] / p_root).tolist(), weights, dists):
-        inc = _increments(mass, w, d, cw)
-        for cid, v in inc.relevant_bits.items():
-            relevant[cid] += v
-        for cid, v in inc.irrelevant_bits.items():
-            irrelevant[cid] += v
-        partition += inc.split_bits
-    objective = (left_sum(cw.retain[c] * v for c, v in relevant.items())
-                 - left_sum(cw.remove[c] * v for c, v in irrelevant.items())
-                 - cw.compress * partition)
-    return InfoReport(relevant, irrelevant, partition, objective)
+    store, rows = _subtree_rows(tree, ctree)
+    ((partition, bits),) = _bits(store, rows, [rows])
+    return InfoReport({c: bits[c] for c in cw.retain}, {c: bits[c] for c in cw.remove},
+                      partition, _objective(cw, partition, bits))
 
 
 def per_class_information(tree: SemanticOctree,
@@ -601,94 +585,100 @@ def per_class_information(tree: SemanticOctree,
     """Retained information per class id (all ids 0..K, roles ignored)."""
     _require_no_summaries(tree)
     store, rows = _subtree_rows(tree, ctree)
-    return _bits(store, rows, rows)[0]
+    ((_, bits),) = _bits(store, rows, [rows])
+    return bits
 
 
 def report(tree: SemanticOctree, ctree: CompressedTree, cw: CompressionWeights):
     """``(objective, partition_bits, leaves_full, full_bits, kept_bits)``:
     what ``information_report`` and ``per_class_information`` give for
     ``ctree``, and ``full_tree(tree).num_leaves`` and ``per_class_information``
-    for ``full_tree(tree)``. One ``split_terms`` evaluation over the full
-    tree's expanded nodes (every stored node with stored children, read
-    level by level) serves both trees. The per-class bits are equal bit for
-    bit; the objective and partition bits, summed from other terms, are
-    equal up to rounding.
+    for ``full_tree(tree)``, bit for bit. One ``split_terms`` evaluation over
+    the full tree's expanded nodes (every stored node with stored children,
+    read level by level) serves both trees.
     """
     _require_no_summaries(tree)
     store, kept = _subtree_rows(tree, ctree)
     full = np.flatnonzero(store.has_children)
-    full_bits, partition_bits, kept_bits = _bits(store, full, kept)
-    objective = (left_sum(w * kept_bits[c] for c, w in cw.retain.items())
-                 - left_sum(w * kept_bits[c] for c, w in cw.remove.items())
-                 - cw.compress * partition_bits)
+    (_, full_bits), (partition_bits, kept_bits) = _bits(store, full, [full, kept])
     # The full tree's observed leaves are the stored nodes it does not
     # expand; an empty map (the root alone) has none.
     leaves_full = len(store.index) - len(full) if len(full) else 0
-    return objective, partition_bits, leaves_full, full_bits, kept_bits
+    return (_objective(cw, partition_bits, kept_bits), partition_bits, leaves_full,
+            full_bits, kept_bits)
 
 
-def _bits(store: Levels, rows: np.ndarray, kept: np.ndarray):
-    """Per-class bits of the sorted expanded ``rows``, and the partition
-    and per-class bits of those also in ``kept``: one ``split_terms``
-    evaluation, each sum then taken row by row in key order."""
+def _objective(cw: CompressionWeights, partition: float, bits: dict[int, float]) -> float:
+    """The weighted class bits retained, less those removed and less
+    ``compress`` times the partition bits, each sum taken left to right."""
+    return (left_sum(w * bits[c] for c, w in cw.retain.items())
+            - left_sum(w * bits[c] for c, w in cw.remove.items())
+            - cw.compress * partition)
+
+
+def _bits(store: Levels, rows: np.ndarray, subsets: Iterable) -> Iterator[tuple]:
+    """``(partition_bits, per-class bits)`` of each subset of the sorted
+    expanded ``rows``, lazily: one ``split_terms`` evaluation of the rows,
+    then each subset's root-normalized terms summed row by row in key
+    order. A row's terms do not depend on the rows beside it, so a subset
+    reads the bits it would read evaluated alone."""
     p_root = float(store.weight[0])
     rows = rows[store.weight[rows] > 0.0] if p_root > 0.0 else rows[:0]
-    js, h = np.zeros((len(rows), store.num_classes + 1)), np.zeros(len(rows))
+    terms = np.zeros((len(rows) + 1, store.num_classes + 2))  # a leading zeros row
     if len(rows):
         weights, dists, _, totals = store.child_sets(rows)
-        pi = weights / totals[:, None]
-        js, h = split_terms(pi, dists)
-    mass = store.weight[rows] / p_root
-    terms = np.c_[mass * h, mass[:, None] * js]
-    all_sums, kept_sums = (
-        np.add.accumulate(np.vstack([np.zeros(terms.shape[1]), part]))[-1].tolist()
-        for part in (terms, terms[np.isin(rows, kept)]))
-    return dict(enumerate(all_sums[1:])), kept_sums[0], dict(enumerate(kept_sums[1:]))
+        js, h = split_terms(weights / totals[:, None], dists)
+        mass = store.weight[rows] / p_root
+        terms[1:, 0], terms[1:, 1:] = mass * h, mass[:, None] * js
+    for subset in subsets:
+        member = np.zeros(len(store.index), bool)
+        member[np.asarray(subset, np.int64)] = True
+        keep = np.r_[True, member[rows]]
+        sums = np.add.accumulate(terms[keep])[-1].tolist()
+        yield sums[0], dict(enumerate(sums[1:]))
 
 
 # -- exhaustive verification -----------------------------------------------------
 
 
-def _expandable(tree: SemanticOctree, key: NodeKey) -> bool:
-    node = tree.nodes.get(key)
-    return (node is not None and node.kind == INTERIOR
-            and bool(tree.stored_children(key)))
+def _children(store: Levels, row: int) -> list[int]:
+    return [child for child in store.slots[row].tolist() if child >= 0]
 
 
-def count_candidate_trees(tree: SemanticOctree, key: NodeKey = ROOT_KEY) -> int:
+def count_candidate_trees(tree: SemanticOctree) -> int:
     """Number of root-containing subtrees reachable by expansion decisions.
 
     Counting stops early once the enumeration limit is exceeded; the result
     is then only a lower bound above the limit.
     """
-    if not _expandable(tree, key):
+    return _count_candidates(tree.levels(), 0)
+
+
+def _count_candidates(store: Levels, row: int) -> int:
+    if not _expandable(store, row):
         return 1
     product = 1
-    for ck in tree.stored_children(key):
-        product *= count_candidate_trees(tree, ck)
+    for child in _children(store, row):
+        product *= _count_candidates(store, child)
         if product > MAX_CANDIDATES:
             return product + 1
     return 1 + product
 
 
-def _candidate_sets(tree: SemanticOctree, key: NodeKey) -> Iterator[frozenset[NodeKey]]:
-    """The expanded sets of ``key``'s subtree, the empty one first, lazily:
-    ``itertools.product`` holds its children's sets, never ``key``'s own."""
-    yield frozenset()
-    if not _expandable(tree, key):
+def _candidate_sets(store: Levels, row: int) -> Iterator[tuple[int, ...]]:
+    """The expanded rows of ``row``'s subtree, the empty set first, lazily:
+    ``itertools.product`` holds its children's sets, never ``row``'s own."""
+    yield ()
+    if not _expandable(store, row):
         return
-    child_lists = [_candidate_sets(tree, ck) for ck in tree.stored_children(key)]
-    for combo in itertools.product(*child_lists):
-        merged = {key}
-        for part in combo:
-            merged |= part
-        yield frozenset(merged)
+    for combo in itertools.product(*(_candidate_sets(store, c) for c in _children(store, row))):
+        yield (row, *itertools.chain.from_iterable(combo))
 
 
 def exhaustive_search(tree: SemanticOctree,
                       cw: CompressionWeights) -> ExhaustiveResult:
     """Enumerate every candidate tree and score it as ``information_report``
-    does.
+    does, bit for bit.
 
     Returns the best objective, the number of candidates within 1e-9 of it,
     and the candidate count. Instances above one million candidates are
@@ -700,8 +690,8 @@ def exhaustive_search(tree: SemanticOctree,
         raise SizeLimitError(
             f"{count} candidate trees exceed the {MAX_CANDIDATES} limit")
     store = tree.levels()
-    objectives = [_information(store, _expanded_rows(store, expanded), cw).objective
-                  for expanded in _candidate_sets(tree, ROOT_KEY)]
+    objectives = [_objective(cw, *bits) for bits in _bits(
+        store, np.flatnonzero(store.has_children), _candidate_sets(store, 0))]
     best = max(objectives)
     optimal = sum(1 for v in objectives if v >= best - 1e-9)
     return ExhaustiveResult(best, optimal, len(objectives))

@@ -74,9 +74,14 @@ class NodeKey(NamedTuple):
 
 def key_arrays(keys) -> tuple[np.ndarray, np.ndarray]:
     """``(depth, index)`` int64 columns of a sequence of N node keys, which
-    may be plain (depth, index) pairs."""
-    return np.fromiter(itertools.chain.from_iterable(keys), dtype=np.int64,
-                       count=2 * len(keys)).reshape(-1, 2).T
+    may be plain (depth, index) pairs; a key that int64 cannot hold is a
+    ``TreeError`` naming it."""
+    try:
+        return np.fromiter(itertools.chain.from_iterable(keys), dtype=np.int64,
+                           count=2 * len(keys)).reshape(-1, 2).T
+    except OverflowError:
+        key = next(k for k in keys if not all(-1 << 63 <= v < 1 << 63 for v in k))
+        raise TreeError(f"unknown key {key}") from None
 
 
 def node_keys(depth: np.ndarray, index: np.ndarray) -> Iterator[NodeKey]:
@@ -292,8 +297,8 @@ def completed_weight(stored: list[float], branching: int) -> float:
 
 @dataclass(slots=True)
 class Node:
-    """A node of a dict that ``SemanticOctree(..., nodes=)`` takes, or of the
-    ``nodes`` view. A leaf or summary record is row ``row`` of ``table``."""
+    """A node of the ``nodes`` view. A leaf or summary record is row ``row``
+    of ``table``."""
 
     kind: int
     weight: float = 0.0
@@ -373,31 +378,6 @@ class Levels:
             ok = np.append(parents, -1)[at] == children >> world.dims
             self.slots[up + at[ok], children[ok] & world.branching - 1] = np.arange(a, b)[ok]
         self.has_children = (self.slots >= 0).any(axis=1)
-
-    @classmethod
-    def gather(cls, world: WorldConfig, num_classes: int, nodes: dict) -> "Levels":
-        """The columns of a dict of ``Node``s, caches included; the distinct
-        tables their records refer to become one."""
-        depth, index = key_arrays(list(nodes))
-        order = np.lexsort((index, depth))
-        values = list(map(list(nodes.values()).__getitem__, order.tolist()))
-        n, uniform = len(values), uniform_row(num_classes)
-        kind = np.fromiter((v.kind for v in values), np.int64, n)
-        records = [values[i] for i in np.flatnonzero(kind != INTERIOR).tolist()]
-        tables = {id(v.table): v.table for v in records}
-        start = dict(zip(tables, itertools.accumulate(
-            (len(t.ids) for t in tables.values()), initial=0)))
-        row = np.zeros(n, dtype=np.int64)
-        row[kind != INTERIOR] = [start[id(v.table)] + v.row for v in records]
-        return cls(world, num_classes, (
-            depth[order], index[order], kind, np.fromiter((v.weight for v in values), np.float64, n),
-            row, np.concatenate([uniform if v.cond is None else v.cond for v in values]).reshape(
-                n, num_classes + 1),
-            np.fromiter((v.cond is not None for v in values), bool, n),
-            np.fromiter((v.gain for v in values), np.float64, n),
-            np.fromiter((type(v.gain) is np.float64 for v in values), bool, n)),
-            TruncatedRows(*(np.concatenate(column) for column in zip(
-                *tables.values(), TruncatedRows.of([])))))
 
     def node_dict(self, tree: "SemanticOctree") -> dict[NodeKey, Node]:
         """A ``ViewNode`` of ``tree`` per row of merged columns, caches
@@ -592,13 +572,15 @@ class SemanticOctree:
     into key order for a batch operation. ``nodes`` is a read-only view.
     """
 
-    def __init__(self, world: WorldConfig, num_classes: int,
-                 nodes: dict[NodeKey, Node] | None = None, *, levels: Levels | None = None):
-        """A tree of ``levels``, of a gathered dict of ``nodes``, or the root."""
+    def __init__(self, world: WorldConfig, num_classes: int, *, levels: Levels | None = None):
+        """A tree of ``levels``, or the root alone: interior, uncached and
+        of weight and gain 0.0."""
         self.check_classes(num_classes)
         self.world, self.num_classes, self._nodes = world, num_classes, None
-        self._store = levels if levels is not None else Levels.gather(
-            world, num_classes, nodes or {ROOT_KEY: Node(INTERIOR)})
+        self._store = levels if levels is not None else Levels(world, num_classes, (
+            np.zeros(1, np.int64), np.zeros(1, np.int64), np.zeros(1, np.int64), np.zeros(1),
+            np.zeros(1, np.int64), np.array([uniform_row(num_classes)]), np.zeros(1, bool),
+            np.zeros(1), np.zeros(1, bool)), TruncatedRows.of([]))
 
     def __getstate__(self) -> dict:
         """A copy leaves the ``nodes`` view behind and builds its own."""
@@ -629,16 +611,7 @@ class SemanticOctree:
             self._nodes = MappingProxyType(self.levels().node_dict(self))
         return self._nodes
 
-    @property
-    def root(self) -> Node:
-        return self.nodes[ROOT_KEY]
-
     # -- structure queries ------------------------------------------------
-
-    def stored_children(self, key: NodeKey) -> list[NodeKey]:
-        row = self._store.lookup(*key_arrays([key]))[0]
-        octants = np.flatnonzero(self._store.slots[row] >= 0).tolist() if row >= 0 else []
-        return [child_key(key, o, self.world.dims) for o in octants]
 
     def _count(self, kind: int) -> int:
         store = self._store
@@ -672,11 +645,6 @@ class SemanticOctree:
         massless node reads as unobserved, i.e. maximum entropy.
         """
         return self._store.conditionals(self.rows([key]))[0]
-
-    def child_sets(self, keys) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-        """``Levels.child_sets`` of the rows of ``keys``, which may be plain
-        (depth, index) pairs; a finest node has no stored children."""
-        return self._store.child_sets(self.rows(keys))
 
     # -- construction -----------------------------------------------------
 

@@ -21,6 +21,7 @@ from soct.octree import (
     LEAF,
     ROOT_KEY,
     SUMMARY,
+    Levels,
     Node,
     NodeKey,
     SemanticOctree,
@@ -186,8 +187,8 @@ def ref_conditional(tree, key):
 
 
 def node_child_set(tree, key):
-    """One node's full child set as the per-node ``SemanticOctree.child_sets``
-    gathered it from ``tree.nodes`` before the columns did: weights (B,),
+    """One node's full child set as ``Levels.child_sets`` gives it, gathered
+    node by node from ``tree.nodes``: weights (B,),
     conditionals (B, K+1), each stored child's cached one or else its
     ``node_conditional``, and the total, ``completed_weight`` of the stored
     weights; an absent child weighs their mean and is uniform."""
@@ -361,9 +362,10 @@ def ref_extraction(tree, expanded):
     virtual when nothing is stored under it."""
     kept = {ROOT_KEY, *expanded}
     if ROOT_KEY not in expanded:
-        empty = tree.root.kind == INTERIOR and not any(
+        root = tree.nodes[ROOT_KEY]
+        empty = root.kind == INTERIOR and not any(
             k in tree.nodes for k in child_keys(ROOT_KEY, tree.world.dims))
-        return kept, {ROOT_KEY: (tree.root.weight, node_conditional(tree, ROOT_KEY), empty)}
+        return kept, {ROOT_KEY: (root.weight, node_conditional(tree, ROOT_KEY), empty)}
     uniform = np.full(tree.num_classes + 1, 1.0 / (tree.num_classes + 1))
     blocks = {}
     for key in expanded:
@@ -514,7 +516,7 @@ def reference_deserialize(path):
     conds.flags.writeable = False
     for node, cond in zip(records, conds):
         node.cond = cond
-    return SemanticOctree(world, num_classes, nodes)
+    return tree_of_nodes(world, num_classes, nodes)
 
 
 def scaled_leaves(tree, c):
@@ -524,7 +526,7 @@ def scaled_leaves(tree, c):
     for node in nodes.values():
         if node.kind == LEAF:
             node.weight *= c
-    return SemanticOctree(tree.world, tree.num_classes, nodes)
+    return tree_of_nodes(tree.world, tree.num_classes, nodes)
 
 
 def ref_prune_all(tree):
@@ -544,14 +546,46 @@ def ref_prune_all(tree):
             nodes[key] = Node(SUMMARY, nodes[key].weight, kids[0].table, kids[0].row,
                               kids[0].cond)
             pruned += 1
-    return SemanticOctree(tree.world, tree.num_classes, nodes), pruned
+    return tree_of_nodes(tree.world, tree.num_classes, nodes), pruned
 
 
 def editable_nodes(tree):
     """Plain ``Node`` copies of ``tree.nodes``, a read-only view, by key: a
-    dict to edit and build a tree of (``SemanticOctree(world, k, nodes)``)."""
+    dict to edit and build a tree of (``tree_of_nodes``)."""
     return {key: Node(n.kind, n.weight, n.table, n.row, n.cond, n.gain)
             for key, n in tree.nodes.items()}
+
+
+def stored_children(tree, key):
+    """The keys of ``key``'s stored children in octant order, found in
+    ``tree.nodes``."""
+    return [k for k in child_keys(key, tree.world.dims) if k in tree.nodes]
+
+
+def tree_of_nodes(world, num_classes, nodes):
+    """The tree whose columns hold a dict of ``Node``s, caches included, as
+    they are: nothing is checked or re-derived. The distinct tables their
+    records refer to become one."""
+    depth, index = key_arrays(list(nodes))
+    order = np.lexsort((index, depth))
+    values = list(map(list(nodes.values()).__getitem__, order.tolist()))
+    n, uniform = len(values), uniform_row(num_classes)
+    kind = np.fromiter((v.kind for v in values), np.int64, n)
+    records = [values[i] for i in np.flatnonzero(kind != INTERIOR).tolist()]
+    tables = {id(v.table): v.table for v in records}
+    start = dict(zip(tables, itertools.accumulate(
+        (len(t.ids) for t in tables.values()), initial=0)))
+    row = np.zeros(n, dtype=np.int64)
+    row[kind != INTERIOR] = [start[id(v.table)] + v.row for v in records]
+    return SemanticOctree(world, num_classes, levels=Levels(world, num_classes, (
+        depth[order], index[order], kind, np.fromiter((v.weight for v in values), np.float64, n),
+        row, np.concatenate([uniform if v.cond is None else v.cond for v in values]).reshape(
+            n, num_classes + 1),
+        np.fromiter((v.cond is not None for v in values), bool, n),
+        np.fromiter((v.gain for v in values), np.float64, n),
+        np.fromiter((type(v.gain) is np.float64 for v in values), bool, n)),
+        TruncatedRows(*(np.concatenate(column) for column in zip(
+            *tables.values(), TruncatedRows.of([]))))))
 
 
 def _ref_write_node(tree, key, out):

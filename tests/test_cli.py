@@ -23,7 +23,7 @@ from soct.formats import (
 )
 from soct.octree import LEAF, SemanticOctree
 
-from helpers import cloud_files, editable_nodes, write_cloud
+from helpers import cloud_files, editable_nodes, tree_of_nodes, write_cloud
 
 WORLD = "origin 0 0 0\nedge_length 8\nmax_depth 3\nbranching 8\nnum_classes 4\n"
 
@@ -631,7 +631,7 @@ def test_nan_leaf_weight_is_corruption_error(workspace, capsys, command):
     tree = deserialize_tree(workspace / "tree.soct")
     nodes = editable_nodes(tree)
     next(n for n in nodes.values() if n.kind == LEAF).weight = float("nan")
-    serialize_tree(SemanticOctree(tree.world, tree.num_classes, nodes),
+    serialize_tree(tree_of_nodes(tree.world, tree.num_classes, nodes),
                    workspace / "tree.soct")
     extra = ["--start", "0.5,3.5", "--goal", "7.5,4.5"] if command == "plan" else []
     code, _, err = run(capsys, [
@@ -649,7 +649,7 @@ def test_invalid_leaf_record_is_corruption_error(workspace, capsys, command):
     nodes = editable_nodes(tree)
     node = next(n for n in nodes.values() if n.kind == LEAF)
     node.dist = replace(node.dist, p_free=float("nan"))
-    serialize_tree(SemanticOctree(tree.world, tree.num_classes, nodes),
+    serialize_tree(tree_of_nodes(tree.world, tree.num_classes, nodes),
                    workspace / "tree.soct")
     extra = ["--start", "0.5,3.5", "--goal", "7.5,4.5"] if command == "plan" else []
     code, _, err = run(capsys, [
@@ -666,7 +666,7 @@ def test_bad_interior_weight_is_corruption_error(workspace, capsys, bad):
     tree = deserialize_tree(workspace / "tree.soct")
     nodes = editable_nodes(tree)
     nodes[(0, 0)].weight = bad
-    serialize_tree(SemanticOctree(tree.world, tree.num_classes, nodes),
+    serialize_tree(tree_of_nodes(tree.world, tree.num_classes, nodes),
                    workspace / "tree.soct")
     code, out, err = run(capsys, [
         "report", "--tree", workspace / "tree.soct",

@@ -2,6 +2,7 @@ import builtins
 import copy
 import itertools
 import math
+import re
 
 import numpy as np
 import pytest
@@ -58,6 +59,7 @@ from helpers import (
     ref_split_terms,
     same_bits,
     scaled_leaves,
+    stored_children,
 )
 
 
@@ -74,14 +76,14 @@ def random_expanded_set(tree, rng, p=0.6):
     expanded = set()
     stack = []
     root = tree.nodes[ROOT_KEY]
-    if root.kind == INTERIOR and tree.stored_children(ROOT_KEY) and rng.random() < p:
+    if root.kind == INTERIOR and stored_children(tree, ROOT_KEY) and rng.random() < p:
         stack.append(ROOT_KEY)
     while stack:
         key = stack.pop()
         expanded.add(key)
-        for ck in tree.stored_children(key):
+        for ck in stored_children(tree, key):
             child = tree.nodes[ck]
-            if (child.kind == INTERIOR and tree.stored_children(ck)
+            if (child.kind == INTERIOR and stored_children(tree, ck)
                     and rng.random() < p):
                 stack.append(ck)
     return frozenset(expanded)
@@ -285,7 +287,7 @@ def test_refresh_upward_path_slots_hold_row_totals_bit_for_bit():
     leaf = tree.set_leaf((0, 0, 0), record, 1.0)
     row_sums_agree = []
     for depth in (2, 1):
-        weights, _, _, totals = tree.child_sets([(depth, 0)])
+        weights, _, _, totals = tree.levels().child_sets(tree.rows([(depth, 0)]))
         assert tree.nodes[(depth, 0)].weight == totals[0]
         row_sums_agree.append(weights.sum() == totals[0])
     assert not all(row_sums_agree)  # the fixture reaches the last-bit gap
@@ -412,10 +414,10 @@ def test_gain_types_are_kept():
     for cw, kind in cases:
         tree = two_leaf_tree()
         refresh_all(tree, cw)
-        assert type(tree.root.gain) is kind
+        assert type(tree.nodes[ROOT_KEY].gain) is kind
         assert type(expansion_gain(tree, ROOT_KEY, cw)) is kind
         refresh_upward(tree, tree.set_leaf((1,), tree.nodes[(1, 1)].dist), cw)
-        assert type(tree.root.gain) is kind
+        assert type(tree.nodes[ROOT_KEY].gain) is kind
 
 
 def test_cache_rebuild_and_extraction_gather_child_sets_per_batch(monkeypatch):
@@ -442,7 +444,6 @@ def test_cache_rebuild_and_extraction_gather_child_sets_per_batch(monkeypatch):
         return gather(self, rows)
 
     monkeypatch.setattr(Levels, "child_sets", counting)
-    monkeypatch.setattr(SemanticOctree, "child_sets", None)  # the per-node gather
     refresh_all(tree, cw)
     assert calls == [8 * 8 * 4, 4 * 4 * 2, 2 * 2 * 1, 1]
     calls.clear()
@@ -460,10 +461,10 @@ def test_per_class_information_adds_node_terms_in_key_order():
         ctree = full_tree(tree)
         bits = np.zeros(tree.num_classes + 1)
         for key in sorted(ctree.expanded):
-            weights, dists, _, totals = tree.child_sets([key])
+            weights, dists, _, totals = tree.levels().child_sets(tree.rows([key]))
             pi = weights / totals[:, None]
             js, _ = split_terms(pi, dists)
-            bits += (tree.nodes[key].weight / tree.root.weight) * js[0]
+            bits += (tree.nodes[key].weight / tree.nodes[ROOT_KEY].weight) * js[0]
         assert per_class_information(tree, ctree) == dict(enumerate(bits.tolist()))
 
 
@@ -474,7 +475,7 @@ def _expanded_by_cached_gain(tree):
     expanded, todo = set(), [ROOT_KEY]
     while todo:
         key = todo.pop()
-        children = tree.stored_children(key)
+        children = stored_children(tree, key)
         if tree.nodes[key].kind == INTERIOR and tree.nodes[key].gain > 1e-12 and children:
             expanded.add(key)
             todo += children
@@ -838,7 +839,8 @@ def test_information_report_rejects_foreign_subtree():
 def test_report_equals_full_tree_and_per_class_information(seed, branching, shape):
     """The one-pass report gives the full tree's leaf count and both trees'
     per-class bits exactly as ``full_tree`` and ``per_class_information``
-    do, and the objective and partition of ``information_report``."""
+    do, and the objective, partition and per-class bits of
+    ``information_report``, bit for bit."""
     rng = np.random.default_rng(seed)
     depth = {2: 4, 4: 3, 8: 2}[branching]
     if shape == "empty":
@@ -860,8 +862,53 @@ def test_report_equals_full_tree_and_per_class_information(seed, branching, shap
     assert repr(full_bits) == repr(per_class_information(tree, full))
     assert repr(kept_bits) == repr(per_class_information(tree, ctree))
     info = information_report(tree, ctree, cw)
-    assert partition_bits == pytest.approx(info.partition_bits, rel=1e-12, abs=1e-15)
-    assert objective == pytest.approx(info.objective, rel=1e-9, abs=1e-12)
+    assert repr(partition_bits) == repr(info.partition_bits)
+    assert repr(objective) == repr(info.objective)
+    assert repr(info.relevant_bits) == repr({c: kept_bits[c] for c in cw.retain})
+    assert repr(info.irrelevant_bits) == repr({c: kept_bits[c] for c in cw.remove})
+
+
+@settings(max_examples=40, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), branching=st.sampled_from([2, 4, 8]),
+       shape=st.sampled_from(["empty", "massless", "random"]))
+def test_exhaustive_search_scores_every_candidate(seed, branching, shape):
+    """The enumeration scores exactly ``count_candidate_trees`` candidates.
+    An empty tree has one, the root alone; on a massless root (every leaf
+    weight 0.0) every candidate keeps no information and pays for no
+    split, so all of them are optimal with objective 0.0."""
+    rng = np.random.default_rng(seed)
+    depth = {2: 3, 4: 2, 8: 2}[branching]
+    if shape == "empty":
+        tree = SemanticOctree(WorldConfig((0, 0, 0), 16.0, depth, branching), 4)
+    else:
+        weights = (0.0, 0.0) if shape == "massless" else (0.2, 3.0)
+        tree = make_random_tree(rng, branching, depth, fill=float(rng.uniform(0.1, 1.0)),
+                                weight_range=weights)
+    cw = random_weights(rng)
+    refresh_all(tree, cw)
+    result = exhaustive_search(tree, cw)
+    assert result.candidate_count == count_candidate_trees(tree)
+    if shape == "empty":
+        assert result.candidate_count == 1
+    if shape != "random":
+        assert result.optimal_count == result.candidate_count
+        assert result.best_objective == 0.0
+
+
+@pytest.mark.parametrize("key", [NodeKey(1, 2**70), NodeKey(2**70, 0)])
+def test_keys_beyond_int64_are_tree_errors(key):
+    """A key whose depth or index int64 cannot hold is a ``TreeError``
+    naming it, from every per-key entry point."""
+    tree = make_random_tree(np.random.default_rng(5), branching=4, depth=2, fill=1.0)
+    cw = CompressionWeights({1: 1.0}, {2: 0.5}, 0.05)
+    refresh_all(tree, cw)
+    calls = [lambda: tree.conditional(key), lambda: expansion_gain(tree, key, cw),
+             lambda: weighted_gain(tree, key, cw),
+             lambda: tree.prune_identical_children(key),
+             lambda: compressed_from_expanded(tree, frozenset({ROOT_KEY, key}))]
+    for call in calls:
+        with pytest.raises(TreeError, match=re.escape(str(key))):
+            call()
 
 
 def test_weights_and_objectives_add_left_to_right(monkeypatch):
@@ -886,7 +933,7 @@ def test_weights_and_objectives_add_left_to_right(monkeypatch):
         for tree in trees:
             ctree = full_tree(tree)
             out += [information_report(tree, ctree, cw).objective, report(tree, ctree, cw)[0]]
-            weights, dists, _, totals = tree.child_sets(sorted(ctree.expanded))
+            weights, dists, _, totals = tree.levels().child_sets(tree.rows(sorted(ctree.expanded)))
             for w, d, total in zip(weights, dists, totals.tolist()):
                 marginals = {c: d[:, c] for c in range(1, 6)}
                 out.append(split_increments(total, w, marginals, cw).reward)

@@ -35,6 +35,7 @@ from helpers import (
     random_weights,
     reference_deserialize,
     reference_serialize,
+    tree_of_nodes,
 )
 
 
@@ -406,7 +407,7 @@ def test_bad_leaf_weight_rejected(tmp_path, bad):
     nodes = editable_nodes(tree)
     next(n for n in nodes.values() if n.kind == LEAF).weight = bad
     p = tmp_path / "weight.soct"
-    serialize_tree(SemanticOctree(tree.world, 4, nodes), p)
+    serialize_tree(tree_of_nodes(tree.world, 4, nodes), p)
     with pytest.raises(CorruptionError, match="weight"):
         deserialize_tree(p)
 
@@ -424,7 +425,7 @@ def test_bad_summary_weight_rejected(tmp_path, bad):
     nodes = editable_nodes(tree)
     next(n for n in nodes.values() if n.kind == SUMMARY).weight = bad
     p = tmp_path / "summary.soct"
-    serialize_tree(SemanticOctree(tree.world, 4, nodes), p)
+    serialize_tree(tree_of_nodes(tree.world, 4, nodes), p)
     with pytest.raises(CorruptionError, match="weight"):
         deserialize_tree(p)
 
@@ -448,7 +449,7 @@ def test_invalid_record_rejected_as_corruption(tmp_path, summary, field):
     else:
         node.dist = replace(node.dist, p_free=float("nan"))
     p = tmp_path / "record.soct"
-    serialize_tree(SemanticOctree(tree.world, 4, nodes), p)
+    serialize_tree(tree_of_nodes(tree.world, 4, nodes), p)
     with pytest.raises(CorruptionError, match="invalid"):
         deserialize_tree(p)
 
@@ -461,7 +462,7 @@ def test_bad_interior_weight_rejected(tmp_path, bad):
     nodes = editable_nodes(tree)
     nodes[(0, 0)].weight = bad
     p = tmp_path / "interior.soct"
-    serialize_tree(SemanticOctree(tree.world, tree.num_classes, nodes), p)
+    serialize_tree(tree_of_nodes(tree.world, tree.num_classes, nodes), p)
     with pytest.raises(CorruptionError, match="interior record"):
         deserialize_tree(p)
 
@@ -473,7 +474,7 @@ def test_interior_weight_off_its_children_rejected(tmp_path):
     key = next(k for k, n in nodes.items() if n.kind == INTERIOR and k.depth == 2)
     nodes[key].weight *= 1.0 + 1e-6
     p = tmp_path / "interior.soct"
-    serialize_tree(SemanticOctree(tree.world, tree.num_classes, nodes), p)
+    serialize_tree(tree_of_nodes(tree.world, tree.num_classes, nodes), p)
     with pytest.raises(CorruptionError, match="interior record"):
         deserialize_tree(p)
 
@@ -662,7 +663,7 @@ def _corrupt_values(rng, tree, count):
                                 p_residual=node.dist.p_residual + 1e-3)
         if change[4]:
             node.kind = SUMMARY if node.kind == LEAF else LEAF
-    return SemanticOctree(tree.world, tree.num_classes, nodes)
+    return tree_of_nodes(tree.world, tree.num_classes, nodes)
 
 
 def _load(loader, path):
@@ -744,7 +745,7 @@ def _record_source_ops(rng, tree, count):
             nodes = editable_nodes(tree)
             records = [node for node in nodes.values() if node.kind != INTERIOR]
             records[int(rng.integers(len(records)))].dist = random_truncated(rng, k)
-            tree = SemanticOctree(world, k, nodes)
+            tree = tree_of_nodes(world, k, nodes)
     return tree
 
 
@@ -783,7 +784,7 @@ def test_records_from_every_source_write_as_the_reference(tmp_path_factory, seed
     nodes = editable_nodes(tree)
     node = next(node for node in nodes.values() if node.dist and node.dist.top3)
     node.dist = replace(node.dist, top3=((0, node.dist.top3[0][1]),) + node.dist.top3[1:])
-    tree = SemanticOctree(world, k, nodes)
+    tree = tree_of_nodes(world, k, nodes)
     serialize_tree(tree, path)
     assert path.read_bytes() == reference_serialize(tree)
     with pytest.raises(CorruptionError, match="distinct and non-zero"):

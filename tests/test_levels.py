@@ -50,6 +50,7 @@ from helpers import (
     ref_relative_gain,
     reference_deserialize,
     same_bits,
+    stored_children,
     write_cloud,
 )
 
@@ -114,7 +115,7 @@ def test_a_load_gives_the_oracles_values(tmp_path_factory, seed, branching, shap
     tree.expand_summaries()
     for key in tree.nodes:
         assert tree.conditional(key).tobytes() == node_conditional(tree, key).tobytes(), key
-    expanded = frozenset({ROOT_KEY} if tree.stored_children(ROOT_KEY) else ())
+    expanded = frozenset({ROOT_KEY} if stored_children(tree, ROOT_KEY) else ())
     for ctree in (compress_tree(tree, cw), compressed_from_expanded(tree, expanded)):
         for key, leaf in ctree.leaves.items():
             want = uniform_row(4) if leaf.virtual else node_conditional(tree, key)
@@ -241,7 +242,7 @@ def test_preorder_is_the_walk_from_the_root(branching, shape):
 
     def walk(key):
         yield key
-        for child in tree.stored_children(key):
+        for child in stored_children(tree, key):
             yield from walk(child)
 
     levels = tree.levels()
@@ -268,21 +269,16 @@ def loaded_map(tmp_path, capsys):
 
 @pytest.fixture
 def made(monkeypatch):
-    """Every ``Node`` built, and every ``Levels.node_dict`` and
-    ``Levels.gather`` call, from here on."""
+    """Every ``Node`` built, and every ``Levels.node_dict`` call, from here
+    on."""
     made = []
-    init, gather = Node.__init__, Levels.gather.__func__
+    init = Node.__init__
 
     def counting_init(self, *args, **kwargs):
         made.append(args)
         init(self, *args, **kwargs)
 
-    def counting_gather(cls, *args):
-        made.append("gather")
-        return gather(cls, *args)
-
     monkeypatch.setattr(Levels, "node_dict", lambda self, *args: made.append("node_dict"))
-    monkeypatch.setattr(Levels, "gather", classmethod(counting_gather))
     monkeypatch.setattr(Node, "__init__", counting_init)
     return made
 
@@ -325,8 +321,8 @@ def test_build_makes_no_node(loaded_map, made, monkeypatch, capsys, extra):
 
 def test_a_pruning_build_makes_no_node(tmp_path, monkeypatch, capsys):
     """``build --adhoc-prune`` on a cloud whose sibling sets each hold one
-    record prunes on the columns: it builds no ``Node``, no ``Node`` dict and
-    no gather, and writes what the node-by-node ``ref_prune_all`` makes of
+    record prunes on the columns: it builds no ``Node`` and no ``Node`` dict,
+    and writes what the node-by-node ``ref_prune_all`` makes of
     the unpruned map."""
     records = [(ix + 0.5, iy + 0.5, iz + 0.5, 1 + (ix // 2 + iy // 2) % 3, 0.8)
                for ix in range(8) for iy in range(8) for iz in range(2)]
@@ -343,7 +339,6 @@ def test_a_pruning_build_makes_no_node(tmp_path, monkeypatch, capsys):
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(Node, "__init__", lambda self, *a, **k: spy.append(a))
         patch.setattr(Levels, "node_dict", lambda self, *args: spy.append("node_dict"))
-        patch.setattr(Levels, "gather", classmethod(lambda cls, *a: spy.append("gather")))
         assert main([*argv, "pruned.soct", "--adhoc-prune"]) == 0
     assert spy == []
     out = capsys.readouterr().out
@@ -354,8 +349,8 @@ def test_a_pruning_build_makes_no_node(tmp_path, monkeypatch, capsys):
 @pytest.mark.parametrize("source", ["loaded", "built"])
 def test_streaming_makes_no_node(loaded_map, made, source):
     """Streaming into a loaded map or a batch build, with the path refreshes,
-    then compressing and writing the streamed tree, builds no ``Node``, no
-    ``Node`` dict and no gather."""
+    then compressing and writing the streamed tree, builds no ``Node`` and no
+    ``Node`` dict."""
     rng = np.random.default_rng(11)
     if source == "loaded":
         tree = deserialize_tree(loaded_map / "map.soct")
@@ -374,10 +369,10 @@ def test_streaming_makes_no_node(loaded_map, made, source):
 
 def test_per_key_reads_merge_nothing(monkeypatch):
     """After writes, a prune among them, the per-key reads (``conditional``,
-    ``child_sets``, ``stored_children``, ``rows``) and the counts walk the
-    columns as they stand: none merges the overlay, and each gives the bits
-    that the merged twin gives. Unknown and out-of-range keys are a
-    ``TreeError``, or no children."""
+    ``rows``), the child slots and ``child_sets`` of the rows found, and the
+    counts walk the columns as they stand: none merges the overlay, and
+    each gives the bits that the merged twin gives. Unknown and
+    out-of-range keys are a ``TreeError``."""
     rng = np.random.default_rng(5)
     world = WorldConfig((0, 0, 0), 4.0, 2, branching=4)
     tree, same = SemanticOctree(world, 4), random_truncated(rng, 4)
@@ -394,16 +389,20 @@ def test_per_key_reads_merge_nothing(monkeypatch):
     monkeypatch.setattr(Levels, "merged", lambda self: merges.append(1) or merged(self))
     assert (tree.node_count(), tree.leaf_count(), tree.has_summaries()) == (
         twin.node_count(), twin.leaf_count(), True)
+    store, twin_store = tree.columns(), twin.levels()
     for key in twin.nodes:
         assert tree.conditional(key).tobytes() == twin.conditional(key).tobytes(), key
-        assert tree.stored_children(key) == twin.stored_children(key), key
-        if twin.stored_children(key):
-            for got, want in zip(tree.child_sets([key]), twin.child_sets([key])):
+        row, twin_row = tree.rows([key]), twin.rows([key])
+        present = store.slots[row] >= 0
+        assert present.tolist() == (twin_store.slots[twin_row] >= 0).tolist(), key
+        if present.any():
+            for got, want in zip(store.child_sets(row), twin_store.child_sets(twin_row)):
                 assert got.tobytes() == want.tobytes(), key
     for key in (NodeKey(2, 0), NodeKey(1, 4), NodeKey(3, 0), NodeKey(-1, 0), (2, 16)):
         with pytest.raises(TreeError):
             tree.conditional(key)
-        assert tree.stored_children(key) == []
+        with pytest.raises(TreeError):
+            tree.rows([key])
     assert merges == []
     assert tree.nodes.keys() == twin.nodes.keys() and merges == [1]
 

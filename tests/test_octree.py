@@ -37,6 +37,8 @@ from helpers import (
     random_truncated,
     random_weights,
     reference_deserialize,
+    stored_children,
+    tree_of_nodes,
 )
 
 
@@ -231,7 +233,7 @@ def test_completed_children_full_set():
         for iy in range(2):
             for iz in range(2):
                 tree.set_leaf((ix, iy, iz), random_truncated(rng, 4), 1.0)
-    weights, conds, gains, totals = tree.child_sets([ROOT_KEY])
+    weights, conds, gains, totals = tree.levels().child_sets(tree.rows([ROOT_KEY]))
     assert weights.shape == gains.shape == (1, 8)
     assert conds.shape == (1, 8, 5)
     assert weights.tolist() == [[1.0] * 8]
@@ -244,12 +246,12 @@ def test_completed_children_virtual_entries():
     world = WorldConfig((0, 0, 0), 2.0, 1, branching=8)
     tree = SemanticOctree(world, 4)
     tree.set_leaf((0, 0, 0), TruncatedSemanticDistribution(((1, 1.0),), 0, 0), 2.0)
-    weights, conds, gains, totals = tree.child_sets([ROOT_KEY])
+    weights, conds, gains, totals = tree.levels().child_sets(tree.rows([ROOT_KEY]))
     virtual = [o for o in range(8) if np.allclose(conds[0, o], 0.2)]
     assert virtual == list(range(1, 8))
     assert weights[0].tolist() == [2.0] * 8
     assert gains[0].tolist() == [0.0] * 8
-    assert totals.tolist() == [tree.root.weight] == [16.0]
+    assert totals.tolist() == [tree.nodes[ROOT_KEY].weight] == [16.0]
 
 
 def test_completed_children_does_not_mutate(tmp_path):
@@ -259,7 +261,7 @@ def test_completed_children_does_not_mutate(tmp_path):
     tree = make_random_tree(rng, branching=8, depth=1, fill=0.4)
     before = snapshot(tree)
     serialize_tree(tree, tmp_path / "before.soct")
-    tree.child_sets([ROOT_KEY])
+    tree.levels().child_sets(tree.rows([ROOT_KEY]))
     tree.conditional(ROOT_KEY)
     assert snapshots_equal(before, snapshot(tree))
     serialize_tree(tree, tmp_path / "after.soct")
@@ -280,17 +282,17 @@ def test_child_sets_match_reference_completion(seed, branching):
     for node in nodes.values():
         if node.kind == LEAF and rng.random() < 0.2:
             node.weight = 0.0
-    tree = SemanticOctree(tree.world, tree.num_classes, nodes)
+    tree = tree_of_nodes(tree.world, tree.num_classes, nodes)
     refresh_all(tree, random_weights(rng))
     nodes = editable_nodes(tree)
     for node in nodes.values():
         if node.kind == INTERIOR and rng.random() < 0.4:
             node.cond = None
-    tree = SemanticOctree(tree.world, tree.num_classes, nodes)
+    tree = tree_of_nodes(tree.world, tree.num_classes, nodes)
     keys = [k for k, n in tree.nodes.items()
-            if n.kind == INTERIOR and tree.stored_children(k)]
+            if n.kind == INTERIOR and stored_children(tree, k)]
     keys = [keys[i] for i in rng.permutation(len(keys))]
-    batch = tree.child_sets(keys)
+    batch = tree.levels().child_sets(tree.rows(keys))
     for i, key in enumerate(keys):
         entries = _ref_children(tree, key)
         weights, conds, gains, total = (a[i] for a in batch)
@@ -302,7 +304,7 @@ def test_child_sets_match_reference_completion(seed, branching):
             0.0 if k is None or tree.nodes[k].kind != INTERIOR else tree.nodes[k].gain
             for _, _, k in entries]
         assert np.abs(conds - np.array([d for _, d, _ in entries])).max() <= 1e-12
-        alone = tree.child_sets([key])
+        alone = tree.levels().child_sets(tree.rows([key]))
         assert [a[i].tobytes() for a in batch] == [a[0].tobytes() for a in alone]
 
 
@@ -365,7 +367,7 @@ def test_prune_compares_rows_as_is_close():
     tree.set_leaf((1,), t((), 1.0, 0.0), 1.0)
     nodes = editable_nodes(tree)
     nodes[world.key_from_coords((1,), 1)].dist = t(((0, 0.0),), 1.0, 0.0)
-    tree = SemanticOctree(world, 4, nodes)
+    tree = tree_of_nodes(world, 4, nodes)
     assert tree.prune_identical_children(ROOT_KEY) is False
 
 
@@ -389,9 +391,9 @@ def test_summary_reexpands_on_observation():
     tree.set_leaf((0,), shared, 1.0)
     tree.set_leaf((1,), shared, 1.0)
     assert tree.prune_identical_children(ROOT_KEY)
-    assert tree.root.kind == SUMMARY
+    assert tree.nodes[ROOT_KEY].kind == SUMMARY
     key = tree.add_observation((0.25, 0.5, 0.5), 1, 0.9)
-    assert tree.root.kind == INTERIOR
+    assert tree.nodes[ROOT_KEY].kind == INTERIOR
     assert tree.nodes[key].kind == LEAF
     sibling = world.key_from_coords((1,), 1)
     assert tree.nodes[sibling].dist.is_close(shared)
@@ -409,14 +411,14 @@ def test_expand_summaries_restores_leaves():
         for iy in range(4):
             tree.set_leaf((ix, iy), shared, 1.0)
     assert tree.prune_all_identical() == 5  # 4 quads, then the root
-    assert tree.root.kind == SUMMARY
+    assert tree.nodes[ROOT_KEY].kind == SUMMARY
     assert len(tree.nodes) == 1
-    total_before = tree.root.weight
+    total_before = tree.nodes[ROOT_KEY].weight
     tree.expand_summaries()
     assert not tree.has_summaries()
     assert tree.leaf_count() == 16
     assert all(n.dist.is_close(shared) for n in tree.nodes.values() if n.kind == LEAF)
-    assert abs(tree.root.weight - total_before) < 1e-12
+    assert abs(tree.nodes[ROOT_KEY].weight - total_before) < 1e-12
 
 
 def test_expand_summaries_keeps_caches_within_rounding(tmp_path):
@@ -471,7 +473,7 @@ def test_set_leaf_rejects_bad_weight(tmp_path):
             tree.set_leaf((0,), TruncatedSemanticDistribution(((1, 1.0),), 0, 0), weight)
         assert snapshots_equal(before, snapshot(tree))
     serialize_tree(tree, tmp_path / "tree.soct")
-    assert deserialize_tree(tmp_path / "tree.soct").root.weight == 2.0
+    assert deserialize_tree(tmp_path / "tree.soct").nodes[ROOT_KEY].weight == 2.0
 
 
 def test_tree_requires_four_classes():
@@ -513,8 +515,8 @@ def _check_reads_are_pure(tree):
     before = snapshot(tree)
     for key, node in list(tree.nodes.items()):
         tree.conditional(key)
-        if node.kind == INTERIOR and tree.stored_children(key):
-            tree.child_sets([key])
+        if node.kind == INTERIOR and stored_children(tree, key):
+            tree.levels().child_sets(tree.rows([key]))
     assert snapshots_equal(before, snapshot(tree))
 
 
@@ -675,9 +677,9 @@ def test_batched_build_equals_record_by_record(tmp_path_factory, seed, k, cells,
 def _assert_weights_are_completion_totals(tree):
     """Every key with stored children weighs, bit for bit, the total that
     ``child_sets`` reports for its row."""
-    keys = sorted(k for k in tree.nodes if tree.stored_children(k))
+    keys = sorted(k for k in tree.nodes if stored_children(tree, k))
     assert keys_with_children(tree) == set(keys)
-    totals = tree.child_sets(keys)[3].tolist() if keys else []
+    totals = tree.levels().child_sets(tree.rows(keys))[3].tolist() if keys else []
     for key, total in zip(keys, totals):
         assert repr(tree.nodes[key].weight) == repr(total), key
 
