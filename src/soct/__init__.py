@@ -18,13 +18,7 @@ from .compression import (
     refresh_upward,
     weighted_gain,
 )
-from .infotheory import (
-    InfoIncrement,
-    bernoulli_js,
-    entropy,
-    js_divergence,
-    split_increments,
-)
+from .infotheory import InfoIncrement, bernoulli_js, split_increments
 from .octree import NodeKey, SemanticOctree, WorldConfig
 from .planning import (
     UNKNOWN_CLASS,
@@ -66,7 +60,6 @@ __all__ = [
     "class_ordered_astar",
     "compress_tree",
     "count_candidate_trees",
-    "entropy",
     "exhaustive_search",
     "expand_truncated",
     "expansion_gain",
@@ -75,7 +68,6 @@ __all__ = [
     "graph_from_tree",
     "halton_graph",
     "information_report",
-    "js_divergence",
     "per_class_information",
     "refresh_all",
     "refresh_upward",

@@ -2,7 +2,9 @@
 
 All outputs are deterministic given identical inputs and flags; numeric
 values print with 9 significant digits. Failures exit non-zero after
-printing ``error: <category>: <message>`` on stderr.
+printing ``error: <category>: <message>`` on stderr: the ``category`` of
+the ``SoctError`` raised (``errors``), ``io`` for an ``OSError``, or
+``no-path`` when ``plan`` finds no path.
 """
 
 from __future__ import annotations
@@ -15,33 +17,9 @@ import sys
 import numpy as np
 
 from . import compression, formats, planning
-from .errors import (
-    ConfigError,
-    CorruptionError,
-    DistributionError,
-    FormatError,
-    GraphError,
-    IngestError,
-    OutOfBoundsError,
-    SizeLimitError,
-    SoctError,
-    TreeError,
-)
+from .errors import ConfigError, FormatError, IngestError, SoctError
 from .octree import SemanticOctree
 from .planning import PlanQuery
-
-_CATEGORIES = (
-    (CorruptionError, "corruption"),
-    (FormatError, "format"),
-    (IngestError, "ingest"),
-    (OutOfBoundsError, "out-of-bounds"),
-    (SizeLimitError, "size-limit"),
-    (GraphError, "graph"),
-    (DistributionError, "distribution"),
-    (ConfigError, "config"),
-    (TreeError, "tree"),
-    (SoctError, "internal"),
-)
 
 
 def _fmt(value: float) -> str:
@@ -301,11 +279,8 @@ def main(argv=None) -> int:
     try:
         return args.func(args)
     except SoctError as exc:
-        for klass, category in _CATEGORIES:
-            if isinstance(exc, klass):
-                print(f"error: {category}: {exc}", file=sys.stderr)
-                return 1
-        raise
+        print(f"error: {exc.category}: {exc}", file=sys.stderr)
+        return 1
     except OSError as exc:
         print(f"error: io: {exc}", file=sys.stderr)
         return 1

@@ -1,4 +1,9 @@
-"""Entropy, divergences, and the per-node information increments.
+"""Per-node information increments, one node at a time.
+
+This is ``compression.weighted_gain``'s route, kept independent of the
+batched ``compression.split_terms`` kernel that every other gain and report
+reads, so that each checks the other: ``split_increments`` evaluates one
+child set's split entropy and per-class Bernoulli JS divergences on its own.
 
 Everything is measured in bits (log base 2) with the usual continuity
 conventions 0*log(0) = 0 and 0*log(0/0) = 0. Child-weight vectors are
@@ -16,22 +21,10 @@ from typing import TYPE_CHECKING, Mapping, Sequence
 import numpy as np
 
 from .errors import DistributionError
-from .semantics import FIELD_TOL, SUM_TOL, left_sum
+from .semantics import left_sum
 
 if TYPE_CHECKING:  # pragma: no cover
     from .compression import CompressionWeights
-
-
-def _as_dist(p, name: str = "p") -> np.ndarray:
-    arr = np.asarray(p, dtype=np.float64)
-    if arr.ndim != 1:
-        raise DistributionError(f"{name} must be a 1-d probability vector")
-    if np.any(arr < -FIELD_TOL):
-        raise DistributionError(f"{name} has a negative entry")
-    total = float(arr.sum())
-    if abs(total - 1.0) > SUM_TOL:
-        raise DistributionError(f"{name} sums to {total}, not 1")
-    return np.clip(arr, 0.0, None)
 
 
 def normalized_weights(weights) -> np.ndarray:
@@ -47,49 +40,17 @@ def normalized_weights(weights) -> np.ndarray:
     return arr / total
 
 
-def entropy(p) -> float:
-    """Shannon entropy of a probability vector, in bits."""
-    arr = _as_dist(p)
-    pos = arr[arr > 0]
-    return float(-(pos * np.log2(pos)).sum())
-
-
 def _entropy_of_weights(pi: np.ndarray) -> float:
     pos = pi[pi > 0]
     return float(-(pos * np.log2(pos)).sum())
 
 
-def js_divergence(dists, weights) -> float:
-    """Weighted Jensen-Shannon divergence of a set of distributions.
-
-    JS = sum_i pi_i * KL(p_i || pbar) with pbar the pi-weighted mixture.
-    Bounded above by the entropy of the weights; exactly zero when all
-    positively weighted distributions are identical.
-    """
-    rows = np.asarray(dists, dtype=np.float64)
-    if rows.ndim != 2:
-        raise DistributionError("dists must be a list of probability vectors")
-    pi = normalized_weights(weights)
-    if len(pi) != rows.shape[0]:
-        raise DistributionError("number of weights must match number of dists")
-    for i in range(rows.shape[0]):
-        _as_dist(rows[i], f"dists[{i}]")
-    rows = np.clip(rows, 0.0, None)
-    active = pi > 0
-    sub = rows[active]
-    if np.all(sub == sub[0]):
-        return 0.0
-    pbar = pi @ rows
-    with np.errstate(divide="ignore", invalid="ignore"):
-        terms = np.where(rows > 0, rows * np.log2(rows / pbar), 0.0)
-    return float(pi @ terms.sum(axis=1))
-
-
 def bernoulli_js(marginals, weights) -> float:
     """JS divergence of Bernoulli distributions given by their success probs.
 
-    Equivalent to ``js_divergence`` on rows [1-m, m]; kept separate because
-    per-class aggregation over tree children evaluates it in bulk.
+    JS = sum_i pi_i * KL(Bern(m_i) || Bern(mbar)) with mbar the pi-weighted
+    mean. Bounded above by the entropy of the weights; exactly zero when all
+    positively weighted marginals are identical.
     """
     m = np.clip(np.asarray(marginals, dtype=np.float64), 0.0, 1.0)
     pi = normalized_weights(weights)

@@ -36,7 +36,7 @@ import functools
 import itertools
 import math
 import operator
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from types import MappingProxyType
 from typing import Iterator, Mapping, NamedTuple
 
@@ -153,6 +153,11 @@ class WorldConfig:
     edge_length: float
     max_depth: int
     branching: int = 8
+    # derived once by __post_init__, and left out of __init__, __eq__,
+    # __hash__ and __repr__: the subdivided axes, and the finest cell side
+    # along them
+    dims: int = field(init=False, repr=False, compare=False)
+    leaf_size: float = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.branching not in (2, 4, 8):
@@ -161,6 +166,8 @@ class WorldConfig:
             raise ConfigError(f"max_depth must be in 1..{_MAX_DEPTH}")
         if not (self.edge_length > 0 and math.isfinite(self.edge_length)):
             raise ConfigError("edge_length must be positive and finite")
+        object.__setattr__(self, "dims", self.branching.bit_length() - 1)
+        object.__setattr__(self, "leaf_size", self.edge_length / (1 << self.max_depth))
         if not self.leaf_size > 0:
             raise ConfigError(f"edge_length {self.edge_length!r} is too small for "
                               f"max_depth {self.max_depth}: the finest cell size is 0")
@@ -168,38 +175,16 @@ class WorldConfig:
             raise ConfigError("origin must be a finite 3-vector")
         object.__setattr__(self, "origin", tuple(float(v) for v in self.origin))
 
-    @property
-    def dims(self) -> int:
-        return self.branching.bit_length() - 1
-
-    @property
-    def leaf_size(self) -> float:
-        """Cell side at the finest depth, along subdivided axes."""
-        return self.edge_length / (1 << self.max_depth)
-
-    def contains(self, point) -> bool:
-        """Whether a 3-d point lies in the half-open world box; NaN never does."""
-        e = self.edge_length
-        return all(o <= float(v) < o + e
-                   for v, o in zip(point, self.origin, strict=True))
-
-    def leaf_coords(self, point) -> tuple[int, ...]:
-        """Integer cell coordinates of the finest cell containing point.
-
-        Cells are half-open [lo, hi) per axis; points at the world's upper
-        corner are rejected. Works on plain floats, one point at a time.
-        """
-        return self.coords_of(self.leaf_key(point))
-
     def morton(self, points) -> tuple[np.ndarray, np.ndarray]:
         """Finest-depth Morton codes of an (N, 3) array of points.
 
-        Returns ``(codes, inside)``. ``codes`` bit-interleave the cell
-        coordinates that ``leaf_coords`` gives (same floor and upper clamp),
-        so a node's region is the code range of its index shifted left by
-        ``dims`` bits per level below it. ``inside`` applies the half-open
-        bounds of ``contains``; outside points get code 0. A power-of-two
-        leaf size divides exactly as a product with its inverse, far faster.
+        Returns ``(codes, inside)``. ``codes`` bit-interleave the finest cell
+        coordinates, floored per axis and clamped below the upper face, so a
+        node's region is the code range of its index shifted left by
+        ``dims`` bits per level below it. ``inside`` is the half-open box
+        test [origin, origin + edge) per axis (NaN is never inside); outside
+        points get code 0. A power-of-two leaf size divides exactly as a
+        product with its inverse, far faster.
         """
         p = np.asarray(points, dtype=np.float64).reshape(-1, 3)
         o = np.asarray(self.origin)
@@ -220,10 +205,12 @@ class WorldConfig:
         return codes, inside
 
     def leaf_key(self, point) -> NodeKey:
-        """Key of the finest cell containing point (see ``leaf_coords``).
+        """Key of the finest cell containing point, one point at a time.
 
-        On plain floats and ints: the bounds check of ``contains``, then per
-        axis the floor and upper clamp of ``morton``, then the interleave.
+        On plain floats and ints, the rule of ``morton``: the half-open box
+        test of its ``inside`` mask (``OutOfBoundsError`` outside, on the
+        upper faces and for NaN), then per axis its floor and upper clamp,
+        then the interleave. ``coords_of`` gives the cell's coordinates.
         """
         x, y, z = p = [float(v) for v in point]
         (ox, oy, oz), e = self.origin, self.edge_length

@@ -146,8 +146,8 @@ def test_batched_lookup_matches_reference(seed, branching, depth, prune, origin,
 @example(seed=1, branching=8, depth=6, origin=(-5.25, 3.3, 1e-3), edge_length=16.0)
 def test_single_point_lookup_matches_reference(seed, branching, depth, origin,
                                                edge_length):
-    """``contains``/``leaf_coords``/``leaf_key`` on one point agree with the
-    per-point reference and with the batched ``morton`` codes, on faces,
+    """``leaf_key`` on one point agrees with the per-point reference and
+    with the batched ``morton`` codes and ``inside`` mask, on faces,
     just below them, the upper corner and non-finite points. ``morton``
     warns of nothing and gives an outside point code 0."""
     rng = np.random.default_rng(seed)
@@ -159,16 +159,15 @@ def test_single_point_lookup_matches_reference(seed, branching, depth, origin,
     assert not codes[~inside].any()
     for point, code, ok in zip(points, codes.tolist(), inside.tolist()):
         ref = ref_cell_coords(world, point)
-        assert world.contains(point) == (ref is not None) == ok
+        assert (ref is not None) == ok
         if ref is None:
-            message = f"point {[float(v) for v in point]} outside world volume"
-            for lookup in (world.leaf_coords, world.leaf_key):
-                with pytest.raises(OutOfBoundsError) as err:
-                    lookup(point)
-                assert str(err.value) == message
+            with pytest.raises(OutOfBoundsError) as err:
+                world.leaf_key(point)
+            assert str(err.value) == f"point {[float(v) for v in point]} outside world volume"
             continue
-        assert world.leaf_coords(point) == tuple(ref)
-        assert world.leaf_key(point).index == code
+        key = world.leaf_key(point)
+        assert world.coords_of(key) == tuple(ref)
+        assert key.index == code
 
 
 def random_query(rng):

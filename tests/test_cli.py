@@ -677,6 +677,15 @@ def test_bad_interior_weight_is_corruption_error(workspace, capsys, bad):
     assert out == ""
 
 
+def run_python(args, check=False):
+    """Run a fresh interpreter with ``src`` on ``PYTHONPATH``."""
+    env = dict(os.environ)
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
+    return subprocess.run([sys.executable, *args], env=env, check=check,
+                          capture_output=True, text=True)
+
+
 def test_cli_import_leaves_scipy_unloaded(workspace):
     # Only graph builds need the k-d tree; build/compress/report must not
     # pay for importing scipy.spatial, and a build loads neither scipy nor
@@ -689,14 +698,25 @@ def test_cli_import_leaves_scipy_unloaded(workspace):
             f"for argv in {builds!r}:\n"
             "    assert soct.cli.main(argv) == 0\n"
             "print(sorted(m for m in ('scipy', 'pandas') if m in sys.modules))")
-    env = dict(os.environ)
-    src = str(Path(__file__).resolve().parent.parent / "src")
-    env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
-    done = subprocess.run([sys.executable, "-W", "always", "-c", code], env=env,
-                          check=True, capture_output=True, text=True)
+    done = run_python(["-W", "always", "-c", code], check=True)
     assert done.stdout.splitlines()[0] == "False"
     assert done.stdout.splitlines()[-1] == "[]"
     assert done.stderr == ""
+
+
+def test_module_entry_point_help_names_every_subcommand():
+    done = run_python(["-m", "soct", "--help"])
+    assert done.returncode == 0 and done.stderr == ""
+    assert "{build,compress,report,plan,export}" in done.stdout
+
+
+def test_module_entry_point_reports_a_missing_tree_as_io(workspace):
+    missing = workspace / "missing.soct"
+    done = run_python(["-m", "soct", "report", "--tree", str(missing),
+                       "--weights", str(workspace / "weights.cfg")])
+    assert done.returncode == 1 and done.stdout == ""
+    assert done.stderr.startswith("error: io: ") and str(missing) in done.stderr
+    assert len(done.stderr.splitlines()) == 1 and "Traceback" not in done.stderr
 
 
 def test_world_whose_finest_cell_underflows_is_a_config_error(workspace, capsys):

@@ -3,84 +3,60 @@ import pytest
 
 from soct.compression import CompressionWeights
 from soct.errors import DistributionError
-from soct.infotheory import (
-    bernoulli_js,
-    entropy,
-    js_divergence,
-    normalized_weights,
-    split_increments,
-)
+from soct.infotheory import bernoulli_js, normalized_weights, split_increments
 
 from helpers import ref_bernoulli_js, ref_entropy
 
 
-def test_entropy_point_mass():
-    assert entropy([1.0, 0.0]) == 0.0
+def test_bernoulli_js_identical_marginals():
+    assert bernoulli_js([0.7, 0.7], [0.2, 0.8]) == 0.0
 
 
-def test_entropy_uniform():
-    assert abs(entropy([0.5, 0.5]) - 1.0) < 1e-12
-    assert abs(entropy([1 / 8] * 8) - 3.0) < 1e-9
+def test_bernoulli_js_disjoint_supports_reach_weight_entropy():
+    assert abs(bernoulli_js([0.0, 1.0], [0.5, 0.5]) - 1.0) < 1e-12
 
 
-def test_entropy_rejects_unnormalized():
-    with pytest.raises(DistributionError):
-        entropy([0.5, 0.4])
-    with pytest.raises(DistributionError):
-        entropy([1.2, -0.2])
-
-
-def test_js_identical_distributions():
-    assert js_divergence([[0.3, 0.7], [0.3, 0.7]], [0.2, 0.8]) == 0.0
-
-
-def test_js_disjoint_supports_reach_weight_entropy():
-    assert abs(js_divergence([[1, 0], [0, 1]], [0.5, 0.5]) - 1.0) < 1e-12
-
-
-def test_js_three_way_mixture():
-    v = js_divergence([[1, 0], [0, 1], [0.5, 0.5]], [0.25, 0.25, 0.5])
+def test_bernoulli_js_three_way_mixture():
+    v = bernoulli_js([0.0, 1.0, 0.5], [0.25, 0.25, 0.5])
     assert abs(v - 0.5) < 1e-12
 
 
-def test_js_rejects_length_mismatch():
+def test_bernoulli_js_rejects_length_mismatch():
     with pytest.raises(DistributionError):
-        js_divergence([[1, 0], [0, 1]], [1.0])
+        bernoulli_js([0.0, 1.0], [1.0])
 
 
-def test_js_bounded_by_weight_entropy_bulk():
+def test_bernoulli_js_bounded_by_weight_entropy_bulk():
     rng = np.random.default_rng(42)
     for _ in range(10_000):
         l = int(rng.integers(2, 6))
-        m = int(rng.integers(2, 5))
-        dists = rng.dirichlet(np.ones(m), size=l)
+        m = rng.uniform(0.0, 1.0, l)
+        m[rng.uniform(size=l) < 0.2] = 0.0
+        m[rng.uniform(size=l) < 0.2] = 1.0
         weights = rng.uniform(0.0, 1.0, l)
         if weights.sum() == 0:
             weights[0] = 1.0
-        js = js_divergence(dists, weights)
-        assert -1e-12 <= js <= entropy(normalized_weights(weights)) + 1e-9
+        js = bernoulli_js(m, weights)
+        assert -1e-12 <= js <= ref_entropy(normalized_weights(weights)) + 1e-9
 
 
-def test_js_zero_iff_identical_active():
+def test_bernoulli_js_zero_iff_identical_active():
     rng = np.random.default_rng(7)
     for _ in range(200):
-        d = rng.dirichlet(np.ones(4))
-        other = rng.dirichlet(np.ones(4))
-        dists = [d, other, d]
-        js = js_divergence(dists, [0.5, 0.0, 0.5])
+        d, other = rng.uniform(0.0, 1.0, 2)
+        marginals = [d, other, d]
+        js = bernoulli_js(marginals, [0.5, 0.0, 0.5])
         assert js == 0.0
-        if not np.allclose(d, other):
-            assert js_divergence(dists, [0.4, 0.2, 0.4]) > 0.0
+        if not np.isclose(d, other):
+            assert bernoulli_js(marginals, [0.4, 0.2, 0.4]) > 0.0
 
 
-def test_bernoulli_js_matches_dense_js():
+def test_bernoulli_js_matches_reference():
     rng = np.random.default_rng(9)
     for _ in range(300):
         n = int(rng.integers(2, 7))
         m = rng.uniform(0, 1, n)
         w = rng.uniform(0.01, 2.0, n)
-        dense = js_divergence(np.column_stack([1 - m, m]), w)
-        assert abs(bernoulli_js(m, w) - dense) < 1e-12
         assert abs(bernoulli_js(m, w) - ref_bernoulli_js(m, w)) < 1e-12
 
 
@@ -138,8 +114,14 @@ def test_split_increments_validation():
         split_increments(1.0, [1.0], {}, cw)
 
 
-def test_entropy_reference_agreement():
+def test_split_bits_match_reference_entropy():
+    """``split_increments``'s split entropy, on a unit-mass node, against
+    the reference: point masses give 0 and uniform splits log2 of their
+    size."""
+    cw = CompressionWeights({}, {}, 1.0)
+    assert split_increments(1.0, [1.0, 0.0], {}, cw).split_bits == 0.0
+    assert abs(split_increments(1.0, [1] * 8, {}, cw).split_bits - 3.0) < 1e-12
     rng = np.random.default_rng(12)
     for _ in range(200):
         p = rng.dirichlet(np.ones(int(rng.integers(2, 8))))
-        assert abs(entropy(p) - ref_entropy(p)) < 1e-12
+        assert abs(split_increments(1.0, p, {}, cw).split_bits - ref_entropy(p)) < 1e-12

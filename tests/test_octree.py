@@ -1,4 +1,5 @@
 import copy
+import dataclasses
 import itertools
 import operator
 from collections import Counter
@@ -116,6 +117,25 @@ def test_world_whose_finest_cell_underflows_is_rejected():
     assert codes.tolist() == [0, 0] and inside.tolist() == [True, False]
 
 
+def test_world_derived_fields_stay_out_of_identity():
+    """``dims`` and ``leaf_size`` are computed once, and a world's equality,
+    hash and repr read only the four fields it is built from; ``replace``
+    and ``deepcopy`` keep the derived values consistent."""
+    a = WorldConfig((0, 0, -1.5), 8, 3, branching=4)
+    b = WorldConfig((0.0, 0.0, -1.5), 8, 3, branching=4)
+    assert a == b and hash(a) == hash(b)
+    assert repr(a) == "WorldConfig(origin=(0.0, 0.0, -1.5), edge_length=8, max_depth=3, branching=4)"
+    assert (a.dims, a.leaf_size) == (2, 1.0)
+    finer = dataclasses.replace(a, max_depth=5, branching=8)
+    assert (finer.dims, finer.leaf_size) == (3, 0.25)
+    assert finer == WorldConfig((0, 0, -1.5), 8, 5) != a
+    clone = copy.deepcopy(finer)
+    assert clone == finer and hash(clone) == hash(finer)
+    assert (clone.dims, clone.leaf_size) == (3, 0.25)
+    with pytest.raises(ValueError):
+        dataclasses.replace(a, dims=3)
+
+
 @pytest.mark.parametrize("branching", [2, 4, 8])
 def test_interleave_matches_the_bit_loop(branching):
     """The spread-table interleave gives the reference bit loop's codes at
@@ -135,13 +155,17 @@ def test_interleave_matches_the_bit_loop(branching):
 
 def test_point_to_cell_half_open():
     world = WorldConfig((0, 0, 0), 8.0, 3, branching=8)
-    assert world.leaf_coords((0.0, 0.0, 0.0)) == (0, 0, 0)
-    assert world.leaf_coords((1.0, 0.0, 0.0)) == (1, 0, 0)
-    assert world.leaf_coords((0.999999, 7.999, 3.5)) == (0, 7, 3)
+
+    def cell(point):
+        return world.coords_of(world.leaf_key(point))
+
+    assert cell((0.0, 0.0, 0.0)) == (0, 0, 0)
+    assert cell((1.0, 0.0, 0.0)) == (1, 0, 0)
+    assert cell((0.999999, 7.999, 3.5)) == (0, 7, 3)
     with pytest.raises(OutOfBoundsError):
-        world.leaf_coords((8.0, 0.0, 0.0))
+        world.leaf_key((8.0, 0.0, 0.0))
     with pytest.raises(OutOfBoundsError):
-        world.leaf_coords((-0.001, 0.0, 0.0))
+        world.leaf_key((-0.001, 0.0, 0.0))
 
 
 def test_centers_and_sizes():
