@@ -393,7 +393,7 @@ def serialize_tree(tree: SemanticOctree, path) -> None:
     head["kind"], head["weight"] = levels.kind[order], levels.weight[order]
     head["field"] = np.packbits(levels.slots >= 0, axis=1, bitorder="little")[order, 0]
     rec = np.flatnonzero(head["kind"] != INTERIOR)
-    rows = levels.table.take(levels.row[order[rec]])
+    rows = levels.table.take(order[rec])
     head["field"][rec] = n_top = rows.counts
     sizes = 10 + (head["kind"] != INTERIOR) * (16 + 10 * head["field"].astype(np.int64))
     at = np.cumsum(sizes) - sizes
@@ -535,12 +535,13 @@ def deserialize_tree(path) -> SemanticOctree:
     if end != n:
         raise CorruptionError(f"{n - end} trailing bytes")
     # Pre-order lists each depth by index: the levels are the nodes in file
-    # order, stably sorted by depth; a record's row is its rank in the file.
-    cond = np.zeros((m, num_classes + 1))
-    cond[rec] = expand_rows(rows.read_only(), num_classes)
-    row = np.zeros(m, dtype=np.int64)
-    row[rec] = np.arange(len(rec))
-    order = np.argsort(depth, kind="stable")
-    columns = (depth, index, kind, weight, row, cond, record, np.zeros(m), np.zeros(m, bool))
-    return SemanticOctree(world, num_classes, levels=Levels(
-        world, num_classes, [c[order] for c in columns], rows))
+    # order, stably sorted by depth, each record and vector in its node's row.
+    order, level_row = np.argsort(depth, kind="stable"), np.empty(m, np.int64)
+    level_row[order] = np.arange(m)
+    cond, table, rec = np.zeros((m, num_classes + 1)), TruncatedRows.zeros(m), level_row[rec]
+    cond[rec] = expand_rows(rows, num_classes)
+    for column, values in zip(table, rows):
+        column[rec] = values
+    depth, index, kind, weight, record = (c[order] for c in (depth, index, kind, weight, record))
+    return SemanticOctree(world, num_classes, levels=Levels(world, num_classes, (
+        depth, index, kind, weight, cond, record, np.zeros(m), np.zeros(m, bool)), table))

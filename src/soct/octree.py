@@ -19,10 +19,11 @@ with cached aggregate conditionals), plus summary nodes produced by pruning
 identical children; a summary stands in for a homogeneous subtree and is
 re-expanded on the next observation that touches its region.
 
-Leaves and summaries hold a truncated record, a row of the tree's one
-record table (``TruncatedRows``; each streamed record is appended, and a
-summary's prune or expansion shares its row), plus its dense vector over
-ids 0..K, validated and expanded once, when it is installed.
+Leaves and summaries hold a truncated record in their own row of the
+tree's record table (``TruncatedRows``, one row per node, interior rows
+empty; a streamed update rewrites the row in place, and a prune or an
+expansion copies it), plus its dense vector over ids 0..K, validated and
+expanded once, when it is installed.
 
 Concurrency: mutating operations require exclusive access to a tree;
 read-only traversals may run concurrently with each other. The first
@@ -325,7 +326,7 @@ class ViewNode(Node):
 
 ROOT_KEY = NodeKey(0, 0)
 _DELETED = -1  # the kind of a row that a prune removed, until the next merge
-_COLUMNS = ("depth", "index", "kind", "weight", "row", "cond", "cached", "gain", "boxed")
+_COLUMNS = ("depth", "index", "kind", "weight", "cond", "cached", "gain", "boxed")
 
 
 @functools.lru_cache(maxsize=None)
@@ -339,23 +340,24 @@ def uniform_row(num_classes: int) -> np.ndarray:
 class Levels:
     """A tree's nodes as columns: level d, rows ``bounds[d]:bounds[d + 1]``,
     lists depth d's nodes by Morton index, a linear octree (Gargantini
-    1982). Per row: ``depth``, ``index``, ``kind``, ``weight``, ``row`` (a
-    record's row of ``table``, the tree's one record table), a conditional
+    1982). Per row: ``depth``, ``index``, ``kind``, ``weight``, a record in
+    the same row of ``table`` (empty for an interior node), a conditional
     in the (n, K+1) ``cond`` matrix where ``cached`` holds, ``gain`` and
     ``boxed`` (the gain is a numpy float64, as ``compression`` types a gain
     over weighted classes). ``slots`` holds, for each row, its children's
     rows in octant order, -1 for an absent child.
 
-    Per-node writes go to an overlay: rows and records are appended to
-    columns whose room doubles, a prune marks rows deleted, and no row
-    moves. ``merged`` puts the ``size`` rows back into key order.
+    Per-node writes go to an overlay: new rows are appended to columns
+    whose room doubles, a record is written in place, a prune marks rows
+    deleted, and no row moves. ``merged`` puts the ``size`` rows back into
+    key order.
     """
 
     def __init__(self, world: WorldConfig, num_classes: int, columns, table: TruncatedRows):
         for name, column in zip(_COLUMNS, columns):
             setattr(self, name, column)
         self.world, self.num_classes, self.table = world, num_classes, table
-        self.size, self.records, self.overlay = len(self.index), len(table.ids), False
+        self.size, self.overlay = len(self.index), False
         bounds = np.searchsorted(self.depth, np.arange(world.max_depth + 2)).tolist()
         self.bounds = bounds
         self.slots = np.full((len(self.index), world.branching), -1)
@@ -368,15 +370,18 @@ class Levels:
 
     def node_dict(self, tree: "SemanticOctree") -> dict[NodeKey, Node]:
         """A ``ViewNode`` of ``tree`` per row of merged columns, caches
-        included, in pre-order (the file's order)."""
+        included, in pre-order (the file's order). The view reads its own
+        copy of the records, row i the i-th node's, which no later write
+        changes."""
         order = self.preorder()
         kind, cond = self.kind[order], self.cond[order]
         cond.flags.writeable = False
-        keys, tables = list(node_keys(self.depth[order], self.index[order])), [None, self.table]
+        table = self.table.take(order).read_only()
+        keys, tables = list(node_keys(self.depth[order], self.index[order])), [None, table]
         nodes = {key: ViewNode.__new__(ViewNode) for key in keys}
         for name, values in zip(("tree", "key", *Node.__slots__), (
                 itertools.repeat(tree), keys, kind.tolist(), self.weight[order].tolist(),
-                map(tables.__getitem__, (kind != INTERIOR).tolist()), self.row[order].tolist(),
+                map(tables.__getitem__, (kind != INTERIOR).tolist()), range(len(keys)),
                 [c if ok else None for c, ok in zip(cond, self.cached[order].tolist())],
                 [np.float64(g) if b else g
                  for g, b in zip(self.gain[order].tolist(), self.boxed[order].tolist())])):
@@ -385,13 +390,11 @@ class Levels:
         return nodes
 
     def merged(self) -> "Levels":
-        """The live rows in key order, over only the records they refer to."""
+        """The live rows in key order, with their records."""
         live = np.flatnonzero(self.kind[:self.size] != _DELETED)
         order = live[np.lexsort((self.index[live], self.depth[live]))]
-        columns = [getattr(self, name)[order] for name in _COLUMNS]
-        rec = columns[2] != INTERIOR
-        used, columns[4][rec] = np.unique(columns[4][rec], return_inverse=True)
-        return Levels(self.world, self.num_classes, columns, self.table.take(used).read_only())
+        return Levels(self.world, self.num_classes, [getattr(self, name)[order] for name in
+                                                     _COLUMNS], self.table.take(order))
 
     def preorder(self) -> np.ndarray:
         """The merged rows in pre-order, the file's order: by the Morton code
@@ -432,16 +435,19 @@ class Levels:
             new = np.full((room, *old.shape[1:]), -1 if name == "slots" else 0, old.dtype)
             new[:n] = old[:n]
             setattr(self, name, new)
+        old, self.table = self.table, TruncatedRows.zeros(room)
+        for new, column in zip(self.table, old):
+            new[:n] = column[:n]
 
     def add_row(self, parent: int, octant: int, kind: int, weight: float = 0.0,
-                row: int = 0, cond: np.ndarray | None = None) -> int:
-        """Append a child of row ``parent`` in ``octant``, with gain 0.0 and
-        cached if ``cond`` is given; returns its row."""
+                cond: np.ndarray | None = None) -> int:
+        """Append a child of row ``parent`` in ``octant``, with an empty
+        record, gain 0.0 and cached if ``cond`` is given; returns its row."""
         if self.size >= len(self.slots):
             self._grow()
         new, dims = self.size, self.world.dims
         self.depth[new], self.index[new] = self.depth[parent] + 1, self.index[parent] << dims | octant
-        self.kind[new], self.weight[new], self.row[new] = kind, weight, row
+        self.kind[new], self.weight[new] = kind, weight
         if cond is not None:
             self.cond[new], self.cached[new] = cond, True
         self.slots[parent, octant], self.has_children[parent] = new, True
@@ -450,50 +456,41 @@ class Levels:
 
     def install(self, row: int, weight: float, fields: tuple, cond) -> None:
         """Give finest ``row`` ``weight``, gain 0.0, the record of ``fields``
-        (``TruncatedRows.fields``), appended to ``table``, and its dense vector
-        ``cond``. A full table is first copied with room for as many more
-        records; when the other rows refer to at most half of them (an
-        update leaves its old record behind), only those are kept."""
-        at, table = self.records, self.table
-        if at == len(table.ids):
-            refers, keep = self.kind[:self.size] > INTERIOR, slice(at)  # leaves, summaries
-            refers[row] = False
-            if 2 * np.count_nonzero(refers) <= at:
-                rec = np.flatnonzero(refers)
-                keep, self.row[rec] = np.unique(self.row[rec], return_inverse=True)
-            kept = table.take(keep)
-            at = len(kept.ids)
-            table = self.table = TruncatedRows(*(np.concatenate([c, np.zeros(
-                (at + 16, *c.shape[1:]), c.dtype)]) for c in kept))
+        (``TruncatedRows.fields``), written over its row of ``table``, slots
+        past its count cleared, and its dense vector ``cond``."""
         ids, probs, p_free, p_residual = fields
-        table.ids[at, :len(ids)], table.probs[at, :len(ids)] = ids, probs
-        table.p_free[at], table.p_residual[at], table.counts[at] = p_free, p_residual, len(ids)
-        self.weight[row], self.row[row], self.cond[row], self.cached[row] = weight, at, cond, True
-        self.gain[row], self.boxed[row], self.records, self.overlay = 0.0, False, at + 1, True
+        table, unused = self.table, 3 - len(ids)
+        table.ids[row], table.probs[row] = ids + [0] * unused, probs + [0.0] * unused
+        table.p_free[row], table.p_residual[row], table.counts[row] = p_free, p_residual, len(ids)
+        self.weight[row], self.cond[row], self.cached[row] = weight, cond, True
+        self.gain[row], self.boxed[row], self.overlay = 0.0, False, True
 
     def expand(self, row: int) -> range:
-        """The rows of the new children of summary ``row``, now interior: they
-        share its record and conditional and split its weight; leaves at
-        depth D, else summaries."""
+        """The rows of the new children of summary ``row``, now interior with
+        an empty record: they get copies of its record and conditional and
+        split its weight; leaves at depth D, else summaries."""
         b, first = self.world.branching, self.size
         kind = LEAF if self.depth[row] + 1 == self.world.max_depth else SUMMARY
-        share, record, cond = self.weight[row] / b, self.row[row], self.cond[row].copy()
+        share, cond = self.weight[row] / b, self.cond[row].copy()
         for octant in range(b):
-            self.add_row(row, octant, kind, share, record, cond)
+            self.add_row(row, octant, kind, share, cond)
+        for column in self.table:
+            column[first:self.size] = column[row]
+            column[row] = 0
         self.kind[row], self.gain[row], self.boxed[row] = INTERIOR, 0.0, False
         return range(first, self.size)
 
     def prune(self, rows: np.ndarray) -> int:
         """How many of ``rows`` (interior, with a full set of record children)
         become summaries, those whose children hold one record (``rows_close``):
-        each takes its first child's record and conditional, and its children
-        are deleted."""
-        kids = self.slots[rows]
-        same = np.array([rows_close([(self.table, r) for r in self.row[k].tolist()])
-                         for k in kids], dtype=bool)
+        each gets a copy of its first child's record and conditional, and its
+        children are deleted."""
+        kids, table = self.slots[rows], self.table
+        same = np.array([rows_close(table, k.tolist()) for k in kids], dtype=bool)
         rows, kids = rows[same], kids[same]
-        self.kind[rows], self.row[rows] = SUMMARY, self.row[kids[:, 0]]
-        self.cond[rows] = self.cond[kids[:, 0]]
+        for column in table:
+            column[rows] = column[kids[:, 0]]
+        self.kind[rows], self.cond[rows] = SUMMARY, self.cond[kids[:, 0]]
         self.cached[rows], self.gain[rows], self.boxed[rows] = True, 0.0, False
         self.has_children[rows], self.slots[rows], self.kind[kids] = False, -1, _DELETED
         self.overlay |= bool(len(rows))
@@ -566,8 +563,8 @@ class SemanticOctree:
         self.world, self.num_classes, self._nodes = world, num_classes, None
         self._store = levels if levels is not None else Levels(world, num_classes, (
             np.zeros(1, np.int64), np.zeros(1, np.int64), np.zeros(1, np.int64), np.zeros(1),
-            np.zeros(1, np.int64), np.array([uniform_row(num_classes)]), np.zeros(1, bool),
-            np.zeros(1), np.zeros(1, bool)), TruncatedRows.of([]))
+            np.array([uniform_row(num_classes)]), np.zeros(1, bool), np.zeros(1),
+            np.zeros(1, bool)), TruncatedRows.zeros(1))
 
     def __getstate__(self) -> dict:
         """A copy leaves the ``nodes`` view behind and builds its own."""
@@ -675,21 +672,6 @@ class SemanticOctree:
         rank = np.arange(len(rows)) - first[leaf_of]
         by_round = np.argsort(rank, kind="stable")
         rounds = np.split(by_round, np.cumsum(np.bincount(rank))[:-1])
-        state = np.repeat(uniform_row(num_classes)[None, :], len(first), axis=0)
-        kept = TruncatedRows(np.zeros((len(first), 3), dtype=np.int64),
-                             np.zeros((len(first), 3)), np.zeros(len(first)),
-                             np.zeros(len(first)), np.zeros(len(first), dtype=np.int64))
-        for sel in rounds:
-            src = rows[sel]
-            posterior, contradicted = fuse_rows(state[leaf_of[sel]], obs_class[src],
-                                                confidence[src])
-            rejected.update((i, CONTRADICTED) for i in src[contradicted].tolist())
-            leaves = leaf_of[sel[~contradicted]]
-            records = truncate_rows(posterior[~contradicted])
-            state[leaves] = expand_rows(records, num_classes)
-            for column, values in zip(kept, records):
-                column[leaves] = values
-        state.flags.writeable = False
         # Level by level upward, the parents' ``completed_weights``.
         index, weight, b = [codes[first]], [np.ones(len(first))], world.branching
         for _ in range(world.max_depth):
@@ -704,11 +686,22 @@ class SemanticOctree:
             index[0], weight[0] = np.zeros(1, np.int64), np.zeros(1)
         depth = np.repeat(np.arange(world.max_depth + 1), list(map(len, index)))
         leaf, inner = depth == world.max_depth, len(depth) - len(first)
+        state = np.repeat(uniform_row(num_classes)[None, :], len(first), axis=0)
+        table = TruncatedRows.zeros(len(depth))
+        for sel in rounds:
+            src = rows[sel]
+            posterior, contradicted = fuse_rows(state[leaf_of[sel]], obs_class[src],
+                                                confidence[src])
+            rejected.update((i, CONTRADICTED) for i in src[contradicted].tolist())
+            leaves = leaf_of[sel[~contradicted]]
+            records = truncate_rows(posterior[~contradicted])
+            state[leaves] = expand_rows(records, num_classes)
+            for column, values in zip(table, records):
+                column[inner + leaves] = values
         return cls(world, num_classes, levels=Levels(world, num_classes, (
             depth, np.concatenate(index), np.where(leaf, LEAF, INTERIOR),
-            np.concatenate(weight), np.r_[np.zeros(inner, np.int64), np.arange(len(first))],
-            np.concatenate([np.zeros((inner, num_classes + 1)), state]), leaf,
-            np.zeros(len(depth)), np.zeros(len(depth), bool)), kept.read_only())), dict(
+            np.concatenate(weight), np.concatenate([np.zeros((inner, num_classes + 1)), state]),
+            leaf, np.zeros(len(depth)), np.zeros(len(depth), bool)), table)), dict(
                 sorted(rejected.items()))
 
     def add_observation(self, point, obs_class: int, confidence: float) -> NodeKey:
@@ -768,7 +761,7 @@ class SemanticOctree:
             child = store.slots.item(row, octant)
             if child < 0:
                 child = (store.add_row(row, octant, INTERIOR) if shift else store.add_row(
-                    row, octant, LEAF, 1.0, 0, uniform_row(self.num_classes)))
+                    row, octant, LEAF, 1.0, uniform_row(self.num_classes)))
             path[depth + 1] = child
 
     def _refresh_path(self, store: Levels, path: list[int]) -> None:

@@ -97,17 +97,17 @@ class TruncatedSemanticDistribution:
     def is_close(self, other: "TruncatedSemanticDistribution",
                  tol: float = FIELD_TOL) -> bool:
         """Field-by-field equality within ``tol`` (same ids, close values)."""
-        return rows_close([(TruncatedRows.of([self]), 0), (TruncatedRows.of([other]), 0)],
-                          tol)
+        return rows_close(TruncatedRows.of([self, other]), [0, 1], tol)
 
 
-def rows_close(rows, tol: float = FIELD_TOL) -> bool:
-    """Whether every ``(table, row)`` record of ``rows`` equals the first
-    field by field within ``tol``: the same stored ids, and probabilities,
-    p_free and p_residual each within ``tol``. Reads the rows and builds no
+def rows_close(table: "TruncatedRows", rows, tol: float = FIELD_TOL) -> bool:
+    """Whether every row ``rows`` of ``table`` equals the first field by
+    field within ``tol``: the same stored ids, and probabilities, p_free
+    and p_residual each within ``tol``. Reads the rows and builds no
     records."""
-    ids, probs, p_free, p_residual = rows[0][0].fields(rows[0][1])
-    for table, i in rows[1:]:
+    first, *rest = rows
+    ids, probs, p_free, p_residual = table.fields(first)
+    for i in rest:
         ids_i, probs_i, free_i, residual_i = table.fields(i)
         if (ids_i != ids or abs(free_i - p_free) > tol
                 or abs(residual_i - p_residual) > tol
@@ -146,6 +146,12 @@ class TruncatedRows(NamedTuple):
     def take(self, rows) -> "TruncatedRows":
         """Rows ``rows`` as a table."""
         return TruncatedRows(*(column[rows] for column in self))
+
+    @classmethod
+    def zeros(cls, n: int) -> "TruncatedRows":
+        """``n`` empty rows: no stored class and every field 0."""
+        return cls(np.zeros((n, 3), dtype=np.int64), np.zeros((n, 3)), np.zeros(n),
+                   np.zeros(n), np.zeros(n, dtype=np.int64))
 
     @classmethod
     def of(cls, records) -> "TruncatedRows":

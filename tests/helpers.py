@@ -564,28 +564,25 @@ def stored_children(tree, key):
 
 def tree_of_nodes(world, num_classes, nodes):
     """The tree whose columns hold a dict of ``Node``s, caches included, as
-    they are: nothing is checked or re-derived. The distinct tables their
-    records refer to become one."""
+    they are: nothing is checked or re-derived. Each record is copied from
+    the table its node refers to into the node's own row; an interior row
+    is empty."""
     depth, index = key_arrays(list(nodes))
     order = np.lexsort((index, depth))
     values = list(map(list(nodes.values()).__getitem__, order.tolist()))
     n, uniform = len(values), uniform_row(num_classes)
     kind = np.fromiter((v.kind for v in values), np.int64, n)
-    records = [values[i] for i in np.flatnonzero(kind != INTERIOR).tolist()]
-    tables = {id(v.table): v.table for v in records}
-    start = dict(zip(tables, itertools.accumulate(
-        (len(t.ids) for t in tables.values()), initial=0)))
-    row = np.zeros(n, dtype=np.int64)
-    row[kind != INTERIOR] = [start[id(v.table)] + v.row for v in records]
+    table = TruncatedRows.zeros(n)
+    for i in np.flatnonzero(kind != INTERIOR).tolist():
+        for column, source in zip(table, values[i].table):
+            column[i] = source[values[i].row]
     return SemanticOctree(world, num_classes, levels=Levels(world, num_classes, (
         depth[order], index[order], kind, np.fromiter((v.weight for v in values), np.float64, n),
-        row, np.concatenate([uniform if v.cond is None else v.cond for v in values]).reshape(
+        np.concatenate([uniform if v.cond is None else v.cond for v in values]).reshape(
             n, num_classes + 1),
         np.fromiter((v.cond is not None for v in values), bool, n),
         np.fromiter((v.gain for v in values), np.float64, n),
-        np.fromiter((type(v.gain) is np.float64 for v in values), bool, n)),
-        TruncatedRows(*(np.concatenate(column) for column in zip(
-            *tables.values(), TruncatedRows.of([]))))))
+        np.fromiter((type(v.gain) is np.float64 for v in values), bool, n)), table))
 
 
 def _ref_write_node(tree, key, out):

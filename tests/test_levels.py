@@ -22,7 +22,7 @@ from soct.compression import (
     refresh_all,
     refresh_upward,
 )
-from soct.errors import TreeError
+from soct.errors import DistributionError, TreeError
 from soct.formats import deserialize_tree, serialize_tree
 from soct.octree import (
     INTERIOR,
@@ -34,8 +34,16 @@ from soct.octree import (
     NodeKey,
     SemanticOctree,
     WorldConfig,
+    _DELETED,
     node_keys,
     uniform_row,
+)
+from soct.semantics import (
+    TruncatedSemanticDistribution,
+    expand_rows,
+    expand_truncated,
+    fuse_observation,
+    truncate_full,
 )
 
 from helpers import (
@@ -446,22 +454,116 @@ def test_lookup_is_the_slot_walk_on_unmerged_columns(seed, branching, shape, exp
 
 
 def test_a_stream_of_updates_keeps_the_record_table_small():
-    """Each update leaves its old record in the table, and a full table that
-    rows refer to at most half of is copied with only those: 2,000 updates
-    of one cell beside a few other leaves keep the table within four times
-    its live records (and 16), and the streamed tree writes the batch
-    build's file."""
+    """An update rewrites its leaf's record in its own row: 2,000 updates of
+    one cell beside a few other leaves add no row to the record table,
+    which keeps as many rows as the columns have room, and the streamed
+    tree writes the batch build's file."""
     world = WorldConfig((0, 0, 0), 8.0, 3)
     points = [(x + 0.5, 0.5, 0.5) for x in range(5)] + [(0.5, 0.5, 0.5)] * 2000
     classes = [1, 2, 3, 4, 1] + [1, 2, 1, 3] * 500
     tree = SemanticOctree(world, 4)
-    for point, c in zip(points, classes):
+    for point, c in zip(points[:5], classes[:5]):
         tree.add_observation(point, c, 0.6)
     store = tree.columns()
-    assert store.records <= len(store.table.ids) <= 4 * tree.leaf_count() + 16
+    room = len(store.index)
+    assert len(store.table.ids) == room
+    for point, c in zip(points[5:], classes[5:]):
+        tree.add_observation(point, c, 0.6)
+    assert tree.columns() is store
+    assert len(store.index) == len(store.table.ids) == room
     batch = SemanticOctree.from_observations(world, 4, points, classes, [0.6] * len(points))
     assert batch[1] == {}
     assert node_serialize(tree) == node_serialize(batch[0])
+
+
+# Records with three, one and two stored classes: a set leaf can be
+# overwritten with fewer, and one shared record lets prunes happen.
+_RECORDS = (
+    TruncatedSemanticDistribution(((1, 0.5), (2, 0.2), (3, 0.1)), 0.1, 0.1),
+    TruncatedSemanticDistribution(((2, 0.6),), 0.4, 0.0),
+    TruncatedSemanticDistribution(((3, 0.5), (1, 0.25)), 0.25, 0.0),
+)
+_STEP = st.one_of(
+    st.tuples(st.just("observe"), st.integers(0, 63), st.integers(0, 4),
+              st.sampled_from([0.6, 0.9])),
+    st.tuples(st.just("set"), st.integers(0, 63), st.integers(0, len(_RECORDS) - 1)),
+    st.tuples(st.just("fill"), st.integers(0, 7), st.integers(0, len(_RECORDS) - 1)),
+    st.tuples(st.just("prune")), st.tuples(st.just("expand")), st.tuples(st.just("reload")))
+
+
+def _check_records(store, k):
+    """Each leaf or summary row's ``cond`` is ``expand_rows`` of its record
+    row, bit for bit; interior rows store no class; every live row's count
+    is its number of nonzero ids; the table has a row per row of room."""
+    assert all(len(column) == len(store.index) == len(store.slots) for column in store.table)
+    kind = store.kind[:store.size]
+    rec, interior = np.flatnonzero(kind > INTERIOR), np.flatnonzero(kind == INTERIOR)
+    live = np.flatnonzero(kind != _DELETED)
+    assert store.cached[rec].all()
+    assert store.cond[rec].tobytes() == expand_rows(store.table.take(rec), k).tobytes()
+    assert not store.table.counts[interior].any() and not store.table.ids[interior].any()
+    assert (np.count_nonzero(store.table.ids[live], axis=1)
+            == store.table.counts[live]).all()
+
+
+@settings(max_examples=40, deadline=None)
+@given(branching=st.sampled_from([2, 4, 8]), steps=st.lists(_STEP, max_size=14))
+def test_every_record_row_expands_to_its_conditional(tmp_path_factory, branching, steps):
+    """Random interleavings of streamed observations, set leaves (over
+    existing ones too, and whole child sets of one record), prunes,
+    summary expansions and save/load round trips keep the record table's
+    invariants (``_check_records``) on the columns as they stand and
+    merged."""
+    world, k = WorldConfig((0, 0, 0), 8.0, 2, branching), 4
+    cells, path = 1 << 2 * world.dims, tmp_path_factory.mktemp("steps") / "tree.soct"
+    tree = SemanticOctree(world, k)
+    for op, *args in steps:
+        if op == "observe":
+            point = world.center_of(NodeKey(2, args[0] % cells))
+            try:
+                tree.add_observation(point, args[1], args[2])
+            except DistributionError:  # a zero prior rules the class out
+                pass
+        elif op == "set":
+            tree.set_leaf(world.coords_of(NodeKey(2, args[0] % cells)), _RECORDS[args[1]])
+        elif op == "fill":
+            parent = args[0] % (cells // branching)
+            for octant in range(branching):
+                tree.set_leaf(world.coords_of(NodeKey(2, parent * branching + octant)),
+                              _RECORDS[args[1]])
+        elif op == "prune":
+            tree.prune_all_identical()
+        elif op == "expand":
+            tree.expand_summaries()
+        else:
+            serialize_tree(tree, path)
+            tree = deserialize_tree(path)
+        _check_records(tree.columns(), k)
+        _check_records(tree.levels(), k)
+
+
+@pytest.mark.parametrize("write", ["observe", "set", "expand"])
+def test_a_held_view_node_keeps_its_record(write):
+    """A node of an old ``tree.nodes`` keeps its record and conditional
+    after a write rewrites its leaf's row in place (a streamed update, a
+    set leaf with fewer classes, or an observation that expands the
+    summary held), and the next view shows the write."""
+    world = WorldConfig((0, 0, 0), 8.0, 2, 2)
+    tree, leaf = SemanticOctree(world, 4), NodeKey(2, 0)
+    for cell in ((0,), (1,)):
+        tree.set_leaf(cell, _RECORDS[0])
+    if write == "expand":
+        assert tree.prune_all_identical() == 1
+    held = tree.nodes[NodeKey(1, 0) if write == "expand" else leaf]
+    cond = held.cond.tobytes()
+    if write == "set":
+        tree.set_leaf((0,), _RECORDS[1])
+        want = _RECORDS[1]
+    else:
+        tree.add_observation(world.center_of(leaf), 2, 0.9)
+        want = truncate_full(fuse_observation(expand_truncated(_RECORDS[0], 4), 2, 0.9))
+    assert (held.dist, held.cond.tobytes()) == (_RECORDS[0], cond)
+    assert tree.nodes[leaf].dist == want != _RECORDS[0]
 
 
 def test_nodes_is_a_read_only_view(tmp_path):

@@ -684,8 +684,7 @@ def test_batched_build_equals_record_by_record(tmp_path_factory, seed, k, cells,
     assert got.cond[got.cached].tobytes() == want.cond[want.cached].tobytes()
     records = np.flatnonzero(got.kind != INTERIOR).tolist()
     assert got.table.counts.tolist() == np.count_nonzero(got.table.ids, axis=1).tolist()
-    assert [got.table.record(got.row[i]) for i in records] == [
-        want.table.record(want.row[i]) for i in records]
+    assert [got.table.record(i) for i in records] == [want.table.record(i) for i in records]
     out = tmp_path_factory.mktemp("batch")
     serialize_tree(batch, out / "batch.soct")
     serialize_tree(serial, out / "serial.soct")
