@@ -1,77 +1,37 @@
-"""Probabilistic semantic octrees with task-driven compression and planning."""
+"""Probabilistic semantic octrees with task-driven compression and planning.
 
-from .compression import (
-    CompressedLeaf,
-    CompressedTree,
-    CompressionWeights,
-    ExhaustiveResult,
-    InfoReport,
-    build_and_compress,
-    compress_tree,
-    count_candidate_trees,
-    exhaustive_search,
-    expansion_gain,
-    full_tree,
-    information_report,
-    per_class_information,
-    refresh_all,
-    refresh_upward,
-    weighted_gain,
-)
-from .infotheory import InfoIncrement, bernoulli_js, split_increments
-from .octree import NodeKey, SemanticOctree, WorldConfig
-from .planning import (
-    UNKNOWN_CLASS,
-    ColoredGraph,
-    PlanQuery,
-    PlanResult,
-    class_ordered_astar,
-    graph_from_tree,
-    halton_graph,
-)
-from .semantics import (
-    ClassRegistry,
-    TruncatedSemanticDistribution,
-    expand_truncated,
-    fuse_observation,
-    truncate_full,
-)
+Each public name is declared once, under its home module in ``_EXPORTS``,
+and resolves on first use (PEP 562): reading it imports that module and
+stores the name here. ``import soct`` loads no submodule, so a command that
+never plans loads neither ``soct.planning`` nor scipy.
+"""
+
+import importlib
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "ClassRegistry",
-    "ColoredGraph",
-    "CompressedLeaf",
-    "CompressedTree",
-    "CompressionWeights",
-    "ExhaustiveResult",
-    "InfoIncrement",
-    "InfoReport",
-    "NodeKey",
-    "PlanQuery",
-    "PlanResult",
-    "SemanticOctree",
-    "TruncatedSemanticDistribution",
-    "UNKNOWN_CLASS",
-    "WorldConfig",
-    "bernoulli_js",
-    "build_and_compress",
-    "class_ordered_astar",
-    "compress_tree",
-    "count_candidate_trees",
-    "exhaustive_search",
-    "expand_truncated",
-    "expansion_gain",
-    "full_tree",
-    "fuse_observation",
-    "graph_from_tree",
-    "halton_graph",
-    "information_report",
-    "per_class_information",
-    "refresh_all",
-    "refresh_upward",
-    "split_increments",
-    "truncate_full",
-    "weighted_gain",
-]
+_EXPORTS = {
+    "compression": ("CompressedLeaf", "CompressedTree", "CompressionWeights", "ExhaustiveResult",
+                    "InfoReport", "build_and_compress", "compress_tree", "count_candidate_trees",
+                    "exhaustive_search", "expansion_gain", "full_tree", "information_report",
+                    "per_class_information", "refresh_all", "refresh_upward", "weighted_gain"),
+    "infotheory": ("InfoIncrement", "bernoulli_js", "split_increments"),
+    "octree": ("NodeKey", "SemanticOctree", "WorldConfig"),
+    "planning": ("ColoredGraph", "PlanQuery", "PlanResult", "class_ordered_astar",
+                 "graph_from_tree", "halton_graph"),
+    "semantics": ("UNKNOWN_CLASS", "ClassRegistry", "TruncatedSemanticDistribution",
+                  "expand_truncated", "fuse_observation", "truncate_full"),
+}
+_HOME = {name: module for module, names in _EXPORTS.items() for name in names}
+__all__ = sorted(_HOME)
+
+
+def __getattr__(name):
+    if name not in _HOME:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = globals()[name] = getattr(importlib.import_module(f"soct.{_HOME[name]}"), name)
+    return value
+
+
+def __dir__():
+    return sorted({*globals(), *__all__})

@@ -16,10 +16,9 @@ import sys
 
 import numpy as np
 
-from . import compression, formats, planning
+from . import compression, formats
 from .errors import ConfigError, FormatError, IngestError, SoctError
 from .octree import SemanticOctree
-from .planning import PlanQuery
 
 
 def _fmt(value: float) -> str:
@@ -50,7 +49,7 @@ def _load_for_weights(tree_path: str, weights_path: str):
 def _leaf_rows(ctree) -> list[str]:
     blocks = ctree.leaf_arrays
     centers, sizes = ctree.world.boxes(blocks.depth, blocks.index)
-    classes = planning.leaf_classes(blocks)
+    classes = compression.leaf_classes(blocks)
     # one % format per row; "%.9g" is _fmt's spec
     row = ",".join(["%.9g"] * 6 + ["%d", "%d", "%.9g", "%d"])
     return ["cx,cy,cz,sx,sy,sz,depth,class_id,weight,virtual",
@@ -148,9 +147,11 @@ def _cmd_compress(args) -> int:
 
 
 def _build_graph(args, tree, cfg, cw):
+    from . import planning  # deferred: only graph commands load the planner
+
     registry = cfg.registry()
-    roles = PlanQuery(0, 0, undesired=registry.irrelevant_ids,
-                      relevant=registry.relevant_ids)
+    roles = planning.PlanQuery(0, 0, undesired=registry.irrelevant_ids,
+                               relevant=registry.relevant_ids)
     if args.graph == "halton":
         return planning.halton_graph(tree.world, tree, args.halton_n,
                                      args.k_neighbors, roles), roles
@@ -177,13 +178,15 @@ def _parse_xy(text: str) -> tuple[float, float]:
 
 
 def _cmd_plan(args) -> int:
+    from . import planning  # deferred, as in _build_graph
+
     start_xy, goal_xy = _parse_xy(args.start), _parse_xy(args.goal)
     tree, cfg, cw = _load_for_weights(args.tree, args.weights)
     graph, roles = _build_graph(args, tree, cfg, cw)
     start = _nearest_vertex(graph, start_xy)
     goal = _nearest_vertex(graph, goal_xy)
-    query = PlanQuery(start, goal, undesired=roles.undesired,
-                      relevant=roles.relevant)
+    query = planning.PlanQuery(start, goal, undesired=roles.undesired,
+                               relevant=roles.relevant)
     result = planning.class_ordered_astar(graph, query)
     print(f"graph_vertices {graph.num_vertices}")
     print(f"graph_edges {graph.num_edges}")
@@ -219,6 +222,18 @@ def _cmd_export(args) -> int:
 # -- entry point --------------------------------------------------------------
 
 
+def _map_flags(p: argparse.ArgumentParser) -> argparse.ArgumentParser:
+    p.add_argument("--tree", required=True)
+    p.add_argument("--weights", required=True)
+    return p
+
+
+def _graph_flags(p: argparse.ArgumentParser) -> None:
+    p.add_argument("--graph", choices=("tree", "halton"), default="tree")
+    p.add_argument("--halton-n", type=int, default=256)
+    p.add_argument("--k-neighbors", type=int, default=8)
+
+
 @functools.cache
 def _parser() -> argparse.ArgumentParser:
     """The command-line parser, built on the first call of a process; a
@@ -237,38 +252,26 @@ def _parser() -> argparse.ArgumentParser:
     p.add_argument("--error-budget", type=int, default=100)
     p.set_defaults(func=_cmd_build)
 
-    p = sub.add_parser("compress",
-                       help="compress a tree and print its information report")
-    p.add_argument("--tree", required=True)
-    p.add_argument("--weights", required=True)
+    p = _map_flags(sub.add_parser(
+        "compress", help="compress a tree and print its information report"))
     p.add_argument("--out-leaves", help="also write the kept blocks as CSV")
     p.set_defaults(func=_cmd_compress)
 
-    p = sub.add_parser("report",
-                       help="per-class retention and leaf counts after compression")
-    p.add_argument("--tree", required=True)
-    p.add_argument("--weights", required=True)
+    p = _map_flags(sub.add_parser(
+        "report", help="per-class retention and leaf counts after compression"))
     p.set_defaults(func=_cmd_compress, out_leaves=None)
 
-    p = sub.add_parser("plan", help="search a colored graph built from the map")
-    p.add_argument("--tree", required=True)
-    p.add_argument("--weights", required=True)
+    p = _map_flags(sub.add_parser("plan", help="search a colored graph built from the map"))
     p.add_argument("--start", required=True, metavar="X,Y",
                    help="start point; write a negative X as --start=-3,5")
     p.add_argument("--goal", required=True, metavar="X,Y",
                    help="goal point; write a negative X as --goal=-3,5")
-    p.add_argument("--graph", choices=("tree", "halton"), default="tree")
-    p.add_argument("--halton-n", type=int, default=256)
-    p.add_argument("--k-neighbors", type=int, default=8)
+    _graph_flags(p)
     p.set_defaults(func=_cmd_plan)
 
-    p = sub.add_parser("export", help="write kept blocks or a graph as CSV")
-    p.add_argument("--tree", required=True)
-    p.add_argument("--weights", required=True)
+    p = _map_flags(sub.add_parser("export", help="write kept blocks or a graph as CSV"))
     p.add_argument("--what", choices=("leaves", "graph"), default="leaves")
-    p.add_argument("--graph", choices=("tree", "halton"), default="tree")
-    p.add_argument("--halton-n", type=int, default=256)
-    p.add_argument("--k-neighbors", type=int, default=8)
+    _graph_flags(p)
     p.add_argument("--out", required=True)
     p.set_defaults(func=_cmd_export)
     return parser

@@ -38,8 +38,8 @@ repeats it.
 
 The extraction gathers all expanded nodes in one call and keeps the
 compressed tree's blocks as columns (``LeafArrays``: depth, index, weight,
-marginals and a virtual mask, in key order), which the leaves CSV, the
-block index and the tree graph read. The per-block ``CompressedLeaf``
+marginals, virtual mask; key order); ``leaf_classes`` gives their class ids
+to the leaves CSV, the block index and the tree graph. ``CompressedLeaf``
 objects and the ``kept`` key set are built only when read.
 
 Trees containing summary nodes must be expanded (``expand_summaries``)
@@ -75,7 +75,7 @@ from .octree import (
     node_keys,
     uniform_row,
 )
-from .semantics import left_sum
+from .semantics import UNKNOWN_CLASS, dominant_class, left_sum
 
 G_EPS = 1e-12
 MAX_CANDIDATES = 1_000_000
@@ -140,6 +140,14 @@ class LeafArrays(NamedTuple):
     weight: np.ndarray
     marginals: np.ndarray
     virtual: np.ndarray
+
+
+def leaf_classes(blocks: LeafArrays) -> np.ndarray:
+    """Class id of every block: its dominant class, or UNKNOWN_CLASS for a
+    virtual (unobserved) one; one ``dominant_class`` call over all blocks."""
+    classes = dominant_class(blocks.marginals)
+    classes[blocks.virtual] = UNKNOWN_CLASS
+    return classes
 
 
 @dataclass(eq=False)
@@ -381,14 +389,15 @@ def refresh_upward(tree: SemanticOctree, leaf: NodeKey,
     takes the conditional and gain just computed for the node below. The
     JS and entropy terms of all rows come from one ``split_terms`` call.
     """
-    store = tree.columns()
-    path = store.path(leaf.depth, leaf.index) if leaf.depth == tree.world.max_depth else [-1]
+    store, world = tree.columns(), tree.world
+    finest = leaf.depth == world.max_depth and leaf.index >> world.dims * leaf.depth == 0
+    path = store.path(leaf.depth, leaf.index) if finest else [-1]
     if path[-1] < 0 or store.kind[path[-1]] != LEAF:
         raise TreeError(f"{leaf} is not a stored finest-resolution leaf")
     store.gain[path[-1]], store.boxed[path[-1]] = 0.0, False
     # Row i is the ancestor i + 1 levels up; its path slot holds the node below
     # it. Path conditionals are all rewritten, so the gather derives none.
-    path, dims, mask = path[-2::-1], tree.world.dims, tree.world.branching - 1
+    path, dims, mask = path[-2::-1], world.dims, world.branching - 1
     slots = [leaf.index >> dims * i & mask for i in range(len(path))]
     rows = np.array(path)
     store.cached[rows] = True

@@ -5,7 +5,8 @@ the most-undesired class met while sampling the straight segment between
 their endpoints. Unobserved space maps to the UNKNOWN_CLASS sentinel and is
 always treated as undesired. The search minimizes the lexicographic pair
 (number of undesired-class edges, total length); no scalarized weighting is
-ever used.
+ever used. The class-id rules (``UNKNOWN_CLASS``, ``dominant_class``,
+``leaf_classes``) live in ``semantics`` and ``compression``.
 
 All point lookups go through one primitive. ``WorldConfig.morton`` turns a
 batch of points into finest-depth Morton (Z-order) codes, and a node's
@@ -52,11 +53,11 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .compression import CompressedTree, LeafArrays
+from .compression import CompressedTree, leaf_classes
 from .errors import ConfigError, GraphError, TreeError
 from .octree import INTERIOR, SemanticOctree, WorldConfig
+from .semantics import UNKNOWN_CLASS, dominant_class
 
-UNKNOWN_CLASS = -1
 # Largest Halton graph built; a larger request is a config error, raised
 # before any point is generated. At k = 8 a graph holds about 1.3 kB per
 # vertex after its first query: 163 B in its edge arrays, 1,168 B in its
@@ -232,23 +233,6 @@ class PlanResult(NamedTuple):
 
 
 # -- class lookups ------------------------------------------------------------
-
-
-def dominant_class(marginals):
-    """Most likely class id of every distribution in an (N, K+1) array, as an
-    (N,) array; ties go to the lower id. One distribution (1-d) gives an int.
-    """
-    classes = np.argmax(marginals, axis=-1)
-    return int(classes) if np.ndim(marginals) == 1 else classes
-
-
-def leaf_classes(blocks: LeafArrays) -> np.ndarray:
-    """Class id of every compressed block: its dominant class, or
-    UNKNOWN_CLASS for a virtual (unobserved) block. One ``dominant_class``
-    call over the marginals matrix."""
-    classes = dominant_class(blocks.marginals)
-    classes[blocks.virtual] = UNKNOWN_CLASS
-    return classes
 
 
 class BlockIndex:
@@ -485,7 +469,7 @@ def halton_graph(world: WorldConfig, tree: SemanticOctree, n_vertices: int,
 
     Vertices sit at the first ``n_vertices`` Halton points (bases 2 and 3)
     scaled to the world footprint, at ground height: the centre height of
-    the lowest finest cells.
+    the lowest finest cells; ``world`` must be ``tree.world``.
     Vertex and edge colors are read from the finest stored octree node at
     each location; unobserved locations color as UNKNOWN_CLASS.
     """
@@ -495,6 +479,8 @@ def halton_graph(world: WorldConfig, tree: SemanticOctree, n_vertices: int,
         raise ConfigError(f"{n_vertices} Halton vertices exceed the "
                           f"{MAX_HALTON_VERTICES} limit")
     _check_k_neighbors(k_neighbors)
+    if world != tree.world:
+        raise ConfigError(f"graph world {world} is not the tree's world {tree.world}")
     z = world.origin[2] + world.leaf_size / 2.0
     pts = halton_points(n_vertices)
     positions = np.array(world.origin[:2]) + pts * world.edge_length

@@ -1,5 +1,5 @@
-"""Per-cell semantic class distributions, their Bayesian fusion, and the
-class role model.
+"""Per-cell semantic class distributions, their Bayesian fusion, the class
+role model and the class-id rules.
 
 A map cell carries a categorical distribution over class ids 0..K where id 0
 is free space and ids 1..K are semantic categories (road, grass, building,
@@ -12,7 +12,8 @@ Records are stored as rows of ``TruncatedRows`` tables; a
 ``TruncatedSemanticDistribution`` is one record as a value, made from a row
 when it is read. Two kernels, on (N, K+1) arrays and on one row of Python
 floats, fuse, truncate and expand records with the same bits; the class
-role model is ``ClassRegistry``.
+role model is ``ClassRegistry``; ``UNKNOWN_CLASS`` is the id of unobserved
+space, and ``dominant_class`` the argmax rule (ties to the lower id).
 
 All functions here are pure and do not modify their arguments; they are
 safe to call concurrently from any number of threads.
@@ -36,6 +37,8 @@ ROLE_RELEVANT = "relevant"
 ROLE_IRRELEVANT = "irrelevant"
 ROLE_NEUTRAL = "neutral"
 _ROLES = (ROLE_RELEVANT, ROLE_IRRELEVANT, ROLE_NEUTRAL)
+# class id of unobserved space: virtual blocks, gaps and points off the map
+UNKNOWN_CLASS = -1
 
 
 @dataclass(frozen=True)
@@ -71,6 +74,13 @@ class ClassRegistry:
 
     def name_of(self, cid: int) -> str:
         return self.names.get(cid, f"class{cid}")
+
+
+def dominant_class(marginals):
+    """Most likely class id of every row of an (N, K+1) array, ties to the
+    lower id; one distribution (1-d) gives an int."""
+    classes = np.argmax(marginals, axis=-1)
+    return int(classes) if np.ndim(marginals) == 1 else classes
 
 
 @dataclass(frozen=True)

@@ -1,5 +1,7 @@
 import io
+import json
 import os
+import re
 import subprocess
 import sys
 from contextlib import redirect_stderr, redirect_stdout
@@ -702,6 +704,67 @@ def test_cli_import_leaves_scipy_unloaded(workspace):
     assert done.stdout.splitlines()[0] == "False"
     assert done.stdout.splitlines()[-1] == "[]"
     assert done.stderr == ""
+
+
+def test_only_graph_commands_load_the_planner(workspace):
+    """``import soct`` loads no submodule; build, compress, report and the
+    leaves export load neither ``soct.planning`` nor scipy, and each graph
+    command, in its own process, loads both."""
+    ws = str(workspace)
+    maps = ["--tree", f"{ws}/tree.soct", "--weights", f"{ws}/weights.cfg"]
+    mapless = [
+        ["build", "--world", f"{ws}/world.cfg", "--cloud", f"{ws}/cloud.csv",
+         "--out", f"{ws}/tree.soct"],
+        ["compress", *maps, "--out-leaves", f"{ws}/leaves.csv"],
+        ["report", *maps],
+        ["export", *maps, "--what", "leaves", "--out", f"{ws}/export.csv"],
+    ]
+    graphs = [["plan", *maps, "--start", "0.5,3.5", "--goal", "7.5,4.5"],
+              ["export", *maps, "--what", "graph", "--out", f"{ws}/graph.csv"]]
+    code = ("import json, sys\n"
+            "import soct\n"
+            "print('loaded', [m for m in sys.modules if m.startswith('soct.')])\n"
+            "from soct.cli import main\n"
+            "for argv in json.loads(sys.argv[1]):\n"
+            "    assert main(argv) == 0, argv\n"
+            "    print('loaded', [m for m in ('soct.planning', 'scipy') if m in sys.modules])\n")
+
+    def loaded(argvs):
+        done = run_python(["-c", code, json.dumps(argvs)], check=True)
+        return [line for line in done.stdout.splitlines() if line.startswith("loaded ")]
+
+    assert loaded(mapless) == ["loaded []"] * 5
+    for argv in graphs:
+        assert loaded([argv]) == ["loaded []", "loaded ['soct.planning', 'scipy']"], argv
+
+
+def _help_flags(command: str) -> list[str]:
+    with redirect_stdout(io.StringIO()) as out, pytest.raises(SystemExit) as exc:
+        main([command, "--help"])
+    assert exc.value.code == 0
+    options = out.getvalue().split("\noptions:\n")[1]
+    return re.findall(r"^ +(?:-h, )?(--[a-z-]+)", options, re.MULTILINE)
+
+
+def test_subcommand_help_lists_flags_in_declaration_order():
+    """The ``--tree``/``--weights`` and graph flag groups sit where each
+    subcommand declares them, and ``plan`` and ``export`` share the graph
+    flags' defaults."""
+    assert {cmd: _help_flags(cmd) for cmd in ("build", "compress", "report", "plan",
+                                               "export")} == {
+        "build": ["--help", "--world", "--cloud", "--out", "--adhoc-prune", "--error-budget"],
+        "compress": ["--help", "--tree", "--weights", "--out-leaves"],
+        "report": ["--help", "--tree", "--weights"],
+        "plan": ["--help", "--tree", "--weights", "--start", "--goal", "--graph",
+                 "--halton-n", "--k-neighbors"],
+        "export": ["--help", "--tree", "--weights", "--what", "--graph", "--halton-n",
+                   "--k-neighbors", "--out"],
+    }
+    maps = ["--tree", "t.soct", "--weights", "w.cfg"]
+    plan = cli._parser().parse_args(["plan", *maps, "--start", "0,0", "--goal", "1,1"])
+    export = cli._parser().parse_args(["export", *maps, "--out", "g.csv"])
+    for args in (plan, export):
+        assert (args.graph, args.halton_n, args.k_neighbors) == ("tree", 256, 8)
 
 
 def test_module_entry_point_help_names_every_subcommand():

@@ -223,6 +223,26 @@ def test_refresh_upward_rejects_non_leaf():
         refresh_upward(tree, ROOT_KEY, cw)
 
 
+def test_refresh_upward_rejects_finest_keys_outside_the_grid():
+    """A finest key whose index lies outside 0 <= index < 2**(dims * D) is
+    no stored leaf, though its low dims * D bits name one; the caches stay
+    as they were."""
+    tree = SemanticOctree(WorldConfig((0, 0, 0), 8.0, 3), 4)
+    leaf = tree.add_observation((7.5, 7.5, 7.5), 1, 0.9)
+    assert leaf == NodeKey(3, 511)
+    cw = CompressionWeights({1: 1.0}, {2: 0.5}, 0.01)
+    store = tree.columns()
+    before = [getattr(store, name).copy() for name in ("weight", "cond", "cached", "gain",
+                                                       "boxed")]
+    for index in (-1, 1023, 511 | 5 << 40):
+        key = NodeKey(3, index)
+        with pytest.raises(TreeError, match=re.escape(
+                f"{key} is not a stored finest-resolution leaf")):
+            refresh_upward(tree, key, cw)
+    after = [getattr(store, name) for name in ("weight", "cond", "cached", "gain", "boxed")]
+    assert all(map(np.array_equal, before, after))
+
+
 def test_refresh_upward_gathers_and_evaluates_once(monkeypatch):
     """On a branching-8, depth-4 stream of new leaves (with new ancestors)
     and updates, each ``refresh_upward`` gathers its whole root path in one

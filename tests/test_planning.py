@@ -1,4 +1,5 @@
 import heapq
+import re
 import sys
 import threading
 
@@ -7,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from soct import planning
+from soct import compression, planning
 from soct.compression import CompressionWeights, compress_tree, full_tree, refresh_all
 from soct.errors import ConfigError, GraphError
 from soct.octree import INTERIOR, SemanticOctree, WorldConfig
@@ -355,6 +356,9 @@ def test_graph_builds_classify_each_block_index_once(monkeypatch):
         calls.append(len(marginals))
         return dominant_class(marginals)
 
+    # the tree graph classifies through compression.leaf_classes, the Halton
+    # graph through BlockIndex.from_octree
+    monkeypatch.setattr(compression, "dominant_class", counting)
     monkeypatch.setattr(planning, "dominant_class", counting)
     graph = graph_from_tree(ctree, query, 8)
     assert calls == [len(ctree.leaves)]
@@ -385,6 +389,21 @@ def test_k_neighbors_below_one_rejected(k):
         graph_from_tree(full_tree(tree), PlanQuery(0, 0), k)
     with pytest.raises(ConfigError):
         halton_graph(tree.world, tree, 16, k, PlanQuery(0, 0))
+
+
+def test_halton_graph_rejects_a_world_other_than_the_trees():
+    """The vertices would sit in one world and read their classes in
+    another; the vertex count and k are still checked first."""
+    tree = grid_map([[ROAD] * 4 for _ in range(4)])
+    shifted = WorldConfig((100.0, 100.0, 0.0), 4.0, 2, branching=4)
+    with pytest.raises(ConfigError, match=re.escape(f"{shifted}") + ".*"
+                       + re.escape(f"{tree.world}")):
+        halton_graph(shifted, tree, 16, 4, PlanQuery(0, 0))
+    with pytest.raises(ConfigError, match="at least 2 vertices"):
+        halton_graph(shifted, tree, 1, 4, PlanQuery(0, 0))
+    with pytest.raises(ConfigError, match="k_neighbors"):
+        halton_graph(shifted, tree, 16, 0, PlanQuery(0, 0))
+    assert halton_graph(tree.world, tree, 16, 4, PlanQuery(0, 0)).num_vertices == 16
 
 
 def test_halton_graph_rejects_too_many_vertices(monkeypatch):
