@@ -58,6 +58,7 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Iterable, Iterator, Mapping, NamedTuple
 
 import numpy as np
@@ -164,26 +165,20 @@ class CompressedTree:
     root_weight: float
     world: "object"
     num_classes: int
-    _leaves: dict | None = field(default=None, init=False, repr=False)
-    _kept: set | None = field(default=None, init=False, repr=False)
 
-    @property
+    @cached_property
     def leaves(self) -> dict[NodeKey, CompressedLeaf]:
         """The blocks by key, in key order."""
-        if self._leaves is None:
-            b = self.leaf_arrays
-            self._leaves = {key: CompressedLeaf(key, w, m, v) for key, w, m, v in zip(
-                node_keys(b.depth, b.index), b.weight.tolist(), b.marginals,
-                b.virtual.tolist())}
-        return self._leaves
+        b = self.leaf_arrays
+        return {key: CompressedLeaf(key, w, m, v) for key, w, m, v in zip(
+            node_keys(b.depth, b.index), b.weight.tolist(), b.marginals,
+            b.virtual.tolist())}
 
-    @property
+    @cached_property
     def kept(self) -> set[NodeKey]:
         """The root, the expanded nodes and the blocks."""
-        if self._kept is None:
-            b = self.leaf_arrays
-            self._kept = {ROOT_KEY, *self.expanded, *node_keys(b.depth, b.index)}
-        return self._kept
+        b = self.leaf_arrays
+        return {ROOT_KEY, *self.expanded, *node_keys(b.depth, b.index)}
 
     @property
     def num_leaves(self) -> int:
@@ -390,8 +385,7 @@ def refresh_upward(tree: SemanticOctree, leaf: NodeKey,
     JS and entropy terms of all rows come from one ``split_terms`` call.
     """
     store, world = tree.columns(), tree.world
-    finest = leaf.depth == world.max_depth and leaf.index >> world.dims * leaf.depth == 0
-    path = store.path(leaf.depth, leaf.index) if finest else [-1]
+    path = store.path(leaf.depth, leaf.index)
     if path[-1] < 0 or store.kind[path[-1]] != LEAF:
         raise TreeError(f"{leaf} is not a stored finest-resolution leaf")
     store.gain[path[-1]], store.boxed[path[-1]] = 0.0, False

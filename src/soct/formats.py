@@ -24,7 +24,6 @@ from __future__ import annotations
 
 import io
 import itertools
-import logging
 import math
 import re
 import struct
@@ -55,8 +54,6 @@ from .semantics import (
     record_errors,
 )
 
-log = logging.getLogger(__name__)
-
 CLOUD_HEADER = "x,y,z,class_id,confidence"
 
 MAGIC = b"SOCT"
@@ -77,10 +74,6 @@ class CloudRecord:
     class_id: int
     confidence: float
     lineno: int = field(default=0, compare=False)
-
-    @property
-    def point(self) -> tuple[float, float, float]:
-        return (self.x, self.y, self.z)
 
 
 class Cloud(NamedTuple):
@@ -136,21 +129,18 @@ def _parse_cloud_line(line: str, num_classes: int, lineno: int) -> CloudRecord:
     return CloudRecord(x, y, z, class_id, confidence, lineno)
 
 
-def ingest(path, num_classes: int, error_budget: int = 100,
-           on_error: Callable[[int, str], None] | None = None,
-           ) -> Iterator[CloudRecord]:
+def ingest(path, num_classes: int, error_budget: int = 100, *,
+           on_error: Callable[[int, str], None]) -> Iterator[CloudRecord]:
     """Yield records from a point-cloud file in file order, one line at a time.
 
     This is the per-line path: it defines every per-line error, and
     ``read_cloud`` falls back to it for any file its array pass does not
     take. Blank lines are skipped. Malformed lines, including lines that are
-    not valid UTF-8, are reported with their line number through
-    ``on_error`` (default: a log warning) and skipped; once more than
-    ``error_budget`` lines have failed, the whole file is rejected. A wrong
-    or undecodable header is a ``FormatError``.
+    not valid UTF-8, are passed to ``on_error`` with their line number
+    and skipped; once more than ``error_budget`` lines have failed, the
+    whole file is rejected. A wrong or undecodable header is a
+    ``FormatError``.
     """
-    if on_error is None:
-        on_error = lambda lineno, msg: log.warning("line %d: %s", lineno, msg)
     failed = 0
     with open(path, "r", encoding="utf-8", errors="surrogateescape") as fh:
         header = fh.readline().strip()
@@ -219,8 +209,8 @@ def _read_plain(data: bytes, num_classes: int) -> Cloud | None:
     return None
 
 
-def read_cloud(path, num_classes: int, error_budget: int = 100,
-               on_error: Callable[[int, str], None] | None = None) -> Cloud:
+def read_cloud(path, num_classes: int, error_budget: int = 100, *,
+               on_error: Callable[[int, str], None]) -> Cloud:
     """Read a whole point-cloud file into arrays.
 
     The result, the ``on_error`` calls and any error are those of collecting
@@ -236,7 +226,7 @@ def read_cloud(path, num_classes: int, error_budget: int = 100,
         return cloud
     rows, lines = [], []
     try:
-        for r in ingest(path, num_classes, error_budget, on_error):
+        for r in ingest(path, num_classes, error_budget, on_error=on_error):
             rows.append((r.x, r.y, r.z, r.class_id, r.confidence))
             lines.append(r.lineno)
     except IngestError as exc:

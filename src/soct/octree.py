@@ -12,7 +12,8 @@ is the sum of its (virtually completed) children, always evaluated by
 streamed insert): the builds, inserts and summary expansion store it and
 ``child_sets`` reports it per row, so a stored weight equals its row's
 total bit for bit. Keys find their rows by one walk down the child slots
-(``Levels.lookup``, ``Levels.path``).
+(``Levels.lookup``, ``Levels.path``); a key outside depths 0..D or its
+depth's index range finds none.
 
 Three node kinds exist: depth-D leaves and their ancestors (interior nodes
 with cached aggregate conditionals), plus summary nodes produced by pruning
@@ -90,12 +91,6 @@ def node_keys(depth: np.ndarray, index: np.ndarray) -> Iterator[NodeKey]:
     made by ``tuple.__new__``, without ``NodeKey``'s per-call constructor."""
     return map(tuple.__new__, itertools.repeat(NodeKey),
                zip(depth.tolist(), index.tolist()))
-
-
-def parent_key(key: NodeKey, dims: int) -> NodeKey:
-    if key.depth == 0:
-        raise TreeError("root has no parent")
-    return NodeKey(key.depth - 1, key.index >> dims)
 
 
 def child_key(key: NodeKey, octant: int, dims: int) -> NodeKey:
@@ -256,9 +251,6 @@ class WorldConfig:
         """3-d center of a node's cell (one-row ``boxes``)."""
         return self.boxes(*key_arrays([key]))[0][0]
 
-    def sizes_of(self, key: NodeKey) -> np.ndarray:
-        return self.boxes(*key_arrays([key]))[1][0]
-
 
 def completed_weights(stored: np.ndarray, count: np.ndarray,
                       branching: int) -> tuple[np.ndarray, np.ndarray]:
@@ -417,9 +409,12 @@ class Levels:
 
     def path(self, depth: int, index: int) -> list[int]:
         """The rows of the root path of node (depth, index), root first, -1
-        from the first absent node on: ``lookup``'s walk, for one key on
-        Python ints (the streamed record)."""
+        from the first absent node on: ``lookup``'s walk and range rule, for
+        one key on Python ints (the streamed record). A key out of range
+        has the path [-1]."""
         rows, row, dims, mask = [0], 0, self.world.dims, self.world.branching - 1
+        if not (0 <= depth <= self.world.max_depth and 0 <= index < 1 << dims * depth):
+            return [-1]
         for shift in range(dims * (depth - 1), -1, -dims):
             if row >= 0:
                 row = self.slots.item(row, index >> shift & mask)
@@ -552,7 +547,7 @@ class SemanticOctree:
 
     Every tree keeps its nodes as one ``Levels``, an empty tree the root
     alone. Per-node writes (``add_observation``, ``set_leaf``, summary
-    expansion, both prunes) go to its overlay, which ``levels()`` merges
+    expansion, the prune) go to its overlay, which ``levels()`` merges
     into key order for a batch operation. ``nodes`` is a read-only view.
     """
 
@@ -653,6 +648,7 @@ class SemanticOctree:
         with gain 0.0 (without leaves, the root alone, of weight 0.0); no
         ``Node`` is made. Rejected rows come in row order.
         """
+        cls.check_classes(num_classes)
         points = np.asarray(points, dtype=np.float64).reshape(-1, 3)
         confidence = np.asarray(confidence, dtype=np.float64)
         rejected = observation_errors(obs_class, confidence, num_classes)
@@ -773,27 +769,11 @@ class SemanticOctree:
 
     # -- summary handling ---------------------------------------------------
 
-    def prune_identical_children(self, key: NodeKey) -> bool:
-        """Collapse a node whose children all carry one identical distribution.
-
-        Applicable only when every child is stored and holds a truncated
-        record (a finest leaf or an already-pruned summary). On success the
-        children are deleted and the node becomes a summary carrying the
-        shared distribution, to re-expand on the next observation in it.
-        """
-        row, store = self.rows([key])[0], self._store
-        if store.kind[row] != INTERIOR:
-            raise TreeError(f"{key} is not an interior node")
-        kids = store.slots[row]
-        if (kids < 0).any():
-            raise TreeError(f"{key} does not have a full stored child set")
-        if (store.kind[kids] == INTERIOR).any():
-            raise TreeError(f"children of {key} include interior nodes")
-        return bool(self.columns().prune(np.array([row])))
-
     def prune_all_identical(self) -> int:
-        """Bottom-up sweep of ``prune_identical_children`` wherever
-        applicable, one level of the columns at a time."""
+        """Collapse, deepest first, every interior node whose children are
+        all stored and hold one record (``Levels.prune``, a level at a
+        time) into a summary, to re-expand on the next observation in it.
+        Returns the number collapsed."""
         store, pruned = self.levels(), 0
         for depth in reversed(range(self.world.max_depth)):
             a, b = store.bounds[depth:depth + 2]

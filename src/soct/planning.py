@@ -444,15 +444,16 @@ def halton(index: int, base: int) -> float:
     return r
 
 
-def halton_points(n: int, bases: tuple[int, int] = (2, 3)) -> np.ndarray:
-    """First n points of the 2-d Halton sequence in the unit square.
+def halton_points(n: int) -> np.ndarray:
+    """First n points of the 2-d Halton sequence in the unit square, bases
+    2 and 3.
 
     Each column takes ``halton``'s steps for all n indices at once, in the
     same order; an index out of digits adds exact zeros, so every value
     equals ``halton``'s bit for bit.
     """
     columns = []
-    for base in bases:
+    for base in (2, 3):
         index = np.arange(1, n + 1)
         f, r = 1.0, np.zeros(n)
         while index.any():

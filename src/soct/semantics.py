@@ -104,24 +104,19 @@ class TruncatedSemanticDistribution:
         for message in record_errors(TruncatedRows.of([self]), num_classes).values():
             raise DistributionError(message)
 
-    def is_close(self, other: "TruncatedSemanticDistribution",
-                 tol: float = FIELD_TOL) -> bool:
-        """Field-by-field equality within ``tol`` (same ids, close values)."""
-        return rows_close(TruncatedRows.of([self, other]), [0, 1], tol)
 
-
-def rows_close(table: "TruncatedRows", rows, tol: float = FIELD_TOL) -> bool:
-    """Whether every row ``rows`` of ``table`` equals the first field by
-    field within ``tol``: the same stored ids, and probabilities, p_free
-    and p_residual each within ``tol``. Reads the rows and builds no
-    records."""
+def rows_close(table: "TruncatedRows", rows) -> bool:
+    """Whether every row ``rows`` of ``table`` holds the first one's record,
+    the rule of a prune (``octree.Levels.prune``): the same stored ids, and
+    probabilities, p_free and p_residual each within ``FIELD_TOL``. Reads
+    the rows and builds no records."""
     first, *rest = rows
     ids, probs, p_free, p_residual = table.fields(first)
     for i in rest:
         ids_i, probs_i, free_i, residual_i = table.fields(i)
-        if (ids_i != ids or abs(free_i - p_free) > tol
-                or abs(residual_i - p_residual) > tol
-                or any(abs(a - b) > tol for a, b in zip(probs_i, probs))):
+        if (ids_i != ids or abs(free_i - p_free) > FIELD_TOL
+                or abs(residual_i - p_residual) > FIELD_TOL
+                or any(abs(a - b) > FIELD_TOL for a, b in zip(probs_i, probs))):
             return False
     return True
 

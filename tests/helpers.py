@@ -529,17 +529,27 @@ def scaled_leaves(tree, c):
     return tree_of_nodes(tree.world, tree.num_classes, nodes)
 
 
+def _ref_same_record(a, b):
+    """Two records field by field: the same stored class ids, and each
+    probability, p_free and p_residual within FIELD_TOL."""
+    values = [(p, q) for (_, p), (_, q) in zip(a.top3, b.top3)]
+    return ([c for c, _ in a.top3] == [c for c, _ in b.top3] and all(
+        abs(p - q) <= FIELD_TOL
+        for p, q in values + [(a.p_free, b.p_free), (a.p_residual, b.p_residual)]))
+
+
 def ref_prune_all(tree):
     """``prune_all_identical`` node by node on a dict of the tree's nodes:
     deepest parents first, one whose full child set holds only records, all
-    ``is_close`` to the first, becomes a summary of its weight and the first
-    child's record. Returns the pruned tree and the number of prunes."""
+    equal to the first field by field, becomes a summary of its weight and
+    the first child's record. Returns the pruned tree and the number of
+    prunes."""
     nodes, dims, pruned = editable_nodes(tree), tree.world.dims, 0
     parents = sorted((k for k, n in nodes.items() if n.kind == INTERIOR),
                      key=lambda k: (-k.depth, k.index))
     for key in parents:
         kids = [nodes.get(k) for k in child_keys(key, dims)]
-        if all(c is not None and c.kind != INTERIOR and c.dist.is_close(kids[0].dist)
+        if all(c is not None and c.kind != INTERIOR and _ref_same_record(c.dist, kids[0].dist)
                for c in kids):
             for k in child_keys(key, dims):
                 del nodes[k]

@@ -263,6 +263,18 @@ def test_class_count_above_format_limit_is_config_error(workspace, capsys):
     assert (workspace / "tree.soct").read_bytes() == b"an existing map"
 
 
+@pytest.mark.parametrize("num_classes", [-2, -1, 0, 3])
+def test_class_count_below_truncated_storage_is_config_error(workspace, capsys, num_classes):
+    """A world of fewer than 4 classes is refused before any record is
+    fused: one ``config`` line, no warnings, no traceback, no file."""
+    (workspace / "world.cfg").write_text(
+        WORLD.replace("num_classes 4", f"num_classes {num_classes}"))
+    code, out, err = build(workspace, capsys)
+    assert (code, out, err) == (
+        1, "", "error: config: truncated leaf storage needs at least 4 classes\n")
+    assert not (workspace / "tree.soct").exists()
+
+
 def test_rejected_record_in_unobserved_cell_builds_a_loadable_tree(tmp_path, capsys):
     """A record that parses but cannot be fused, alone in its cell, leaves
     no interior nodes behind; they used to make the file unloadable."""
@@ -299,7 +311,7 @@ def _record_by_record_build(world_text, cloud, budget, out=None):
     try:
         for rec in ingest(cloud, k, error_budget=budget, on_error=warn):
             try:
-                tree.add_observation(rec.point, rec.class_id, rec.confidence)
+                tree.add_observation((rec.x, rec.y, rec.z), rec.class_id, rec.confidence)
                 inserted += 1
             except (OutOfBoundsError, DistributionError) as exc:
                 warn(rec.lineno, str(exc))

@@ -924,7 +924,6 @@ def test_keys_beyond_int64_are_tree_errors(key):
     refresh_all(tree, cw)
     calls = [lambda: tree.conditional(key), lambda: expansion_gain(tree, key, cw),
              lambda: weighted_gain(tree, key, cw),
-             lambda: tree.prune_identical_children(key),
              lambda: compressed_from_expanded(tree, frozenset({ROOT_KEY, key}))]
     for call in calls:
         with pytest.raises(TreeError, match=re.escape(str(key))):

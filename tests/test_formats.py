@@ -52,7 +52,6 @@ def test_ingest_single_record(tmp_path):
     records, errors = collect(p, 24)
     assert errors == []
     assert records == [CloudRecord(1.0, 2.0, 0.5, 3, 0.9)]
-    assert records[0].point == (1.0, 2.0, 0.5)
 
 
 def test_ingest_reports_line_errors(tmp_path):
@@ -137,7 +136,7 @@ def _as_read(read, path, num_classes, budget):
     after a header error), its ``on_error`` calls, and its error."""
     calls = []
     try:
-        cloud = read(path, num_classes, budget, lambda n, m: calls.append((n, m)))
+        cloud = read(path, num_classes, budget, on_error=lambda n, m: calls.append((n, m)))
         error = None
     except IngestError as exc:
         cloud, error = exc.cloud, str(exc)
@@ -151,14 +150,14 @@ def _collect_ingest(path, num_classes, budget, on_error):
     """``ingest``, collected record by record into the arrays of a cloud."""
     def arrays(records):
         return formats.Cloud(
-            np.array([r.point for r in records], dtype=np.float64).reshape(-1, 3),
+            np.array([(r.x, r.y, r.z) for r in records], dtype=np.float64).reshape(-1, 3),
             np.array([r.class_id for r in records], dtype=np.int64),
             np.array([r.confidence for r in records], dtype=np.float64),
             np.array([r.lineno for r in records], dtype=np.int64))
 
     records = []
     try:
-        records.extend(ingest(path, num_classes, budget, on_error))
+        records.extend(ingest(path, num_classes, budget, on_error=on_error))
     except IngestError as exc:
         exc.cloud = arrays(records)
         raise
@@ -194,13 +193,13 @@ def test_read_cloud_takes_the_array_pass_on_plain_files(tmp_path, monkeypatch):
     p.write_bytes(b"x,y,z,class_id,confidence\r\n1.5,2.5,0.5,1,0.9\r\n"
                   b" 3e-1 ,-0.0,\t.5, +4 ,1\r\n0.5,0.5,0.5,0,1e-3")
     monkeypatch.setattr(formats, "ingest", fail)
-    cloud = read_cloud(p, 4)
+    cloud = read_cloud(p, 4, on_error=fail)
     assert cloud.points.tolist() == [[1.5, 2.5, 0.5], [0.3, -0.0, 0.5], [0.5, 0.5, 0.5]]
     assert cloud.classes.tolist() == [1, 4, 0]
     assert cloud.confidences.tolist() == [0.9, 1.0, 1e-3]
     assert cloud.lines.tolist() == [2, 3, 4]
     p.write_bytes(b"x,y,z,class_id,confidence\n")
-    assert read_cloud(p, 4).points.shape == (0, 3)
+    assert read_cloud(p, 4, on_error=fail).points.shape == (0, 3)
 
 
 def test_world_config_parse():

@@ -389,7 +389,7 @@ def test_per_key_reads_merge_nothing(monkeypatch):
             tree.set_leaf(cell, same if cell < (2, 0) else random_truncated(rng, 4))
     for point in rng.uniform(0, 4, (6, 3)):
         tree.add_observation(point, int(rng.integers(0, 5)), 0.8)
-    assert tree.prune_identical_children(NodeKey(1, 0))
+    assert tree.columns().prune(tree.rows([NodeKey(1, 0)])) == 1
     twin = copy.deepcopy(tree)
     twin.levels()
     merges = []
@@ -424,8 +424,11 @@ def test_lookup_is_the_slot_walk_on_unmerged_columns(seed, branching, shape, exp
     left unmerged, ``Levels.lookup`` of every key of the full tree and of
     out-of-range keys gives each key's ``path(...)[-1]``, and -1 out of
     range, before and after ``levels()`` merges; the rows found hold their
-    keys, which are the keys of ``nodes``. ``rows`` gives the rows of
-    stored keys and names the first unknown key of a list."""
+    keys, which are the keys of ``nodes``. A key's ``path`` is the
+    ``lookup`` of its ancestors, root first, and [-1] out of range: a depth
+    outside 0..D, or an index outside its depth's range, also one whose low
+    bits name a stored node. ``rows`` gives the rows of stored keys and
+    names the first unknown key of a list."""
     rng = np.random.default_rng(seed)
     tree = _random_tree(rng, branching, shape)
     world = tree.world
@@ -434,13 +437,19 @@ def test_lookup_is_the_slot_walk_on_unmerged_columns(seed, branching, shape, exp
     for point in rng.uniform(0, 16, (int(rng.integers(1, 6)), 3)):
         tree.add_observation(point, int(rng.integers(0, 5)), 0.8)
     keys = [(d, i) for d in range(world.max_depth + 1) for i in range(1 << world.dims * d)]
-    outside = [(-1, 0), (world.max_depth + 1, 0), (1, -1), (2, 1 << 2 * world.dims)]
+    outside = [(-1, 0), (world.max_depth + 1, 0), (1, -1), (2, 1 << 2 * world.dims)] + [
+        (d, i + (s << world.dims * d)) for d, i in keys for s in (1, -1, 1 << 40)]
     depth, index = np.array(keys + outside).T
     assert tree.columns().overlay
     for merge in (False, True):
         store = tree.levels() if merge else tree.columns()
         rows = store.lookup(depth, index)
-        assert rows.tolist() == [store.path(d, i)[-1] for d, i in keys] + [-1] * len(outside)
+        paths = [store.path(d, i) for d, i in keys + outside]
+        assert rows.tolist() == [p[-1] for p in paths[:len(keys)]] + [-1] * len(outside)
+        assert paths[len(keys):] == [[-1]] * len(outside)
+        row_of = dict(zip(keys, rows.tolist()))
+        assert paths[:len(keys)] == [[row_of[j, i >> world.dims * (d - j)] for j in range(d + 1)]
+                                     for d, i in keys]
         found = rows >= 0
         assert (store.depth[rows[found]] == depth[found]).all()
         assert (store.index[rows[found]] == index[found]).all()

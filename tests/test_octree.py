@@ -25,9 +25,14 @@ from soct.octree import (
     child_keys,
     completed_weight,
     completed_weights,
-    parent_key,
+    key_arrays,
 )
-from soct.semantics import TruncatedRows, TruncatedSemanticDistribution, expand_truncated
+from soct.semantics import (
+    TruncatedRows,
+    TruncatedSemanticDistribution,
+    expand_truncated,
+    rows_close,
+)
 
 from helpers import (
     _ref_children,
@@ -41,6 +46,11 @@ from helpers import (
     stored_children,
     tree_of_nodes,
 )
+
+
+def same_record(a, b):
+    """Whether two records agree as a prune compares them (``rows_close``)."""
+    return rows_close(TruncatedRows.of([a, b]), [0, 1])
 
 
 def snapshot(tree):
@@ -88,9 +98,7 @@ def test_key_algebra_roundtrip():
             depth = int(rng.integers(1, 7))
             index = int(rng.integers(0, 1 << (dims * depth)))
             key = NodeKey(depth, index)
-            parent = parent_key(key, dims)
-            assert parent.depth == key.depth - 1
-            assert key in child_keys(parent, dims)
+            assert key in child_keys(NodeKey(depth - 1, index >> dims), dims)
 
 
 def test_world_config_validation():
@@ -173,7 +181,7 @@ def test_centers_and_sizes():
     key = world.key_from_coords((3, 5), 3)
     center = world.center_of(key)
     assert np.allclose(center, [3.5, 5.5, 4.0])
-    assert np.allclose(world.sizes_of(key), [1.0, 1.0, 8.0])
+    assert np.allclose(world.boxes(*key_arrays([key]))[1][0], [1.0, 1.0, 8.0])
 
 
 def test_first_insertion_creates_single_path():
@@ -344,13 +352,13 @@ def test_prune_identical_children():
     parent = world.key_from_coords((0, 0, 0), 1)
     n_before = len(tree.nodes)
     dists_before = sum(1 for n in tree.nodes.values() if n.dist is not None)
-    assert tree.prune_identical_children(parent) is True
+    assert tree.prune_all_identical() == 1
     assert len(tree.nodes) == n_before - 8
     dists_after = sum(1 for n in tree.nodes.values() if n.dist is not None)
     assert dists_after == dists_before - 7  # 8 leaf records replaced by 1 summary
     node = tree.nodes[parent]
     assert node.kind == SUMMARY
-    assert node.dist.is_close(shared)
+    assert same_record(node.dist, shared)
     assert node.weight == 8.0
 
 
@@ -359,12 +367,12 @@ def test_prune_rejects_near_identical():
     tree = SemanticOctree(world, 4)
     tree.set_leaf((0,), TruncatedSemanticDistribution(((1, 0.5),), 0.5, 0.0), 1.0)
     tree.set_leaf((1,), TruncatedSemanticDistribution(((1, 0.5 + 1e-6),), 0.5 - 1e-6, 0.0), 1.0)
-    assert tree.prune_identical_children(ROOT_KEY) is False
+    assert tree.prune_all_identical() == 0
 
 
-def test_prune_compares_rows_as_is_close():
-    """Prune reads the children's rows and decides as ``is_close`` does on
-    their records: the same stored ids, every value within FIELD_TOL."""
+def test_prune_compares_rows_as_rows_close():
+    """Prune decides as ``rows_close`` does on its children's records: the
+    same stored ids, every value within FIELD_TOL."""
     t = TruncatedSemanticDistribution
     base = t(((2, 0.5), (1, 0.3), (3, 0.1)), 0.05, 0.05)
     variants = [
@@ -382,9 +390,9 @@ def test_prune_compares_rows_as_is_close():
         tree = SemanticOctree(world, 4)
         tree.set_leaf((0,), base, 1.0)
         tree.set_leaf((1,), other, 1.0)
-        assert tree.prune_identical_children(ROOT_KEY) is base.is_close(other), other
-    assert [base.is_close(v) for v in variants] == [True, True, False, False, False,
-                                                    False, False, True]
+        assert tree.prune_all_identical() == same_record(base, other), other
+    assert [same_record(base, v) for v in variants] == [True, True, False, False, False,
+                                                        False, False, True]
     # an assigned id 0 in a used slot is a stored class, unlike an unused slot
     tree = SemanticOctree(world, 4)
     tree.set_leaf((0,), t((), 1.0, 0.0), 1.0)
@@ -392,20 +400,22 @@ def test_prune_compares_rows_as_is_close():
     nodes = editable_nodes(tree)
     nodes[world.key_from_coords((1,), 1)].dist = t(((0, 0.0),), 1.0, 0.0)
     tree = tree_of_nodes(world, 4, nodes)
-    assert tree.prune_identical_children(ROOT_KEY) is False
+    assert tree.prune_all_identical() == 0
 
 
 def test_prune_requires_uniform_truncated_children():
-    rng = np.random.default_rng(5)
+    """Only a full child set of records collapses: of three equal leaves,
+    the two under (1, 0) do; the one alone under (1, 1) and the root, with
+    an interior child, stay."""
     world = WorldConfig((0, 0, 0), 4.0, 2, branching=2)
     tree = SemanticOctree(world, 4)
-    tree.set_leaf((0,), random_truncated(rng, 4), 1.0)   # depth-2 leaf under (1,0)
-    tree.set_leaf((1,), random_truncated(rng, 4), 1.0)
-    tree.set_leaf((2,), random_truncated(rng, 4), 1.0)
-    with pytest.raises(TreeError):
-        tree.prune_identical_children(ROOT_KEY)  # children are interior nodes
-    with pytest.raises(TreeError):
-        tree.prune_identical_children(world.key_from_coords((1,), 1))  # 1 of 2 stored
+    shared = random_truncated(np.random.default_rng(5), 4)
+    for cell in range(3):
+        tree.set_leaf((cell,), shared, 1.0)
+    assert tree.prune_all_identical() == 1
+    assert [(key, n.kind) for key, n in tree.nodes.items()] == [
+        (ROOT_KEY, INTERIOR), (NodeKey(1, 0), SUMMARY), (NodeKey(1, 1), INTERIOR),
+        (NodeKey(2, 2), LEAF)]
 
 
 def test_summary_reexpands_on_observation():
@@ -414,14 +424,14 @@ def test_summary_reexpands_on_observation():
     shared = TruncatedSemanticDistribution(((2, 0.6), (1, 0.2), (3, 0.1)), 0.05, 0.05)
     tree.set_leaf((0,), shared, 1.0)
     tree.set_leaf((1,), shared, 1.0)
-    assert tree.prune_identical_children(ROOT_KEY)
+    assert tree.prune_all_identical() == 1
     assert tree.nodes[ROOT_KEY].kind == SUMMARY
     key = tree.add_observation((0.25, 0.5, 0.5), 1, 0.9)
     assert tree.nodes[ROOT_KEY].kind == INTERIOR
     assert tree.nodes[key].kind == LEAF
     sibling = world.key_from_coords((1,), 1)
-    assert tree.nodes[sibling].dist.is_close(shared)
-    assert not tree.nodes[key].dist.is_close(shared)
+    assert same_record(tree.nodes[sibling].dist, shared)
+    assert not same_record(tree.nodes[key].dist, shared)
     marg = expand_truncated(tree.nodes[key].dist, tree.num_classes)
     assert marg[1] > 0.2  # the observed class gained mass
 
@@ -441,7 +451,7 @@ def test_expand_summaries_restores_leaves():
     tree.expand_summaries()
     assert not tree.has_summaries()
     assert tree.leaf_count() == 16
-    assert all(n.dist.is_close(shared) for n in tree.nodes.values() if n.kind == LEAF)
+    assert all(same_record(n.dist, shared) for n in tree.nodes.values() if n.kind == LEAF)
     assert abs(tree.nodes[ROOT_KEY].weight - total_before) < 1e-12
 
 

@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 from soct import compression, planning
 from soct.compression import CompressionWeights, compress_tree, full_tree, refresh_all
 from soct.errors import ConfigError, GraphError
-from soct.octree import INTERIOR, SemanticOctree, WorldConfig
+from soct.octree import INTERIOR, SemanticOctree, WorldConfig, key_arrays
 from soct.planning import (
     UNKNOWN_CLASS,
     ColoredGraph,
@@ -96,12 +96,10 @@ def test_halton_base_two_and_three():
     assert np.allclose(pts[0], [0.5, 1 / 3])
 
 
-@pytest.mark.parametrize("bases", [(2, 3), (5, 7)])
 @pytest.mark.parametrize("n", [1, 2, 5, 255, 256, 4097])
-def test_halton_points_equal_scalar_halton_bit_for_bit(n, bases):
-    ref = np.array([[halton(i, bases[0]), halton(i, bases[1])]
-                    for i in range(1, n + 1)])
-    got = halton_points(n, bases)
+def test_halton_points_equal_scalar_halton_bit_for_bit(n):
+    ref = np.array([[halton(i, 2), halton(i, 3)] for i in range(1, n + 1)])
+    got = halton_points(n)
     assert got.shape == (n, 2)
     assert got.tobytes() == ref.tobytes()
 
@@ -273,7 +271,7 @@ def test_vertices_lie_inside_their_leaf_footprints():
                for k in ctree.leaves}
     for i in range(g.num_vertices):
         key = centers[tuple(np.round(g.positions[i], 9))]
-        half = ctree.world.sizes_of(key)[:2] / 2
+        half = ctree.world.boxes(*key_arrays([key]))[1][0][:2] / 2
         center = ctree.world.center_of(key)[:2]
         assert np.all(np.abs(g.positions[i] - center) <= half)
 
