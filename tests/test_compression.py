@@ -41,6 +41,7 @@ from soct.octree import (
     SemanticOctree,
     WorldConfig,
     completed_weight,
+    node_keys,
 )
 from soct.semantics import TruncatedSemanticDistribution, left_sum, row_totals
 
@@ -821,6 +822,22 @@ def test_extraction_equals_the_node_by_node_reference(seed, branching, shape):
             assert type(leaf.weight) is float and repr(leaf.weight) == repr(weight)
             assert leaf.marginals.tobytes() == np.asarray(marginals).tobytes()
             assert leaf.virtual is virtual
+
+
+def test_leaves_and_kept_are_built_once(monkeypatch):
+    """``leaves`` and ``kept`` build their keys on the first read only;
+    later reads return the same dict and set."""
+    tree = two_leaf_tree()
+    refresh_all(tree, CompressionWeights({}, {}, 0.0))
+    ctree = full_tree(tree)
+    calls = []
+    monkeypatch.setattr("soct.compression.node_keys",
+                        lambda *args: calls.append(args) or node_keys(*args))
+    leaves, kept = ctree.leaves, ctree.kept
+    assert len(calls) == 2
+    assert ctree.leaves is leaves and ctree.kept is kept
+    assert len(calls) == 2
+    assert list(leaves) == sorted(leaves) and kept == {ROOT_KEY, *leaves}
 
 
 def test_build_and_compress_matches_manual_loop():

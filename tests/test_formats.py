@@ -54,6 +54,18 @@ def test_ingest_single_record(tmp_path):
     assert records == [CloudRecord(1.0, 2.0, 0.5, 3, 0.9)]
 
 
+@pytest.mark.parametrize("read", [ingest, read_cloud])
+def test_readers_take_on_error_by_keyword_only(tmp_path, read):
+    """A rejected line has no default destination: both readers refuse a
+    call without ``on_error``, or with it passed by position."""
+    p = tmp_path / "cloud.csv"
+    p.write_text("x,y,z,class_id,confidence\n1.0,2.0,0.5,3,0.9\n")
+    with pytest.raises(TypeError, match="on_error"):
+        read(p, 24)
+    with pytest.raises(TypeError, match="positional"):
+        read(p, 24, 100, lambda n, m: None)
+
+
 def test_ingest_reports_line_errors(tmp_path):
     p = tmp_path / "cloud.csv"
     p.write_text("x,y,z,class_id,confidence\n"

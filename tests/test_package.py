@@ -6,6 +6,7 @@ import os
 import re
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import pytest
@@ -65,3 +66,16 @@ def test_reading_a_name_loads_only_its_home_modules():
     done = subprocess.run([sys.executable, "-c", code], env=env, check=True,
                           capture_output=True, text=True)
     assert done.stdout.split() == ["[]", "False", "False"]
+
+
+def test_a_deprecation_warning_from_a_soct_module_is_an_error():
+    """The suite's ``filterwarnings`` turns a DeprecationWarning attributed
+    to a soct module into an error; its pattern names no other package, so
+    a third-party deprecation stays a warning."""
+    with pytest.raises(DeprecationWarning, match="old"):
+        warnings.warn_explicit("old", DeprecationWarning, "planning.py", 1,
+                               module="soct.planning")
+    scoped = [f[3] for f in warnings.filters
+              if f[0] == "error" and f[2] is DeprecationWarning and f[3] is not None]
+    assert scoped and all(p.match("soct.octree") and not p.match("numpy.linalg")
+                          for p in scoped)
