@@ -86,7 +86,7 @@ def _cmd_build(args) -> int:
     parse_abort = None
     try:
         cloud = formats.read_cloud(
-            args.cloud, num_classes, args.error_budget,
+            args.cloud, num_classes, error_budget=args.error_budget,
             on_error=lambda lineno, msg: bad_lines.append((lineno, msg, False)))
     except IngestError as exc:
         cloud, parse_abort = exc.cloud, exc

@@ -17,16 +17,18 @@ count u16), then each node in pre-order. A node starts with its kind u8
 interior node ends with its child-presence bitmask u8 (10 bytes),
 a leaf or summary goes on with n_top u8, n_top × (class id u16, probability
 f64), p_free f64 and p_residual f64 (26 + 10·n_top bytes). A read walks the
-kind and field bytes in Python and leaves every other read and check to arrays.
+kind and field bytes in Python, recording each node's offset and depth; each
+node's index and parent follow from those in arrays, and every other read
+and check is done on arrays too.
 """
 
 from __future__ import annotations
 
 import io
-import itertools
 import math
 import re
 import struct
+from array import array
 from dataclasses import dataclass, field
 from typing import Callable, Iterator, NamedTuple
 
@@ -129,7 +131,7 @@ def _parse_cloud_line(line: str, num_classes: int, lineno: int) -> CloudRecord:
     return CloudRecord(x, y, z, class_id, confidence, lineno)
 
 
-def ingest(path, num_classes: int, error_budget: int = 100, *,
+def ingest(path, num_classes: int, *, error_budget: int,
            on_error: Callable[[int, str], None]) -> Iterator[CloudRecord]:
     """Yield records from a point-cloud file in file order, one line at a time.
 
@@ -209,7 +211,7 @@ def _read_plain(data: bytes, num_classes: int) -> Cloud | None:
     return None
 
 
-def read_cloud(path, num_classes: int, error_budget: int = 100, *,
+def read_cloud(path, num_classes: int, *, error_budget: int,
                on_error: Callable[[int, str], None]) -> Cloud:
     """Read a whole point-cloud file into arrays.
 
@@ -226,7 +228,7 @@ def read_cloud(path, num_classes: int, error_budget: int = 100, *,
         return cloud
     rows, lines = [], []
     try:
-        for r in ingest(path, num_classes, error_budget, on_error=on_error):
+        for r in ingest(path, num_classes, error_budget=error_budget, on_error=on_error):
             rows.append((r.x, r.y, r.z, r.class_id, r.confidence))
             lines.append(r.lineno)
     except IngestError as exc:
@@ -267,7 +269,9 @@ _WEIGHTS_KEYS = {"num_classes": 1, "alpha": 1, "class": 4}
 
 
 def parse_world_config(text: str) -> tuple[WorldConfig, int]:
-    """Parse a world description; returns the config and the class count."""
+    """Parse a world description; returns the config and the class count.
+    A class count that truncated leaf storage or the tree format cannot
+    hold is a ``ConfigError``."""
     values = {key: args for _, key, args in _kv_lines(text, _WORLD_KEYS)}
     try:
         origin = tuple(float(v) for v in values.get("origin", ["0", "0", "0"]))
@@ -282,6 +286,7 @@ def parse_world_config(text: str) -> tuple[WorldConfig, int]:
     if len(origin) != 3:
         raise FormatError("origin needs exactly 3 values")
     _check_num_classes(num_classes)
+    SemanticOctree.check_classes(num_classes)
     return WorldConfig(origin, edge, depth, branching), num_classes
 
 
@@ -361,6 +366,19 @@ _HEADER = struct.Struct("<4sB3ddBBH")
 _HEAD = np.dtype([("kind", "u1"), ("weight", "<f8"), ("field", "u1")])
 _SLOT = np.dtype([("id", "<u2"), ("p", "<f8")])
 _TAIL = np.dtype([("p_free", "<f8"), ("p_residual", "<f8")])
+_NODE = np.dtype(_HEAD.descr + [("slots", _SLOT, (3,))])  # a node's fixed-offset fields
+# Row m, column k: the k-th set bit of mask m, the octant of a node's k-th child.
+_SELECT = np.array([[o for o in range(8) if m >> o & 1] + [0] * (8 - m.bit_count())
+                    for m in range(256)], np.int64)
+
+
+def _at_offsets(buffer: bytes, dtype: np.dtype, offsets: np.ndarray) -> np.ndarray:
+    """The ``dtype`` values that start at ``offsets`` in ``buffer``: one
+    gather of opaque fixed-width windows, from a view with a one-byte stride
+    (numpy copies a structured element field by field, a void one whole)."""
+    window = np.dtype((np.void, dtype.itemsize))
+    view = np.ndarray((len(buffer) - dtype.itemsize + 1,), window, buffer, strides=(1,))
+    return view[offsets].view(dtype)
 
 
 def _check_num_classes(num_classes: int) -> None:
@@ -404,18 +422,18 @@ def serialize_tree(tree: SemanticOctree, path) -> None:
 
 
 def _walk(data: bytes, world: WorldConfig):
-    """``(depth, index, parent row)`` and offset of each node met, in
-    pre-order, and the offset after the last. Reads kind and field bytes
-    only; stops after a node whose extent or children it cannot tell (cut
-    short, unknown kind, n_top > 3, bad mask, interior at max depth)."""
-    n, dims, branching, max_depth = len(data), world.dims, world.branching, world.max_depth
-    octants = range(branching - 1, -1, -1)
-    nodes, offsets = [], []
-    pos, stack = _HEADER.size, [(0, 0, -1)]
+    """Offset and depth of each node met, in pre-order, as int64 arrays, and
+    the offset after the last. Reads kind and field bytes only; an interior
+    node pushes its children's depth once per set mask bit. Stops after a
+    node whose extent or children it cannot tell (cut short, unknown kind,
+    n_top > 3, bad mask, interior at max depth)."""
+    n, branching, max_depth = len(data), world.branching, world.max_depth
+    offsets, depths = [], []  # a list append costs less than an array("q") one
+    pos, stack = _HEADER.size, [0]
     while stack:
-        node = stack.pop()
-        nodes.append(node)
+        depth = stack.pop()
         offsets.append(pos)
+        depths.append(depth)
         if pos + 10 > n:
             break
         kind, field = data[pos], data[pos + 9]
@@ -424,24 +442,42 @@ def _walk(data: bytes, world: WorldConfig):
                 break
             pos += 26 + 10 * field
         else:
-            depth, index, _ = node
             if field >> branching or depth >= max_depth:
                 break
             pos += 10
-            parent, base = len(nodes) - 1, index << dims
-            stack += [(depth + 1, base | o, parent) for o in octants if field >> o & 1]
-    return nodes, offsets, pos
+            stack += [depth + 1] * field.bit_count()
+    return (*(np.frombuffer(array("q", column), np.int64) for column in (offsets, depths)),
+            pos)
+
+
+def _structure(depth, field, dims):
+    """Each pre-order node's index and parent row (-1 for the root), one
+    pass per depth, and the rows stably sorted by depth. A node's first
+    child follows it, and each later child the subtree of the child before
+    it: a node right after a shallower one starts a run of siblings, whose
+    parent is that node. The k-th of the run sits at the k-th set bit of
+    the parent's mask."""
+    order = np.argsort(depth.astype(np.uint8), kind="stable")  # a radix sort on byte keys
+    bounds = np.cumsum(np.bincount(depth)).tolist()
+    index, parent = np.zeros(len(depth), np.int64), np.full(len(depth), -1)
+    for d, (a, b) in enumerate(zip(bounds, bounds[1:]), start=1):
+        rows, rank = order[a:b], np.arange(b - a)
+        first = np.maximum.accumulate(np.where(depth[rows - 1] < d, rank, 0))
+        parent[rows] = par = rows[first] - 1
+        index[rows] = index[par] << dims | _SELECT[field[par], rank - first]
+    return index, parent, order
 
 
 def deserialize_tree(path) -> SemanticOctree:
     """Read a tree from its binary format.
 
     Structure, weights and records are restored exactly. ``_walk`` finds
-    the nodes; all else is gathered from the buffer and checked at once. A
-    leaf or summary weight must be finite and non-negative, an interior
-    weight finite and within 1e-9 relative of its children's
-    ``completed_weights`` (files saved after ``refresh_all`` by earlier
-    versions hold row sums). Records are checked by ``record_errors``. The
+    each node's offset and depth, ``_structure`` its index and parent, and
+    one fixed-width read per node gathers its fields from the buffer; all
+    is checked at once. A leaf or summary weight must be finite and
+    non-negative, an interior weight finite and within 1e-9 relative of its
+    children's ``completed_weights`` (files saved after ``refresh_all`` by
+    earlier versions hold row sums). Records are checked by ``record_errors``. The
     first violation in file order is a ``CorruptionError``: a node's checks
     in the order of its bytes, an interior weight once its subtree is read.
     The tree keeps its nodes as ``octree.Levels`` columns and builds no
@@ -461,33 +497,38 @@ def deserialize_tree(path) -> SemanticOctree:
         SemanticOctree.check_classes(num_classes)
     except ConfigError as exc:
         raise CorruptionError(f"invalid world header: {exc}") from None
-    nodes, offsets, end = _walk(data, world)
-    n, m = len(data), len(nodes)
-    depth, index, parent = np.fromiter(itertools.chain.from_iterable(nodes), np.int64,
-                                       3 * m).reshape(-1, 3).T
+    offsets, depth, end = _walk(data, world)
+    n, m = len(data), len(depth)
     at = np.minimum(offsets, n)  # the node the walk stopped at may start past the end
-    u8 = np.frombuffer(data + bytes(10), dtype=np.uint8)
-    kind, field = u8[at].astype(np.int64), u8[at + 9].astype(np.int64)
-    weight = u8[(at + 1)[:, None] + np.arange(8)].view("<f8")[:, 0]
+    # Every node's fixed fields in one read, each node a _NODE at its offset
+    # of the zero-padded buffer; a record's tail sits at 10 + 10·n_top.
+    data += bytes(_NODE.itemsize)
+    node = _at_offsets(data, _NODE, at)
+    kind, field = node["kind"].astype(np.int64), node["field"].astype(np.int64)
+    weight, slots = node["weight"], node["slots"]
+    index, parent, order = _structure(depth, field, world.dims)
     interior, record = kind == INTERIOR, (kind == LEAF) | (kind == SUMMARY)
     rec = np.flatnonzero(record & (field <= 3) & (at + 26 + 10 * field <= n))
-    start, n_top = at[rec], field[rec]
-    tail = u8[(start + 10 + 10 * n_top)[:, None] + np.arange(_TAIL.itemsize)]
-    tail = tail.view(_TAIL)[:, 0]
+    n_top, ids, probs = field[rec], slots["id"][rec], slots["p"][rec]
+    tail = _at_offsets(data, _TAIL, at[rec] + 10 + 10 * n_top)
     used = np.arange(3) < n_top[:, None]
-    slot = np.where(used, start[:, None] + np.arange(10, 40, 10), 0)  # unused: offset 0
-    slots = u8[slot[:, :, None] + np.arange(_SLOT.itemsize)].view(_SLOT)[:, :, 0]
-    rows = TruncatedRows(np.where(used, slots["id"], 0), np.where(used, slots["p"], 0.0),
+    rows = TruncatedRows(np.where(used, ids, 0), np.where(used, probs, 0.0),
                          tail["p_free"], tail["p_residual"], n_top)
-    # An interior weight against its children's completion.
-    children = np.zeros((m, branching))
-    children[parent[1:], index[1:] & (branching - 1)] = weight[1:]
-    count = np.bincount(parent[1:], minlength=m)
+    # An interior weight against its children's completion; row j of
+    # ``children`` is the j-th interior node's, and ``up`` gives each
+    # non-root node its parent's row there.
+    inner, up = np.flatnonzero(interior), (np.cumsum(interior) - 1)[parent[1:]]
+    children = np.zeros((len(inner), branching))
+    children[up, index[1:] & (branching - 1)] = weight[1:]
+    expected = np.zeros(m)
     with np.errstate(all="ignore"):  # as Python floats: inf and nan, no error
         invalid = record_errors(rows, num_classes)
-        expected = completed_weights(children, count, branching)[1]
+        expected[inner] = completed_weights(children, np.bincount(up, minlength=len(inner)),
+                                            branching)[1]
         off_weight = interior & ~(np.isfinite(weight) & (
             np.abs(weight - expected) <= 1e-9 * np.abs(expected)))
+    bad_record = np.zeros(m, bool)
+    bad_record[rec[list(invalid)]] = True
     checks = [  # each node's, in the order they read its bytes
         (at + 9 > n, "truncated tree file"),
         (record & ~(np.isfinite(weight) & (weight >= 0.0)),
@@ -500,23 +541,23 @@ def deserialize_tree(path) -> SemanticOctree:
         (interior & (field >> branching > 0), "child bitmask {field:#x} exceeds branching"),
         (interior & (field == 0) & (depth > 0), "childless interior record at {key}"),
         (record & (at + 26 + 10 * field > n), "truncated tree file"),
-        (np.isin(np.arange(m), rec[list(invalid)]), "record {key} is invalid: {invalid}"),
+        (bad_record, "record {key} is invalid: {invalid}"),
     ]
     hit = np.array([mask for mask, _ in checks])
     heads = np.flatnonzero(hit.any(axis=0))
-    first = heads[0] if len(heads) else m
-    # A subtree ends where its last child's does; its root's weight is
-    # checked there, deeper roots first, before the next node is read.
-    ends = np.arange(1, m + 1)
-    for d in range(int(depth.max()), 0, -1):
-        np.maximum.at(ends, parent[depth == d], ends[depth == d])
-    done = np.flatnonzero(off_weight & (ends <= first))
-    key = lambda i: NodeKey(int(depth[i]), int(index[i]))  # noqa: E731
-    if len(done):
-        i = done[np.lexsort((-depth[done], ends[done]))[0]]
-        raise CorruptionError(f"interior record {key(i)} has weight {float(weight[i])!r}, "
-                              f"its children complete to {float(expected[i])!r}")
-    if len(heads):
+    if len(heads) or off_weight.any():
+        first = heads[0] if len(heads) else m
+        # A subtree ends where its last child's does; its root's weight is
+        # checked there, deeper roots first, before the next node is read.
+        ends = np.arange(1, m + 1)
+        for d in range(int(depth.max()), 0, -1):
+            np.maximum.at(ends, parent[depth == d], ends[depth == d])
+        done = np.flatnonzero(off_weight & (ends <= first))
+        key = lambda i: NodeKey(int(depth[i]), int(index[i]))  # noqa: E731
+        if len(done):
+            i = done[np.lexsort((-depth[done], ends[done]))[0]]
+            raise CorruptionError(f"interior record {key(i)} has weight {float(weight[i])!r}, "
+                                  f"its children complete to {float(expected[i])!r}")
         raise CorruptionError(checks[int(np.argmax(hit[:, first]))][1].format(
             key=key(first), weight=float(weight[first]), kind=kind[first],
             depth=depth[first], field=int(field[first]),
@@ -526,7 +567,7 @@ def deserialize_tree(path) -> SemanticOctree:
         raise CorruptionError(f"{n - end} trailing bytes")
     # Pre-order lists each depth by index: the levels are the nodes in file
     # order, stably sorted by depth, each record and vector in its node's row.
-    order, level_row = np.argsort(depth, kind="stable"), np.empty(m, np.int64)
+    level_row = np.empty(m, np.int64)
     level_row[order] = np.arange(m)
     cond, table, rec = np.zeros((m, num_classes + 1)), TruncatedRows.zeros(m), level_row[rec]
     cond[rec] = expand_rows(rows, num_classes)

@@ -238,33 +238,36 @@ def record_errors(records: TruncatedRows, num_classes: int) -> dict[int, str]:
     classes; no stored class below the residual's per-class share.
     """
     ids, probs, p_free, p_residual, counts = records
-    used = np.arange(3) < counts[:, None]
-    fields = np.column_stack([np.where(used, probs, 0.0), p_free, p_residual])
+    # Slot by row, (3, N) and (5, N): numpy reduces across a few long rows
+    # far faster than along many short ones.
+    used = np.arange(3)[:, None] < counts
+    ids = np.ascontiguousarray(ids.T)
+    fields = np.vstack([np.where(used, probs.T, 0.0), p_free, p_residual])
     bad_field = ~((fields >= -FIELD_TOL) & (fields <= 1 + FIELD_TOL))
-    bad_field[:, :3] &= used
+    bad_field[:3] &= used
     with np.errstate(invalid="ignore"):  # inf + -inf: a nan total, which breaks the sum rule
-        total = row_totals(fields)
-    last = fields[np.arange(len(counts)), np.clip(counts, 1, 3) - 1]
+        total = row_totals(fields.T)
+    last = fields[np.clip(counts, 1, 3) - 1, np.arange(len(counts))]
     share = p_residual / (num_classes - 3) if num_classes > 3 else -np.inf
     rules = [
         (counts > 3, "more than 3 stored classes"),
-        ((used[:, 1] & (ids[:, 0] == ids[:, 1])) | (used & (ids == 0)).any(axis=1)
-         | (used[:, 2] & ((ids[:, 0] == ids[:, 2]) | (ids[:, 1] == ids[:, 2]))),
+        ((used[1] & (ids[0] == ids[1])) | (used & (ids == 0)).any(axis=0)
+         | (used[2] & ((ids[0] == ids[2]) | (ids[1] == ids[2]))),
          "stored class ids must be distinct and non-zero"),
-        ((used & ((ids < 1) | (ids > num_classes))).any(axis=1),
+        ((used & ((ids < 1) | (ids > num_classes))).any(axis=0),
          "stored class id out of range"),
-        (bad_field.any(axis=1), "probability {value} outside [0, 1]"),
-        ((used[:, 1:] & (fields[:, :2] < fields[:, 1:3])).any(axis=1),
+        (bad_field.any(axis=0), "probability {value} outside [0, 1]"),
+        ((used[1:] & (fields[:2] < fields[1:3])).any(axis=0),
          "stored classes not sorted by probability"),
         (np.abs(total - 1.0) > SUM_TOL, "probabilities sum to {total}, not 1"),
         ((counts < 3) & (p_residual > SUM_TOL), "residual mass requires 3 stored classes"),
         ((counts > 0) & (last < share - FIELD_TOL),
          "stored probability below residual share"),
     ]
-    broken = np.column_stack([rule for rule, _ in rules])
-    return {i: rules[int(np.argmax(broken[i]))][1].format(
-                value=fields[i, np.argmax(bad_field[i])].item(), total=total[i].item())
-            for i in np.flatnonzero(broken.any(axis=1)).tolist()}
+    broken = np.array([rule for rule, _ in rules])
+    return {i: rules[int(np.argmax(broken[:, i]))][1].format(
+                value=fields[np.argmax(bad_field[:, i]), i].item(), total=total[i].item())
+            for i in np.flatnonzero(broken.any(axis=0)).tolist()}
 
 
 def check_observation(obs_class, confidence, num_classes: int) -> tuple[int, float]:

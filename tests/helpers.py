@@ -904,14 +904,19 @@ def demo_building_height(ix, iy):
     return 6 if demo_true_class(ix, iy) == BUILDING else 0
 
 
-def make_demo_cloud(rng, noise=0.12):
-    """Labeled point records for the 64x64x8-cell synthetic world.
+def make_demo_cloud(rng, tiles=1):
+    """Labeled point records for ``tiles`` x ``tiles`` copies of the
+    64x64x8-cell synthetic world, laid side by side in x and y: a map for a
+    (64·tiles)-unit world at depth 6 + log2(tiles), so its finest cells stay
+    unit cubes. ``tiles`` is a power of two.
 
-    Every cell of the content volume is observed: terrain classes on the
-    ground layer, solid building cells above building footprints, and
+    Every cell of a tile's content volume is observed: terrain classes on
+    the ground layer, solid building cells above building footprints, and
     observed free space elsewhere up to z = 8. Labels are corrupted with
-    classifier noise. Returns (x, y, z, class_id, confidence) tuples,
-    roughly 50k of them.
+    classifier noise. Every tile holds the first tile's records shifted by
+    its offset, so each tile's subtree is the one-tile tree. Returns
+    (x, y, z, class_id, confidence) tuples, tile by tile, roughly 50k per
+    tile.
     """
     records = []
     for ix in range(64):
@@ -920,11 +925,11 @@ def make_demo_cloud(rng, noise=0.12):
             height = demo_building_height(ix, iy)
             for iz in range(8):
                 if iz == 0:
-                    cls, nobs, p_noise = true, 5, noise
+                    cls, nobs, p_noise = true, 5, 0.12
                 elif iz < height:
-                    cls, nobs, p_noise = BUILDING, 3, noise
+                    cls, nobs, p_noise = BUILDING, 3, 0.12
                 else:
-                    cls, nobs, p_noise = FREE, 1, noise / 2
+                    cls, nobs, p_noise = FREE, 1, 0.06
                 for _ in range(nobs):
                     label = cls
                     if rng.random() < p_noise:
@@ -935,7 +940,9 @@ def make_demo_cloud(rng, noise=0.12):
                         iz + float(rng.uniform(0.05, 0.95)),
                         label,
                         float(rng.uniform(0.6, 0.95))))
-    return records
+    return [(x + 64 * tx, y + 64 * ty, z, label, confidence)
+            for tx in range(tiles) for ty in range(tiles)
+            for x, y, z, label, confidence in records]
 
 
 def write_cloud(path, records):

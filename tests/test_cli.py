@@ -265,13 +265,15 @@ def test_class_count_above_format_limit_is_config_error(workspace, capsys):
 
 @pytest.mark.parametrize("num_classes", [-2, -1, 0, 3])
 def test_class_count_below_truncated_storage_is_config_error(workspace, capsys, num_classes):
-    """A world of fewer than 4 classes is refused before any record is
-    fused: one ``config`` line, no warnings, no traceback, no file."""
+    """A world of fewer than 4 classes is refused before the cloud is
+    opened: one ``config`` line, no warnings, no traceback, no file, and no
+    ``io`` error for a cloud that does not exist."""
     (workspace / "world.cfg").write_text(
         WORLD.replace("num_classes 4", f"num_classes {num_classes}"))
-    code, out, err = build(workspace, capsys)
-    assert (code, out, err) == (
-        1, "", "error: config: truncated leaf storage needs at least 4 classes\n")
+    refused = (1, "", "error: config: truncated leaf storage needs at least 4 classes\n")
+    assert build(workspace, capsys) == refused
+    (workspace / "cloud.csv").unlink()
+    assert build(workspace, capsys) == refused
     assert not (workspace / "tree.soct").exists()
 
 

@@ -30,6 +30,7 @@ from soct.semantics import TruncatedSemanticDistribution
 from helpers import (
     cloud_files,
     editable_nodes,
+    make_demo_cloud,
     make_random_tree,
     random_truncated,
     random_weights,
@@ -39,10 +40,10 @@ from helpers import (
 )
 
 
-def collect(path, num_classes, **kw):
+def collect(path, num_classes, error_budget=100):
     errors = []
-    records = list(ingest(path, num_classes,
-                          on_error=lambda n, m: errors.append((n, m)), **kw))
+    records = list(ingest(path, num_classes, error_budget=error_budget,
+                          on_error=lambda n, m: errors.append((n, m))))
     return records, errors
 
 
@@ -56,12 +57,17 @@ def test_ingest_single_record(tmp_path):
 
 @pytest.mark.parametrize("read", [ingest, read_cloud])
 def test_readers_take_on_error_by_keyword_only(tmp_path, read):
-    """A rejected line has no default destination: both readers refuse a
-    call without ``on_error``, or with it passed by position."""
+    """A rejected line has no default destination and no default budget:
+    both readers refuse a call without ``on_error`` or ``error_budget``, or
+    with either passed by position."""
     p = tmp_path / "cloud.csv"
     p.write_text("x,y,z,class_id,confidence\n1.0,2.0,0.5,3,0.9\n")
     with pytest.raises(TypeError, match="on_error"):
-        read(p, 24)
+        read(p, 24, error_budget=100)
+    with pytest.raises(TypeError, match="error_budget"):
+        read(p, 24, on_error=lambda n, m: None)
+    with pytest.raises(TypeError, match="positional"):
+        read(p, 24, 100, on_error=lambda n, m: None)
     with pytest.raises(TypeError, match="positional"):
         read(p, 24, 100, lambda n, m: None)
 
@@ -148,7 +154,8 @@ def _as_read(read, path, num_classes, budget):
     after a header error), its ``on_error`` calls, and its error."""
     calls = []
     try:
-        cloud = read(path, num_classes, budget, on_error=lambda n, m: calls.append((n, m)))
+        cloud = read(path, num_classes, error_budget=budget,
+                     on_error=lambda n, m: calls.append((n, m)))
         error = None
     except IngestError as exc:
         cloud, error = exc.cloud, str(exc)
@@ -158,7 +165,7 @@ def _as_read(read, path, num_classes, budget):
     return arrays, calls, error
 
 
-def _collect_ingest(path, num_classes, budget, on_error):
+def _collect_ingest(path, num_classes, *, error_budget, on_error):
     """``ingest``, collected record by record into the arrays of a cloud."""
     def arrays(records):
         return formats.Cloud(
@@ -169,7 +176,7 @@ def _collect_ingest(path, num_classes, budget, on_error):
 
     records = []
     try:
-        records.extend(ingest(path, num_classes, budget, on_error=on_error))
+        records.extend(ingest(path, num_classes, error_budget=error_budget, on_error=on_error))
     except IngestError as exc:
         exc.cloud = arrays(records)
         raise
@@ -205,13 +212,13 @@ def test_read_cloud_takes_the_array_pass_on_plain_files(tmp_path, monkeypatch):
     p.write_bytes(b"x,y,z,class_id,confidence\r\n1.5,2.5,0.5,1,0.9\r\n"
                   b" 3e-1 ,-0.0,\t.5, +4 ,1\r\n0.5,0.5,0.5,0,1e-3")
     monkeypatch.setattr(formats, "ingest", fail)
-    cloud = read_cloud(p, 4, on_error=fail)
+    cloud = read_cloud(p, 4, error_budget=0, on_error=fail)
     assert cloud.points.tolist() == [[1.5, 2.5, 0.5], [0.3, -0.0, 0.5], [0.5, 0.5, 0.5]]
     assert cloud.classes.tolist() == [1, 4, 0]
     assert cloud.confidences.tolist() == [0.9, 1.0, 1e-3]
     assert cloud.lines.tolist() == [2, 3, 4]
     p.write_bytes(b"x,y,z,class_id,confidence\n")
-    assert read_cloud(p, 4, on_error=fail).points.shape == (0, 3)
+    assert read_cloud(p, 4, error_budget=0, on_error=fail).points.shape == (0, 3)
 
 
 def test_world_config_parse():
@@ -370,6 +377,23 @@ def test_roundtrip_preserves_summaries(tmp_path):
     p2 = tmp_path / "pruned2.soct"
     serialize_tree(back, p2)
     assert path.read_bytes() == p2.read_bytes()
+
+
+def test_tiled_demo_map_reloads_byte_identical(tmp_path):
+    """The demo tiled 2x2 (200,608 records in a 128-unit world at depth 7),
+    the suite's one map deeper than 6 levels, reads back to its bytes."""
+    records = np.array(make_demo_cloud(np.random.default_rng(1010), tiles=2))
+    assert len(records) == 200_608
+    world = WorldConfig((0, 0, 0), 128.0, 7, 8)
+    tree, rejected = SemanticOctree.from_observations(
+        world, 4, records[:, :3], records[:, 3].astype(np.int64), records[:, 4])
+    assert not rejected
+    first, second = tmp_path / "tiled.soct", tmp_path / "again.soct"
+    serialize_tree(tree, first)
+    back = deserialize_tree(first)
+    assert back.levels().depth.max() == 7
+    serialize_tree(back, second)
+    assert second.read_bytes() == first.read_bytes()
 
 
 def test_bad_magic_rejected(tmp_path):
@@ -550,6 +574,12 @@ def test_header_whose_finest_cell_underflows_is_corruption(tmp_path):
      "childless interior record at NodeKey(depth=1, index=0)"),
     (_tree_file(_interior(4.0, 3), _interior(2.0, 3), _record(1.0, n_top=4), _R),
      "leaf stores 4 classes, maximum is 3"),
+    # Masks with gaps: a node's octant is the set bit of its rank among its siblings.
+    (_tree_file(_interior(36.0, 0xA5), _interior(8.0, 0x81), _R, _R, _record(1.0, SUMMARY),
+                _interior(8.0, 0x24), _R, _R, _record(1.0, SUMMARY), branching=8), None),
+    (_tree_file(_interior(36.0, 0xA5), _interior(8.0, 0x81), _R, _R, _record(1.0, SUMMARY),
+                _interior(8.0, 0x24), _R, _record(-1.0), branching=8),
+     f"record {_DEPTH_2.format(45)} has invalid weight -1.0"),
     (_VALID + b"\x00\x01\x02", "3 trailing bytes"),
     # An interior weight is checked once its subtree is read: a bad record
     # inside comes first, one after it comes later.
@@ -630,9 +660,12 @@ _SPECIALS = [float("nan"), float("inf"), -1.0, 1e300, 0.0, -0.0, 0.5, 2.0]
 
 
 def _fuzz_tree(rng, branching):
-    """A random tree with zero-weight leaves and, usually, a summary."""
-    depth = {2: 3, 4: 2, 8: 2}[branching]
-    tree = make_random_tree(rng, branching, depth, fill=float(rng.uniform(0.2, 1.0)))
+    """A random tree with zero-weight leaves and, usually, a summary: a
+    binary tree of depth 3, or a quadtree or octree of depth 2 or, with
+    sparse masks on every level, of depth 3."""
+    depth = 3 if branching == 2 else int(rng.integers(2, 4))
+    fill = rng.uniform(0.2, 1.0) if branching == 2 or depth == 2 else rng.uniform(0.02, 0.3)
+    tree = make_random_tree(rng, branching, depth, fill=float(fill))
     dims, n = tree.world.dims, 1 << depth
     for _ in range(2):
         coords = tuple(int(c) for c in rng.integers(0, n, dims))
